@@ -182,7 +182,7 @@ fn serve<P, F>(
     eprintln!("starting at batch {applied}/{}", options.batches);
     for i in applied..options.batches {
         let batch = make_batch(server.graph(), options.seed.wrapping_add(i), kind);
-        server.apply(&batch);
+        server.try_apply(&batch).expect("apply batch");
         println!("applied {}", i + 1);
         std::io::stdout().flush().expect("flush stdout");
     }

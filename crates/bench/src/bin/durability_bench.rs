@@ -153,12 +153,12 @@ fn main() {
         options.ops,
         graph.num_vertices()
     );
-    let mut plain = DeltaServer::new(graph.clone(), make, config.clone());
+    let mut plain = DeltaServer::try_new(graph.clone(), make, config.clone()).unwrap();
     let plain_start = Instant::now();
     let mut current = graph.clone();
     for i in 0..options.batches {
         let batch = mixed_batch(&current, 300 + i, options.ops);
-        plain.apply(&batch);
+        plain.try_apply(&batch).unwrap();
         current = current.apply_batch(&batch).0;
     }
     let plain_seconds = plain_start.elapsed().as_secs_f64();
@@ -171,7 +171,7 @@ fn main() {
     let mut current = graph.clone();
     for i in 0..options.batches {
         let batch = mixed_batch(&current, 300 + i, options.ops);
-        durable.apply(&batch);
+        durable.try_apply(&batch).unwrap();
         current = current.apply_batch(&batch).0;
     }
     let durable_seconds = durable_start.elapsed().as_secs_f64();
@@ -209,7 +209,7 @@ fn main() {
         let mut current = graph.clone();
         for i in 0..options.batches {
             let batch = mixed_batch(&current, 900 + i, options.ops);
-            server.apply(&batch);
+            server.try_apply(&batch).unwrap();
             current = current.apply_batch(&batch).0;
         }
         let expected = bits(server.values());
@@ -251,13 +251,13 @@ fn main() {
         .with_snapshot_every(4)
         .with_max_dead_fraction(0.2);
     let mut server = DeltaServer::create_durable(graph.clone(), make, oocore, durability).unwrap();
-    let mut witness = DeltaServer::new(graph.clone(), make, config.clone());
+    let mut witness = DeltaServer::try_new(graph.clone(), make, config.clone()).unwrap();
     let mut current = graph.clone();
     let mut peak_dead_fraction: f64 = 0.0;
     for i in 0..options.batches {
         let batch = mixed_batch(&current, 1500 + i, options.ops);
-        let outcome = server.apply(&batch);
-        witness.apply(&batch);
+        let outcome = server.try_apply(&batch).unwrap();
+        witness.try_apply(&batch).unwrap();
         current = current.apply_batch(&batch).0;
         let total = outcome.storage_live_bytes + outcome.storage_dead_bytes;
         if total > 0 {

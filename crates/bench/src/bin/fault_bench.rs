@@ -176,7 +176,7 @@ fn sweep<P, F>(
     let mut after: Vec<Vec<u8>> = Vec::new();
     for i in 0..batches {
         let batch = mixed_batch(oracle.graph(), seed + i);
-        oracle.apply(&batch);
+        oracle.try_apply(&batch).expect("apply batch");
         after.push(value_bytes(oracle.values()));
     }
     assert_eq!(oracle.fault_counters().injected_total(), 0);
@@ -278,7 +278,7 @@ fn open_and_enospc_runs(graph: &Graph, workers: usize, records: &mut Vec<RunReco
             .expect("open-run server");
     for i in 0..2u64 {
         let batch = mixed_batch(server.graph(), 500 + i);
-        server.apply(&batch);
+        server.try_apply(&batch).expect("apply batch");
     }
     let expected = value_bytes(server.values());
     drop(server);

@@ -171,9 +171,10 @@ fn measure_sssp_cell(graph: &Graph, percent: f64, mode: &'static str, delete_sha
         engine: EngineConfig::default().with_trace(false),
         ..ServerConfig::default()
     };
-    let mut server = DeltaServer::new(graph.clone(), move |_| SsspProgram { root }, config);
+    let mut server = DeltaServer::try_new(graph.clone(), move |_| SsspProgram { root }, config)
+        .expect("build server");
     let batch = make_batch(graph, percent, delete_share, 9000 + (percent * 10.0) as u64);
-    let outcome = server.apply(&batch);
+    let outcome = server.try_apply(&batch).expect("apply batch");
     assert!(outcome.converged, "warm serving run must converge");
 
     // Full recompute on the mutated graph: guidance generation + cold run.

@@ -328,8 +328,10 @@ fn main() {
         engine: EngineConfig::default().with_trace(false),
         ..ServerConfig::default()
     };
-    let mut migrated = DeltaServer::new(seed_graph.clone(), make, policy_config);
-    let mut reference = DeltaServer::new(seed_graph, make, reference_config);
+    let mut migrated =
+        DeltaServer::try_new(seed_graph.clone(), make, policy_config).expect("build server");
+    let mut reference =
+        DeltaServer::try_new(seed_graph, make, reference_config).expect("build server");
     let seed_imbalance = reference.partitioning().imbalance();
     assert!(
         seed_imbalance > options.threshold,
@@ -343,8 +345,8 @@ fn main() {
         // Growth-heavy: two appended vertices per batch plus a few edits.
         let mut batch = mixed_batch(n, round + 20_000, 4);
         batch.insert(mig_root, n, 2.0).insert(n, n + 1, 3.0);
-        migrated.apply(&batch);
-        let expected = reference.apply(&batch);
+        migrated.try_apply(&batch).expect("apply batch");
+        let expected = reference.try_apply(&batch).expect("apply batch");
         migrated
             .remap_now()
             .expect("in-memory remap cannot fail on I/O");

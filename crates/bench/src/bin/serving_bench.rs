@@ -272,10 +272,11 @@ fn run_one(graph: &Graph, nodes: usize, workers: usize, options: &Options) -> Ru
         engine: engine_config(),
         ..ServerConfig::default()
     };
-    let mut oracle = DeltaServer::new(graph.clone(), make, oracle_config);
+    let mut oracle =
+        DeltaServer::try_new(graph.clone(), make, oracle_config).expect("build server");
     assert_eq!(bits(initial.values()), bits(oracle.values()), "version 0");
     for (i, (batch, version)) in history.iter().enumerate() {
-        oracle.apply(batch);
+        oracle.try_apply(batch).expect("apply batch");
         assert_eq!(version.seq(), i as u64 + 1);
         assert_eq!(
             bits(version.values()),

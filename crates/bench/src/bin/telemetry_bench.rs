@@ -265,7 +265,7 @@ fn measure_serving(graph: &Graph, options: &Options, workers: usize) -> ServingP
     let mut current = graph.clone();
     for round in 0..options.batches as u64 {
         let batch = mixed_batch(&current, round + 7_000, 20);
-        let outcome = server.apply(&batch);
+        let outcome = server.try_apply(&batch).expect("apply batch");
         assert!(outcome.converged, "batch {round} failed to converge");
         assert!(
             outcome.wal_fsync_seconds > 0.0,
@@ -501,7 +501,7 @@ fn main() {
         out,
         "  \"git_commit\": {},\n  \"hardware_threads\": {hardware_threads},\n  \"note\": {},\n",
         json::string(&slfe_bench::git_commit()),
-        json::string("telemetry off vs on for every registered app at 1 and 4 workers: values are asserted bit-identical and counters equal, so counted_overhead_ratio is the machine-independent overhead measure (asserted < 1.05); wall ratios depend on hardware_threads and load. Latency tables come from a durable out-of-core SSSP server applying seeded batches with telemetry on; pool fractions are measured over the server pool's lifetime. A 1-worker pool reports zero phases because single-worker schedules run inline on the coordinator (the sequential-oracle path never enters the pool)")
+        json::string("telemetry off vs on for every registered app at 1 and 4 workers: values are asserted bit-identical and counters equal, so counted_overhead_ratio is the machine-independent overhead measure (asserted < 1.05); wall ratios depend on hardware_threads and load. Latency tables come from a durable out-of-core SSSP server applying seeded batches with telemetry on; pool fractions are measured over the server pool's lifetime. A 1-worker pool reports zero phases because single-worker schedules run inline on the coordinator")
     );
     let _ = writeln!(
         out,

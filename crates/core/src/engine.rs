@@ -61,24 +61,20 @@
 //! * **Push mode** (min/max only — arithmetic programs never push): workers fold
 //!   contributions into worker-local buffers which are combined once per
 //!   destination at the barrier. Because a min/max `combine` is idempotent,
-//!   commutative and associative, the merged values are **bit-for-bit identical**
-//!   to the sequential result for every worker count. Work/update counters in
-//!   parallel push are counted per merged destination (not per improving edge), so
-//!   with more than one worker per node they can differ slightly from the
-//!   single-worker tally; messages are charged once per changed remote
-//!   destination per *contributing sender node* (sender-side aggregation — the
-//!   sender set is tracked exactly through the per-worker node masks).
-//! * **`workers_per_node: 1`** keeps the historical sequential push path (nodes
-//!   in ascending order, per-edge counting) and a single simulated worker per
-//!   node — it reproduces the pre-parallelism sequential engine bit-for-bit,
-//!   counters and simulated seconds included, and serves as the deterministic
-//!   oracle for the parallel paths. (Pull phases still *execute* on the global
-//!   pool even then; their per-destination accounting makes that invisible.)
+//!   commutative and associative, the merged values are **bit-for-bit
+//!   identical** for every worker count. Update counters are counted per
+//!   merged destination (not per improving edge), and messages are charged
+//!   once per changed remote destination per *contributing sender node*
+//!   (sender-side aggregation — the sender set is tracked exactly through the
+//!   per-worker node masks), so they too are identical for every worker count.
 //!
-//! Which physical worker processes which chunk remains nondeterministic under
-//! stealing; every result, counter total, message tally and — since the
-//! schedule is now simulated from deterministic per-chunk costs — every
-//! per-worker load and simulated-seconds figure above is not.
+//! There is **one push path and one pull path**, at every worker count:
+//! `workers_per_node: 1` runs the same chunked global phases as any other
+//! count, so counters, chunk skips and per-node-pair message tallies are
+//! identical at 1, 2 or 4 workers per node. Which physical worker processes
+//! which chunk remains nondeterministic under stealing. Results, counter
+//! totals and message tallies do not depend on it, and neither does the
+//! simulated schedule, which is derived from deterministic per-chunk costs.
 //!
 //! # Activity-proportional execution (PR 4)
 //!
@@ -419,6 +415,28 @@ struct RunSeed<V> {
     preset: Counters,
 }
 
+/// Every part [`SlfeEngine::from_parts`] assembles an engine from. All are
+/// required; [`SlfeEngine::build`] derives each one from the graph.
+#[derive(Debug)]
+pub struct EngineParts {
+    /// The simulated cluster the graph is partitioned over.
+    pub cluster: Cluster,
+    /// Engine configuration.
+    pub config: EngineConfig,
+    /// Redundancy-reduction guidance covering the graph's vertices.
+    pub rrg: RrGuidance,
+    /// Worker pool with at least the cluster's `total_workers` threads.
+    pub pool: Arc<WorkerPool>,
+    /// Chunk layout spanning the cluster's nodes and covering each node's
+    /// owned vertices exactly.
+    pub layout: GlobalChunkLayout,
+    /// Out-of-core segment store covering the graph; `None` runs in-memory
+    /// regardless of what the configuration requests.
+    pub storage: Option<Arc<GraphStorage>>,
+    /// Telemetry hub, attached to the storage buffer pool when one is present.
+    pub telemetry: Arc<Telemetry>,
+}
+
 /// The SLFE engine bound to one graph and one simulated cluster.
 #[derive(Debug)]
 pub struct SlfeEngine<'g> {
@@ -426,9 +444,9 @@ pub struct SlfeEngine<'g> {
     cluster: Cluster,
     config: EngineConfig,
     rrg: RrGuidance,
-    /// The persistent worker pool: `total_workers` threads spawned once here
-    /// (or inherited via [`SlfeEngine::with_cluster_guidance_and_pool`]) and
-    /// reused by every phase of every run, including RRG preprocessing.
+    /// The persistent worker pool: `total_workers` threads spawned once at
+    /// build (or handed in through [`EngineParts::pool`]) and reused by every
+    /// phase of every run, including RRG preprocessing.
     pool: Arc<WorkerPool>,
     /// Degree-aware, cluster-wide chunk layout (built once per graph version,
     /// or patched from the previous version's layout by the serving path).
@@ -456,105 +474,73 @@ pub struct SlfeEngine<'g> {
     /// per vertex, indexed by physical id. Built once per engine.
     degrees: Degrees,
     /// Telemetry hub (span tracing + latency histograms), built from
-    /// `config.telemetry` and attached to the storage buffer pool when one is
-    /// present. Disabled by default; the disabled hub's begin/end are no-ops
-    /// and the engine's hot paths read zero clocks through it.
+    /// `config.telemetry` (or handed in through [`EngineParts::telemetry`])
+    /// and attached to the storage buffer pool when one is present. Disabled
+    /// by default; the disabled hub's begin/end are no-ops and the engine's
+    /// hot paths read zero clocks through it.
     telemetry: Arc<Telemetry>,
     preprocessing_seconds: f64,
     preprocessing_wall_seconds: f64,
 }
 
 impl<'g> SlfeEngine<'g> {
-    /// Partition `graph` across a fresh cluster and generate the RR guidance.
+    /// Partition `graph` across a fresh cluster, spawn its worker pool,
+    /// generate the RR guidance, derive the chunk layout and — when the
+    /// configuration asks for out-of-core execution — write the segment files.
+    ///
+    /// Panics when the out-of-core segment files cannot be written.
     pub fn build(graph: &'g Graph, cluster_config: ClusterConfig, config: EngineConfig) -> Self {
         let cluster = Cluster::build(graph, cluster_config);
-        Self::with_cluster(graph, cluster, config)
-    }
-
-    /// Build the engine around an existing cluster (custom partitioning).
-    pub fn with_cluster(graph: &'g Graph, cluster: Cluster, config: EngineConfig) -> Self {
         let pool = Arc::new(WorkerPool::new(cluster.config().total_workers()));
         let wall_start = Instant::now();
         let rrg = RrGuidance::generate_parallel_on(graph, &pool);
         let preprocessing_wall_seconds = wall_start.elapsed().as_secs_f64();
-        let mut engine = Self::with_cluster_guidance_and_pool(graph, cluster, config, rrg, pool);
-        engine.preprocessing_wall_seconds = preprocessing_wall_seconds;
-        engine
-    }
-
-    /// Build the engine around an existing cluster **and** an existing guidance —
-    /// the incremental-serving path, where the guidance was repaired from the
-    /// previous graph version ([`RrGuidance::repair`]) instead of regenerated.
-    ///
-    /// The simulated preprocessing charge uses the guidance's recorded generation
-    /// work, which for a repaired guidance is the (much smaller) repair cost.
-    pub fn with_cluster_and_guidance(
-        graph: &'g Graph,
-        cluster: Cluster,
-        config: EngineConfig,
-        rrg: RrGuidance,
-    ) -> Self {
-        let pool = Arc::new(WorkerPool::new(cluster.config().total_workers()));
-        Self::with_cluster_guidance_and_pool(graph, cluster, config, rrg, pool)
-    }
-
-    /// [`SlfeEngine::with_cluster_and_guidance`] reusing an existing worker
-    /// pool instead of spawning one — the warm-serving path:
-    /// `slfe_delta::DeltaServer` builds one pool at startup and threads it
-    /// through every graph version's engine, so applying a batch spawns zero
-    /// threads. The pool must have at least `total_workers` threads.
-    pub fn with_cluster_guidance_and_pool(
-        graph: &'g Graph,
-        cluster: Cluster,
-        config: EngineConfig,
-        rrg: RrGuidance,
-        pool: Arc<WorkerPool>,
-    ) -> Self {
         let layout = cluster.build_layout(graph);
-        Self::with_prebuilt_layout(graph, cluster, config, rrg, pool, layout)
-    }
-
-    /// [`SlfeEngine::with_cluster_guidance_and_pool`] reusing a prebuilt chunk
-    /// layout instead of deriving one — the serving path's final piece:
-    /// `slfe_delta::DeltaServer` patches the previous graph version's layout
-    /// at the batch's dirty endpoints ([`GlobalChunkLayout::patched`]) and
-    /// hands it here, so applying a batch pays neither a thread spawn nor an
-    /// O(V+E) layout scan+sort. The layout must span the cluster's nodes and
-    /// cover each node's owned vertices exactly.
-    pub fn with_prebuilt_layout(
-        graph: &'g Graph,
-        cluster: Cluster,
-        config: EngineConfig,
-        rrg: RrGuidance,
-        pool: Arc<WorkerPool>,
-        layout: GlobalChunkLayout,
-    ) -> Self {
         let storage = config.storage_config().map(|sc| {
             Arc::new(
                 GraphStorage::build(graph, &sc)
                     .expect("failed to write out-of-core graph segments"),
             )
         });
-        Self::with_prebuilt_layout_and_storage(graph, cluster, config, rrg, pool, layout, storage)
+        let telemetry = Arc::new(Telemetry::new(config.telemetry));
+        let mut engine = Self::from_parts(
+            graph,
+            EngineParts {
+                cluster,
+                config,
+                rrg,
+                pool,
+                layout,
+                storage,
+                telemetry,
+            },
+        );
+        engine.preprocessing_wall_seconds = preprocessing_wall_seconds;
+        engine
     }
 
-    /// [`SlfeEngine::with_prebuilt_layout`] reusing an existing out-of-core
-    /// store instead of re-writing the segments — the serving path:
-    /// `slfe_delta::DeltaServer` patches only the dirty segments of the
-    /// previous graph version's store ([`GraphStorage::patched`]) and hands
-    /// the patched generation here, so applying a batch re-encodes `O(dirty
-    /// segments)` bytes rather than the whole graph. `storage`, when present,
-    /// must cover the engine's graph; when `None` the engine runs in-memory
-    /// regardless of what the configuration requests.
-    pub fn with_prebuilt_layout_and_storage(
-        graph: &'g Graph,
-        cluster: Cluster,
-        config: EngineConfig,
-        rrg: RrGuidance,
-        pool: Arc<WorkerPool>,
-        layout: GlobalChunkLayout,
-        storage: Option<Arc<GraphStorage>>,
-    ) -> Self {
+    /// Assemble an engine from parts the caller already holds — the serving
+    /// path: `slfe_delta::DeltaServer` keeps one pool and one telemetry hub
+    /// for its lifetime, repairs the guidance lazily, patches the previous
+    /// graph version's layout and segment store at the batch's dirty
+    /// endpoints, and hands all of it here, so applying a batch pays neither
+    /// a thread spawn, a guidance BFS, an O(V+E) layout scan+sort nor a
+    /// whole-graph segment write.
+    ///
+    /// The simulated preprocessing charge uses the guidance's recorded
+    /// generation work, which for a repaired guidance is the (much smaller)
+    /// repair cost. Panics when a part does not fit the graph or the cluster
+    /// (see [`EngineParts`]).
+    pub fn from_parts(graph: &'g Graph, parts: EngineParts) -> Self {
+        let EngineParts {
+            cluster,
+            config,
+            rrg,
+            pool,
+            layout,
+            storage,
+            telemetry,
+        } = parts;
         if let Some(storage) = &storage {
             assert_eq!(
                 storage.out_store().store_num_vertices(),
@@ -597,7 +583,6 @@ impl<'g> SlfeEngine<'g> {
         // paper's claim that the overhead is negligible and amortised (§4.4).
         let workers = cluster.config().total_workers().max(1) as f64;
         let preprocessing_seconds = config.cost.seconds(rrg.generation_work()) / workers;
-        let telemetry = Arc::new(Telemetry::new(config.telemetry));
         if let Some(storage) = &storage {
             storage.pool().set_telemetry(&telemetry);
         }
@@ -621,17 +606,6 @@ impl<'g> SlfeEngine<'g> {
     /// The per-vertex degree view handed to program callbacks.
     pub fn degrees(&self) -> &Degrees {
         &self.degrees
-    }
-
-    /// Replace the telemetry hub — the serving path: `DeltaServer` keeps one
-    /// hub across the fresh engine it builds per batch, so spans and
-    /// histograms accumulate over the server's lifetime instead of resetting
-    /// every batch. Re-attaches the hub to the storage buffer pool.
-    pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        if let Some(storage) = &self.storage {
-            storage.pool().set_telemetry(&telemetry);
-        }
-        self.telemetry = telemetry;
     }
 
     /// The engine's telemetry hub.
@@ -1122,72 +1096,63 @@ impl<'g> SlfeEngine<'g> {
             // vertex-update count (see the module docs for the safety argument
             // per rule), and every input is barrier-merged state, so the
             // decision — and with it every counter — is deterministic at any
-            // worker count. The sequential `workers == 1` push path stays
-            // chunk-free and therefore untouched.
-            let global_phase = !(mode == Mode::Push && workers == 1);
+            // worker count.
+            //
             // Ruler bounds are only consulted by ruler-gated min/max runs, and
             // computing them is an O(V) scan — warm (rulers-off) restarts must
             // not pay it, so it stays behind the lazy accessor.
             let rr_bounds = (rr && !arithmetic).then(|| self.chunk_rr_bounds());
-            if global_phase {
-                let chunks = self.layout.chunks();
-                for (ci, chunk) in chunks.iter().enumerate() {
-                    chunk_skip[ci] = match mode {
-                        // A push chunk with no active source does nothing. The
-                        // popcount is affordable by construction on contiguous
-                        // partitionings (span ≈ chunk size); a foreign-id-
-                        // riddled span that would cost more words to probe
-                        // than the chunk's own work is simply visited.
-                        Mode::Push => {
-                            let probe_words = (chunk.span_end - chunk.span_start) as u64 / 64 + 1;
-                            probe_words <= chunk.estimate
-                                && active.count_in_range(
-                                    chunk.span_start as usize,
-                                    chunk.span_end as usize,
-                                ) == 0
-                        }
-                        Mode::Pull if arithmetic => {
-                            // Every vertex early-converged: each would be
-                            // individually skipped by the multi ruler.
-                            rr && chunk_converged[ci] as usize == chunk.len()
-                        }
-                        Mode::Pull => {
-                            if rr_bounds.is_some_and(|b| iter < b[ci].0) {
-                                // Entirely rr-gated: every vertex "starts late".
-                                true
-                            } else if chunk.has_no_in_edges() {
-                                // Nothing to gather, min/max apply is a no-op.
-                                true
-                            } else {
-                                // Caught-up chunk none of whose in-neighbors
-                                // changed last iteration: every gather would
-                                // refold the exact bits it already folded. The
-                                // probe is bounded by the gather it can skip:
-                                // a hub-wide in-span whose frontier words
-                                // outnumber the chunk's estimated work is not
-                                // worth probing.
-                                let probe_words = (chunk.in_end - chunk.in_start) as u64 / 64 + 1;
-                                chunk_caught_up[ci]
-                                    && probe_words <= chunk.estimate
-                                    && !active.any_in_range(
-                                        chunk.in_start as usize,
-                                        chunk.in_end as usize,
-                                    )
-                            }
-                        }
-                    };
-                    if chunk_skip[ci] {
-                        iter_counters.chunks_skipped += 1;
+            for (ci, chunk) in self.layout.chunks().iter().enumerate() {
+                chunk_skip[ci] = match mode {
+                    // A push chunk with no active source does nothing. The
+                    // popcount is affordable by construction on contiguous
+                    // partitionings (span ≈ chunk size); a foreign-id-riddled
+                    // span that would cost more words to probe than the
+                    // chunk's own work is simply visited.
+                    Mode::Push => {
+                        let probe_words = (chunk.span_end - chunk.span_start) as u64 / 64 + 1;
+                        probe_words <= chunk.estimate
+                            && active
+                                .count_in_range(chunk.span_start as usize, chunk.span_end as usize)
+                                == 0
                     }
+                    Mode::Pull if arithmetic => {
+                        // Every vertex early-converged: each would be
+                        // individually skipped by the multi ruler.
+                        rr && chunk_converged[ci] as usize == chunk.len()
+                    }
+                    Mode::Pull => {
+                        if rr_bounds.is_some_and(|b| iter < b[ci].0) {
+                            // Entirely rr-gated: every vertex "starts late".
+                            true
+                        } else if chunk.has_no_in_edges() {
+                            // Nothing to gather, min/max apply is a no-op.
+                            true
+                        } else {
+                            // Caught-up chunk none of whose in-neighbors
+                            // changed last iteration: every gather would refold
+                            // the exact bits it already folded. The probe is
+                            // bounded by the gather it can skip: a hub-wide
+                            // in-span whose frontier words outnumber the
+                            // chunk's estimated work is not worth probing.
+                            let probe_words = (chunk.in_end - chunk.in_start) as u64 / 64 + 1;
+                            chunk_caught_up[ci]
+                                && probe_words <= chunk.estimate
+                                && !active
+                                    .any_in_range(chunk.in_start as usize, chunk.in_end as usize)
+                        }
+                    }
+                };
+                if chunk_skip[ci] {
+                    iter_counters.chunks_skipped += 1;
                 }
             }
             // Sparse-vs-dense push scratch: below the density threshold the
             // workers fold into compact maps; the representation is chosen once
             // per phase from merged state, so it too is worker-count-invariant.
             let sparse_push = mode == Mode::Push
-                && global_phase
                 && (active_count as f64) < self.config.sparse_push_density * n as f64;
-            if mode == Mode::Push && global_phase && !sparse_push {
+            if mode == Mode::Push && !sparse_push {
                 // A dense phase supersedes the maps: release their capacity so
                 // mixed runs do not hold both representations at peak (the
                 // sparse tail after the dense wave regrows small maps cheaply).
@@ -1203,186 +1168,154 @@ impl<'g> SlfeEngine<'g> {
                 }
             }
 
-            if mode == Mode::Push && workers == 1 {
-                // Historical sequential push: nodes in ascending order with
-                // per-edge counting — the `workers_per_node: 1` oracle path the
-                // determinism guarantees are anchored to.
-                let phase_span = rec.begin();
-                for node in self.cluster.nodes() {
-                    let outcome = self.push_phase_sequential(
+            // One global phase: every node's chunks on the machine-wide pool.
+            let phase_span = rec.begin();
+            match mode {
+                Mode::Pull => {
+                    newly_converged.fill(0);
+                    self.pull_phase_global(
                         program,
-                        out_store,
-                        node,
+                        in_store,
                         iter,
+                        rr,
+                        arithmetic,
                         tolerance,
-                        &active,
                         &prev_values,
                         &mut values,
-                        &mut next_active,
-                        &mut changed_this_iter,
+                        &mut stable_count,
+                        &mut stable_value,
                         &mut last_changed_iter,
-                        &mut iter_counters,
-                    );
-                    per_node_worker_work[node][0] += outcome.total_work;
-                    self.cluster.record_node_work(node, outcome.total_work);
-                    iteration_node_makespan = iteration_node_makespan.max(outcome.makespan());
-                }
-                // Sequential push executes on the calling thread (worker 0);
-                // the execute window coincides with the phase.
-                rec.end_on(phase_span, "execute", mode_name, 0);
-                rec.end(phase_span, "phase", mode_name);
-            } else {
-                // One global phase: every node's chunks on the machine-wide pool.
-                let phase_span = rec.begin();
-                match mode {
-                    Mode::Pull => {
-                        newly_converged.fill(0);
-                        self.pull_phase_global(
-                            program,
-                            in_store,
-                            iter,
-                            rr,
-                            arithmetic,
-                            tolerance,
-                            &prev_values,
-                            &mut values,
-                            &mut stable_count,
-                            &mut stable_value,
-                            &mut last_changed_iter,
-                            &mut worker_states,
-                            &global_scheduler,
-                            &mut chunk_costs,
-                            &chunk_skip,
-                            &mut newly_converged,
-                        );
-                        if arithmetic && rr {
-                            for (count, fresh) in chunk_converged.iter_mut().zip(&newly_converged) {
-                                *count += fresh;
-                            }
-                        }
-                    }
-                    Mode::Push => self.push_phase_global(
-                        program,
-                        out_store,
-                        iter,
-                        tolerance,
-                        &active,
-                        &prev_values,
-                        &mut values,
-                        &mut next_active,
-                        &mut changed_this_iter,
-                        &mut last_changed_iter,
-                        &mut iter_counters,
                         &mut worker_states,
                         &global_scheduler,
                         &mut chunk_costs,
                         &chunk_skip,
-                        sparse_push,
-                        &mut merged_values,
-                        &mut merged_touched,
-                        &mut merged_nodes,
-                        &mut merged_sparse,
-                        &mut sparse_order,
-                        mask_words,
-                        &mut merge_work_by_node,
-                    ),
-                }
-                rec.end(phase_span, "phase", mode_name);
-                // The phase's pool barrier has passed: every worker's execute
-                // window is quiescent, so draining them here is race-free (the
-                // "per-worker lock-free buffers drained at barriers" rule).
-                for (w, ws) in worker_states.iter_mut().enumerate() {
-                    rec.worker_window(&mut ws.window, "execute", mode_name, w as u32);
-                }
-                if mode == Mode::Push {
-                    // High-water mark of the push gather scratch actually
-                    // allocated (capacities persist across `clear`, so this is
-                    // the live footprint, not the phase's touched count). Each
-                    // worker reports its own live footprint; the shared merge
-                    // buffers are the engine's. The barrier merge below sums
-                    // the concurrent windows (`Counters::merge_concurrent`) —
-                    // every worker's scratch is live *simultaneously* at this
-                    // barrier, so a max would under-report the true peak by up
-                    // to the worker count.
-                    for ws in worker_states.iter_mut() {
-                        ws.counters.scratch_bytes_peak = ws.scratch_bytes();
-                    }
-                    iter_counters.scratch_bytes_peak =
-                        (merged_values.len() * std::mem::size_of::<P::Value>()
-                            + merged_touched.words().len() * 8
-                            + merged_nodes.len() * 8) as u64
-                            + merged_sparse.bytes();
-                }
-
-                // Merge per-worker scratch at the iteration barrier: counters,
-                // change tallies, activated frontier bits and the message
-                // matrix. Concurrent-window semantics: flow counters sum, and
-                // so do the simultaneously-live scratch footprints.
-                let barrier_span = rec.begin();
-                let merge_span = rec.begin();
-                for ws in worker_states.iter_mut() {
-                    iter_counters = iter_counters.merge_concurrent(ws.counters);
-                    ws.counters = Counters::zero();
-                    changed_this_iter += ws.changed;
-                    ws.changed = 0;
-                    if ws.next_frontier.any() {
-                        next_active.union_with(&ws.next_frontier);
-                        ws.next_frontier.clear();
-                    }
-                    for src_node in 0..num_nodes {
-                        for dst_node in 0..num_nodes {
-                            let idx = src_node * num_nodes + dst_node;
-                            if ws.messages[idx] != 0 {
-                                self.cluster.record_node_messages(
-                                    src_node,
-                                    dst_node,
-                                    ws.messages[idx],
-                                    ws.bytes[idx],
-                                );
-                                ws.messages[idx] = 0;
-                                ws.bytes[idx] = 0;
-                            }
+                        &mut newly_converged,
+                    );
+                    if arithmetic && rr {
+                        for (count, fresh) in chunk_converged.iter_mut().zip(&newly_converged) {
+                            *count += fresh;
                         }
                     }
                 }
-                rec.end(merge_span, "merge", "engine");
-
-                // Simulated-cluster accounting: in the *model* each node still
-                // only has `workers_per_node` workers, however many pool threads
-                // physically ran its chunks. Re-assign the measured per-chunk
-                // costs greedily (least-loaded, layout order — what stealing
-                // converges to); apply work joins the owner's least-loaded
-                // worker. The iteration is bounded by the slowest node's busiest
-                // worker; because chunk costs are deterministic, so is the whole
-                // schedule, at every worker count.
-                for node in self.cluster.nodes() {
-                    let mut sim =
-                        self.layout
-                            .simulate_node(node, workers, self.config.scheduling, |c| {
-                                chunk_costs[c]
-                            });
-                    let merge = std::mem::take(&mut merge_work_by_node[node]);
-                    if merge > 0 {
-                        let (idx, _) = sim
-                            .per_worker_work
-                            .iter()
-                            .enumerate()
-                            .min_by_key(|(i, &w)| (w, *i))
-                            .expect("at least one worker");
-                        sim.per_worker_work[idx] += merge;
-                        sim.total_work += merge;
-                    }
-                    for (w, load) in per_node_worker_work[node]
-                        .iter_mut()
-                        .zip(&sim.per_worker_work)
-                    {
-                        *w += load;
-                    }
-                    self.cluster.record_node_work(node, sim.total_work);
-                    iteration_node_makespan = iteration_node_makespan.max(sim.makespan());
-                }
-                rec.end(barrier_span, "barrier", "engine");
+                Mode::Push => self.push_phase_global(
+                    program,
+                    out_store,
+                    iter,
+                    tolerance,
+                    &active,
+                    &prev_values,
+                    &mut values,
+                    &mut next_active,
+                    &mut changed_this_iter,
+                    &mut last_changed_iter,
+                    &mut iter_counters,
+                    &mut worker_states,
+                    &global_scheduler,
+                    &mut chunk_costs,
+                    &chunk_skip,
+                    sparse_push,
+                    &mut merged_values,
+                    &mut merged_touched,
+                    &mut merged_nodes,
+                    &mut merged_sparse,
+                    &mut sparse_order,
+                    mask_words,
+                    &mut merge_work_by_node,
+                ),
             }
+            rec.end(phase_span, "phase", mode_name);
+            // The phase's pool barrier has passed: every worker's execute
+            // window is quiescent, so draining them here is race-free (the
+            // "per-worker lock-free buffers drained at barriers" rule).
+            for (w, ws) in worker_states.iter_mut().enumerate() {
+                rec.worker_window(&mut ws.window, "execute", mode_name, w as u32);
+            }
+            if mode == Mode::Push {
+                // High-water mark of the push gather scratch actually
+                // allocated (capacities persist across `clear`, so this is
+                // the live footprint, not the phase's touched count). Each
+                // worker reports its own live footprint; the shared merge
+                // buffers are the engine's. The barrier merge below sums
+                // the concurrent windows (`Counters::merge_concurrent`) —
+                // every worker's scratch is live *simultaneously* at this
+                // barrier, so a max would under-report the true peak by up
+                // to the worker count.
+                for ws in worker_states.iter_mut() {
+                    ws.counters.scratch_bytes_peak = ws.scratch_bytes();
+                }
+                iter_counters.scratch_bytes_peak =
+                    (merged_values.len() * std::mem::size_of::<P::Value>()
+                        + merged_touched.words().len() * 8
+                        + merged_nodes.len() * 8) as u64
+                        + merged_sparse.bytes();
+            }
+
+            // Merge per-worker scratch at the iteration barrier: counters,
+            // change tallies, activated frontier bits and the message
+            // matrix. Concurrent-window semantics: flow counters sum, and
+            // so do the simultaneously-live scratch footprints.
+            let barrier_span = rec.begin();
+            let merge_span = rec.begin();
+            for ws in worker_states.iter_mut() {
+                iter_counters = iter_counters.merge_concurrent(ws.counters);
+                ws.counters = Counters::zero();
+                changed_this_iter += ws.changed;
+                ws.changed = 0;
+                if ws.next_frontier.any() {
+                    next_active.union_with(&ws.next_frontier);
+                    ws.next_frontier.clear();
+                }
+                for src_node in 0..num_nodes {
+                    for dst_node in 0..num_nodes {
+                        let idx = src_node * num_nodes + dst_node;
+                        if ws.messages[idx] != 0 {
+                            self.cluster.record_node_messages(
+                                src_node,
+                                dst_node,
+                                ws.messages[idx],
+                                ws.bytes[idx],
+                            );
+                            ws.messages[idx] = 0;
+                            ws.bytes[idx] = 0;
+                        }
+                    }
+                }
+            }
+            rec.end(merge_span, "merge", "engine");
+
+            // Simulated-cluster accounting: in the *model* each node still
+            // only has `workers_per_node` workers, however many pool threads
+            // physically ran its chunks. Re-assign the measured per-chunk
+            // costs greedily (least-loaded, layout order — what stealing
+            // converges to); apply work joins the owner's least-loaded
+            // worker. The iteration is bounded by the slowest node's busiest
+            // worker; because chunk costs are deterministic, so is the whole
+            // schedule, at every worker count.
+            for node in self.cluster.nodes() {
+                let mut sim =
+                    self.layout
+                        .simulate_node(node, workers, self.config.scheduling, |c| chunk_costs[c]);
+                let merge = std::mem::take(&mut merge_work_by_node[node]);
+                if merge > 0 {
+                    let (idx, _) = sim
+                        .per_worker_work
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|(i, &w)| (w, *i))
+                        .expect("at least one worker");
+                    sim.per_worker_work[idx] += merge;
+                    sim.total_work += merge;
+                }
+                for (w, load) in per_node_worker_work[node]
+                    .iter_mut()
+                    .zip(&sim.per_worker_work)
+                {
+                    *w += load;
+                }
+                self.cluster.record_node_work(node, sim.total_work);
+                iteration_node_makespan = iteration_node_makespan.max(sim.makespan());
+            }
+            rec.end(barrier_span, "barrier", "engine");
 
             // Graduate min/max chunks to frontier-based pull skipping: a chunk
             // is "caught up" once every one of its vertices has gathered all
@@ -1737,105 +1670,6 @@ impl<'g> SlfeEngine<'g> {
         work
     }
 
-    /// One node's push phase on a single worker: the historical sequential path,
-    /// kept verbatim so `workers_per_node: 1` reproduces the pre-parallelism
-    /// engine bit-for-bit (per-edge update counting included).
-    #[allow(clippy::too_many_arguments)]
-    fn push_phase_sequential<P: GraphProgram, S: AdjacencyStore>(
-        &self,
-        program: &P,
-        out_store: &S,
-        node: usize,
-        iter: u32,
-        tolerance: f64,
-        active: &Bitset,
-        prev_values: &[P::Value],
-        values: &mut [P::Value],
-        next_active: &mut Bitset,
-        changed_this_iter: &mut usize,
-        last_changed_iter: &mut [u32],
-        counters: &mut Counters,
-    ) -> slfe_cluster::ScheduleOutcome {
-        let owned = self.cluster.vertices_of(node);
-        let mut work = 0u64;
-        // Owned vertices ascend, so one cursor streams the node's CSR
-        // segments in order; inactive sources never touch it.
-        let mut out_cursor = StreamCursor::new(out_store);
-        for &src in owned {
-            if !active.get(src as usize) {
-                continue;
-            }
-            work += self.push_vertex(
-                program,
-                &mut out_cursor,
-                src,
-                iter,
-                tolerance,
-                prev_values,
-                values,
-                next_active,
-                changed_this_iter,
-                last_changed_iter,
-                counters,
-            );
-        }
-        slfe_cluster::ScheduleOutcome {
-            per_worker_work: vec![work],
-            total_work: work,
-        }
-    }
-
-    /// Push-mode processing of one **active** source vertex (Algorithm 3),
-    /// sequential path. Returns the counted work performed.
-    #[allow(clippy::too_many_arguments)]
-    fn push_vertex<P: GraphProgram, S: AdjacencyStore>(
-        &self,
-        program: &P,
-        out_cursor: &mut StreamCursor<'_, S>,
-        src: VertexId,
-        iter: u32,
-        tolerance: f64,
-        prev_values: &[P::Value],
-        values: &mut [P::Value],
-        next_active: &mut Bitset,
-        changed_this_iter: &mut usize,
-        last_changed_iter: &mut [u32],
-        counters: &mut Counters,
-    ) -> u64 {
-        let s = src as usize;
-        let (out_targets, out_weights) = out_cursor.list(src);
-        if out_targets.is_empty() {
-            return 0;
-        }
-        let mut work = 0u64;
-        let src_owner = self.cluster.owner_of(src);
-        let src_value = prev_values[s];
-        for (&dst, &weight) in out_targets.iter().zip(out_weights) {
-            work += 1;
-            counters.edge_computations += 1;
-            let Some(contribution) = program.edge_contribution(src, src_value, weight) else {
-                continue;
-            };
-            let d = dst as usize;
-            let old = values[d];
-            let new = program.apply(dst, old, contribution);
-            if program.changed(old, new, tolerance) {
-                values[d] = new;
-                counters.vertex_updates += 1;
-                work += 1;
-                last_changed_iter[d] = iter;
-                *changed_this_iter += 1;
-                next_active.set(d);
-                // Remote destinations receive the update as a message.
-                if self.cluster.owner_of(dst) != src_owner {
-                    self.cluster
-                        .record_update_message(src, dst, UPDATE_MESSAGE_BYTES);
-                }
-            }
-        }
-        work
-    }
-
     /// Apply one merged push destination: fold the combined contribution into
     /// the value, and on a change update the frontier/counters and charge one
     /// sender-aggregated message per contributing remote node (from `mask`).
@@ -1887,7 +1721,8 @@ impl<'g> SlfeEngine<'g> {
         }
     }
 
-    /// One iteration's **global** push phase on the machine-wide pool. Workers
+    /// One iteration's **global** push phase on the machine-wide pool — the
+    /// only push path, at every worker count. Workers
     /// fold each destination's contributions into worker-local scratch —
     /// dense O(n) buffers, or compact open-addressed maps when `sparse`
     /// (frontier density below the configured threshold) — tagging the
@@ -1895,9 +1730,8 @@ impl<'g> SlfeEngine<'g> {
     /// combines the scratch and applies each destination exactly once
     /// (ascending destination order in both representations). A min/max
     /// `combine` is idempotent, commutative and associative, so the merged
-    /// values are identical to the sequential result regardless of chunk
-    /// assignment *and* of scratch representation (arithmetic programs never
-    /// push). Messages are charged once per changed remote destination per
+    /// values are identical regardless of chunk assignment *and* of scratch
+    /// representation (arithmetic programs never push). Messages are charged once per changed remote destination per
     /// contributing sender node; apply work is attributed to the destination's
     /// owner in `merge_work_by_node`. Chunks flagged in `skip` hold no active
     /// source and are left untouched at zero cost.
@@ -2642,15 +2476,22 @@ mod tests {
     }
 
     #[test]
-    fn with_cluster_and_guidance_reuses_the_given_guidance() {
+    fn from_parts_reuses_the_given_guidance() {
         let g = generators::rmat(200, 1400, 0.57, 0.19, 0.19, 8);
         let rrg = RrGuidance::generate(&g);
         let cluster = Cluster::build(&g, ClusterConfig::new(2, 1));
-        let engine = SlfeEngine::with_cluster_and_guidance(
+        let config = EngineConfig::default();
+        let engine = SlfeEngine::from_parts(
             &g,
-            cluster,
-            EngineConfig::default(),
-            rrg.clone(),
+            EngineParts {
+                pool: Arc::new(WorkerPool::new(cluster.config().total_workers())),
+                layout: cluster.build_layout(&g),
+                cluster,
+                rrg: rrg.clone(),
+                storage: None,
+                telemetry: Arc::new(Telemetry::new(config.telemetry)),
+                config,
+            },
         );
         assert!(engine.guidance().guidance_eq(&rrg));
         assert_eq!(engine.preprocessing_wall_seconds(), 0.0);

@@ -32,7 +32,7 @@ pub mod result;
 pub mod rrg;
 
 pub use config::{CostModel, EngineConfig, RedundancyMode};
-pub use engine::SlfeEngine;
+pub use engine::{EngineParts, SlfeEngine};
 pub use program::{AggregationKind, GraphProgram};
 pub use result::ProgramResult;
 pub use rrg::{RepairReport, RrGuidance};

@@ -37,7 +37,7 @@
 //! counters, the published-version sequence number, and read-latency
 //! percentiles from a sharded [`LatencyHistogram`].
 
-use crate::server::{DeltaServer, ServerStats};
+use crate::server::{rank_top_k, DeltaServer, ServerStats};
 use crate::ServingMode;
 use slfe_core::GraphProgram;
 use slfe_graph::{EdgeWeight, Graph, GraphStorage, UpdateBatch, VertexId, INVALID_VERTEX};
@@ -266,17 +266,9 @@ impl<V: Copy> PublishedVersion<V> {
     pub fn top_k_by(
         &self,
         k: usize,
-        mut compare: impl FnMut(&V, &V) -> std::cmp::Ordering,
+        compare: impl FnMut(&V, &V) -> std::cmp::Ordering,
     ) -> Vec<(VertexId, V)> {
-        let mut ranked: Vec<(VertexId, V)> = self
-            .values
-            .iter()
-            .enumerate()
-            .map(|(v, &value)| (v as VertexId, value))
-            .collect();
-        ranked.sort_by(|a, b| compare(&b.1, &a.1).then(a.0.cmp(&b.0)));
-        ranked.truncate(k);
-        ranked
+        rank_top_k(&self.values, k, compare)
     }
 }
 
@@ -1173,14 +1165,15 @@ mod tests {
     ) -> ServingFrontend<SsspProgram, impl Fn(&Graph) -> SsspProgram> {
         let graph = generators::rmat(200, 1400, 0.57, 0.19, 0.19, 5);
         let root = stats::highest_out_degree_vertex(&graph).unwrap();
-        let server = DeltaServer::new(
+        let server = DeltaServer::try_new(
             graph,
             move |_: &Graph| SsspProgram { root },
             ServerConfig {
                 cluster: ClusterConfig::new(1, 1),
                 ..ServerConfig::default()
             },
-        );
+        )
+        .unwrap();
         ServingFrontend::spawn(server, config)
     }
 
@@ -1312,7 +1305,7 @@ mod tests {
     #[test]
     fn group_commit_limit_respects_dirty_economics() {
         let graph = generators::rmat(100, 600, 0.57, 0.19, 0.19, 9);
-        let server = DeltaServer::new(
+        let server = DeltaServer::try_new(
             graph,
             |_: &Graph| SsspProgram { root: 0 },
             ServerConfig {
@@ -1320,7 +1313,8 @@ mod tests {
                 full_recompute_dirty_fraction: 0.4,
                 ..ServerConfig::default()
             },
-        );
+        )
+        .unwrap();
         let config = FrontendConfig::default();
         // 0.4 * 0.5 headroom * 100 vertices / 2 endpoints = 10 updates.
         assert_eq!(group_commit_limit(&server, &config), 10);

@@ -6,7 +6,9 @@ use crate::durability::{
 };
 use crate::health::{ApplyError, Health};
 use slfe_cluster::{Cluster, ClusterConfig, GlobalChunkLayout, LayoutPatchStats, WorkerPool};
-use slfe_core::{EngineConfig, GraphProgram, ProgramResult, RepairReport, RrGuidance, SlfeEngine};
+use slfe_core::{
+    EngineConfig, EngineParts, GraphProgram, ProgramResult, RepairReport, RrGuidance, SlfeEngine,
+};
 use slfe_graph::{
     is_disk_full, BatchEffect, FaultAction, FaultInjector, FaultPlan, FaultSite, Graph,
     GraphStorage, IdRemap, ReorderPolicy, UpdateBatch, VertexId,
@@ -22,6 +24,40 @@ use std::time::Instant;
 
 /// Bytes of one shipped edge update: two 4-byte vertex ids plus a 4-byte weight.
 const UPDATE_RECORD_BYTES: u64 = 12;
+
+/// Write `graph`'s out-of-core segment store when `engine` configures one,
+/// with `graph` itself attached as the quarantine-rebuild source. `None` when
+/// the engine runs in-memory.
+fn build_storage(
+    graph: &Arc<Graph>,
+    engine: &EngineConfig,
+    faults: &Arc<FaultInjector>,
+) -> io::Result<Option<Arc<GraphStorage>>> {
+    let Some(sc) = engine.storage_config() else {
+        return Ok(None);
+    };
+    let mut storage = GraphStorage::build_with_faults(graph, &sc, Some(Arc::clone(faults)))?;
+    storage.set_recovery(graph);
+    Ok(Some(Arc::new(storage)))
+}
+
+/// The `k` entries of `values` (indexed by external id) ranked by `compare`,
+/// greatest first, ties broken by id ascending: the one ranking behind
+/// [`DeltaServer::top_k_by`] and [`crate::PublishedVersion::top_k_by`].
+pub(crate) fn rank_top_k<V: Copy>(
+    values: &[V],
+    k: usize,
+    mut compare: impl FnMut(&V, &V) -> std::cmp::Ordering,
+) -> Vec<(VertexId, V)> {
+    let mut ranked: Vec<(VertexId, V)> = values
+        .iter()
+        .enumerate()
+        .map(|(v, &value)| (v as VertexId, value))
+        .collect();
+    ranked.sort_by(|a, b| compare(&b.1, &a.1).then(a.0.cmp(&b.0)));
+    ranked.truncate(k);
+    ranked
+}
 
 /// Serving-loop configuration.
 #[derive(Debug, Clone)]
@@ -173,12 +209,13 @@ pub struct ServerStats {
 /// #     fn apply(&self, _d: VertexId, old: f32, g: f32) -> f32 { old.min(g) }
 /// # }
 /// let graph = generators::rmat(500, 4000, 0.57, 0.19, 0.19, 7);
-/// let mut server = DeltaServer::new(graph, |_g| Sssp { root: 0 }, ServerConfig::default());
+/// let mut server = DeltaServer::try_new(graph, |_g| Sssp { root: 0 }, ServerConfig::default())?;
 /// let mut batch = UpdateBatch::new();
 /// batch.insert(0, 499, 1.5);
-/// let outcome = server.apply(&batch);
+/// let outcome = server.try_apply(&batch)?;
 /// assert!(outcome.converged);
 /// assert!(server.value(499).is_some());
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub struct DeltaServer<P, F>
 where
@@ -251,16 +288,8 @@ where
     F: Fn(&Graph) -> P,
 {
     /// Build the server: partition `graph`, generate the guidance, run the
-    /// program cold once. Every subsequent [`DeltaServer::apply`] is warm.
-    ///
-    /// Panics when the out-of-core segment files cannot be written; use
-    /// [`DeltaServer::try_new`] for a typed error instead.
-    pub fn new(graph: Graph, make_program: F, config: ServerConfig) -> Self {
-        Self::try_new(graph, make_program, config)
-            .expect("failed to write out-of-core graph segments")
-    }
-
-    /// [`DeltaServer::new`] with build-time I/O failure as a typed error.
+    /// program cold once. Every subsequent [`DeltaServer::try_apply`] is warm.
+    /// Fails when the out-of-core segment files cannot be written.
     pub fn try_new(graph: Graph, make_program: F, config: ServerConfig) -> io::Result<Self> {
         let graph = Arc::new(graph);
         let faults = match &config.fault_plan {
@@ -279,26 +308,20 @@ where
         // batch then patches only the dirty ones (`GraphStorage::patched`).
         // The in-memory graph is attached as the recovery source so
         // unreadable segments can be quarantined and rebuilt from it.
-        let storage = match config.engine.storage_config() {
-            Some(sc) => {
-                let mut s =
-                    GraphStorage::build_with_faults(&graph, &sc, Some(Arc::clone(&faults)))?;
-                s.set_recovery(&graph);
-                Some(Arc::new(s))
-            }
-            None => None,
-        };
+        let storage = build_storage(&graph, &config.engine, &faults)?;
         let telemetry = Arc::new(Telemetry::new(config.engine.telemetry));
-        let mut engine = SlfeEngine::with_prebuilt_layout_and_storage(
+        let engine = SlfeEngine::from_parts(
             &graph,
-            cluster,
-            config.engine.clone(),
-            rrg.clone(),
-            Arc::clone(&pool),
-            layout.clone(),
-            storage.clone(),
+            EngineParts {
+                cluster,
+                config: config.engine.clone(),
+                rrg: rrg.clone(),
+                pool: Arc::clone(&pool),
+                layout: layout.clone(),
+                storage: storage.clone(),
+                telemetry: Arc::clone(&telemetry),
+            },
         );
-        engine.set_telemetry(Arc::clone(&telemetry));
         let cold_span = telemetry.begin();
         let result = engine.run(&program);
         telemetry.end(cold_span, "cold_run", "server", 0);
@@ -394,22 +417,6 @@ where
             .unwrap_or((0, 0))
     }
 
-    /// Apply one edge-update batch *to the in-memory state only*: patch the
-    /// graph, warm re-converge the program, and account the batch-shipping
-    /// traffic. No write-ahead logging happens here — this is the path WAL
-    /// replay re-drives during recovery, and what [`DeltaServer::apply`] runs
-    /// after the batch is durably logged. Guidance maintenance is *lazy*: the
-    /// warm path never reads the rulers, so dirty vertices only accumulate
-    /// here and the repair runs when a cold run, snapshot, or guidance query
-    /// actually needs them.
-    ///
-    /// Panics on unrecoverable storage failure; use
-    /// [`DeltaServer::try_apply_committed`] for the typed-error contract.
-    pub fn apply_committed(&mut self, batch: &UpdateBatch) -> BatchOutcome {
-        self.try_apply_committed(batch)
-            .unwrap_or_else(|e| panic!("failed to apply a committed batch: {e}"))
-    }
-
     /// Run one engine pass over `graph` with the given artifacts; returns
     /// the program result and the batch-distribution message count.
     #[allow(clippy::too_many_arguments)]
@@ -427,16 +434,18 @@ where
             Arc::clone(&self.partitioning),
             self.config.cluster.clone(),
         );
-        let mut engine = SlfeEngine::with_prebuilt_layout_and_storage(
+        let engine = SlfeEngine::from_parts(
             graph,
-            cluster,
-            self.config.engine.clone(),
-            rrg.clone(),
-            Arc::clone(&self.pool),
-            layout.clone(),
-            storage,
+            EngineParts {
+                cluster,
+                config: self.config.engine.clone(),
+                rrg: rrg.clone(),
+                pool: Arc::clone(&self.pool),
+                layout: layout.clone(),
+                storage,
+                telemetry: Arc::clone(&self.telemetry),
+            },
         );
-        engine.set_telemetry(Arc::clone(&self.telemetry));
         let run_span = self.telemetry.begin();
         let result = if full_recompute {
             engine.run(program)
@@ -461,16 +470,14 @@ where
     /// in-memory adjacency is authoritative) and re-attach it as its own
     /// recovery source. Returns the store and its total segment count.
     fn rebuild_storage(&mut self, graph: &Arc<Graph>) -> io::Result<(Arc<GraphStorage>, u64)> {
-        let sc = self
-            .config
-            .engine
-            .storage_config()
-            .expect("storage rebuild requires an out-of-core configuration");
-        let mut s = GraphStorage::build_with_faults(graph, &sc, Some(Arc::clone(&self.faults)))?;
-        s.set_recovery(graph);
-        let rewritten = (s.out_store().num_segments() + s.in_store().num_segments()) as u64;
+        let storage =
+            build_storage(graph, &self.config.engine, &self.faults)?.ok_or_else(|| {
+                io::Error::other("storage rebuild requires an out-of-core configuration")
+            })?;
+        let rewritten =
+            (storage.out_store().num_segments() + storage.in_store().num_segments()) as u64;
         self.health.note_storage_rebuild();
-        Ok((Arc::new(s), rewritten))
+        Ok((storage, rewritten))
     }
 
     /// Restore the pre-batch mutable state after a discarded run: the
@@ -486,13 +493,21 @@ where
         }
     }
 
-    /// [`DeltaServer::apply_committed`] with the graceful-degradation
-    /// contract: unreadable segments are retried, quarantined and rebuilt
-    /// in place; a segment store that can be neither patched nor rebuilt, or
-    /// an execution still poisoned after one re-drive on a fresh store,
-    /// flips the server read-only and returns a typed error — the previous
+    /// Apply one edge-update batch *to the in-memory state only*: patch the
+    /// graph, warm re-converge the program, and account the batch-shipping
+    /// traffic. No write-ahead logging happens here — this is the path WAL
+    /// replay re-drives during recovery, and what [`DeltaServer::try_apply`]
+    /// runs after the batch is durably logged. Guidance maintenance is
+    /// *lazy*: the warm path never reads the rulers, so dirty vertices only
+    /// accumulate here and the repair runs when a cold run, snapshot, or
+    /// guidance query actually needs them.
+    ///
+    /// Unreadable segments are retried, quarantined and rebuilt in place; a
+    /// segment store that can be neither patched nor rebuilt, or an
+    /// execution still poisoned after one re-drive on a fresh store, flips
+    /// the server read-only and returns a typed error — the previous
     /// version's values keep serving untouched either way.
-    pub fn try_apply_committed(&mut self, batch: &UpdateBatch) -> Result<BatchOutcome, ApplyError> {
+    fn try_apply_committed(&mut self, batch: &UpdateBatch) -> Result<BatchOutcome, ApplyError> {
         let start = Instant::now();
         let batch_span = self.telemetry.begin();
         // Batches arrive (and are WAL-logged) in external ids; translate the
@@ -752,18 +767,9 @@ where
     pub fn top_k_by(
         &self,
         k: usize,
-        mut compare: impl FnMut(&P::Value, &P::Value) -> std::cmp::Ordering,
+        compare: impl FnMut(&P::Value, &P::Value) -> std::cmp::Ordering,
     ) -> Vec<(VertexId, P::Value)> {
-        let mut ranked: Vec<(VertexId, P::Value)> = self
-            .result
-            .values
-            .iter()
-            .enumerate()
-            .map(|(p, &value)| (self.graph.external_id(p as VertexId), value))
-            .collect();
-        ranked.sort_by(|a, b| compare(&b.1, &a.1).then(a.0.cmp(&b.0)));
-        ranked.truncate(k);
-        ranked
+        rank_top_k(self.values(), k, compare)
     }
 
     /// The current graph version.
@@ -873,15 +879,7 @@ where
         drop(cluster);
         // Re-encode the out-of-core segments in the new order — the hot/cold
         // clustering the reorder exists for lives in these files.
-        let storage = match self.config.engine.storage_config() {
-            Some(sc) => {
-                let mut s =
-                    GraphStorage::build_with_faults(&graph, &sc, Some(Arc::clone(&self.faults)))?;
-                s.set_recovery(&graph);
-                Some(Arc::new(s))
-            }
-            None => None,
-        };
+        let storage = build_storage(&graph, &self.config.engine, &self.faults)?;
         self.rrg = self.rrg.permuted(step);
         self.result.values = step.permuted_values(&self.result.values);
         self.result.last_changed_iter = step.permuted_values(&self.result.last_changed_iter);
@@ -1270,22 +1268,10 @@ where
     F: Fn(&Graph) -> P,
 {
     /// Apply one edge-update batch durably: append it to the write-ahead log
-    /// and fsync *first*, then run [`DeltaServer::apply_committed`], then
+    /// and fsync *first*, then apply it to the in-memory state, then
     /// snapshot (and possibly compact the segment files) if the cadence says
-    /// so. On a non-durable server this is exactly `apply_committed`.
-    ///
-    /// Unrecoverable write-side failure panics — use
-    /// [`DeltaServer::try_apply`] for the typed graceful-degradation
-    /// contract. A failed *snapshot* never fails the apply on either entry
-    /// point: the batch is durable in the WAL, so the server keeps serving
-    /// with [`BatchOutcome::degraded`] set and the WAL growing until a later
-    /// snapshot lands.
-    pub fn apply(&mut self, batch: &UpdateBatch) -> BatchOutcome {
-        self.try_apply(batch)
-            .unwrap_or_else(|e| panic!("failed to apply a batch: {e}"))
-    }
-
-    /// [`DeltaServer::apply`] with the graceful-degradation contract:
+    /// so. A non-durable server skips the log and the snapshot. The
+    /// graceful-degradation contract:
     ///
     /// * Transient I/O faults are absorbed by bounded retries — the outcome
     ///   is bit-identical to a fault-free apply.
@@ -1368,12 +1354,16 @@ where
     /// A trim failure is absorbed (replay skips covered entries); a snapshot
     /// write failure is returned and leaves the previous snapshot intact.
     ///
-    /// Panics when called on a server without durability state.
+    /// A server without durability state (built by [`DeltaServer::try_new`])
+    /// has nowhere to write: the call is refused with
+    /// [`io::ErrorKind::Unsupported`] and the server keeps serving untouched.
     pub fn snapshot(&mut self) -> io::Result<()> {
-        assert!(
-            self.durability.is_some(),
-            "snapshot() requires a durable server (create_durable/open)"
-        );
+        if self.durability.is_none() {
+            return Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                "snapshot() requires a durable server (create_durable/open)",
+            ));
+        }
         let snapshot_span = self.telemetry.begin();
         // The snapshot stores the guidance, so bring it up to date: recovery
         // then restores rulers identical to what a cold run would need.
@@ -1440,7 +1430,7 @@ where
         Ok(())
     }
 
-    /// Build a fresh durable server: run [`DeltaServer::new`], then write the
+    /// Build a fresh durable server: run [`DeltaServer::try_new`], then write the
     /// initial snapshot so [`DeltaServer::open`] always finds one.
     pub fn create_durable(
         graph: Graph,
@@ -1503,15 +1493,7 @@ where
             Cluster::with_shared_partitioning(Arc::clone(&partitioning), config.cluster.clone());
         let layout = cluster.build_layout(&graph);
         drop(cluster);
-        let storage = match config.engine.storage_config() {
-            Some(sc) => {
-                let mut s =
-                    GraphStorage::build_with_faults(&graph, &sc, Some(Arc::clone(&faults)))?;
-                s.set_recovery(&graph);
-                Some(Arc::new(s))
-            }
-            None => None,
-        };
+        let storage = build_storage(&graph, &config.engine, &faults)?;
         // The fixpoint values are the snapshot's; the run-shaped metadata is
         // zeroed (warm restarts read only the values).
         let result = ProgramResult {
@@ -1636,7 +1618,7 @@ mod tests {
         root: VertexId,
         config: ServerConfig,
     ) -> DeltaServer<SsspProgram, impl Fn(&Graph) -> SsspProgram> {
-        DeltaServer::new(graph, move |_| SsspProgram { root }, config)
+        DeltaServer::try_new(graph, move |_| SsspProgram { root }, config).unwrap()
     }
 
     fn mixed_batch(graph: &Graph, seed: u64, ops: usize) -> UpdateBatch {
@@ -1662,7 +1644,7 @@ mod tests {
         let mut current = graph;
         for round in 0..4u64 {
             let batch = mixed_batch(&current, round + 70, 25);
-            let outcome = server.apply(&batch);
+            let outcome = server.try_apply(&batch).unwrap();
             assert!(outcome.converged);
             current = current.apply_batch(&batch).0;
             let oracle = SlfeEngine::build(
@@ -1702,13 +1684,14 @@ mod tests {
                 .with_max_iterations(300),
             ..ServerConfig::default()
         };
-        let mut server = DeltaServer::new(
+        let mut server = DeltaServer::try_new(
             graph.clone(),
             |g: &Graph| PageRankProgram::new(g.num_vertices()),
             config.clone(),
-        );
+        )
+        .unwrap();
         let batch = mixed_batch(&graph, 5, 20);
-        let outcome = server.apply(&batch);
+        let outcome = server.try_apply(&batch).unwrap();
         assert!(outcome.converged);
         let mutated = graph.apply_batch(&batch).0;
         let oracle = SlfeEngine::build(&mutated, config.cluster.clone(), config.engine.clone())
@@ -1743,7 +1726,7 @@ mod tests {
         let far = (server.graph().num_vertices() - 1) as VertexId;
         let mut batch = UpdateBatch::new();
         batch.insert(0, far, 0.001);
-        server.apply(&batch);
+        server.try_apply(&batch).unwrap();
         let nearest = server.top_k_by(2, |a, b| {
             b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal)
         });
@@ -1760,7 +1743,7 @@ mod tests {
         let root = stats::highest_out_degree_vertex(&graph).unwrap();
         let mut server = sssp_server(graph.clone(), root, config);
         let batch = mixed_batch(&graph, 3, 10);
-        let outcome = server.apply(&batch);
+        let outcome = server.try_apply(&batch).unwrap();
         assert!(outcome.full_recompute);
         assert_eq!(server.stats().full_recomputes, 1);
         let mutated = graph.apply_batch(&batch).0;
@@ -1789,7 +1772,7 @@ mod tests {
         let graph = generators::rmat(400, 2400, 0.57, 0.19, 0.19, 17);
         let mut server = sssp_server(graph.clone(), 0, ServerConfig::default());
         let batch = mixed_batch(&graph, 8, 30);
-        let outcome = server.apply(&batch);
+        let outcome = server.try_apply(&batch).unwrap();
         // With two nodes and dozens of random dirty endpoints, some must be
         // remote to the ingest node.
         assert!(outcome.distribution_messages > 0);
@@ -1825,7 +1808,7 @@ mod tests {
             batch
                 .insert(rng.range_u32(0, n), rng.range_u32(0, n), 1.5)
                 .insert(rng.range_u32(0, n), rng.range_u32(0, n), 2.5);
-            let outcome = server.apply(&batch);
+            let outcome = server.try_apply(&batch).unwrap();
             assert!(outcome.converged);
 
             // Patch locality: only dirty-endpoint owners were re-derived,
@@ -1871,7 +1854,7 @@ mod tests {
         let n = graph.num_vertices() as u32;
         let mut batch = UpdateBatch::new();
         batch.insert(root, n + 3, 1.0).insert(n + 3, n + 7, 2.0);
-        let outcome = server.apply(&batch);
+        let outcome = server.try_apply(&batch).unwrap();
         assert!(outcome.converged);
         assert_eq!(server.partitioning().num_vertices(), n as usize + 8);
         // Every node's list stays ascending no matter which node received
@@ -1928,7 +1911,7 @@ mod tests {
             for k in 0..6u32 {
                 batch.insert(rng.range_u32(0, n), n + k, rng.range_f32(1.0, 4.0));
             }
-            let outcome = server.apply(&batch);
+            let outcome = server.try_apply(&batch).unwrap();
             assert!(outcome.converged);
             current = current.apply_batch(&batch).0;
             assert!(
@@ -1980,8 +1963,8 @@ mod tests {
         let mut current = graph;
         for round in 0..3u64 {
             let batch = mixed_batch(&current, round + 31, 15);
-            let outcome = server.apply(&batch);
-            let ref_outcome = reference.apply(&batch);
+            let outcome = server.try_apply(&batch).unwrap();
+            let ref_outcome = reference.try_apply(&batch).unwrap();
             assert!(outcome.converged && ref_outcome.converged);
             assert!(outcome.segments_rewritten > 0);
             assert!(
@@ -2040,8 +2023,8 @@ mod tests {
         let mut current = graph;
         for round in 0..5u64 {
             let batch = mixed_batch(&current, round + 400, 20);
-            durable.apply(&batch);
-            witness.apply(&batch);
+            durable.try_apply(&batch).unwrap();
+            witness.try_apply(&batch).unwrap();
             current = current.apply_batch(&batch).0;
         }
         let expected_stats = *durable.stats();
@@ -2082,7 +2065,7 @@ mod tests {
         let mut current = graph;
         for round in 0..3u64 {
             let batch = mixed_batch(&current, round + 40, 15);
-            server.apply(&batch);
+            server.try_apply(&batch).unwrap();
             current = current.apply_batch(&batch).0;
         }
         let expected = bits(server.values());
@@ -2125,10 +2108,10 @@ mod tests {
         let mut wal_after = Vec::new();
         for round in 0..4u64 {
             let batch = mixed_batch(&current, round + 4000, 12);
-            server.apply(&batch);
+            server.try_apply(&batch).unwrap();
             current = current.apply_batch(&batch).0;
             if round < 3 {
-                witness.apply(&batch);
+                witness.try_apply(&batch).unwrap();
             }
             wal_after.push(std::fs::metadata(durability.wal_path()).unwrap().len());
         }
@@ -2158,7 +2141,7 @@ mod tests {
         let mut current = graph;
         for round in 0..3u64 {
             let batch = mixed_batch(&current, round + 640, 20);
-            let outcome = server.apply(&batch);
+            let outcome = server.try_apply(&batch).unwrap();
             current = current.apply_batch(&batch).0;
             assert!(!outcome.full_recompute, "round {round} must stay warm");
             assert_eq!(
@@ -2198,8 +2181,8 @@ mod tests {
         let mut current = graph;
         for round in 0..8u64 {
             let batch = mixed_batch(&current, round + 7000, 25);
-            let outcome = server.apply(&batch);
-            witness.apply(&batch);
+            let outcome = server.try_apply(&batch).unwrap();
+            witness.try_apply(&batch).unwrap();
             current = current.apply_batch(&batch).0;
             assert_eq!(bits(server.values()), bits(witness.values()));
             // Byte health is reported per batch.
@@ -2277,7 +2260,7 @@ mod tests {
         let mut current = graph;
         for round in 0..3u64 {
             let batch = mixed_batch(&current, round + 150, 15);
-            let outcome = server.apply(&batch);
+            let outcome = server.try_apply(&batch).unwrap();
             assert!(outcome.converged);
             assert!(
                 outcome.wal_fsync_seconds > 0.0,
@@ -2354,7 +2337,7 @@ mod tests {
     fn telemetry_off_server_collects_nothing_but_still_reports_metrics() {
         let graph = generators::rmat(200, 1200, 0.57, 0.19, 0.19, 29);
         let mut server = sssp_server(graph.clone(), 0, ServerConfig::default());
-        let outcome = server.apply(&mixed_batch(&graph, 9, 10));
+        let outcome = server.try_apply(&mixed_batch(&graph, 9, 10)).unwrap();
         assert_eq!(outcome.wal_fsync_seconds, 0.0);
         let snap = server.telemetry();
         assert!(snap.spans.is_empty());
@@ -2374,11 +2357,38 @@ mod tests {
         let graph = generators::rmat(150, 900, 0.57, 0.19, 0.19, 41);
         let mut server = sssp_server(graph, 0, ServerConfig::default());
         let before = server.values().to_vec();
-        let outcome = server.apply(&UpdateBatch::new());
+        let outcome = server.try_apply(&UpdateBatch::new()).unwrap();
         assert!(outcome.effect.is_noop());
         assert_eq!(outcome.work, 0);
         assert_eq!(outcome.iterations, 0);
         assert_eq!(outcome.distribution_messages, 0);
         assert_eq!(server.values(), before.as_slice());
+    }
+
+    /// `snapshot()` on a server built without durability state is refused
+    /// with a typed error instead of a panic, and the server keeps answering
+    /// queries and applying batches afterwards.
+    #[test]
+    fn snapshot_on_a_non_durable_server_is_refused_and_serving_continues() {
+        let graph = generators::rmat(200, 1200, 0.57, 0.19, 0.19, 43);
+        let mut server = sssp_server(graph.clone(), 0, ServerConfig::default());
+        let before = bits(server.values());
+        let err = server.snapshot().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::Unsupported);
+        assert_eq!(bits(server.values()), before);
+        assert_eq!(server.value(0), Some(0.0));
+        assert_eq!(server.top_k_by(1, |a, b| b.total_cmp(a)), vec![(0, 0.0)]);
+        assert!(!server.health().is_read_only());
+        assert!(server.durability_counters().is_none());
+        let batch = mixed_batch(&graph, 12, 10);
+        let outcome = server.try_apply(&batch).unwrap();
+        assert!(outcome.converged);
+        let oracle = SlfeEngine::build(
+            &graph.apply_batch(&batch).0,
+            ServerConfig::default().cluster,
+            EngineConfig::default(),
+        )
+        .run(&SsspProgram { root: 0 });
+        assert_eq!(bits(server.values()), bits(&oracle.values));
     }
 }

@@ -32,12 +32,11 @@ pub struct Counters {
     /// vertices, because the chunk-level activity summary proved the whole
     /// chunk cold (frontier-empty source chunk in push mode; fully rr-gated,
     /// in-edge-free, caught-up-and-quiescent, or fully early-converged
-    /// destination chunk in pull mode). Skipping is deterministic — it
-    /// depends only on barrier-merged state — so this tally is identical at
-    /// every worker count *among the chunked global execution paths*
-    /// (`workers_per_node >= 2`, and pull phases at any worker count). The
-    /// one exception: `workers_per_node: 1` push phases take the historical
-    /// chunk-free sequential oracle path, which reports no skips at all.
+    /// destination chunk in pull mode). Every push and pull phase runs on the
+    /// one chunked executor at every worker count, `workers_per_node: 1`
+    /// included, and skipping depends only on barrier-merged state — so this
+    /// tally, like the other work counters, is identical at every worker
+    /// count.
     pub chunks_skipped: u64,
     /// Peak bytes of push-mode gather scratch (per-worker dense buffers or
     /// sparse contribution maps, plus the shared merge buffers) live at any

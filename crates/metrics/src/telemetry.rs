@@ -330,23 +330,12 @@ impl<'t> RunRecorder<'t> {
 
     /// Close a span onto the coordinator track (track 0).
     pub fn end(&mut self, handle: SpanHandle, name: &'static str, cat: &'static str) {
-        self.end_on(handle, name, cat, 0);
-    }
-
-    /// Close a span onto an explicit track.
-    pub fn end_on(
-        &mut self,
-        handle: SpanHandle,
-        name: &'static str,
-        cat: &'static str,
-        track: u32,
-    ) {
         let Some(clock) = self.clock else { return };
         let end_ns = clock.now_ns();
         self.spans.push(SpanEvent {
             name,
             cat,
-            track,
+            track: 0,
             start_ns: handle.start_ns,
             dur_ns: end_ns.saturating_sub(handle.start_ns),
         });

@@ -28,7 +28,8 @@ fn main() {
         engine: EngineConfig::default(),
         ..ServerConfig::default()
     };
-    let mut server = DeltaServer::new(graph.clone(), move |_| SsspProgram { root }, config);
+    let mut server = DeltaServer::try_new(graph.clone(), move |_| SsspProgram { root }, config)
+        .expect("build server");
     let cold_work = server.result().stats.totals.work();
     println!("initial cold fixpoint: {} counted work units\n", cold_work);
 
@@ -47,7 +48,7 @@ fn main() {
             }
         }
 
-        let outcome = server.apply(&batch);
+        let outcome = server.try_apply(&batch).expect("apply batch");
         println!(
             "round {round}: +{} -{} edges ({} dirty vertices) -> {} work in {} iterations, \
              guidance {} ({} vertices), {} batch messages, {:.1}ms",

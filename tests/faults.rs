@@ -174,7 +174,7 @@ fn crashpoint_sweep<P, F>(
         .expect("oracle server");
         for i in 0..BATCHES {
             let batch = make_batch(oracle.graph(), seed + i, kind);
-            oracle.apply(&batch);
+            oracle.try_apply(&batch).unwrap();
         }
         let oracle_final = value_bytes(oracle.values());
         assert_eq!(
@@ -394,7 +394,7 @@ fn permanent_faults_recover_or_fail_typed_per_site() {
         let mut after: Vec<Vec<u8>> = Vec::new();
         for i in 0..3u64 {
             let batch = make_batch(witness.graph(), seed + i, GROW);
-            witness.apply(&batch);
+            witness.try_apply(&batch).unwrap();
             after.push(value_bytes(witness.values()));
         }
         drop(witness);
@@ -503,7 +503,7 @@ fn open_time_faults_recover_or_fail_typed() {
                 .unwrap();
         for i in 0..2u64 {
             let batch = make_batch(server.graph(), 9300 + i, GROW);
-            server.apply(&batch);
+            server.try_apply(&batch).unwrap();
         }
         let expected = value_bytes(server.values());
         drop(server);
@@ -598,7 +598,7 @@ fn disk_full_flips_read_only_and_queries_still_answer() {
     )
     .unwrap();
     let batch = make_batch(server.graph(), 9400, GROW);
-    server.apply(&batch);
+    server.try_apply(&batch).unwrap();
     let served = value_bytes(server.values());
     let retries_before = server.fault_counters().io_retries;
 
@@ -675,7 +675,7 @@ fn wal_replay_is_idempotent_under_trim_failures_at_every_offset() {
     .unwrap();
     for i in 0..5u64 {
         let batch = make_batch(witness.graph(), seed + i, GROW);
-        witness.apply(&batch);
+        witness.try_apply(&batch).unwrap();
     }
     let expected = value_bytes(witness.values());
     drop(witness);
@@ -771,13 +771,13 @@ fn seeded_transient_chaos_stays_bit_identical() {
                 .unwrap();
         for i in 0..3u64 {
             let batch = make_batch(server.graph(), 9600 + i, GROW);
-            server.apply(&batch);
+            server.try_apply(&batch).unwrap();
         }
         let mut injected = server.fault_counters().injected_total();
         drop(server);
         let mut server = DeltaServer::open(make, config, durability).unwrap();
         let batch = make_batch(server.graph(), 9603, GROW);
-        server.apply(&batch);
+        server.try_apply(&batch).unwrap();
         injected += server.fault_counters().injected_total();
         let bytes = value_bytes(server.values());
         drop(server);
@@ -837,7 +837,7 @@ fn check_disabled_faults_are_invisible<P, F>(
             .expect("guard server");
             for i in 0..2u64 {
                 let batch = make_batch(server.graph(), seed + i, kind);
-                server.apply(&batch);
+                server.try_apply(&batch).unwrap();
             }
             assert_eq!(
                 server.fault_counters().injected_total(),

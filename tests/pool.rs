@@ -59,11 +59,12 @@ fn delta_server_reuses_one_pool_across_graph_versions() {
         ..ServerConfig::default()
     };
     let total_workers = config.cluster.total_workers() as u64;
-    let mut server = DeltaServer::new(
+    let mut server = DeltaServer::try_new(
         graph.clone(),
         move |_g: &slfe::graph::Graph| slfe::apps::sssp::SsspProgram { root },
         config,
-    );
+    )
+    .unwrap();
     let after_startup = server.pool().threads_spawned();
     assert!(after_startup < total_workers);
 
@@ -80,7 +81,7 @@ fn delta_server_reuses_one_pool_across_graph_versions() {
                 rng.range_f32(1.0, 9.0),
             );
         }
-        let outcome = server.apply(&batch);
+        let outcome = server.try_apply(&batch).unwrap();
         assert!(outcome.converged);
         assert_eq!(server.pool().threads_spawned(), after_startup);
     }
@@ -98,7 +99,7 @@ fn pool_executor_matches_sequential_results_at_four_workers() {
         .run(&slfe::apps::sssp::SsspProgram { root });
     assert_eq!(
         sequential.values, pooled.values,
-        "pool execution must stay bit-identical to the sequential oracle"
+        "4-worker pool execution must stay bit-identical to the 1-worker run"
     );
     assert_eq!(sequential.stats.iterations, pooled.stats.iterations);
     // The deterministic simulated schedule admits real cross-node parallelism.

@@ -259,13 +259,13 @@ fn warm_batches_stay_bit_transparent_across_a_remap_boundary() {
         cluster: ClusterConfig::new(4, 1),
         ..ServerConfig::default()
     };
-    let mut server = DeltaServer::new(graph.clone(), make, policy);
-    let mut reference = DeltaServer::new(graph, make, reference_config);
+    let mut server = DeltaServer::try_new(graph.clone(), make, policy).unwrap();
+    let mut reference = DeltaServer::try_new(graph, make, reference_config).unwrap();
     let mut n = server.graph().num_vertices() as u32;
     for round in 0..6u64 {
         let batch = mixed_batch(n, round + 300, 20, if round % 2 == 0 { 4 } else { 0 });
-        let outcome = server.apply(&batch);
-        let expected = reference.apply(&batch);
+        let outcome = server.try_apply(&batch).unwrap();
+        let expected = reference.try_apply(&batch).unwrap();
         assert!(!outcome.full_recompute, "round {round} must stay warm");
         assert_eq!(
             outcome.effect.dirty, expected.effect.dirty,
@@ -324,13 +324,13 @@ fn out_of_core_remap_reencodes_segments_and_stays_transparent() {
             .with_reorder(ReorderPolicy::DegreeDescending),
         ..ServerConfig::default()
     };
-    let mut server = DeltaServer::new(graph.clone(), make, oocore_policy);
-    let mut reference = DeltaServer::new(graph, make, ServerConfig::default());
+    let mut server = DeltaServer::try_new(graph.clone(), make, oocore_policy).unwrap();
+    let mut reference = DeltaServer::try_new(graph, make, ServerConfig::default()).unwrap();
     let mut n = server.graph().num_vertices() as u32;
     for round in 0..4u64 {
         let batch = mixed_batch(n, round + 800, 15, 0);
-        server.apply(&batch);
-        reference.apply(&batch);
+        server.try_apply(&batch).unwrap();
+        reference.try_apply(&batch).unwrap();
         n = server.graph().num_vertices() as u32;
         if round == 1 {
             let live_before = server.storage().unwrap().footprint_bytes();
@@ -384,12 +384,12 @@ fn kill9_reopen_of_a_remapped_durable_server_is_bit_identical() {
     // The initial snapshot already ran the policy: the layout is remapped
     // before the first batch arrives.
     assert!(durable.graph().is_remapped());
-    let mut witness = DeltaServer::new(graph, make, ServerConfig::default());
+    let mut witness = DeltaServer::try_new(graph, make, ServerConfig::default()).unwrap();
     let mut n = durable.graph().num_vertices() as u32;
     for round in 0..5u64 {
         let batch = mixed_batch(n, round + 5000, 18, if round == 1 { 5 } else { 0 });
-        durable.apply(&batch);
-        witness.apply(&batch);
+        durable.try_apply(&batch).unwrap();
+        witness.try_apply(&batch).unwrap();
         n = durable.graph().num_vertices() as u32;
     }
     // Snapshot (and re-remap) at seq 3; entries 4 and 5 only in the WAL.
@@ -439,8 +439,8 @@ fn migration_bounds_imbalance_that_growth_alone_cannot_fix() {
         cluster,
         ..ServerConfig::default()
     };
-    let mut server = DeltaServer::new(graph.clone(), make, policy);
-    let mut reference = DeltaServer::new(graph, make, reference_config);
+    let mut server = DeltaServer::try_new(graph.clone(), make, policy).unwrap();
+    let mut reference = DeltaServer::try_new(graph, make, reference_config).unwrap();
     assert!(
         reference.partitioning().imbalance() > threshold,
         "seed partitioning must start vertex-skewed (got {})",
@@ -452,8 +452,8 @@ fn migration_bounds_imbalance_that_growth_alone_cannot_fix() {
         // Growth-heavy: two appended vertices per batch plus a few edits.
         let mut batch = mixed_batch(n, round + 9000, 4, 0);
         batch.insert(root, n, 2.0).insert(n, n + 1, 3.0);
-        let outcome = server.apply(&batch);
-        let expected = reference.apply(&batch);
+        let outcome = server.try_apply(&batch).unwrap();
+        let expected = reference.try_apply(&batch).unwrap();
         server.remap_now().unwrap();
         assert_eq!(
             bits(server.values()),

@@ -214,10 +214,10 @@ fn chaos_under_load_reads_are_snapshot_consistent_at_1_and_4_workers() {
             engine: engine_config(),
             ..ServerConfig::default()
         };
-        let mut oracle = DeltaServer::new(graph.clone(), make, oracle_config);
+        let mut oracle = DeltaServer::try_new(graph.clone(), make, oracle_config).unwrap();
         assert_eq!(bits(initial.values()), bits(oracle.values()), "version 0");
         for (i, (batch, version)) in history.iter().enumerate() {
-            let outcome = oracle.apply(batch);
+            let outcome = oracle.try_apply(batch).unwrap();
             assert!(outcome.converged);
             assert_eq!(version.seq(), i as u64 + 1);
             assert_eq!(
@@ -612,7 +612,7 @@ fn frontend_registry_exposes_queue_shed_and_latency_metrics() {
         engine: EngineConfig::default().with_trace(false),
         ..ServerConfig::default()
     };
-    let server = DeltaServer::new(graph, make, config);
+    let server = DeltaServer::try_new(graph, make, config).unwrap();
     let frontend = ServingFrontend::spawn(server, FrontendConfig::default());
     let handle = frontend.handle();
     handle

@@ -314,27 +314,55 @@ fn rulers_skip_whole_chunks_in_pull_phases() {
     );
 }
 
-/// Chunk skipping and scratch representation are decided from barrier-merged
-/// state only, so `chunks_skipped` must be identical at every worker count.
-/// PageRank deliberately: it is pull-only, so every phase takes the chunked
-/// global path at every worker count. (Min/max apps are excluded by design —
-/// their `workers_per_node: 1` push phases run the chunk-free sequential
-/// oracle, which reports no skips; see `Counters::chunks_skipped`.)
+/// Every phase, push and pull, runs on one chunked executor at every worker
+/// count — `workers_per_node: 1` included — and chunk skipping, scratch
+/// representation and push accounting are decided from barrier-merged state
+/// only. So the full counters (the scratch footprint aside: it grows with the
+/// pool) and every per-node-pair message tally must be identical at 1, 2 and
+/// 4 workers per node, for pull-only PageRank and push/pull SSSP and BFS.
 #[test]
 fn chunk_skip_tallies_are_worker_count_invariant() {
-    let graph = generators::layered(16, 300, 5, 4500);
-    let mut tallies = Vec::new();
-    for workers in [1usize, 2, 4] {
-        let result = SlfeEngine::build(
-            &graph,
-            ClusterConfig::new(2, workers),
-            EngineConfig::default(),
-        )
-        .run(&pagerank::PageRankProgram::for_graph(&graph));
-        tallies.push(result.stats.totals.chunks_skipped);
+    fn check<P: GraphProgram>(graph: &Graph, app: &str, program: &P) {
+        let mut tallies = Vec::new();
+        for workers in [1usize, 2, 4] {
+            let engine = SlfeEngine::build(
+                graph,
+                ClusterConfig::new(2, workers),
+                EngineConfig::default(),
+            );
+            let result = engine.run(program);
+            let counters = Counters {
+                scratch_bytes_peak: 0,
+                ..result.stats.totals
+            };
+            let tracker = engine.cluster().comm_tracker();
+            let messages: Vec<u64> = (0..4)
+                .map(|pair| tracker.messages_between(pair / 2, pair % 2))
+                .collect();
+            tallies.push((workers, counters, messages));
+        }
+        assert!(
+            tallies[0].1.chunks_skipped > 0,
+            "{app}: no chunk skipped, so the check is vacuous"
+        );
+        for (workers, counters, messages) in &tallies[1..] {
+            assert_eq!(
+                *counters, tallies[0].1,
+                "{app}: counters at {workers} workers differ from 1 worker"
+            );
+            assert_eq!(
+                *messages, tallies[0].2,
+                "{app}: message tallies at {workers} workers differ from 1 worker"
+            );
+        }
     }
-    assert!(
-        tallies.windows(2).all(|w| w[0] == w[1]),
-        "chunks_skipped varies with worker count: {tallies:?}"
+
+    let graph = generators::layered(16, 300, 5, 4500);
+    check(
+        &graph,
+        "pagerank",
+        &pagerank::PageRankProgram::for_graph(&graph),
     );
+    check(&graph, "sssp", &sssp::SsspProgram { root: 0 });
+    check(&graph, "bfs", &bfs::BfsProgram { root: 0 });
 }
