@@ -181,7 +181,6 @@ fn run_one(graph: &Graph, nodes: usize, workers: usize, options: &Options) -> Ru
         FrontendConfig {
             queue_capacity: 32,
             record_history: true,
-            ..FrontendConfig::default()
         },
     );
     let initial = frontend.handle().published();

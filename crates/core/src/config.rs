@@ -69,9 +69,6 @@ pub struct EngineConfig {
     pub tolerance: f64,
     /// Simulated compute cost model.
     pub cost: CostModel,
-    /// Fraction of edges that must be active for the engine to prefer pull over
-    /// push (Gemini's direction-switching heuristic; the paper inherits it).
-    pub pull_threshold: f64,
     /// Push-mode scratch representation switch: when the active-vertex fraction
     /// of a push phase is below this threshold, workers fold contributions into
     /// compact open-addressed maps (memory proportional to the touched
@@ -126,7 +123,6 @@ impl Default for EngineConfig {
             max_iterations: 200,
             tolerance: 1.0e-7,
             cost: CostModel::default(),
-            pull_threshold: 0.05,
             sparse_push_density: 0.02,
             storage_budget_bytes: None,
             storage_segment_bytes: 64 << 10,

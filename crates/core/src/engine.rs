@@ -142,6 +142,10 @@ use std::time::Instant;
 /// Size in bytes of one vertex update message: a 4-byte vertex id + 4-byte value.
 const UPDATE_MESSAGE_BYTES: u64 = 8;
 
+/// Fraction of edges that must be active for a min/max phase to pull rather
+/// than push (Gemini's direction-switching heuristic; the paper inherits it).
+const PULL_THRESHOLD: f64 = 0.05;
+
 /// A raw-pointer view of a slice that worker threads write through.
 ///
 /// Safety contract: callers must guarantee that no index is accessed by more than
@@ -1434,8 +1438,8 @@ impl<'g> SlfeEngine<'g> {
     }
 
     /// Direction selection: arithmetic programs always pull; min/max programs pull
-    /// when the active edge fraction exceeds the threshold (dense frontier) and push
-    /// otherwise (Gemini's heuristic, inherited by the paper).
+    /// when the active edge fraction exceeds [`PULL_THRESHOLD`] (dense frontier)
+    /// and push otherwise (Gemini's heuristic, inherited by the paper).
     fn select_mode<P: GraphProgram>(
         &self,
         program: &P,
@@ -1454,7 +1458,7 @@ impl<'g> SlfeEngine<'g> {
             .iter_ones()
             .map(|v| self.graph.out_degree(v as VertexId) as u64)
             .sum();
-        let threshold = self.graph.num_edges() as f64 * self.config.pull_threshold;
+        let threshold = self.graph.num_edges() as f64 * PULL_THRESHOLD;
         if active_edges as f64 > threshold {
             Mode::Pull
         } else {

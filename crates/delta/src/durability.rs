@@ -30,6 +30,7 @@ use std::io::{self, Seek as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use crate::health::ApplyError;
 use crate::server::ServerStats;
 
 /// Frame magic of one WAL entry ("SLFW").
@@ -45,16 +46,17 @@ const SNAPSHOT_VERSION: u32 = 2;
 const SNAPSHOT_MIN_VERSION: u32 = 1;
 /// Bytes of a WAL frame header: magic, sequence, payload length, checksum.
 const WAL_HEADER_BYTES: usize = 4 + 8 + 4 + 4;
+/// WAL length at which a snapshot is due regardless of the batch cadence.
+pub(crate) const SNAPSHOT_WAL_BYTES: u64 = 1 << 20;
 
 /// Durability knobs of a [`crate::DeltaServer`].
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
     /// Directory holding the WAL and snapshot files. Created if absent.
     pub dir: PathBuf,
-    /// Snapshot after this many applied batches since the last snapshot.
+    /// Snapshot after this many applied batches since the last snapshot (or
+    /// once the WAL holds 1 MiB, whichever comes first).
     pub snapshot_every_batches: u64,
-    /// ... or once the WAL holds at least this many bytes, whichever first.
-    pub snapshot_wal_bytes: u64,
     /// Out-of-core serving: compact the segment files (rewriting live
     /// segments into a fresh generation) whenever a snapshot finds their
     /// dead-byte fraction above this threshold, bounding on-disk size.
@@ -64,13 +66,6 @@ pub struct DurabilityConfig {
     /// within the budget are absorbed with no observable effect; disk-full
     /// errors are never retried.
     pub retry: RetryPolicy,
-    /// Run the configured id-remap policy ([`slfe_core::EngineConfig`]'s
-    /// `reorder` / `migration_imbalance_threshold`) on the snapshot path.
-    /// Riding the snapshot keeps recovery trivially correct: the WAL is
-    /// truncated right after the (post-remap) snapshot lands, so replay never
-    /// crosses a layout change. `true` by default; the policies themselves
-    /// default off, so nothing remaps unless explicitly configured.
-    pub remap_on_snapshot: bool,
 }
 
 impl DurabilityConfig {
@@ -80,22 +75,14 @@ impl DurabilityConfig {
         Self {
             dir: dir.into(),
             snapshot_every_batches: 8,
-            snapshot_wal_bytes: 1 << 20,
             max_dead_fraction: 0.5,
             retry: RetryPolicy::default(),
-            remap_on_snapshot: true,
         }
     }
 
     /// Set the batch-count snapshot cadence.
     pub fn with_snapshot_every(mut self, batches: u64) -> Self {
         self.snapshot_every_batches = batches.max(1);
-        self
-    }
-
-    /// Set the WAL-bytes snapshot trigger.
-    pub fn with_snapshot_wal_bytes(mut self, bytes: u64) -> Self {
-        self.snapshot_wal_bytes = bytes;
         self
     }
 
@@ -108,12 +95,6 @@ impl DurabilityConfig {
     /// Set the I/O retry/backoff budget.
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
-        self
-    }
-
-    /// Enable or disable running the id-remap policy on the snapshot path.
-    pub fn with_remap_on_snapshot(mut self, enabled: bool) -> Self {
-        self.remap_on_snapshot = enabled;
         self
     }
 
@@ -147,6 +128,13 @@ pub enum DurabilityError {
         /// The first validation step that failed.
         reason: &'static str,
     },
+    /// Re-applying a logged batch during recovery failed.
+    Replay {
+        /// Sequence number of the WAL entry that failed.
+        seq: u64,
+        /// Why the apply pipeline refused or failed it.
+        error: ApplyError,
+    },
 }
 
 impl std::fmt::Display for DurabilityError {
@@ -158,6 +146,9 @@ impl std::fmt::Display for DurabilityError {
             }
             DurabilityError::CorruptSnapshot { reason } => {
                 write!(f, "corrupt snapshot: {reason}")
+            }
+            DurabilityError::Replay { seq, error } => {
+                write!(f, "replaying WAL entry {seq} failed: {error}")
             }
         }
     }

@@ -37,14 +37,14 @@
 //! counters, the published-version sequence number, and read-latency
 //! percentiles from a sharded [`LatencyHistogram`].
 
-use crate::server::{rank_top_k, DeltaServer, ServerStats};
+use crate::server::{exceeds_vertex_growth, rank_top_k, DeltaServer, ServerStats};
 use crate::ServingMode;
 use slfe_core::GraphProgram;
 use slfe_graph::{EdgeWeight, Graph, GraphStorage, UpdateBatch, VertexId, INVALID_VERTEX};
 use slfe_metrics::{LatencyHistogram, MetricsRegistry, Telemetry, HIST_QUERY_LATENCY};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -57,6 +57,30 @@ const LATENCY_SHARDS: usize = 8;
 /// How long the writer sleeps on an empty queue before re-checking for
 /// shutdown and probing a read-only server for resumption.
 const IDLE_TICK: Duration = Duration::from_millis(100);
+
+/// Hard cap on updates coalesced into one group-commit batch.
+const GROUP_COMMIT_MAX_UPDATES: usize = 256;
+
+/// Fraction of the server's full-recompute dirty budget one group may spend.
+/// Each update dirties at most its two endpoints, so the group size limit is
+/// `full_recompute_dirty_fraction * headroom * n / 2`: group commit
+/// amortizes fsync without tripping the full-recompute fallback it is meant
+/// to avoid.
+const GROUP_COMMIT_DIRTY_HEADROOM: f64 = 0.5;
+
+/// Apply attempts (each preceded by a resume probe when read-only) before a
+/// failing batch is quarantined regardless of error kinds.
+const MAX_APPLY_ATTEMPTS: u32 = 3;
+
+/// Resume probes after a quarantine before giving up until the next idle
+/// tick.
+const RESUME_MAX_ATTEMPTS: u32 = 8;
+
+/// Sleep between those resume probes.
+const RESUME_BACKOFF: Duration = Duration::from_millis(1);
+
+/// Floor of the `retry_after` hint in [`AdmitError::Overloaded`].
+const MIN_RETRY_AFTER: Duration = Duration::from_millis(1);
 
 /// One client edge update, the unit of admission. The writer coalesces many
 /// of these into a single [`UpdateBatch`] (group commit).
@@ -118,8 +142,9 @@ pub enum AdmitError {
         /// Why the server went read-only.
         reason: String,
     },
-    /// The update references the `INVALID_VERTEX` sentinel and can never be
-    /// staged; rejecting it here keeps the writer thread panic-free.
+    /// An endpoint is the `INVALID_VERTEX` sentinel, which can never be
+    /// staged, or more than 2^20 ids past the published version, which the
+    /// server would refuse; rejecting it here keeps the writer panic-free.
     InvalidUpdate {
         /// Which endpoint was invalid.
         reason: &'static str,
@@ -287,24 +312,6 @@ impl<V: Copy + PartialOrd> PublishedVersion<V> {
 pub struct FrontendConfig {
     /// Bound of the update queue; admission sheds above it.
     pub queue_capacity: usize,
-    /// Hard cap on updates coalesced into one group-commit batch.
-    pub group_commit_max_updates: usize,
-    /// Fraction of the server's full-recompute dirty budget one group may
-    /// spend. Each update dirties at most its two endpoints, so the group
-    /// size limit is `full_recompute_dirty_fraction * headroom * n / 2` —
-    /// group commit amortizes fsync without tripping the full-recompute
-    /// fallback it is meant to avoid.
-    pub group_commit_dirty_headroom: f64,
-    /// Apply attempts (each preceded by a resume probe when read-only)
-    /// before a failing batch is quarantined regardless of error kinds.
-    pub max_apply_attempts: u32,
-    /// Resume probes after a quarantine before giving up until the next
-    /// idle tick.
-    pub resume_max_attempts: u32,
-    /// Sleep between those resume probes.
-    pub resume_backoff: Duration,
-    /// Floor of the `retry_after` hint in [`AdmitError::Overloaded`].
-    pub min_retry_after: Duration,
     /// Record every applied batch and published version so tests and
     /// benches can replay the exact sequence on a single-threaded oracle.
     /// Off by default: serving keeps O(1) memory.
@@ -315,12 +322,6 @@ impl Default for FrontendConfig {
     fn default() -> Self {
         Self {
             queue_capacity: 1024,
-            group_commit_max_updates: 256,
-            group_commit_dirty_headroom: 0.5,
-            max_apply_attempts: 3,
-            resume_max_attempts: 8,
-            resume_backoff: Duration::from_millis(1),
-            min_retry_after: Duration::from_millis(1),
             record_history: false,
         }
     }
@@ -409,6 +410,15 @@ impl<V: Copy> FrontendShared<V> {
         Arc::clone(&self.published.read().unwrap())
     }
 
+    /// Tell the writer to drain the queue and stop. Never panics (it runs in
+    /// `Drop`): a poisoned queue lock still holds a valid flag to set.
+    fn close(&self) {
+        let mut queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        queue.shutdown = true;
+        drop(queue);
+        self.work_ready.notify_all();
+    }
+
     fn publish(&self, version: PublishedVersion<V>) -> Arc<PublishedVersion<V>> {
         let version = Arc::new(version);
         *self.published.write().unwrap() = Arc::clone(&version);
@@ -454,24 +464,27 @@ impl<V: Copy> FrontendHandle<V> {
 
     /// Admit one update into the bounded queue, or shed typed.
     ///
-    /// Sheds [`AdmitError::ReadOnly`] while the published health has the
-    /// update side disabled, and [`AdmitError::Overloaded`] when the queue
-    /// is full — at half capacity already when the published version is
-    /// degraded, so a struggling server sees its backlog squeezed rather
-    /// than grown.
+    /// Rejects [`AdmitError::InvalidUpdate`], sheds [`AdmitError::ReadOnly`]
+    /// while the published health has the update side disabled, and
+    /// [`AdmitError::Overloaded`] when the queue is full — at half capacity
+    /// already when the published version is degraded, so a struggling
+    /// server sees its backlog squeezed rather than grown.
     pub fn submit(&self, update: EdgeUpdate) -> Result<(), AdmitError> {
         let shared = &self.shared;
+        let published = shared.published();
         let (src, dst) = update.endpoints();
-        if src == INVALID_VERTEX || dst == INVALID_VERTEX {
+        // `INVALID_VERTEX` is the largest id, so the larger endpoint is it
+        // whenever either is.
+        let far = src.max(dst);
+        if far == INVALID_VERTEX || exceeds_vertex_growth(far, published.values().len()) {
             shared
                 .counters
                 .rejected_invalid
                 .fetch_add(1, Ordering::Relaxed);
             return Err(AdmitError::InvalidUpdate {
-                reason: "edge endpoint is the INVALID_VERTEX sentinel",
+                reason: "edge endpoint is INVALID_VERTEX or more than 2^20 ids past the graph",
             });
         }
-        let published = shared.published();
         if published.mode() == ServingMode::ReadOnly {
             shared
                 .counters
@@ -524,7 +537,7 @@ impl<V: Copy> FrontendHandle<V> {
         let last_apply = shared.counters.last_apply_nanos.load(Ordering::Relaxed);
         let rounds = (depth / shared.group_limit.max(1)) as u64 + 1;
         let hint = Duration::from_nanos(last_apply.saturating_mul(rounds));
-        hint.max(shared.config.min_retry_after)
+        hint.max(MIN_RETRY_AFTER)
     }
 
     /// Value of one vertex in the current published version.
@@ -812,7 +825,7 @@ where
     /// writer thread. The server moves into the writer; get it back with
     /// [`ServingFrontend::shutdown`].
     pub fn spawn(server: DeltaServer<P, F>, config: FrontendConfig) -> Self {
-        let group_limit = group_commit_limit(&server, &config);
+        let group_limit = group_commit_limit(&server);
         let initial = build_version(&server, 0, true);
         let shared = Arc::new(FrontendShared {
             published: RwLock::new(Arc::new(initial)),
@@ -853,19 +866,12 @@ where
     /// admitted before shutdown are applied and published first, so a
     /// clean shutdown flushes.
     pub fn shutdown(mut self) -> DeltaServer<P, F> {
-        self.begin_shutdown();
+        self.shared.close();
         self.writer
             .take()
             .expect("writer joined twice")
             .join()
             .expect("frontend writer thread panicked")
-    }
-
-    fn begin_shutdown(&self) {
-        let mut queue = self.shared.queue.lock().unwrap();
-        queue.shutdown = true;
-        drop(queue);
-        self.shared.work_ready.notify_all();
     }
 }
 
@@ -876,29 +882,25 @@ where
 {
     fn drop(&mut self) {
         if let Some(writer) = self.writer.take() {
-            {
-                let mut queue = self.shared.queue.lock().unwrap();
-                queue.shutdown = true;
-            }
-            self.shared.work_ready.notify_all();
+            self.shared.close();
             let _ = writer.join();
         }
     }
 }
 
 /// Updates per group commit: each edge update dirties at most its two
-/// endpoints, so keep one group's worst-case dirty fraction a configured
-/// headroom below the server's full-recompute threshold.
-fn group_commit_limit<P, F>(server: &DeltaServer<P, F>, config: &FrontendConfig) -> usize
+/// endpoints, so keep one group's worst-case dirty fraction
+/// [`GROUP_COMMIT_DIRTY_HEADROOM`] below the server's full-recompute
+/// threshold.
+fn group_commit_limit<P, F>(server: &DeltaServer<P, F>) -> usize
 where
     P: GraphProgram,
     F: Fn(&Graph) -> P,
 {
     let n = server.graph().num_vertices() as f64;
-    let dirty_budget =
-        server.config().full_recompute_dirty_fraction * config.group_commit_dirty_headroom;
+    let dirty_budget = server.config().full_recompute_dirty_fraction * GROUP_COMMIT_DIRTY_HEADROOM;
     let by_economics = ((dirty_budget * n) / 2.0).floor() as usize;
-    by_economics.clamp(1, config.group_commit_max_updates)
+    by_economics.clamp(1, GROUP_COMMIT_MAX_UPDATES)
 }
 
 fn build_version<P, F>(
@@ -923,39 +925,26 @@ where
     }
 }
 
-/// Re-publish the current version's values with fresh health — used after
-/// an apply failure or a resume, where the *data* did not change but
-/// admission and monitoring must see the new mode.
-fn publish_health_only<V: Copy>(
-    shared: &FrontendShared<V>,
-    update: impl FnOnce(&mut PublishedVersion<V>),
-) {
-    let current = shared.published();
-    let mut next = PublishedVersion {
-        seq: current.seq,
-        values: Arc::clone(&current.values),
-        stats: current.stats,
-        mode: current.mode,
-        degraded: current.degraded,
-        read_only_reason: current.read_only_reason.clone(),
-        converged: current.converged,
-        storage: current.storage.clone(),
-    };
-    update(&mut next);
-    shared.publish(next);
-}
-
-fn health_fields<P, F>(server: &DeltaServer<P, F>) -> (ServingMode, bool, Option<String>)
+/// Re-publish the current version's values with the server's fresh health
+/// — used after an apply failure or a resume, where the *data* did not
+/// change but admission and monitoring must see the new mode.
+fn publish_health_only<P, F>(shared: &FrontendShared<P::Value>, server: &DeltaServer<P, F>)
 where
     P: GraphProgram,
     F: Fn(&Graph) -> P,
 {
-    let h = server.health();
-    (
-        h.mode(),
-        h.is_degraded(),
-        h.read_only_reason().map(String::from),
-    )
+    let current = shared.published();
+    let health = server.health();
+    shared.publish(PublishedVersion {
+        seq: current.seq,
+        values: Arc::clone(&current.values),
+        stats: current.stats,
+        mode: health.mode(),
+        degraded: health.is_degraded(),
+        read_only_reason: health.read_only_reason().map(String::from),
+        converged: current.converged,
+        storage: current.storage.clone(),
+    });
 }
 
 enum ApplyVerdict {
@@ -1000,12 +989,7 @@ where
                         .resume_attempts
                         .fetch_add(1, Ordering::Relaxed);
                     if server.try_resume_writes() {
-                        let (mode, degraded, reason) = health_fields(&server);
-                        publish_health_only(&shared, |v| {
-                            v.mode = mode;
-                            v.degraded = degraded;
-                            v.read_only_reason = reason;
-                        });
+                        publish_health_only(&shared, &server);
                     }
                     queue = shared.queue.lock().unwrap();
                 }
@@ -1053,12 +1037,7 @@ where
                 // Data unchanged; publish the (likely read-only) health so
                 // admission starts shedding typed instead of queueing into
                 // a wall.
-                let (mode, degraded, reason) = health_fields(&server);
-                publish_health_only(&shared, |v| {
-                    v.mode = mode;
-                    v.degraded = degraded;
-                    v.read_only_reason = reason;
-                });
+                publish_health_only(&shared, &server);
             }
         }
     }
@@ -1081,8 +1060,7 @@ where
     F: Fn(&Graph) -> P,
 {
     let mut last_kind: Option<&'static str> = None;
-    let attempts = shared.config.max_apply_attempts.max(1);
-    for attempt in 0..attempts {
+    for attempt in 0..MAX_APPLY_ATTEMPTS {
         if server.health().is_read_only() {
             shared
                 .counters
@@ -1100,7 +1078,7 @@ where
                 let kind = e.kind();
                 let repeated = last_kind == Some(kind);
                 last_kind = Some(kind);
-                if repeated || attempt + 1 == attempts {
+                if repeated || attempt + 1 == MAX_APPLY_ATTEMPTS {
                     quarantine(server, shared, batch, kind, &e.to_string(), attempt + 1);
                     return ApplyVerdict::Quarantined;
                 }
@@ -1137,7 +1115,7 @@ fn quarantine<P, F>(
         .fetch_add(1, Ordering::Relaxed);
     // Try to bring the write side back for the batches *behind* the poison
     // one: bounded probes with a small backoff.
-    for _ in 0..shared.config.resume_max_attempts {
+    for _ in 0..RESUME_MAX_ATTEMPTS {
         if !server.health().is_read_only() {
             break;
         }
@@ -1148,7 +1126,7 @@ fn quarantine<P, F>(
         if server.try_resume_writes() {
             break;
         }
-        std::thread::sleep(shared.config.resume_backoff);
+        std::thread::sleep(RESUME_BACKOFF);
     }
 }
 
@@ -1268,6 +1246,32 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_updates_are_rejected_at_submit() {
+        let fe = frontend(FrontendConfig::default());
+        let handle = fe.handle();
+        let err = handle
+            .submit(EdgeUpdate::Insert {
+                src: 0,
+                dst: 3_000_000_000,
+                weight: 1.0,
+            })
+            .unwrap_err();
+        assert!(matches!(err, AdmitError::InvalidUpdate { .. }), "got {err}");
+        assert_eq!(handle.counters().rejected_invalid, 1);
+        // Growth within the limit is still admitted and applied.
+        handle
+            .submit(EdgeUpdate::Insert {
+                src: 0,
+                dst: 250,
+                weight: 1.0,
+            })
+            .unwrap();
+        let server = fe.shutdown();
+        assert_eq!(server.graph().num_vertices(), 251);
+        assert!(handle.dead_letters().is_empty());
+    }
+
+    #[test]
     fn full_queue_sheds_overloaded_with_depth_and_hint() {
         // A frontend whose writer is effectively parked behind a huge group
         // can still be overloaded by submitting faster than it drains; force
@@ -1304,26 +1308,24 @@ mod tests {
 
     #[test]
     fn group_commit_limit_respects_dirty_economics() {
-        let graph = generators::rmat(100, 600, 0.57, 0.19, 0.19, 9);
-        let server = DeltaServer::try_new(
-            graph,
-            |_: &Graph| SsspProgram { root: 0 },
-            ServerConfig {
-                cluster: ClusterConfig::new(1, 1),
-                full_recompute_dirty_fraction: 0.4,
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap();
-        let config = FrontendConfig::default();
-        // 0.4 * 0.5 headroom * 100 vertices / 2 endpoints = 10 updates.
-        assert_eq!(group_commit_limit(&server, &config), 10);
-        // The hard cap wins when the graph is large.
-        let capped = FrontendConfig {
-            group_commit_max_updates: 4,
-            ..FrontendConfig::default()
+        let limit = |vertices: usize| {
+            let graph = generators::rmat(vertices, vertices * 6, 0.57, 0.19, 0.19, 9);
+            let server = DeltaServer::try_new(
+                graph,
+                |_: &Graph| SsspProgram { root: 0 },
+                ServerConfig {
+                    cluster: ClusterConfig::new(1, 1),
+                    full_recompute_dirty_fraction: 0.4,
+                    ..ServerConfig::default()
+                },
+            )
+            .unwrap();
+            group_commit_limit(&server)
         };
-        assert_eq!(group_commit_limit(&server, &capped), 4);
+        // 0.4 * 0.5 headroom * 100 vertices / 2 endpoints = 10 updates.
+        assert_eq!(limit(100), 10);
+        // The hard cap wins when the graph is large: 300 by economics.
+        assert_eq!(limit(3000), GROUP_COMMIT_MAX_UPDATES);
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //!   last published version, while [`crate::DeltaServer::try_apply`]
 //!   returns [`ApplyError::ReadOnly`] until the server is reopened.
 
+use slfe_graph::{is_disk_full, VertexId};
 use std::io;
 
 /// Whether the server still accepts update batches.
@@ -148,6 +149,16 @@ pub enum ApplyError {
         /// The failure that disabled the update side.
         reason: String,
     },
+    /// An endpoint lies so far past the current graph that applying the
+    /// batch would append more than 2^20 vertices at once (one garbage id
+    /// would otherwise make the graph patch allocate for billions). Refused
+    /// before the WAL append; the server stays read-write.
+    VertexOutOfRange {
+        /// The offending endpoint (external id).
+        vertex: VertexId,
+        /// Vertices of the graph version the batch was checked against.
+        num_vertices: usize,
+    },
     /// The WAL append (or its fsync) failed, so the batch was never made
     /// durable and was not applied. The server is now read-only.
     WalAppend(io::Error),
@@ -173,6 +184,7 @@ impl ApplyError {
     pub fn kind(&self) -> &'static str {
         match self {
             ApplyError::ReadOnly { .. } => "read_only",
+            ApplyError::VertexOutOfRange { .. } => "vertex_out_of_range",
             ApplyError::WalAppend(_) => "wal_append",
             ApplyError::StoragePatch(_) => "storage_patch",
             ApplyError::ExecutionPoisoned { .. } => "execution_poisoned",
@@ -185,6 +197,18 @@ impl std::fmt::Display for ApplyError {
         match self {
             ApplyError::ReadOnly { reason } => {
                 write!(f, "server is read-only: {reason}")
+            }
+            ApplyError::VertexOutOfRange {
+                vertex,
+                num_vertices,
+            } => {
+                write!(
+                    f,
+                    "vertex {vertex} is over 2^20 ids past a {num_vertices}-vertex graph"
+                )
+            }
+            ApplyError::WalAppend(e) if is_disk_full(e) => {
+                write!(f, "WAL append failed: disk full (ENOSPC): {e}")
             }
             ApplyError::WalAppend(e) => write!(f, "WAL append failed: {e}"),
             ApplyError::StoragePatch(e) => {
@@ -256,6 +280,14 @@ mod tests {
         assert_eq!(
             ApplyError::ExecutionPoisoned { note: "n".into() }.kind(),
             "execution_poisoned"
+        );
+        assert_eq!(
+            ApplyError::VertexOutOfRange {
+                vertex: 9,
+                num_vertices: 1
+            }
+            .kind(),
+            "vertex_out_of_range"
         );
     }
 

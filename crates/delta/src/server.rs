@@ -10,20 +10,125 @@ use slfe_core::{
     EngineConfig, EngineParts, GraphProgram, ProgramResult, RepairReport, RrGuidance, SlfeEngine,
 };
 use slfe_graph::{
-    is_disk_full, BatchEffect, FaultAction, FaultInjector, FaultPlan, FaultSite, Graph,
-    GraphStorage, IdRemap, ReorderPolicy, UpdateBatch, VertexId,
+    BatchEffect, FaultAction, FaultInjector, FaultPlan, FaultSite, Graph, GraphStorage, IdRemap,
+    ReorderPolicy, UpdateBatch, VertexId,
 };
 use slfe_metrics::{
-    DurabilityCounters, ExecutionStats, FaultCounters, MetricsRegistry, Telemetry,
+    DurabilityCounters, ExecutionStats, FaultCounters, MetricsRegistry, SpanEvent, Telemetry,
     TelemetrySnapshot, HIST_BATCH_APPLY, HIST_WAL_FSYNC,
 };
 use slfe_partition::{contiguous_degree_layout, ChunkingPartitioner, Partitioner, Partitioning};
 use std::io;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Bytes of one shipped edge update: two 4-byte vertex ids plus a 4-byte weight.
 const UPDATE_RECORD_BYTES: u64 = 12;
+
+/// Node where update batches arrive before being forwarded to partition
+/// owners (the simulated client connection point).
+const INGEST_NODE: usize = 0;
+
+/// Most vertices one batch may append to the id space. Admission refuses an
+/// endpoint further out ([`ApplyError::VertexOutOfRange`]), and the serving
+/// front end sheds it at submit.
+const MAX_VERTEX_GROWTH: u64 = 1 << 20;
+
+/// The guidance report of a stage that repaired nothing.
+const NO_REPAIR: RepairReport = RepairReport {
+    regenerated: false,
+    affected_vertices: 0,
+    work: 0,
+};
+
+/// `true` when endpoint `vertex` would append more than
+/// [`MAX_VERTEX_GROWTH`] vertices to a graph of `num_vertices`.
+pub(crate) fn exceeds_vertex_growth(vertex: VertexId, num_vertices: usize) -> bool {
+    u64::from(vertex) >= num_vertices as u64 + MAX_VERTEX_GROWTH
+}
+
+/// The apply pipeline's one clock. Each stage ends with a [`StageClock::lap`],
+/// which is both the stage's [`BatchOutcome::stages`] entry and, with
+/// telemetry on, a `server` span of the same extent. Laps are contiguous, so
+/// they sum to the batch's wall time, and [`StageClock::finish`] is the one
+/// place the `batch` span, the wall and fsync seconds and their histograms
+/// are recorded.
+struct StageClock {
+    telemetry: Arc<Telemetry>,
+    start_ns: u64,
+    lap_ns: u64,
+    stages: Vec<(&'static str, f64)>,
+    /// The WAL append's fsync latency, when this batch was logged.
+    fsync_ns: Option<u64>,
+}
+
+impl StageClock {
+    fn start(telemetry: &Arc<Telemetry>) -> Self {
+        let now = telemetry.clock().now_ns();
+        Self {
+            telemetry: Arc::clone(telemetry),
+            start_ns: now,
+            lap_ns: now,
+            stages: Vec::with_capacity(8),
+            fsync_ns: None,
+        }
+    }
+
+    /// Close `stage`, which ran since the previous lap.
+    fn lap(&mut self, stage: &'static str) {
+        let now = self.telemetry.clock().now_ns();
+        // Trace readers (perfbench among them) know the guidance stage's
+        // span as `guidance_repair`.
+        let span = match stage {
+            "guidance" => "guidance_repair",
+            stage => stage,
+        };
+        self.span(span, self.lap_ns, now - self.lap_ns);
+        self.stages.push((stage, (now - self.lap_ns) as f64 * 1e-9));
+        self.lap_ns = now;
+    }
+
+    fn span(&self, name: &'static str, start_ns: u64, dur_ns: u64) {
+        self.telemetry.push_span(SpanEvent {
+            name,
+            cat: "server",
+            track: 0,
+            start_ns,
+            dur_ns,
+        });
+    }
+
+    /// The batch's one exit: close its `batch` span at the last lap, record
+    /// the histograms, and stamp the timing fields of an applied outcome.
+    fn finish(self, applied: Result<BatchOutcome, ApplyError>) -> Result<BatchOutcome, ApplyError> {
+        let wall_ns = self.lap_ns - self.start_ns;
+        self.span("batch", self.start_ns, wall_ns);
+        if let Some(ns) = self.fsync_ns {
+            self.telemetry.record_ns(HIST_WAL_FSYNC, ns);
+        }
+        let mut outcome = applied?;
+        self.telemetry.record_ns(HIST_BATCH_APPLY, wall_ns);
+        outcome.wall_seconds = wall_ns as f64 * 1e-9;
+        outcome.wal_fsync_seconds = self.fsync_ns.map_or(0.0, |ns| ns as f64 * 1e-9);
+        outcome.stages = self.stages;
+        Ok(outcome)
+    }
+}
+
+/// What re-converging a program on a new version yields: the program, its
+/// result and the segment store it ran on.
+type Converged<P> = (
+    P,
+    ProgramResult<<P as GraphProgram>::Value>,
+    Option<Arc<GraphStorage>>,
+);
+
+/// The fault injector `config` asks for: armed with its plan, or disarmed.
+fn injector_for(config: &ServerConfig) -> Arc<FaultInjector> {
+    match &config.fault_plan {
+        Some(plan) => FaultInjector::armed(plan.clone()),
+        None => FaultInjector::disabled(),
+    }
+}
 
 /// Write `graph`'s out-of-core segment store when `engine` configures one,
 /// with `graph` itself attached as the quarantine-rebuild source. `None` when
@@ -66,9 +171,6 @@ pub struct ServerConfig {
     pub cluster: ClusterConfig,
     /// Engine configuration used for the initial cold run and every restart.
     pub engine: EngineConfig,
-    /// Node where update batches arrive before being forwarded to partition
-    /// owners (the simulated client connection point).
-    pub ingest_node: usize,
     /// When a batch dirties more than this fraction of all vertices the server
     /// runs the program from scratch instead of warm-starting: past this point
     /// the invalidation pass would walk most of the graph anyway.
@@ -86,7 +188,6 @@ impl Default for ServerConfig {
         Self {
             cluster: ClusterConfig::new(2, 2),
             engine: EngineConfig::default(),
-            ingest_node: 0,
             full_recompute_dirty_fraction: 0.5,
             fault_plan: None,
         }
@@ -113,7 +214,7 @@ pub struct BatchOutcome {
     /// above [`ServerConfig::full_recompute_dirty_fraction`]).
     pub full_recompute: bool,
     /// Simulated messages spent shipping the batch's dirty updates from the
-    /// ingest node to their partition owners.
+    /// ingest node (node 0) to their partition owners.
     pub distribution_messages: u64,
     /// What patching the chunk layout to this graph version cost: only the
     /// dirty endpoints' owner nodes (plus the appended vertices' receiving
@@ -139,7 +240,8 @@ pub struct BatchOutcome {
     /// when [`EngineConfig::migration_imbalance_threshold`] is set the
     /// snapshot-path remap migrates vertices whenever it overshoots.
     pub partition_imbalance: f64,
-    /// Wall-clock seconds for the whole apply (graph patch + guidance + rerun).
+    /// Wall-clock seconds of the whole [`DeltaServer::try_apply`] call past
+    /// admission: the sum of [`BatchOutcome::stages`].
     pub wall_seconds: f64,
     /// Wall-clock seconds the WAL fsync for this batch took (0.0 on a
     /// non-durable server).
@@ -149,6 +251,16 @@ pub struct BatchOutcome {
     /// keeps serving read-write with the WAL growing until a later snapshot
     /// lands. Details are on [`crate::Health`].
     pub degraded: bool,
+    /// Where `wall_seconds` went: one `(stage, seconds)` entry per stage the
+    /// batch ran, in pipeline order — `wal_append` (durable servers),
+    /// `graph_patch` (id translation and [`Graph::apply_batch`]),
+    /// `segment_patch` (out-of-core servers), `layout_patch`, `guidance`,
+    /// `warm_restart` or `cold_run`, `publish` (outcome, stats, install,
+    /// external-id view) and `snapshot` (when due); a no-op batch skips from
+    /// `graph_patch` to `publish`. Contiguous laps of one clock, so they sum
+    /// to `wall_seconds`. With telemetry on, each is also a `server` span
+    /// inside the batch's `batch` span (the guidance one `guidance_repair`).
+    pub stages: Vec<(&'static str, f64)>,
 }
 
 /// Cumulative serving statistics.
@@ -292,44 +404,62 @@ where
     /// Fails when the out-of-core segment files cannot be written.
     pub fn try_new(graph: Graph, make_program: F, config: ServerConfig) -> io::Result<Self> {
         let graph = Arc::new(graph);
-        let faults = match &config.fault_plan {
-            Some(plan) => FaultInjector::armed(plan.clone()),
-            None => FaultInjector::disabled(),
-        };
+        let faults = injector_for(&config);
         let pool = Arc::new(WorkerPool::new(config.cluster.total_workers()));
-        let program = make_program(&graph);
         let rrg = RrGuidance::generate_parallel_on(&graph, &pool);
         let partitioning =
             Arc::new(ChunkingPartitioner::default().partition(&graph, config.cluster.num_nodes));
-        let cluster =
-            Cluster::with_shared_partitioning(Arc::clone(&partitioning), config.cluster.clone());
-        let layout = cluster.build_layout(&graph);
-        // Out-of-core serving: the segments are written once here; every
-        // batch then patches only the dirty ones (`GraphStorage::patched`).
-        // The in-memory graph is attached as the recovery source so
-        // unreadable segments can be quarantined and rebuilt from it.
-        let storage = build_storage(&graph, &config.engine, &faults)?;
-        let telemetry = Arc::new(Telemetry::new(config.engine.telemetry));
-        let engine = SlfeEngine::from_parts(
-            &graph,
-            EngineParts {
-                cluster,
-                config: config.engine.clone(),
-                rrg: rrg.clone(),
-                pool: Arc::clone(&pool),
-                layout: layout.clone(),
-                storage: storage.clone(),
-                telemetry: Arc::clone(&telemetry),
-            },
-        );
-        let cold_span = telemetry.begin();
-        let result = engine.run(&program);
-        telemetry.end(cold_span, "cold_run", "server", 0);
+        let mut server =
+            Self::assemble(make_program, config, faults, pool, graph, partitioning, rrg)?;
+        let cold_span = server.telemetry.begin();
+        let storage = server.storage.clone();
+        let engine = server.engine(&server.graph, &server.rrg, &server.layout, storage);
+        let result = engine.run(&server.program);
         drop(engine);
-        let mut server = Self {
+        server.telemetry.end(cold_span, "cold_run", "server", 0);
+        server.result = result;
+        // The seed graph may already carry a remap (a test or a tool serving
+        // a pre-reordered layout): keep the external view consistent from the
+        // first query on.
+        server.refresh_external_values();
+        Ok(server)
+    }
+
+    /// Assemble a server around `graph`, its stable `partitioning` and
+    /// guidance `rrg`: build the chunk layout, the telemetry hub and the
+    /// out-of-core segment store, written once here with `graph` attached
+    /// as the source unreadable segments are quarantined and rebuilt from
+    /// (every batch then patches only the dirty segments). The served
+    /// result is empty until the caller runs the program or restores it.
+    fn assemble(
+        make_program: F,
+        config: ServerConfig,
+        faults: Arc<FaultInjector>,
+        pool: Arc<WorkerPool>,
+        graph: Arc<Graph>,
+        partitioning: Arc<Partitioning>,
+        rrg: RrGuidance,
+    ) -> io::Result<Self> {
+        let program = make_program(&graph);
+        let layout =
+            Cluster::with_shared_partitioning(Arc::clone(&partitioning), config.cluster.clone())
+                .build_layout(&graph);
+        let storage = build_storage(&graph, &config.engine, &faults)?;
+        let result = ProgramResult {
+            values: Vec::new(),
+            stats: ExecutionStats::new("slfe", program.name()),
+            last_changed_iter: Vec::new(),
+            per_node_worker_work: vec![
+                vec![0; config.cluster.workers_per_node];
+                config.cluster.num_nodes
+            ],
+            converged: true,
+        };
+        Ok(Self {
             make_program,
             program,
             graph,
+            telemetry: Arc::new(Telemetry::new(config.engine.telemetry)),
             config,
             rrg,
             pool,
@@ -341,15 +471,34 @@ where
             stats: ServerStats::default(),
             pending_guidance_dirty: Vec::new(),
             durability: None,
-            telemetry,
             faults,
             health: Health::new(),
+        })
+    }
+
+    /// An engine over `graph` with this server's cluster shape, pool,
+    /// telemetry hub and partitioning, plus the given version artifacts.
+    fn engine<'g>(
+        &self,
+        graph: &'g Graph,
+        rrg: &RrGuidance,
+        layout: &GlobalChunkLayout,
+        storage: Option<Arc<GraphStorage>>,
+    ) -> SlfeEngine<'g> {
+        let cluster = Cluster::with_shared_partitioning(
+            Arc::clone(&self.partitioning),
+            self.config.cluster.clone(),
+        );
+        let parts = EngineParts {
+            cluster,
+            config: self.config.engine.clone(),
+            rrg: rrg.clone(),
+            pool: Arc::clone(&self.pool),
+            layout: layout.clone(),
+            storage,
+            telemetry: Arc::clone(&self.telemetry),
         };
-        // The seed graph may already carry a remap (a test or a tool serving
-        // a pre-reordered layout): keep the external view consistent from the
-        // first query on.
-        server.refresh_external_values();
-        Ok(server)
+        SlfeEngine::from_parts(graph, parts)
     }
 
     /// Rebuild the external-id-ordered value view after `result.values` or
@@ -369,101 +518,28 @@ where
     /// untouched.
     fn external_effect(graph: &Graph, mut effect: BatchEffect) -> BatchEffect {
         if graph.is_remapped() {
-            for v in effect.dirty.iter_mut() {
-                *v = graph.external_id(*v);
+            for ids in [&mut effect.dirty, &mut effect.worsened_dsts] {
+                ids.iter_mut().for_each(|v| *v = graph.external_id(*v));
+                ids.sort_unstable();
             }
-            effect.dirty.sort_unstable();
-            for v in effect.worsened_dsts.iter_mut() {
-                *v = graph.external_id(*v);
-            }
-            effect.worsened_dsts.sort_unstable();
         }
         effect
     }
 
-    /// Bring the guidance up to date with `graph`, draining `pending`.
-    /// Returns the synced guidance and what the sync cost (a zero-work report
-    /// when nothing was pending).
-    fn sync_guidance_parts(
-        rrg: &RrGuidance,
-        pending: &mut Vec<VertexId>,
+    /// The guidance brought up to date with `graph` over the dirty vertices
+    /// `pending`, and what that cost (a zero-work report when none).
+    fn repaired_guidance(
+        &self,
         graph: &Graph,
-        pool: &WorkerPool,
+        mut pending: Vec<VertexId>,
     ) -> (RrGuidance, RepairReport) {
-        let padded = rrg.extended_to(graph.num_vertices());
+        let padded = self.rrg.extended_to(graph.num_vertices());
         if pending.is_empty() {
-            return (
-                padded,
-                RepairReport {
-                    regenerated: false,
-                    affected_vertices: 0,
-                    work: 0,
-                },
-            );
+            return (padded, NO_REPAIR);
         }
         pending.sort_unstable();
         pending.dedup();
-        let repaired = padded.repair_on(graph, pending, pool);
-        pending.clear();
-        repaired
-    }
-
-    /// Byte health of the out-of-core backing files: `(live, dead)`, both 0
-    /// when the server runs in-memory.
-    fn storage_byte_health(storage: &Option<Arc<GraphStorage>>) -> (u64, u64) {
-        storage
-            .as_ref()
-            .map(|s| (s.footprint_bytes(), s.dead_bytes()))
-            .unwrap_or((0, 0))
-    }
-
-    /// Run one engine pass over `graph` with the given artifacts; returns
-    /// the program result and the batch-distribution message count.
-    #[allow(clippy::too_many_arguments)]
-    fn run_engine(
-        &self,
-        graph: &Graph,
-        program: &P,
-        rrg: &RrGuidance,
-        layout: &GlobalChunkLayout,
-        storage: Option<Arc<GraphStorage>>,
-        full_recompute: bool,
-        effect: &BatchEffect,
-    ) -> (ProgramResult<P::Value>, u64) {
-        let cluster = Cluster::with_shared_partitioning(
-            Arc::clone(&self.partitioning),
-            self.config.cluster.clone(),
-        );
-        let engine = SlfeEngine::from_parts(
-            graph,
-            EngineParts {
-                cluster,
-                config: self.config.engine.clone(),
-                rrg: rrg.clone(),
-                pool: Arc::clone(&self.pool),
-                layout: layout.clone(),
-                storage,
-                telemetry: Arc::clone(&self.telemetry),
-            },
-        );
-        let run_span = self.telemetry.begin();
-        let result = if full_recompute {
-            engine.run(program)
-        } else {
-            engine.run_from_effect(program, &self.result, effect)
-        };
-        let run_name = if full_recompute {
-            "cold_run"
-        } else {
-            "warm_restart"
-        };
-        self.telemetry.end(run_span, run_name, "server", 0);
-        let distribution_messages = engine.cluster().record_batch_distribution(
-            self.config.ingest_node,
-            effect.dirty.iter().copied(),
-            UPDATE_RECORD_BYTES,
-        );
-        (result, distribution_messages)
+        padded.repair_on(graph, &pending, &self.pool)
     }
 
     /// Rebuild the out-of-core segment store for `graph` from scratch (the
@@ -480,186 +556,61 @@ where
         Ok((storage, rewritten))
     }
 
-    /// Restore the pre-batch mutable state after a discarded run: the
-    /// accumulated guidance-dirty set and the (grown) stable partitioning.
-    /// Everything else — graph version, layout, fixpoint, stats — was never
-    /// assigned, so the server still serves the previous version exactly.
-    fn rollback_batch(&mut self, old_n: usize, pending_before: Vec<VertexId>) {
-        self.pending_guidance_dirty = pending_before;
-        if self.partitioning.num_vertices() > old_n {
-            let owners = self.partitioning.owners()[..old_n].to_vec();
-            let parts = self.partitioning.num_parts();
-            self.partitioning = Arc::new(Partitioning::from_owners(owners, parts));
+    /// Admission: the read-only checks that run before the stage sequence
+    /// and record nothing.
+    fn admit(&self, batch: &UpdateBatch) -> Result<(), ApplyError> {
+        if let Some(reason) = self.health.read_only_reason() {
+            return Err(ApplyError::ReadOnly {
+                reason: reason.to_string(),
+            });
+        }
+        let num_vertices = self.graph.num_vertices();
+        match batch.pairs().map(|(src, dst, _)| src.max(dst)).max() {
+            Some(vertex) if exceeds_vertex_growth(vertex, num_vertices) => {
+                Err(ApplyError::VertexOutOfRange {
+                    vertex,
+                    num_vertices,
+                })
+            }
+            _ => Ok(()),
         }
     }
 
-    /// Apply one edge-update batch *to the in-memory state only*: patch the
-    /// graph, warm re-converge the program, and account the batch-shipping
-    /// traffic. No write-ahead logging happens here — this is the path WAL
-    /// replay re-drives during recovery, and what [`DeltaServer::try_apply`]
-    /// runs after the batch is durably logged. Guidance maintenance is
-    /// *lazy*: the warm path never reads the rulers, so dirty vertices only
-    /// accumulate here and the repair runs when a cold run, snapshot, or
-    /// guidance query actually needs them.
-    ///
-    /// Unreadable segments are retried, quarantined and rebuilt in place; a
-    /// segment store that can be neither patched nor rebuilt, or an
-    /// execution still poisoned after one re-drive on a fresh store, flips
-    /// the server read-only and returns a typed error — the previous
-    /// version's values keep serving untouched either way.
-    fn try_apply_committed(&mut self, batch: &UpdateBatch) -> Result<BatchOutcome, ApplyError> {
-        let start = Instant::now();
-        let batch_span = self.telemetry.begin();
-        // Batches arrive (and are WAL-logged) in external ids; translate the
-        // endpoints into the current physical layout on admission. Appended
-        // vertices sit beyond the remap and map to themselves.
-        let translated;
-        let batch = if self.graph.is_remapped() {
-            translated = batch.mapped(|v| self.graph.to_physical(v));
-            &translated
-        } else {
-            batch
-        };
-        let (graph, effect) = self.graph.apply_batch(batch);
-        let graph = Arc::new(graph);
-        if effect.is_noop() {
-            // Nothing changed: keep every artifact (graph version, cluster,
-            // guidance, fixpoint) instead of rebuilding them all for nothing.
-            self.stats.batches_applied += 1;
-            let (storage_live_bytes, storage_dead_bytes) = Self::storage_byte_health(&self.storage);
-            let wall = start.elapsed();
-            self.telemetry.end(batch_span, "batch", "server", 0);
-            self.telemetry
-                .record_ns(HIST_BATCH_APPLY, wall.as_nanos() as u64);
-            return Ok(BatchOutcome {
-                effect,
-                guidance: RepairReport {
-                    regenerated: false,
-                    affected_vertices: 0,
-                    work: 0,
-                },
-                work: 0,
-                iterations: 0,
-                converged: true,
-                full_recompute: false,
-                distribution_messages: 0,
-                layout_patch: LayoutPatchStats::default(),
-                segments_rewritten: 0,
-                storage_live_bytes,
-                storage_dead_bytes,
-                partition_imbalance: self.partitioning.imbalance(),
-                wall_seconds: wall.as_secs_f64(),
-                wal_fsync_seconds: 0.0,
-                degraded: false,
-            });
-        }
-        let old_n = self.graph.num_vertices();
-        let n = graph.num_vertices();
-        // Out-of-core: rewrite only the segments a dirty endpoint lives in
-        // (plus fresh segments for appended vertices); the clean ones keep
-        // their bytes and any warm buffer-pool frames. This runs *before*
-        // any server state mutates: a store that can be neither patched nor
-        // rebuilt leaves the previous version serving untouched.
-        let (storage, segments_rewritten) = match &self.storage {
-            Some(storage) => match storage.patched(&graph, &effect.dirty) {
-                Ok((mut patched, rewritten)) => {
-                    patched.set_recovery(&graph);
-                    (Some(Arc::new(patched)), rewritten)
-                }
-                Err(patch_err) => match self.rebuild_storage(&graph) {
-                    Ok((rebuilt, rewritten)) => (Some(rebuilt), rewritten),
-                    Err(rebuild_err) => {
-                        self.telemetry.end(batch_span, "batch", "server", 0);
-                        self.health.enter_read_only(format!(
-                            "segment store could not be patched ({patch_err}) or rebuilt \
-                             ({rebuild_err})"
-                        ));
-                        return Err(ApplyError::StoragePatch(rebuild_err));
-                    }
-                },
-            },
-            None => (None, 0),
-        };
-        // Everything past this point mutates server state; remember what a
-        // poisoned-execution rollback must restore.
-        let pending_before = self.pending_guidance_dirty.clone();
-        // Defer guidance repair: remember what this batch dirtied (including
-        // every appended vertex id — repair needs them in its dirty set to
-        // reproduce regeneration exactly) and only pay for the repair on the
-        // paths that read rulers.
-        self.pending_guidance_dirty.extend_from_slice(&effect.dirty);
-        self.pending_guidance_dirty
-            .extend(old_n as VertexId..n as VertexId);
-        let dirty_fraction = effect.dirty.len() as f64 / n.max(1) as f64;
-        let full_recompute = dirty_fraction > self.config.full_recompute_dirty_fraction;
-        let (rrg, guidance) = if full_recompute {
-            // The cold run reads the rulers: sync now.
-            let repair_span = self.telemetry.begin();
-            let parts = Self::sync_guidance_parts(
-                &self.rrg,
-                &mut self.pending_guidance_dirty,
-                &graph,
-                &self.pool,
+    /// Instantiate the program for the new version and re-converge it —
+    /// engine build, warm restart or cold run, batch-distribution accounting
+    /// — recording what it cost in `outcome`. A poisoned run (segment reads
+    /// failed beyond retries and quarantine, so values may rest on
+    /// placeholder lists) is discarded and re-driven once on a store rebuilt
+    /// from the in-memory graph; a second poisoning fails the batch. Returns
+    /// the program, its result and the store it ran on.
+    fn converge(
+        &mut self,
+        graph: &Arc<Graph>,
+        rrg: &RrGuidance,
+        layout: &GlobalChunkLayout,
+        storage: Option<Arc<GraphStorage>>,
+        effect: &BatchEffect,
+        outcome: &mut BatchOutcome,
+    ) -> Result<Converged<P>, ApplyError> {
+        let program = (self.make_program)(graph);
+        let full_recompute = outcome.full_recompute;
+        let run = |server: &Self, storage: Option<Arc<GraphStorage>>| {
+            let engine = server.engine(graph, rrg, layout, storage);
+            let result = if full_recompute {
+                engine.run(&program)
+            } else {
+                engine.run_from_effect(&program, &server.result, effect)
+            };
+            let messages = engine.cluster().record_batch_distribution(
+                INGEST_NODE,
+                effect.dirty.iter().copied(),
+                UPDATE_RECORD_BYTES,
             );
-            self.telemetry
-                .end(repair_span, "guidance_repair", "server", 0);
-            parts
-        } else {
-            // Warm restart: rulers are never read, only the engine's size
-            // invariant must hold. Stale levels are fine; appended vertices
-            // are padded as "never early-converged" so nothing is skipped.
-            (
-                self.rrg.extended_to(n),
-                RepairReport {
-                    regenerated: false,
-                    affected_vertices: 0,
-                    work: 0,
-                },
-            )
+            (result, messages)
         };
-        let program = (self.make_program)(&graph);
-
-        // One partitioning, one layout, per applied version — shared by the
-        // warm path and the cold-run fallback alike. The partitioning only
-        // grows (appended vertices join the least-loaded nodes, keeping the
-        // per-node loads bounded under sustained growth), so chunk estimates
-        // move exclusively at the batch's dirty endpoints plus the receiving
-        // nodes, and the layout is patched there instead of being re-derived
-        // with an O(V+E) scan+sort.
-        let num_nodes = self.config.cluster.num_nodes;
-        // The previous version's cluster is gone by now, so the Arc is
-        // unshared and `make_mut` extends in place.
-        let growth_receivers = Arc::make_mut(&mut self.partitioning).extend_to(n);
-        let mut touched = vec![false; num_nodes];
-        for node in growth_receivers {
-            touched[node] = true;
-        }
-        for &v in &effect.dirty {
-            touched[self.partitioning.owner_of(v)] = true;
-        }
-        let owned: Vec<&[VertexId]> = (0..num_nodes)
-            .map(|node| self.partitioning.vertices_of(node))
-            .collect();
-        let (layout, layout_patch) =
-            self.layout
-                .patched(&graph, &owned, self.config.cluster.chunk_size, &touched);
-        let (mut result, distribution_messages) = self.run_engine(
-            &graph,
-            &program,
-            &rrg,
-            &layout,
-            storage.clone(),
-            full_recompute,
-            &effect,
-        );
+        let (mut result, messages) = run(self, storage.clone());
+        outcome.distribution_messages = messages;
         let mut storage = storage;
-        let mut segments_rewritten = segments_rewritten;
-        // A poisoned run means segment reads failed beyond what retries and
-        // quarantine-rebuilds could absorb — the computed values may rest on
-        // placeholder (empty) adjacency lists. Discard them, rebuild the
-        // store from the authoritative in-memory graph, and re-drive the run
-        // once; a second poisoning rolls the server back to the previous
-        // version and flips it read-only.
         let poison_note = storage.as_ref().and_then(|s| {
             s.take_poisoned().then(|| {
                 s.poison_note()
@@ -668,80 +619,27 @@ where
         });
         if let Some(note) = poison_note {
             self.faults.note_poisoned_run();
-            let redriven = self
-                .rebuild_storage(&graph)
-                .and_then(|(rebuilt, rewritten)| {
-                    let (rerun, _) = self.run_engine(
-                        &graph,
-                        &program,
-                        &rrg,
-                        &layout,
-                        Some(Arc::clone(&rebuilt)),
-                        full_recompute,
-                        &effect,
-                    );
-                    if rebuilt.take_poisoned() {
-                        self.faults.note_poisoned_run();
-                        Err(io::Error::other(rebuilt.poison_note().unwrap_or_else(
-                            || "still unreadable after a rebuild".to_string(),
-                        )))
-                    } else {
-                        Ok((rebuilt, rewritten, rerun))
-                    }
-                });
-            match redriven {
-                Ok((rebuilt, rewritten, rerun)) => {
-                    storage = Some(rebuilt);
-                    segments_rewritten = rewritten;
-                    result = rerun;
-                }
-                Err(e) => {
-                    self.telemetry.end(batch_span, "batch", "server", 0);
-                    self.rollback_batch(old_n, pending_before);
-                    let note = format!("{note}; {e}");
-                    self.health.enter_read_only(format!(
-                        "execution poisoned ({note}); restart the server to recover via WAL replay"
-                    ));
-                    return Err(ApplyError::ExecutionPoisoned { note });
-                }
+            let poisoned = |e: io::Error| ApplyError::ExecutionPoisoned {
+                note: format!("{note}; {e}"),
+            };
+            let (rebuilt, rewritten) = self.rebuild_storage(graph).map_err(poisoned)?;
+            let (rerun, _) = run(self, Some(Arc::clone(&rebuilt)));
+            if rebuilt.take_poisoned() {
+                self.faults.note_poisoned_run();
+                return Err(poisoned(io::Error::other(
+                    rebuilt
+                        .poison_note()
+                        .unwrap_or_else(|| "still unreadable after a rebuild".to_string()),
+                )));
             }
+            storage = Some(rebuilt);
+            outcome.segments_rewritten = rewritten;
+            result = rerun;
         }
-
-        let (storage_live_bytes, storage_dead_bytes) = Self::storage_byte_health(&storage);
-        let wall = start.elapsed();
-        self.telemetry.end(batch_span, "batch", "server", 0);
-        self.telemetry
-            .record_ns(HIST_BATCH_APPLY, wall.as_nanos() as u64);
-        let outcome = BatchOutcome {
-            effect: Self::external_effect(&graph, effect),
-            guidance,
-            work: result.stats.totals.work(),
-            iterations: result.stats.iterations,
-            converged: result.converged,
-            full_recompute,
-            distribution_messages,
-            layout_patch,
-            segments_rewritten,
-            storage_live_bytes,
-            storage_dead_bytes,
-            partition_imbalance: self.partitioning.imbalance(),
-            wall_seconds: wall.as_secs_f64(),
-            wal_fsync_seconds: 0.0,
-            degraded: false,
-        };
-        self.stats.batches_applied += 1;
-        self.stats.total_work += outcome.work;
-        self.stats.total_distribution_messages += distribution_messages;
-        self.stats.full_recomputes += full_recompute as u64;
-        self.stats.guidance_regenerations += guidance.regenerated as u64;
-        self.graph = graph;
-        self.rrg = rrg;
-        self.layout = layout;
-        self.storage = storage;
-        self.program = program;
-        self.result = result;
-        self.refresh_external_values();
-        Ok(outcome)
+        outcome.work = result.stats.totals.work();
+        outcome.iterations = result.stats.iterations;
+        outcome.converged = result.converged;
+        Ok((program, result, storage))
     }
 
     /// Point query: the program's current value at external id `v` (`None`
@@ -804,12 +702,8 @@ where
             return;
         }
         let repair_span = self.telemetry.begin();
-        let (rrg, report) = Self::sync_guidance_parts(
-            &self.rrg,
-            &mut self.pending_guidance_dirty,
-            &self.graph,
-            &self.pool,
-        );
+        let pending = std::mem::take(&mut self.pending_guidance_dirty);
+        let (rrg, report) = self.repaired_guidance(&self.graph, pending);
         self.telemetry
             .end(repair_span, "guidance_repair", "server", 0);
         self.stats.guidance_regenerations += report.regenerated as u64;
@@ -831,11 +725,10 @@ where
     /// was applied, `false` when no policy is configured or the layout is
     /// already in place.
     ///
-    /// On a durable server this normally runs by itself on the snapshot path
-    /// (gated by [`DurabilityConfig::remap_on_snapshot`]), where the WAL is
-    /// about to be trimmed — its external-id frames never cross a layout
-    /// change. Remapped runs are value-transparent: every query answers
-    /// bit-identically before and after.
+    /// On a durable server this also runs by itself on every snapshot, where
+    /// the WAL is about to be trimmed — its external-id frames never cross a
+    /// layout change. Remapped runs are value-transparent: every query
+    /// answers bit-identically before and after.
     pub fn remap_now(&mut self) -> io::Result<bool> {
         let policy = self.config.engine.reorder;
         let threshold = self.config.engine.migration_imbalance_threshold;
@@ -871,12 +764,11 @@ where
         let owners = step.permuted_values(partitioning.owners());
         let num_parts = partitioning.num_parts();
         let partitioning = Arc::new(Partitioning::from_owners(owners, num_parts));
-        let cluster = Cluster::with_shared_partitioning(
+        let layout = Cluster::with_shared_partitioning(
             Arc::clone(&partitioning),
             self.config.cluster.clone(),
-        );
-        let layout = cluster.build_layout(&graph);
-        drop(cluster);
+        )
+        .build_layout(&graph);
         // Re-encode the out-of-core segments in the new order — the hot/cold
         // clustering the reorder exists for lives in these files.
         let storage = build_storage(&graph, &self.config.engine, &self.faults)?;
@@ -998,8 +890,8 @@ where
     }
 
     /// Everything the telemetry hub has collected over the serving lifetime:
-    /// spans (batch, WAL append, guidance repair, warm restarts, engine
-    /// iterations, segment faults) and latency histograms. Empty when
+    /// spans (each batch and its stages — see [`BatchOutcome::stages`] —
+    /// engine iterations, segment faults) and latency histograms. Empty when
     /// [`EngineConfig::telemetry`] is off.
     pub fn telemetry(&self) -> TelemetrySnapshot {
         self.telemetry.snapshot()
@@ -1267,84 +1159,222 @@ where
     P::Value: SnapshotValue,
     F: Fn(&Graph) -> P,
 {
-    /// Apply one edge-update batch durably: append it to the write-ahead log
-    /// and fsync *first*, then apply it to the in-memory state, then
-    /// snapshot (and possibly compact the segment files) if the cadence says
-    /// so. A non-durable server skips the log and the snapshot. The
-    /// graceful-degradation contract:
+    /// Apply one edge-update batch: append it to the write-ahead log and
+    /// fsync *first* (durable servers), patch the graph, segment store and
+    /// layout, bring the guidance up to date, warm re-converge the program,
+    /// publish the new version, then snapshot (and possibly compact the
+    /// segment files) if the cadence says so. Every stage is timed in
+    /// [`BatchOutcome::stages`]. The graceful-degradation contract:
     ///
+    /// * A batch naming an endpoint more than 2^20 ids past the current
+    ///   graph is refused at admission with [`ApplyError::VertexOutOfRange`];
+    ///   nothing is logged and the server stays read-write.
     /// * Transient I/O faults are absorbed by bounded retries — the outcome
     ///   is bit-identical to a fault-free apply.
     /// * A WAL append that cannot complete within the retry budget (or hits
     ///   ENOSPC) means the durability contract is broken: the batch is
     ///   rejected, the server flips read-only, and queries keep answering
     ///   from the last published version.
-    /// * An unrecoverable segment-store failure likewise rejects the batch
-    ///   read-only, still serving the previous version.
+    /// * Unreadable segments are retried, quarantined and rebuilt in place;
+    ///   a segment store that can be neither patched nor rebuilt, or an
+    ///   execution still poisoned after one re-drive on a fresh store,
+    ///   likewise rejects the batch read-only, still serving the previous
+    ///   version.
     /// * A failed snapshot or compaction is absorbed: the batch succeeds
     ///   with [`BatchOutcome::degraded`] set.
     ///
     /// Once read-only, every subsequent call returns
     /// [`ApplyError::ReadOnly`] without touching the WAL.
     pub fn try_apply(&mut self, batch: &UpdateBatch) -> Result<BatchOutcome, ApplyError> {
-        if self.health.is_read_only() {
-            return Err(ApplyError::ReadOnly {
-                reason: self
-                    .health
-                    .read_only_reason()
-                    .unwrap_or("unknown")
-                    .to_string(),
-            });
+        self.admit(batch)?;
+        let mut clock = StageClock::start(&self.telemetry);
+        let old_n = self.graph.num_vertices();
+        let applied = self.run_stages(batch, &mut clock);
+        if let Err(e) = &applied {
+            // The one rollback point: shrink the partitioning back to the
+            // version still serving, then stop taking writes.
+            if self.partitioning.num_vertices() > old_n {
+                let owners = self.partitioning.owners()[..old_n].to_vec();
+                let parts = self.partitioning.num_parts();
+                self.partitioning = Arc::new(Partitioning::from_owners(owners, parts));
+            }
+            self.health.enter_read_only(e.to_string());
         }
-        let telemetry = Arc::clone(&self.telemetry);
-        let mut wal_fsync_seconds = 0.0;
-        if let Some(d) = self.durability.as_mut() {
-            let seq = d.seq + 1;
-            let append_span = telemetry.begin();
-            let append = match d.wal.append(seq, batch) {
-                Ok(a) => a,
-                Err(e) => {
-                    telemetry.end(append_span, "wal_append", "server", 0);
-                    let cause = if is_disk_full(&e) {
-                        "disk full (ENOSPC) on WAL append"
-                    } else {
-                        "WAL append failed"
-                    };
-                    self.health.enter_read_only(format!("{cause}: {e}"));
-                    return Err(ApplyError::WalAppend(e));
-                }
-            };
-            telemetry.end(append_span, "wal_append", "server", 0);
-            telemetry.record_ns(HIST_WAL_FSYNC, append.fsync_nanos);
-            wal_fsync_seconds = append.fsync_nanos as f64 * 1e-9;
-            d.seq = seq;
-            d.counters.wal_entries_appended += 1;
-            d.counters.wal_bytes_appended += append.frame_bytes;
-            d.counters.wal_fsyncs += 1;
-        }
-        let mut outcome = self.try_apply_committed(batch)?;
-        outcome.wal_fsync_seconds = wal_fsync_seconds;
-        if let Err(e) = self.maybe_snapshot() {
-            // The batch is durable (WAL) and applied (memory): a failed
-            // snapshot only means the recovery point is going stale.
-            self.health.note_snapshot_failure(&e);
-            outcome.degraded = true;
-        }
-        Ok(outcome)
+        clock.finish(applied)
     }
 
-    /// Snapshot now if the cadence (batches since the last snapshot, or WAL
-    /// bytes) says one is due. No-op on a non-durable server.
-    fn maybe_snapshot(&mut self) -> io::Result<()> {
-        let Some(d) = self.durability.as_ref() else {
-            return Ok(());
-        };
-        let due = d.seq - d.snapshot_seq >= d.config.snapshot_every_batches
-            || d.wal.bytes() >= d.config.snapshot_wal_bytes;
-        if due {
-            self.snapshot()?;
+    /// The stage sequence of one admitted batch (see
+    /// [`BatchOutcome::stages`]), each stage closed by one lap of `clock`. No
+    /// stage assigns server state before `publish` except `layout_patch`,
+    /// which grows the stable partitioning in place for the engine; the
+    /// caller's rollback undoes that on error, so a failed batch leaves the
+    /// previous version serving exactly.
+    fn run_stages(
+        &mut self,
+        batch: &UpdateBatch,
+        clock: &mut StageClock,
+    ) -> Result<BatchOutcome, ApplyError> {
+        // Durability state is attached only once WAL replay is done, so a
+        // replayed batch is never logged twice.
+        if let Some(d) = self.durability.as_mut() {
+            let appended = d.wal.append(d.seq + 1, batch);
+            clock.lap("wal_append");
+            let appended = appended.map_err(ApplyError::WalAppend)?;
+            clock.fsync_ns = Some(appended.fsync_nanos);
+            d.seq += 1;
+            d.counters.wal_entries_appended += 1;
+            d.counters.wal_bytes_appended += appended.frame_bytes;
+            d.counters.wal_fsyncs += 1;
         }
-        Ok(())
+
+        // Batches arrive (and are logged) in external ids; translate the
+        // endpoints into the current physical layout. Appended vertices sit
+        // beyond the remap and map to themselves.
+        let translated;
+        let physical = if self.graph.is_remapped() {
+            translated = batch.mapped(|v| self.graph.to_physical(v));
+            &translated
+        } else {
+            batch
+        };
+        let (graph, effect) = self.graph.apply_batch(physical);
+        // A no-op batch keeps every artifact of the current version; its
+        // unchanged copy of the graph is dropped right here.
+        let graph = (!effect.is_noop()).then(|| Arc::new(graph));
+        clock.lap("graph_patch");
+
+        let mut outcome = BatchOutcome {
+            effect: BatchEffect::default(),
+            guidance: NO_REPAIR,
+            work: 0,
+            iterations: 0,
+            converged: true,
+            full_recompute: false,
+            distribution_messages: 0,
+            layout_patch: LayoutPatchStats::default(),
+            segments_rewritten: 0,
+            storage_live_bytes: 0,
+            storage_dead_bytes: 0,
+            partition_imbalance: 0.0,
+            wall_seconds: 0.0,
+            wal_fsync_seconds: 0.0,
+            degraded: false,
+            stages: Vec::new(),
+        };
+        if let Some(graph) = graph {
+            let old_n = self.graph.num_vertices() as VertexId;
+            let appended = old_n..graph.num_vertices() as VertexId;
+
+            // Out-of-core: rewrite only the segments a dirty endpoint lives
+            // in (plus fresh ones for appended vertices); clean segments keep
+            // their bytes and any warm buffer-pool frames.
+            let mut storage = None;
+            if let Some(current) = self.storage.clone() {
+                let patched = match current.patched(&graph, &effect.dirty) {
+                    Ok((mut patched, rewritten)) => {
+                        patched.set_recovery(&graph);
+                        Ok((Arc::new(patched), rewritten))
+                    }
+                    Err(patch_err) => self.rebuild_storage(&graph).map_err(|e| {
+                        ApplyError::StoragePatch(io::Error::new(
+                            e.kind(),
+                            format!("patch failed ({patch_err}), rebuild failed ({e})"),
+                        ))
+                    }),
+                };
+                clock.lap("segment_patch");
+                let (patched, rewritten) = patched?;
+                storage = Some(patched);
+                outcome.segments_rewritten = rewritten;
+            }
+
+            // The stable partitioning only grows (appended vertices join the
+            // least-loaded nodes), so chunk estimates move only at the dirty
+            // endpoints' owners and the receiving nodes: re-derive those
+            // nodes' chunk lists instead of the whole layout. The previous
+            // version's cluster is gone, so `make_mut` extends in place.
+            let num_nodes = self.config.cluster.num_nodes;
+            let receivers = Arc::make_mut(&mut self.partitioning).extend_to(graph.num_vertices());
+            let mut touched = vec![false; num_nodes];
+            for node in receivers {
+                touched[node] = true;
+            }
+            for &v in &effect.dirty {
+                touched[self.partitioning.owner_of(v)] = true;
+            }
+            let owned: Vec<&[VertexId]> = (0..num_nodes)
+                .map(|node| self.partitioning.vertices_of(node))
+                .collect();
+            let (layout, layout_patch) =
+                self.layout
+                    .patched(&graph, &owned, self.config.cluster.chunk_size, &touched);
+            outcome.layout_patch = layout_patch;
+            clock.lap("layout_patch");
+
+            // A cold run reads the rulers, so it repairs them now over every
+            // deferred dirty vertex plus this batch's (appended ids included:
+            // repair needs them to reproduce regeneration exactly). A warm
+            // restart never reads them: the guidance is only padded to the
+            // new id space ("never early-converged", so nothing is skipped)
+            // and the repair waits for a cold run, snapshot or guidance query.
+            let dirty_fraction = effect.dirty.len() as f64 / graph.num_vertices().max(1) as f64;
+            outcome.full_recompute = dirty_fraction > self.config.full_recompute_dirty_fraction;
+            let rrg = if outcome.full_recompute {
+                let mut pending = self.pending_guidance_dirty.clone();
+                pending.extend(effect.dirty.iter().copied().chain(appended.clone()));
+                let (rrg, report) = self.repaired_guidance(&graph, pending);
+                outcome.guidance = report;
+                rrg
+            } else {
+                self.rrg.extended_to(graph.num_vertices())
+            };
+            clock.lap("guidance");
+
+            let converged = self.converge(&graph, &rrg, &layout, storage, &effect, &mut outcome);
+            clock.lap(if outcome.full_recompute {
+                "cold_run"
+            } else {
+                "warm_restart"
+            });
+            let (program, result, storage) = converged?;
+
+            if outcome.full_recompute {
+                self.pending_guidance_dirty.clear();
+            } else {
+                self.pending_guidance_dirty.extend_from_slice(&effect.dirty);
+                self.pending_guidance_dirty.extend(appended);
+            }
+            self.graph = graph;
+            self.rrg = rrg;
+            self.layout = layout;
+            self.storage = storage;
+            self.program = program;
+            self.result = result;
+            self.refresh_external_values();
+        }
+        outcome.effect = Self::external_effect(&self.graph, effect);
+        (outcome.storage_live_bytes, outcome.storage_dead_bytes) = self
+            .storage
+            .as_ref()
+            .map_or((0, 0), |s| (s.footprint_bytes(), s.dead_bytes()));
+        outcome.partition_imbalance = self.partitioning.imbalance();
+        self.stats.batches_applied += 1;
+        self.stats.total_work += outcome.work;
+        self.stats.total_distribution_messages += outcome.distribution_messages;
+        self.stats.full_recomputes += outcome.full_recompute as u64;
+        self.stats.guidance_regenerations += outcome.guidance.regenerated as u64;
+        clock.lap("publish");
+
+        if self.snapshot_due() {
+            // The batch is durable (WAL) and applied (memory): a failed
+            // snapshot only means the recovery point is going stale.
+            if let Err(e) = self.write_snapshot() {
+                self.health.note_snapshot_failure(&e);
+                outcome.degraded = true;
+            }
+            clock.lap("snapshot");
+        }
+        Ok(outcome)
     }
 
     /// Write a fixpoint snapshot of the current served state (atomic temp +
@@ -1364,39 +1394,48 @@ where
                 "snapshot() requires a durable server (create_durable/open)",
             ));
         }
-        let snapshot_span = self.telemetry.begin();
+        let span = self.telemetry.begin();
+        let written = self.write_snapshot();
+        self.telemetry.end(span, "snapshot", "server", 0);
+        written
+    }
+
+    /// Whether a durable server's cadence (batches since the last snapshot,
+    /// or WAL bytes) calls for a snapshot now.
+    fn snapshot_due(&self) -> bool {
+        self.durability.as_ref().is_some_and(|d| {
+            d.seq - d.snapshot_seq >= d.config.snapshot_every_batches
+                || d.wal.bytes() >= durability::SNAPSHOT_WAL_BYTES
+        })
+    }
+
+    /// The body of [`DeltaServer::snapshot`], also the apply pipeline's
+    /// `snapshot` stage; each caller times it once.
+    fn write_snapshot(&mut self) -> io::Result<()> {
         // The snapshot stores the guidance, so bring it up to date: recovery
         // then restores rulers identical to what a cold run would need.
         self.sync_guidance();
-        // Physical-layout policy rides the snapshot path too: the WAL is
-        // about to be trimmed, so every logged external-id batch is folded in
-        // before the id space is renamed, and the snapshot below records the
-        // new layout plus its bijection.
-        if self.durability.as_ref().unwrap().config.remap_on_snapshot {
-            if let Err(e) = self.remap_now() {
-                self.telemetry.end(snapshot_span, "snapshot", "server", 0);
-                return Err(e);
-            }
-        }
+        // Physical-layout policy rides the snapshot path too: every logged
+        // external-id batch is folded in before the id space is renamed, and
+        // the snapshot below records the new layout plus its bijection.
+        self.remap_now()?;
+        let Some(d) = self.durability.as_mut() else {
+            return Ok(());
+        };
         // Compaction rides the snapshot path: rewrite live segments into a
         // fresh generation when too much of the backing files is dead bytes.
-        let max_dead = self.durability.as_ref().unwrap().config.max_dead_fraction;
-        let needs_compaction = self
+        if let Some(storage) = self
             .storage
             .as_ref()
-            .is_some_and(|s| s.dead_fraction() > max_dead);
-        if needs_compaction {
-            let storage = self.storage.as_ref().unwrap();
+            .filter(|s| s.dead_fraction() > d.config.max_dead_fraction)
+        {
             let before = storage.file_bytes();
             let compacted = storage.compacted(&self.graph)?;
-            let reclaimed = before.saturating_sub(compacted.file_bytes());
-            self.storage = Some(Arc::new(compacted));
-            let d = self.durability.as_mut().unwrap();
             d.counters.compactions += 1;
-            d.counters.compaction_bytes_reclaimed += reclaimed;
+            d.counters.compaction_bytes_reclaimed += before.saturating_sub(compacted.file_bytes());
+            self.storage = Some(Arc::new(compacted));
         }
-        let d = self.durability.as_mut().unwrap();
-        let write = durability::write_snapshot(
+        let bytes = durability::write_snapshot(
             &d.config,
             &SnapshotState {
                 seq: d.seq,
@@ -1408,14 +1447,7 @@ where
                 num_parts: self.partitioning.num_parts(),
             },
             Some(&self.faults),
-        );
-        let bytes = match write {
-            Ok(bytes) => bytes,
-            Err(e) => {
-                self.telemetry.end(snapshot_span, "snapshot", "server", 0);
-                return Err(e);
-            }
-        };
+        )?;
         d.counters.snapshots_written += 1;
         d.counters.snapshot_bytes_written += bytes;
         d.snapshot_seq = d.seq;
@@ -1426,7 +1458,6 @@ where
         if d.wal.truncate_all().is_err() {
             self.health.note_wal_trim_failure();
         }
-        self.telemetry.end(snapshot_span, "snapshot", "server", 0);
         Ok(())
     }
 
@@ -1474,80 +1505,53 @@ where
         config: ServerConfig,
         durability: DurabilityConfig,
     ) -> Result<Self, DurabilityError> {
-        let faults = match &config.fault_plan {
-            Some(plan) => FaultInjector::armed(plan.clone()),
-            None => FaultInjector::disabled(),
-        };
+        let faults = injector_for(&config);
         let snap = durability::read_snapshot::<P::Value>(&durability, Some(&faults))?;
         if snap.num_parts != config.cluster.num_nodes {
             return Err(DurabilityError::CorruptSnapshot {
                 reason: "snapshot partitioning does not match the cluster config",
             });
         }
-        let graph = Arc::new(snap.graph);
-        let n = graph.num_vertices();
         let pool = Arc::new(WorkerPool::new(config.cluster.total_workers()));
-        let program = make_program(&graph);
         let partitioning = Arc::new(Partitioning::from_owners(snap.owners, snap.num_parts));
-        let cluster =
-            Cluster::with_shared_partitioning(Arc::clone(&partitioning), config.cluster.clone());
-        let layout = cluster.build_layout(&graph);
-        drop(cluster);
-        let storage = build_storage(&graph, &config.engine, &faults)?;
+        let graph = Arc::new(snap.graph);
+        let mut server = Self::assemble(
+            make_program,
+            config,
+            Arc::clone(&faults),
+            pool,
+            graph,
+            partitioning,
+            snap.guidance,
+        )?;
         // The fixpoint values are the snapshot's; the run-shaped metadata is
         // zeroed (warm restarts read only the values).
-        let result = ProgramResult {
-            values: snap.values,
-            stats: ExecutionStats::new("slfe", program.name()),
-            last_changed_iter: vec![0; n],
-            per_node_worker_work: vec![
-                vec![0; config.cluster.workers_per_node];
-                config.cluster.num_nodes
-            ],
-            converged: true,
-        };
-        let (wal, replay) = Wal::open_with(
-            &durability.wal_path(),
-            Some(Arc::clone(&faults)),
-            durability.retry,
-        )?;
-        let mut counters = DurabilityCounters::zero();
-        counters.wal_bytes_truncated += replay.bytes_truncated;
-        let config_telemetry = config.engine.telemetry;
-        let mut server = Self {
-            make_program,
-            program,
-            graph,
-            config,
-            rrg: snap.guidance,
-            pool,
-            partitioning,
-            layout,
-            storage,
-            result,
-            external_values: None,
-            stats: snap.stats,
-            pending_guidance_dirty: Vec::new(),
-            durability: None,
-            telemetry: Arc::new(Telemetry::new(config_telemetry)),
-            faults,
-            health: Health::new(),
-        };
+        server.result.last_changed_iter = vec![0; snap.values.len()];
+        server.result.values = snap.values;
+        server.stats = snap.stats;
         // A snapshot of a remapped server restores its bijection with the
         // graph; queries must answer in external order from the first read.
         server.refresh_external_values();
-        // Re-drive the unacknowledged suffix through the exact same path the
-        // live server used. Entries at or below the snapshot's sequence are
-        // already folded in (the process died between the snapshot rename
-        // and the WAL trim) — skipping them is what makes replay idempotent.
+        let (wal, replay) = Wal::open_with(&durability.wal_path(), Some(faults), durability.retry)?;
+        let mut counters = DurabilityCounters::zero();
+        counters.wal_bytes_truncated += replay.bytes_truncated;
+        // Re-drive the unacknowledged suffix through the exact pipeline the
+        // live server used; with no durability state attached yet it skips
+        // the WAL append and the snapshot. Entries at or below the
+        // snapshot's sequence are already folded in (the process died
+        // between the snapshot rename and the WAL trim) — skipping them is
+        // what makes replay idempotent.
         let mut seq = snap.seq;
         for (entry_seq, batch) in replay.entries {
             if entry_seq <= snap.seq {
                 continue;
             }
             server
-                .try_apply_committed(&batch)
-                .map_err(|e| DurabilityError::Io(io::Error::other(e.to_string())))?;
+                .try_apply(&batch)
+                .map_err(|error| DurabilityError::Replay {
+                    seq: entry_seq,
+                    error,
+                })?;
             counters.wal_entries_replayed += 1;
             seq = entry_seq;
         }
@@ -1562,8 +1566,10 @@ where
         // *after* the loop (never mid-replay) keeps the WAL intact until
         // every entry is re-applied. A failed snapshot here degrades health
         // instead of failing the open — the WAL still covers every entry.
-        if let Err(e) = server.maybe_snapshot() {
-            server.health.note_snapshot_failure(&e);
+        if server.snapshot_due() {
+            if let Err(e) = server.snapshot() {
+                server.health.note_snapshot_failure(&e);
+            }
         }
         Ok(server)
     }
@@ -1579,12 +1585,7 @@ where
         if durability.snapshot_path().exists() {
             Self::open(make_program, config, durability)
         } else {
-            Ok(Self::create_durable(
-                make_graph(),
-                make_program,
-                config,
-                durability,
-            )?)
+            Self::create_durable(make_graph(), make_program, config, durability).map_err(Into::into)
         }
     }
 }
@@ -2256,7 +2257,8 @@ mod tests {
         };
         let durability = DurabilityConfig::new(&dir).with_snapshot_every(2);
         let mut server =
-            DeltaServer::create_durable(graph.clone(), make, config, durability).unwrap();
+            DeltaServer::create_durable(graph.clone(), make, config.clone(), durability.clone())
+                .unwrap();
         let mut current = graph;
         for round in 0..3u64 {
             let batch = mixed_batch(&current, round + 150, 15);
@@ -2287,11 +2289,34 @@ mod tests {
                 .count(),
             3
         );
-        for span in ["batch", "wal_append", "snapshot", "iteration", "execute"] {
+        for span in [
+            "batch",
+            "wal_append",
+            "graph_patch",
+            "segment_patch",
+            "layout_patch",
+            "guidance_repair",
+            "warm_restart",
+            "publish",
+            "snapshot",
+            "iteration",
+            "execute",
+        ] {
             assert!(
                 snap.spans.iter().any(|s| s.name == span),
                 "span {span} never recorded"
             );
+        }
+        // One `batch` span per apply, each holding its stage spans.
+        let batches: Vec<_> = snap.spans.iter().filter(|s| s.name == "batch").collect();
+        assert_eq!(batches.len(), 3);
+        for stage in snap
+            .spans
+            .iter()
+            .filter(|s| s.name == "graph_patch" || s.name == "publish")
+        {
+            assert!(batches.iter().any(|b| stage.start_ns >= b.start_ns
+                && stage.start_ns + stage.dur_ns <= b.start_ns + b.dur_ns));
         }
         // The trace document round-trips through the real JSON parser.
         let doc = snap.chrome_trace();
@@ -2328,6 +2353,15 @@ mod tests {
         let text = reg.prometheus_text();
         assert!(text.contains("# TYPE slfe_wal_fsyncs_total counter"));
         assert!(text.contains("slfe_pool_worker_busy_fraction{worker=\"0\"}"));
+
+        // Replay drives the same pipeline: one `batch` span per replayed
+        // entry (the snapshot at seq 2 leaves entry 3), no WAL append.
+        drop(server);
+        let reopened = DeltaServer::open(make, config, durability).unwrap();
+        let spans = reopened.telemetry().spans;
+        assert_eq!(spans.iter().filter(|s| s.name == "batch").count(), 1);
+        assert!(spans.iter().any(|s| s.name == "segment_patch"));
+        assert!(!spans.iter().any(|s| s.name == "wal_append"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -2363,6 +2397,103 @@ mod tests {
         assert_eq!(outcome.iterations, 0);
         assert_eq!(outcome.distribution_messages, 0);
         assert_eq!(server.values(), before.as_slice());
+        // A no-op goes from the graph patch straight to publish.
+        let stages: Vec<_> = outcome.stages.iter().map(|&(name, _)| name).collect();
+        assert_eq!(stages, ["graph_patch", "publish"]);
+        assert_eq!(server.stats().batches_applied, 1);
+    }
+
+    #[test]
+    fn vertex_growth_limit_admits_exactly_the_limit() {
+        let limit = MAX_VERTEX_GROWTH as VertexId;
+        assert!(!exceeds_vertex_growth(99 + limit, 100));
+        assert!(exceeds_vertex_growth(100 + limit, 100));
+        assert!(exceeds_vertex_growth(slfe_graph::INVALID_VERTEX, 0));
+    }
+
+    /// An endpoint far past the graph is refused before the WAL append: the
+    /// log and the served state are untouched, the server stays read-write,
+    /// and later batches apply as if the bad one never came.
+    #[test]
+    fn out_of_range_vertex_is_refused_before_the_wal() {
+        let dir = durable_dir("range");
+        let graph = generators::rmat(300, 2000, 0.57, 0.19, 0.19, 73);
+        let root = stats::highest_out_degree_vertex(&graph).unwrap();
+        let make = move |_: &Graph| SsspProgram { root };
+        let durability = DurabilityConfig::new(&dir).with_snapshot_every(100);
+        let mut server = DeltaServer::create_durable(
+            graph.clone(),
+            make,
+            ServerConfig::default(),
+            durability.clone(),
+        )
+        .unwrap();
+        let mut witness = sssp_server(graph.clone(), root, ServerConfig::default());
+        let wal_bytes = std::fs::metadata(durability.wal_path()).unwrap().len();
+        let before = bits(server.values());
+
+        let mut bad = UpdateBatch::new();
+        bad.insert(0, 1, 1.0).insert(0, 3_000_000_000, 1.0);
+        match server.try_apply(&bad) {
+            Err(ApplyError::VertexOutOfRange {
+                vertex,
+                num_vertices,
+            }) => assert_eq!((vertex, num_vertices), (3_000_000_000, 300)),
+            other => panic!("expected VertexOutOfRange, got {other:?}"),
+        }
+        assert_eq!(server.wal_seq(), Some(0));
+        assert_eq!(
+            std::fs::metadata(durability.wal_path()).unwrap().len(),
+            wal_bytes
+        );
+        assert_eq!(bits(server.values()), before);
+        assert!(!server.health().is_read_only());
+        assert_eq!(server.stats().batches_applied, 0);
+
+        let batch = mixed_batch(&graph, 74, 15);
+        server.try_apply(&batch).unwrap();
+        witness.try_apply(&batch).unwrap();
+        assert_eq!(bits(server.values()), bits(witness.values()));
+        assert_eq!(server.wal_seq(), Some(1));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A WAL that already holds an out-of-range batch (written by a build
+    /// without the admission check) makes `open` fail typed instead of
+    /// allocating for billions of vertices.
+    #[test]
+    fn open_over_a_logged_out_of_range_batch_fails_typed() {
+        let dir = durable_dir("range-replay");
+        let graph = generators::rmat(300, 2000, 0.57, 0.19, 0.19, 79);
+        let make = |_: &Graph| SsspProgram { root: 0 };
+        let durability = DurabilityConfig::new(&dir).with_snapshot_every(100);
+        let mut server = DeltaServer::create_durable(
+            graph.clone(),
+            make,
+            ServerConfig::default(),
+            durability.clone(),
+        )
+        .unwrap();
+        server.try_apply(&mixed_batch(&graph, 80, 10)).unwrap();
+        drop(server);
+        let (mut wal, replay) = Wal::open(&durability.wal_path()).unwrap();
+        assert_eq!(replay.entries.len(), 1);
+        let mut bad = UpdateBatch::new();
+        bad.insert(0, 3_000_000_000, 1.0);
+        wal.append(2, &bad).unwrap();
+        drop(wal);
+
+        match DeltaServer::open(make, ServerConfig::default(), durability) {
+            Err(DurabilityError::Replay {
+                seq: 2,
+                error: ApplyError::VertexOutOfRange { vertex, .. },
+            }) => assert_eq!(vertex, 3_000_000_000),
+            other => panic!(
+                "expected a typed replay error, got {:?}",
+                other.err().map(|e| e.to_string())
+            ),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// `snapshot()` on a server built without durability state is refused

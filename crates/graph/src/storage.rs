@@ -1428,8 +1428,8 @@ impl GraphStorage {
     /// Rewrite both directions into fresh backing files containing only live
     /// data, retiring the current generation's files: their unpinned buffer
     /// -pool frames are dropped immediately, and the files themselves are
-    /// deleted once the last pre-compaction generation drops
-    /// ([`StoreFile`]'s `Drop`). The new storage lives in the same directory
+    /// deleted once the last pre-compaction generation drops (the backing
+    /// file handle's `Drop`). The new storage lives in the same directory
     /// and shares the same pool; `graph` must be the graph version this
     /// storage currently serves.
     pub fn compacted(&self, graph: &crate::Graph) -> io::Result<Self> {

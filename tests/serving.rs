@@ -114,7 +114,6 @@ fn chaos_under_load_reads_are_snapshot_consistent_at_1_and_4_workers() {
             FrontendConfig {
                 queue_capacity: 16,
                 record_history: true,
-                ..FrontendConfig::default()
             },
         );
         let initial = frontend.handle().published();

@@ -9,8 +9,10 @@
 
 use slfe::apps::{bfs, cc, heat, numpaths, pagerank, spmv, sssp, tunkrank, widestpath, AppKind};
 use slfe::core::{EngineConfig, GraphProgram, SlfeEngine};
+use slfe::delta::{DeltaServer, DurabilityConfig, ServerConfig, SnapshotValue, UpdateBatch};
+use slfe::graph::rng::SplitMix64;
 use slfe::graph::{generators, Graph};
-use slfe::metrics::{json, Counters, HIST_ITERATION_WALL};
+use slfe::metrics::{json, Counters, HIST_BATCH_APPLY, HIST_ITERATION_WALL};
 use slfe::prelude::ClusterConfig;
 
 /// Run `program` with telemetry off and on; values (via `compare`), counters
@@ -326,4 +328,189 @@ fn counter_equality_covers_every_field() {
     let zero = Counters::zero();
     let sum = zero + zero;
     assert_eq!(zero, sum);
+}
+
+/// Apply one batch on a fresh server and check its stage record: the stages
+/// come in the documented order, sum to `wall_seconds`, and — with telemetry
+/// on — each is a `server` span chained inside the batch's single `batch`
+/// span; with telemetry off nothing is recorded but the stages.
+fn check_stage_record<P, PF>(graph: &Graph, make_program: PF, label: &str)
+where
+    P: GraphProgram,
+    P::Value: SnapshotValue,
+    PF: Fn(&Graph) -> P + Copy,
+{
+    let n = graph.num_vertices() as u32;
+    let mut rng = SplitMix64::seed_from_u64(u64::from(n) + 6500);
+    let mut batch = UpdateBatch::new();
+    for _ in 0..12 {
+        let (src, dst) = (rng.range_u32(0, n), rng.range_u32(0, n + 4));
+        batch.insert(src, dst, rng.range_f32(1.0, 10.0));
+    }
+    for durable in [false, true] {
+        for full_recompute_dirty_fraction in [0.5, 0.0] {
+            for telemetry in [false, true] {
+                let tag = format!(
+                    "{label}/durable={durable}/cold={}",
+                    full_recompute_dirty_fraction == 0.0
+                );
+                let mut engine = EngineConfig::default().with_telemetry(telemetry);
+                if durable {
+                    engine = engine
+                        .with_storage_budget(48 << 10)
+                        .with_storage_segment_bytes(2 << 10);
+                }
+                let config = ServerConfig {
+                    cluster: ClusterConfig::new(2, 2),
+                    engine,
+                    full_recompute_dirty_fraction,
+                    ..ServerConfig::default()
+                };
+                let dir = std::env::temp_dir().join(format!(
+                    "slfe-stages-{}-{}",
+                    tag.replace('/', "-"),
+                    std::process::id()
+                ));
+                let mut server = if durable {
+                    let _ = std::fs::remove_dir_all(&dir);
+                    let durability = DurabilityConfig::new(&dir).with_snapshot_every(1);
+                    DeltaServer::create_durable(graph.clone(), make_program, config, durability)
+                        .unwrap()
+                } else {
+                    DeltaServer::try_new(graph.clone(), make_program, config).unwrap()
+                };
+                let before = server.telemetry().spans.len();
+                let outcome = server.try_apply(&batch).unwrap();
+
+                let run = if full_recompute_dirty_fraction == 0.0 {
+                    "cold_run"
+                } else {
+                    "warm_restart"
+                };
+                let expected: Vec<&str> = if durable {
+                    vec![
+                        "wal_append",
+                        "graph_patch",
+                        "segment_patch",
+                        "layout_patch",
+                        "guidance",
+                        run,
+                        "publish",
+                        "snapshot",
+                    ]
+                } else {
+                    vec!["graph_patch", "layout_patch", "guidance", run, "publish"]
+                };
+                let names: Vec<&str> = outcome.stages.iter().map(|&(name, _)| name).collect();
+                assert_eq!(names, expected, "{tag}: stage order");
+                let sum: f64 = outcome.stages.iter().map(|&(_, secs)| secs).sum();
+                assert!(
+                    (sum - outcome.wall_seconds).abs() <= 1e-9 * outcome.wall_seconds.max(1e-6),
+                    "{tag}: stages sum to {sum}, wall is {}",
+                    outcome.wall_seconds
+                );
+                assert!(outcome.wall_seconds > 0.0);
+
+                let snap = server.telemetry();
+                if !telemetry {
+                    assert!(snap.spans.is_empty(), "{tag}: telemetry-off spans");
+                    assert!(snap.histograms.is_empty());
+                } else {
+                    let spans: Vec<_> = snap.spans[before..]
+                        .iter()
+                        .filter(|s| s.cat == "server")
+                        .collect();
+                    let batches: Vec<_> = spans.iter().filter(|s| s.name == "batch").collect();
+                    assert_eq!(batches.len(), 1, "{tag}: one batch span per apply");
+                    let (start, end) =
+                        (batches[0].start_ns, batches[0].start_ns + batches[0].dur_ns);
+                    assert_eq!(batches[0].dur_ns as f64 * 1e-9, outcome.wall_seconds);
+                    assert!(
+                        spans
+                            .iter()
+                            .all(|s| s.start_ns >= start && s.start_ns + s.dur_ns <= end),
+                        "{tag}: a server span escapes the batch span"
+                    );
+                    // Each stage is one span of the same length, and the
+                    // spans tile the batch span end to end.
+                    let mut at = start;
+                    for &(stage, secs) in &outcome.stages {
+                        let name = if stage == "guidance" {
+                            "guidance_repair"
+                        } else {
+                            stage
+                        };
+                        let span = spans
+                            .iter()
+                            .find(|s| s.name == name && s.start_ns == at)
+                            .unwrap_or_else(|| panic!("{tag}: no {name} span at {at}"));
+                        assert_eq!(span.dur_ns as f64 * 1e-9, secs, "{tag}: {stage}");
+                        at += span.dur_ns;
+                    }
+                    assert_eq!(at, end, "{tag}: stage spans leave a gap");
+                    let applies = snap.histogram(HIST_BATCH_APPLY).unwrap();
+                    assert_eq!(applies.count(), 1);
+                }
+                drop(server);
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
+    }
+}
+
+/// The apply pipeline's stage record (`BatchOutcome::stages`) for every
+/// registered app, warm and forced full recompute, in memory and durable
+/// out of core, with telemetry on and off.
+#[test]
+fn every_registered_program_records_its_apply_stages() {
+    let rmat = generators::rmat(320, 2100, 0.57, 0.19, 0.19, 6600);
+    let sym = cc::symmetrize(&generators::rmat(220, 1000, 0.57, 0.19, 0.19, 6650));
+    let dag = generators::layered(8, 30, 4, 66);
+    let root = slfe::graph::stats::highest_out_degree_vertex(&rmat).unwrap();
+    for app in AppKind::ALL {
+        let label = app.to_string();
+        match app {
+            AppKind::Sssp => check_stage_record(
+                &rmat,
+                |g| sssp::SsspProgram {
+                    root: g.to_physical(root),
+                },
+                &label,
+            ),
+            AppKind::Bfs => check_stage_record(
+                &rmat,
+                |g| bfs::BfsProgram {
+                    root: g.to_physical(root),
+                },
+                &label,
+            ),
+            AppKind::WidestPath => check_stage_record(
+                &rmat,
+                |g| widestpath::WidestPathProgram {
+                    root: g.to_physical(root),
+                },
+                &label,
+            ),
+            AppKind::ConnectedComponents => {
+                check_stage_record(&sym, cc::CcProgram::for_graph, &label)
+            }
+            AppKind::PageRank => {
+                check_stage_record(&rmat, pagerank::PageRankProgram::for_graph, &label)
+            }
+            AppKind::TunkRank => {
+                check_stage_record(&rmat, |_| tunkrank::TunkRankProgram::default(), &label)
+            }
+            AppKind::SpMV => {
+                check_stage_record(&rmat, |g| spmv::SpmvProgram::ones(g.num_vertices()), &label)
+            }
+            AppKind::HeatSimulation => check_stage_record(
+                &rmat,
+                |g| heat::HeatProgram::point_source(g, g.to_physical(root)),
+                &label,
+            ),
+            AppKind::NumPaths => {
+                check_stage_record(&dag, |_| numpaths::NumPathsProgram { root: 0 }, &label)
+            }
+        }
+    }
 }
