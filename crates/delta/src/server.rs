@@ -149,19 +149,49 @@ fn build_storage(
 /// The `k` entries of `values` (indexed by external id) ranked by `compare`,
 /// greatest first, ties broken by id ascending: the one ranking behind
 /// [`DeltaServer::top_k_by`] and [`crate::PublishedVersion::top_k_by`].
+///
+/// A bounded selection: a binary heap holds the best `k` entries seen so far
+/// with the lowest-ranked one at its root, so the scan takes O(|V| log k)
+/// time and O(k) space. `compare` must be a total order, as for a sort.
 pub(crate) fn rank_top_k<V: Copy>(
     values: &[V],
     k: usize,
     mut compare: impl FnMut(&V, &V) -> std::cmp::Ordering,
 ) -> Vec<(VertexId, V)> {
-    let mut ranked: Vec<(VertexId, V)> = values
-        .iter()
-        .enumerate()
-        .map(|(v, &value)| (v as VertexId, value))
-        .collect();
-    ranked.sort_by(|a, b| compare(&b.1, &a.1).then(a.0.cmp(&b.0)));
-    ranked.truncate(k);
-    ranked
+    let mut order = |a: &(VertexId, V), b: &(VertexId, V)| compare(&b.1, &a.1).then(a.0.cmp(&b.0));
+    let mut heap: Vec<(VertexId, V)> = Vec::with_capacity(k.min(values.len()));
+    for (v, &value) in values.iter().enumerate() {
+        let entry = (v as VertexId, value);
+        if heap.len() < k {
+            // Sift the new entry up past every parent that ranks before it.
+            heap.push(entry);
+            let mut i = heap.len() - 1;
+            while i > 0 && order(&heap[(i - 1) / 2], &heap[i]).is_lt() {
+                heap.swap((i - 1) / 2, i);
+                i = (i - 1) / 2;
+            }
+        } else if heap.first().is_some_and(|root| order(&entry, root).is_lt()) {
+            // Replace the root, then sift it down below every child that
+            // ranks after it.
+            heap[0] = entry;
+            let mut i = 0;
+            loop {
+                let mut last = i;
+                for child in [2 * i + 1, 2 * i + 2] {
+                    if child < heap.len() && order(&heap[last], &heap[child]).is_lt() {
+                        last = child;
+                    }
+                }
+                if last == i {
+                    break;
+                }
+                heap.swap(i, last);
+                i = last;
+            }
+        }
+    }
+    heap.sort_by(order);
+    heap
 }
 
 /// Serving-loop configuration.
@@ -1732,6 +1762,44 @@ mod tests {
             b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal)
         });
         assert_eq!(nearest[1].0, far);
+    }
+
+    #[test]
+    fn bounded_top_k_equals_the_full_sort() {
+        use std::cmp::Ordering;
+        type Order = fn(&f32, &f32) -> Ordering;
+        let full_sort = |values: &[f32], k: usize, compare: Order| {
+            let mut ranked: Vec<(VertexId, f32)> = values
+                .iter()
+                .enumerate()
+                .map(|(v, &value)| (v as VertexId, value))
+                .collect();
+            ranked.sort_by(|a, b| compare(&b.1, &a.1).then(a.0.cmp(&b.0)));
+            ranked.truncate(k);
+            ranked
+        };
+        let natural: Order = |a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal);
+        let reversed: Order = |a, b| b.total_cmp(a);
+        for (seed, n) in [0usize, 1, 2, 9, 64, 500].into_iter().enumerate() {
+            // Five distinct finite values plus both infinities: many ties.
+            let mut rng = SplitMix64::seed_from_u64(seed as u64);
+            let values: Vec<f32> = (0..n)
+                .map(|_| match rng.range_u32(0, 7) {
+                    5 => f32::INFINITY,
+                    6 => f32::NEG_INFINITY,
+                    r => r as f32 - 2.0,
+                })
+                .collect();
+            for k in [0, 1, 3, 10, n.saturating_sub(1), n, n + 1, usize::MAX] {
+                for compare in [natural, reversed] {
+                    assert_eq!(
+                        rank_top_k(&values, k, compare),
+                        full_sort(&values, k, compare),
+                        "n = {n}, k = {k}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,18 +1,122 @@
-//! Compressed sparse row adjacency structure.
+//! Compressed sparse adjacency, cut into fixed-width shared blocks.
 //!
 //! [`Adjacency`] stores, for every vertex, a contiguous slice of `(neighbor, weight)`
 //! pairs. The same structure serves as CSR (when built from outgoing edges) and as
 //! CSC (when built from incoming edges); [`crate::Graph`] keeps one of each so the
 //! engine can switch between *push* (outgoing) and *pull* (incoming) traversal.
+//!
+//! The lists live in [`Block`]s of [`BLOCK_VERTICES`] consecutive vertices. Each
+//! block holds its own local offsets, neighbors and weights behind an `Arc`, and
+//! a directory indexed by `v >> 10` holds the blocks, so finding a list stays a
+//! shift plus one load. Versions share blocks: [`Adjacency::patched`] rebuilds
+//! only the blocks that hold an edited or appended vertex and clones the `Arc`s
+//! of the rest, and `clone` copies only the directory. A new version therefore
+//! costs O(touched blocks + |V| / [`BLOCK_VERTICES`]) instead of O(V + E).
 
 use crate::types::{Edge, EdgeWeight, VertexId};
+use std::ops::Range;
+use std::sync::Arc;
 
-/// Compressed adjacency: `offsets[v]..offsets[v+1]` indexes into `targets`/`weights`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Adjacency {
-    offsets: Vec<usize>,
+/// log2 of [`BLOCK_VERTICES`].
+const BLOCK_SHIFT: u32 = 10;
+
+/// Vertices per [`Block`]. A power of two, so vertex `v` sits in block
+/// `v >> 10` at slot `v & (BLOCK_VERTICES - 1)`.
+pub const BLOCK_VERTICES: usize = 1 << BLOCK_SHIFT;
+
+/// Vertex range of block `b` of an adjacency over `num_vertices` vertices.
+fn block_span(b: usize, num_vertices: usize) -> Range<usize> {
+    let lo = b << BLOCK_SHIFT;
+    lo..num_vertices.min(lo + BLOCK_VERTICES)
+}
+
+/// Number of blocks covering `num_vertices` vertices.
+fn block_count(num_vertices: usize) -> usize {
+    num_vertices.div_ceil(BLOCK_VERTICES)
+}
+
+/// The lists of one block's vertices: slot `i` owns
+/// `targets[offsets[i]..offsets[i + 1]]` and the parallel weights. A block is
+/// immutable once built and shared by every graph version that did not touch
+/// its vertices.
+#[derive(Debug, PartialEq)]
+pub struct Block {
+    /// Vertices held: [`BLOCK_VERTICES`], or fewer in the last block.
+    vertices: usize,
+    /// Local offsets, inline so that a lookup needs no bounds check. Slots
+    /// past the last vertex repeat the final offset (empty lists).
+    offsets: [usize; BLOCK_VERTICES + 1],
     targets: Vec<VertexId>,
     weights: Vec<EdgeWeight>,
+}
+
+impl Block {
+    /// An empty block of `vertices` vertices with room for `edges` entries;
+    /// the caller fills the lists and then calls [`Block::seal`].
+    fn with_capacity(vertices: usize, edges: usize) -> Self {
+        Self {
+            vertices,
+            offsets: [0; BLOCK_VERTICES + 1],
+            targets: Vec::with_capacity(edges),
+            weights: Vec::with_capacity(edges),
+        }
+    }
+
+    /// Repeat the last vertex's end offset over the unused slots.
+    fn seal(mut self) -> Self {
+        let end = self.offsets[self.vertices];
+        self.offsets[self.vertices + 1..].fill(end);
+        self
+    }
+
+    /// Assemble the block covering `span` from `list(v)`, the neighbors and
+    /// the parallel weights of each vertex in entry order. Storage is sized
+    /// from the neighbor iterators' lower size hints, so lists of known
+    /// length allocate once.
+    fn build<T, W>(span: Range<usize>, list: impl Fn(usize) -> (T, W)) -> Self
+    where
+        T: Iterator<Item = VertexId>,
+        W: Iterator<Item = EdgeWeight>,
+    {
+        let edges = span.clone().map(|v| list(v).0.size_hint().0).sum();
+        let mut block = Self::with_capacity(span.len(), edges);
+        for (slot, v) in span.enumerate() {
+            let (targets, weights) = list(v);
+            block.targets.extend(targets);
+            block.weights.extend(weights);
+            block.offsets[slot + 1] = block.targets.len();
+        }
+        debug_assert_eq!(block.targets.len(), block.weights.len());
+        block.seal()
+    }
+
+    fn num_edges(&self) -> usize {
+        self.targets.len()
+    }
+
+    /// Entry range of `v`, which must lie in this block.
+    #[inline]
+    fn range(&self, v: VertexId) -> Range<usize> {
+        let slot = v as usize & (BLOCK_VERTICES - 1);
+        self.offsets[slot]..self.offsets[slot + 1]
+    }
+
+    /// Neighbor list and parallel weights of `v`, which must lie in this block.
+    #[inline]
+    pub(crate) fn list(&self, v: VertexId) -> (&[VertexId], &[EdgeWeight]) {
+        let range = self.range(v);
+        (&self.targets[range.clone()], &self.weights[range])
+    }
+}
+
+/// Compressed adjacency: vertex `v`'s list lives in block `v >> 10` of a
+/// directory of shared [`Block`]s.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Adjacency {
+    num_vertices: usize,
+    num_edges: usize,
+    /// Block `b` covers `block_span(b, num_vertices)`.
+    blocks: Vec<Arc<Block>>,
 }
 
 impl Adjacency {
@@ -33,27 +137,55 @@ impl Adjacency {
         for i in 1..counts.len() {
             counts[i] += counts[i - 1];
         }
-        let offsets = counts.clone();
-        let mut cursor = counts;
-        let mut targets = vec![0 as VertexId; edges.len()];
-        let mut weights = vec![0.0 as EdgeWeight; edges.len()];
+        let mut blocks: Vec<Block> = (0..block_count(num_vertices))
+            .map(|b| {
+                let span = block_span(b, num_vertices);
+                let base = counts[span.start];
+                let edges = counts[span.end] - base;
+                let mut block = Block::with_capacity(span.len(), edges);
+                for (slot, v) in span.enumerate() {
+                    block.offsets[slot + 1] = counts[v + 1] - base;
+                }
+                block.targets.resize(edges, 0);
+                block.weights.resize(edges, 0.0);
+                block.seal()
+            })
+            .collect();
+        // Scatter every edge to the next free entry of its key's list; the
+        // cursor holds block-local positions.
+        let mut cursor: Vec<usize> = blocks
+            .iter()
+            .flat_map(|block| block.offsets[..block.vertices].iter().copied())
+            .collect();
         for e in edges {
             let k = key(e) as usize;
-            let pos = cursor[k];
-            targets[pos] = other(e);
-            weights[pos] = e.weight;
+            let block = &mut blocks[k >> BLOCK_SHIFT];
+            block.targets[cursor[k]] = other(e);
+            block.weights[cursor[k]] = e.weight;
             cursor[k] += 1;
         }
         // Sort each adjacency list by neighbor id for deterministic iteration and
-        // cache-friendly scans. Lists are typically short, so insertion-style sort
-        // via `sort_unstable` on index pairs is fine.
-        let mut adj = Self {
-            offsets,
-            targets,
-            weights,
-        };
-        adj.sort_neighbor_lists();
-        adj
+        // cache-friendly scans. Lists are typically short, so `sort_unstable`
+        // on index pairs is fine.
+        let mut pairs: Vec<(VertexId, EdgeWeight)> = Vec::new();
+        for block in &mut blocks {
+            for slot in 0..block.vertices {
+                let (lo, hi) = (block.offsets[slot], block.offsets[slot + 1]);
+                pairs.clear();
+                pairs.extend(
+                    block.targets[lo..hi]
+                        .iter()
+                        .copied()
+                        .zip(block.weights[lo..hi].iter().copied()),
+                );
+                pairs.sort_unstable_by_key(|(t, _)| *t);
+                for (i, &(t, w)) in pairs.iter().enumerate() {
+                    block.targets[lo + i] = t;
+                    block.weights[lo + i] = w;
+                }
+            }
+        }
+        Self::from_blocks(num_vertices, blocks.into_iter().map(Arc::new).collect())
     }
 
     /// Build the *outgoing* adjacency (CSR): `neighbors(v)` are targets of edges
@@ -68,107 +200,101 @@ impl Adjacency {
         Self::from_keyed_edges(num_vertices, edges, |e| e.dst, |e| e.src)
     }
 
-    fn sort_neighbor_lists(&mut self) {
-        for v in 0..self.num_vertices() {
-            let (lo, hi) = (self.offsets[v], self.offsets[v + 1]);
-            let mut pairs: Vec<(VertexId, EdgeWeight)> = self.targets[lo..hi]
-                .iter()
-                .copied()
-                .zip(self.weights[lo..hi].iter().copied())
-                .collect();
-            pairs.sort_unstable_by_key(|(t, _)| *t);
-            for (i, (t, w)) in pairs.into_iter().enumerate() {
-                self.targets[lo + i] = t;
-                self.weights[lo + i] = w;
-            }
+    /// Build an adjacency over `num_vertices` vertices whose vertex `v` holds
+    /// the neighbors and parallel weights `list(v)`, entries in the order
+    /// given — the remap and snapshot-restore paths.
+    pub(crate) fn from_lists<T, W>(num_vertices: usize, list: impl Fn(usize) -> (T, W)) -> Self
+    where
+        T: Iterator<Item = VertexId>,
+        W: Iterator<Item = EdgeWeight>,
+    {
+        let blocks = (0..block_count(num_vertices))
+            .map(|b| Arc::new(Block::build(block_span(b, num_vertices), &list)))
+            .collect();
+        Self::from_blocks(num_vertices, blocks)
+    }
+
+    fn from_blocks(num_vertices: usize, blocks: Vec<Arc<Block>>) -> Self {
+        debug_assert_eq!(blocks.len(), block_count(num_vertices));
+        debug_assert!(blocks
+            .iter()
+            .enumerate()
+            .all(|(b, block)| block.vertices == block_span(b, num_vertices).len()));
+        Self {
+            num_vertices,
+            num_edges: blocks.iter().map(|block| block.num_edges()).sum(),
+            blocks,
         }
     }
 
     /// Number of vertices covered by this adjacency.
+    #[inline]
     pub fn num_vertices(&self) -> usize {
-        self.offsets.len() - 1
+        self.num_vertices
     }
 
     /// Total number of stored edges.
+    #[inline]
     pub fn num_edges(&self) -> usize {
-        self.targets.len()
+        self.num_edges
+    }
+
+    /// The block holding `v`'s list.
+    #[inline]
+    pub(crate) fn block(&self, v: VertexId) -> &Block {
+        debug_assert!((v as usize) < self.num_vertices, "vertex {v} out of range");
+        &self.blocks[v as usize >> BLOCK_SHIFT]
+    }
+
+    /// Half-open vertex range of the block holding `v`.
+    pub(crate) fn block_span(&self, v: VertexId) -> (VertexId, VertexId) {
+        let span = block_span(v as usize >> BLOCK_SHIFT, self.num_vertices);
+        (span.start as VertexId, span.end as VertexId)
     }
 
     /// Degree of `v` (number of neighbors in this direction).
+    #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
-        let v = v as usize;
-        self.offsets[v + 1] - self.offsets[v]
+        self.block(v).range(v).len()
+    }
+
+    /// Degree of every vertex in id order, read block by block.
+    pub(crate) fn degrees(&self) -> impl Iterator<Item = usize> + '_ {
+        self.blocks.iter().flat_map(|block| {
+            block.offsets[..=block.vertices]
+                .windows(2)
+                .map(|w| w[1] - w[0])
+        })
     }
 
     /// Neighbors of `v` in this direction.
+    #[inline]
     pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        let v = v as usize;
-        &self.targets[self.offsets[v]..self.offsets[v + 1]]
+        let block = self.block(v);
+        &block.targets[block.range(v)]
     }
 
     /// Weights parallel to [`Self::neighbors`].
+    #[inline]
     pub fn weights(&self, v: VertexId) -> &[EdgeWeight] {
-        let v = v as usize;
-        &self.weights[self.offsets[v]..self.offsets[v + 1]]
+        let block = self.block(v);
+        &block.weights[block.range(v)]
     }
 
     /// Iterate `(neighbor, weight)` pairs of `v`.
+    #[inline]
     pub fn neighbors_with_weights(
         &self,
         v: VertexId,
     ) -> impl Iterator<Item = (VertexId, EdgeWeight)> + '_ {
-        self.neighbors(v)
-            .iter()
-            .copied()
-            .zip(self.weights(v).iter().copied())
+        let (targets, weights) = self.block(v).list(v);
+        targets.iter().copied().zip(weights.iter().copied())
     }
 
     /// `true` if the adjacency list of `v` contains `u`.
+    #[inline]
     pub fn contains_edge(&self, v: VertexId, u: VertexId) -> bool {
         self.neighbors(v).binary_search(&u).is_ok()
-    }
-
-    /// Raw offsets array (length `num_vertices + 1`). Useful for the partitioner,
-    /// which balances on edge counts.
-    pub fn offsets(&self) -> &[usize] {
-        &self.offsets
-    }
-
-    /// Raw neighbor array, parallel to [`Self::raw_weights`]. Together with
-    /// [`Self::offsets`] these are the complete physical representation — the
-    /// snapshot writer persists them verbatim so a restore reproduces the
-    /// structure *bit-for-bit*, duplicate-pair ordering included (rebuilding
-    /// from an edge list would not: `sort_unstable` may reorder equal keys).
-    pub fn raw_targets(&self) -> &[VertexId] {
-        &self.targets
-    }
-
-    /// Raw weight array, parallel to [`Self::raw_targets`].
-    pub fn raw_weights(&self) -> &[EdgeWeight] {
-        &self.weights
-    }
-
-    /// Reassemble an adjacency from its raw arrays — the snapshot-restore path.
-    ///
-    /// The caller must supply arrays that came from (or are shaped like) a real
-    /// adjacency: `offsets` monotone with `offsets[0] == 0` and a final entry
-    /// equal to `targets.len()`, `weights` parallel to `targets`. The decoder in
-    /// [`crate::io::binary`] validates untrusted bytes before calling this.
-    pub(crate) fn from_raw(
-        offsets: Vec<usize>,
-        targets: Vec<VertexId>,
-        weights: Vec<EdgeWeight>,
-    ) -> Self {
-        debug_assert!(!offsets.is_empty());
-        debug_assert_eq!(offsets[0], 0);
-        debug_assert_eq!(*offsets.last().unwrap(), targets.len());
-        debug_assert_eq!(targets.len(), weights.len());
-        debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
-        Self {
-            offsets,
-            targets,
-            weights,
-        }
     }
 
     /// Rebuild this adjacency under a physical-id permutation: vertex
@@ -179,28 +305,20 @@ impl Adjacency {
     /// that keeps pull-gather fold order (and so every float sum)
     /// bit-identical across remaps.
     pub fn remapped(&self, step: &crate::remap::IdRemap) -> Self {
-        let n = self.num_vertices();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::with_capacity(self.targets.len());
-        let mut weights = Vec::with_capacity(self.weights.len());
-        offsets.push(0);
-        for new_v in 0..n {
-            let old_v = step.to_old(new_v as VertexId) as usize;
-            let (lo, hi) = (self.offsets[old_v], self.offsets[old_v + 1]);
-            targets.extend(self.targets[lo..hi].iter().map(|&t| step.to_new(t)));
-            weights.extend_from_slice(&self.weights[lo..hi]);
-            offsets.push(targets.len());
-        }
-        Self {
-            offsets,
-            targets,
-            weights,
-        }
+        Self::from_lists(self.num_vertices, |new_v| {
+            let old_v = step.to_old(new_v as VertexId);
+            let (targets, weights) = self.block(old_v).list(old_v);
+            (
+                targets.iter().map(|&t| step.to_new(t)),
+                weights.iter().copied(),
+            )
+        })
     }
 
-    /// Build a new adjacency by replacing the lists of a few vertices and copying
-    /// every untouched range wholesale — the compacting rebuild behind
-    /// [`crate::Graph::apply_batch`].
+    /// Build a new adjacency by replacing the lists of a few vertices — the
+    /// versioned patch behind [`crate::Graph::apply_batch`]. Only the blocks
+    /// holding an edited vertex, or whose vertex range the new count changes,
+    /// are rebuilt; every other block is shared with `self`.
     ///
     /// `edits` maps a vertex to its complete replacement list and must be sorted by
     /// vertex id, with each replacement list in the graph's canonical neighbor
@@ -217,40 +335,48 @@ impl Adjacency {
             edits.windows(2).all(|w| w[0].0 < w[1].0),
             "edits must be sorted by vertex"
         );
-        let old_n = self.num_vertices();
-        let grown: usize = edits.iter().map(|(_, list)| list.len()).sum();
-        let mut offsets = Vec::with_capacity(new_num_vertices + 1);
-        let mut targets = Vec::with_capacity(self.targets.len() + grown);
-        let mut weights = Vec::with_capacity(self.weights.len() + grown);
-        offsets.push(0);
-        let mut edit_cursor = 0usize;
-        for v in 0..new_num_vertices {
-            let edited = edits
-                .get(edit_cursor)
-                .filter(|(ev, _)| *ev as usize == v)
-                .map(|(_, list)| list);
-            if let Some(list) = edited {
-                targets.extend(list.iter().map(|(t, _)| *t));
-                weights.extend(list.iter().map(|(_, w)| *w));
-                edit_cursor += 1;
-            } else if v < old_n {
-                let (lo, hi) = (self.offsets[v], self.offsets[v + 1]);
-                targets.extend_from_slice(&self.targets[lo..hi]);
-                weights.extend_from_slice(&self.weights[lo..hi]);
-            }
-            offsets.push(targets.len());
-        }
-        Self {
-            offsets,
-            targets,
-            weights,
-        }
+        let mut rest = edits;
+        let blocks = (0..block_count(new_num_vertices))
+            .map(|b| {
+                let span = block_span(b, new_num_vertices);
+                let (mine, after) =
+                    rest.split_at(rest.partition_point(|(v, _)| (*v as usize) < span.end));
+                rest = after;
+                match self.blocks.get(b) {
+                    Some(old) if mine.is_empty() && old.vertices == span.len() => Arc::clone(old),
+                    // One side of each chain is empty: the replacement
+                    // list of an edited vertex, or the kept list of another.
+                    _ => Arc::new(Block::build(span, |v| {
+                        let edited = mine.binary_search_by_key(&(v as VertexId), |(ev, _)| *ev);
+                        let (replacement, (targets, weights)) = match edited {
+                            Ok(i) => (&mine[i].1[..], (&[][..], &[][..])),
+                            Err(_) if v < self.num_vertices => {
+                                (&[][..], self.block(v as VertexId).list(v as VertexId))
+                            }
+                            Err(_) => (&[][..], (&[][..], &[][..])),
+                        };
+                        (
+                            replacement
+                                .iter()
+                                .map(|e| e.0)
+                                .chain(targets.iter().copied()),
+                            replacement
+                                .iter()
+                                .map(|e| e.1)
+                                .chain(weights.iter().copied()),
+                        )
+                    })),
+                }
+            })
+            .collect();
+        Self::from_blocks(new_num_vertices, blocks)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SplitMix64;
 
     fn edges() -> Vec<Edge> {
         vec![
@@ -350,5 +476,110 @@ mod tests {
     fn patched_with_no_edits_is_identity() {
         let adj = Adjacency::outgoing(6, &edges());
         assert_eq!(adj.patched(6, &[]), adj);
+    }
+
+    /// An adjacency over `n` vertices with three random out-edges per vertex
+    /// and, on every 97th vertex, a duplicate pair with distinct weights.
+    fn spread(n: usize, seed: u64) -> Adjacency {
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        let mut edges = Vec::new();
+        for v in 0..n as VertexId {
+            for _ in 0..3 {
+                edges.push(Edge::new(
+                    v,
+                    rng.range_u32(0, n as u32),
+                    rng.range_f32(1.0, 9.0),
+                ));
+            }
+            if v % 97 == 0 {
+                let u = (v + 1) % n as VertexId;
+                edges.push(Edge::new(v, u, 2.0));
+                edges.push(Edge::new(v, u, 3.0));
+            }
+        }
+        Adjacency::outgoing(n, &edges)
+    }
+
+    /// Per block of `b`, whether `a` holds the very same block.
+    fn shared_blocks(a: &Adjacency, b: &Adjacency) -> Vec<bool> {
+        b.blocks
+            .iter()
+            .enumerate()
+            .map(|(i, block)| a.blocks.get(i).is_some_and(|old| Arc::ptr_eq(old, block)))
+            .collect()
+    }
+
+    fn assert_same_lists(a: &Adjacency, b: &Adjacency, vertices: Range<usize>) {
+        for v in vertices {
+            let v = v as VertexId;
+            assert_eq!(a.neighbors(v), b.neighbors(v), "list of {v}");
+            assert_eq!(a.weights(v), b.weights(v), "weights of {v}");
+        }
+    }
+
+    #[test]
+    fn patched_copies_only_the_touched_blocks() {
+        for blocks in [8usize, 64] {
+            // The last block is partial, so growth must rebuild it.
+            let n = (blocks - 1) * BLOCK_VERTICES + BLOCK_VERTICES / 2;
+            let adj = spread(n, blocks as u64);
+            assert_eq!(adj.blocks.len(), blocks);
+
+            // One edited list rebuilds its own block and shares the others.
+            let v = (3 * BLOCK_VERTICES + 17) as VertexId;
+            let edited = adj.patched(n, &[(v, vec![(0, 1.0), (5, 2.0)])]);
+            let mut expected = vec![true; blocks];
+            expected[3] = false;
+            assert_eq!(shared_blocks(&adj, &edited), expected);
+            assert_eq!(edited.neighbors(v), &[0, 5]);
+            assert_eq!(edited.weights(v), &[1.0, 2.0]);
+            assert_same_lists(&adj, &edited, 0..v as usize);
+            assert_same_lists(&adj, &edited, v as usize + 1..n);
+            assert_eq!(edited.num_edges(), adj.num_edges() - adj.degree(v) + 2);
+
+            // Growth into a new block rebuilds the partial last block, appends
+            // the new one and shares everything before them.
+            let grown_n = n + BLOCK_VERTICES;
+            let tail = (grown_n - 1) as VertexId;
+            let grown = adj.patched(grown_n, &[(tail, vec![(1, 4.0)])]);
+            let mut expected = vec![true; blocks + 1];
+            expected[blocks - 1] = false;
+            expected[blocks] = false;
+            assert_eq!(shared_blocks(&adj, &grown), expected);
+            assert_same_lists(&adj, &grown, 0..n);
+            for u in n..grown_n - 1 {
+                assert_eq!(grown.degree(u as VertexId), 0);
+            }
+            assert_eq!(grown.neighbors(tail), &[1]);
+            assert_eq!(grown.num_edges(), adj.num_edges() + 1);
+
+            // A patch without edits shares every block, as does a clone.
+            assert!(shared_blocks(&adj, &adj.patched(n, &[])).iter().all(|&s| s));
+            assert!(shared_blocks(&adj, &adj.clone()).iter().all(|&s| s));
+        }
+    }
+
+    #[test]
+    fn lists_cross_block_boundaries_intact() {
+        let n = 2 * BLOCK_VERTICES + 5;
+        let adj = spread(n, 7);
+        let spans: Vec<(VertexId, VertexId)> = [0, BLOCK_VERTICES - 1, BLOCK_VERTICES, n - 1]
+            .iter()
+            .map(|&v| adj.block_span(v as VertexId))
+            .collect();
+        let w = BLOCK_VERTICES as VertexId;
+        assert_eq!(
+            spans,
+            vec![(0, w), (0, w), (w, 2 * w), (2 * w, n as VertexId)]
+        );
+        let degrees: Vec<usize> = adj.degrees().collect();
+        assert_eq!(degrees.len(), n);
+        assert_eq!(degrees.iter().sum::<usize>(), adj.num_edges());
+        for v in 0..n as VertexId {
+            assert_eq!(degrees[v as usize], adj.degree(v));
+            assert_eq!(adj.block(v).list(v), (adj.neighbors(v), adj.weights(v)));
+        }
+        // Duplicate pairs keep distinct entries in sorted order.
+        assert_eq!(adj.neighbors(97).iter().filter(|&&u| u == 98).count(), 2);
     }
 }

@@ -22,15 +22,14 @@ pub struct Degrees {
 impl Degrees {
     /// Extract the degree arrays of `graph` (`O(V)` time and `8·V` bytes).
     pub fn of(graph: &Graph) -> Self {
+        let collect = |adjacency: &crate::Adjacency| {
+            let mut degrees = Vec::with_capacity(graph.num_vertices());
+            adjacency.degrees().for_each(|d| degrees.push(d as u32));
+            degrees
+        };
         Self {
-            out: graph
-                .vertices()
-                .map(|v| graph.out_degree(v) as u32)
-                .collect(),
-            incoming: graph
-                .vertices()
-                .map(|v| graph.in_degree(v) as u32)
-                .collect(),
+            out: collect(graph.out_adjacency()),
+            incoming: collect(graph.in_adjacency()),
         }
     }
 

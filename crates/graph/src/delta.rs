@@ -3,11 +3,12 @@
 //! The SLFE engine's storage is a frozen CSR + CSC pair — ideal for scan-heavy
 //! iteration, hostile to in-place mutation. Live traffic does not rebuild the
 //! world per edge, so updates are *staged* in an [`UpdateBatch`] and applied in
-//! one shot: [`Graph::apply_batch`] produces a new graph by rebuilding **only the
-//! adjacency ranges of touched endpoints** ([`crate::Adjacency::patched`]) and
-//! copying every untouched range wholesale. The returned [`BatchEffect`] names
-//! the *dirty* vertices — the endpoints of edges that actually changed — which is
-//! exactly the seed set the warm-start engine path and the RRG repair pass need.
+//! one shot: [`Graph::apply_batch`] produces a new graph version by rebuilding
+//! **only the adjacency blocks that hold a touched endpoint**
+//! ([`crate::Adjacency::patched`]) and sharing every other block with the old
+//! version. The returned [`BatchEffect`] names the *dirty* vertices — the
+//! endpoints of edges that actually changed — which is exactly the seed set the
+//! warm-start engine path and the RRG repair pass need.
 //!
 //! Semantics (per `(src, dst)` pair, the batch's unit of change):
 //!
@@ -246,11 +247,12 @@ impl Graph {
     /// Apply a staged [`UpdateBatch`], producing the mutated graph and the
     /// [`BatchEffect`] describing what changed.
     ///
-    /// Only the adjacency ranges of touched endpoints are rebuilt — every other
-    /// vertex's CSR/CSC range is copied verbatim — so the cost is
-    /// `O(V + E + touched-degree)` array movement with no re-sorting of untouched
-    /// lists. The original graph is untouched (persistent-structure style), which
-    /// keeps previous fixpoints queryable while the new version converges.
+    /// Only the CSR/CSC blocks holding a touched endpoint are rebuilt; every
+    /// other block is shared with `self`, so the cost is
+    /// `O(touched blocks + V / BLOCK_VERTICES)` with no re-sorting of untouched
+    /// lists, and a no-op batch only clones the block directories. The
+    /// original graph is untouched (persistent-structure style), which keeps
+    /// previous fixpoints queryable while the new version converges.
     pub fn apply_batch(&self, batch: &UpdateBatch) -> (Graph, BatchEffect) {
         let mut effect = BatchEffect::default();
         // Resolve each staged pair against the current graph, dropping no-ops.
@@ -364,9 +366,10 @@ impl Graph {
                     }
                 }
                 list.sort_unstable_by_key(|&(other, _)| self.external_id(other));
+                // Non-strict: an untouched duplicate pair keeps both copies.
                 debug_assert!(list
                     .windows(2)
-                    .all(|w| self.external_id(w[0].0) < self.external_id(w[1].0)));
+                    .all(|w| self.external_id(w[0].0) <= self.external_id(w[1].0)));
                 (key, list)
             })
             .collect()
@@ -377,6 +380,7 @@ impl Graph {
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
+    use crate::csr::BLOCK_VERTICES;
     use crate::generators;
     use crate::rng::SplitMix64;
     use crate::types::Edge;
@@ -422,6 +426,60 @@ mod tests {
             assert_eq!(a.out_weights(v), b.out_weights(v), "out weights of {v}");
             assert_eq!(a.in_weights(v), b.in_weights(v), "in weights of {v}");
         }
+    }
+
+    /// Compare two lists as `(neighbor, weight bits)` pairs: exactly, or, for
+    /// a list `apply_batch` rebuilt (it re-sorts with an unstable sort), up to
+    /// the order of duplicate pairs.
+    fn assert_same_list(
+        a: impl Iterator<Item = (VertexId, EdgeWeight)>,
+        b: impl Iterator<Item = (VertexId, EdgeWeight)>,
+        rebuilt: bool,
+        what: &str,
+    ) {
+        let mut a: Vec<(VertexId, u32)> = a.map(|(u, w)| (u, w.to_bits())).collect();
+        let mut b: Vec<(VertexId, u32)> = b.map(|(u, w)| (u, w.to_bits())).collect();
+        if rebuilt {
+            assert!(a.windows(2).all(|w| w[0].0 <= w[1].0), "{what} is unsorted");
+            a.sort_unstable();
+            b.sort_unstable();
+        }
+        assert_eq!(a, b, "{what}");
+    }
+
+    /// A graph over three full adjacency blocks and a partial fourth, with
+    /// a duplicate pair (two weights) out of every 13th vertex `v`, to
+    /// `(7v + 1) mod n`.
+    fn multi_block_graph(seed: u64) -> Graph {
+        let n = 3 * BLOCK_VERTICES + 300;
+        let mut edges = generators::rmat(n, 6 * n, 0.57, 0.19, 0.19, seed)
+            .edges()
+            .to_vec();
+        for v in (0..n as VertexId).step_by(13) {
+            let u = (7 * v + 1) % n as VertexId;
+            edges.push(Edge::new(v, u, 2.5));
+            edges.push(Edge::new(v, u, 7.5));
+        }
+        Graph::from_edges(n, edges)
+    }
+
+    /// `ops` random stages over ids below `id_bound`; about half are
+    /// deletions that hit an existing out-edge of their source.
+    fn random_batch(g: &Graph, rng: &mut SplitMix64, ops: usize, id_bound: u32) -> UpdateBatch {
+        let mut batch = UpdateBatch::new();
+        for _ in 0..ops {
+            let src = rng.range_u32(0, id_bound);
+            let dst = rng.range_u32(0, id_bound);
+            if rng.next_f64() < 0.5 {
+                batch.insert(src, dst, rng.range_f32(1.0, 10.0));
+            } else if (src as usize) < g.num_vertices() {
+                match g.out_neighbors(src).first() {
+                    Some(&target) => batch.delete(src, target),
+                    None => batch.delete(src, dst),
+                };
+            }
+        }
+        batch
     }
 
     #[test]
@@ -569,38 +627,64 @@ mod tests {
 
     #[test]
     fn random_batches_match_the_full_rebuild_oracle() {
-        for seed in 0..6u64 {
-            let g = generators::rmat(300, 2000, 0.57, 0.19, 0.19, seed + 100);
-            let mut rng = SplitMix64::seed_from_u64(seed);
-            let mut batch = UpdateBatch::new();
-            for _ in 0..120 {
-                let src = rng.range_u32(0, 320); // occasionally beyond the id space
-                let dst = rng.range_u32(0, 320);
-                if rng.next_f64() < 0.5 {
-                    batch.insert(src, dst, rng.range_f32(1.0, 10.0));
-                } else if (src as usize) < g.num_vertices() {
-                    // Delete an existing out-edge of src when there is one, so
-                    // deletions actually hit edges.
-                    if let Some(&target) = g.out_neighbors(src).first() {
-                        batch.delete(src, target);
-                    } else {
-                        batch.delete(src, dst);
-                    }
-                }
-            }
-            let (patched, effect) = g.apply_batch(&batch);
-            let oracle = oracle_apply(&g, &batch);
-            assert_same_graph(&patched, &oracle);
+        // Single-block graphs, with ids occasionally beyond the id space.
+        let mut inputs: Vec<(Graph, UpdateBatch)> = (0..6u64)
+            .map(|seed| {
+                let g = generators::rmat(300, 2000, 0.57, 0.19, 0.19, seed + 100);
+                let batch = random_batch(&g, &mut SplitMix64::seed_from_u64(seed), 120, 320);
+                (g, batch)
+            })
+            .collect();
+        // Several blocks, duplicate pairs, and growth across a block boundary.
+        let g = multi_block_graph(7);
+        let grown = 4 * BLOCK_VERTICES as VertexId;
+        let mut batch = random_batch(&g, &mut SplitMix64::seed_from_u64(7), 400, grown + 200);
+        batch
+            .insert(0, 1, 4.0) // collapses a duplicate pair
+            .delete(13, 92) // deletes both copies of one
+            .insert(5, grown + 100, 1.0);
+        inputs.push((g, batch));
+
+        for (g, batch) in &inputs {
+            let (patched, effect) = g.apply_batch(batch);
+            let oracle = oracle_apply(g, batch);
             patched.validate().unwrap();
+            assert_eq!(patched.num_vertices(), oracle.num_vertices());
             assert_eq!(
                 patched.num_edges(),
                 g.num_edges() + effect.edges_inserted - effect.edges_deleted
             );
-            // Dirty endpoints are exactly the endpoints of changed pairs.
-            for &v in &effect.dirty {
-                assert!((v as usize) < patched.num_vertices());
+            assert_eq!(patched.num_edges(), oracle.num_edges());
+            // Lists of clean vertices are copied verbatim, duplicate pairs in
+            // their old order; dirty endpoints are exactly the rebuilt ones.
+            for v in patched.vertices() {
+                let rebuilt = effect.dirty.binary_search(&v).is_ok();
+                let what = |dir: &str| format!("{dir} list of {v}");
+                assert_same_list(
+                    patched.out_edges(v),
+                    oracle.out_edges(v),
+                    rebuilt,
+                    &what("out"),
+                );
+                assert_same_list(
+                    patched.in_edges(v),
+                    oracle.in_edges(v),
+                    rebuilt,
+                    &what("in"),
+                );
+                if !rebuilt && (v as usize) < g.num_vertices() {
+                    assert_same_list(
+                        patched.out_edges(v),
+                        g.out_edges(v),
+                        false,
+                        &what("old out"),
+                    );
+                }
             }
         }
+        let (grown_graph, effect) = inputs[6].0.apply_batch(&inputs[6].1);
+        assert!(grown_graph.num_vertices() > grown as usize && effect.vertices_added > 0);
+        assert!(effect.edges_reweighted > 0 && effect.edges_deleted > 0);
     }
 
     #[test]
@@ -664,8 +748,23 @@ mod tests {
     #[test]
     fn apply_batch_on_remapped_graph_matches_unremapped() {
         use crate::remap::IdRemap;
-        for seed in 0..4u64 {
-            let g = generators::rmat(150, 900, 0.57, 0.19, 0.19, seed + 11);
+        // (graph, seed, staged ops, id bound): single-block graphs growing by
+        // 20 ids, then a multi-block one with duplicate pairs growing past the
+        // next block boundary.
+        let mut inputs: Vec<(Graph, u64, usize, u32)> = (0..4u64)
+            .map(|seed| {
+                let g = generators::rmat(150, 900, 0.57, 0.19, 0.19, seed + 11);
+                let bound = g.num_vertices() as u32 + 20;
+                (g, seed, 60, bound)
+            })
+            .collect();
+        inputs.push((
+            multi_block_graph(11),
+            4,
+            300,
+            4 * BLOCK_VERTICES as u32 + 200,
+        ));
+        for (g, seed, ops, id_bound) in inputs {
             // Random permutation of the physical ids.
             let n = g.num_vertices();
             let mut forward: Vec<VertexId> = (0..n as VertexId).collect();
@@ -678,9 +777,9 @@ mod tests {
 
             // Stage a batch in external ids, including growth beyond n.
             let mut ext_batch = UpdateBatch::new();
-            for _ in 0..60 {
-                let src = rng.range_u32(0, n as u32 + 20);
-                let dst = rng.range_u32(0, n as u32 + 20);
+            for _ in 0..ops {
+                let src = rng.range_u32(0, id_bound);
+                let dst = rng.range_u32(0, id_bound);
                 if rng.next_f64() < 0.6 {
                     ext_batch.insert(src, dst, rng.range_f32(0.5, 9.0));
                 } else {
@@ -696,13 +795,12 @@ mod tests {
             assert_eq!(r2.num_edges(), g2.num_edges());
             for ext in g2.vertices() {
                 let p = r2.to_physical(ext);
-                let ext_nbrs: Vec<VertexId> = r2
-                    .out_neighbors(p)
-                    .iter()
-                    .map(|&u| r2.external_id(u))
-                    .collect();
-                assert_eq!(ext_nbrs, g2.out_neighbors(ext));
-                assert_eq!(r2.out_weights(p), g2.out_weights(ext));
+                assert_same_list(
+                    r2.out_edges(p).map(|(u, w)| (r2.external_id(u), w)),
+                    g2.out_edges(ext),
+                    eff.dirty.binary_search(&ext).is_ok(),
+                    &format!("out list of external {ext}"),
+                );
             }
             // Effects agree modulo the id relabelling.
             assert_eq!(eff_r.edges_inserted, eff.edges_inserted);

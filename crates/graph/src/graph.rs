@@ -3,7 +3,7 @@
 use crate::csr::Adjacency;
 use crate::remap::IdRemap;
 use crate::types::{Edge, EdgeWeight, VertexId};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 // `Graph::apply_batch` lives in `crate::delta`.
 
@@ -36,8 +36,9 @@ pub struct Graph {
     /// from patched adjacencies on the serving hot path, and copying an `O(E)`
     /// edge vector there just to back the rarely-used [`Graph::edges`] accessor
     /// would be pure overhead. `from_edges` seeds it eagerly (the vector already
-    /// exists); `from_parts` leaves it to the first `edges()` call.
-    edges: std::sync::OnceLock<Vec<Edge>>,
+    /// exists); `from_parts` leaves it to the first `edges()` call. Clones
+    /// share it, like they share the adjacency blocks.
+    edges: Arc<OnceLock<Vec<Edge>>>,
 }
 
 impl Graph {
@@ -56,14 +57,12 @@ impl Graph {
         }
         let out = Adjacency::outgoing(num_vertices, &edges);
         let incoming = Adjacency::incoming(num_vertices, &edges);
-        let cell = std::sync::OnceLock::new();
-        let _ = cell.set(edges);
         Self {
             num_vertices,
             out,
             incoming,
             remap: None,
-            edges: cell,
+            edges: Arc::new(OnceLock::from(edges)),
         }
     }
 
@@ -90,16 +89,18 @@ impl Graph {
             out,
             incoming,
             remap,
-            edges: std::sync::OnceLock::new(),
+            edges: Arc::default(),
         }
     }
 
     /// Number of vertices.
+    #[inline]
     pub fn num_vertices(&self) -> usize {
         self.num_vertices
     }
 
     /// Number of directed edges.
+    #[inline]
     pub fn num_edges(&self) -> usize {
         self.out.num_edges()
     }
@@ -133,41 +134,49 @@ impl Graph {
     }
 
     /// Out-degree of `v`.
+    #[inline]
     pub fn out_degree(&self, v: VertexId) -> usize {
         self.out.degree(v)
     }
 
     /// In-degree of `v`.
+    #[inline]
     pub fn in_degree(&self, v: VertexId) -> usize {
         self.incoming.degree(v)
     }
 
     /// Outgoing neighbors of `v` (targets of edges leaving `v`), sorted.
+    #[inline]
     pub fn out_neighbors(&self, v: VertexId) -> &[VertexId] {
         self.out.neighbors(v)
     }
 
     /// Incoming neighbors of `v` (sources of edges entering `v`), sorted.
+    #[inline]
     pub fn in_neighbors(&self, v: VertexId) -> &[VertexId] {
         self.incoming.neighbors(v)
     }
 
     /// Weights parallel to [`Self::out_neighbors`].
+    #[inline]
     pub fn out_weights(&self, v: VertexId) -> &[EdgeWeight] {
         self.out.weights(v)
     }
 
     /// Weights parallel to [`Self::in_neighbors`].
+    #[inline]
     pub fn in_weights(&self, v: VertexId) -> &[EdgeWeight] {
         self.incoming.weights(v)
     }
 
     /// `(neighbor, weight)` pairs over outgoing edges of `v`.
+    #[inline]
     pub fn out_edges(&self, v: VertexId) -> impl Iterator<Item = (VertexId, EdgeWeight)> + '_ {
         self.out.neighbors_with_weights(v)
     }
 
     /// `(neighbor, weight)` pairs over incoming edges of `v`.
+    #[inline]
     pub fn in_edges(&self, v: VertexId) -> impl Iterator<Item = (VertexId, EdgeWeight)> + '_ {
         self.incoming.neighbors_with_weights(v)
     }
@@ -190,11 +199,13 @@ impl Graph {
     }
 
     /// Access the outgoing adjacency (CSR) directly.
+    #[inline]
     pub fn out_adjacency(&self) -> &Adjacency {
         &self.out
     }
 
     /// Access the incoming adjacency (CSC) directly.
+    #[inline]
     pub fn in_adjacency(&self) -> &Adjacency {
         &self.incoming
     }

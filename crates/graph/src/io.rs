@@ -176,16 +176,18 @@ pub fn save_edge_list(graph: &Graph, path: impl AsRef<Path>) -> io::Result<()> {
 /// codec — the building blocks of the durability layer (WAL frames and
 /// snapshot files in `slfe-delta`).
 ///
-/// The graph codec persists the raw CSR/CSC arrays of both directions rather
-/// than an edge list: rebuilding from edges re-sorts adjacency lists with
+/// The graph codec persists both directions' per-vertex lists in entry order,
+/// as flat CSR/CSC arrays (global offsets, neighbors, weights), rather than an
+/// edge list: rebuilding from edges re-sorts adjacency lists with
 /// `sort_unstable`, which may reorder duplicate `(src, dst)` pairs carrying
 /// different weights. Arithmetic programs fold weights in physical array
 /// order, so recovery-to-bit-equality needs the *physical* representation
-/// back, not merely an equivalent multigraph.
+/// back, not merely an equivalent multigraph. The flat layout does not depend
+/// on how [`crate::Adjacency`] cuts its lists into blocks.
 pub mod binary {
     use crate::csr::Adjacency;
     use crate::graph::Graph;
-    use crate::types::{EdgeWeight, VertexId};
+    use crate::types::VertexId;
 
     /// CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320) lookup table.
     const CRC_TABLE: [u32; 256] = {
@@ -293,16 +295,27 @@ pub mod binary {
         }
     }
 
+    /// One direction in the flat layout: the edge count, `n + 1` global
+    /// offsets, then every neighbor and then every weight, in vertex order.
     fn encode_adjacency(out: &mut Vec<u8>, adj: &Adjacency) {
+        let vertices = 0..adj.num_vertices() as VertexId;
+        out.reserve(8 * (adj.num_vertices() + 2) + 8 * adj.num_edges());
         put_u64(out, adj.num_edges() as u64);
-        for &off in adj.offsets() {
-            put_u64(out, off as u64);
+        put_u64(out, 0);
+        let mut offset = 0u64;
+        for v in vertices.clone() {
+            offset += adj.degree(v) as u64;
+            put_u64(out, offset);
         }
-        for &t in adj.raw_targets() {
-            put_u32(out, t);
+        for v in vertices.clone() {
+            for &t in adj.neighbors(v) {
+                put_u32(out, t);
+            }
         }
-        for &w in adj.raw_weights() {
-            put_f32(out, w);
+        for v in vertices {
+            for &w in adj.weights(v) {
+                put_f32(out, w);
+            }
         }
     }
 
@@ -327,23 +340,25 @@ pub mod binary {
         if *offsets.last()? != num_edges {
             return None;
         }
-        let mut targets = Vec::with_capacity(num_edges);
-        for _ in 0..num_edges {
-            let t = r.u32()?;
-            if t as usize >= num_vertices {
-                return None;
-            }
-            targets.push(t as VertexId);
+        let targets = r.bytes(num_edges * 4)?;
+        let weights = r.bytes(num_edges * 4)?;
+        let word = |bytes: &[u8], i: usize| {
+            u32::from_le_bytes(bytes[i * 4..i * 4 + 4].try_into().expect("4-byte word"))
+        };
+        if (0..num_edges).any(|i| word(targets, i) as usize >= num_vertices) {
+            return None;
         }
-        let mut weights = Vec::with_capacity(num_edges);
-        for _ in 0..num_edges {
-            weights.push(r.f32()? as EdgeWeight);
-        }
-        Some(Adjacency::from_raw(offsets, targets, weights))
+        Some(Adjacency::from_lists(num_vertices, |v| {
+            let entries = offsets[v]..offsets[v + 1];
+            (
+                entries.clone().map(|i| word(targets, i) as VertexId),
+                entries.map(|i| f32::from_bits(word(weights, i))),
+            )
+        }))
     }
 
     /// Append the exact physical encoding of `graph` (vertex count plus the
-    /// raw arrays of both adjacency directions).
+    /// flat arrays of both adjacency directions).
     pub fn encode_graph(out: &mut Vec<u8>, graph: &Graph) {
         put_u64(out, graph.num_vertices() as u64);
         encode_adjacency(out, graph.out_adjacency());
@@ -528,7 +543,7 @@ mod tests {
     #[test]
     fn graph_binary_round_trip_is_physically_exact() {
         // Duplicate (src, dst) pairs with distinct weights pin physical-order
-        // preservation: an edge-list rebuild may reorder them, the raw-array
+        // preservation: an edge-list rebuild may reorder them, the flat-array
         // codec must not.
         let mut g = crate::Graph::from_edges(
             4,
@@ -551,6 +566,82 @@ mod tests {
         assert_eq!(g2.num_vertices(), g.num_vertices());
         assert_eq!(g2.out_adjacency(), g.out_adjacency());
         assert_eq!(g2.in_adjacency(), g.in_adjacency());
+    }
+
+    #[test]
+    fn snapshot_bytes_keep_the_flat_layout() {
+        use crate::types::{Edge, VertexId};
+        // One edge, spelled out: the vertex count, then per direction the
+        // edge count, n + 1 global offsets, the neighbors and the weights.
+        let tiny = crate::Graph::from_edges(2, vec![Edge::new(0, 1, 2.0)]);
+        let mut expected = Vec::new();
+        for word in [2u64, 1, 0, 1, 1] {
+            expected.extend_from_slice(&word.to_le_bytes());
+        }
+        expected.extend_from_slice(&1u32.to_le_bytes());
+        expected.extend_from_slice(&2.0f32.to_le_bytes());
+        for word in [1u64, 0, 0, 1] {
+            expected.extend_from_slice(&word.to_le_bytes());
+        }
+        expected.extend_from_slice(&0u32.to_le_bytes());
+        expected.extend_from_slice(&2.0f32.to_le_bytes());
+        let mut buf = Vec::new();
+        binary::encode_graph(&mut buf, &tiny);
+        assert_eq!(buf, expected);
+
+        // Several blocks plus a partial last one, duplicate pairs with
+        // distinct weights, patched by a batch that grows the id space
+        // across a block boundary.
+        let w = crate::csr::BLOCK_VERTICES;
+        let n = 2 * w + 100;
+        let mut edges = crate::generators::rmat(n, 5 * n, 0.57, 0.19, 0.19, 9)
+            .edges()
+            .to_vec();
+        for v in (0..n as VertexId).step_by(11) {
+            let u = (v + 3) % n as VertexId;
+            edges.push(Edge::new(v, u, 1.5));
+            edges.push(Edge::new(v, u, 4.5));
+        }
+        let mut batch = crate::UpdateBatch::new();
+        batch
+            .insert(1, 2, 3.0)
+            .delete(11, 14)
+            .insert(7, (3 * w + 10) as VertexId, 2.0);
+        let (g, _) = crate::Graph::from_edges(n, edges).apply_batch(&batch);
+        assert!(g.num_vertices() > 3 * w);
+
+        // The flat reference, built from the per-vertex lists.
+        let mut expected = (g.num_vertices() as u64).to_le_bytes().to_vec();
+        for adj in [g.out_adjacency(), g.in_adjacency()] {
+            let lists: Vec<(&[VertexId], &[f32])> = g
+                .vertices()
+                .map(|v| (adj.neighbors(v), adj.weights(v)))
+                .collect();
+            let mut offsets = vec![0u64];
+            for (neighbors, _) in &lists {
+                offsets.push(offsets.last().unwrap() + neighbors.len() as u64);
+            }
+            expected.extend_from_slice(&offsets.last().unwrap().to_le_bytes());
+            for offset in offsets {
+                expected.extend_from_slice(&offset.to_le_bytes());
+            }
+            for (neighbors, _) in &lists {
+                neighbors
+                    .iter()
+                    .for_each(|t| expected.extend_from_slice(&t.to_le_bytes()));
+            }
+            for (_, weights) in &lists {
+                weights
+                    .iter()
+                    .for_each(|w| expected.extend_from_slice(&w.to_bits().to_le_bytes()));
+            }
+        }
+        let mut buf = Vec::new();
+        binary::encode_graph(&mut buf, &g);
+        assert_eq!(buf, expected);
+        let decoded = binary::decode_graph(&mut binary::Reader::new(&buf)).expect("decodes");
+        assert_eq!(decoded.out_adjacency(), g.out_adjacency());
+        assert_eq!(decoded.in_adjacency(), g.in_adjacency());
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //! * [`bitset`] — dense `u64`-word [`Bitset`] frontiers (popcount active counts,
 //!   word-wise merge of per-worker frontiers) plus the concurrent [`AtomicBitset`]
 //!   used by the parallel preprocessing pass.
+//! * [`csr`] — the [`Adjacency`] lists of one direction, cut into fixed-width
+//!   blocks that graph versions share.
 //! * [`delta`] — staged edge-update batches ([`UpdateBatch`]) applied against the
-//!   immutable graph by rebuilding only touched adjacency ranges
+//!   immutable graph by rebuilding only the adjacency blocks of touched vertices
 //!   ([`Graph::apply_batch`]); the backbone of the incremental serving subsystem.
 //! * [`storage`] — out-of-core adjacency: CSR/CSC written to disk in
 //!   self-contained segments ([`SegmentedStore`]) and served through a

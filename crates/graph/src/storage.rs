@@ -5,8 +5,10 @@
 //! GraphChi-style alternative the real engine needs for graphs past memory:
 //!
 //! * [`AdjacencyStore`] — the abstraction the engine's pull/push phases
-//!   traverse. The in-memory [`Adjacency`] implements it at zero cost (a view
-//!   is just `&Adjacency`), so the historical execution paths are untouched.
+//!   traverse. The in-memory [`Adjacency`] implements it with one of its
+//!   shared [`Block`]s as the view, so a cursor looks a block up once per
+//!   [`BLOCK_VERTICES`](crate::csr::BLOCK_VERTICES) vertices, not once per
+//!   vertex.
 //! * [`SegmentedStore`] — one adjacency direction written to disk in
 //!   fixed-byte-budget **segments**: a contiguous vertex range's local offset
 //!   array plus its neighbor/weight arrays, self-contained so a segment can be
@@ -35,7 +37,7 @@
 //! byte-identical `(neighbor, weight)` sequences — the engine-level
 //! bit-for-bit equivalence tests rest on that.
 
-use crate::csr::Adjacency;
+use crate::csr::{Adjacency, Block};
 use crate::faults::{is_disk_full, FaultAction, FaultInjector, FaultSite, RetryPolicy};
 use crate::io::binary::crc32;
 use crate::types::{EdgeWeight, VertexId};
@@ -51,8 +53,8 @@ use slfe_metrics::telemetry::{SpanEvent, Telemetry, HIST_SEGMENT_FAULT};
 /// Abstract adjacency access for the engine's traversal phases.
 ///
 /// `view(lo, hi)` pins whatever backing storage serves vertices `lo..hi`;
-/// `view_span(v)` reports the natural streaming granule containing `v` (the
-/// whole graph for the in-memory store, one segment for a [`SegmentedStore`]),
+/// `view_span(v)` reports the natural streaming granule containing `v` (one
+/// block for the in-memory store, one segment for a [`SegmentedStore`]),
 /// which is what [`StreamCursor`] advances by.
 pub trait AdjacencyStore: Sync {
     /// A pinned window of the store serving some vertex range.
@@ -78,14 +80,16 @@ pub trait AdjacencyView {
 }
 
 impl AdjacencyStore for Adjacency {
-    type View<'a> = &'a Adjacency;
+    type View<'a> = &'a Block;
 
-    fn view(&self, _lo: VertexId, _hi: VertexId) -> &Adjacency {
-        self
+    /// The block holding `lo..hi`, which [`Self::view_span`] never lets cross
+    /// a block boundary.
+    fn view(&self, lo: VertexId, _hi: VertexId) -> &Block {
+        self.block(lo)
     }
 
-    fn view_span(&self, _v: VertexId) -> (VertexId, VertexId) {
-        (0, self.num_vertices() as VertexId)
+    fn view_span(&self, v: VertexId) -> (VertexId, VertexId) {
+        self.block_span(v)
     }
 
     fn store_num_vertices(&self) -> usize {
@@ -93,10 +97,10 @@ impl AdjacencyStore for Adjacency {
     }
 }
 
-impl AdjacencyView for &Adjacency {
+impl AdjacencyView for &Block {
     #[inline]
     fn list(&self, v: VertexId) -> (&[VertexId], &[EdgeWeight]) {
-        (self.neighbors(v), self.weights(v))
+        Block::list(self, v)
     }
 }
 
@@ -1535,12 +1539,17 @@ mod tests {
 
     #[test]
     fn in_memory_adjacency_implements_the_store_trait() {
-        let g = generators::rmat(100, 700, 0.57, 0.19, 0.19, 5);
+        // Three blocks, the last one partial: the cursor re-views per block.
+        let n = 2 * crate::csr::BLOCK_VERTICES + 300;
+        let g = generators::rmat(n, 6 * n, 0.57, 0.19, 0.19, 5);
         let adj = g.in_adjacency();
         assert_eq!(adj.store_num_vertices(), g.num_vertices());
+        assert_eq!(adj.view_span(n as VertexId - 1).1, n as VertexId);
         let mut cursor = StreamCursor::new(adj);
         for v in g.vertices() {
-            assert_eq!(cursor.list(v).0, g.in_neighbors(v));
+            let (lo, hi) = adj.view_span(v);
+            assert!(lo <= v && v < hi && hi - lo <= crate::csr::BLOCK_VERTICES as VertexId);
+            assert_eq!(cursor.list(v), (g.in_neighbors(v), g.in_weights(v)));
         }
     }
 

@@ -43,6 +43,12 @@ fn main() {
     ]);
 
     let mut add = |name: &str, result: slfe::core::ProgramResult<f32>| {
+        let agrees = result
+            .values
+            .iter()
+            .zip(&slfe_result.values)
+            .all(|(a, b)| (a.is_infinite() && b.is_infinite()) || (a - b).abs() < 1e-3);
+        assert!(agrees, "{name} disagrees with slfe on some distance");
         table.add_row(&[
             name.to_string(),
             result.stats.totals.work().to_string(),

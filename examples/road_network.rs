@@ -26,7 +26,9 @@ fn main() {
         graph.num_edges()
     );
 
-    let engine = SlfeEngine::build(&graph, ClusterConfig::new(4, 4), EngineConfig::default());
+    // The grid's hop diameter (238) exceeds the default iteration cap of 200.
+    let config = EngineConfig::default().with_max_iterations(1_000);
+    let engine = SlfeEngine::build(&graph, ClusterConfig::new(4, 4), config);
     let origin = 0;
 
     // Shortest travel time from the origin.
@@ -68,4 +70,8 @@ fn main() {
         .zip(&widest.values)
         .all(|(a, b)| (a.is_infinite() && b.is_infinite()) || (a - b).abs() < 1e-3);
     println!("\nverified against sequential oracles: sssp = {sssp_ok}, widest path = {wp_ok}");
+    assert!(
+        sssp_ok && wp_ok,
+        "results differ from the sequential oracles"
+    );
 }
