@@ -367,12 +367,9 @@ impl Wal {
 }
 
 /// Checksum of one frame: sequence number plus payload (the header fields
-/// the magic does not already pin).
+/// the magic does not already pin), hashed as `seq ‖ payload` in place.
 fn frame_crc(seq: u64, payload: &[u8]) -> u32 {
-    let mut bytes = Vec::with_capacity(8 + payload.len());
-    binary::put_u64(&mut bytes, seq);
-    bytes.extend_from_slice(payload);
-    binary::crc32(&bytes)
+    binary::crc32_update(binary::crc32(&seq.to_le_bytes()), payload)
 }
 
 /// Decode one frame from the front of `buf`; `None` on anything invalid
@@ -825,6 +822,40 @@ mod tests {
             assert_eq!(replay.valid_bytes, frame_starts[hit_frame]);
             assert!(replay.bytes_truncated > 0);
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The frame layout and its checksum, byte for byte: WAL files written
+    /// by earlier builds must still replay, and the checksum must still
+    /// cover `seq ‖ payload`.
+    #[test]
+    fn wal_frame_bytes_are_pinned() {
+        let dir = tmp_dir("pin");
+        let path = dir.join("wal.log");
+        let mut batch = UpdateBatch::new();
+        batch.insert(3, 5, 2.5).delete(9, 1);
+        {
+            let (mut wal, _) = Wal::open(&path).unwrap();
+            wal.append(7, &batch).unwrap();
+        }
+        let mut expected = Vec::new();
+        binary::put_u32(&mut expected, WAL_MAGIC);
+        binary::put_u64(&mut expected, 7);
+        binary::put_u32(&mut expected, 26);
+        binary::put_u32(&mut expected, 0x62DC_AA8A);
+        binary::put_u32(&mut expected, 2);
+        expected.extend_from_slice(&[3, 0, 0, 0, 5, 0, 0, 0, 1]);
+        binary::put_f32(&mut expected, 2.5);
+        expected.extend_from_slice(&[9, 0, 0, 0, 1, 0, 0, 0, 0]);
+        assert_eq!(std::fs::read(&path).unwrap(), expected);
+        let (_, replay) = Wal::open(&path).unwrap();
+        assert_eq!(replay.bytes_truncated, 0);
+        assert_eq!(replay.entries.len(), 1);
+        assert_eq!(replay.entries[0].0, 7);
+        assert_eq!(
+            replay.entries[0].1.stages().collect::<Vec<_>>(),
+            vec![(3, 5, Some(2.5)), (9, 1, None)]
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
