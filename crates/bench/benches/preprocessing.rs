@@ -1,6 +1,5 @@
 //! Wall-clock benchmark backing Figure 8: the cost of generating the
-//! redundancy-reduction guidance (Algorithm 1) — sequentially and on the parallel
-//! frontier pass — relative to one SSSP execution.
+//! redundancy-reduction guidance (Algorithm 1) relative to one SSSP execution.
 
 use slfe_bench::timing::{report, time_best_of};
 use slfe_cluster::ClusterConfig;
@@ -16,10 +15,6 @@ fn main() {
         report(
             &format!("rrg_generation_{ab}"),
             time_best_of(runs, || RrGuidance::generate(&graph)),
-        );
-        report(
-            &format!("rrg_generation_parallel4_{ab}"),
-            time_best_of(runs, || RrGuidance::generate_parallel(&graph, 4)),
         );
         let engine = SlfeEngine::build(&graph, ClusterConfig::new(8, 4), EngineConfig::default());
         let root = slfe_graph::stats::highest_out_degree_vertex(&graph).unwrap_or(0);

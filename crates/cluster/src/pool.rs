@@ -42,27 +42,26 @@ static PROCESS_SPAWNS: AtomicU64 = AtomicU64::new(0);
 /// Total OS threads spawned by **all** worker pools in this process so far.
 ///
 /// This is the regression tripwire with teeth: a change that sneaks a
-/// transient pool into a hot path (per-phase `WorkerPool::new`, or
-/// `ChunkScheduler::execute_threaded` inside the engine loop) inflates this
-/// counter even though every individual pool still reports a constant
-/// [`WorkerPool::threads_spawned`]. `tests/thread_budget.rs` pins an engine's
-/// whole lifecycle (build + multi-iteration runs + warm restarts) to fewer
-/// than `total_workers` process-wide spawns. (Raw `std::thread` use would
+/// transient pool into a hot path (a per-phase or per-batch `WorkerPool::new`)
+/// inflates this counter even though every individual pool still reports a
+/// constant [`WorkerPool::threads_spawned`]. `tests/thread_budget.rs` pins an
+/// engine's whole lifecycle (build + multi-iteration runs + warm restarts) to
+/// fewer than `total_workers` process-wide spawns. (Raw `std::thread` use would
 /// still evade it — nothing in the workspace's hot paths spawns raw threads.)
 pub fn process_threads_spawned() -> u64 {
     PROCESS_SPAWNS.load(Ordering::Relaxed)
 }
 
 /// A raw pointer to a slice of per-worker slots that may cross the pool's
-/// thread boundary — the one shared unsafe escape hatch for collecting
-/// per-worker outputs from a [`WorkerPool::run`] phase.
+/// thread boundary — the unsafe escape hatch `ChunkScheduler::run_workers`
+/// uses to hand each worker of a [`WorkerPool::run`] phase its own slot.
 ///
 /// # Safety contract
 /// Callers must guarantee that each slot index is accessed by at most one
 /// worker during a phase (the usual pattern: slot `i` belongs to worker `i`),
 /// and that the backing slice outlives the phase — which [`WorkerPool::run`]'s
 /// barrier provides for stack-allocated slices.
-pub struct SendPtr<T>(*mut T);
+pub(crate) struct SendPtr<T>(*mut T);
 unsafe impl<T: Send> Send for SendPtr<T> {}
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
@@ -80,16 +79,6 @@ impl<T> SendPtr<T> {
     /// `i` must be in bounds and the slot must have no concurrent accessor.
     pub unsafe fn slot(&self, i: usize) -> *mut T {
         self.0.add(i)
-    }
-
-    /// Exclusive reference to slot `i`.
-    ///
-    /// # Safety
-    /// `i` must be in bounds and the slot must have no other accessor for the
-    /// lifetime of the returned borrow.
-    #[allow(clippy::mut_from_ref)] // one exclusive slot per worker id
-    pub unsafe fn slot_mut(&self, i: usize) -> &mut T {
-        &mut *self.0.add(i)
     }
 }
 

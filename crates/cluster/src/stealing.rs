@@ -17,13 +17,13 @@
 //!   converges to; the threaded executor uses a real atomic cursor.
 //!
 //! Both the deterministic simulation ([`ChunkScheduler::simulate`]) and the real
-//! threaded executor ([`ChunkScheduler::execute_threaded`]) report per-worker busy
+//! threaded executor ([`ChunkScheduler::run_workers`]) report per-worker busy
 //! work, which the Figure 10(a) and Figure 6 experiments turn into imbalance and
 //! scalability numbers.
 //!
-//! Since PR 3 the threaded paths execute on a persistent [`WorkerPool`] (parked
-//! threads, phase-barrier protocol) instead of spawning fresh threads per phase
-//! via `std::thread::scope` — see [`crate::pool`] for the protocol.
+//! The threaded executor runs on a caller-owned persistent [`WorkerPool`]
+//! (parked threads, phase-barrier protocol) and spawns no threads of its own —
+//! see [`crate::pool`] for the protocol.
 
 use crate::pool::{SendPtr, WorkerPool};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -148,28 +148,6 @@ impl ChunkScheduler {
             per_worker_work: per_worker,
             total_work: total,
         }
-    }
-
-    /// Execute `process_chunk(chunk_index)` for every chunk covering `num_items`
-    /// items on real threads. Workers claim chunks from a shared atomic cursor
-    /// (work stealing); the closure returns the work units it performed and must be
-    /// safe to call concurrently for distinct chunks.
-    ///
-    /// Convenience wrapper that stands up a transient [`WorkerPool`]; hot paths
-    /// hold a long-lived pool and call [`ChunkScheduler::run_workers`] instead.
-    pub fn execute_threaded<F>(&self, num_items: usize, process_chunk: F) -> ScheduleOutcome
-    where
-        F: Fn(usize) -> u64 + Sync,
-    {
-        let pool = WorkerPool::new(self.num_workers);
-        let mut states = vec![(); self.num_workers];
-        self.run_workers(
-            &pool,
-            num_items,
-            SchedulingPolicy::WorkStealing,
-            &mut states,
-            |_, chunk| process_chunk(chunk),
-        )
     }
 
     /// The chunk ids statically assigned to `worker` under
@@ -345,13 +323,20 @@ mod tests {
     fn threaded_executor_visits_every_chunk_once() {
         use std::sync::atomic::AtomicU64;
         let s = ChunkScheduler::new(4, 16);
+        let pool = WorkerPool::new(4);
         let n = 1000;
         let visited = AtomicU64::new(0);
-        let outcome = s.execute_threaded(n, |chunk| {
-            let len = s.chunk_range(chunk, n).len() as u64;
-            visited.fetch_add(len, Ordering::Relaxed);
-            len
-        });
+        let outcome = s.run_workers(
+            &pool,
+            n,
+            SchedulingPolicy::WorkStealing,
+            &mut [(); 4],
+            |_, chunk| {
+                let len = s.chunk_range(chunk, n).len() as u64;
+                visited.fetch_add(len, Ordering::Relaxed);
+                len
+            },
+        );
         assert_eq!(visited.load(Ordering::Relaxed), n as u64);
         assert_eq!(outcome.total_work, n as u64);
         assert_eq!(outcome.per_worker_work.len(), 4);
@@ -365,7 +350,14 @@ mod tests {
         assert_eq!(outcome.makespan(), 0);
         assert_eq!(outcome.speedup(), 1.0);
         assert_eq!(outcome.imbalance(), 1.0);
-        let threaded = s.execute_threaded(0, |_| 1);
+        let pool = WorkerPool::new(3);
+        let threaded = s.run_workers(
+            &pool,
+            0,
+            SchedulingPolicy::WorkStealing,
+            &mut [(); 3],
+            |_, _| 1,
+        );
         assert_eq!(threaded.total_work, 0);
     }
 

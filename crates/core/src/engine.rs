@@ -450,7 +450,7 @@ pub struct SlfeEngine<'g> {
     rrg: RrGuidance,
     /// The persistent worker pool: `total_workers` threads spawned once at
     /// build (or handed in through [`EngineParts::pool`]) and reused by every
-    /// phase of every run, including RRG preprocessing.
+    /// phase of every run.
     pool: Arc<WorkerPool>,
     /// Degree-aware, cluster-wide chunk layout (built once per graph version,
     /// or patched from the previous version's layout by the serving path).
@@ -497,7 +497,7 @@ impl<'g> SlfeEngine<'g> {
         let cluster = Cluster::build(graph, cluster_config);
         let pool = Arc::new(WorkerPool::new(cluster.config().total_workers()));
         let wall_start = Instant::now();
-        let rrg = RrGuidance::generate_parallel_on(graph, &pool);
+        let rrg = RrGuidance::generate(graph);
         let preprocessing_wall_seconds = wall_start.elapsed().as_secs_f64();
         let layout = cluster.build_layout(graph);
         let storage = config.storage_config().map(|sc| {
@@ -580,11 +580,11 @@ impl<'g> SlfeEngine<'g> {
                 "layout must cover node {node}'s owned vertices exactly"
             );
         }
-        // Simulated preprocessing cost: the guidance pass is embarrassingly
-        // parallel over the frontier, so its counted work — the generation work
-        // for a fresh guidance, the (much smaller) repair work for a patched
-        // one — is spread over every worker in the cluster, matching the
-        // paper's claim that the overhead is negligible and amortised (§4.4).
+        // Simulated preprocessing cost: models the paper's distributed pass
+        // (§4.4), which spreads the counted work — the generation work for a
+        // fresh guidance, the (much smaller) repair work for a patched one —
+        // over every worker in the cluster. The pass here runs on one thread;
+        // `preprocessing_wall_seconds` measures it.
         let workers = cluster.config().total_workers().max(1) as f64;
         let preprocessing_seconds = config.cost.seconds(rrg.generation_work()) / workers;
         if let Some(storage) = &storage {
@@ -2195,6 +2195,31 @@ mod tests {
             .map(|r| r.mode)
             .collect();
         assert!(modes.contains(&Mode::Push) || modes.contains(&Mode::Pull));
+    }
+
+    #[test]
+    fn built_guidance_is_the_sequential_pass_at_every_worker_count() {
+        for (graph, label) in [
+            (generators::rmat(800, 8000, 0.57, 0.19, 0.19, 5), "rmat"),
+            (generators::layered(10, 300, 5, 2), "layered"),
+            (generators::path(2000), "path"),
+            // No in-degree-0 vertex: the fallback-root case.
+            (generators::cycle(50), "cycle"),
+        ] {
+            let sequential = RrGuidance::generate(&graph);
+            for workers in [1usize, 2, 4] {
+                let engine = SlfeEngine::build(
+                    &graph,
+                    ClusterConfig::new(2, workers),
+                    EngineConfig::default(),
+                );
+                assert_eq!(
+                    engine.guidance(),
+                    &sequential,
+                    "{label} at 2x{workers} workers"
+                );
+            }
+        }
     }
 
     #[test]

@@ -14,38 +14,35 @@
 //! every round, which is `O(|E| * levels)`. The frontier formulation used here —
 //! scan the *outgoing* edges of the vertices visited in the previous round, with a
 //! `visited` flag so each vertex propagates exactly once — touches each edge `O(1)`
-//! times, which is what makes the preprocessing overhead negligible (§4.4,
-//! Figure 8). The trade-off: a vertex propagates the level of its *first* reach
+//! times. The pass runs on the calling thread. On a 2-vCPU VM (release build) it
+//! takes ≈17 ms on a 200k-vertex / 2M-edge R-MAT graph and ≈23 ms on 200k / 3.8M,
+//! about a third of one SSSP run over the same graph on a 2×1 cluster (≈69 ms).
+//! The paper's Figure 8 (§4.4) reports this overhead; the `experiments fig8`
+//! table prints the measured ratio next to the simulated charge.
+//!
+//! The trade-off: a vertex propagates the level of its *first* reach
 //! (its unit-weight BFS level), so on graphs where a vertex is reachable both by a
 //! short path and a longer chain, `last_iter` is a **lower bound** of Algorithm 1's
 //! fixpoint. A lower bound is always *safe* — it only means fewer skipped
 //! computations, never a skipped final value — and the engine's coverage tracking
 //! (Algorithm 3's flush push) independently guarantees delivery.
 
-use slfe_cluster::pool::SendPtr;
-use slfe_cluster::WorkerPool;
-use slfe_graph::{AtomicBitset, Bitset, Graph, VertexId};
+use slfe_graph::{Bitset, Graph, VertexId};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-
-/// Frontier chunk granularity of the parallel generation pass. Coarser than the
-/// engine's 256-vertex mini-chunks because each frontier entry fans out over its
-/// whole out-neighborhood.
-const FRONTIER_CHUNK: usize = 512;
 
 /// Marker level of a vertex the guidance BFS never reached.
 pub const UNREACHED: u32 = u32::MAX;
 
-/// Default dirty fraction past which [`RrGuidance::repair`] regenerates instead of
+/// Dirty fraction past which [`RrGuidance::repair`] regenerates instead of
 /// patching: once a quarter of the graph is affected, the repair pass's boundary
 /// gathers cost about as much as the straight-line regeneration BFS.
-pub const DEFAULT_REPAIR_FALLBACK_FRACTION: f64 = 0.25;
+const REPAIR_FALLBACK_FRACTION: f64 = 0.25;
 
 /// How a guidance-repair request was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RepairReport {
-    /// `true` when the repair fell back to full regeneration (dirty fraction over
-    /// the threshold, fallback-root graphs, or a root set that vanished).
+    /// `true` when the repair fell back to full regeneration (more than a quarter
+    /// of the graph affected, fallback-root graphs, or a root set that vanished).
     pub regenerated: bool,
     /// Vertices whose guidance was recomputed.
     pub affected_vertices: usize,
@@ -85,7 +82,14 @@ impl RrGuidance {
         let mut visited = vec![false; n];
         let mut work: u64 = 0;
 
-        let (mut frontier, used_fallback_root) = Self::roots(graph);
+        let mut frontier: Vec<VertexId> = graph
+            .vertices()
+            .filter(|&v| graph.in_degree(v) == 0)
+            .collect();
+        let used_fallback_root = frontier.is_empty() && n > 0;
+        if used_fallback_root {
+            frontier.extend(slfe_graph::stats::highest_out_degree_vertex(graph));
+        }
         for &root in &frontier {
             visited[root as usize] = true;
             level[root as usize] = 0;
@@ -125,177 +129,15 @@ impl RrGuidance {
         }
     }
 
-    /// The BFS seed set — vertices with no incoming edges, or the highest
-    /// out-degree vertex when none exists — plus whether the fallback was used.
-    fn roots(graph: &Graph) -> (Vec<VertexId>, bool) {
-        let frontier: Vec<VertexId> = graph
-            .vertices()
-            .filter(|&v| graph.in_degree(v) == 0)
-            .collect();
-        if frontier.is_empty() && graph.num_vertices() > 0 {
-            let mut fallback = Vec::new();
-            if let Some(hub) = slfe_graph::stats::highest_out_degree_vertex(graph) {
-                fallback.push(hub);
-            }
-            (fallback, true)
-        } else {
-            (frontier, false)
-        }
-    }
-
-    /// Run the preprocessing pass on up to `workers` real threads.
-    ///
-    /// Stands up a transient [`WorkerPool`]; the engine and the delta server
-    /// pass their long-lived pool to [`RrGuidance::generate_parallel_on`]
-    /// instead, so preprocessing spawns no threads of its own.
-    pub fn generate_parallel(graph: &Graph, workers: usize) -> Self {
-        if workers <= 1 {
-            return Self::generate(graph);
-        }
-        Self::generate_parallel_on(graph, &WorkerPool::new(workers))
-    }
-
-    /// Run the preprocessing pass on an existing worker pool — one pool phase
-    /// per BFS round.
-    ///
-    /// The BFS stays level-synchronous, so the result is **identical** to
-    /// [`RrGuidance::generate`] for every worker count: within a round, every
-    /// reached destination receives the same level (the round number) no matter
-    /// which worker touches it first, `last_iter` updates go through an atomic
-    /// `fetch_max`, and the `visited` claim is an [`AtomicBitset`] `fetch_or` with
-    /// exactly one winner. The per-round frontier *order* may differ across runs,
-    /// which is invisible in the output; the counted `generation_work` is the total
-    /// out-degree of all visited vertices and therefore also identical. This is
-    /// what keeps the §4.4 claim honest at scale: preprocessing parallelises just
-    /// like an execution iteration does.
-    pub fn generate_parallel_on(graph: &Graph, pool: &WorkerPool) -> Self {
-        let workers = pool.threads();
-        if workers <= 1 {
-            return Self::generate(graph);
-        }
-        let n = graph.num_vertices();
-        let last_iter: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-        // The claim winner of a vertex stores its level; every potential winner in
-        // a round would store the same round number, so the value is deterministic.
-        let level: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNREACHED)).collect();
-        let visited = AtomicBitset::new(n);
-        let mut work: u64 = 0;
-
-        let (mut frontier, used_fallback_root) = Self::roots(graph);
-        for &root in &frontier {
-            visited.insert_shared(root as usize);
-            level[root as usize].store(0, Ordering::Relaxed);
-        }
-
-        let mut iter: u32 = 1;
-        while !frontier.is_empty() {
-            let num_chunks = frontier.len().div_ceil(FRONTIER_CHUNK);
-            if num_chunks == 1 {
-                // A small frontier is not worth a thread round trip.
-                let mut next = Vec::new();
-                for &src in &frontier {
-                    for &dst in graph.out_neighbors(src) {
-                        work += 1;
-                        last_iter[dst as usize].fetch_max(iter, Ordering::Relaxed);
-                        if visited.insert_shared(dst as usize) {
-                            level[dst as usize].store(iter, Ordering::Relaxed);
-                            next.push(dst);
-                        }
-                    }
-                }
-                frontier = next;
-            } else {
-                // One pool phase per BFS round: workers claim frontier chunks
-                // from the shared cursor and collect their discoveries into
-                // per-worker slots merged (in worker order) at the barrier.
-                let cursor = AtomicUsize::new(0);
-                let mut round: Vec<(Vec<VertexId>, u64)> =
-                    (0..workers).map(|_| (Vec::new(), 0u64)).collect();
-                let slots = SendPtr::new(&mut round);
-                {
-                    let frontier = &frontier;
-                    let visited = &visited;
-                    let last_iter = &last_iter;
-                    let level = &level;
-                    pool.run(&|worker| {
-                        // Safety: one slot per worker id.
-                        let (local_next, local_work) = unsafe { slots.slot_mut(worker) };
-                        loop {
-                            let chunk = cursor.fetch_add(1, Ordering::Relaxed);
-                            let start = chunk * FRONTIER_CHUNK;
-                            if start >= frontier.len() {
-                                break;
-                            }
-                            let end = (start + FRONTIER_CHUNK).min(frontier.len());
-                            for &src in &frontier[start..end] {
-                                for &dst in graph.out_neighbors(src) {
-                                    *local_work += 1;
-                                    last_iter[dst as usize].fetch_max(iter, Ordering::Relaxed);
-                                    if visited.insert_shared(dst as usize) {
-                                        level[dst as usize].store(iter, Ordering::Relaxed);
-                                        local_next.push(dst);
-                                    }
-                                }
-                            }
-                        }
-                    });
-                }
-                let mut next = Vec::new();
-                for (local_next, local_work) in round {
-                    next.extend(local_next);
-                    work += local_work;
-                }
-                frontier = next;
-            }
-            iter += 1;
-        }
-
-        let last_iter: Vec<u32> = last_iter.into_iter().map(AtomicU32::into_inner).collect();
-        let level: Vec<u32> = level.into_iter().map(AtomicU32::into_inner).collect();
-        let max_level = last_iter.iter().copied().max().unwrap_or(0);
-        Self {
-            last_iter,
-            level,
-            max_level,
-            work,
-            used_fallback_root,
-        }
-    }
-
-    /// Incrementally patch the guidance after an edge-update batch, using the
-    /// default fallback threshold ([`DEFAULT_REPAIR_FALLBACK_FRACTION`]).
+    /// Incrementally patch the guidance after an edge-update batch.
     ///
     /// `graph` is the **mutated** graph and `dirty` the endpoints of every changed
     /// edge (ascending, as [`slfe_graph::BatchEffect::dirty`] provides them). The
     /// result is equal — level for level, `last_iter` for `last_iter` — to
     /// regenerating from scratch on the mutated graph
-    /// ([`RrGuidance::guidance_eq`]), the property the test suite proves.
-    pub fn repair(
-        &self,
-        graph: &Graph,
-        dirty: &[VertexId],
-        workers: usize,
-    ) -> (Self, RepairReport) {
-        self.repair_with_threshold(graph, dirty, workers, DEFAULT_REPAIR_FALLBACK_FRACTION)
-    }
-
-    /// [`RrGuidance::repair`] running any regeneration fallback on an existing
-    /// worker pool (the serving path: the delta server's pool outlives every
-    /// graph version, so even a fallback regeneration spawns no threads).
-    pub fn repair_on(
-        &self,
-        graph: &Graph,
-        dirty: &[VertexId],
-        pool: &WorkerPool,
-    ) -> (Self, RepairReport) {
-        self.repair_impl(graph, dirty, DEFAULT_REPAIR_FALLBACK_FRACTION, &|| {
-            Self::generate_parallel_on(graph, pool)
-        })
-    }
-
-    /// [`RrGuidance::repair`] with an explicit changed-fraction threshold in
-    /// `[0, 1]`; when more than `threshold * |V|` vertices actually move, the
-    /// pass aborts and falls back to [`RrGuidance::generate_parallel`].
+    /// ([`RrGuidance::guidance_eq`]), the property the test suite proves. When
+    /// more than a quarter of the vertices actually move, the pass aborts and
+    /// falls back to [`RrGuidance::generate`].
     ///
     /// Why repair works: `level` is the unit-weight BFS distance from the root
     /// set (in-degree-0 vertices) and `last_iter(v)` is `max(level(u) + 1)` over
@@ -321,31 +163,11 @@ impl RrGuidance {
     /// move. The result equals regeneration level-for-level (the property the
     /// test suite proves), at a cost proportional to the disturbed region
     /// instead of `O(|E|)`.
-    pub fn repair_with_threshold(
-        &self,
-        graph: &Graph,
-        dirty: &[VertexId],
-        workers: usize,
-        threshold: f64,
-    ) -> (Self, RepairReport) {
-        self.repair_impl(graph, dirty, threshold, &|| {
-            Self::generate_parallel(graph, workers)
-        })
-    }
-
-    /// Shared repair body; `regen` supplies the full-regeneration fallback
-    /// (sized-pool vs borrowed-pool variants).
-    fn repair_impl(
-        &self,
-        graph: &Graph,
-        dirty: &[VertexId],
-        threshold: f64,
-        regen: &dyn Fn() -> Self,
-    ) -> (Self, RepairReport) {
+    pub fn repair(&self, graph: &Graph, dirty: &[VertexId]) -> (Self, RepairReport) {
         let n = graph.num_vertices();
         let old_n = self.last_iter.len();
         let regenerate = |extra_work: u64| {
-            let fresh = regen();
+            let fresh = Self::generate(graph);
             let work = fresh.work + extra_work;
             (
                 fresh,
@@ -365,7 +187,7 @@ impl RrGuidance {
         if !graph.vertices().any(|v| graph.in_degree(v) == 0) {
             return regenerate(0);
         }
-        let touched_limit = ((threshold * n as f64) as usize).max(16);
+        let touched_limit = ((REPAIR_FALLBACK_FRACTION * n as f64) as usize).max(16);
         // Competitive guard: regeneration costs ~|E| traversals, so a repair
         // that has already spent that much is losing — abort and regenerate.
         let work_limit = (graph.num_edges() as u64).max(64);
@@ -804,39 +626,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_generation_is_identical_to_sequential() {
-        for (graph, label) in [
-            (generators::rmat(800, 8000, 0.57, 0.19, 0.19, 5), "rmat"),
-            (generators::layered(10, 300, 5, 2), "layered"),
-            (generators::path(2000), "path"),
-            (generators::cycle(50), "cycle"),
-        ] {
-            let sequential = RrGuidance::generate(&graph);
-            for workers in [2usize, 4] {
-                let parallel = RrGuidance::generate_parallel(&graph, workers);
-                assert_eq!(sequential, parallel, "{label} with {workers} workers");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_generation_with_one_worker_is_the_sequential_pass() {
-        let g = generators::rmat(300, 2400, 0.57, 0.19, 0.19, 13);
-        assert_eq!(
-            RrGuidance::generate(&g),
-            RrGuidance::generate_parallel(&g, 1)
-        );
-    }
-
-    #[test]
-    fn parallel_generation_handles_the_empty_graph() {
-        let g = slfe_graph::Graph::from_edges(0, vec![]);
-        let rrg = RrGuidance::generate_parallel(&g, 4);
-        assert_eq!(rrg.num_vertices(), 0);
-        assert_eq!(rrg.max_level(), 0);
-    }
-
-    #[test]
     fn levels_record_first_reach_and_unreached_marker() {
         let mut b = slfe_graph::GraphBuilder::new();
         b.extend_unweighted([(0, 1), (0, 2), (1, 3), (2, 3), (0, 3), (4, 5), (5, 4)]);
@@ -854,7 +643,7 @@ mod tests {
     fn check_repair(graph: &slfe_graph::Graph, batch: &UpdateBatch) -> RepairReport {
         let old = RrGuidance::generate(graph);
         let (mutated, effect) = graph.apply_batch(batch);
-        let (repaired, report) = old.repair(&mutated, &effect.dirty, 2);
+        let (repaired, report) = old.repair(&mutated, &effect.dirty);
         let fresh = RrGuidance::generate(&mutated);
         assert!(
             repaired.guidance_eq(&fresh),
@@ -923,7 +712,7 @@ mod tests {
         let mut batch = UpdateBatch::new();
         batch.delete(0, 1);
         let (mutated, effect) = g.apply_batch(&batch);
-        let (repaired, report) = old.repair_with_threshold(&mutated, &effect.dirty, 2, 0.1);
+        let (repaired, report) = old.repair(&mutated, &effect.dirty);
         assert!(report.regenerated);
         assert!(repaired.guidance_eq(&RrGuidance::generate(&mutated)));
     }
@@ -935,7 +724,7 @@ mod tests {
         let mut batch = UpdateBatch::new();
         batch.insert(2, 4, 1.0);
         let (mutated, effect) = g.apply_batch(&batch);
-        let (repaired, report) = old.repair(&mutated, &effect.dirty, 2);
+        let (repaired, report) = old.repair(&mutated, &effect.dirty);
         assert!(report.regenerated);
         assert!(repaired.guidance_eq(&RrGuidance::generate(&mutated)));
     }
@@ -951,7 +740,7 @@ mod tests {
         let mut batch = UpdateBatch::new();
         batch.insert(deep, g.num_vertices() as u32, 2.0);
         let (mutated, effect) = g.apply_batch(&batch);
-        let (repaired, report) = old.repair(&mutated, &effect.dirty, 1);
+        let (repaired, report) = old.repair(&mutated, &effect.dirty);
         let fresh = RrGuidance::generate(&mutated);
         assert!(repaired.guidance_eq(&fresh));
         if !report.regenerated {
@@ -1001,7 +790,7 @@ mod tests {
         dirty.extend(old_n as u32..mutated.num_vertices() as u32);
         dirty.sort_unstable();
         dirty.dedup();
-        let (synced, _) = padded.repair(&mutated, &dirty, 2);
+        let (synced, _) = padded.repair(&mutated, &dirty);
         assert!(synced.guidance_eq(&RrGuidance::generate(&mutated)));
     }
 }

@@ -373,8 +373,8 @@ where
     config: ServerConfig,
     rrg: RrGuidance,
     /// The persistent worker pool, created once at server startup and threaded
-    /// through every graph version's engine (cold run, guidance repair *and*
-    /// warm restarts) — applying a batch spawns zero threads.
+    /// through every graph version's engine (cold runs *and* warm restarts) —
+    /// applying a batch spawns zero threads.
     pool: Arc<WorkerPool>,
     /// The vertex → node assignment, built once at startup and **kept stable
     /// across graph versions** (the id space only grows; appended vertices
@@ -436,7 +436,7 @@ where
         let graph = Arc::new(graph);
         let faults = injector_for(&config);
         let pool = Arc::new(WorkerPool::new(config.cluster.total_workers()));
-        let rrg = RrGuidance::generate_parallel_on(&graph, &pool);
+        let rrg = RrGuidance::generate(&graph);
         let partitioning =
             Arc::new(ChunkingPartitioner::default().partition(&graph, config.cluster.num_nodes));
         let mut server =
@@ -569,7 +569,7 @@ where
         }
         pending.sort_unstable();
         pending.dedup();
-        padded.repair_on(graph, &pending, &self.pool)
+        padded.repair(graph, &pending)
     }
 
     /// Rebuild the out-of-core segment store for `graph` from scratch (the

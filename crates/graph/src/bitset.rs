@@ -7,12 +7,6 @@
 //! word-wise OR, and is reused across iterations (clearing is a `memset`, never an
 //! allocation) — the same representation Ligra's dense frontiers and Gemini's
 //! bitmaps use.
-//!
-//! [`AtomicBitset`] is the concurrent variant used by the parallel RRG
-//! preprocessing pass: `fetch_or` lets exactly one worker win the "first visit" of
-//! a vertex without locks.
-
-use std::sync::atomic::{AtomicU64, Ordering};
 
 const WORD_BITS: usize = 64;
 
@@ -225,69 +219,6 @@ impl Bitset {
     }
 }
 
-/// A fixed-length bitset whose bits are set concurrently with `fetch_or`.
-#[derive(Debug)]
-pub struct AtomicBitset {
-    words: Vec<AtomicU64>,
-    len: usize,
-}
-
-impl AtomicBitset {
-    /// An all-zero atomic bitset covering `len` bits.
-    pub fn new(len: usize) -> Self {
-        Self {
-            words: (0..len.div_ceil(WORD_BITS))
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-            len,
-        }
-    }
-
-    /// Number of bits covered.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when the bitset covers zero bits.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Read bit `i` (relaxed).
-    #[inline]
-    pub fn get(&self, i: usize) -> bool {
-        debug_assert!(i < self.len);
-        (self.words[i / WORD_BITS].load(Ordering::Relaxed) >> (i % WORD_BITS)) & 1 != 0
-    }
-
-    /// Atomically set bit `i`, returning `true` if this call flipped it —
-    /// exactly one concurrent caller wins.
-    #[inline]
-    pub fn insert(&mut self, i: usize) -> bool {
-        self.insert_shared(i)
-    }
-
-    /// [`AtomicBitset::insert`] through a shared reference (for worker threads).
-    #[inline]
-    pub fn insert_shared(&self, i: usize) -> bool {
-        debug_assert!(i < self.len);
-        let mask = 1u64 << (i % WORD_BITS);
-        self.words[i / WORD_BITS].fetch_or(mask, Ordering::Relaxed) & mask == 0
-    }
-
-    /// Snapshot into a plain [`Bitset`].
-    pub fn to_bitset(&self) -> Bitset {
-        Bitset {
-            words: self
-                .words
-                .iter()
-                .map(|w| w.load(Ordering::Relaxed))
-                .collect(),
-            len: self.len,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -428,34 +359,5 @@ mod tests {
         let empty = Bitset::new(0);
         assert_eq!(empty.count_in_range(0, 0), 0);
         assert!(!empty.any_in_range(0, 0));
-    }
-
-    #[test]
-    fn atomic_insert_has_exactly_one_winner_per_bit() {
-        let set = AtomicBitset::new(1000);
-        let wins: usize = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    let set = &set;
-                    scope.spawn(move || (0..1000).filter(|&i| set.insert_shared(i)).count())
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).sum()
-        });
-        assert_eq!(
-            wins, 1000,
-            "each bit is claimed exactly once across threads"
-        );
-        assert_eq!(set.to_bitset().count_ones(), 1000);
-    }
-
-    #[test]
-    fn atomic_snapshot_matches_plain_bitset() {
-        let mut a = AtomicBitset::new(70);
-        a.insert(0);
-        a.insert(69);
-        let b = a.to_bitset();
-        assert!(b.get(0) && b.get(69));
-        assert_eq!(b.count_ones(), 2);
     }
 }

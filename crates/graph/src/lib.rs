@@ -13,8 +13,7 @@
 //!   grids, complete graphs, trees) used to build laptop-scale proxies of the paper's
 //!   datasets.
 //! * [`bitset`] — dense `u64`-word [`Bitset`] frontiers (popcount active counts,
-//!   word-wise merge of per-worker frontiers) plus the concurrent [`AtomicBitset`]
-//!   used by the parallel preprocessing pass.
+//!   word-wise merge of per-worker frontiers).
 //! * [`csr`] — the [`Adjacency`] lists of one direction, cut into fixed-width
 //!   blocks that graph versions share.
 //! * [`delta`] — staged edge-update batches ([`UpdateBatch`]) applied against the
@@ -50,7 +49,7 @@ pub mod stats;
 pub mod storage;
 pub mod types;
 
-pub use bitset::{AtomicBitset, Bitset};
+pub use bitset::Bitset;
 pub use builder::GraphBuilder;
 pub use csr::Adjacency;
 pub use degrees::Degrees;

@@ -360,7 +360,7 @@ fn repaired_guidance_equals_regeneration_for_every_batch_shape() {
         ] {
             let old = RrGuidance::generate(&graph);
             let (mutated, effect) = graph.apply_batch(&batch);
-            let (repaired, _) = old.repair(&mutated, &effect.dirty, 4);
+            let (repaired, _) = old.repair(&mutated, &effect.dirty);
             assert!(
                 repaired.guidance_eq(&RrGuidance::generate(&mutated)),
                 "{label} batch, seed {seed}: repaired guidance diverges"

@@ -25,8 +25,8 @@ fn multi_iteration_run_spawns_at_most_total_workers_threads() {
     let total_workers = cluster.total_workers();
     let engine = SlfeEngine::build(&graph, cluster, EngineConfig::default());
 
-    // Engine build (pool creation + parallel RRG preprocessing) is the only
-    // place threads may appear: total_workers - 1, the caller being worker 0.
+    // Engine build (pool creation) is the only place threads may appear:
+    // total_workers - 1, the caller being worker 0.
     assert!(
         engine.pool().threads_spawned() < total_workers as u64,
         "engine spawned {} threads for {total_workers} workers",

@@ -138,8 +138,8 @@ fn bitset_matches_vec_bool_reference() {
 }
 
 /// The RR guidance never exceeds the vertex count in level, never blocks
-/// unreached vertices (their level stays 0), and its parallel generation is
-/// indistinguishable from the sequential pass.
+/// unreached vertices (their level stays 0), and the guidance a 2×2 engine
+/// build carries is indistinguishable from the sequential pass.
 #[test]
 fn rr_guidance_levels_are_bounded_and_parallel_matches() {
     let mut rng = SplitMix64::seed_from_u64(0x5E9);
@@ -152,7 +152,8 @@ fn rr_guidance_levels_are_bounded_and_parallel_matches() {
             assert!(rrg.last_iter(v) <= rrg.max_level(), "case {case}");
         }
         assert!(rrg.generation_work() <= g.num_edges() as u64, "case {case}");
-        let parallel = slfe::core::RrGuidance::generate_parallel(&g, 4);
+        let engine = SlfeEngine::build(&g, ClusterConfig::new(2, 2), EngineConfig::default());
+        let parallel = engine.guidance().clone();
         assert_eq!(
             rrg, parallel,
             "case {case}: parallel RRG must match sequential"

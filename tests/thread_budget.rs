@@ -6,11 +6,9 @@
 //!
 //! Unlike the per-pool counts in `tests/pool.rs` (which are constant by
 //! construction), this counter has teeth: a regression that sneaks a transient
-//! pool into a hot path — per-phase `WorkerPool::new`, or
-//! `ChunkScheduler::execute_threaded` inside the engine loop, or
-//! `RrGuidance::generate_parallel(workers)` where `generate_parallel_on(pool)`
-//! belongs — multiplies the process-wide delta by the phase count and fails
-//! the budget below.
+//! pool into a hot path — a per-phase or per-run `WorkerPool::new` instead of
+//! the engine's own pool — multiplies the process-wide delta by the phase
+//! count and fails the budget below.
 
 use slfe::prelude::*;
 
@@ -22,7 +20,7 @@ fn engine_lifecycle_spawns_at_most_total_workers_threads_process_wide() {
     let total_workers = cluster.total_workers() as u64;
 
     let before = slfe::cluster::pool::process_threads_spawned();
-    // Build (pool + parallel RRG), run a multi-iteration min/max program, an
+    // Build (pool + RR guidance), run a multi-iteration min/max program, an
     // arithmetic program, and a warm restart — dozens of phases in total.
     let engine = SlfeEngine::build(&graph, cluster, EngineConfig::default());
     let sssp = engine.run(&slfe::apps::sssp::SsspProgram { root });
