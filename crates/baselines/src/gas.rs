@@ -277,6 +277,9 @@ impl<'g> GasEngine<'g> {
             last_changed_iter,
             per_node_worker_work,
             converged,
+            // A baseline's fixpoint vouches for nothing about the SLFE
+            // engine's own pulls: a warm restart from it re-pulls everything.
+            exact_fixpoint: false,
         }
     }
 

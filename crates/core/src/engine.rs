@@ -79,9 +79,9 @@
 //! # Activity-proportional execution (PR 4)
 //!
 //! The redundancy rulers make *counted work* proportional to what still needs
-//! computing; the two mechanisms below make the executor's *per-iteration
-//! overhead* and *memory footprint* follow suit, without changing a single
-//! result bit:
+//! computing; the mechanisms below make the executor's *per-iteration
+//! overhead*, its *memory footprint* and a warm restart's counted work
+//! follow suit, without changing a single result bit:
 //!
 //! * **Chunk-level activity summaries.** Before each phase the engine decides,
 //!   from barrier-merged state only (so the decision is identical at every
@@ -117,6 +117,24 @@
 //!   phase, so warm `push_only` restarts and arithmetic (pull-only) runs never
 //!   pay the `total_workers × O(n)` footprint; the live footprint is reported
 //!   in [`Counters::scratch_bytes_peak`].
+//! * **Selective pulls in arithmetic warm restarts** ("finish early" across
+//!   batches). A restart ([`SlfeEngine::run_from`]) pulls at each iteration
+//!   only X ∪ out(X), X being the set the previous pull changed (for the
+//!   first pull, the batch's dirty endpoints plus every vertex whose warm
+//!   value differs from its previous one). The marks are built at the top
+//!   of the iteration from barrier-merged state by walking X's out-lists
+//!   through the engine's out-store, so out of core the walk faults real
+//!   segments; each walked edge counts as an edge computation and each
+//!   (changed source, remote node) pair as one message. A chunk with no
+//!   marked vertex is skipped and tallied in [`Counters::chunks_skipped`],
+//!   and unmarked vertices inside visited chunks are passed over. When
+//!   Σ(1 + out-degree) over X exceeds the push/pull threshold (5% of |E|)
+//!   the iteration pulls every vertex. A skipped vertex would recompute, from inputs
+//!   unchanged since its last pull, bits that pull already judged within
+//!   tolerance, so values, iteration counts and changed sets are
+//!   bit-identical to full sweeps, provided the previous result is an exact
+//!   fixpoint ([`crate::ProgramResult::exact_fixpoint`]); otherwise the
+//!   first pull stays full. Cold runs keep the paper's full sweeps.
 //!
 //! **Memory trade-off:** dense scratch is per *pool* worker, so a dense push
 //! phase allocates `total_workers` (not `workers_per_node`) O(n) buffers — for
@@ -414,6 +432,11 @@ struct RunSeed<V> {
     /// proportional to the disturbed region. (Pull's edge advantage is memory
     /// locality, i.e. wall clock on dense frontiers, not counted work.)
     push_only: bool,
+    /// Arithmetic warm restarts only: each pull visits only the vertices the
+    /// previous pull changed (`active`; for the first pull, the seed set)
+    /// and their out-neighbours, unless that set is too large to be worth
+    /// marking. Cold runs keep the paper's full sweeps.
+    selective: bool,
     /// Work performed before the iteration loop (the warm-start invalidation
     /// pass), folded into the run's totals so counted work stays honest.
     preset: Counters,
@@ -699,6 +722,7 @@ impl<'g> SlfeEngine<'g> {
                 active,
                 use_rr: self.config.redundancy == RedundancyMode::Enabled,
                 push_only: false,
+                selective: false,
                 preset: Counters::zero(),
             },
         )
@@ -737,9 +761,23 @@ impl<'g> SlfeEngine<'g> {
     /// * **Arithmetic programs** (PageRank, TunkRank, SpMV, ...): delta-restart —
     ///   the previous fixpoint is the starting state on the mutated graph, and
     ///   the usual tolerance-based iteration re-converges it in a handful of
-    ///   iterations. The multi ruler is disabled for the restart: warm values
-    ///   are stable from iteration 1, so "finish early" would freeze vertices
-    ///   before the batch's perturbation reaches them.
+    ///   iterations. Each iteration pulls only X ∪ out(X), where X is the set
+    ///   the previous pull changed or, for the first pull, the dirty
+    ///   endpoints plus every vertex whose [`GraphProgram::warm_start_value`]
+    ///   differs from its previous value. The skip is exact: a vertex outside
+    ///   that set has inputs (in-list, in-neighbour values, own value and
+    ///   degrees, |V| — the contract on [`GraphProgram`]) unchanged since its
+    ///   last pull, so it would recompute bits that pull already judged
+    ///   within tolerance. Values, iteration counts and changed sets are
+    ///   therefore bit-identical to re-pulling every vertex every iteration.
+    ///   When Σ(1 + out-degree) over X exceeds the push/pull threshold (5% of
+    ///   |E|) the iteration pulls every vertex. The first pull stays full
+    ///   unless `previous` is an exact fixpoint over the same |V|
+    ///   ([`ProgramResult::exact_fixpoint`]), so it re-pulls everything after
+    ///   a ruler-gated or capped run, after restored or remapped values, and
+    ///   when the batch grows the graph. The multi ruler is disabled for the
+    ///   restart: warm values are stable from iteration 1, so "finish early"
+    ///   would freeze vertices before the batch's perturbation reaches them.
     ///
     /// The returned values equal a from-scratch [`SlfeEngine::run`] on the
     /// mutated graph: bit-for-bit for min/max programs, within convergence
@@ -801,8 +839,23 @@ impl<'g> SlfeEngine<'g> {
             .collect();
 
         if program.aggregation() == AggregationKind::Arithmetic {
-            let mut active = Bitset::new(n);
-            active.fill();
+            // The first pull's seed set X: the dirty endpoints plus every
+            // vertex re-entering with a value other than its previous one.
+            // Only an exact fixpoint over the same |V| vouches for the rest,
+            // otherwise every vertex is seeded (and the first pull is full).
+            let active = if previous.exact_fixpoint && previous.values.len() == n {
+                let mut seeds = activate.clone();
+                for (v, (warm, old)) in values.iter().zip(&previous.values).enumerate() {
+                    if warm != old {
+                        seeds.set(v);
+                    }
+                }
+                seeds
+            } else {
+                let mut all = Bitset::new(n);
+                all.fill();
+                all
+            };
             // The multi ruler must stay off here: warm-started vertices are
             // stable from iteration 1, so "finish early" would freeze them
             // before the batch's perturbation propagates out to them. The
@@ -815,6 +868,7 @@ impl<'g> SlfeEngine<'g> {
                     active,
                     use_rr: false,
                     push_only: false,
+                    selective: true,
                     preset: Counters::zero(),
                 },
             );
@@ -922,6 +976,7 @@ impl<'g> SlfeEngine<'g> {
                 active,
                 use_rr: false,
                 push_only: true,
+                selective: false,
                 preset,
             },
         )
@@ -981,10 +1036,17 @@ impl<'g> SlfeEngine<'g> {
         debug_assert_eq!(active.len(), n);
         let mut active_count = active.count_ones();
 
-        // Multi-ruler state ("finish early"): per-vertex stability counters.
-        let mut stable_count = vec![0u32; n];
-        let mut stable_value = values.clone();
+        // Multi-ruler state ("finish early"): per-vertex stability counters,
+        // allocated only by the ruler-gated arithmetic runs that read them.
+        let (mut stable_count, mut stable_value) = if rr && arithmetic {
+            (vec![0u32; n], values.clone())
+        } else {
+            (Vec::new(), Vec::new())
+        };
         let mut last_changed_iter = vec![0u32; n];
+        // Selective pulls (arithmetic warm restarts): the vertices the next
+        // pull visits, rebuilt at the top of each iteration.
+        let mut marked = Bitset::new(if seed.selective { n } else { 0 });
 
         let num_nodes = self.cluster.num_nodes();
         let workers = self.cluster.config().workers_per_node;
@@ -1081,6 +1143,24 @@ impl<'g> SlfeEngine<'g> {
             next_active.clear();
             chunk_costs.fill(0);
 
+            // Selective pull: mark X ∪ out(X) from the barrier-merged changed
+            // set, so the marks (and every counter they drive) are identical
+            // at any worker count. `None` pulls every vertex.
+            let marks = if seed.selective && mode == Mode::Pull {
+                let mark_span = rec.begin();
+                let selective = self.mark_pull_set(
+                    out_store,
+                    &active,
+                    &mut marked,
+                    &mut iter_counters,
+                    &mut merge_work_by_node,
+                );
+                rec.end(mark_span, "mark", "engine");
+                selective.then_some(&marked)
+            } else {
+                None
+            };
+
             // Algorithm 3 lines 2-4: re-activate everything on a pull -> push
             // transition (or a forced flush) so updates from vertices that RR
             // deactivated still reach their successors.
@@ -1120,11 +1200,22 @@ impl<'g> SlfeEngine<'g> {
                                 .count_in_range(chunk.span_start as usize, chunk.span_end as usize)
                                 == 0
                     }
-                    Mode::Pull if arithmetic => {
+                    Mode::Pull if arithmetic => match marks {
+                        // Selective pull: no vertex of the chunk is marked.
+                        // As for a push, a span riddled with foreign ids is
+                        // visited rather than probed.
+                        Some(marked) => {
+                            let probe_words = (chunk.span_end - chunk.span_start) as u64 / 64 + 1;
+                            probe_words <= chunk.estimate
+                                && !marked.any_in_range(
+                                    chunk.span_start as usize,
+                                    chunk.span_end as usize,
+                                )
+                        }
                         // Every vertex early-converged: each would be
                         // individually skipped by the multi ruler.
-                        rr && chunk_converged[ci] as usize == chunk.len()
-                    }
+                        None => rr && chunk_converged[ci] as usize == chunk.len(),
+                    },
                     Mode::Pull => {
                         if rr_bounds.is_some_and(|b| iter < b[ci].0) {
                             // Entirely rr-gated: every vertex "starts late".
@@ -1193,6 +1284,7 @@ impl<'g> SlfeEngine<'g> {
                         &global_scheduler,
                         &mut chunk_costs,
                         &chunk_skip,
+                        marks,
                         &mut newly_converged,
                     );
                     if arithmetic && rr {
@@ -1434,7 +1526,62 @@ impl<'g> SlfeEngine<'g> {
             last_changed_iter,
             per_node_worker_work,
             converged,
+            // No ruler skipped a vertex, so converging means a fresh pull of
+            // any vertex would not change it.
+            exact_fixpoint: converged && !rr,
         }
+    }
+
+    /// Mark the vertices a selective pull visits: `changed` (X) and every
+    /// out-neighbour of it, walking X's out-lists through `out_store` in
+    /// ascending order, so out of core the walk faults (and counts) the CSR
+    /// segments it reads. Each walked edge is one edge computation, charged
+    /// to the source's owner in the simulated schedule, and each (source,
+    /// remote node) pair one message: the changed value reaching that node's
+    /// mirrors. Returns `false`, marking nothing, when Σ(1 + out-degree) over
+    /// X exceeds [`PULL_THRESHOLD`]·|E|: the pull then visits every vertex.
+    fn mark_pull_set<S: AdjacencyStore>(
+        &self,
+        out_store: &S,
+        changed: &Bitset,
+        marked: &mut Bitset,
+        counters: &mut Counters,
+        merge_work_by_node: &mut [u64],
+    ) -> bool {
+        let budget = self.graph.num_edges() as f64 * PULL_THRESHOLD;
+        let mut cost = 0u64;
+        for v in changed.iter_ones() {
+            cost += 1 + self.degrees.out_degree(v as VertexId) as u64;
+            if cost as f64 > budget {
+                return false;
+            }
+        }
+        marked.clear();
+        let mut reached = vec![false; self.cluster.num_nodes()];
+        let mut out_cursor = StreamCursor::new(out_store);
+        for v in changed.iter_ones() {
+            marked.set(v);
+            let src = v as VertexId;
+            let src_owner = self.cluster.owner_of(src);
+            reached.fill(false);
+            let (targets, _) = out_cursor.list(src);
+            for &dst in targets {
+                marked.set(dst as usize);
+                let dst_owner = self.cluster.owner_of(dst);
+                if dst_owner != src_owner && !reached[dst_owner] {
+                    reached[dst_owner] = true;
+                    self.cluster.record_node_messages(
+                        src_owner,
+                        dst_owner,
+                        1,
+                        UPDATE_MESSAGE_BYTES,
+                    );
+                }
+            }
+            counters.edge_computations += targets.len() as u64;
+            merge_work_by_node[src_owner] += targets.len() as u64;
+        }
+        true
     }
 
     /// Direction selection: arithmetic programs always pull; min/max programs pull
@@ -1473,8 +1620,10 @@ impl<'g> SlfeEngine<'g> {
     /// value/ruler slices without synchronisation; measured per-chunk costs
     /// land in `chunk_costs` for the simulated-cluster schedule. Chunks
     /// flagged in `skip` (cold per the activity summaries) are left untouched
-    /// at zero cost; `newly_converged[ci]` reports how many of chunk `ci`'s
-    /// vertices crossed the multi ruler's stability threshold this phase.
+    /// at zero cost, and so is every vertex outside `marks` when a selective
+    /// pull passes them; `newly_converged[ci]` reports how many of chunk
+    /// `ci`'s vertices crossed the multi ruler's stability threshold this
+    /// phase.
     #[allow(clippy::too_many_arguments)]
     fn pull_phase_global<P: GraphProgram, S: AdjacencyStore>(
         &self,
@@ -1493,6 +1642,7 @@ impl<'g> SlfeEngine<'g> {
         scheduler: &ChunkScheduler,
         chunk_costs: &mut [u64],
         skip: &[bool],
+        marks: Option<&Bitset>,
         newly_converged: &mut [u32],
     ) {
         let chunks = self.layout.chunks();
@@ -1522,9 +1672,13 @@ impl<'g> SlfeEngine<'g> {
                 let mut converged_now = 0u32;
                 // Destinations stream in ascending id order, so this cursor
                 // pins (and, out of core, faults) one CSC segment at a time;
-                // skipped chunks never reach here and fault nothing.
+                // skipped chunks and unmarked vertices never reach it and
+                // fault nothing.
                 let mut in_cursor = StreamCursor::new(in_store);
                 for &dst in &owned[chunk.start..chunk.end] {
+                    if marks.is_some_and(|m| !m.get(dst as usize)) {
+                        continue;
+                    }
                     // Safety: `dst` is owned by exactly one chunk, and each chunk is
                     // processed by exactly one worker, so every shared-slice index
                     // below is touched by this worker only.
@@ -1654,7 +1808,7 @@ impl<'g> SlfeEngine<'g> {
             ws.changed += 1;
             ws.next_frontier.set(d);
         }
-        if arithmetic {
+        if rr && arithmetic {
             // Stability bookkeeping for the multi ruler (Algorithm 5, lines 15-18).
             if program.changed(stable_value.get(d), new, tolerance) {
                 stable_value.set(d, new);
@@ -1666,7 +1820,7 @@ impl<'g> SlfeEngine<'g> {
                 // the next pull on it is skipped forever, so this fires at
                 // most once per vertex — the chunk-level converged counts
                 // stay exact.
-                if rr && stabilized == self.rrg.last_iter(dst).max(1) {
+                if stabilized == self.rrg.last_iter(dst).max(1) {
                     *converged_now += 1;
                 }
             }

@@ -49,6 +49,21 @@ impl std::fmt::Display for AggregationKind {
 /// out-degree), and withholding adjacency keeps hooks compatible with
 /// out-of-core execution and physical id remapping: a hook can never observe
 /// neighbor-list order.
+///
+/// **What a hook for vertex `v` may read.** An arithmetic warm restart
+/// ([`crate::SlfeEngine::run_from`]) skips every vertex none of whose inputs
+/// changed since its last pull, so the hooks that compute `v`
+/// ([`GraphProgram::edge_contribution`] along `v`'s in-edges,
+/// [`GraphProgram::apply`], [`GraphProgram::vertex_update`],
+/// [`GraphProgram::changed`]) may read only:
+///
+/// * `v`'s in-edges and its in-neighbours' values;
+/// * `v`'s own value and `Degrees`;
+/// * program state that changes only at a batch's endpoints or with |V|
+///   (PageRank's `|V|`, Heat's per-source out-degree shares).
+///
+/// State that moves anywhere else would go unread: the restart never pulls
+/// a vertex whose only changed input is such state.
 pub trait GraphProgram: Sync {
     /// The per-vertex property type (distance, component label, rank, ...).
     type Value: Copy + PartialEq + Send + Sync + std::fmt::Debug;

@@ -17,6 +17,14 @@ pub struct ProgramResult<V> {
     pub per_node_worker_work: Vec<Vec<u64>>,
     /// `true` if the run reached a fixed point before hitting the iteration cap.
     pub converged: bool,
+    /// `true` if the run converged with the redundancy-reduction rulers off:
+    /// no vertex was skipped by a ruler, so pulling any vertex from these
+    /// values again would not change it. An arithmetic warm restart
+    /// ([`crate::SlfeEngine::run_from`]) from such a result pulls selectively
+    /// from its first iteration; from any other result (a ruler-gated or
+    /// capped run, or values restored from elsewhere) its first pull
+    /// re-pulls every vertex.
+    pub exact_fixpoint: bool,
 }
 
 impl<V> ProgramResult<V> {
@@ -87,6 +95,7 @@ mod tests {
             last_changed_iter: last_changed,
             per_node_worker_work: vec![vec![3, 5], vec![4, 4]],
             converged: true,
+            exact_fixpoint: true,
         }
     }
 

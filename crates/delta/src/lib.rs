@@ -15,8 +15,15 @@
 //!    falling back to full regeneration past a dirty-fraction threshold.
 //! 3. **Warm re-convergence** — [`slfe_core::SlfeEngine::run_from`] restarts
 //!    the program from the previous fixpoint, re-converging only what the batch
-//!    disturbed (support-invalidated region + dirty frontier for monotone
-//!    min/max programs; delta-restart for arithmetic programs).
+//!    disturbed: the support-invalidated region + dirty frontier for monotone
+//!    min/max programs; for arithmetic programs a delta-restart whose pulls
+//!    visit only the vertices the previous pull changed (at first, the dirty
+//!    endpoints) and their out-neighbours, bit-identical to re-pulling every
+//!    vertex. Its first pull is full when the served result is not an exact
+//!    fixpoint ([`slfe_core::ProgramResult::exact_fixpoint`]): after the
+//!    ruler-gated cold run of [`DeltaServer::try_new`] or a full-recompute
+//!    fallback, after [`DeltaServer::open`] restores snapshot values, and
+//!    after a remap.
 //! 4. **Serving** — [`DeltaServer`] owns the current graph version, guidance
 //!    and fixpoint, applies batches, accounts the simulated cost of shipping
 //!    each batch to its partitions, and answers point and top-k value queries

@@ -484,6 +484,7 @@ where
                 config.cluster.num_nodes
             ],
             converged: true,
+            exact_fixpoint: false,
         };
         Ok(Self {
             make_program,
@@ -805,6 +806,10 @@ where
         self.rrg = self.rrg.permuted(step);
         self.result.values = step.permuted_values(&self.result.values);
         self.result.last_changed_iter = step.permuted_values(&self.result.last_changed_iter);
+        // The program is re-instantiated for the renamed graph below; rather
+        // than trust a fixpoint computed under the old ids, the next warm
+        // restart's first pull re-pulls every vertex.
+        self.result.exact_fixpoint = false;
         step.map_ids(&mut self.pending_guidance_dirty);
         self.program = (self.make_program)(&graph);
         self.graph = graph;
@@ -1555,7 +1560,10 @@ where
             snap.guidance,
         )?;
         // The fixpoint values are the snapshot's; the run-shaped metadata is
-        // zeroed (warm restarts read only the values).
+        // zeroed. `exact_fixpoint` stays false: a snapshot does not record
+        // it (snapshot 0 holds the ruler-gated cold values), so the first
+        // batch after recovery re-pulls every vertex, which serves the same
+        // bits as the live server's restart, selective or not.
         server.result.last_changed_iter = vec![0; snap.values.len()];
         server.result.values = snap.values;
         server.stats = snap.stats;
@@ -2112,6 +2120,88 @@ mod tests {
             .guidance()
             .guidance_eq(&RrGuidance::generate(&current)));
         std::fs::remove_dir_all(reopened.durability_counters().map(|_| &dir).unwrap()).unwrap();
+    }
+
+    /// A second recovery point: `durability`'s snapshot and WAL copied into
+    /// a fresh directory, so a reopened copy and the live server never share
+    /// a log.
+    fn copy_durable_state(durability: &DurabilityConfig, tag: &str) -> DurabilityConfig {
+        let copy = DurabilityConfig::new(durable_dir(tag));
+        std::fs::create_dir_all(&copy.dir).unwrap();
+        std::fs::copy(durability.snapshot_path(), copy.snapshot_path()).unwrap();
+        std::fs::copy(durability.wal_path(), copy.wal_path()).unwrap();
+        copy
+    }
+
+    /// Recovery under the conservative restore: `open` restores
+    /// `exact_fixpoint = false`, because snapshot 0 holds the ruler-gated
+    /// cold values, so a reopened PageRank server's first restart re-pulls
+    /// every vertex. That must serve the live server's bits whether the WAL
+    /// replays from snapshot 0 or a snapshot taken at a settled state (where
+    /// the live server's next restart pulls selectively and the reopened
+    /// copy's does not).
+    #[test]
+    fn reopened_pagerank_server_serves_the_live_bits() {
+        let dir = durable_dir("pagerank-live");
+        let graph = generators::rmat(4000, 32_000, 0.57, 0.19, 0.19, 97);
+        let make = |g: &Graph| PageRankProgram::for_graph(g);
+        let durability = DurabilityConfig::new(&dir).with_snapshot_every(100);
+        let mut live = DeltaServer::create_durable(
+            graph.clone(),
+            make,
+            ServerConfig::default(),
+            durability.clone(),
+        )
+        .unwrap();
+        assert!(!live.result().exact_fixpoint, "the cold run is ruler-gated");
+        let mut current = graph;
+        let batches: Vec<UpdateBatch> = (0..5u64)
+            .map(|round| {
+                let batch = mixed_batch(&current, round + 900, 16);
+                current = current.apply_batch(&batch).0;
+                batch
+            })
+            .collect();
+
+        // Three batches, replayed on open from snapshot 0.
+        for batch in &batches[..3] {
+            assert!(!live.try_apply(batch).unwrap().full_recompute);
+        }
+        assert!(live.result().exact_fixpoint);
+        let replay = copy_durable_state(&durability, "pagerank-replay");
+        let reopened = DeltaServer::open(make, ServerConfig::default(), replay.clone()).unwrap();
+        assert_eq!(
+            reopened.durability_counters().unwrap().wal_entries_replayed,
+            3
+        );
+        assert_eq!(bits(reopened.values()), bits(live.values()));
+
+        // A snapshot at a settled state: the live server's next restart
+        // pulls selectively, the reopened copy's re-pulls every vertex.
+        live.snapshot().unwrap();
+        let settled = copy_durable_state(&durability, "pagerank-settled");
+        let mut copy = DeltaServer::open(make, ServerConfig::default(), settled.clone()).unwrap();
+        assert!(!copy.result().exact_fixpoint);
+        for (round, batch) in batches[3..].iter().enumerate() {
+            let selective = live.try_apply(batch).unwrap();
+            let conservative = copy.try_apply(batch).unwrap();
+            if round == 0 {
+                assert!(
+                    selective.work < conservative.work,
+                    "the live restart should pull selectively ({} vs {})",
+                    selective.work,
+                    conservative.work
+                );
+            }
+            assert_eq!(
+                bits(copy.values()),
+                bits(live.values()),
+                "batch {round} after the settled snapshot"
+            );
+        }
+        for d in [&durability, &replay, &settled] {
+            std::fs::remove_dir_all(&d.dir).unwrap();
+        }
     }
 
     /// Replay skips WAL entries the snapshot already covers — the state a

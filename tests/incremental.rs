@@ -7,7 +7,7 @@
 use slfe::apps::{bfs, cc, heat, numpaths, pagerank, spmv, sssp, tunkrank, widestpath, AppKind};
 use slfe::core::{EngineConfig, GraphProgram, RedundancyMode, SlfeEngine};
 use slfe::graph::rng::SplitMix64;
-use slfe::graph::{generators, Graph, UpdateBatch};
+use slfe::graph::{generators, Degrees, Graph, UpdateBatch};
 use slfe::prelude::ClusterConfig;
 
 /// A mixed random batch: ~60% upserts (some growing the id space), ~40%
@@ -402,4 +402,242 @@ fn warm_start_saves_work_on_serving_sized_batches() {
         warm.stats.totals.work(),
         cold.stats.totals.work()
     );
+}
+
+/// The arithmetic warm restart the engine must reproduce bit for bit: each
+/// iteration re-pulls every vertex over its in-edges in CSC order from the
+/// previous iteration's values, applies `apply` then `vertex_update`, writes
+/// a value only when `changed` says so, and stops when nothing changed.
+/// Returns the values and the iteration count (the cap when it never stops).
+fn full_sweep_restart<P: GraphProgram>(
+    graph: &Graph,
+    program: &P,
+    previous: &[P::Value],
+    config: &EngineConfig,
+) -> (Vec<P::Value>, u32) {
+    let degrees = Degrees::of(graph);
+    let mut values: Vec<P::Value> = graph
+        .vertices()
+        .map(|v| program.warm_start_value(v, previous.get(v as usize).copied(), &degrees))
+        .collect();
+    for iteration in 1..=config.max_iterations {
+        let last = values.clone();
+        let mut changed = false;
+        for v in graph.vertices() {
+            let mut gathered = program.identity();
+            for (u, w) in graph.in_edges(v) {
+                if let Some(c) = program.edge_contribution(u, last[u as usize], w) {
+                    gathered = program.combine(gathered, c);
+                }
+            }
+            let old = last[v as usize];
+            let new = program.vertex_update(v, program.apply(v, old, gathered), &degrees);
+            if program.changed(old, new, config.tolerance) {
+                values[v as usize] = new;
+                changed = true;
+            }
+        }
+        if !changed {
+            return (values, iteration);
+        }
+    }
+    (values, config.max_iterations)
+}
+
+/// Warm-restart `make_program` across `batch` and require `run_from` and
+/// `run_from_effect` to equal [`full_sweep_restart`] bit for bit (`bits`
+/// encodes one value), with the same iteration count, at 2×{1, 2, 4}
+/// workers, in memory and out of core. The previous result comes from a
+/// rulers-off run (an exact fixpoint) and from a ruler-gated one, after
+/// which the first pull must be full; `selective_first` requires the first
+/// pull from the rulers-off result to be selective, so that the run really
+/// starts selectively.
+fn check_warm_equals_full_sweep<P, PF>(
+    graph: &Graph,
+    batch: &UpdateBatch,
+    config: EngineConfig,
+    make_program: PF,
+    bits: impl Fn(P::Value) -> u64,
+    selective_first: bool,
+    label: &str,
+) where
+    P: GraphProgram,
+    PF: Fn(&Graph) -> P,
+{
+    let (mutated, effect) = graph.apply_batch(batch);
+    let dirty = effect.dirty_bitset(mutated.num_vertices());
+    let program = make_program(&mutated);
+    let encode = |values: &[P::Value]| values.iter().map(|&v| bits(v)).collect::<Vec<u64>>();
+    for rulers in [RedundancyMode::Disabled, RedundancyMode::Enabled] {
+        let previous = SlfeEngine::build(
+            graph,
+            ClusterConfig::new(2, 1),
+            config.clone().with_redundancy(rulers),
+        )
+        .run(&make_program(graph));
+        let exact = rulers == RedundancyMode::Disabled;
+        assert_eq!(
+            previous.exact_fixpoint, exact,
+            "{label}: only a converged rulers-off run is an exact fixpoint"
+        );
+        let (expected, iterations) =
+            full_sweep_restart(&mutated, &program, &previous.values, &config);
+        for workers in [1usize, 2, 4] {
+            for oocore in [false, true] {
+                let engine_config = if oocore {
+                    config
+                        .clone()
+                        .with_storage_budget(24 << 10)
+                        .with_storage_segment_bytes(2 << 10)
+                } else {
+                    config.clone()
+                };
+                let engine =
+                    SlfeEngine::build(&mutated, ClusterConfig::new(2, workers), engine_config);
+                for (entry, warm) in [
+                    ("run_from", engine.run_from(&program, &previous, &dirty)),
+                    (
+                        "run_from_effect",
+                        engine.run_from_effect(&program, &previous, &effect),
+                    ),
+                ] {
+                    let case = format!(
+                        "{label}: {entry} from a {rulers:?}-rulers result, 2x{workers}, \
+                         out of core {oocore}"
+                    );
+                    assert!(warm.converged, "{case}: did not converge");
+                    assert_eq!(warm.stats.iterations, iterations, "{case}: iterations");
+                    assert!(
+                        encode(&warm.values) == encode(&expected),
+                        "{case}: values differ from the full sweep"
+                    );
+                    // A full pull folds every in-edge once: exactly |E|.
+                    let first = warm.stats.trace.records()[0].counters.edge_computations;
+                    assert_eq!(
+                        first != mutated.num_edges() as u64,
+                        exact && selective_first,
+                        "{case}: first pull did {first} edge computations"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Selective pulls are exact, not merely close: for each of the five
+/// arithmetic apps, a warm restart equals the full-sweep reference bit for
+/// bit, with and without vertex growth. (The warm-equals-cold suite above
+/// compares PageRank and TunkRank with cold only within 1e-5, which a
+/// wrongly skipped vertex could still pass.) The graphs are large enough
+/// for the batch's first pull to stay under the full-pull threshold;
+/// Heat's warm hook restarts every heated vertex, so its first pull is
+/// always full and a small graph keeps its long trajectory cheap.
+#[test]
+fn arithmetic_warm_restarts_equal_the_full_sweep_bit_for_bit() {
+    let rmat = generators::rmat(2000, 16_000, 0.57, 0.19, 0.19, 930);
+    let small = generators::rmat(260, 1700, 0.57, 0.19, 0.19, 930);
+    let dag = generators::layered(12, 200, 4, 97);
+    let root = slfe::graph::stats::highest_out_degree_vertex(&small).unwrap();
+    let f32_bits = |v: f32| u64::from(v.to_bits());
+    for growth in [false, true] {
+        let label = |app: AppKind| format!("{app} (growth {growth})");
+        let mut batch = mixed_batch(&rmat, 3100 + growth as u64, 8, false);
+        let mut small_batch = mixed_batch(&small, 3150 + growth as u64, 20, false);
+        // DAG-preserving: new ids only ever receive edges.
+        let mut dag_edits = dag_batch(&dag, 3200 + growth as u64, 8);
+        if growth {
+            batch.insert(7, rmat.num_vertices() as u32 + 2, 2.0);
+            small_batch.insert(7, small.num_vertices() as u32 + 2, 2.0);
+            dag_edits.insert(3, dag.num_vertices() as u32 + 1, 1.0);
+        }
+        check_warm_equals_full_sweep(
+            &rmat,
+            &batch,
+            exact_config(),
+            pagerank::PageRankProgram::for_graph,
+            f32_bits,
+            !growth,
+            &label(AppKind::PageRank),
+        );
+        check_warm_equals_full_sweep(
+            &rmat,
+            &batch,
+            exact_config(),
+            |_| tunkrank::TunkRankProgram::default(),
+            f32_bits,
+            !growth,
+            &label(AppKind::TunkRank),
+        );
+        check_warm_equals_full_sweep(
+            &rmat,
+            &batch,
+            exact_config(),
+            |g: &Graph| spmv::SpmvProgram::ones(g.num_vertices()),
+            |(x, y): (f32, f32)| u64::from(x.to_bits()) << 32 | u64::from(y.to_bits()),
+            !growth,
+            &label(AppKind::SpMV),
+        );
+        check_warm_equals_full_sweep(
+            &small,
+            &small_batch,
+            exact_config()
+                .with_tolerance(1e-6)
+                .with_max_iterations(3000),
+            |g: &Graph| heat::HeatProgram::point_source(g, root),
+            f32_bits,
+            false,
+            &label(AppKind::HeatSimulation),
+        );
+        check_warm_equals_full_sweep(
+            &dag,
+            &dag_edits,
+            exact_config(),
+            |_| numpaths::NumPathsProgram { root: 0 },
+            f32_bits,
+            !growth,
+            &label(AppKind::NumPaths),
+        );
+    }
+}
+
+/// The PageRank sibling of `warm_start_saves_work_on_serving_sized_batches`:
+/// from a rulers-off fixpoint, each of five serving-sized batches (16 random
+/// insertions, the sibling's batch shape) re-pulls the neighbourhood it
+/// disturbed, not the graph. A full sweep costs exactly |E| edge
+/// computations per iteration, so each restart must stay within a fifth of
+/// `iterations × |E|`.
+#[test]
+fn arithmetic_warm_restarts_pull_only_what_changed() {
+    let mut graph = generators::rmat(20_000, 200_000, 0.57, 0.19, 0.19, 2029);
+    let cluster = ClusterConfig::new(2, 1);
+    let mut previous = SlfeEngine::build(&graph, cluster.clone(), exact_config())
+        .run(&pagerank::PageRankProgram::for_graph(&graph));
+    assert!(previous.exact_fixpoint);
+    let mut rng = SplitMix64::seed_from_u64(13);
+    for round in 0..5 {
+        let n = graph.num_vertices() as u32;
+        let mut batch = UpdateBatch::new();
+        for _ in 0..16 {
+            batch.insert(
+                rng.range_u32(0, n),
+                rng.range_u32(0, n),
+                rng.range_f32(4.0, 10.0),
+            );
+        }
+        let (mutated, effect) = graph.apply_batch(&batch);
+        let warm = SlfeEngine::build(&mutated, cluster.clone(), exact_config()).run_from_effect(
+            &pagerank::PageRankProgram::for_graph(&mutated),
+            &previous,
+            &effect,
+        );
+        assert!(warm.converged && warm.exact_fixpoint, "round {round}");
+        let full_sweeps = u64::from(warm.stats.iterations) * mutated.num_edges() as u64;
+        assert!(
+            warm.stats.totals.edge_computations * 5 <= full_sweeps,
+            "round {round}: {} edge computations, full sweeps would do {full_sweeps}",
+            warm.stats.totals.edge_computations
+        );
+        graph = mutated;
+        previous = warm;
+    }
 }

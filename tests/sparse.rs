@@ -366,3 +366,52 @@ fn chunk_skip_tallies_are_worker_count_invariant() {
     check(&graph, "sssp", &sssp::SsspProgram { root: 0 });
     check(&graph, "bfs", &bfs::BfsProgram { root: 0 });
 }
+
+/// The warm-restart sibling of `chunk_skip_tallies_are_worker_count_invariant`:
+/// an arithmetic warm restart builds the set each pull visits from
+/// barrier-merged state, so one PageRank restart's full counters (chunk
+/// skips included) and per-node-pair message tallies are identical at
+/// 2×{1, 2, 4} workers.
+#[test]
+fn warm_restart_tallies_are_worker_count_invariant() {
+    let graph = generators::rmat(4000, 32_000, 0.57, 0.19, 0.19, 4600);
+    let config = EngineConfig::without_rr().with_max_iterations(400);
+    let previous = SlfeEngine::build(&graph, ClusterConfig::new(2, 1), config.clone())
+        .run(&pagerank::PageRankProgram::for_graph(&graph));
+    let mut batch = slfe::graph::UpdateBatch::new();
+    batch
+        .insert(3, 3100, 1.0)
+        .insert(2900, 41, 1.0)
+        .delete(0, graph.out_neighbors(0)[0]);
+    let (mutated, effect) = graph.apply_batch(&batch);
+    let program = pagerank::PageRankProgram::for_graph(&mutated);
+    let mut tallies = Vec::new();
+    for workers in [1usize, 2, 4] {
+        let engine = SlfeEngine::build(&mutated, ClusterConfig::new(2, workers), config.clone());
+        let warm = engine.run_from_effect(&program, &previous, &effect);
+        assert!(warm.converged);
+        let counters = Counters {
+            scratch_bytes_peak: 0,
+            ..warm.stats.totals
+        };
+        let tracker = engine.cluster().comm_tracker();
+        let messages: Vec<u64> = (0..4)
+            .map(|pair| tracker.messages_between(pair / 2, pair % 2))
+            .collect();
+        tallies.push((workers, counters, messages));
+    }
+    assert!(
+        tallies[0].1.chunks_skipped > 0,
+        "the warm restart skipped no chunk, so the check is vacuous"
+    );
+    for (workers, counters, messages) in &tallies[1..] {
+        assert_eq!(
+            *counters, tallies[0].1,
+            "counters at {workers} workers differ from 1 worker"
+        );
+        assert_eq!(
+            *messages, tallies[0].2,
+            "message tallies at {workers} workers differ from 1 worker"
+        );
+    }
+}
