@@ -20,9 +20,9 @@ use slfe_apps::{bfs, cc, heat, numpaths, pagerank, spmv, sssp, tunkrank, widestp
 use slfe_cluster::ClusterConfig;
 use slfe_core::{EngineConfig, GraphProgram, RedundancyMode};
 use slfe_delta::durability::SnapshotValue;
-use slfe_delta::{DeltaServer, DurabilityConfig, ServerConfig, UpdateBatch};
-use slfe_graph::rng::SplitMix64;
-use slfe_graph::{generators, Graph};
+use slfe_delta::{DeltaServer, DurabilityConfig, ServerConfig};
+use slfe_graph::generators::{self, random_batch, BatchShape};
+use slfe_graph::Graph;
 use std::io::Write as _;
 use std::path::PathBuf;
 
@@ -92,61 +92,10 @@ fn parse_args() -> Result<Options, String> {
     Ok(options)
 }
 
-#[derive(Clone, Copy)]
-enum BatchKind {
-    /// ~60% upserts (some growing the id space), ~40% deletions.
-    Mixed { allow_growth: bool },
-    /// Symmetric edge pairs for the undirected CC semantics.
-    Symmetric,
-    /// Forward-only insertions keeping the layered DAG acyclic.
-    Dag,
-}
-
-/// The batch for step `i` — a pure function of the current graph and the
-/// seed, so an uninterrupted run and a crash-resumed run (whose graph is
-/// recovered bit-exactly) generate identical sequences.
-fn make_batch(graph: &Graph, seed: u64, kind: BatchKind) -> UpdateBatch {
-    let mut rng = SplitMix64::seed_from_u64(seed);
-    let n = graph.num_vertices() as u32;
-    let mut batch = UpdateBatch::new();
-    for _ in 0..12 {
-        match kind {
-            BatchKind::Mixed { allow_growth } => {
-                let src = rng.range_u32(0, n);
-                if rng.next_f64() < 0.6 {
-                    let hi = if allow_growth { n + 6 } else { n };
-                    batch.insert(src, rng.range_u32(0, hi), rng.range_f32(1.0, 10.0));
-                } else {
-                    let outs = graph.out_neighbors(src);
-                    if !outs.is_empty() {
-                        batch.delete(src, outs[rng.range_usize(0, outs.len())]);
-                    }
-                }
-            }
-            BatchKind::Symmetric => {
-                let a = rng.range_u32(0, n);
-                let b = rng.range_u32(0, n);
-                if rng.next_f64() < 0.6 {
-                    batch.insert_symmetric(a, b, 1.0);
-                } else if graph.has_edge(a, b) {
-                    batch.delete_symmetric(a, b);
-                }
-            }
-            BatchKind::Dag => {
-                let a = rng.range_u32(0, n - 1);
-                if rng.next_f64() < 0.6 {
-                    batch.insert(a, rng.range_u32(a + 1, n), 1.0);
-                } else {
-                    let outs = graph.out_neighbors(a);
-                    if !outs.is_empty() {
-                        batch.delete(a, outs[rng.range_usize(0, outs.len())]);
-                    }
-                }
-            }
-        }
-    }
-    batch
-}
+/// Draws per batch. Batch `i` is a pure function of the current graph and
+/// the seed, so an uninterrupted run and a crash-resumed run (whose graph is
+/// recovered bit-exactly) draw identical sequences.
+const BATCH_OPS: usize = 12;
 
 /// The arithmetic apps need the ruler-free exact-fixpoint configuration
 /// (mirroring the incremental acceptance tests).
@@ -163,7 +112,7 @@ fn serve<P, F>(
     make_graph: impl Fn() -> Graph,
     make_program: F,
     engine: EngineConfig,
-    kind: BatchKind,
+    kind: BatchShape,
 ) where
     P: GraphProgram,
     P::Value: SnapshotValue,
@@ -181,7 +130,12 @@ fn serve<P, F>(
     let applied = server.stats().batches_applied;
     eprintln!("starting at batch {applied}/{}", options.batches);
     for i in applied..options.batches {
-        let batch = make_batch(server.graph(), options.seed.wrapping_add(i), kind);
+        let batch = random_batch(
+            server.graph(),
+            options.seed.wrapping_add(i),
+            BATCH_OPS,
+            kind,
+        );
         server.try_apply(&batch).expect("apply batch");
         println!("applied {}", i + 1);
         std::io::stdout().flush().expect("flush stdout");
@@ -208,8 +162,8 @@ fn main() {
     let sym = move || cc::symmetrize(&generators::rmat(200, 900, 0.57, 0.19, 0.19, seed + 950));
     let dag = move || generators::layered(8, 30, 4, seed + 77);
     let root = slfe_graph::stats::highest_out_degree_vertex(&rmat()).unwrap_or(0);
-    let grow = BatchKind::Mixed { allow_growth: true };
-    let fixed = BatchKind::Mixed {
+    let grow = BatchShape::Mixed { allow_growth: true };
+    let fixed = BatchShape::Mixed {
         allow_growth: false,
     };
 
@@ -240,7 +194,7 @@ fn main() {
             sym,
             cc::CcProgram::for_graph,
             EngineConfig::default(),
-            BatchKind::Symmetric,
+            BatchShape::Symmetric,
         ),
         "pr" => serve(
             &options,
@@ -277,7 +231,7 @@ fn main() {
             dag,
             |_: &Graph| numpaths::NumPathsProgram { root: 0 },
             exact_config(),
-            BatchKind::Dag,
+            BatchShape::Dag,
         ),
         other => {
             eprintln!("unknown app {other}");

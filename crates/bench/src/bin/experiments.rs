@@ -15,44 +15,40 @@ use slfe_bench::experiments;
 use slfe_bench::ExperimentContext;
 use std::path::PathBuf;
 
+const USAGE: &str =
+    "usage: experiments [EXPERIMENT] [--scale N] [--nodes N] [--workers N] [--out DIR]";
+
+#[derive(Debug)]
 struct Options {
     experiment: String,
     ctx: ExperimentContext,
     out_dir: PathBuf,
 }
 
-fn parse_args() -> Result<Options, String> {
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String> {
     let mut experiment = "all".to_string();
     let mut ctx = ExperimentContext::default();
     let mut out_dir = PathBuf::from("reports");
-    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let value_for = |name: &str, args: &mut dyn Iterator<Item = String>| {
+        let mut value_for = |name: &str| {
             args.next()
                 .ok_or_else(|| format!("missing value for {name}"))
         };
+        // Scale divides the dataset sizes and nodes and workers size the
+        // cluster: zero is a usage error, not a panic deep in the harness.
+        let mut positive = |name: &str| -> Result<usize, String> {
+            match value_for(name)?.parse() {
+                Ok(0) => Err(format!("{name} must be at least 1\n{USAGE}")),
+                Ok(n) => Ok(n),
+                Err(e) => Err(format!("invalid {name}: {e}")),
+            }
+        };
         match arg.as_str() {
-            "--scale" => {
-                ctx.scale = value_for("--scale", &mut args)?
-                    .parse()
-                    .map_err(|e| format!("invalid --scale: {e}"))?;
-            }
-            "--nodes" => {
-                ctx.nodes = value_for("--nodes", &mut args)?
-                    .parse()
-                    .map_err(|e| format!("invalid --nodes: {e}"))?;
-            }
-            "--workers" => {
-                ctx.workers = value_for("--workers", &mut args)?
-                    .parse()
-                    .map_err(|e| format!("invalid --workers: {e}"))?;
-            }
-            "--out" => {
-                out_dir = PathBuf::from(value_for("--out", &mut args)?);
-            }
-            "--help" | "-h" => {
-                return Err("usage: experiments [EXPERIMENT] [--scale N] [--nodes N] [--workers N] [--out DIR]".into());
-            }
+            "--scale" => ctx.scale = positive("--scale")?,
+            "--nodes" => ctx.nodes = positive("--nodes")?,
+            "--workers" => ctx.workers = positive("--workers")?,
+            "--out" => out_dir = PathBuf::from(value_for("--out")?),
+            "--help" | "-h" => return Err(USAGE.into()),
             name if !name.starts_with("--") => experiment = name.to_string(),
             other => return Err(format!("unknown option {other}")),
         }
@@ -84,7 +80,7 @@ fn all_experiments() -> Vec<(&'static str, ExperimentFn)> {
 }
 
 fn main() {
-    let options = match parse_args() {
+    let options = match parse_args(std::env::args().skip(1)) {
         Ok(o) => o,
         Err(msg) => {
             eprintln!("{msg}");
@@ -119,5 +115,29 @@ fn main() {
         if let Err(e) = std::fs::write(&path, &report) {
             eprintln!("cannot write {}: {e}", path.display());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Options, String> {
+        parse_args(line.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn zero_sizes_are_usage_errors_and_a_valid_line_sets_every_option() {
+        for flag in ["--scale", "--nodes", "--workers"] {
+            let err = parse(&format!("fig8 {flag} 0")).unwrap_err();
+            assert!(err.contains(flag) && err.contains(USAGE), "{flag}: {err}");
+        }
+        let options = parse("fig10 --scale 8000 --nodes 2 --workers 3 --out figs").unwrap();
+        assert_eq!(options.experiment, "fig10");
+        assert_eq!(
+            (options.ctx.scale, options.ctx.nodes, options.ctx.workers),
+            (8000, 2, 3)
+        );
+        assert_eq!(options.out_dir, PathBuf::from("figs"));
     }
 }

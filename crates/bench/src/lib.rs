@@ -1,8 +1,10 @@
 //! # slfe-bench
 //!
-//! Shared harness used by the `experiments` binary (which regenerates every table
-//! and figure of the paper's evaluation section), by the wall-clock benches under
-//! `benches/`, and by the `parallel_bench` binary that emits `BENCH_parallel.json`.
+//! The harness behind the `experiments` binary, which regenerates every table
+//! and figure of the paper's evaluation section. The crate's other binary,
+//! `crash_child`, is the durable serving process that the kill-9 recovery
+//! proof (`tests/crash_recovery.rs`) kills and reopens. Wall-clock
+//! benchmarking lives in the separate `perfbench/` package.
 //!
 //! The harness runs one of the paper's five evaluation applications (SSSP, CC, WP,
 //! PR, TR — plus BFS as an extra) on one of the engines (SLFE with/without RR,
@@ -11,11 +13,6 @@
 //! paper's tables and series.
 
 pub mod experiments;
-pub mod json;
-pub mod provenance;
 pub mod runner;
-pub mod timing;
 
-pub use provenance::{git_commit, hardware_threads};
 pub use runner::{AppRun, EngineKind, ExperimentContext};
-pub use timing::{time_best_of, BenchSample};

@@ -42,8 +42,9 @@ impl CommCostModel {
         }
     }
 
-    /// A deliberately slow network (10 µs per message, ~1 Gb/s), used by ablation
-    /// benches to show how RR's message reduction matters more on slower fabrics.
+    /// A deliberately slow network (10 µs per message, ~1 Gb/s), used by the
+    /// ablation experiment to show how RR's message reduction matters more on
+    /// slower fabrics.
     pub fn slow_ethernet() -> Self {
         Self {
             per_message_seconds: 1.0e-5,

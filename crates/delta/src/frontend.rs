@@ -307,13 +307,13 @@ impl<V: Copy + PartialOrd> PublishedVersion<V> {
 }
 
 /// Knobs of the serving front end. The defaults serve small test graphs
-/// well; `serving_bench` scales them with the workload.
+/// well; larger workloads scale them.
 #[derive(Debug, Clone)]
 pub struct FrontendConfig {
     /// Bound of the update queue; admission sheds above it.
     pub queue_capacity: usize,
-    /// Record every applied batch and published version so tests and
-    /// benches can replay the exact sequence on a single-threaded oracle.
+    /// Record every applied batch and published version so tests can
+    /// replay the exact sequence on a single-threaded oracle.
     /// Off by default: serving keeps O(1) memory.
     pub record_history: bool,
 }

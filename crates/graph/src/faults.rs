@@ -56,7 +56,7 @@ pub enum FaultSite {
     SnapshotRead,
 }
 
-/// All injection sites, in a stable order (used by sweeps and benches).
+/// All injection sites, in a stable order (used by the fault sweeps).
 pub const ALL_FAULT_SITES: [FaultSite; 9] = [
     FaultSite::SegmentRead,
     FaultSite::SegmentWrite,
@@ -70,7 +70,7 @@ pub const ALL_FAULT_SITES: [FaultSite; 9] = [
 ];
 
 impl FaultSite {
-    /// Stable lowercase name (bench JSON, error messages).
+    /// Stable lowercase name (test labels, error messages).
     pub fn name(self) -> &'static str {
         match self {
             FaultSite::SegmentRead => "segment_read",
@@ -123,8 +123,8 @@ pub struct FaultRule {
     pub kind: FaultKind,
 }
 
-/// A deterministic fault schedule: plain data, buildable by tests and
-/// benches, attachable to a server config.
+/// A deterministic fault schedule: plain data, buildable by tests,
+/// attachable to a server config.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     rules: Vec<FaultRule>,

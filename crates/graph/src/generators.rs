@@ -8,6 +8,7 @@
 //! measures (many propagation levels, a small number of very high-degree hubs).
 
 use crate::builder::GraphBuilder;
+use crate::delta::UpdateBatch;
 use crate::graph::Graph;
 use crate::rng::SplitMix64;
 use crate::types::VertexId;
@@ -227,6 +228,73 @@ pub fn binary_tree(depth: u32) -> Graph {
     builder.build()
 }
 
+/// What a [`random_batch`] draws.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchShape {
+    /// ~60% upserts from a random source with a weight in `[1, 10)`, ~40%
+    /// deletions of one of a random source's out-edges. With `allow_growth`
+    /// an upsert's target may lie up to 6 ids past the graph, growing the id
+    /// space.
+    Mixed { allow_growth: bool },
+    /// ~60% symmetric unit-weight upserts, ~40% symmetric deletions of a
+    /// random pair that is an edge: the undirected semantics of Connected
+    /// Components.
+    Symmetric,
+    /// ~60% forward (lower id to higher id) unit-weight upserts, ~40%
+    /// deletions of an out-edge: keeps a topologically numbered DAG such as
+    /// [`layered`] acyclic. Needs at least two vertices.
+    Dag,
+}
+
+/// A seeded random update batch of `ops` draws against `graph`.
+///
+/// The batch is a pure function of the graph and the seed, so two servers
+/// holding bit-identical graphs (an oracle and a faulted or crash-recovered
+/// run) draw identical batch sequences. A deletion draw that finds no edge
+/// stages nothing, so a batch can hold fewer than `ops` operations.
+pub fn random_batch(graph: &Graph, seed: u64, ops: usize, shape: BatchShape) -> UpdateBatch {
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    let n = graph.num_vertices() as VertexId;
+    let mut batch = UpdateBatch::new();
+    let delete_out_edge = |rng: &mut SplitMix64, batch: &mut UpdateBatch, src: VertexId| {
+        let outs = graph.out_neighbors(src);
+        if !outs.is_empty() {
+            batch.delete(src, outs[rng.range_usize(0, outs.len())]);
+        }
+    };
+    for _ in 0..ops {
+        match shape {
+            BatchShape::Mixed { allow_growth } => {
+                let src = rng.range_u32(0, n);
+                if rng.next_f64() < 0.6 {
+                    let hi = if allow_growth { n + 6 } else { n };
+                    batch.insert(src, rng.range_u32(0, hi), rng.range_f32(1.0, 10.0));
+                } else {
+                    delete_out_edge(&mut rng, &mut batch, src);
+                }
+            }
+            BatchShape::Symmetric => {
+                let a = rng.range_u32(0, n);
+                let b = rng.range_u32(0, n);
+                if rng.next_f64() < 0.6 {
+                    batch.insert_symmetric(a, b, 1.0);
+                } else if graph.has_edge(a, b) {
+                    batch.delete_symmetric(a, b);
+                }
+            }
+            BatchShape::Dag => {
+                let a = rng.range_u32(0, n - 1);
+                if rng.next_f64() < 0.6 {
+                    batch.insert(a, rng.range_u32(a + 1, n), 1.0);
+                } else {
+                    delete_out_edge(&mut rng, &mut batch, a);
+                }
+            }
+        }
+    }
+    batch
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,6 +415,32 @@ mod tests {
         for v in a.vertices() {
             assert!(a.out_degree(v) <= 4);
         }
+    }
+
+    #[test]
+    fn random_batches_are_seeded_and_keep_their_shape() {
+        let g = rmat(200, 1200, 0.57, 0.19, 0.19, 5);
+        let fixed = BatchShape::Mixed {
+            allow_growth: false,
+        };
+        for shape in [
+            BatchShape::Mixed { allow_growth: true },
+            BatchShape::Symmetric,
+        ] {
+            let a = random_batch(&g, 11, 40, shape);
+            assert_eq!(a.to_bytes(), random_batch(&g, 11, 40, shape).to_bytes());
+            assert_ne!(a.to_bytes(), random_batch(&g, 12, 40, shape).to_bytes());
+        }
+        let in_range = random_batch(&g, 3, 60, fixed);
+        assert!(in_range.pairs().all(|(s, d, _)| s < 200 && d < 200));
+        let symmetric = random_batch(&g, 3, 60, BatchShape::Symmetric);
+        assert!(symmetric
+            .stages()
+            .all(|(s, d, w)| symmetric.stages().any(|(a, b, x)| (a, b, x) == (d, s, w))));
+        let dag = layered(6, 10, 3, 9);
+        let edits = random_batch(&dag, 3, 60, BatchShape::Dag);
+        assert!(edits.pairs().all(|(s, d, _)| s < d));
+        assert!(dag.apply_batch(&edits).0.validate().is_ok());
     }
 
     #[test]

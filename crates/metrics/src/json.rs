@@ -1,16 +1,15 @@
 //! Minimal JSON emission helpers and a real recursive-descent parser.
 //!
-//! The bench bins hand-assemble their JSON (no serde in the offline
-//! container). Two classes of bug crept in repeatedly: string fields
-//! (`git_commit`, labels, notes) interpolated without escaping, and simulated
-//! or derived floats (speedups, seconds) printed as bare `NaN`/`inf`, neither
-//! of which is valid JSON. Every string and float a bin emits must go through
-//! [`string`] / [`float`] (or [`float_fixed`]), which escape and guard.
+//! The telemetry exporters and perfbench's records hand-assemble their JSON
+//! (no serde in the offline build). Two classes of bug are easy to write that
+//! way: string fields (names, labels) interpolated without escaping, and
+//! derived floats (ratios, seconds) printed as bare `NaN`/`inf`, neither of
+//! which is valid JSON. Every string and float an emitter writes goes through
+//! [`string`] / [`float`], which escape and guard.
 //!
 //! [`parse`] is the validation side: a strict, dependency-free JSON parser
-//! used by tests and benches to prove that every emitted document (Chrome
-//! traces, Prometheus-adjacent metric dumps, `BENCH_*.json`) really is JSON,
-//! replacing the balanced-quote smoke scans earlier PRs relied on.
+//! that tests use to prove every emitted document (Chrome traces, benchmark
+//! records) really is JSON.
 
 /// A JSON string literal: quoted, with `"`/`\\` and control characters
 /// escaped.
@@ -45,15 +44,6 @@ pub fn float(x: f64) -> String {
             s.push_str(".0");
         }
         s
-    } else {
-        "null".to_string()
-    }
-}
-
-/// [`float`] with fixed precision for finite values.
-pub fn float_fixed(x: f64, precision: usize) -> String {
-    if x.is_finite() {
-        format!("{x:.precision$}")
     } else {
         "null".to_string()
     }
@@ -407,8 +397,6 @@ mod tests {
         assert_eq!(float(f64::NAN), "null");
         assert_eq!(float(f64::INFINITY), "null");
         assert_eq!(float(f64::NEG_INFINITY), "null");
-        assert_eq!(float_fixed(f64::NAN, 6), "null");
-        assert_eq!(float_fixed(f64::NEG_INFINITY, 2), "null");
     }
 
     #[test]
@@ -416,8 +404,6 @@ mod tests {
         assert_eq!(float(1.5), "1.5");
         assert_eq!(float(2.0), "2.0");
         assert_eq!(float(-0.25), "-0.25");
-        assert_eq!(float_fixed(1.23456789, 4), "1.2346");
-        assert_eq!(float_fixed(3.0, 6), "3.000000");
     }
 
     #[test]
@@ -487,7 +473,7 @@ mod tests {
             "{{\"label\": {}, \"speedup\": {}, \"seconds\": {}}}",
             string("odd \"label\"\n"),
             float(f64::INFINITY),
-            float_fixed(0.125, 6)
+            float(0.125)
         );
         let v = parse(&doc).unwrap();
         assert_eq!(v.get("label").unwrap().as_str(), Some("odd \"label\"\n"));

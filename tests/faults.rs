@@ -23,9 +23,10 @@ use slfe::cluster::ClusterConfig;
 use slfe::core::{EngineConfig, GraphProgram, RedundancyMode};
 use slfe::delta::durability::SnapshotValue;
 use slfe::delta::{DeltaServer, DurabilityConfig, DurabilityError, ServerConfig};
-use slfe::graph::rng::SplitMix64;
+use slfe::graph::generators::{random_batch, BatchShape};
 use slfe::graph::{generators, stats, Graph};
-use slfe::prelude::{ApplyError, FaultKind, FaultPlan, FaultSite, UpdateBatch};
+use slfe::prelude::{ApplyError, FaultKind, FaultPlan, FaultSite};
+use std::collections::HashSet;
 use std::path::PathBuf;
 
 /// The sites a live server's apply/snapshot path touches. `WalOpen` and
@@ -39,6 +40,19 @@ const APPLY_SITES: [FaultSite; 7] = [
     FaultSite::SnapshotWrite,
     FaultSite::SnapshotRename,
 ];
+
+/// The sites only `DeltaServer::open` touches, swept by
+/// `open_time_faults_recover_or_fail_typed`.
+const OPEN_SITES: [FaultSite; 2] = [FaultSite::WalOpen, FaultSite::SnapshotRead];
+
+/// The two sweeps together reach every injection site, so a new site cannot
+/// escape them.
+#[test]
+fn the_sweeps_cover_every_injection_site() {
+    let swept: HashSet<FaultSite> = APPLY_SITES.into_iter().chain(OPEN_SITES).collect();
+    let all: HashSet<FaultSite> = slfe::graph::ALL_FAULT_SITES.into_iter().collect();
+    assert_eq!(swept, all);
+}
 
 fn fault_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("slfe-faults-{tag}-{}", std::process::id()));
@@ -55,61 +69,10 @@ fn value_bytes<V: SnapshotValue>(values: &[V]) -> Vec<u8> {
     bytes
 }
 
-#[derive(Clone, Copy)]
-enum BatchKind {
-    /// ~60% upserts (some growing the id space), ~40% deletions.
-    Mixed { allow_growth: bool },
-    /// Symmetric edge pairs for the undirected CC semantics.
-    Symmetric,
-    /// Forward-only insertions keeping the layered DAG acyclic.
-    Dag,
-}
-
-/// The batch for step `i` — a pure function of the current graph and the
-/// seed, so the oracle run and every faulted run (whose absorbed faults leave
-/// the graph bit-identical) generate identical sequences.
-fn make_batch(graph: &Graph, seed: u64, kind: BatchKind) -> UpdateBatch {
-    let mut rng = SplitMix64::seed_from_u64(seed);
-    let n = graph.num_vertices() as u32;
-    let mut batch = UpdateBatch::new();
-    for _ in 0..12 {
-        match kind {
-            BatchKind::Mixed { allow_growth } => {
-                let src = rng.range_u32(0, n);
-                if rng.next_f64() < 0.6 {
-                    let hi = if allow_growth { n + 6 } else { n };
-                    batch.insert(src, rng.range_u32(0, hi), rng.range_f32(1.0, 10.0));
-                } else {
-                    let outs = graph.out_neighbors(src);
-                    if !outs.is_empty() {
-                        batch.delete(src, outs[rng.range_usize(0, outs.len())]);
-                    }
-                }
-            }
-            BatchKind::Symmetric => {
-                let a = rng.range_u32(0, n);
-                let b = rng.range_u32(0, n);
-                if rng.next_f64() < 0.6 {
-                    batch.insert_symmetric(a, b, 1.0);
-                } else if graph.has_edge(a, b) {
-                    batch.delete_symmetric(a, b);
-                }
-            }
-            BatchKind::Dag => {
-                let a = rng.range_u32(0, n - 1);
-                if rng.next_f64() < 0.6 {
-                    batch.insert(a, rng.range_u32(a + 1, n), 1.0);
-                } else {
-                    let outs = graph.out_neighbors(a);
-                    if !outs.is_empty() {
-                        batch.delete(a, outs[rng.range_usize(0, outs.len())]);
-                    }
-                }
-            }
-        }
-    }
-    batch
-}
+/// Draws per batch. Every batch is a pure function of the current graph and
+/// the seed, so the oracle run and every faulted run (whose absorbed faults
+/// leave the graph bit-identical) draw identical sequences.
+const BATCH_OPS: usize = 12;
 
 /// Out-of-core serving config: the tight budget forces segment evictions so
 /// the `SegmentRead`/`SegmentWrite` sites are genuinely on the apply path.
@@ -153,7 +116,7 @@ fn crashpoint_sweep<P, F>(
     make_graph: impl Fn() -> Graph,
     make_program: F,
     engine: EngineConfig,
-    kind: BatchKind,
+    kind: BatchShape,
 ) where
     P: GraphProgram,
     P::Value: SnapshotValue,
@@ -173,7 +136,7 @@ fn crashpoint_sweep<P, F>(
         )
         .expect("oracle server");
         for i in 0..BATCHES {
-            let batch = make_batch(oracle.graph(), seed + i, kind);
+            let batch = random_batch(oracle.graph(), seed + i, BATCH_OPS, kind);
             oracle.try_apply(&batch).unwrap();
         }
         let oracle_final = value_bytes(oracle.values());
@@ -196,7 +159,7 @@ fn crashpoint_sweep<P, F>(
             )
             .expect("faulted server");
             // One clean batch, then schedule the fault at the site's next call.
-            let batch = make_batch(server.graph(), seed, kind);
+            let batch = random_batch(server.graph(), seed, BATCH_OPS, kind);
             server
                 .try_apply(&batch)
                 .unwrap_or_else(|e| panic!("{tag}/{workers}w: clean batch failed: {e}"));
@@ -206,7 +169,7 @@ fn crashpoint_sweep<P, F>(
                 FaultKind::Transient { failures: 1 },
             ));
             for i in 1..BATCHES {
-                let batch = make_batch(server.graph(), seed + i, kind);
+                let batch = random_batch(server.graph(), seed + i, BATCH_OPS, kind);
                 let outcome = server.try_apply(&batch).unwrap_or_else(|e| {
                     panic!(
                         "{tag}/{}/{workers}w: transient fault was not absorbed: {e}",
@@ -291,7 +254,7 @@ fn crashpoint_sweep_cc() {
         || cc::symmetrize(&generators::rmat(180, 800, 0.57, 0.19, 0.19, 930)),
         cc::CcProgram::for_graph,
         EngineConfig::default(),
-        BatchKind::Symmetric,
+        BatchShape::Symmetric,
     );
 }
 
@@ -355,7 +318,7 @@ fn crashpoint_sweep_numpaths() {
         || generators::layered(8, 30, 4, 980),
         |_: &Graph| numpaths::NumPathsProgram { root: 0 },
         exact_config(),
-        BatchKind::Dag,
+        BatchShape::Dag,
     );
 }
 
@@ -363,8 +326,8 @@ fn sweep_rmat(seed: u64) -> Graph {
     generators::rmat(220, 1400, 0.57, 0.19, 0.19, seed)
 }
 
-const GROW: BatchKind = BatchKind::Mixed { allow_growth: true };
-const FIXED: BatchKind = BatchKind::Mixed {
+const GROW: BatchShape = BatchShape::Mixed { allow_growth: true };
+const FIXED: BatchShape = BatchShape::Mixed {
     allow_growth: false,
 };
 
@@ -393,7 +356,7 @@ fn permanent_faults_recover_or_fail_typed_per_site() {
         .unwrap();
         let mut after: Vec<Vec<u8>> = Vec::new();
         for i in 0..3u64 {
-            let batch = make_batch(witness.graph(), seed + i, GROW);
+            let batch = random_batch(witness.graph(), seed + i, BATCH_OPS, GROW);
             witness.try_apply(&batch).unwrap();
             after.push(value_bytes(witness.values()));
         }
@@ -409,13 +372,13 @@ fn permanent_faults_recover_or_fail_typed_per_site() {
                 DurabilityConfig::new(&dir).with_snapshot_every(2),
             )
             .unwrap();
-            let batch = make_batch(server.graph(), seed, GROW);
+            let batch = random_batch(server.graph(), seed, BATCH_OPS, GROW);
             server.try_apply(&batch).unwrap();
             server
                 .fault_injector()
                 .arm(FaultPlan::new().fail(site, 0, FaultKind::Permanent));
 
-            let batch = make_batch(server.graph(), seed + 1, GROW);
+            let batch = random_batch(server.graph(), seed + 1, BATCH_OPS, GROW);
             let second = server.try_apply(&batch);
             match site {
                 // Unreadable segments are quarantined and rebuilt from the
@@ -445,7 +408,7 @@ fn permanent_faults_recover_or_fail_typed_per_site() {
                         assert!(server.health().last_snapshot_error().is_some());
                     }
                     // The next batch still applies read-write.
-                    let batch = make_batch(server.graph(), seed + 2, GROW);
+                    let batch = random_batch(server.graph(), seed + 2, BATCH_OPS, GROW);
                     server.try_apply(&batch).unwrap();
                     assert_eq!(value_bytes(server.values()), after[2]);
                 }
@@ -470,7 +433,7 @@ fn permanent_faults_recover_or_fail_typed_per_site() {
                     assert_eq!(server.value(root), Some(0.0));
                     assert_eq!(server.top_k(3).len(), 3);
                     // Subsequent applies are rejected without touching disk.
-                    let batch = make_batch(server.graph(), seed + 2, GROW);
+                    let batch = random_batch(server.graph(), seed + 2, BATCH_OPS, GROW);
                     assert!(matches!(
                         server.try_apply(&batch),
                         Err(ApplyError::ReadOnly { .. })
@@ -478,6 +441,79 @@ fn permanent_faults_recover_or_fail_typed_per_site() {
                 }
                 FaultSite::WalOpen | FaultSite::SnapshotRead => unreachable!(),
             }
+            drop(server);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}
+
+/// The arithmetic sibling of `permanent_faults_recover_or_fail_typed_per_site`:
+/// PageRank's warm restarts read the segment store as well, and under a
+/// permanent fault at each apply-path site the server must either finish
+/// bit-identical to the fault-free witness or reject a batch typed, flip
+/// read-only and keep serving the last applied batch's exact bits.
+#[test]
+fn permanent_faults_on_pagerank_recover_or_fail_typed_per_site() {
+    let graph = generators::rmat(300, 1800, 0.57, 0.19, 0.19, 8_2026);
+    let make = pagerank::PageRankProgram::for_graph;
+    let seed = 8200u64;
+    let durability = |dir: &PathBuf| DurabilityConfig::new(dir).with_snapshot_every(2);
+    for workers in [1usize, 4] {
+        let config = server_config(workers, exact_config());
+
+        let dir = fault_dir(&format!("perm-pr-witness-{workers}"));
+        let mut witness =
+            DeltaServer::create_durable(graph.clone(), make, config.clone(), durability(&dir))
+                .unwrap();
+        let mut after: Vec<Vec<u8>> = Vec::new();
+        for i in 0..3u64 {
+            let batch = random_batch(witness.graph(), seed + i, BATCH_OPS, GROW);
+            witness.try_apply(&batch).unwrap();
+            after.push(value_bytes(witness.values()));
+        }
+        drop(witness);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        for site in APPLY_SITES {
+            let tag = format!("{workers}w/{}", site.name());
+            let dir = fault_dir(&format!("perm-pr-{}-{workers}", site.name()));
+            let mut server =
+                DeltaServer::create_durable(graph.clone(), make, config.clone(), durability(&dir))
+                    .unwrap();
+            let batch = random_batch(server.graph(), seed, BATCH_OPS, GROW);
+            server.try_apply(&batch).unwrap();
+            server
+                .fault_injector()
+                .arm(FaultPlan::new().fail(site, 0, FaultKind::Permanent));
+            let mut applied = 1;
+            for i in 1..3u64 {
+                let batch = random_batch(server.graph(), seed + i, BATCH_OPS, GROW);
+                match server.try_apply(&batch) {
+                    Ok(_) => applied += 1,
+                    Err(e) => {
+                        assert!(
+                            matches!(
+                                e,
+                                ApplyError::WalAppend(_)
+                                    | ApplyError::StoragePatch(_)
+                                    | ApplyError::ExecutionPoisoned { .. }
+                            ),
+                            "{tag}: got {e}"
+                        );
+                        assert!(server.health().is_read_only(), "{tag}");
+                        break;
+                    }
+                }
+            }
+            assert_eq!(
+                value_bytes(server.values()),
+                after[applied - 1],
+                "{tag}: served values diverge from the witness"
+            );
+            assert!(
+                server.fault_counters().injected_total() >= 1,
+                "{tag}: the site never fired"
+            );
             drop(server);
             let _ = std::fs::remove_dir_all(&dir);
         }
@@ -502,13 +538,13 @@ fn open_time_faults_recover_or_fail_typed() {
             DeltaServer::create_durable(graph.clone(), make, config.clone(), durability.clone())
                 .unwrap();
         for i in 0..2u64 {
-            let batch = make_batch(server.graph(), 9300 + i, GROW);
+            let batch = random_batch(server.graph(), 9300 + i, BATCH_OPS, GROW);
             server.try_apply(&batch).unwrap();
         }
         let expected = value_bytes(server.values());
         drop(server);
 
-        for site in [FaultSite::WalOpen, FaultSite::SnapshotRead] {
+        for site in OPEN_SITES {
             // Transient: absorbed by the open-path retries.
             let faulted = ServerConfig {
                 fault_plan: Some(FaultPlan::new().fail(
@@ -597,7 +633,7 @@ fn disk_full_flips_read_only_and_queries_still_answer() {
         DurabilityConfig::new(&dir).with_snapshot_every(100),
     )
     .unwrap();
-    let batch = make_batch(server.graph(), 9400, GROW);
+    let batch = random_batch(server.graph(), 9400, BATCH_OPS, GROW);
     server.try_apply(&batch).unwrap();
     let served = value_bytes(server.values());
     let retries_before = server.fault_counters().io_retries;
@@ -607,7 +643,7 @@ fn disk_full_flips_read_only_and_queries_still_answer() {
         0,
         FaultKind::DiskFull,
     ));
-    let batch = make_batch(server.graph(), 9401, GROW);
+    let batch = random_batch(server.graph(), 9401, BATCH_OPS, GROW);
     let err = server
         .try_apply(&batch)
         .expect_err("ENOSPC must reject the batch");
@@ -633,7 +669,7 @@ fn disk_full_flips_read_only_and_queries_still_answer() {
     assert_eq!(nearest[0], (root, 0.0));
 
     // Applies keep failing typed; health is exported through the registry.
-    let batch = make_batch(server.graph(), 9402, GROW);
+    let batch = random_batch(server.graph(), 9402, BATCH_OPS, GROW);
     assert!(matches!(
         server.try_apply(&batch),
         Err(ApplyError::ReadOnly { .. })
@@ -674,7 +710,7 @@ fn wal_replay_is_idempotent_under_trim_failures_at_every_offset() {
     )
     .unwrap();
     for i in 0..5u64 {
-        let batch = make_batch(witness.graph(), seed + i, GROW);
+        let batch = random_batch(witness.graph(), seed + i, BATCH_OPS, GROW);
         witness.try_apply(&batch).unwrap();
     }
     let expected = value_bytes(witness.values());
@@ -703,7 +739,7 @@ fn wal_replay_is_idempotent_under_trim_failures_at_every_offset() {
                 .fault_injector()
                 .arm(FaultPlan::new().fail(FaultSite::WalTrim, offset, kind));
             for i in 0..5u64 {
-                let batch = make_batch(server.graph(), seed + i, GROW);
+                let batch = random_batch(server.graph(), seed + i, BATCH_OPS, GROW);
                 server.try_apply(&batch).unwrap_or_else(|e| {
                     panic!("offset {offset}: a trim failure must never fail an apply: {e}")
                 });
@@ -770,13 +806,13 @@ fn seeded_transient_chaos_stays_bit_identical() {
             DeltaServer::create_durable(graph.clone(), make, config.clone(), durability.clone())
                 .unwrap();
         for i in 0..3u64 {
-            let batch = make_batch(server.graph(), 9600 + i, GROW);
+            let batch = random_batch(server.graph(), 9600 + i, BATCH_OPS, GROW);
             server.try_apply(&batch).unwrap();
         }
         let mut injected = server.fault_counters().injected_total();
         drop(server);
         let mut server = DeltaServer::open(make, config, durability).unwrap();
-        let batch = make_batch(server.graph(), 9603, GROW);
+        let batch = random_batch(server.graph(), 9603, BATCH_OPS, GROW);
         server.try_apply(&batch).unwrap();
         injected += server.fault_counters().injected_total();
         let bytes = value_bytes(server.values());
@@ -814,7 +850,7 @@ fn check_disabled_faults_are_invisible<P, F>(
     make_graph: impl Fn() -> Graph,
     make_program: F,
     engine: EngineConfig,
-    kind: BatchKind,
+    kind: BatchShape,
 ) where
     P: GraphProgram,
     P::Value: SnapshotValue,
@@ -836,7 +872,7 @@ fn check_disabled_faults_are_invisible<P, F>(
             )
             .expect("guard server");
             for i in 0..2u64 {
-                let batch = make_batch(server.graph(), seed + i, kind);
+                let batch = random_batch(server.graph(), seed + i, BATCH_OPS, kind);
                 server.try_apply(&batch).unwrap();
             }
             assert_eq!(
@@ -888,7 +924,7 @@ fn disabled_fault_injection_is_bit_identical_for_every_app() {
         || cc::symmetrize(&generators::rmat(180, 800, 0.57, 0.19, 0.19, 1110)),
         cc::CcProgram::for_graph,
         EngineConfig::default(),
-        BatchKind::Symmetric,
+        BatchShape::Symmetric,
     );
     check_disabled_faults_are_invisible(
         "pr",
@@ -928,6 +964,6 @@ fn disabled_fault_injection_is_bit_identical_for_every_app() {
         || generators::layered(8, 30, 4, 1120),
         |_: &Graph| numpaths::NumPathsProgram { root: 0 },
         exact_config(),
-        BatchKind::Dag,
+        BatchShape::Dag,
     );
 }

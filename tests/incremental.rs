@@ -6,67 +6,16 @@
 
 use slfe::apps::{bfs, cc, heat, numpaths, pagerank, spmv, sssp, tunkrank, widestpath, AppKind};
 use slfe::core::{EngineConfig, GraphProgram, RedundancyMode, SlfeEngine};
+use slfe::delta::{DeltaServer, ServerConfig};
+use slfe::graph::generators::{random_batch, BatchShape};
 use slfe::graph::rng::SplitMix64;
 use slfe::graph::{generators, Degrees, Graph, UpdateBatch};
 use slfe::prelude::ClusterConfig;
 
-/// A mixed random batch: ~60% upserts (some growing the id space), ~40%
-/// deletions of real edges.
-fn mixed_batch(graph: &Graph, seed: u64, ops: usize, allow_growth: bool) -> UpdateBatch {
-    let mut rng = SplitMix64::seed_from_u64(seed);
-    let n = graph.num_vertices() as u32;
-    let mut batch = UpdateBatch::new();
-    for _ in 0..ops {
-        let src = rng.range_u32(0, n);
-        if rng.next_f64() < 0.6 {
-            let hi = if allow_growth { n + 6 } else { n };
-            batch.insert(src, rng.range_u32(0, hi), rng.range_f32(1.0, 10.0));
-        } else {
-            let outs = graph.out_neighbors(src);
-            if !outs.is_empty() {
-                batch.delete(src, outs[rng.range_usize(0, outs.len())]);
-            }
-        }
-    }
-    batch
-}
-
-/// A symmetric batch for the Connected Components (undirected) semantics.
-fn symmetric_batch(graph: &Graph, seed: u64, ops: usize) -> UpdateBatch {
-    let mut rng = SplitMix64::seed_from_u64(seed);
-    let n = graph.num_vertices() as u32;
-    let mut batch = UpdateBatch::new();
-    for _ in 0..ops {
-        let a = rng.range_u32(0, n);
-        let b = rng.range_u32(0, n);
-        if rng.next_f64() < 0.6 {
-            batch.insert_symmetric(a, b, 1.0);
-        } else if graph.has_edge(a, b) {
-            batch.delete_symmetric(a, b);
-        }
-    }
-    batch
-}
-
-/// A DAG-preserving batch for NumPaths: only forward (lower id -> higher id)
-/// insertions on the layered generator's topologically ordered ids.
-fn dag_batch(graph: &Graph, seed: u64, ops: usize) -> UpdateBatch {
-    let mut rng = SplitMix64::seed_from_u64(seed);
-    let n = graph.num_vertices() as u32;
-    let mut batch = UpdateBatch::new();
-    for _ in 0..ops {
-        let a = rng.range_u32(0, n - 1);
-        if rng.next_f64() < 0.6 {
-            batch.insert(a, rng.range_u32(a + 1, n), 1.0);
-        } else {
-            let outs = graph.out_neighbors(a);
-            if !outs.is_empty() {
-                batch.delete(a, outs[rng.range_usize(0, outs.len())]);
-            }
-        }
-    }
-    batch
-}
+const GROW: BatchShape = BatchShape::Mixed { allow_growth: true };
+const FIXED: BatchShape = BatchShape::Mixed {
+    allow_growth: false,
+};
 
 /// Warm-start `program` across `batch` and compare with a from-scratch run on
 /// the mutated graph. `config` is shared by the previous run, the warm run and
@@ -144,49 +93,49 @@ fn every_registered_program_warm_equals_cold_on_random_batches() {
             match app {
                 AppKind::Sssp => check_warm_equals_cold(
                     &rmat,
-                    &mixed_batch(&rmat, seed, 25, true),
+                    &random_batch(&rmat, seed, 25, GROW),
                     EngineConfig::default(),
                     |_| sssp::SsspProgram { root },
                     |w, c, k| assert_bits_equal(w, c, k, app),
                 ),
                 AppKind::Bfs => check_warm_equals_cold(
                     &rmat,
-                    &mixed_batch(&rmat, seed + 1, 25, true),
+                    &random_batch(&rmat, seed + 1, 25, GROW),
                     EngineConfig::default(),
                     |_| bfs::BfsProgram { root },
                     |w, c, k| assert_bits_equal(w, c, k, app),
                 ),
                 AppKind::WidestPath => check_warm_equals_cold(
                     &rmat,
-                    &mixed_batch(&rmat, seed + 2, 25, true),
+                    &random_batch(&rmat, seed + 2, 25, GROW),
                     EngineConfig::default(),
                     |_| widestpath::WidestPathProgram { root },
                     |w, c, k| assert_bits_equal(w, c, k, app),
                 ),
                 AppKind::ConnectedComponents => check_warm_equals_cold(
                     &sym,
-                    &symmetric_batch(&sym, seed + 3, 18),
+                    &random_batch(&sym, seed + 3, 18, BatchShape::Symmetric),
                     EngineConfig::default(),
                     cc::CcProgram::for_graph,
                     |w, c, k| assert_bits_equal(w, c, k, app),
                 ),
                 AppKind::PageRank => check_warm_equals_cold(
                     &rmat,
-                    &mixed_batch(&rmat, seed + 4, 20, true),
+                    &random_batch(&rmat, seed + 4, 20, GROW),
                     exact_config(),
                     pagerank::PageRankProgram::for_graph,
                     |w, c, k| assert_close(w, c, k, app, 1e-5),
                 ),
                 AppKind::TunkRank => check_warm_equals_cold(
                     &rmat,
-                    &mixed_batch(&rmat, seed + 5, 20, false),
+                    &random_batch(&rmat, seed + 5, 20, FIXED),
                     exact_config(),
                     |_| tunkrank::TunkRankProgram::default(),
                     |w, c, k| assert_close(w, c, k, app, 1e-5),
                 ),
                 AppKind::SpMV => check_warm_equals_cold(
                     &rmat,
-                    &mixed_batch(&rmat, seed + 6, 20, true),
+                    &random_batch(&rmat, seed + 6, 20, GROW),
                     exact_config(),
                     |g: &Graph| spmv::SpmvProgram::ones(g.num_vertices()),
                     |w: &[(f32, f32)], c: &[(f32, f32)], k| {
@@ -204,7 +153,7 @@ fn every_registered_program_warm_equals_cold_on_random_batches() {
                 // still walk it identically.
                 AppKind::HeatSimulation => check_warm_equals_cold(
                     &rmat,
-                    &mixed_batch(&rmat, seed + 7, 20, false),
+                    &random_batch(&rmat, seed + 7, 20, FIXED),
                     exact_config()
                         .with_tolerance(1e-6)
                         .with_max_iterations(3000),
@@ -215,7 +164,7 @@ fn every_registered_program_warm_equals_cold_on_random_batches() {
                 ),
                 AppKind::NumPaths => check_warm_equals_cold(
                     &dag,
-                    &dag_batch(&dag, seed + 8, 15),
+                    &random_batch(&dag, seed + 8, 15, BatchShape::Dag),
                     exact_config(),
                     |_| numpaths::NumPathsProgram { root: 0 },
                     |w, c, k| assert_bits_equal(w, c, k, app),
@@ -326,7 +275,7 @@ fn run_from_effect_matches_run_from_for_every_program_shape() {
     for seed in 0..2u64 {
         let rmat = generators::rmat(220, 1500, 0.57, 0.19, 0.19, seed + 1500);
         let root = slfe::graph::stats::highest_out_degree_vertex(&rmat).unwrap();
-        let batch = mixed_batch(&rmat, seed + 40, 25, true);
+        let batch = random_batch(&rmat, seed + 40, 25, GROW);
         let (mutated, effect) = rmat.apply_batch(&batch);
         let cluster = ClusterConfig::new(2, 2);
         let program = sssp::SsspProgram { root };
@@ -355,8 +304,11 @@ fn repaired_guidance_equals_regeneration_for_every_batch_shape() {
     for seed in 0..3u64 {
         let graph = generators::rmat(300, 2000, 0.57, 0.19, 0.19, seed + 1200);
         for (label, batch) in [
-            ("mixed", mixed_batch(&graph, seed, 30, true)),
-            ("symmetric", symmetric_batch(&graph, seed, 20)),
+            ("mixed", random_batch(&graph, seed, 30, GROW)),
+            (
+                "symmetric",
+                random_batch(&graph, seed, 20, BatchShape::Symmetric),
+            ),
         ] {
             let old = RrGuidance::generate(&graph);
             let (mutated, effect) = graph.apply_batch(&batch);
@@ -402,6 +354,69 @@ fn warm_start_saves_work_on_serving_sized_batches() {
         warm.stats.totals.work(),
         cold.stats.totals.work()
     );
+}
+
+/// A seeded random batch sized as `percent` of the graph's edges.
+/// `delete_share` of the draws delete one of a random source's out-edges; the
+/// rest upsert random ones.
+fn make_batch(graph: &Graph, percent: f64, delete_share: f64, seed: u64) -> UpdateBatch {
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    let n = graph.num_vertices() as u32;
+    let ops = ((graph.num_edges() as f64 * percent / 100.0).round() as usize).max(1);
+    let mut batch = UpdateBatch::new();
+    for _ in 0..ops {
+        let src = rng.range_u32(0, n);
+        if rng.next_f64() >= delete_share {
+            batch.insert(src, rng.range_u32(0, n), rng.range_f32(1.0, 10.0));
+        } else {
+            let outs = graph.out_neighbors(src);
+            if !outs.is_empty() {
+                batch.delete(src, outs[rng.range_usize(0, outs.len())]);
+            }
+        }
+    }
+    batch
+}
+
+/// Incremental serving's gate at 100k vertices: one batch of 1% of the edges,
+/// insert-only and with 10% deletions (the cascade-heavy mix), applied by an
+/// SSSP `DeltaServer` must converge and do at least 5x less counted work
+/// (invalidation included) than a cold run on the mutated graph.
+#[test]
+fn one_percent_batches_at_100k_vertices_save_5x_work() {
+    let graph = generators::rmat(100_000, 1_000_000, 0.57, 0.19, 0.19, 2026);
+    let root = slfe::graph::stats::highest_out_degree_vertex(&graph).unwrap();
+    let engine = EngineConfig::default().with_trace(false);
+    for (mode, delete_share) in [("insert", 0.0), ("mixed", 0.1)] {
+        let config = ServerConfig {
+            cluster: ClusterConfig::new(2, 2),
+            engine: engine.clone(),
+            ..ServerConfig::default()
+        };
+        let mut server = DeltaServer::try_new(
+            graph.clone(),
+            move |_: &Graph| sssp::SsspProgram { root },
+            config,
+        )
+        .unwrap();
+        let batch = make_batch(&graph, 1.0, delete_share, 9010);
+        let outcome = server.try_apply(&batch).unwrap();
+        assert!(outcome.converged, "{mode}: warm serving run must converge");
+
+        let (mutated, _) = graph.apply_batch(&batch);
+        let cold = SlfeEngine::build(&mutated, ClusterConfig::new(2, 2), engine.clone())
+            .run(&sssp::SsspProgram { root });
+        let cold_work = cold.stats.totals.work();
+        let ratio = cold_work as f64 / outcome.work.max(1) as f64;
+        eprintln!(
+            "{mode}: {} warm vs {cold_work} cold work ({ratio:.1}x)",
+            outcome.work
+        );
+        assert!(
+            cold_work >= 5 * outcome.work.max(1),
+            "{mode}: a 1% batch saved only {ratio:.1}x counted work"
+        );
+    }
 }
 
 /// The arithmetic warm restart the engine must reproduce bit for bit: each
@@ -541,10 +556,10 @@ fn arithmetic_warm_restarts_equal_the_full_sweep_bit_for_bit() {
     let f32_bits = |v: f32| u64::from(v.to_bits());
     for growth in [false, true] {
         let label = |app: AppKind| format!("{app} (growth {growth})");
-        let mut batch = mixed_batch(&rmat, 3100 + growth as u64, 8, false);
-        let mut small_batch = mixed_batch(&small, 3150 + growth as u64, 20, false);
+        let mut batch = random_batch(&rmat, 3100 + growth as u64, 8, FIXED);
+        let mut small_batch = random_batch(&small, 3150 + growth as u64, 20, FIXED);
         // DAG-preserving: new ids only ever receive edges.
-        let mut dag_edits = dag_batch(&dag, 3200 + growth as u64, 8);
+        let mut dag_edits = random_batch(&dag, 3200 + growth as u64, 8, BatchShape::Dag);
         if growth {
             batch.insert(7, rmat.num_vertices() as u32 + 2, 2.0);
             small_batch.insert(7, small.num_vertices() as u32 + 2, 2.0);

@@ -1,7 +1,8 @@
 //! Activity-proportional execution acceptance tests (PR 4): the sparse push
-//! scratch must be bit-equivalent to the dense scratch for **every registered
-//! application** ([`slfe::apps::AppKind::ALL`]) at 1 and 4 workers — values,
-//! work counters and per-`(src_node, dst_node)` message tallies — and the
+//! scratch and the default density threshold must be bit-equivalent to the
+//! dense scratch for **every registered application**
+//! ([`slfe::apps::AppKind::ALL`]) at 1 and 4 workers — values, work counters
+//! and per-`(src_node, dst_node)` message tallies — and the
 //! chunk-level activity summaries must actually skip cold chunks in the
 //! regimes the paper's workloads produce (late sparse BFS/SSSP iterations,
 //! rr-gated early pulls, early-converged arithmetic chunks).
@@ -12,10 +13,10 @@ use slfe::graph::{generators, Graph};
 use slfe::metrics::{Counters, Mode};
 use slfe::prelude::ClusterConfig;
 
-/// Run `program` twice — dense scratch forced (`sparse_push_density = 0`) and
-/// sparse scratch forced (`> 1`) — and require bit-identical values (via
-/// `compare`), identical counters (the scratch footprint aside) and identical
-/// per-node-pair message tallies.
+/// Run `program` three times — dense scratch forced (`sparse_push_density =
+/// 0`), the default density threshold, and sparse scratch forced (`> 1`) —
+/// and require bit-identical values (via `compare`), identical counters (the
+/// scratch footprint aside) and identical per-node-pair message tallies.
 fn check_sparse_equals_dense<P, V, PF, C>(
     graph: &Graph,
     config: EngineConfig,
@@ -27,43 +28,38 @@ fn check_sparse_equals_dense<P, V, PF, C>(
     PF: Fn(&Graph) -> P,
     C: Fn(&[V], &[V], usize),
 {
+    let strip_peak = |c: Counters| Counters {
+        scratch_bytes_peak: 0,
+        ..c
+    };
     for workers in [1usize, 4] {
-        let cluster = ClusterConfig::new(2, workers);
-        let dense_engine = SlfeEngine::build(
-            graph,
-            cluster.clone(),
-            config.clone().with_sparse_push_density(0.0),
-        );
-        let sparse_engine =
-            SlfeEngine::build(graph, cluster, config.clone().with_sparse_push_density(2.0));
-        let dense = dense_engine.run(&make_program(graph));
-        let sparse = sparse_engine.run(&make_program(graph));
-        compare(&dense.values, &sparse.values, workers);
-        assert_eq!(dense.stats.iterations, sparse.stats.iterations);
-        assert_eq!(dense.converged, sparse.converged);
-        let strip_peak = |c: Counters| Counters {
-            scratch_bytes_peak: 0,
-            ..c
+        let run = |config: EngineConfig| {
+            let engine = SlfeEngine::build(graph, ClusterConfig::new(2, workers), config);
+            let result = engine.run(&make_program(graph));
+            let tracker = engine.cluster().comm_tracker();
+            let messages: Vec<u64> = (0..4)
+                .map(|pair| tracker.messages_between(pair / 2, pair % 2))
+                .collect();
+            (result, messages)
         };
-        assert_eq!(
-            strip_peak(dense.stats.totals),
-            strip_peak(sparse.stats.totals),
-            "counters diverge between scratch representations at {workers} workers"
-        );
-        for src in 0..2 {
-            for dst in 0..2 {
-                assert_eq!(
-                    dense_engine
-                        .cluster()
-                        .comm_tracker()
-                        .messages_between(src, dst),
-                    sparse_engine
-                        .cluster()
-                        .comm_tracker()
-                        .messages_between(src, dst),
-                    "message tally {src}->{dst} diverges at {workers} workers"
-                );
-            }
+        let (dense, dense_messages) = run(config.clone().with_sparse_push_density(0.0));
+        for (label, other_config) in [
+            ("default", config.clone()),
+            ("sparse", config.clone().with_sparse_push_density(2.0)),
+        ] {
+            let (other, other_messages) = run(other_config);
+            compare(&dense.values, &other.values, workers);
+            assert_eq!(dense.stats.iterations, other.stats.iterations);
+            assert_eq!(dense.converged, other.converged);
+            assert_eq!(
+                strip_peak(dense.stats.totals),
+                strip_peak(other.stats.totals),
+                "counters diverge between dense and {label} scratch at {workers} workers"
+            );
+            assert_eq!(
+                dense_messages, other_messages,
+                "message tallies diverge between dense and {label} scratch at {workers} workers"
+            );
         }
     }
 }
