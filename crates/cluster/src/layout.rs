@@ -31,13 +31,38 @@
 //!
 //! The layout is pure bookkeeping — every owned vertex appears in exactly one
 //! chunk (the property tests pin this), so execution results are unaffected;
-//! only the claim order and the work-per-claim distribution change. And because
-//! per-vertex estimates only move where a graph mutation changed a degree,
-//! [`GlobalChunkLayout::patched`] rebuilds just the dirty nodes' chunk lists
-//! after an edge batch instead of re-deriving the whole layout.
+//! only the claim order and the work-per-claim distribution change.
+//!
+//! # Patching a layout after an edge batch
+//!
+//! Per-vertex estimates and in-spans only move at a batch's dirty endpoints,
+//! and a stable partitioning only appends to each node's ascending owned list,
+//! so [`GlobalChunkLayout::patched_at`] re-cuts just the chunks around the
+//! dirty positions, in `O(batch)` rather than `O(V + E)`, and the result is
+//! `==` to a from-scratch [`GlobalChunkLayout::build`]. Per node:
+//!
+//! * The new total estimate is exact without a scan: the old chunk estimates,
+//!   plus each dirty chunk's re-summed estimate minus its old one, plus the
+//!   appended vertices. If the node's split budget
+//!   `2·⌈total / ⌈len / chunk_size⌉⌉` is unchanged, old chunks are copied
+//!   verbatim up to the one holding the next dirty position; the cut re-runs
+//!   from that chunk's start and returns to copying at the first new cut
+//!   that is also an old chunk start.
+//! * This is exact because the greedy cut resets its state at every cut:
+//!   clean vertices keep their estimates and in-spans, so from an old boundary
+//!   the cut reproduces the old chunks. Appended vertices sit at the end of
+//!   the list, so the old last chunk (which the list's end closed) counts as
+//!   dirty.
+//! * If the budget changed, or the node had no chunks, the node is re-cut
+//!   whole, as a build would.
+//!
+//! One greedy cut routine serves the build, the local re-cut and the
+//! whole-node fallback. [`GlobalChunkLayout::patched`], which re-cuts every
+//! node flagged as touched, runs through the same per-node routine.
 
 use crate::stealing::{ScheduleOutcome, SchedulingPolicy};
 use slfe_graph::{Graph, VertexId};
+use std::ops::Range;
 
 /// Split threshold: a chunk is closed early once its estimate reaches
 /// `SPLIT_FACTOR ×` the node's average per-base-chunk estimate.
@@ -86,14 +111,22 @@ impl WorkChunk {
     }
 }
 
-/// What [`GlobalChunkLayout::patched`] actually did — the proof that applying
-/// an update batch no longer pays an O(V+E) layout rebuild.
+/// What a layout patch ([`GlobalChunkLayout::patched_at`] or
+/// [`GlobalChunkLayout::patched`]) did — the proof that applying an update
+/// batch no longer pays an O(V+E) layout rebuild.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LayoutPatchStats {
-    /// Nodes whose chunk lists were re-derived (dirty-endpoint owners).
+    /// Nodes whose chunk list was re-cut, in part or whole: the dirty
+    /// endpoints' owners and the nodes that received appended vertices.
     pub nodes_rebuilt: usize,
-    /// Owned vertices scanned while re-deriving those lists — the patch's work
-    /// bound, compared to `|V| + |E|` for a from-scratch build.
+    /// Of `nodes_rebuilt`, the nodes re-cut whole: their split budget
+    /// changed, they had no chunks before, or [`GlobalChunkLayout::patched`]
+    /// flagged them.
+    pub nodes_recut_whole: usize,
+    /// Owned-vertex estimates the patch read: the dirty chunks re-summed for
+    /// a node's new total, the appended vertices, and every vertex a cut
+    /// passed over (a whole-node re-cut passes over the whole node). The
+    /// patch's work bound, compared to `|V| + |E|` for a from-scratch build.
     pub vertices_scanned: usize,
     /// Chunks copied verbatim from the previous layout.
     pub chunks_reused: usize,
@@ -108,53 +141,93 @@ pub struct GlobalChunkLayout {
     per_node: Vec<Vec<usize>>,
 }
 
-/// Cut one node's owned-vertex list into degree-aware chunks and append them to
-/// `out`. Shared verbatim by [`GlobalChunkLayout::build`] and
-/// [`GlobalChunkLayout::patched`] — byte-identical chunk lists are what make a
-/// patched layout `==` the from-scratch one.
-fn push_node_chunks(
-    graph: &Graph,
+/// A vertex's estimated work: itself plus every edge it touches.
+fn estimate(graph: &Graph, v: VertexId) -> u64 {
+    1 + graph.in_degree(v) as u64 + graph.out_degree(v) as u64
+}
+
+/// A node's split budget: an even estimate share per base chunk of
+/// `chunk_size` vertices, times the split factor. A chunk that would exceed
+/// it is cut early; a single hub larger than the whole budget becomes a
+/// one-vertex chunk. `len` must be positive.
+fn node_budget(total: u64, len: usize, chunk_size: usize) -> u64 {
+    let base_chunks = len.div_ceil(chunk_size) as u64;
+    (SPLIT_FACTOR * total.div_ceil(base_chunks)).max(1)
+}
+
+/// One node's owned-vertex list over one graph version: what every cut of
+/// that node reads.
+struct NodeList<'a> {
+    graph: &'a Graph,
     node: usize,
-    owned: &[VertexId],
+    owned: &'a [VertexId],
     chunk_size: usize,
-    out: &mut Vec<WorkChunk>,
-) {
-    if owned.is_empty() {
-        return;
+}
+
+impl NodeList<'_> {
+    /// The summed estimate of `owned[range]`.
+    fn estimate(&self, range: Range<usize>) -> u64 {
+        self.owned[range]
+            .iter()
+            .map(|&v| estimate(self.graph, v))
+            .sum()
     }
-    let estimate = |v: VertexId| 1 + graph.in_degree(v) as u64 + graph.out_degree(v) as u64;
-    // Budget: an even estimate share per base chunk, times the split
-    // factor. A chunk that would exceed it is cut early; a single hub
-    // larger than the whole budget becomes a one-vertex chunk.
-    let total: u64 = owned.iter().map(|&v| estimate(v)).sum();
-    let base_chunks = owned.len().div_ceil(chunk_size) as u64;
-    let budget = (SPLIT_FACTOR * total.div_ceil(base_chunks)).max(1);
-    let mut start = 0usize;
-    let mut acc = 0u64;
-    let mut in_start = VertexId::MAX;
-    let mut in_end = 0 as VertexId;
-    for (idx, &v) in owned.iter().enumerate() {
-        acc += estimate(v);
-        for &u in graph.in_neighbors(v) {
-            in_start = in_start.min(u);
-            in_end = in_end.max(u + 1);
+
+    /// The greedy cut, the one routine behind every chunk list: starting at
+    /// position `from` (a cut, so with nothing accumulated), close a chunk
+    /// when it reaches `chunk_size` vertices, its estimate reaches `budget`,
+    /// or the list ends, and append each chunk to `out`. Stops at the first
+    /// cut `resync` accepts, or at the end of the list, and returns that
+    /// position. Byte-identical chunk lists are what make a patched layout
+    /// `==` the from-scratch one.
+    fn cut(
+        &self,
+        budget: u64,
+        from: usize,
+        out: &mut Vec<WorkChunk>,
+        mut resync: impl FnMut(usize) -> bool,
+    ) -> usize {
+        let owned = self.owned;
+        let mut start = from;
+        let mut acc = 0u64;
+        let mut in_start = VertexId::MAX;
+        let mut in_end = 0 as VertexId;
+        for (idx, &v) in owned.iter().enumerate().skip(from) {
+            acc += estimate(self.graph, v);
+            for &u in self.graph.in_neighbors(v) {
+                in_start = in_start.min(u);
+                in_end = in_end.max(u + 1);
+            }
+            let len = idx + 1 - start;
+            if len == self.chunk_size || acc >= budget || idx + 1 == owned.len() {
+                out.push(WorkChunk {
+                    node: self.node,
+                    start,
+                    end: idx + 1,
+                    estimate: acc,
+                    span_start: owned[start],
+                    span_end: owned[idx] + 1,
+                    in_start: if in_start < in_end { in_start } else { 0 },
+                    in_end: if in_start < in_end { in_end } else { 0 },
+                });
+                start = idx + 1;
+                acc = 0;
+                in_start = VertexId::MAX;
+                in_end = 0;
+                if resync(start) {
+                    return start;
+                }
+            }
         }
-        let len = idx + 1 - start;
-        if len == chunk_size || acc >= budget || idx + 1 == owned.len() {
-            out.push(WorkChunk {
-                node,
-                start,
-                end: idx + 1,
-                estimate: acc,
-                span_start: owned[start],
-                span_end: owned[idx] + 1,
-                in_start: if in_start < in_end { in_start } else { 0 },
-                in_end: if in_start < in_end { in_end } else { 0 },
-            });
-            start = idx + 1;
-            acc = 0;
-            in_start = VertexId::MAX;
-            in_end = 0;
+        owned.len()
+    }
+
+    /// Cut the whole list under the budget its `total` estimate sets, as
+    /// [`GlobalChunkLayout::build`] does.
+    fn cut_whole(&self, total: u64, out: &mut Vec<WorkChunk>) {
+        if !self.owned.is_empty() {
+            let budget = node_budget(total, self.owned.len(), self.chunk_size);
+            self.cut(budget, 0, out, |_| false);
         }
     }
 }
@@ -178,20 +251,66 @@ impl GlobalChunkLayout {
         assert!(chunk_size >= 1, "chunk size must be positive");
         let mut chunks = Vec::new();
         for (node, owned) in owned_per_node.iter().enumerate() {
-            push_node_chunks(graph, node, owned, chunk_size, &mut chunks);
+            let list = NodeList {
+                graph,
+                node,
+                owned,
+                chunk_size,
+            };
+            list.cut_whole(list.estimate(0..owned.len()), &mut chunks);
         }
+        Self::ordered(chunks, owned_per_node.len())
+    }
+
+    /// The layout holding `chunks` (any order), sorted into claim order.
+    fn ordered(mut chunks: Vec<WorkChunk>, num_nodes: usize) -> Self {
         sort_chunks(&mut chunks);
-        let mut per_node = vec![Vec::new(); owned_per_node.len()];
+        let mut per_node = vec![Vec::new(); num_nodes];
         for (i, chunk) in chunks.iter().enumerate() {
             per_node[chunk.node].push(i);
         }
         Self { chunks, per_node }
     }
 
+    /// Re-derive this layout after an edge batch whose changed vertices are
+    /// `dirty` (ascending, as [`slfe_graph::BatchEffect::dirty`] lists them):
+    /// each node re-cuts only the chunks around its dirty positions and
+    /// copies the rest verbatim, falling back to a whole-node re-cut when its
+    /// split budget changed (see the [module docs](self)). Then the global
+    /// claim order is re-sorted: `O(re-cut chunks + |dirty| log V + C log C)`
+    /// for `C` chunks, instead of `O(V + E)`.
+    ///
+    /// The caller guarantees that every vertex whose in-degree, out-degree
+    /// or in-neighbours changed is in `dirty`, that `chunk_size` is the one
+    /// this layout was cut with, and that each node's owned list is the
+    /// previous one, possibly with vertices appended. Under that contract the
+    /// result is `==` to a from-scratch [`GlobalChunkLayout::build`] on the
+    /// new graph (property-tested).
+    pub fn patched_at(
+        &self,
+        graph: &Graph,
+        owned_per_node: &[&[VertexId]],
+        chunk_size: usize,
+        dirty: &[VertexId],
+    ) -> (Self, LayoutPatchStats) {
+        let positions: Vec<_> = owned_per_node
+            .iter()
+            .map(|owned| {
+                Some(
+                    dirty
+                        .iter()
+                        .filter_map(|v| owned.binary_search(v).ok())
+                        .collect(),
+                )
+            })
+            .collect();
+        self.patch_nodes(graph, owned_per_node, chunk_size, &positions)
+    }
+
     /// Re-derive this layout after a graph mutation whose changed degrees are
-    /// confined to `touched[node]` nodes: touched nodes' chunk lists are
-    /// rebuilt from their (possibly grown) owned lists, untouched nodes' chunks
-    /// are copied verbatim, and only the global claim order is re-sorted —
+    /// confined to `touched[node]` nodes: touched nodes are re-cut whole from
+    /// their (possibly grown) owned lists, untouched nodes' chunks are copied
+    /// verbatim, and only the global claim order is re-sorted —
     /// `O(Σ touched |owned| + touched edges + C log C)` instead of `O(V + E)`.
     ///
     /// The caller guarantees that every vertex whose in- or out-degree changed
@@ -199,6 +318,10 @@ impl GlobalChunkLayout {
     /// touched node, and that untouched nodes' owned lists are unchanged.
     /// Under that contract the result is `==` to a from-scratch
     /// [`GlobalChunkLayout::build`] on the new graph (property-tested).
+    ///
+    /// The serving path patches with [`GlobalChunkLayout::patched_at`]; this
+    /// entry is kept for the benchmark's stand-alone layout probe and runs
+    /// through the same per-node routine.
     pub fn patched(
         &self,
         graph: &Graph,
@@ -206,35 +329,125 @@ impl GlobalChunkLayout {
         chunk_size: usize,
         touched: &[bool],
     ) -> (Self, LayoutPatchStats) {
+        assert_eq!(
+            touched.len(),
+            self.per_node.len(),
+            "one touched flag per node"
+        );
+        let positions: Vec<_> = touched.iter().map(|&t| (!t).then(Vec::new)).collect();
+        self.patch_nodes(graph, owned_per_node, chunk_size, &positions)
+    }
+
+    /// Patch every node at its dirty positions (see
+    /// [`GlobalChunkLayout::patch_node`]), then re-sort.
+    fn patch_nodes(
+        &self,
+        graph: &Graph,
+        owned_per_node: &[&[VertexId]],
+        chunk_size: usize,
+        dirty_per_node: &[Option<Vec<usize>>],
+    ) -> (Self, LayoutPatchStats) {
         assert!(chunk_size >= 1, "chunk size must be positive");
         assert_eq!(
             owned_per_node.len(),
             self.per_node.len(),
             "patching cannot change the node count"
         );
-        assert_eq!(
-            touched.len(),
-            self.per_node.len(),
-            "one touched flag per node"
-        );
         let mut stats = LayoutPatchStats::default();
-        let mut chunks = Vec::with_capacity(self.chunks.len());
+        let mut chunks = Vec::with_capacity(self.chunks.len() + 1);
         for (node, owned) in owned_per_node.iter().enumerate() {
-            if touched[node] {
-                stats.nodes_rebuilt += 1;
-                stats.vertices_scanned += owned.len();
-                push_node_chunks(graph, node, owned, chunk_size, &mut chunks);
-            } else {
-                stats.chunks_reused += self.per_node[node].len();
-                chunks.extend(self.per_node[node].iter().map(|&i| self.chunks[i].clone()));
+            let list = NodeList {
+                graph,
+                node,
+                owned,
+                chunk_size,
+            };
+            let dirty = dirty_per_node[node].as_deref();
+            self.patch_node(&list, dirty, &mut stats, &mut chunks);
+        }
+        (Self::ordered(chunks, owned_per_node.len()), stats)
+    }
+
+    /// Append `list`'s chunks over the new graph to `out`. `dirty` holds the
+    /// ascending positions whose vertices changed (positions past the old
+    /// list are appended vertices); `None` re-cuts the node whole.
+    fn patch_node(
+        &self,
+        list: &NodeList<'_>,
+        dirty: Option<&[usize]>,
+        stats: &mut LayoutPatchStats,
+        out: &mut Vec<WorkChunk>,
+    ) {
+        let len = list.owned.len();
+        let old_ids = &self.per_node[list.node];
+        let old_len: usize = old_ids.iter().map(|&i| self.chunks[i].len()).sum();
+        if dirty.is_some_and(|d| d.is_empty()) && len == old_len {
+            stats.chunks_reused += old_ids.len();
+            out.extend(old_ids.iter().map(|&i| self.chunks[i].clone()));
+            return;
+        }
+        stats.nodes_rebuilt += 1;
+        let Some(dirty) = dirty.filter(|_| !old_ids.is_empty()) else {
+            stats.nodes_recut_whole += 1;
+            stats.vertices_scanned += len;
+            list.cut_whole(list.estimate(0..len), out);
+            return;
+        };
+
+        // The old chunks in list order, and those holding a dirty position.
+        // Appended vertices dirty the old last chunk, which the list's end
+        // closed.
+        let mut old: Vec<&WorkChunk> = old_ids.iter().map(|&i| &self.chunks[i]).collect();
+        old.sort_unstable_by_key(|c| c.start);
+        let mut dirty_chunks: Vec<usize> = Vec::new();
+        for &p in dirty.iter().take_while(|&&p| p < old_len) {
+            let i = old.partition_point(|c| c.end <= p);
+            if dirty_chunks.last() != Some(&i) {
+                dirty_chunks.push(i);
             }
         }
-        sort_chunks(&mut chunks);
-        let mut per_node = vec![Vec::new(); owned_per_node.len()];
-        for (i, chunk) in chunks.iter().enumerate() {
-            per_node[chunk.node].push(i);
+        if len > old_len && dirty_chunks.last() != Some(&(old.len() - 1)) {
+            dirty_chunks.push(old.len() - 1);
         }
-        (Self { chunks, per_node }, stats)
+
+        // The node's exact new total: re-sum only the dirty chunks and the
+        // appended vertices. A changed budget moves every cut.
+        let old_total: u64 = old.iter().map(|c| c.estimate).sum();
+        let mut total = old_total + list.estimate(old_len..len);
+        stats.vertices_scanned += len - old_len;
+        for &i in &dirty_chunks {
+            total = total - old[i].estimate + list.estimate(old[i].start..old[i].end);
+            stats.vertices_scanned += old[i].len();
+        }
+        let budget = node_budget(total, len, list.chunk_size);
+        if budget != node_budget(old_total, old_len, list.chunk_size) {
+            stats.nodes_recut_whole += 1;
+            stats.vertices_scanned += len;
+            list.cut_whole(total, out);
+            return;
+        }
+
+        // Copy up to each dirty chunk, re-cut from its start, and resume
+        // copying at the first new cut that lands on an old chunk start.
+        let mut next = 0;
+        for &d in &dirty_chunks {
+            if d < next {
+                continue;
+            }
+            stats.chunks_reused += d - next;
+            out.extend(old[next..d].iter().map(|&c| c.clone()));
+            let from = old[d].start;
+            next = d + 1;
+            let end = list.cut(budget, from, out, |cut| {
+                while next < old.len() && old[next].start < cut {
+                    next += 1;
+                }
+                next < old.len() && old[next].start == cut
+            });
+            stats.vertices_scanned += end - from;
+        }
+        stats.chunks_reused += old.len() - next;
+        out.extend(old[next..].iter().map(|&c| c.clone()));
     }
 
     /// All chunks, in execution (claim) order.
@@ -307,7 +520,9 @@ impl GlobalChunkLayout {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use slfe_graph::generators::BatchShape;
     use slfe_graph::{generators, UpdateBatch};
+    use slfe_partition::{ChunkingPartitioner, Partitioner, Partitioning};
 
     fn owned_split(n: usize, nodes: usize) -> Vec<Vec<VertexId>> {
         // Contiguous shares, like the chunking partitioner produces.
@@ -508,6 +723,104 @@ mod tests {
                 .sum();
             assert_eq!(stats.vertices_scanned, touched_vertices);
             assert_eq!(stats.nodes_rebuilt, touched.iter().filter(|&&t| t).count());
+        }
+    }
+
+    /// The partitioning a serving loop keeps: chunked once, then extended
+    /// with appended vertices (least-loaded node first).
+    fn node_lists(parts: &Partitioning) -> Vec<&[VertexId]> {
+        (0..parts.num_parts())
+            .map(|node| parts.vertices_of(node))
+            .collect()
+    }
+
+    /// Seeded-loop property test of the local patch: over 1–4 nodes, chunk
+    /// sizes 16, 64 and 256, random batches that also append up to three
+    /// vertices (which join the least-loaded nodes, so growth spreads over
+    /// several nodes), and chains of patches (each patching the previous
+    /// patch's result), [`GlobalChunkLayout::patched_at`] must reproduce the
+    /// from-scratch layout exactly. The chunk-local re-cut, the local re-cut
+    /// of a node that grew, and the whole-node fallback (a changed split
+    /// budget) must all have run.
+    #[test]
+    fn patched_at_equals_from_scratch_on_random_batch_chains() {
+        let (mut local, mut local_growth, mut whole) = (0, 0, 0);
+        for seed in 0..120u64 {
+            let nodes = 1 + seed as usize % 4;
+            let chunk_size = [16, 64, 256][seed as usize / 4 % 3];
+            let n = 600 + 5 * seed as usize;
+            let mut graph = generators::rmat(n, 7 * n, 0.57, 0.19, 0.19, seed + 900);
+            let mut parts = ChunkingPartitioner::default().partition(&graph, nodes);
+            let mut layout = GlobalChunkLayout::build(&graph, &node_lists(&parts), chunk_size);
+            for step in 0..4u64 {
+                let ops = 1 + ((seed + step) % 12) as usize;
+                let shape = BatchShape::Mixed { allow_growth: true };
+                let mut batch = generators::random_batch(&graph, seed * 8 + step, ops, shape);
+                let n = graph.num_vertices() as VertexId;
+                for k in 0..((seed + step) % 4) as VertexId {
+                    batch.insert(k * 7 % n, n + k, 1.0);
+                }
+                let (mutated, effect) = graph.apply_batch(&batch);
+                let before: Vec<usize> = node_lists(&parts).iter().map(|o| o.len()).collect();
+                parts.extend_to(mutated.num_vertices());
+                let owned = node_lists(&parts);
+                let grown = owned
+                    .iter()
+                    .zip(&before)
+                    .filter(|(o, &b)| o.len() > b)
+                    .count();
+                let (patched, stats) =
+                    layout.patched_at(&mutated, &owned, chunk_size, &effect.dirty);
+                assert_eq!(
+                    patched,
+                    GlobalChunkLayout::build(&mutated, &owned, chunk_size),
+                    "seed {seed}, step {step}: patched layout diverges"
+                );
+                assert!(stats.nodes_recut_whole <= stats.nodes_rebuilt);
+                local += stats.nodes_rebuilt - stats.nodes_recut_whole;
+                // A grown node is always rebuilt, so fewer whole re-cuts
+                // than grown nodes means one grew and was re-cut locally.
+                local_growth += usize::from(grown > stats.nodes_recut_whole);
+                whole += stats.nodes_recut_whole;
+                (graph, layout) = (mutated, patched);
+            }
+        }
+        assert!(local > 0, "no node was patched locally");
+        assert!(local_growth > 0, "no grown node was patched locally");
+        assert!(whole > 0, "no budget change forced a whole-node re-cut");
+    }
+
+    /// Locality: a one-edge batch re-cuts a few chunks, not a node. At two
+    /// graph sizes 8× apart, the median scan per patched node stays within
+    /// four base chunks, and the chain of patches still equals a build.
+    #[test]
+    fn one_edge_patches_scan_a_few_chunks_at_any_graph_size() {
+        let chunk_size = crate::DEFAULT_CHUNK_SIZE;
+        for n in [12_500usize, 100_000] {
+            let mut graph = generators::rmat(n, 10 * n, 0.57, 0.19, 0.19, 4242);
+            let parts = ChunkingPartitioner::default().partition(&graph, 2);
+            let owned = node_lists(&parts);
+            let mut layout = GlobalChunkLayout::build(&graph, &owned, chunk_size);
+            let mut scanned_per_node = Vec::new();
+            for seed in 0..40u64 {
+                let shape = BatchShape::Mixed {
+                    allow_growth: false,
+                };
+                let batch = generators::random_batch(&graph, seed + n as u64, 1, shape);
+                let (mutated, effect) = graph.apply_batch(&batch);
+                let (patched, stats) =
+                    layout.patched_at(&mutated, &owned, chunk_size, &effect.dirty);
+                scanned_per_node.extend(stats.vertices_scanned.checked_div(stats.nodes_rebuilt));
+                (graph, layout) = (mutated, patched);
+            }
+            assert!(scanned_per_node.len() >= 30, "too few effective batches");
+            scanned_per_node.sort_unstable();
+            let median = scanned_per_node[scanned_per_node.len() / 2];
+            assert!(
+                median <= 4 * chunk_size,
+                "{n} vertices: median scan of {median} vertices per patched node"
+            );
+            assert_eq!(layout, GlobalChunkLayout::build(&graph, &owned, chunk_size));
         }
     }
 

@@ -450,8 +450,15 @@ pub struct EngineParts {
     pub cluster: Cluster,
     /// Engine configuration.
     pub config: EngineConfig,
-    /// Redundancy-reduction guidance covering the graph's vertices.
-    pub rrg: RrGuidance,
+    /// Redundancy-reduction guidance covering the graph's vertices. Shared,
+    /// so a caller that keeps it across graph versions (the serving loop,
+    /// while a warm batch leaves |V| unchanged) hands it over without a copy.
+    pub rrg: Arc<RrGuidance>,
+    /// The graph's per-vertex degrees, [`Degrees::of`] the engine's graph
+    /// (`from_parts` checks the length). Shared, so a caller that keeps them
+    /// across graph versions can patch them at each batch's dirty endpoints
+    /// ([`Degrees::patch`]) instead of re-extracting `O(V)` per engine.
+    pub degrees: Arc<Degrees>,
     /// Worker pool with at least the cluster's `total_workers` threads.
     pub pool: Arc<WorkerPool>,
     /// Chunk layout spanning the cluster's nodes and covering each node's
@@ -470,7 +477,7 @@ pub struct SlfeEngine<'g> {
     graph: &'g Graph,
     cluster: Cluster,
     config: EngineConfig,
-    rrg: RrGuidance,
+    rrg: Arc<RrGuidance>,
     /// The persistent worker pool: `total_workers` threads spawned once at
     /// build (or handed in through [`EngineParts::pool`]) and reused by every
     /// phase of every run.
@@ -498,8 +505,9 @@ pub struct SlfeEngine<'g> {
     storage: Option<Arc<GraphStorage>>,
     /// Per-vertex degree arrays handed to program callbacks in place of the
     /// in-RAM graph ([`crate::GraphProgram`] hooks take `&Degrees`): two `u32`
-    /// per vertex, indexed by physical id. Built once per engine.
-    degrees: Degrees,
+    /// per vertex, indexed by physical id. Extracted by [`SlfeEngine::build`],
+    /// or handed in through [`EngineParts::degrees`].
+    degrees: Arc<Degrees>,
     /// Telemetry hub (span tracing + latency histograms), built from
     /// `config.telemetry` (or handed in through [`EngineParts::telemetry`])
     /// and attached to the storage buffer pool when one is present. Disabled
@@ -520,7 +528,7 @@ impl<'g> SlfeEngine<'g> {
         let cluster = Cluster::build(graph, cluster_config);
         let pool = Arc::new(WorkerPool::new(cluster.config().total_workers()));
         let wall_start = Instant::now();
-        let rrg = RrGuidance::generate(graph);
+        let rrg = Arc::new(RrGuidance::generate(graph));
         let preprocessing_wall_seconds = wall_start.elapsed().as_secs_f64();
         let layout = cluster.build_layout(graph);
         let storage = config.storage_config().map(|sc| {
@@ -536,6 +544,7 @@ impl<'g> SlfeEngine<'g> {
                 cluster,
                 config,
                 rrg,
+                degrees: Arc::new(Degrees::of(graph)),
                 pool,
                 layout,
                 storage,
@@ -547,22 +556,25 @@ impl<'g> SlfeEngine<'g> {
     }
 
     /// Assemble an engine from parts the caller already holds — the serving
-    /// path: `slfe_delta::DeltaServer` keeps one pool and one telemetry hub
-    /// for its lifetime, repairs the guidance lazily, patches the previous
-    /// graph version's layout and segment store at the batch's dirty
-    /// endpoints, and hands all of it here, so applying a batch pays neither
-    /// a thread spawn, a guidance BFS, an O(V+E) layout scan+sort nor a
-    /// whole-graph segment write.
+    /// path: `slfe_delta::DeltaServer` keeps one pool, one telemetry hub,
+    /// the guidance and the degrees across graph versions, repairs the
+    /// guidance lazily, patches the degrees, the layout and the segment store
+    /// at the batch's dirty endpoints, and hands all of it here, so applying
+    /// a batch pays neither a thread spawn, a guidance BFS or copy, an `O(V)`
+    /// degree extraction, an O(V+E) layout scan nor a whole-graph segment
+    /// write.
     ///
     /// The simulated preprocessing charge uses the guidance's recorded
     /// generation work, which for a repaired guidance is the (much smaller)
     /// repair cost. Panics when a part does not fit the graph or the cluster
-    /// (see [`EngineParts`]).
+    /// (see [`EngineParts`]); it checks the lengths of the guidance, the
+    /// degrees and the segment store, not their contents.
     pub fn from_parts(graph: &'g Graph, parts: EngineParts) -> Self {
         let EngineParts {
             cluster,
             config,
             rrg,
+            degrees,
             pool,
             layout,
             storage,
@@ -579,6 +591,11 @@ impl<'g> SlfeEngine<'g> {
             rrg.num_vertices(),
             graph.num_vertices(),
             "guidance must cover the engine's graph"
+        );
+        assert_eq!(
+            degrees.num_vertices(),
+            graph.num_vertices(),
+            "degrees must cover the engine's graph"
         );
         assert!(
             pool.threads() >= cluster.config().total_workers(),
@@ -622,7 +639,7 @@ impl<'g> SlfeEngine<'g> {
             layout,
             chunk_rr: std::sync::OnceLock::new(),
             storage,
-            degrees: Degrees::of(graph),
+            degrees,
             telemetry,
             preprocessing_seconds,
             // No guidance BFS ran inside this constructor.
@@ -2670,7 +2687,8 @@ mod tests {
                 pool: Arc::new(WorkerPool::new(cluster.config().total_workers())),
                 layout: cluster.build_layout(&g),
                 cluster,
-                rrg: rrg.clone(),
+                rrg: Arc::new(rrg.clone()),
+                degrees: Arc::new(Degrees::of(&g)),
                 storage: None,
                 telemetry: Arc::new(Telemetry::new(config.telemetry)),
                 config,

@@ -340,10 +340,14 @@ impl Wal {
         self.bytes
     }
 
-    /// Drop every entry — called right after a snapshot covering them all
-    /// landed. (Safe even if the process dies first: replay skips entries at
-    /// or below the snapshot's sequence number.)
-    pub fn truncate_all(&mut self) -> io::Result<()> {
+    /// Cut the log back to its first `len` bytes, a frame boundary, under
+    /// the [`FaultSite::WalTrim`] site and the retry budget. `0` drops every
+    /// entry, right after a snapshot covering them all landed (safe even if
+    /// the process dies first: replay skips entries at or below the
+    /// snapshot's sequence number). A longer `len` retracts the frames
+    /// appended since the log had that length: a batch rejected after its
+    /// append.
+    pub fn truncate_to(&mut self, len: u64) -> io::Result<()> {
         let file = &self.file;
         with_retries(&self.retry, self.faults.as_deref(), || {
             match self
@@ -357,11 +361,11 @@ impl Wal {
                 }
                 None => {}
             }
-            file.set_len(0)?;
-            (&*file).seek(io::SeekFrom::Start(0))?;
+            file.set_len(len)?;
+            (&*file).seek(io::SeekFrom::Start(len))?;
             file.sync_data()
         })?;
-        self.bytes = 0;
+        self.bytes = len;
         Ok(())
     }
 }
@@ -707,7 +711,25 @@ pub(crate) struct DurabilityState {
     pub seq: u64,
     /// Sequence number the current snapshot covers.
     pub snapshot_seq: u64,
+    /// The WAL length a rejected batch's frame must be cut back to, while
+    /// that cut has not succeeded yet.
+    pub pending_cut: Option<u64>,
     pub counters: DurabilityCounters,
+}
+
+impl DurabilityState {
+    /// Cut the WAL back to [`DurabilityState::pending_cut`], if a rejected
+    /// batch left a frame there. `false` when the cut failed and the frame
+    /// is still pending.
+    pub fn retract(&mut self) -> bool {
+        match self.pending_cut {
+            Some(len) if self.wal.truncate_to(len).is_err() => false,
+            _ => {
+                self.pending_cut = None;
+                true
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -868,7 +890,7 @@ mod tests {
         for seq in 1..=5u64 {
             wal.append(seq, &random_batch(&mut rng, 8)).unwrap();
         }
-        wal.truncate_all().unwrap();
+        wal.truncate_to(0).unwrap();
         assert_eq!(wal.bytes(), 0);
         // Appends after the trim land at the file start with later seqs.
         wal.append(6, &random_batch(&mut rng, 8)).unwrap();
@@ -876,6 +898,32 @@ mod tests {
         let (_, replay) = Wal::open(&path).unwrap();
         assert_eq!(replay.entries.len(), 1);
         assert_eq!(replay.entries[0].0, 6);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn truncate_to_retracts_the_frames_past_a_boundary() {
+        let dir = tmp_dir("retract");
+        let path = dir.join("wal.log");
+        let mut rng = SplitMix64::seed_from_u64(29);
+        let (mut wal, _) = Wal::open(&path).unwrap();
+        let kept: Vec<UpdateBatch> = (0..2).map(|_| random_batch(&mut rng, 6)).collect();
+        for (seq, batch) in (1..).zip(&kept) {
+            wal.append(seq, batch).unwrap();
+        }
+        let boundary = wal.bytes();
+        wal.append(3, &random_batch(&mut rng, 6)).unwrap();
+        wal.truncate_to(boundary).unwrap();
+        assert_eq!(wal.bytes(), boundary);
+        // The next append reuses the retracted sequence number.
+        let next = random_batch(&mut rng, 6);
+        wal.append(3, &next).unwrap();
+        drop(wal);
+        let (_, replay) = Wal::open(&path).unwrap();
+        let seqs: Vec<u64> = replay.entries.iter().map(|(seq, _)| *seq).collect();
+        assert_eq!(seqs, [1, 2, 3]);
+        assert_eq!(replay.entries[2].1.to_bytes(), next.to_bytes());
+        assert_eq!(replay.entries[0].1.to_bytes(), kept[0].to_bytes());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

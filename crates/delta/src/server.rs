@@ -10,8 +10,8 @@ use slfe_core::{
     EngineConfig, EngineParts, GraphProgram, ProgramResult, RepairReport, RrGuidance, SlfeEngine,
 };
 use slfe_graph::{
-    BatchEffect, FaultAction, FaultInjector, FaultPlan, FaultSite, Graph, GraphStorage, IdRemap,
-    ReorderPolicy, UpdateBatch, VertexId,
+    BatchEffect, Degrees, FaultAction, FaultInjector, FaultPlan, FaultSite, Graph, GraphStorage,
+    IdRemap, ReorderPolicy, UpdateBatch, VertexId,
 };
 use slfe_metrics::{
     DurabilityCounters, ExecutionStats, FaultCounters, MetricsRegistry, SpanEvent, Telemetry,
@@ -247,9 +247,10 @@ pub struct BatchOutcome {
     /// ingest node (node 0) to their partition owners.
     pub distribution_messages: u64,
     /// What patching the chunk layout to this graph version cost: only the
-    /// dirty endpoints' owner nodes (plus the appended vertices' receiving
-    /// nodes) are re-derived; everything else is carried over from the
-    /// previous version.
+    /// chunks around the dirty endpoints (plus each receiving node's last
+    /// chunk when vertices were appended) are re-cut, a node whose split
+    /// budget moved is re-cut whole, and every other chunk is carried over
+    /// from the previous version ([`GlobalChunkLayout::patched_at`]).
     pub layout_patch: LayoutPatchStats,
     /// Out-of-core serving only: how many disk segments this batch rewrote
     /// across both adjacency directions ([`GraphStorage::patched`] — the
@@ -283,13 +284,14 @@ pub struct BatchOutcome {
     pub degraded: bool,
     /// Where `wall_seconds` went: one `(stage, seconds)` entry per stage the
     /// batch ran, in pipeline order — `wal_append` (durable servers),
-    /// `graph_patch` (id translation and [`Graph::apply_batch`]),
-    /// `segment_patch` (out-of-core servers), `layout_patch`, `guidance`,
-    /// `warm_restart` or `cold_run`, `publish` (outcome, stats, install,
-    /// external-id view) and `snapshot` (when due); a no-op batch skips from
-    /// `graph_patch` to `publish`. Contiguous laps of one clock, so they sum
-    /// to `wall_seconds`. With telemetry on, each is also a `server` span
-    /// inside the batch's `batch` span (the guidance one `guidance_repair`).
+    /// `graph_patch` (id translation, [`Graph::apply_batch`] and the degree
+    /// patch), `segment_patch` (out-of-core servers), `layout_patch`,
+    /// `guidance`, `warm_restart` or `cold_run`, `publish` (outcome, stats,
+    /// install, external-id view) and `snapshot` (when due); a no-op batch
+    /// skips from `graph_patch` to `publish`. Contiguous laps of one clock,
+    /// so they sum to `wall_seconds`. With telemetry on, each is also a
+    /// `server` span inside the batch's `batch` span (the guidance one
+    /// `guidance_repair`).
     pub stages: Vec<(&'static str, f64)>,
 }
 
@@ -371,7 +373,18 @@ where
     /// from the authoritative in-memory adjacency.
     graph: Arc<Graph>,
     config: ServerConfig,
-    rrg: RrGuidance,
+    /// The RR guidance handed to every engine this server builds: padded to
+    /// new vertices or repaired per batch, and shared (`Arc`) so a warm
+    /// batch that does not grow |V| hands the same guidance over again
+    /// without a copy. Repair is deferred (see `pending_guidance_dirty`).
+    rrg: Arc<RrGuidance>,
+    /// The current graph version's per-vertex degrees, handed to every
+    /// engine this server builds. Patched in place at each batch's dirty
+    /// endpoints ([`Degrees::patch`]; the previous version's engine is gone
+    /// by then, so `Arc::make_mut` does not copy) instead of re-extracted
+    /// per batch. [`Degrees::of`] runs only at [`DeltaServer::try_new`],
+    /// [`DeltaServer::open`], a remap and the rollback of a rejected batch.
+    degrees: Arc<Degrees>,
     /// The persistent worker pool, created once at server startup and threaded
     /// through every graph version's engine (cold runs *and* warm restarts) —
     /// applying a batch spawns zero threads.
@@ -383,11 +396,12 @@ where
     /// instead of re-derived per batch; sharing the `Arc` with each
     /// version's cluster is what keeps batch application free of O(V) copies.
     partitioning: Arc<Partitioning>,
-    /// The degree-aware chunk layout of the current graph version,
-    /// incrementally patched at each batch's dirty endpoints
-    /// ([`GlobalChunkLayout::patched`]) and handed to every engine this
-    /// server builds — warm and cold paths share the same instance, built
-    /// once per applied version.
+    /// The degree-aware chunk layout of the current graph version, built at
+    /// [`DeltaServer::try_new`], [`DeltaServer::open`] and a remap, and
+    /// otherwise patched per batch around the dirty endpoints only
+    /// ([`GlobalChunkLayout::patched_at`]: a few chunks re-cut, every other
+    /// chunk copied). Handed to every engine this server builds — warm and
+    /// cold paths share the same instance.
     layout: GlobalChunkLayout,
     /// Out-of-core serving ([`EngineConfig::storage_budget_bytes`] set): the
     /// current graph version's disk-segment store, patched per batch at the
@@ -456,11 +470,12 @@ where
     }
 
     /// Assemble a server around `graph`, its stable `partitioning` and
-    /// guidance `rrg`: build the chunk layout, the telemetry hub and the
-    /// out-of-core segment store, written once here with `graph` attached
-    /// as the source unreadable segments are quarantined and rebuilt from
-    /// (every batch then patches only the dirty segments). The served
-    /// result is empty until the caller runs the program or restores it.
+    /// guidance `rrg`: extract the degrees, build the chunk layout, the
+    /// telemetry hub and the out-of-core segment store, written once here
+    /// with `graph` attached as the source unreadable segments are
+    /// quarantined and rebuilt from (every batch then patches only the dirty
+    /// segments). The served result is empty until the caller runs the
+    /// program or restores it.
     fn assemble(
         make_program: F,
         config: ServerConfig,
@@ -489,10 +504,11 @@ where
         Ok(Self {
             make_program,
             program,
+            degrees: Arc::new(Degrees::of(&graph)),
             graph,
             telemetry: Arc::new(Telemetry::new(config.engine.telemetry)),
             config,
-            rrg,
+            rrg: Arc::new(rrg),
             pool,
             partitioning,
             layout,
@@ -508,11 +524,12 @@ where
     }
 
     /// An engine over `graph` with this server's cluster shape, pool,
-    /// telemetry hub and partitioning, plus the given version artifacts.
+    /// telemetry hub, partitioning and degrees (already `graph`'s), plus the
+    /// given version artifacts.
     fn engine<'g>(
         &self,
         graph: &'g Graph,
-        rrg: &RrGuidance,
+        rrg: &Arc<RrGuidance>,
         layout: &GlobalChunkLayout,
         storage: Option<Arc<GraphStorage>>,
     ) -> SlfeEngine<'g> {
@@ -523,7 +540,8 @@ where
         let parts = EngineParts {
             cluster,
             config: self.config.engine.clone(),
-            rrg: rrg.clone(),
+            rrg: Arc::clone(rrg),
+            degrees: Arc::clone(&self.degrees),
             pool: Arc::clone(&self.pool),
             layout: layout.clone(),
             storage,
@@ -617,7 +635,7 @@ where
     fn converge(
         &mut self,
         graph: &Arc<Graph>,
-        rrg: &RrGuidance,
+        rrg: &Arc<RrGuidance>,
         layout: &GlobalChunkLayout,
         storage: Option<Arc<GraphStorage>>,
         effect: &BatchEffect,
@@ -738,7 +756,7 @@ where
         self.telemetry
             .end(repair_span, "guidance_repair", "server", 0);
         self.stats.guidance_regenerations += report.regenerated as u64;
-        self.rrg = rrg;
+        self.rrg = Arc::new(rrg);
     }
 
     /// Counted work a guidance sync would do right now: 0 when nothing is
@@ -751,10 +769,10 @@ where
     /// overloaded nodes when [`EngineConfig::migration_imbalance_threshold`]
     /// is exceeded, then reorder ids partition-contiguously (degree-descending
     /// within each partition under [`ReorderPolicy::DegreeDescending`]) and
-    /// rebuild every physical artifact — graph, guidance, values, layout,
-    /// segment store — under the new bijection. Returns `true` when a remap
-    /// was applied, `false` when no policy is configured or the layout is
-    /// already in place.
+    /// rebuild every physical artifact — graph, guidance, degrees, values,
+    /// layout, segment store — under the new bijection. Returns `true` when
+    /// a remap was applied, `false` when no policy is configured or the
+    /// layout is already in place.
     ///
     /// On a durable server this also runs by itself on every snapshot, where
     /// the WAL is about to be trimmed — its external-id frames never cross a
@@ -803,7 +821,8 @@ where
         // Re-encode the out-of-core segments in the new order — the hot/cold
         // clustering the reorder exists for lives in these files.
         let storage = build_storage(&graph, &self.config.engine, &self.faults)?;
-        self.rrg = self.rrg.permuted(step);
+        self.rrg = Arc::new(self.rrg.permuted(step));
+        self.degrees = Arc::new(Degrees::of(&graph));
         self.result.values = step.permuted_values(&self.result.values);
         self.result.last_changed_iter = step.permuted_values(&self.result.last_changed_iter);
         // The program is re-instantiated for the renamed graph below; rather
@@ -843,6 +862,11 @@ where
     /// contract left to verify, so it resumes optimistically — the next
     /// apply re-enters read-only if the underlying failure persists.
     ///
+    /// A rejected batch whose WAL frame could not be cut back (see
+    /// [`DeltaServer::try_apply`]) is cut first: until that cut succeeds the
+    /// server refuses to resume, because a later append would land after
+    /// the rejected frame and [`DeltaServer::open`] would replay it.
+    ///
     /// Returns `true` when the server is writable on exit (including when
     /// it already was). Successful transitions increment
     /// [`Health::writes_resumed`] and surface in the registry as
@@ -850,6 +874,12 @@ where
     pub fn try_resume_writes(&mut self) -> bool {
         if !self.health.is_read_only() {
             return true;
+        }
+        if let Some(d) = self.durability.as_mut() {
+            if !d.retract() {
+                self.health.note_wal_trim_failure();
+                return false;
+            }
         }
         if let Some(d) = self.durability.as_ref() {
             if self.probe_write(&d.config.dir).is_err() {
@@ -1215,23 +1245,44 @@ where
     ///   execution still poisoned after one re-drive on a fresh store,
     ///   likewise rejects the batch read-only, still serving the previous
     ///   version.
+    /// * A batch rejected after its WAL append is retracted at the same
+    ///   rollback point: the WAL is cut back to its length before the
+    ///   append and the sequence number is taken back, so neither a later
+    ///   batch nor [`DeltaServer::open`] replays it. The cut runs under the
+    ///   WAL trim's retry budget; if it still fails, the server stays
+    ///   read-only and [`DeltaServer::try_resume_writes`] refuses until a
+    ///   cut succeeds.
     /// * A failed snapshot or compaction is absorbed: the batch succeeds
     ///   with [`BatchOutcome::degraded`] set.
     ///
     /// Once read-only, every subsequent call returns
-    /// [`ApplyError::ReadOnly`] without touching the WAL.
+    /// [`ApplyError::ReadOnly`] without touching the WAL. A rejected batch
+    /// leaves the served version, its partitioning, degrees and guidance
+    /// exactly as they were.
     pub fn try_apply(&mut self, batch: &UpdateBatch) -> Result<BatchOutcome, ApplyError> {
         self.admit(batch)?;
         let mut clock = StageClock::start(&self.telemetry);
         let old_n = self.graph.num_vertices();
+        let logged = self.durability.as_ref().map(|d| (d.seq, d.wal.bytes()));
         let applied = self.run_stages(batch, &mut clock);
         if let Err(e) = &applied {
             // The one rollback point: shrink the partitioning back to the
-            // version still serving, then stop taking writes.
+            // version still serving and restore its degrees, retract the
+            // batch from the WAL if it was logged, then stop taking writes.
             if self.partitioning.num_vertices() > old_n {
                 let owners = self.partitioning.owners()[..old_n].to_vec();
                 let parts = self.partitioning.num_parts();
                 self.partitioning = Arc::new(Partitioning::from_owners(owners, parts));
+            }
+            self.degrees = Arc::new(Degrees::of(&self.graph));
+            if let (Some(d), Some((seq, wal_bytes))) = (self.durability.as_mut(), logged) {
+                if d.wal.bytes() > wal_bytes {
+                    d.seq = seq;
+                    d.pending_cut = Some(wal_bytes);
+                    if !d.retract() {
+                        self.health.note_wal_trim_failure();
+                    }
+                }
             }
             self.health.enter_read_only(e.to_string());
         }
@@ -1240,10 +1291,11 @@ where
 
     /// The stage sequence of one admitted batch (see
     /// [`BatchOutcome::stages`]), each stage closed by one lap of `clock`. No
-    /// stage assigns server state before `publish` except `layout_patch`,
-    /// which grows the stable partitioning in place for the engine; the
-    /// caller's rollback undoes that on error, so a failed batch leaves the
-    /// previous version serving exactly.
+    /// stage assigns server state before `publish` except `wal_append`,
+    /// which logs the batch, `graph_patch`, which patches the degrees in
+    /// place, and `layout_patch`, which grows the stable partitioning in
+    /// place; the caller's rollback undoes all three on error, so a failed
+    /// batch leaves the previous version serving exactly.
     fn run_stages(
         &mut self,
         batch: &UpdateBatch,
@@ -1274,8 +1326,13 @@ where
         };
         let (graph, effect) = self.graph.apply_batch(physical);
         // A no-op batch keeps every artifact of the current version; its
-        // unchanged copy of the graph is dropped right here.
+        // unchanged copy of the graph is dropped right here. Otherwise the
+        // degrees move at the dirty endpoints and the appended vertices; the
+        // previous version's engine is gone, so `make_mut` patches in place.
         let graph = (!effect.is_noop()).then(|| Arc::new(graph));
+        if let Some(graph) = &graph {
+            Arc::make_mut(&mut self.degrees).patch(graph, &effect.dirty);
+        }
         clock.lap("graph_patch");
 
         let mut outcome = BatchOutcome {
@@ -1324,25 +1381,22 @@ where
             }
 
             // The stable partitioning only grows (appended vertices join the
-            // least-loaded nodes), so chunk estimates move only at the dirty
-            // endpoints' owners and the receiving nodes: re-derive those
-            // nodes' chunk lists instead of the whole layout. The previous
-            // version's cluster is gone, so `make_mut` extends in place.
+            // least-loaded nodes, at the end of their owned lists), so chunk
+            // estimates and in-spans move only around the dirty endpoints:
+            // re-cut those chunks, plus each receiving node's last one, and
+            // copy the rest. The previous version's cluster is gone, so
+            // `make_mut` extends in place.
             let num_nodes = self.config.cluster.num_nodes;
-            let receivers = Arc::make_mut(&mut self.partitioning).extend_to(graph.num_vertices());
-            let mut touched = vec![false; num_nodes];
-            for node in receivers {
-                touched[node] = true;
-            }
-            for &v in &effect.dirty {
-                touched[self.partitioning.owner_of(v)] = true;
-            }
+            Arc::make_mut(&mut self.partitioning).extend_to(graph.num_vertices());
             let owned: Vec<&[VertexId]> = (0..num_nodes)
                 .map(|node| self.partitioning.vertices_of(node))
                 .collect();
-            let (layout, layout_patch) =
-                self.layout
-                    .patched(&graph, &owned, self.config.cluster.chunk_size, &touched);
+            let (layout, layout_patch) = self.layout.patched_at(
+                &graph,
+                &owned,
+                self.config.cluster.chunk_size,
+                &effect.dirty,
+            );
             outcome.layout_patch = layout_patch;
             clock.lap("layout_patch");
 
@@ -1350,8 +1404,9 @@ where
             // deferred dirty vertex plus this batch's (appended ids included:
             // repair needs them to reproduce regeneration exactly). A warm
             // restart never reads them: the guidance is only padded to the
-            // new id space ("never early-converged", so nothing is skipped)
-            // and the repair waits for a cold run, snapshot or guidance query.
+            // new id space ("never early-converged", so nothing is skipped),
+            // shared as it is when |V| did not grow, and the repair waits for
+            // a cold run, snapshot or guidance query.
             let dirty_fraction = effect.dirty.len() as f64 / graph.num_vertices().max(1) as f64;
             outcome.full_recompute = dirty_fraction > self.config.full_recompute_dirty_fraction;
             let rrg = if outcome.full_recompute {
@@ -1359,9 +1414,11 @@ where
                 pending.extend(effect.dirty.iter().copied().chain(appended.clone()));
                 let (rrg, report) = self.repaired_guidance(&graph, pending);
                 outcome.guidance = report;
-                rrg
+                Arc::new(rrg)
+            } else if self.rrg.num_vertices() == graph.num_vertices() {
+                Arc::clone(&self.rrg)
             } else {
-                self.rrg.extended_to(graph.num_vertices())
+                Arc::new(self.rrg.extended_to(graph.num_vertices()))
             };
             clock.lap("guidance");
 
@@ -1490,7 +1547,7 @@ where
         // Safe even if we die — or the trim fails — before this lands:
         // replay skips entries at or below the snapshot's sequence number,
         // so a failed trim costs replay time, never correctness.
-        if d.wal.truncate_all().is_err() {
+        if d.wal.truncate_to(0).is_err() {
             self.health.note_wal_trim_failure();
         }
         Ok(())
@@ -1516,10 +1573,11 @@ where
             wal,
             seq: 0,
             snapshot_seq: 0,
+            pending_cut: None,
             counters: DurabilityCounters::zero(),
         };
         // A fresh server supersedes whatever a previous life logged here.
-        state.wal.truncate_all()?;
+        state.wal.truncate_to(0)?;
         server.durability = Some(state);
         server.snapshot()?;
         Ok(server)
@@ -1598,6 +1656,7 @@ where
             wal,
             seq,
             snapshot_seq: snap.seq,
+            pending_cut: None,
             counters,
         });
         // Replay may have pushed the cadence past its trigger; snapshotting
@@ -1918,6 +1977,86 @@ mod tests {
                 "round {round}: patched layout diverges from a from-scratch build"
             );
         }
+    }
+
+    /// The server keeps one `Degrees` across versions and patches it per
+    /// batch; it must equal a fresh extraction from the served graph after
+    /// every path that changes the graph or rolls a change back: a batch
+    /// stream with growth and deletes, a full-recompute fallback, a remap,
+    /// a `StoragePatch` rejection followed by a resume and a clean batch, and
+    /// `open`'s replay. The served values equal an uninterrupted in-memory
+    /// witness's bit for bit throughout.
+    #[test]
+    fn server_degrees_equal_a_fresh_extraction_on_every_path() {
+        use slfe_graph::generators::{random_batch, BatchShape};
+        let graph = generators::rmat(500, 3500, 0.57, 0.19, 0.19, 43);
+        let root = stats::highest_out_degree_vertex(&graph).unwrap();
+        let make = move |g: &Graph| SsspProgram {
+            root: g.to_physical(root),
+        };
+        let config = ServerConfig {
+            engine: EngineConfig::default()
+                .with_reorder(ReorderPolicy::DegreeDescending)
+                .with_storage_budget(24 << 10)
+                .with_storage_segment_bytes(2 << 10),
+            ..ServerConfig::default()
+        };
+        let dir = durable_dir("degrees");
+        let durability = DurabilityConfig::new(&dir).with_snapshot_every(1000);
+        let mut server =
+            DeltaServer::create_durable(graph.clone(), make, config.clone(), durability.clone())
+                .unwrap();
+        let mut witness = DeltaServer::try_new(graph, make, ServerConfig::default()).unwrap();
+        let check =
+            |server: &DeltaServer<SsspProgram, _>, witness: &DeltaServer<_, _>, at: &str| {
+                assert_eq!(
+                    *server.degrees,
+                    Degrees::of(server.graph()),
+                    "{at}: degrees"
+                );
+                assert_eq!(
+                    bits(server.values()),
+                    bits(witness.values()),
+                    "{at}: values"
+                );
+            };
+        let shape = BatchShape::Mixed { allow_growth: true };
+        let apply = |server: &mut DeltaServer<_, _>, witness: &mut DeltaServer<_, _>, seed, ops| {
+            // Batches speak external ids; draw them from the unremapped witness.
+            let batch = random_batch(witness.graph(), seed, ops, shape);
+            witness.try_apply(&batch).unwrap();
+            server.try_apply(&batch).unwrap()
+        };
+
+        for seed in 0..6 {
+            apply(&mut server, &mut witness, seed, 12);
+            check(&server, &witness, &format!("batch {seed}"));
+        }
+        let outcome = apply(&mut server, &mut witness, 6, 400);
+        assert!(outcome.full_recompute);
+        check(&server, &witness, "full recompute");
+        assert!(server.remap_now().unwrap(), "the reorder policy must remap");
+        check(&server, &witness, "remap");
+
+        server.fault_injector().arm(FaultPlan::new().fail(
+            FaultSite::SegmentWrite,
+            0,
+            slfe_graph::FaultKind::Permanent,
+        ));
+        let batch = random_batch(witness.graph(), 7, 12, shape);
+        let err = server.try_apply(&batch).unwrap_err();
+        assert!(matches!(err, ApplyError::StoragePatch(_)), "got {err}");
+        check(&server, &witness, "rejection");
+        server.fault_injector().disarm();
+        assert!(server.try_resume_writes());
+        apply(&mut server, &mut witness, 8, 12);
+        check(&server, &witness, "batch after the rejection");
+
+        drop(server);
+        let reopened = DeltaServer::open(make, config, durability).unwrap();
+        check(&reopened, &witness, "open");
+        drop(reopened);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The stable partitioning grows with appended vertices and keeps serving

@@ -8,6 +8,10 @@
 //! neighbor lists are in remapped order. [`Degrees`] is the narrow view that
 //! remains: two `u32` per vertex, indexed by **physical** id — exactly what
 //! the degree-reading hooks need, nothing they could misuse.
+//!
+//! [`Degrees::of`] extracts the arrays in `O(V)`. A serving loop keeps one
+//! [`Degrees`] across graph versions instead and [`Degrees::patch`]es it at
+//! each batch's dirty endpoints and appended vertices, in `O(batch)`.
 
 use crate::graph::Graph;
 use crate::types::VertexId;
@@ -30,6 +34,23 @@ impl Degrees {
         Self {
             out: collect(graph.out_adjacency()),
             incoming: collect(graph.in_adjacency()),
+        }
+    }
+
+    /// Bring these degrees of the previous graph version up to date with
+    /// `graph`, its successor under one edge batch whose changed endpoints
+    /// are `dirty` ([`crate::BatchEffect::dirty`]): re-read the dirty
+    /// vertices and append the vertices the batch added, in
+    /// `O(|dirty| + appended)`. The result equals [`Degrees::of`]`(graph)`.
+    pub fn patch(&mut self, graph: &Graph, dirty: &[VertexId]) {
+        let n = graph.num_vertices();
+        for v in self.out.len()..n {
+            self.out.push(graph.out_degree(v as VertexId) as u32);
+            self.incoming.push(graph.in_degree(v as VertexId) as u32);
+        }
+        for &v in dirty {
+            self.out[v as usize] = graph.out_degree(v) as u32;
+            self.incoming[v as usize] = graph.in_degree(v) as u32;
         }
     }
 
@@ -66,5 +87,19 @@ mod tests {
             assert_eq!(d.in_degree(v), g.in_degree(v));
         }
         assert_eq!(d.out_degree(g.num_vertices() as VertexId + 5), 0);
+    }
+
+    #[test]
+    fn patched_degrees_equal_a_fresh_extraction_across_a_batch_stream() {
+        let mut g = generators::rmat(300, 2100, 0.57, 0.19, 0.19, 17);
+        let mut d = Degrees::of(&g);
+        let shape = generators::BatchShape::Mixed { allow_growth: true };
+        for seed in 0..20 {
+            let batch = generators::random_batch(&g, seed, 1 + seed as usize % 9, shape);
+            let (next, effect) = g.apply_batch(&batch);
+            d.patch(&next, &effect.dirty);
+            assert_eq!(d, Degrees::of(&next), "batch {seed}");
+            g = next;
+        }
     }
 }

@@ -73,17 +73,12 @@ impl Partitioning {
     /// sustained-growth workload skewed that node's load without bound; the
     /// least-loaded rule keeps the vertex-count imbalance within one vertex of
     /// where it started, batch after batch (pinned by test).
-    ///
-    /// Returns the distinct nodes that received at least one appended vertex,
-    /// ascending — the set a serving loop must mark dirty when patching its
-    /// chunk layout.
-    pub fn extend_to(&mut self, new_num_vertices: usize) -> Vec<NodeId> {
+    pub fn extend_to(&mut self, new_num_vertices: usize) {
         assert!(
             new_num_vertices >= self.owner.len(),
             "the id space only grows"
         );
         let mut counts: Vec<usize> = self.parts.iter().map(|p| p.len()).collect();
-        let mut receivers = Vec::new();
         for v in self.owner.len()..new_num_vertices {
             let node = counts
                 .iter()
@@ -94,12 +89,7 @@ impl Partitioning {
             counts[node] += 1;
             self.owner.push(node);
             self.parts[node].push(v as VertexId);
-            if !receivers.contains(&node) {
-                receivers.push(node);
-            }
         }
-        receivers.sort_unstable();
-        receivers
     }
 
     /// Number of *outgoing* edges whose source is owned by each node — the measure
@@ -240,20 +230,20 @@ mod tests {
         // Node 0 owns 3 vertices, node 1 owns 1: the first two appends level
         // node 1 up, the third (a tie) goes to the lowest node id.
         let mut p = Partitioning::from_owners(vec![0, 1, 0, 0], 2);
-        let receivers = p.extend_to(7);
+        p.extend_to(7);
         assert_eq!(p.num_vertices(), 7);
-        assert_eq!(receivers, vec![0, 1]);
         assert_eq!(p.vertices_of(1), &[1, 4, 5]);
         assert_eq!(p.vertices_of(0), &[0, 2, 3, 6]);
         assert!(p.vertices_of(1).windows(2).all(|w| w[0] < w[1]));
         let g = generators::path(7);
         p.validate(&g).unwrap();
         // Growth keeps alternating toward balance (ties to the lowest id).
-        let receivers = p.extend_to(9);
-        assert_eq!(receivers, vec![0, 1]);
-        assert_eq!(p.vertex_counts(), vec![5, 4]);
+        p.extend_to(9);
+        assert_eq!(p.vertices_of(1), &[1, 4, 5, 7]);
+        assert_eq!(p.vertices_of(0), &[0, 2, 3, 6, 8]);
         // Extending to the current size is a no-op.
-        assert_eq!(p.extend_to(9), Vec::<NodeId>::new());
+        p.extend_to(9);
+        assert_eq!(p.vertex_counts(), vec![5, 4]);
         assert_eq!(p.num_vertices(), 9);
     }
 

@@ -447,6 +447,81 @@ fn permanent_faults_recover_or_fail_typed_per_site() {
     }
 }
 
+/// A batch rejected after its WAL append must never come back. The segment
+/// store fails to patch after the batch was logged; the rollback cuts its
+/// frame out of the WAL and takes back its sequence number, so once writes
+/// resume, the next batch is logged in its place and a reopen replays
+/// exactly what the live server applied. Both serve the bits of a witness
+/// that never saw the rejected batch.
+#[test]
+fn a_batch_rejected_after_its_wal_append_is_never_replayed() {
+    let graph = sweep_rmat(990);
+    let root = stats::highest_out_degree_vertex(&graph).unwrap();
+    let make = move |_: &Graph| sssp::SsspProgram { root };
+    let config = server_config(1, EngineConfig::default());
+    let seed = 9100u64;
+
+    let dir = fault_dir("retract-witness");
+    let mut witness = DeltaServer::create_durable(
+        graph.clone(),
+        make,
+        config.clone(),
+        DurabilityConfig::new(&dir),
+    )
+    .unwrap();
+    for i in [0, 2] {
+        let batch = random_batch(witness.graph(), seed + i, BATCH_OPS, FIXED);
+        witness.try_apply(&batch).unwrap();
+    }
+    let expected = value_bytes(witness.values());
+    let expected_edges = witness.graph().num_edges();
+    drop(witness);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let dir = fault_dir("retract-live");
+    let durability = DurabilityConfig::new(&dir);
+    let mut server =
+        DeltaServer::create_durable(graph, make, config.clone(), durability.clone()).unwrap();
+    let batch = random_batch(server.graph(), seed, BATCH_OPS, FIXED);
+    server.try_apply(&batch).unwrap();
+    server.fault_injector().arm(FaultPlan::new().fail(
+        FaultSite::SegmentWrite,
+        0,
+        FaultKind::Permanent,
+    ));
+    let rejected = random_batch(server.graph(), seed + 1, BATCH_OPS, FIXED);
+    let err = server
+        .try_apply(&rejected)
+        .expect_err("the segment store cannot be patched");
+    assert!(matches!(err, ApplyError::StoragePatch(_)), "got {err}");
+    server.fault_injector().disarm();
+    assert!(server.try_resume_writes());
+    let batch = random_batch(server.graph(), seed + 2, BATCH_OPS, FIXED);
+    server.try_apply(&batch).unwrap();
+    let live = value_bytes(server.values());
+    let live_edges = server.graph().num_edges();
+    let live_seq = server.wal_seq();
+    drop(server);
+
+    let reopened = DeltaServer::open(make, config, durability).unwrap();
+    assert_eq!(
+        reopened.graph().num_edges(),
+        live_edges,
+        "the reopen replayed the rejected batch"
+    );
+    assert_eq!(value_bytes(reopened.values()), live);
+    assert_eq!(live_edges, expected_edges);
+    assert_eq!(live, expected, "the live server diverges from the witness");
+    assert_eq!(
+        live_seq,
+        Some(2),
+        "the rejected batch kept its sequence number"
+    );
+    assert_eq!(reopened.wal_seq(), live_seq);
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The arithmetic sibling of `permanent_faults_recover_or_fail_typed_per_site`:
 /// PageRank's warm restarts read the segment store as well, and under a
 /// permanent fault at each apply-path site the server must either finish
