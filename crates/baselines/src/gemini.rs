@@ -24,17 +24,6 @@ impl<'g> GeminiEngine<'g> {
         }
     }
 
-    /// Build with a custom engine configuration; the redundancy mode is forced off.
-    pub fn with_config(graph: &'g Graph, cluster: ClusterConfig, config: EngineConfig) -> Self {
-        let config = EngineConfig {
-            redundancy: slfe_core::RedundancyMode::Disabled,
-            ..config
-        };
-        Self {
-            inner: SlfeEngine::build(graph, cluster, config),
-        }
-    }
-
     /// Access the wrapped engine (e.g. for its cluster statistics).
     pub fn engine(&self) -> &SlfeEngine<'g> {
         &self.inner

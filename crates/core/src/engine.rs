@@ -451,8 +451,10 @@ pub struct EngineParts {
     /// Engine configuration.
     pub config: EngineConfig,
     /// Redundancy-reduction guidance covering the graph's vertices. Shared,
-    /// so a caller that keeps it across graph versions (the serving loop,
-    /// while a warm batch leaves |V| unchanged) hands it over without a copy.
+    /// so a caller that keeps it across graph versions hands it over without
+    /// a copy. Only a ruler-gated [`SlfeEngine::run`] reads it: the serving
+    /// loop hands warm restarts the previous version's guidance (padded when
+    /// |V| grew) and regenerates it before a full recompute.
     pub rrg: Arc<RrGuidance>,
     /// The graph's per-vertex degrees, [`Degrees::of`] the engine's graph
     /// (`from_parts` checks the length). Shared, so a caller that keeps them
@@ -557,18 +559,17 @@ impl<'g> SlfeEngine<'g> {
 
     /// Assemble an engine from parts the caller already holds — the serving
     /// path: `slfe_delta::DeltaServer` keeps one pool, one telemetry hub,
-    /// the guidance and the degrees across graph versions, repairs the
-    /// guidance lazily, patches the degrees, the layout and the segment store
-    /// at the batch's dirty endpoints, and hands all of it here, so applying
-    /// a batch pays neither a thread spawn, a guidance BFS or copy, an `O(V)`
-    /// degree extraction, an O(V+E) layout scan nor a whole-graph segment
-    /// write.
+    /// the guidance and the degrees across graph versions, patches the
+    /// degrees, the layout and the segment store at the batch's dirty
+    /// endpoints, and hands all of it here, so a warm batch pays neither a
+    /// thread spawn, a guidance BFS or copy, an `O(V)` degree extraction, an
+    /// O(V+E) layout scan nor a whole-graph segment write.
     ///
     /// The simulated preprocessing charge uses the guidance's recorded
-    /// generation work, which for a repaired guidance is the (much smaller)
-    /// repair cost. Panics when a part does not fit the graph or the cluster
-    /// (see [`EngineParts`]); it checks the lengths of the guidance, the
-    /// degrees and the segment store, not their contents.
+    /// generation work; only a ruler-gated run reports it. Panics when a part
+    /// does not fit the graph or the cluster (see [`EngineParts`]); it checks
+    /// the lengths of the guidance, the degrees and the segment store, not
+    /// their contents.
     pub fn from_parts(graph: &'g Graph, parts: EngineParts) -> Self {
         let EngineParts {
             cluster,
@@ -621,9 +622,8 @@ impl<'g> SlfeEngine<'g> {
             );
         }
         // Simulated preprocessing cost: models the paper's distributed pass
-        // (§4.4), which spreads the counted work — the generation work for a
-        // fresh guidance, the (much smaller) repair work for a patched one —
-        // over every worker in the cluster. The pass here runs on one thread;
+        // (§4.4), which spreads the counted generation work over every worker
+        // in the cluster. The pass here runs on one thread, and
         // `preprocessing_wall_seconds` measures it.
         let workers = cluster.config().total_workers().max(1) as f64;
         let preprocessing_seconds = config.cost.seconds(rrg.generation_work()) / workers;
@@ -2694,7 +2694,7 @@ mod tests {
                 config,
             },
         );
-        assert!(engine.guidance().guidance_eq(&rrg));
+        assert_eq!(*engine.guidance(), rrg);
         assert_eq!(engine.preprocessing_wall_seconds(), 0.0);
         let result = engine.run(&TestSssp { root: 0 });
         let reference = SlfeEngine::build(&g, ClusterConfig::new(2, 1), EngineConfig::default())

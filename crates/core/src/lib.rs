@@ -10,6 +10,8 @@
 //!    records, for every vertex, the **last propagation level** at which it can
 //!    still receive a new value (`last_iter`). This *Redundancy-Reduction Guidance*
 //!    (RRG) is produced once per partitioned graph and reused by every application.
+//!    It is derived state: the serving loop regenerates it for a graph version
+//!    whose rulers are read, and never patches or persists it.
 //! 2. [`engine`] implements the RR-aware push/pull runtime of Algorithms 2–3.
 //!    For min/max-aggregation applications the *single ruler* (the current iteration
 //!    number) delays a vertex's first computation until its `last_iter` — "start
@@ -35,6 +37,6 @@ pub use config::{CostModel, EngineConfig, RedundancyMode};
 pub use engine::{EngineParts, SlfeEngine};
 pub use program::{AggregationKind, GraphProgram};
 pub use result::ProgramResult;
-pub use rrg::{RepairReport, RrGuidance};
+pub use rrg::RrGuidance;
 pub use slfe_graph::Degrees;
 pub use slfe_metrics::TelemetryConfig;

@@ -10,16 +10,17 @@
 //!   — never one the caller was told about.
 //! * Every N batches (or M WAL bytes) the server writes a **snapshot** of its
 //!   exact served state — graph (raw adjacency arrays, physically exact),
-//!   fixpoint values, RR guidance, stable partitioning, cumulative stats —
-//!   via temp file + rename, then trims the WAL. Recovery loads the snapshot
-//!   and replays only the WAL suffix past its sequence number through the
-//!   identical warm apply path, which is what makes recovered values
-//!   **bit-identical** to an uninterrupted run for every registered app.
+//!   fixpoint values, stable partitioning, cumulative stats — via a temp
+//!   file and a rename, then trims the WAL. The RR guidance is derived state
+//!   and is not stored. Recovery loads the snapshot, regenerates the
+//!   guidance, and replays only the WAL suffix past its sequence number
+//!   through the identical warm apply path, which is what makes recovered
+//!   values **bit-identical** to an uninterrupted run for every registered
+//!   app.
 //! * Corruption is handled structurally, never with a panic: a torn or
 //!   bit-flipped WAL tail truncates to the last valid frame; a corrupt
 //!   snapshot is a typed [`DurabilityError`].
 
-use slfe_core::RrGuidance;
 use slfe_graph::io::binary::{self, Reader};
 use slfe_graph::{
     with_retries, FaultAction, FaultInjector, FaultSite, Graph, RetryPolicy, UpdateBatch,
@@ -37,13 +38,11 @@ use crate::server::ServerStats;
 const WAL_MAGIC: u32 = 0x534C_4657;
 /// Snapshot file magic ("SLFS").
 const SNAPSHOT_MAGIC: u32 = 0x534C_4653;
-/// Snapshot format version. Version 2 appends an id-remap section (the
-/// external→physical bijection of a physically reordered graph) after the
-/// partitioning; version-1 snapshots are still readable and load with the
-/// identity layout.
-const SNAPSHOT_VERSION: u32 = 2;
-/// Oldest snapshot version this build still reads.
-const SNAPSHOT_MIN_VERSION: u32 = 1;
+/// Snapshot format version, the only one this build reads. Version 3
+/// dropped the RR-guidance section and the guidance-regeneration stat that
+/// versions 1 and 2 stored; a directory written by an earlier build is
+/// refused as corrupt and must be recreated.
+const SNAPSHOT_VERSION: u32 = 3;
 /// Bytes of a WAL frame header: magic, sequence, payload length, checksum.
 const WAL_HEADER_BYTES: usize = 4 + 8 + 4 + 4;
 /// WAL length at which a snapshot is due regardless of the batch cadence.
@@ -434,7 +433,6 @@ pub(crate) struct SnapshotState<'a, V> {
     pub stats: ServerStats,
     pub graph: &'a Graph,
     pub values: &'a [V],
-    pub guidance: &'a RrGuidance,
     pub owners: &'a [usize],
     pub num_parts: usize,
 }
@@ -445,7 +443,6 @@ pub(crate) struct LoadedSnapshot<V> {
     pub stats: ServerStats,
     pub graph: Graph,
     pub values: Vec<V>,
-    pub guidance: RrGuidance,
     pub owners: Vec<usize>,
     pub num_parts: usize,
 }
@@ -471,29 +468,17 @@ pub(crate) fn write_snapshot<V: SnapshotValue>(
     binary::put_u64(&mut out, state.stats.total_work);
     binary::put_u64(&mut out, state.stats.total_distribution_messages);
     binary::put_u64(&mut out, state.stats.full_recomputes);
-    binary::put_u64(&mut out, state.stats.guidance_regenerations);
     binary::encode_graph(&mut out, state.graph);
     binary::put_u64(&mut out, state.values.len() as u64);
     for &v in state.values {
         v.write(&mut out);
     }
-    let g = state.guidance;
-    binary::put_u64(&mut out, g.num_vertices() as u64);
-    for &li in g.last_iters() {
-        binary::put_u32(&mut out, li);
-    }
-    for &l in g.levels() {
-        binary::put_u32(&mut out, l);
-    }
-    binary::put_u32(&mut out, g.max_level());
-    binary::put_u64(&mut out, g.generation_work());
-    binary::put_u8(&mut out, g.used_fallback_root() as u8);
     binary::put_u64(&mut out, state.num_parts as u64);
     binary::put_u64(&mut out, state.owners.len() as u64);
     for &o in state.owners {
         binary::put_u32(&mut out, o as u32);
     }
-    // Remap section (v2): the graph's adjacency was encoded physically exact
+    // Remap section: the graph's adjacency was encoded physically exact
     // above, so only the external→physical bijection travels here.
     match state.graph.id_remap() {
         Some(remap) if !remap.is_identity() => {
@@ -589,7 +574,7 @@ pub(crate) fn read_snapshot<V: SnapshotValue>(
         return Err(corrupt("bad magic"));
     }
     let version = r.u32().ok_or_else(|| corrupt("truncated header"))?;
-    if !(SNAPSHOT_MIN_VERSION..=SNAPSHOT_VERSION).contains(&version) {
+    if version != SNAPSHOT_VERSION {
         return Err(corrupt("unknown version"));
     }
     if r.u8() != Some(V::TAG) {
@@ -601,7 +586,6 @@ pub(crate) fn read_snapshot<V: SnapshotValue>(
         total_work: r.u64().ok_or_else(|| corrupt("truncated stats"))?,
         total_distribution_messages: r.u64().ok_or_else(|| corrupt("truncated stats"))?,
         full_recomputes: r.u64().ok_or_else(|| corrupt("truncated stats"))?,
-        guidance_regenerations: r.u64().ok_or_else(|| corrupt("truncated stats"))?,
     };
     let graph = binary::decode_graph(&mut r).ok_or_else(|| corrupt("invalid graph section"))?;
     let n = graph.num_vertices();
@@ -613,26 +597,6 @@ pub(crate) fn read_snapshot<V: SnapshotValue>(
     for _ in 0..value_count {
         values.push(V::read(&mut r).ok_or_else(|| corrupt("truncated values"))?);
     }
-    let gn = r.u64().ok_or_else(|| corrupt("truncated guidance"))? as usize;
-    if gn != n {
-        return Err(corrupt("guidance size does not match the graph"));
-    }
-    let mut last_iter = Vec::with_capacity(gn);
-    for _ in 0..gn {
-        last_iter.push(r.u32().ok_or_else(|| corrupt("truncated guidance"))?);
-    }
-    let mut level = Vec::with_capacity(gn);
-    for _ in 0..gn {
-        level.push(r.u32().ok_or_else(|| corrupt("truncated guidance"))?);
-    }
-    let max_level = r.u32().ok_or_else(|| corrupt("truncated guidance"))?;
-    let work = r.u64().ok_or_else(|| corrupt("truncated guidance"))?;
-    let fallback = match r.u8() {
-        Some(0) => false,
-        Some(1) => true,
-        _ => return Err(corrupt("invalid fallback-root flag")),
-    };
-    let guidance = RrGuidance::from_parts(last_iter, level, max_level, work, fallback);
     let num_parts = r.u64().ok_or_else(|| corrupt("truncated partitioning"))? as usize;
     let owner_count = r.u64().ok_or_else(|| corrupt("truncated partitioning"))? as usize;
     if owner_count != n || num_parts == 0 {
@@ -646,34 +610,30 @@ pub(crate) fn read_snapshot<V: SnapshotValue>(
         }
         owners.push(o);
     }
-    let graph = if version >= 2 {
-        match r.u8() {
-            Some(0) => graph,
-            Some(1) => {
-                let len = r.u64().ok_or_else(|| corrupt("truncated remap"))? as usize;
-                if len > n {
-                    return Err(corrupt("remap larger than the graph"));
-                }
-                let mut forward = Vec::with_capacity(len);
-                for _ in 0..len {
-                    let p = r.u32().ok_or_else(|| corrupt("truncated remap"))?;
-                    if p as usize >= len {
-                        return Err(corrupt("remap entry out of range"));
-                    }
-                    forward.push(p);
-                }
-                let mut seen = vec![false; len];
-                for &p in &forward {
-                    if std::mem::replace(&mut seen[p as usize], true) {
-                        return Err(corrupt("remap is not a bijection"));
-                    }
-                }
-                graph.with_remap(slfe_graph::IdRemap::from_forward(forward))
+    let graph = match r.u8() {
+        Some(0) => graph,
+        Some(1) => {
+            let len = r.u64().ok_or_else(|| corrupt("truncated remap"))? as usize;
+            if len > n {
+                return Err(corrupt("remap larger than the graph"));
             }
-            _ => return Err(corrupt("invalid remap flag")),
+            let mut forward = Vec::with_capacity(len);
+            for _ in 0..len {
+                let p = r.u32().ok_or_else(|| corrupt("truncated remap"))?;
+                if p as usize >= len {
+                    return Err(corrupt("remap entry out of range"));
+                }
+                forward.push(p);
+            }
+            let mut seen = vec![false; len];
+            for &p in &forward {
+                if std::mem::replace(&mut seen[p as usize], true) {
+                    return Err(corrupt("remap is not a bijection"));
+                }
+            }
+            graph.with_remap(slfe_graph::IdRemap::from_forward(forward))
         }
-    } else {
-        graph
+        _ => return Err(corrupt("invalid remap flag")),
     };
     if !r.is_empty() {
         return Err(corrupt("trailing bytes"));
@@ -683,7 +643,6 @@ pub(crate) fn read_snapshot<V: SnapshotValue>(
         stats,
         graph,
         values,
-        guidance,
         owners,
         num_parts,
     })

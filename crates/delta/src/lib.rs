@@ -10,9 +10,11 @@
 //! 1. **Mutation** — [`slfe_graph::UpdateBatch`] stages edge insertions and
 //!    deletions; [`slfe_graph::Graph::apply_batch`] rebuilds only the touched
 //!    adjacency ranges and reports the *dirty* endpoints.
-//! 2. **Guidance repair** — [`slfe_core::RrGuidance::repair`] patches the
-//!    redundancy-reduction levels for the region reachable from the dirty set,
-//!    falling back to full regeneration past a dirty-fraction threshold.
+//! 2. **Guidance** — the redundancy-reduction guidance is derived state.
+//!    [`slfe_core::RrGuidance::generate`] runs where the rulers are read: at
+//!    start-up and recovery, for a batch that falls back to a full
+//!    recompute, and for a [`DeltaServer::guidance`] read. Warm restarts run
+//!    with the rulers off, so a warm batch reuses the current guidance.
 //! 3. **Warm re-convergence** — [`slfe_core::SlfeEngine::run_from`] restarts
 //!    the program from the previous fixpoint, re-converging only what the batch
 //!    disturbed: the support-invalidated region + dirty frontier for monotone

@@ -1,14 +1,12 @@
-//! The [`DeltaServer`] serving loop: apply an edge-update batch, repair the RR
-//! guidance, warm re-converge the program, answer queries.
+//! The [`DeltaServer`] serving loop: apply an edge-update batch, warm
+//! re-converge the program, answer queries.
 
 use crate::durability::{
     self, DurabilityConfig, DurabilityError, DurabilityState, SnapshotState, SnapshotValue, Wal,
 };
 use crate::health::{ApplyError, Health};
 use slfe_cluster::{Cluster, ClusterConfig, GlobalChunkLayout, LayoutPatchStats, WorkerPool};
-use slfe_core::{
-    EngineConfig, EngineParts, GraphProgram, ProgramResult, RepairReport, RrGuidance, SlfeEngine,
-};
+use slfe_core::{EngineConfig, EngineParts, GraphProgram, ProgramResult, RrGuidance, SlfeEngine};
 use slfe_graph::{
     BatchEffect, Degrees, FaultAction, FaultInjector, FaultPlan, FaultSite, Graph, GraphStorage,
     IdRemap, ReorderPolicy, UpdateBatch, VertexId,
@@ -32,13 +30,6 @@ const INGEST_NODE: usize = 0;
 /// endpoint further out ([`ApplyError::VertexOutOfRange`]), and the serving
 /// front end sheds it at submit.
 const MAX_VERTEX_GROWTH: u64 = 1 << 20;
-
-/// The guidance report of a stage that repaired nothing.
-const NO_REPAIR: RepairReport = RepairReport {
-    regenerated: false,
-    affected_vertices: 0,
-    work: 0,
-};
 
 /// `true` when endpoint `vertex` would append more than
 /// [`MAX_VERTEX_GROWTH`] vertices to a graph of `num_vertices`.
@@ -76,8 +67,8 @@ impl StageClock {
     /// Close `stage`, which ran since the previous lap.
     fn lap(&mut self, stage: &'static str) {
         let now = self.telemetry.clock().now_ns();
-        // Trace readers (perfbench among them) know the guidance stage's
-        // span as `guidance_repair`.
+        // The guidance stage's span keeps the name `guidance_repair`, which
+        // trace readers (perfbench among them) look up.
         let span = match stage {
             "guidance" => "guidance_repair",
             stage => stage,
@@ -229,8 +220,6 @@ impl Default for ServerConfig {
 pub struct BatchOutcome {
     /// What the batch changed in the graph.
     pub effect: BatchEffect,
-    /// How the RR guidance was brought up to date (repair vs regeneration).
-    pub guidance: RepairReport,
     /// Counted work of the re-convergence, including the warm-start
     /// invalidation pass. Compare against a from-scratch run's work to see what
     /// serving incrementally saved.
@@ -286,9 +275,10 @@ pub struct BatchOutcome {
     /// batch ran, in pipeline order — `wal_append` (durable servers),
     /// `graph_patch` (id translation, [`Graph::apply_batch`] and the degree
     /// patch), `segment_patch` (out-of-core servers), `layout_patch`,
-    /// `guidance`, `warm_restart` or `cold_run`, `publish` (outcome, stats,
-    /// install, external-id view) and `snapshot` (when due); a no-op batch
-    /// skips from `graph_patch` to `publish`. Contiguous laps of one clock,
+    /// `guidance` (regenerated for a full recompute; otherwise the current
+    /// guidance, padded when |V| grew), `warm_restart` or `cold_run`,
+    /// `publish` (outcome, stats, install, external-id view) and `snapshot`
+    /// (when due); a no-op batch skips from `graph_patch` to `publish`. Contiguous laps of one clock,
     /// so they sum to `wall_seconds`. With telemetry on, each is also a
     /// `server` span inside the batch's `batch` span (the guidance one
     /// `guidance_repair`).
@@ -306,17 +296,16 @@ pub struct ServerStats {
     pub total_distribution_messages: u64,
     /// How many batches fell back to a full recompute.
     pub full_recomputes: u64,
-    /// How many guidance updates fell back to full regeneration.
-    pub guidance_regenerations: u64,
 }
 
 /// An always-on serving instance of one graph program.
 ///
-/// The server owns the current graph version, the (incrementally maintained)
-/// redundancy-reduction guidance and the program's current fixpoint. Because
-/// several programs capture graph-dependent state (`PageRank` holds `|V|`,
-/// `Heat` precomputes out-degree shares), the server is built from a *program
-/// factory* that re-instantiates the program for each graph version.
+/// The server owns the current graph version, its redundancy-reduction
+/// guidance (regenerated where the rulers are read) and the program's
+/// current fixpoint. Because several programs capture graph-dependent state
+/// (`PageRank` holds `|V|`, `Heat` precomputes out-degree shares), the server
+/// is built from a *program factory* that re-instantiates the program for
+/// each graph version.
 ///
 /// **External ids at the API boundary.** Queries ([`DeltaServer::value`],
 /// [`DeltaServer::values`], [`DeltaServer::top_k_by`]), update batches,
@@ -373,11 +362,16 @@ where
     /// from the authoritative in-memory adjacency.
     graph: Arc<Graph>,
     config: ServerConfig,
-    /// The RR guidance handed to every engine this server builds: padded to
-    /// new vertices or repaired per batch, and shared (`Arc`) so a warm
-    /// batch that does not grow |V| hands the same guidance over again
-    /// without a copy. Repair is deferred (see `pending_guidance_dirty`).
+    /// The RR guidance handed to every engine this server builds. Derived
+    /// state: [`RrGuidance::generate`] runs at [`DeltaServer::try_new`],
+    /// [`DeltaServer::open`], a full-recompute batch and the first
+    /// [`DeltaServer::guidance`] read after it went stale. A warm batch
+    /// hands the same `Arc` over again (a padded copy when |V| grew);
+    /// warm restarts run with the rulers off and never read it.
     rrg: Arc<RrGuidance>,
+    /// `true` when `rrg` no longer matches `graph`: after a warm batch or a
+    /// remap. Never persisted; `open` regenerates the guidance.
+    guidance_stale: bool,
     /// The current graph version's per-vertex degrees, handed to every
     /// engine this server builds. Patched in place at each batch's dirty
     /// endpoints ([`Degrees::patch`]; the previous version's engine is gone
@@ -415,13 +409,6 @@ where
     /// Refreshed whenever `result` or the remap changes.
     external_values: Option<Vec<P::Value>>,
     stats: ServerStats,
-    /// Dirty vertices accumulated since the guidance was last brought up to
-    /// date. The warm path never reads the rulers, so repair is deferred
-    /// until something does: a full-recompute fallback, a snapshot, or the
-    /// [`DeltaServer::guidance`] accessor. Appended vertex ids are included
-    /// (they must be in the repair's dirty set for repair to reproduce
-    /// regeneration exactly).
-    pending_guidance_dirty: Vec<VertexId>,
     /// WAL + snapshot state when this server was built through
     /// [`DeltaServer::create_durable`] / [`DeltaServer::open`].
     durability: Option<DurabilityState>,
@@ -450,11 +437,9 @@ where
         let graph = Arc::new(graph);
         let faults = injector_for(&config);
         let pool = Arc::new(WorkerPool::new(config.cluster.total_workers()));
-        let rrg = RrGuidance::generate(&graph);
         let partitioning =
             Arc::new(ChunkingPartitioner::default().partition(&graph, config.cluster.num_nodes));
-        let mut server =
-            Self::assemble(make_program, config, faults, pool, graph, partitioning, rrg)?;
+        let mut server = Self::assemble(make_program, config, faults, pool, graph, partitioning)?;
         let cold_span = server.telemetry.begin();
         let storage = server.storage.clone();
         let engine = server.engine(&server.graph, &server.rrg, &server.layout, storage);
@@ -469,9 +454,9 @@ where
         Ok(server)
     }
 
-    /// Assemble a server around `graph`, its stable `partitioning` and
-    /// guidance `rrg`: extract the degrees, build the chunk layout, the
-    /// telemetry hub and the out-of-core segment store, written once here
+    /// Assemble a server around `graph` and its stable `partitioning`:
+    /// generate the guidance, extract the degrees, build the chunk layout,
+    /// the telemetry hub and the out-of-core segment store, written once here
     /// with `graph` attached as the source unreadable segments are
     /// quarantined and rebuilt from (every batch then patches only the dirty
     /// segments). The served result is empty until the caller runs the
@@ -483,7 +468,6 @@ where
         pool: Arc<WorkerPool>,
         graph: Arc<Graph>,
         partitioning: Arc<Partitioning>,
-        rrg: RrGuidance,
     ) -> io::Result<Self> {
         let program = make_program(&graph);
         let layout =
@@ -504,11 +488,12 @@ where
         Ok(Self {
             make_program,
             program,
+            rrg: Arc::new(RrGuidance::generate(&graph)),
+            guidance_stale: false,
             degrees: Arc::new(Degrees::of(&graph)),
             graph,
             telemetry: Arc::new(Telemetry::new(config.engine.telemetry)),
             config,
-            rrg: Arc::new(rrg),
             pool,
             partitioning,
             layout,
@@ -516,7 +501,6 @@ where
             result,
             external_values: None,
             stats: ServerStats::default(),
-            pending_guidance_dirty: Vec::new(),
             durability: None,
             faults,
             health: Health::new(),
@@ -573,22 +557,6 @@ where
             }
         }
         effect
-    }
-
-    /// The guidance brought up to date with `graph` over the dirty vertices
-    /// `pending`, and what that cost (a zero-work report when none).
-    fn repaired_guidance(
-        &self,
-        graph: &Graph,
-        mut pending: Vec<VertexId>,
-    ) -> (RrGuidance, RepairReport) {
-        let padded = self.rrg.extended_to(graph.num_vertices());
-        if pending.is_empty() {
-            return (padded, NO_REPAIR);
-        }
-        pending.sort_unstable();
-        pending.dedup();
-        padded.repair(graph, &pending)
     }
 
     /// Rebuild the out-of-core segment store for `graph` from scratch (the
@@ -734,45 +702,30 @@ where
         &self.result
     }
 
-    /// The incrementally maintained guidance, brought up to date first.
-    ///
-    /// Guidance maintenance is lazy (warm restarts never read the rulers), so
-    /// querying it is the moment any deferred repair runs — hence `&mut`.
+    /// The RR guidance of the current graph version:
+    /// [`RrGuidance::generate`] over [`DeltaServer::graph`]. Warm batches and
+    /// remaps leave the held guidance stale (warm restarts never read the
+    /// rulers), so the first read after them regenerates it, under the
+    /// `guidance_repair` telemetry span — hence `&mut`.
     pub fn guidance(&mut self) -> &RrGuidance {
-        self.sync_guidance();
-        &self.rrg
-    }
-
-    /// Run any deferred guidance repair now (no-op when nothing is pending).
-    fn sync_guidance(&mut self) {
-        if self.pending_guidance_dirty.is_empty()
-            && self.rrg.num_vertices() == self.graph.num_vertices()
-        {
-            return;
+        if self.guidance_stale {
+            let span = self.telemetry.begin();
+            self.rrg = Arc::new(RrGuidance::generate(&self.graph));
+            self.telemetry.end(span, "guidance_repair", "server", 0);
+            self.guidance_stale = false;
         }
-        let repair_span = self.telemetry.begin();
-        let pending = std::mem::take(&mut self.pending_guidance_dirty);
-        let (rrg, report) = self.repaired_guidance(&self.graph, pending);
-        self.telemetry
-            .end(repair_span, "guidance_repair", "server", 0);
-        self.stats.guidance_regenerations += report.regenerated as u64;
-        self.rrg = Arc::new(rrg);
-    }
-
-    /// Counted work a guidance sync would do right now: 0 when nothing is
-    /// pending. (Test hook for pinning the warm path's repair work at zero.)
-    pub fn pending_guidance_vertices(&self) -> usize {
-        self.pending_guidance_dirty.len()
+        &self.rrg
     }
 
     /// Run the configured physical-layout policy now: migrate vertices off
     /// overloaded nodes when [`EngineConfig::migration_imbalance_threshold`]
     /// is exceeded, then reorder ids partition-contiguously (degree-descending
     /// within each partition under [`ReorderPolicy::DegreeDescending`]) and
-    /// rebuild every physical artifact — graph, guidance, degrees, values,
-    /// layout, segment store — under the new bijection. Returns `true` when
-    /// a remap was applied, `false` when no policy is configured or the
-    /// layout is already in place.
+    /// rebuild every physical artifact — graph, degrees, values, layout,
+    /// segment store — under the new bijection. The guidance goes stale, and
+    /// its next reader regenerates it. Returns `true` when a remap was
+    /// applied, `false` when no policy is configured or the layout is
+    /// already in place.
     ///
     /// On a durable server this also runs by itself on every snapshot, where
     /// the WAL is about to be trimmed — its external-id frames never cross a
@@ -784,9 +737,6 @@ where
         if policy == ReorderPolicy::None && threshold.is_none() {
             return Ok(false);
         }
-        // The guidance permutes with the graph, so it must match the current
-        // version's size (and content) before the rename.
-        self.sync_guidance();
         let migrated = threshold.and_then(|t| self.partitioning.migrated_owners(t));
         let partitioning = match migrated {
             Some(owners) => Arc::new(Partitioning::from_owners(
@@ -821,7 +771,7 @@ where
         // Re-encode the out-of-core segments in the new order — the hot/cold
         // clustering the reorder exists for lives in these files.
         let storage = build_storage(&graph, &self.config.engine, &self.faults)?;
-        self.rrg = Arc::new(self.rrg.permuted(step));
+        self.guidance_stale = true;
         self.degrees = Arc::new(Degrees::of(&graph));
         self.result.values = step.permuted_values(&self.result.values);
         self.result.last_changed_iter = step.permuted_values(&self.result.last_changed_iter);
@@ -829,7 +779,6 @@ where
         // than trust a fixpoint computed under the old ids, the next warm
         // restart's first pull re-pulls every vertex.
         self.result.exact_fixpoint = false;
-        step.map_ids(&mut self.pending_guidance_dirty);
         self.program = (self.make_program)(&graph);
         self.graph = graph;
         self.partitioning = partitioning;
@@ -1139,11 +1088,6 @@ where
             "Batches that fell back to a from-scratch run",
             self.stats.full_recomputes as f64,
         );
-        reg.counter(
-            "slfe_server_guidance_regenerations_total",
-            "Guidance updates that fell back to full regeneration",
-            self.stats.guidance_regenerations as f64,
-        );
 
         let fc = self.fault_counters();
         for (kind, value) in [
@@ -1226,9 +1170,10 @@ where
 {
     /// Apply one edge-update batch: append it to the write-ahead log and
     /// fsync *first* (durable servers), patch the graph, segment store and
-    /// layout, bring the guidance up to date, warm re-converge the program,
-    /// publish the new version, then snapshot (and possibly compact the
-    /// segment files) if the cadence says so. Every stage is timed in
+    /// layout, hand over the guidance (regenerated only for a full
+    /// recompute), warm re-converge the program, publish the new version,
+    /// then snapshot (and possibly compact the segment files) if the cadence
+    /// says so. Every stage is timed in
     /// [`BatchOutcome::stages`]. The graceful-degradation contract:
     ///
     /// * A batch naming an endpoint more than 2^20 ids past the current
@@ -1337,7 +1282,6 @@ where
 
         let mut outcome = BatchOutcome {
             effect: BatchEffect::default(),
-            guidance: NO_REPAIR,
             work: 0,
             iterations: 0,
             converged: true,
@@ -1354,9 +1298,6 @@ where
             stages: Vec::new(),
         };
         if let Some(graph) = graph {
-            let old_n = self.graph.num_vertices() as VertexId;
-            let appended = old_n..graph.num_vertices() as VertexId;
-
             // Out-of-core: rewrite only the segments a dirty endpoint lives
             // in (plus fresh ones for appended vertices); clean segments keep
             // their bytes and any warm buffer-pool frames.
@@ -1400,21 +1341,15 @@ where
             outcome.layout_patch = layout_patch;
             clock.lap("layout_patch");
 
-            // A cold run reads the rulers, so it repairs them now over every
-            // deferred dirty vertex plus this batch's (appended ids included:
-            // repair needs them to reproduce regeneration exactly). A warm
-            // restart never reads them: the guidance is only padded to the
-            // new id space ("never early-converged", so nothing is skipped),
-            // shared as it is when |V| did not grow, and the repair waits for
-            // a cold run, snapshot or guidance query.
+            // A cold run reads the rulers, so it regenerates them for the
+            // new version. A warm restart never reads them: it gets the
+            // current guidance, shared as it is when |V| did not grow and
+            // padded ("never skip") when it did, and the guidance goes stale
+            // until a reader regenerates it.
             let dirty_fraction = effect.dirty.len() as f64 / graph.num_vertices().max(1) as f64;
             outcome.full_recompute = dirty_fraction > self.config.full_recompute_dirty_fraction;
             let rrg = if outcome.full_recompute {
-                let mut pending = self.pending_guidance_dirty.clone();
-                pending.extend(effect.dirty.iter().copied().chain(appended.clone()));
-                let (rrg, report) = self.repaired_guidance(&graph, pending);
-                outcome.guidance = report;
-                Arc::new(rrg)
+                Arc::new(RrGuidance::generate(&graph))
             } else if self.rrg.num_vertices() == graph.num_vertices() {
                 Arc::clone(&self.rrg)
             } else {
@@ -1430,14 +1365,9 @@ where
             });
             let (program, result, storage) = converged?;
 
-            if outcome.full_recompute {
-                self.pending_guidance_dirty.clear();
-            } else {
-                self.pending_guidance_dirty.extend_from_slice(&effect.dirty);
-                self.pending_guidance_dirty.extend(appended);
-            }
             self.graph = graph;
             self.rrg = rrg;
+            self.guidance_stale = !outcome.full_recompute;
             self.layout = layout;
             self.storage = storage;
             self.program = program;
@@ -1454,7 +1384,6 @@ where
         self.stats.total_work += outcome.work;
         self.stats.total_distribution_messages += outcome.distribution_messages;
         self.stats.full_recomputes += outcome.full_recompute as u64;
-        self.stats.guidance_regenerations += outcome.guidance.regenerated as u64;
         clock.lap("publish");
 
         if self.snapshot_due() {
@@ -1502,11 +1431,10 @@ where
     }
 
     /// The body of [`DeltaServer::snapshot`], also the apply pipeline's
-    /// `snapshot` stage; each caller times it once.
+    /// `snapshot` stage; each caller times it once. The guidance is derived
+    /// state and stays out of the snapshot: [`DeltaServer::open`]
+    /// regenerates it.
     fn write_snapshot(&mut self) -> io::Result<()> {
-        // The snapshot stores the guidance, so bring it up to date: recovery
-        // then restores rulers identical to what a cold run would need.
-        self.sync_guidance();
         // Physical-layout policy rides the snapshot path too: every logged
         // external-id batch is folded in before the id space is renamed, and
         // the snapshot below records the new layout plus its bijection.
@@ -1534,7 +1462,6 @@ where
                 stats: self.stats,
                 graph: &self.graph,
                 values: &self.result.values,
-                guidance: &self.rrg,
                 owners: self.partitioning.owners(),
                 num_parts: self.partitioning.num_parts(),
             },
@@ -1584,8 +1511,9 @@ where
     }
 
     /// Recover a durable server from its snapshot plus WAL suffix: load the
-    /// snapshot (graph, fixpoint values, guidance, partitioning, stats),
-    /// rebuild the runtime artifacts (pool, layout, segment files), then
+    /// snapshot (graph, fixpoint values, partitioning, stats), regenerate
+    /// the guidance, rebuild the runtime artifacts (pool, layout, segment
+    /// files), then
     /// replay every WAL entry past the snapshot's sequence number through the
     /// identical warm apply path. The recovered values are bit-identical to
     /// an uninterrupted run's — for min/max and arithmetic programs alike.
@@ -1615,7 +1543,6 @@ where
             pool,
             graph,
             partitioning,
-            snap.guidance,
         )?;
         // The fixpoint values are the snapshot's; the run-shaped metadata is
         // zeroed. `exact_fixpoint` stays false: a snapshot does not record
@@ -1765,9 +1692,7 @@ mod tests {
                 "round {round}: served values diverge from a from-scratch run"
             );
             // The maintained guidance matches regeneration on the current graph.
-            assert!(server
-                .guidance()
-                .guidance_eq(&RrGuidance::generate(&current)));
+            assert_eq!(*server.guidance(), RrGuidance::generate(&current));
         }
         assert_eq!(server.stats().batches_applied, 4);
     }
@@ -1984,8 +1909,9 @@ mod tests {
     /// every path that changes the graph or rolls a change back: a batch
     /// stream with growth and deletes, a full-recompute fallback, a remap,
     /// a `StoragePatch` rejection followed by a resume and a clean batch, and
-    /// `open`'s replay. The served values equal an uninterrupted in-memory
-    /// witness's bit for bit throughout.
+    /// `open`'s replay. The guidance it serves equals a regeneration on the
+    /// served graph on each of those paths, and the served values equal an
+    /// uninterrupted in-memory witness's bit for bit throughout.
     #[test]
     fn server_degrees_equal_a_fresh_extraction_on_every_path() {
         use slfe_graph::generators::{random_batch, BatchShape};
@@ -2008,18 +1934,21 @@ mod tests {
                 .unwrap();
         let mut witness = DeltaServer::try_new(graph, make, ServerConfig::default()).unwrap();
         let check =
-            |server: &DeltaServer<SsspProgram, _>, witness: &DeltaServer<_, _>, at: &str| {
+            |server: &mut DeltaServer<SsspProgram, _>, witness: &DeltaServer<_, _>, at: &str| {
                 assert_eq!(
                     *server.degrees,
                     Degrees::of(server.graph()),
                     "{at}: degrees"
                 );
+                let regenerated = RrGuidance::generate(server.graph());
+                assert_eq!(*server.guidance(), regenerated, "{at}: guidance");
                 assert_eq!(
                     bits(server.values()),
                     bits(witness.values()),
                     "{at}: values"
                 );
             };
+        check(&mut server, &witness, "try_new");
         let shape = BatchShape::Mixed { allow_growth: true };
         let apply = |server: &mut DeltaServer<_, _>, witness: &mut DeltaServer<_, _>, seed, ops| {
             // Batches speak external ids; draw them from the unremapped witness.
@@ -2030,13 +1959,13 @@ mod tests {
 
         for seed in 0..6 {
             apply(&mut server, &mut witness, seed, 12);
-            check(&server, &witness, &format!("batch {seed}"));
+            check(&mut server, &witness, &format!("batch {seed}"));
         }
         let outcome = apply(&mut server, &mut witness, 6, 400);
         assert!(outcome.full_recompute);
-        check(&server, &witness, "full recompute");
+        check(&mut server, &witness, "full recompute");
         assert!(server.remap_now().unwrap(), "the reorder policy must remap");
-        check(&server, &witness, "remap");
+        check(&mut server, &witness, "remap");
 
         server.fault_injector().arm(FaultPlan::new().fail(
             FaultSite::SegmentWrite,
@@ -2046,15 +1975,15 @@ mod tests {
         let batch = random_batch(witness.graph(), 7, 12, shape);
         let err = server.try_apply(&batch).unwrap_err();
         assert!(matches!(err, ApplyError::StoragePatch(_)), "got {err}");
-        check(&server, &witness, "rejection");
+        check(&mut server, &witness, "rejection");
         server.fault_injector().disarm();
         assert!(server.try_resume_writes());
         apply(&mut server, &mut witness, 8, 12);
-        check(&server, &witness, "batch after the rejection");
+        check(&mut server, &witness, "batch after the rejection");
 
         drop(server);
-        let reopened = DeltaServer::open(make, config, durability).unwrap();
-        check(&reopened, &witness, "open");
+        let mut reopened = DeltaServer::open(make, config, durability).unwrap();
+        check(&mut reopened, &witness, "open");
         drop(reopened);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -2255,9 +2184,7 @@ mod tests {
             2
         );
         // The restored guidance keeps the maintenance invariant.
-        assert!(reopened
-            .guidance()
-            .guidance_eq(&RrGuidance::generate(&current)));
+        assert_eq!(*reopened.guidance(), RrGuidance::generate(&current));
         std::fs::remove_dir_all(reopened.durability_counters().map(|_| &dir).unwrap()).unwrap();
     }
 
@@ -2429,31 +2356,44 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Warm batches must not pay for guidance repair: the repair runs lazily
-    /// when something reads the rulers, and it then matches regeneration.
+    /// Warm restarts never read the rulers: warm batches that keep |V| hand
+    /// every engine the same guidance `Arc` and leave it stale, the first
+    /// `guidance()` read after them regenerates it, and a full-recompute
+    /// batch leaves it current.
     #[test]
-    fn warm_batches_defer_guidance_repair_entirely() {
+    fn warm_batches_never_touch_the_guidance() {
         let graph = generators::rmat(500, 3500, 0.57, 0.19, 0.19, 83);
         let root = stats::highest_out_degree_vertex(&graph).unwrap();
         let mut server = sssp_server(graph.clone(), root, ServerConfig::default());
+        let initial = Arc::clone(&server.rrg);
         let mut current = graph;
         for round in 0..3u64 {
             let batch = mixed_batch(&current, round + 640, 20);
             let outcome = server.try_apply(&batch).unwrap();
             current = current.apply_batch(&batch).0;
             assert!(!outcome.full_recompute, "round {round} must stay warm");
-            assert_eq!(
-                outcome.guidance.work, 0,
-                "round {round}: the warm path paid for guidance repair"
+            assert_eq!(outcome.effect.vertices_added, 0);
+            assert!(
+                Arc::ptr_eq(&server.rrg, &initial),
+                "round {round}: the warm path replaced the guidance"
             );
-            assert!(!outcome.guidance.regenerated);
+            assert!(server.guidance_stale, "round {round}");
         }
-        assert!(server.pending_guidance_vertices() > 0);
-        // First read pays the deferred repair and lands on regeneration.
-        assert!(server
-            .guidance()
-            .guidance_eq(&RrGuidance::generate(&current)));
-        assert_eq!(server.pending_guidance_vertices(), 0);
+        // The first read regenerates; a second one reuses that guidance.
+        assert_eq!(*server.guidance(), RrGuidance::generate(&current));
+        assert!(!server.guidance_stale);
+        let regenerated = Arc::clone(&server.rrg);
+        assert!(!Arc::ptr_eq(&regenerated, &initial));
+        server.guidance();
+        assert!(Arc::ptr_eq(&server.rrg, &regenerated));
+
+        // A cold run reads the rulers, so it leaves the guidance current.
+        server.config.full_recompute_dirty_fraction = 0.0;
+        let batch = mixed_batch(&current, 650, 20);
+        assert!(server.try_apply(&batch).unwrap().full_recompute);
+        current = current.apply_batch(&batch).0;
+        assert!(!server.guidance_stale);
+        assert_eq!(*server.rrg, RrGuidance::generate(&current));
     }
 
     /// Out-of-core durable serving: snapshots compact the segment files past
@@ -2532,6 +2472,53 @@ mod tests {
                 "expected CorruptSnapshot, got {:?}",
                 other.err().map(|e| e.to_string())
             ),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The snapshot holds the header, four stats, the graph, the values, the
+    /// owners and the remap flag under one CRC, and no guidance: `open`
+    /// regenerates it. A snapshot that declares an earlier format version
+    /// (which stored the guidance) is refused typed, never read.
+    #[test]
+    fn snapshots_store_no_guidance_and_refuse_earlier_versions() {
+        use slfe_graph::io::binary;
+        let dir = durable_dir("format");
+        let graph = generators::rmat(200, 1200, 0.57, 0.19, 0.19, 37);
+        let make = |_: &Graph| SsspProgram { root: 0 };
+        let durability = DurabilityConfig::new(&dir);
+        let server =
+            DeltaServer::create_durable(graph, make, ServerConfig::default(), durability.clone())
+                .unwrap();
+        let n = server.graph().num_vertices();
+        let mut graph_section = Vec::new();
+        binary::encode_graph(&mut graph_section, server.graph());
+        drop(server);
+        let header = 4 + 4 + 1 + 8; // magic, version, value tag, sequence
+        let stats = 4 * 8;
+        let values = 8 + 4 * n; // count, one f32 each
+        let owners = 8 + 8 + 4 * n; // node count, owner count, one u32 each
+        let (remap_flag, crc) = (1, 4);
+        let mut bytes = std::fs::read(durability.snapshot_path()).unwrap();
+        assert_eq!(
+            bytes.len(),
+            header + stats + graph_section.len() + values + owners + remap_flag + crc
+        );
+        for version in [1u32, 2] {
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            let body = bytes.len() - 4;
+            let checksum = binary::crc32(&bytes[..body]);
+            bytes[body..].copy_from_slice(&checksum.to_le_bytes());
+            std::fs::write(durability.snapshot_path(), &bytes).unwrap();
+            match DeltaServer::open(make, ServerConfig::default(), durability.clone()) {
+                Err(DurabilityError::CorruptSnapshot {
+                    reason: "unknown version",
+                }) => {}
+                other => panic!(
+                    "version {version}: expected an unknown-version refusal, got {:?}",
+                    other.err().map(|e| e.to_string())
+                ),
+            }
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -8,7 +8,7 @@
 //! ([`crate::Adjacency::patched`]) and sharing every other block with the old
 //! version. The returned [`BatchEffect`] names the *dirty* vertices — the
 //! endpoints of edges that actually changed — which is exactly the seed set the
-//! warm-start engine path and the RRG repair pass need.
+//! warm-start engine path needs.
 //!
 //! Semantics (per `(src, dst)` pair, the batch's unit of change):
 //!
@@ -70,11 +70,6 @@ impl UpdateBatch {
         self.staged += 1;
         self.ops.insert((src, dst), EdgeOp::Insert(weight));
         self
-    }
-
-    /// Stage an unweighted (weight 1.0) insertion.
-    pub fn insert_unweighted(&mut self, src: VertexId, dst: VertexId) -> &mut Self {
-        self.insert(src, dst, 1.0)
     }
 
     /// Stage an edge deletion.
@@ -199,8 +194,9 @@ impl UpdateBatch {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BatchEffect {
     /// Endpoints of every edge that changed (inserted, reweighted or deleted),
-    /// ascending and de-duplicated. These are the seeds for warm-start frontiers
-    /// and RRG repair; no-op stages contribute nothing.
+    /// ascending and de-duplicated. They seed warm-start frontiers and bound
+    /// what the serving loop patches per batch (degrees, chunk layout, disk
+    /// segments); no-op stages contribute nothing.
     pub dirty: Vec<VertexId>,
     /// Destinations of deleted or reweighted pairs, ascending and de-duplicated
     /// — the only vertices whose fixpoint value can *worsen* under a monotone
@@ -223,11 +219,6 @@ impl BatchEffect {
     /// `true` when the batch changed nothing (every stage was a no-op).
     pub fn is_noop(&self) -> bool {
         self.dirty.is_empty() && self.vertices_added == 0
-    }
-
-    /// Total changed pairs.
-    pub fn changed_pairs(&self) -> usize {
-        self.edges_inserted + self.edges_deleted + self.edges_reweighted
     }
 
     /// The dirty set as a [`crate::Bitset`] over `num_vertices` bits.

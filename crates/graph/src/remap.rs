@@ -191,15 +191,6 @@ impl IdRemap {
             }
         }
     }
-
-    /// Rewrite a list of vertex ids in place through the forward map.
-    pub fn map_ids(&self, ids: &mut [VertexId]) {
-        if let IdRemap::Permutation { .. } = self {
-            for id in ids {
-                *id = self.to_new(*id);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -323,14 +314,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn map_ids_rewrites_in_place() {
-        let r = IdRemap::from_forward(vec![1, 2, 0]);
-        let mut ids = vec![0, 1, 2, 7];
-        r.map_ids(&mut ids);
-        assert_eq!(ids, vec![1, 2, 0, 7]);
     }
 
     #[test]

@@ -1,13 +1,7 @@
-//! Computation and communication counters.
-//!
-//! Two flavours are provided: [`Counters`], a plain value type used for snapshots
-//! and arithmetic, and [`AtomicCounters`], which concurrent workers update with
-//! relaxed atomics and which converts into a [`Counters`] snapshot at the end of an
-//! iteration. Relaxed ordering is sufficient because the counters are statistics,
-//! never used for synchronisation.
+//! Computation and communication counters: [`Counters`], a plain value type
+//! each worker fills on its own and the engine merges at every barrier.
 
 use std::ops::{Add, AddAssign};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A snapshot of work performed.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -119,68 +113,9 @@ impl AddAssign for Counters {
     }
 }
 
-/// Concurrent counters updated by worker threads.
-#[derive(Debug, Default)]
-pub struct AtomicCounters {
-    edge_computations: AtomicU64,
-    vertex_updates: AtomicU64,
-    messages_sent: AtomicU64,
-    bytes_sent: AtomicU64,
-}
-
-impl AtomicCounters {
-    /// A zeroed counter set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record `n` edge computations.
-    pub fn add_edge_computations(&self, n: u64) {
-        self.edge_computations.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Record `n` vertex updates.
-    pub fn add_vertex_updates(&self, n: u64) {
-        self.vertex_updates.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Record one message of `bytes` bytes.
-    pub fn add_message(&self, bytes: u64) {
-        self.messages_sent.fetch_add(1, Ordering::Relaxed);
-        self.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Take a consistent-enough snapshot (individual fields are read relaxed).
-    pub fn snapshot(&self) -> Counters {
-        Counters {
-            edge_computations: self.edge_computations.load(Ordering::Relaxed),
-            vertex_updates: self.vertex_updates.load(Ordering::Relaxed),
-            messages_sent: self.messages_sent.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            // Worker-side counters never spawn threads, skip chunks, own
-            // scratch or fault segments; the engine reports those directly
-            // into its run's totals.
-            threads_spawned: 0,
-            chunks_skipped: 0,
-            scratch_bytes_peak: 0,
-            segments_faulted: 0,
-            segment_bytes_read: 0,
-        }
-    }
-
-    /// Reset all counters to zero.
-    pub fn reset(&self) {
-        self.edge_computations.store(0, Ordering::Relaxed);
-        self.vertex_updates.store(0, Ordering::Relaxed);
-        self.messages_sent.store(0, Ordering::Relaxed);
-        self.bytes_sent.store(0, Ordering::Relaxed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn add_and_add_assign_accumulate() {
@@ -267,39 +202,5 @@ mod tests {
             ..Counters::zero()
         };
         assert_eq!(c.work(), 12);
-    }
-
-    #[test]
-    fn atomic_counters_accumulate_across_threads() {
-        let counters = Arc::new(AtomicCounters::new());
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let c = Arc::clone(&counters);
-                std::thread::spawn(move || {
-                    for _ in 0..1000 {
-                        c.add_edge_computations(1);
-                        c.add_vertex_updates(2);
-                        c.add_message(8);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let snap = counters.snapshot();
-        assert_eq!(snap.edge_computations, 4000);
-        assert_eq!(snap.vertex_updates, 8000);
-        assert_eq!(snap.messages_sent, 4000);
-        assert_eq!(snap.bytes_sent, 32000);
-    }
-
-    #[test]
-    fn reset_zeroes_everything() {
-        let c = AtomicCounters::new();
-        c.add_edge_computations(5);
-        c.add_message(100);
-        c.reset();
-        assert_eq!(c.snapshot(), Counters::zero());
     }
 }

@@ -7,8 +7,8 @@
 //! (Figure 9), pull/push time share (Figure 4), node imbalance (Figure 10) — so this
 //! crate provides:
 //!
-//! * [`counters`] — cheap computation/communication counters, with an atomic variant
-//!   for concurrent workers.
+//! * [`counters`] — cheap computation/communication counters, merged at the
+//!   engine's barriers.
 //! * [`durability`] — WAL/snapshot/compaction counters for the serving layer's
 //!   durability subsystem.
 //! * [`faults`] — injected-fault and fault-recovery counters (retries,
@@ -38,7 +38,7 @@ pub mod stats;
 pub mod telemetry;
 pub mod trace;
 
-pub use counters::{AtomicCounters, Counters};
+pub use counters::Counters;
 pub use durability::DurabilityCounters;
 pub use export::{chrome_trace_json, flame_table, Metric, MetricKind, MetricsRegistry};
 pub use faults::FaultCounters;

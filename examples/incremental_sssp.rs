@@ -2,8 +2,8 @@
 //! network changes, without recomputing from scratch.
 //!
 //! The example drives the full `slfe-delta` loop — stage an [`UpdateBatch`],
-//! apply it through the [`DeltaServer`] (graph patch → RR-guidance repair →
-//! warm re-convergence), answer point/top-k queries — and cross-checks every
+//! apply it through the [`DeltaServer`] (graph patch → layout patch → warm
+//! re-convergence), answer point/top-k queries — and cross-checks every
 //! served answer against a from-scratch run, so it doubles as a smoke test.
 //!
 //! Run with: `cargo run --release --example incremental_sssp`
@@ -49,20 +49,25 @@ fn main() {
         }
 
         let outcome = server.try_apply(&batch).expect("apply batch");
+        let guidance_seconds = outcome
+            .stages
+            .iter()
+            .find(|&&(stage, _)| stage == "guidance")
+            .map_or(0.0, |&(_, seconds)| seconds);
         println!(
-            "round {round}: +{} -{} edges ({} dirty vertices) -> {} work in {} iterations, \
-             guidance {} ({} vertices), {} batch messages, {:.1}ms",
+            "round {round}: +{} -{} edges ({} dirty vertices) -> {} work in {} iterations ({}), \
+             guidance stage {:.1}µs, {} batch messages, {:.1}ms",
             outcome.effect.edges_inserted,
             outcome.effect.edges_deleted,
             outcome.effect.dirty.len(),
             outcome.work,
             outcome.iterations,
-            if outcome.guidance.regenerated {
-                "regenerated"
+            if outcome.full_recompute {
+                "full recompute"
             } else {
-                "repaired"
+                "warm"
             },
-            outcome.guidance.affected_vertices,
+            guidance_seconds * 1e6,
             outcome.distribution_messages,
             outcome.wall_seconds * 1e3,
         );
@@ -109,12 +114,11 @@ fn main() {
 
     let stats = server.stats();
     println!(
-        "\nserved {} batches: {} total work, {} batch messages, {} full recomputes, {} guidance regenerations",
+        "\nserved {} batches: {} total work, {} batch messages, {} full recomputes",
         stats.batches_applied,
         stats.total_work,
         stats.total_distribution_messages,
-        stats.full_recomputes,
-        stats.guidance_regenerations
+        stats.full_recomputes
     );
     println!("OK: every served answer matched the from-scratch oracle");
 }

@@ -299,29 +299,6 @@ fn run_from_effect_matches_run_from_for_every_program_shape() {
 }
 
 #[test]
-fn repaired_guidance_equals_regeneration_for_every_batch_shape() {
-    use slfe::core::RrGuidance;
-    for seed in 0..3u64 {
-        let graph = generators::rmat(300, 2000, 0.57, 0.19, 0.19, seed + 1200);
-        for (label, batch) in [
-            ("mixed", random_batch(&graph, seed, 30, GROW)),
-            (
-                "symmetric",
-                random_batch(&graph, seed, 20, BatchShape::Symmetric),
-            ),
-        ] {
-            let old = RrGuidance::generate(&graph);
-            let (mutated, effect) = graph.apply_batch(&batch);
-            let (repaired, _) = old.repair(&mutated, &effect.dirty);
-            assert!(
-                repaired.guidance_eq(&RrGuidance::generate(&mutated)),
-                "{label} batch, seed {seed}: repaired guidance diverges"
-            );
-        }
-    }
-}
-
-#[test]
 fn warm_start_saves_work_on_serving_sized_batches() {
     // The serving regime: a large graph, a small batch.
     let graph = generators::rmat(8_000, 64_000, 0.57, 0.19, 0.19, 2027);
