@@ -280,6 +280,7 @@ impl<'g> GasEngine<'g> {
             // A baseline's fixpoint vouches for nothing about the SLFE
             // engine's own pulls: a warm restart from it re-pulls everything.
             exact_fixpoint: false,
+            changed: None,
         }
     }
 

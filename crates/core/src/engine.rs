@@ -440,6 +440,11 @@ struct RunSeed<V> {
     /// Work performed before the iteration loop (the warm-start invalidation
     /// pass), folded into the run's totals so counted work stays honest.
     preset: Counters,
+    /// Warm restarts only: the vertices whose seed value may differ from the
+    /// previous result's (re-seeded, appended, invalidated). The run adds
+    /// every vertex it writes and reports the union as
+    /// [`ProgramResult::changed`]; `None` for a run from initial values.
+    changed: Option<Bitset>,
 }
 
 /// Every part [`SlfeEngine::from_parts`] assembles an engine from. All are
@@ -741,6 +746,7 @@ impl<'g> SlfeEngine<'g> {
                 push_only: false,
                 selective: false,
                 preset: Counters::zero(),
+                changed: None,
             },
         )
     }
@@ -799,7 +805,12 @@ impl<'g> SlfeEngine<'g> {
     /// The returned values equal a from-scratch [`SlfeEngine::run`] on the
     /// mutated graph: bit-for-bit for min/max programs, within convergence
     /// tolerance for arithmetic ones. The invalidation pass's counted work is
-    /// folded into the result's totals.
+    /// folded into the result's totals. [`ProgramResult::changed`] lists,
+    /// ascending, every vertex whose value may differ from `previous.values`:
+    /// the re-seeded and appended vertices, the invalidated ones and every
+    /// vertex an iteration wrote (the union of the barrier-merged frontiers),
+    /// so a caller can patch its copy of the values in O(changed). Building
+    /// it costs O(|V|/64) per iteration.
     pub fn run_from<P: GraphProgram>(
         &self,
         program: &P,
@@ -845,15 +856,22 @@ impl<'g> SlfeEngine<'g> {
             n,
             "dirty bitset must cover the mutated graph"
         );
-        let mut values: Vec<P::Value> = (0..n)
-            .map(|v| {
-                program.warm_start_value(
-                    v as VertexId,
-                    previous.values.get(v).copied(),
-                    &self.degrees,
-                )
-            })
-            .collect();
+        // Seed every vertex, flagging the ones that re-enter with a value
+        // other than their previous one, and every appended vertex.
+        let kept = previous.values.len().min(n);
+        let mut reseeded = Bitset::new(n);
+        let mut values: Vec<P::Value> = Vec::with_capacity(n);
+        values.extend(previous.values[..kept].iter().enumerate().map(|(v, &old)| {
+            let warm = program.warm_start_value(v as VertexId, Some(old), &self.degrees);
+            if warm != old {
+                reseeded.set(v);
+            }
+            warm
+        }));
+        values.extend((kept..n).map(|v| {
+            reseeded.set(v);
+            program.warm_start_value(v as VertexId, None, &self.degrees)
+        }));
 
         if program.aggregation() == AggregationKind::Arithmetic {
             // The first pull's seed set X: the dirty endpoints plus every
@@ -862,11 +880,7 @@ impl<'g> SlfeEngine<'g> {
             // otherwise every vertex is seeded (and the first pull is full).
             let active = if previous.exact_fixpoint && previous.values.len() == n {
                 let mut seeds = activate.clone();
-                for (v, (warm, old)) in values.iter().zip(&previous.values).enumerate() {
-                    if warm != old {
-                        seeds.set(v);
-                    }
-                }
+                seeds.union_with(&reseeded);
                 seeds
             } else {
                 let mut all = Bitset::new(n);
@@ -887,6 +901,7 @@ impl<'g> SlfeEngine<'g> {
                     push_only: false,
                     selective: true,
                     preset: Counters::zero(),
+                    changed: Some(reseeded),
                 },
             );
         }
@@ -986,6 +1001,7 @@ impl<'g> SlfeEngine<'g> {
             }
         }
 
+        reseeded.union_with(&invalid);
         self.run_seeded(
             program,
             RunSeed {
@@ -995,6 +1011,7 @@ impl<'g> SlfeEngine<'g> {
                 push_only: true,
                 selective: false,
                 preset,
+                changed: Some(reseeded),
             },
         )
     }
@@ -1049,6 +1066,7 @@ impl<'g> SlfeEngine<'g> {
 
         let mut values = seed.values;
         let mut active = seed.active;
+        let mut changed = seed.changed;
         debug_assert_eq!(values.len(), n);
         debug_assert_eq!(active.len(), n);
         let mut active_count = active.count_ones();
@@ -1494,6 +1512,12 @@ impl<'g> SlfeEngine<'g> {
                 compute_seconds + comm_seconds,
             );
 
+            // The merged frontier holds exactly the vertices this iteration
+            // wrote: a value is written only when `changed` holds, and then
+            // its frontier bit is set.
+            if let Some(changed) = changed.as_mut() {
+                changed.union_with(&next_active);
+            }
             std::mem::swap(&mut active, &mut next_active);
             active_count = active.count_ones();
             last_mode_was_pull = mode == Mode::Pull;
@@ -1546,6 +1570,7 @@ impl<'g> SlfeEngine<'g> {
             // No ruler skipped a vertex, so converging means a fresh pull of
             // any vertex would not change it.
             exact_fixpoint: converged && !rr,
+            changed: changed.map(|c| c.iter_ones().map(|v| v as VertexId).collect()),
         }
     }
 

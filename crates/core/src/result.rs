@@ -1,5 +1,6 @@
 //! The result of running a [`crate::GraphProgram`] on the engine.
 
+use slfe_graph::VertexId;
 use slfe_metrics::ExecutionStats;
 
 /// Values, statistics and convergence information produced by one run.
@@ -25,6 +26,17 @@ pub struct ProgramResult<V> {
     /// capped run, or values restored from elsewhere) its first pull
     /// re-pulls every vertex.
     pub exact_fixpoint: bool,
+    /// Warm restarts only ([`crate::SlfeEngine::run_from`] and
+    /// [`crate::SlfeEngine::run_from_effect`]): every vertex whose value may
+    /// differ from the previous result's, ascending. It holds the vertices
+    /// re-seeded with a value other than their previous one, the appended
+    /// vertices, the min/max invalidations and every vertex a phase wrote.
+    /// A vertex outside it holds a value `==` to its previous one, which is
+    /// the same bits unless `==` equates distinct bit patterns (±0.0). It is
+    /// built from barrier-merged state only, so it is identical at every
+    /// worker count.
+    /// `None` for a run from initial values ([`crate::SlfeEngine::run`]).
+    pub changed: Option<Vec<VertexId>>,
 }
 
 impl<V> ProgramResult<V> {
@@ -96,6 +108,7 @@ mod tests {
             per_node_worker_work: vec![vec![3, 5], vec![4, 4]],
             converged: true,
             exact_fixpoint: true,
+            changed: None,
         }
     }
 

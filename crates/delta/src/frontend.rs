@@ -6,13 +6,16 @@
 //!
 //! * **Publication** — after every applied batch the single writer thread
 //!   publishes the new state as an immutable [`PublishedVersion`] behind an
-//!   `RwLock<Arc<_>>`. Readers clone the `Arc` (two atomic ops under a
-//!   briefly-held read lock) and answer point / multi-point / top-k queries
-//!   against that frozen version — *snapshot consistency*: every answer is
-//!   bit-identical to some version that was fully published, never a torn
-//!   intermediate. The version pins its own storage generation
-//!   ([`GraphStorage`] `Arc`), so out-of-core state cannot be compacted out
-//!   from under an in-flight reader.
+//!   `RwLock<Arc<_>>`. A version holds a clone of the server's directory of
+//!   1024-id value blocks, so it shares every block the batch did not write
+//!   with the previous version, and publishing costs O(changed blocks +
+//!   |V|/1024) instead of a copy of the values. Readers clone the `Arc` (two
+//!   atomic ops under a briefly-held read lock) and answer point /
+//!   multi-point / top-k queries against that frozen version — *snapshot
+//!   consistency*: every answer is bit-identical to some version that was
+//!   fully published, never a torn intermediate. The version pins its own
+//!   storage generation ([`GraphStorage`] `Arc`), so out-of-core state
+//!   cannot be compacted out from under an in-flight reader.
 //! * **Admission** — updates enter a **bounded** queue. When it is full, or
 //!   the published health is read-only, [`FrontendHandle::submit`] sheds with
 //!   a typed [`AdmitError`] carrying the queue depth and a `retry_after`
@@ -34,17 +37,20 @@
 //!
 //! Everything observable surfaces in [`FrontendHandle::metrics_registry`]:
 //! queue depth / capacity / high-water gauges, shed / deadline / quarantine
-//! counters, the published-version sequence number, and read-latency
-//! percentiles from a sharded [`LatencyHistogram`].
+//! counters, the published-version sequence number, read-latency
+//! percentiles from a sharded [`LatencyHistogram`], and per committed update
+//! the submit→visible latency ([`FrontendHandle::visible_latency`]) and its
+//! queue wait.
 
-use crate::server::{exceeds_vertex_growth, rank_top_k, DeltaServer, ServerStats};
+use crate::server::{exceeds_vertex_growth, DeltaServer, ServerStats};
+use crate::values::ServedValues;
 use crate::ServingMode;
 use slfe_core::GraphProgram;
 use slfe_graph::{EdgeWeight, Graph, GraphStorage, UpdateBatch, VertexId, INVALID_VERTEX};
 use slfe_metrics::{LatencyHistogram, MetricsRegistry, Telemetry, HIST_QUERY_LATENCY};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -225,10 +231,18 @@ pub struct DeadLetter {
 
 /// One immutable published graph version. Readers hold an `Arc` of this and
 /// answer every query from it; the writer never mutates a published version.
+///
+/// The values are the server's directory of 1024-id blocks, cloned at
+/// publication: consecutive versions share every block the batch between
+/// them did not write, so publishing costs O(changed blocks + |V|/1024), not
+/// a copy of the values.
 #[derive(Debug)]
 pub struct PublishedVersion<V> {
     seq: u64,
-    values: Arc<[V]>,
+    values: ServedValues<V>,
+    /// The flat copy [`PublishedVersion::values`] hands out, made on first
+    /// call.
+    flat: OnceLock<Vec<V>>,
     stats: ServerStats,
     mode: ServingMode,
     degraded: bool,
@@ -245,14 +259,18 @@ impl<V: Copy> PublishedVersion<V> {
         self.seq
     }
 
-    /// The full frozen value vector.
+    /// The full frozen value vector. The version stores its values as
+    /// shared blocks, so the first call copies them into one flat vector,
+    /// O(V), and later calls reuse it. Point and top-k queries never need
+    /// it.
     pub fn values(&self) -> &[V] {
-        &self.values
+        self.flat.get_or_init(|| self.values.to_vec())
     }
 
-    /// Value of one vertex, `None` when out of range for this version.
+    /// Value of one vertex, `None` when out of range for this version. Reads
+    /// one block.
     pub fn value(&self, v: VertexId) -> Option<V> {
-        self.values.get(v as usize).copied()
+        self.values.get(v)
     }
 
     /// Serving statistics frozen at publication.
@@ -287,22 +305,28 @@ impl<V: Copy> PublishedVersion<V> {
 
     /// The `k` vertices ranked by `compare` (greatest first), ties broken by
     /// vertex id ascending — the same deterministic order as
-    /// [`DeltaServer::top_k_by`], computed against this frozen version.
+    /// [`DeltaServer::top_k_by`], computed against this frozen version. A
+    /// full scan, O(|V| log k); `compare` must be a total order, as for a
+    /// sort.
     pub fn top_k_by(
         &self,
         k: usize,
         compare: impl FnMut(&V, &V) -> std::cmp::Ordering,
     ) -> Vec<(VertexId, V)> {
-        rank_top_k(&self.values, k, compare)
+        self.values.top_k_by(k, compare)
     }
 }
 
 impl<V: Copy + PartialOrd> PublishedVersion<V> {
-    /// [`PublishedVersion::top_k_by`] with the natural order.
+    /// The `k` largest values, ties broken by vertex id ascending, under the
+    /// natural order of [`DeltaServer::top_k`]: `partial_cmp`, with a value
+    /// that does not compare with itself (a NaN) ranked after every
+    /// comparable value. It visits blocks by their cached maximum and stops
+    /// once no unvisited block can enter the answer: O(|V|/1024) plus the
+    /// visited blocks. Each block's maximum is computed on the first query
+    /// that needs it and shared by every version holding the block.
     pub fn top_k(&self, k: usize) -> Vec<(VertexId, V)> {
-        self.top_k_by(k, |a, b| {
-            a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)
-        })
+        self.values.top_k(k)
     }
 }
 
@@ -313,8 +337,12 @@ pub struct FrontendConfig {
     /// Bound of the update queue; admission sheds above it.
     pub queue_capacity: usize,
     /// Record every applied batch and published version so tests can
-    /// replay the exact sequence on a single-threaded oracle.
-    /// Off by default: serving keeps O(1) memory.
+    /// replay the exact sequence on a single-threaded oracle. Each recorded
+    /// version holds the blocks its batch wrote and shares the rest with its
+    /// neighbours, so history grows with the changed blocks (plus a
+    /// directory of |V|/1024 pointers) per version, not with a copy of the
+    /// values; a version whose [`PublishedVersion::values`] was called also
+    /// keeps that flat copy. Off by default: serving keeps O(1) memory.
     pub record_history: bool,
 }
 
@@ -376,7 +404,8 @@ pub struct FrontendCounterSnapshot {
 }
 
 struct UpdateQueue {
-    pending: VecDeque<EdgeUpdate>,
+    /// Admitted updates, each stamped with its admission time.
+    pending: VecDeque<(EdgeUpdate, Instant)>,
     shutdown: bool,
 }
 
@@ -396,6 +425,11 @@ struct FrontendShared<V> {
     read_latency: [Mutex<LatencyHistogram>; LATENCY_SHARDS],
     latency_cursor: AtomicUsize,
     apply_latency: Mutex<LatencyHistogram>,
+    /// Per committed update: admission until the version holding it was
+    /// published.
+    visible_latency: Mutex<LatencyHistogram>,
+    /// Per committed update: admission until the writer drained it.
+    queue_wait: Mutex<LatencyHistogram>,
     dead_letters: Mutex<Vec<DeadLetter>>,
     history: Mutex<Vec<CommitRecord<V>>>,
     telemetry: Arc<Telemetry>,
@@ -476,7 +510,7 @@ impl<V: Copy> FrontendHandle<V> {
         // `INVALID_VERTEX` is the largest id, so the larger endpoint is it
         // whenever either is.
         let far = src.max(dst);
-        if far == INVALID_VERTEX || exceeds_vertex_growth(far, published.values().len()) {
+        if far == INVALID_VERTEX || exceeds_vertex_growth(far, published.values.len()) {
             shared
                 .counters
                 .rejected_invalid
@@ -515,7 +549,7 @@ impl<V: Copy> FrontendHandle<V> {
                 retry_after: self.retry_after_hint(depth),
             });
         }
-        queue.pending.push_back(update);
+        queue.pending.push_back((update, Instant::now()));
         let depth = queue.pending.len() as u64;
         drop(queue);
         shared
@@ -573,17 +607,27 @@ impl<V: Copy> FrontendHandle<V> {
         })
     }
 
-    /// Top-k by `compare` against the current published version.
+    /// Top-k by `compare` against the current published version: a full
+    /// scan ([`PublishedVersion::top_k_by`]).
     pub fn top_k_by(
         &self,
         k: usize,
         compare: impl FnMut(&V, &V) -> std::cmp::Ordering,
         deadline: Option<Duration>,
     ) -> Result<Answer<Vec<(VertexId, V)>>, QueryError> {
+        self.ranked(deadline, |version| version.top_k_by(k, compare))
+    }
+
+    /// One ranking query, `rank`, against the current published version.
+    fn ranked(
+        &self,
+        deadline: Option<Duration>,
+        rank: impl FnOnce(&PublishedVersion<V>) -> Vec<(VertexId, V)>,
+    ) -> Result<Answer<Vec<(VertexId, V)>>, QueryError> {
         let start = Instant::now();
         let version = self.shared.published();
         self.check_deadline(start, deadline)?;
-        let ranked = version.top_k_by(k, compare);
+        let ranked = rank(&version);
         self.finish_query(start, deadline)?;
         Ok(Answer {
             seq: version.seq(),
@@ -628,6 +672,17 @@ impl<V: Copy> FrontendHandle<V> {
     /// Batch-apply latency histogram (the update-side latency).
     pub fn apply_latency(&self) -> LatencyHistogram {
         self.shared.apply_latency.lock().unwrap().clone()
+    }
+
+    /// Submit→visible latency histogram: one sample per update of a
+    /// committed batch, from its admission by [`FrontendHandle::submit`]
+    /// until the version holding it was published. It spans the queue wait
+    /// (also recorded on its own, in the registry's
+    /// `slfe_frontend_queue_wait_*` gauges), the group commit
+    /// ([`FrontendHandle::apply_latency`]) and the publish. Updates of a
+    /// quarantined batch never become visible and record nothing.
+    pub fn visible_latency(&self) -> LatencyHistogram {
+        self.shared.visible_latency.lock().unwrap().clone()
     }
 
     /// Every `(batch, published version)` pair committed so far, in order.
@@ -732,23 +787,21 @@ impl<V: Copy> FrontendHandle<V> {
             "Resume-writes probes issued by the writer",
             c.resume_attempts as f64,
         );
-        let read = self.read_latency();
-        reg.gauge(
-            "slfe_frontend_read_latency_count",
-            "Read-path latency samples recorded",
-            read.count() as f64,
-        );
-        if let (Some(p50), Some(p99)) = (read.percentile(0.50), read.percentile(0.99)) {
-            reg.gauge(
-                "slfe_frontend_read_latency_p50_ns",
-                "Read-path latency p50 (nanoseconds)",
-                p50 as f64,
-            );
-            reg.gauge(
-                "slfe_frontend_read_latency_p99_ns",
-                "Read-path latency p99 (nanoseconds)",
-                p99 as f64,
-            );
+        let queue_wait = shared.queue_wait.lock().unwrap().clone();
+        for (name, what, histogram) in [
+            ("read_latency", "Read-path latency", self.read_latency()),
+            (
+                "visible_latency",
+                "Submit-to-visible latency of committed updates",
+                self.visible_latency(),
+            ),
+            (
+                "queue_wait",
+                "Admission-to-drain wait of committed updates",
+                queue_wait,
+            ),
+        ] {
+            latency_gauges(&mut reg, name, what, &histogram);
         }
         reg
     }
@@ -788,18 +841,39 @@ impl<V: Copy> FrontendHandle<V> {
     }
 }
 
+/// The `slfe_frontend_{name}_{count,p50_ns,p99_ns}` gauges of `histogram`;
+/// the percentiles only once it holds a sample.
+fn latency_gauges(reg: &mut MetricsRegistry, name: &str, what: &str, histogram: &LatencyHistogram) {
+    reg.gauge(
+        &format!("slfe_frontend_{name}_count"),
+        &format!("{what} samples recorded"),
+        histogram.count() as f64,
+    );
+    if let (Some(p50), Some(p99)) = (histogram.percentile(0.50), histogram.percentile(0.99)) {
+        reg.gauge(
+            &format!("slfe_frontend_{name}_p50_ns"),
+            &format!("{what} p50 (nanoseconds)"),
+            p50 as f64,
+        );
+        reg.gauge(
+            &format!("slfe_frontend_{name}_p99_ns"),
+            &format!("{what} p99 (nanoseconds)"),
+            p99 as f64,
+        );
+    }
+}
+
 impl<V: Copy + PartialOrd> FrontendHandle<V> {
-    /// Top-k by natural order against the current published version.
+    /// Top-k by natural order against the current published version:
+    /// [`PublishedVersion::top_k`], which visits only the value blocks that
+    /// can enter the answer. ([`FrontendHandle::top_k_by`] scans every
+    /// value.)
     pub fn top_k(
         &self,
         k: usize,
         deadline: Option<Duration>,
     ) -> Result<Answer<Vec<(VertexId, V)>>, QueryError> {
-        self.top_k_by(
-            k,
-            |a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal),
-            deadline,
-        )
+        self.ranked(deadline, |version| version.top_k(k))
     }
 }
 
@@ -838,6 +912,8 @@ where
             read_latency: std::array::from_fn(|_| Mutex::new(LatencyHistogram::new())),
             latency_cursor: AtomicUsize::new(0),
             apply_latency: Mutex::new(LatencyHistogram::new()),
+            visible_latency: Mutex::new(LatencyHistogram::new()),
+            queue_wait: Mutex::new(LatencyHistogram::new()),
             dead_letters: Mutex::new(Vec::new()),
             history: Mutex::new(Vec::new()),
             telemetry: Arc::clone(server.telemetry_hub()),
@@ -915,7 +991,8 @@ where
     let health = server.health();
     PublishedVersion {
         seq,
-        values: server.values().to_vec().into(),
+        values: server.served().clone(),
+        flat: OnceLock::new(),
         stats: *server.stats(),
         mode: health.mode(),
         degraded: health.is_degraded(),
@@ -937,7 +1014,8 @@ where
     let health = server.health();
     shared.publish(PublishedVersion {
         seq: current.seq,
-        values: Arc::clone(&current.values),
+        values: current.values.clone(),
+        flat: OnceLock::new(),
         stats: current.stats,
         mode: health.mode(),
         degraded: health.is_degraded(),
@@ -964,7 +1042,7 @@ where
     F: Fn(&Graph) -> P,
 {
     loop {
-        let drained: Vec<EdgeUpdate> = {
+        let drained: Vec<(EdgeUpdate, Instant)> = {
             let mut queue = shared.queue.lock().unwrap();
             loop {
                 if !queue.pending.is_empty() {
@@ -997,9 +1075,10 @@ where
             let take = queue.pending.len().min(shared.group_limit);
             queue.pending.drain(..take).collect()
         };
+        let drained_at = Instant::now();
 
         let mut batch = UpdateBatch::new();
-        for update in &drained {
+        for (update, _) in &drained {
             update.stage(&mut batch);
         }
         shared
@@ -1021,6 +1100,14 @@ where
                 shared.apply_latency.lock().unwrap().record(nanos);
                 let seq = shared.published().seq() + 1;
                 let version = shared.publish(build_version(&server, seq, converged));
+                let published_at = Instant::now();
+                let mut visible = shared.visible_latency.lock().unwrap();
+                let mut waited = shared.queue_wait.lock().unwrap();
+                for &(_, admitted) in &drained {
+                    visible.record(published_at.duration_since(admitted).as_nanos() as u64);
+                    waited.record(drained_at.duration_since(admitted).as_nanos() as u64);
+                }
+                drop((visible, waited));
                 shared
                     .counters
                     .batches_committed
@@ -1136,6 +1223,7 @@ mod tests {
     use crate::server::{DeltaServer, ServerConfig};
     use slfe_apps::sssp::SsspProgram;
     use slfe_cluster::ClusterConfig;
+    use slfe_graph::rng::SplitMix64;
     use slfe_graph::{generators, stats};
 
     fn frontend(
@@ -1326,6 +1414,225 @@ mod tests {
         assert_eq!(limit(100), 10);
         // The hard cap wins when the graph is large: 300 by economics.
         assert_eq!(limit(3000), GROUP_COMMIT_MAX_UPDATES);
+    }
+
+    /// Wait until `handle` publishes version `seq`.
+    fn wait_for(handle: &FrontendHandle<f32>, seq: u64) -> Arc<PublishedVersion<f32>> {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            let version = handle.published();
+            if version.seq() >= seq {
+                return version;
+            }
+            assert!(Instant::now() < deadline, "version {seq} never published");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn one_edge_versions_share_every_block_outside_the_changed_list() {
+        use crate::values::ServedValues;
+        use slfe_core::SlfeEngine;
+        use slfe_graph::csr::BLOCK_VERTICES;
+        let graph = generators::rmat(5000, 30_000, 0.57, 0.19, 0.19, 17);
+        let root = stats::highest_out_degree_vertex(&graph).unwrap();
+        let make = move |_: &Graph| SsspProgram { root };
+        let config = ServerConfig {
+            cluster: ClusterConfig::new(1, 1),
+            ..ServerConfig::default()
+        };
+        let server = DeltaServer::try_new(graph.clone(), make, config.clone()).unwrap();
+        let mut oracle = DeltaServer::try_new(graph.clone(), make, config.clone()).unwrap();
+        let fe = ServingFrontend::spawn(server, FrontendConfig::default());
+        let handle = fe.handle();
+        let far = graph.num_vertices() as VertexId - 1;
+        let deleted = graph.out_neighbors(root)[0];
+        let updates = [
+            EdgeUpdate::Insert {
+                src: root,
+                dst: far,
+                weight: 0.01,
+            },
+            EdgeUpdate::Delete {
+                src: root,
+                dst: deleted,
+            },
+            EdgeUpdate::Insert {
+                src: far,
+                dst: far + 3, // grows |V| inside the last block
+                weight: 1.0,
+            },
+            EdgeUpdate::Insert {
+                src: 7,
+                dst: 8,
+                weight: 1.0,
+            },
+        ];
+        let flat = |served: &ServedValues<f32>| bits(&served.to_vec());
+        for (i, &update) in updates.iter().enumerate() {
+            let before = handle.published();
+            handle.submit(update).unwrap();
+            assert!(
+                before.flat.get().is_none(),
+                "submit materialised the flat view of version {}",
+                before.seq()
+            );
+            let after = wait_for(&handle, i as u64 + 1);
+            assert_eq!(after.seq(), i as u64 + 1, "one update per batch");
+
+            // The oracle's restart from the same previous result names the
+            // vertices the batch changed.
+            let mut batch = UpdateBatch::new();
+            update.stage(&mut batch);
+            let previous = oracle.result().clone();
+            let (next, effect) = oracle.graph().apply_batch(&batch);
+            oracle.try_apply(&batch).unwrap();
+            let changed = SlfeEngine::build(&next, config.cluster.clone(), config.engine.clone())
+                .run_from_effect(&SsspProgram { root }, &previous, &effect)
+                .changed
+                .expect("a warm restart lists what it changed");
+            assert!(i > 0 || !changed.is_empty(), "the shortcut changed nothing");
+            assert_eq!(flat(&after.values), bits(oracle.values()), "update {i}");
+            for b in 0..after.values.num_blocks() {
+                let written = changed.iter().any(|&v| v as usize / BLOCK_VERTICES == b);
+                assert_eq!(
+                    after.values.shares_block(&before.values, b),
+                    !written,
+                    "update {i}: block {b} (changed {changed:?})"
+                );
+            }
+            assert!(after.flat.get().is_none(), "publish materialised values");
+        }
+        drop(fe);
+    }
+
+    #[test]
+    fn published_and_served_top_k_equal_the_full_sort_at_every_version() {
+        use crate::values::natural_order;
+        use slfe_apps::pagerank::PageRankProgram;
+        use slfe_graph::ReorderPolicy;
+        let graph = generators::rmat(2600, 16_000, 0.57, 0.19, 0.19, 23);
+        let root = stats::highest_out_degree_vertex(&graph).unwrap();
+        for reorder in [ReorderPolicy::None, ReorderPolicy::DegreeDescending] {
+            check_stream(&graph, reorder, "sssp", move |g: &Graph| SsspProgram {
+                root: g.to_physical(root),
+            });
+            check_stream(&graph, reorder, "pagerank", PageRankProgram::for_graph);
+        }
+
+        fn check_stream<P, F>(graph: &Graph, reorder: ReorderPolicy, app: &str, make: F)
+        where
+            P: GraphProgram<Value = f32> + Send + 'static,
+            F: Fn(&Graph) -> P + Copy + Send + 'static,
+        {
+            let label = format!("{app} under {reorder:?}");
+            let start = |reorder| {
+                let config = ServerConfig {
+                    cluster: ClusterConfig::new(2, 1),
+                    engine: slfe_core::EngineConfig::default().with_reorder(reorder),
+                    ..ServerConfig::default()
+                };
+                let mut server = DeltaServer::try_new(graph.clone(), make, config).unwrap();
+                let remapped = server.remap_now().unwrap();
+                assert_eq!(remapped, reorder != ReorderPolicy::None, "{label}");
+                server
+            };
+            let fe = ServingFrontend::spawn(
+                start(reorder),
+                FrontendConfig {
+                    record_history: true,
+                    ..FrontendConfig::default()
+                },
+            );
+            let handle = fe.handle();
+            let initial = handle.published();
+            // Seeded inserts (some growing |V|) and deletes of existing edges,
+            // in bursts the writer coalesces into a few batches.
+            let mut rng = SplitMix64::seed_from_u64(4242);
+            let n = graph.num_vertices() as VertexId;
+            for i in 0..48u32 {
+                let src = rng.range_u32(0, n);
+                let update = match graph.out_neighbors(src).first() {
+                    Some(&dst) if i % 3 == 0 => EdgeUpdate::Delete { src, dst },
+                    _ => EdgeUpdate::Insert {
+                        src,
+                        dst: if i % 8 == 5 {
+                            n + i
+                        } else {
+                            rng.range_u32(0, n)
+                        },
+                        weight: rng.range_f32(0.5, 4.0),
+                    },
+                };
+                handle.submit(update).unwrap();
+                if i % 8 == 7 {
+                    wait_for(&handle, handle.published().seq() + 1);
+                }
+            }
+            let last = fe.shutdown();
+            let history = handle.commit_history();
+            assert!(history.len() >= 3, "{label}: {} versions", history.len());
+            assert!(
+                last.graph().num_vertices() > graph.num_vertices(),
+                "{label}"
+            );
+
+            let full_sort = |values: &[f32], k: usize| {
+                let mut ranked: Vec<(VertexId, u32)> = values
+                    .iter()
+                    .enumerate()
+                    .map(|(v, x)| (v as VertexId, x.to_bits()))
+                    .collect();
+                ranked.sort_by(|a, b| {
+                    natural_order(&f32::from_bits(b.1), &f32::from_bits(a.1)).then(a.0.cmp(&b.0))
+                });
+                ranked.truncate(k);
+                ranked
+            };
+            let ranked = |top: Vec<(VertexId, f32)>| -> Vec<(VertexId, u32)> {
+                top.into_iter().map(|(v, x)| (v, x.to_bits())).collect()
+            };
+            // Remaps are bit-transparent, so an unremapped server is the
+            // oracle for both layouts.
+            let mut oracle = start(ReorderPolicy::None);
+            let versions = std::iter::once((None, initial)).chain(
+                history
+                    .into_iter()
+                    .map(|(batch, version)| (Some(batch), version)),
+            );
+            for (batch, version) in versions {
+                if let Some(batch) = batch {
+                    oracle.try_apply(&batch).unwrap();
+                }
+                let seq = version.seq();
+                assert_eq!(
+                    bits(version.values()),
+                    bits(oracle.values()),
+                    "{label}: version {seq} values"
+                );
+                let n = version.values().len();
+                for k in [0, 1, 10, 100, n + 1] {
+                    let expect = full_sort(version.values(), k);
+                    assert_eq!(ranked(version.top_k(k)), expect, "{label}: v{seq} k={k}");
+                    assert_eq!(
+                        ranked(oracle.top_k(k)),
+                        expect,
+                        "{label}: server v{seq} k={k}"
+                    );
+                }
+            }
+            assert_eq!(bits(last.values()), bits(oracle.values()), "{label}");
+            let n = last.values().len();
+            assert_eq!(
+                ranked(last.top_k(n + 1)),
+                full_sort(last.values(), n + 1),
+                "{label}: the writer's own server"
+            );
+        }
     }
 
     #[test]

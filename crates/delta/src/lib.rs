@@ -29,7 +29,10 @@
 //! 4. **Serving** — [`DeltaServer`] owns the current graph version, guidance
 //!    and fixpoint, applies batches, accounts the simulated cost of shipping
 //!    each batch to its partitions, and answers point and top-k value queries
-//!    between batches.
+//!    between batches. It serves the values from shared 1024-id blocks: a
+//!    warm batch copies only the blocks holding a vertex its restart changed
+//!    ([`slfe_core::ProgramResult::changed`]), and each block's cached
+//!    maximum lets a natural-order top-k stop early.
 //! 5. **Durability** — [`durability`] adds a checksummed write-ahead log
 //!    (fsync'd before any state changes), atomic fixpoint snapshots with
 //!    segment-file compaction riding the snapshot path, and kill-9 recovery
@@ -58,6 +61,7 @@ pub mod durability;
 pub mod frontend;
 pub mod health;
 pub mod server;
+mod values;
 
 pub use durability::{DurabilityConfig, DurabilityError, SnapshotValue, Wal, WalReplay};
 pub use frontend::{

@@ -5,6 +5,7 @@ use crate::durability::{
     self, DurabilityConfig, DurabilityError, DurabilityState, SnapshotState, SnapshotValue, Wal,
 };
 use crate::health::{ApplyError, Health};
+use crate::values::ServedValues;
 use slfe_cluster::{Cluster, ClusterConfig, GlobalChunkLayout, LayoutPatchStats, WorkerPool};
 use slfe_core::{EngineConfig, EngineParts, GraphProgram, ProgramResult, RrGuidance, SlfeEngine};
 use slfe_graph::{
@@ -17,7 +18,7 @@ use slfe_metrics::{
 };
 use slfe_partition::{contiguous_degree_layout, ChunkingPartitioner, Partitioner, Partitioning};
 use std::io;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Bytes of one shipped edge update: two 4-byte vertex ids plus a 4-byte weight.
 const UPDATE_RECORD_BYTES: u64 = 12;
@@ -137,54 +138,6 @@ fn build_storage(
     Ok(Some(Arc::new(storage)))
 }
 
-/// The `k` entries of `values` (indexed by external id) ranked by `compare`,
-/// greatest first, ties broken by id ascending: the one ranking behind
-/// [`DeltaServer::top_k_by`] and [`crate::PublishedVersion::top_k_by`].
-///
-/// A bounded selection: a binary heap holds the best `k` entries seen so far
-/// with the lowest-ranked one at its root, so the scan takes O(|V| log k)
-/// time and O(k) space. `compare` must be a total order, as for a sort.
-pub(crate) fn rank_top_k<V: Copy>(
-    values: &[V],
-    k: usize,
-    mut compare: impl FnMut(&V, &V) -> std::cmp::Ordering,
-) -> Vec<(VertexId, V)> {
-    let mut order = |a: &(VertexId, V), b: &(VertexId, V)| compare(&b.1, &a.1).then(a.0.cmp(&b.0));
-    let mut heap: Vec<(VertexId, V)> = Vec::with_capacity(k.min(values.len()));
-    for (v, &value) in values.iter().enumerate() {
-        let entry = (v as VertexId, value);
-        if heap.len() < k {
-            // Sift the new entry up past every parent that ranks before it.
-            heap.push(entry);
-            let mut i = heap.len() - 1;
-            while i > 0 && order(&heap[(i - 1) / 2], &heap[i]).is_lt() {
-                heap.swap((i - 1) / 2, i);
-                i = (i - 1) / 2;
-            }
-        } else if heap.first().is_some_and(|root| order(&entry, root).is_lt()) {
-            // Replace the root, then sift it down below every child that
-            // ranks after it.
-            heap[0] = entry;
-            let mut i = 0;
-            loop {
-                let mut last = i;
-                for child in [2 * i + 1, 2 * i + 2] {
-                    if child < heap.len() && order(&heap[last], &heap[child]).is_lt() {
-                        last = child;
-                    }
-                }
-                if last == i {
-                    break;
-                }
-                heap.swap(i, last);
-                i = last;
-            }
-        }
-    }
-    heap.sort_by(order);
-    heap
-}
-
 /// Serving-loop configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -277,7 +230,7 @@ pub struct BatchOutcome {
     /// patch), `segment_patch` (out-of-core servers), `layout_patch`,
     /// `guidance` (regenerated for a full recompute; otherwise the current
     /// guidance, padded when |V| grew), `warm_restart` or `cold_run`,
-    /// `publish` (outcome, stats, install, external-id view) and `snapshot`
+    /// `publish` (outcome, stats, install, served-values patch) and `snapshot`
     /// (when due); a no-op batch skips from `graph_patch` to `publish`. Contiguous laps of one clock,
     /// so they sum to `wall_seconds`. With telemetry on, each is also a
     /// `server` span inside the batch's `batch` span (the guidance one
@@ -403,11 +356,16 @@ where
     /// `None` runs in-memory.
     storage: Option<Arc<GraphStorage>>,
     result: ProgramResult<P::Value>,
-    /// External-id-ordered view of `result.values`, maintained only while the
-    /// graph carries a non-identity remap (`None` otherwise — the physical
-    /// vector *is* the external order then, and the view costs nothing).
-    /// Refreshed whenever `result` or the remap changes.
-    external_values: Option<Vec<P::Value>>,
+    /// `result.values` in external-id order, as shared blocks: the directory
+    /// every published version clones and every `top_k` ranks. Rebuilt at
+    /// [`DeltaServer::try_new`], [`DeltaServer::open`] and a cold run;
+    /// a warm batch patches it at the ids its restart changed
+    /// ([`ProgramResult::changed`]). A remap leaves it alone: external order
+    /// and values do not move.
+    served: ServedValues<P::Value>,
+    /// A flat copy of `served` for [`DeltaServer::values`] on a remapped
+    /// graph, made on first call and dropped whenever `served` changes.
+    external_view: OnceLock<Vec<P::Value>>,
     stats: ServerStats,
     /// WAL + snapshot state when this server was built through
     /// [`DeltaServer::create_durable`] / [`DeltaServer::open`].
@@ -447,10 +405,7 @@ where
         drop(engine);
         server.telemetry.end(cold_span, "cold_run", "server", 0);
         server.result = result;
-        // The seed graph may already carry a remap (a test or a tool serving
-        // a pre-reordered layout): keep the external view consistent from the
-        // first query on.
-        server.refresh_external_values();
+        server.install_values();
         Ok(server)
     }
 
@@ -484,6 +439,7 @@ where
             ],
             converged: true,
             exact_fixpoint: false,
+            changed: None,
         };
         Ok(Self {
             make_program,
@@ -499,7 +455,8 @@ where
             layout,
             storage,
             result,
-            external_values: None,
+            served: ServedValues::default(),
+            external_view: OnceLock::new(),
             stats: ServerStats::default(),
             durability: None,
             faults,
@@ -534,15 +491,25 @@ where
         SlfeEngine::from_parts(graph, parts)
     }
 
-    /// Rebuild the external-id-ordered value view after `result.values` or
-    /// the graph's remap changed. Free (drops the cache) on an unremapped
-    /// graph.
-    fn refresh_external_values(&mut self) {
-        self.external_values = self.graph.id_remap().map(|remap| {
-            (0..self.result.values.len() as VertexId)
-                .map(|ext| self.result.values[remap.to_new(ext) as usize])
-                .collect()
-        });
+    /// Bring the served directory up to `result`: patch it at the ids of
+    /// [`ProgramResult::changed`] (taken out of the result, so nothing later
+    /// sees a stale list), or rebuild it when the result has no such list
+    /// (a cold run, or values restored at start-up or recovery). The graph
+    /// may carry a remap from the first version on, so ids are translated.
+    fn install_values(&mut self) {
+        self.external_view.take();
+        let graph = &self.graph;
+        let values = &self.result.values;
+        let value = |ext: VertexId| values[graph.to_physical(ext) as usize];
+        match self.result.changed.take() {
+            Some(mut changed) => {
+                if graph.is_remapped() {
+                    changed.iter_mut().for_each(|v| *v = graph.external_id(*v));
+                }
+                self.served.patch(values.len(), &changed, value);
+            }
+            None => self.served = ServedValues::from_fn(values.len(), value),
+        }
     }
 
     /// Translate a physically-indexed [`BatchEffect`] to external ids (the
@@ -669,22 +636,33 @@ where
     }
 
     /// The full current value vector, indexed by **external** vertex id —
-    /// identical across physical layouts.
+    /// identical across physical layouts. On an unremapped graph this is the
+    /// result's own vector. On a remapped one it is an external-order copy,
+    /// made on the first call after a batch changed the values (O(V)) and
+    /// reused until the next change.
     pub fn values(&self) -> &[P::Value] {
-        self.external_values
-            .as_deref()
-            .unwrap_or(&self.result.values)
+        if self.graph.is_remapped() {
+            self.external_view.get_or_init(|| self.served.to_vec())
+        } else {
+            &self.result.values
+        }
     }
 
     /// The `k` vertices (external ids) ranked by `compare` (greatest first),
     /// ties broken by external id ascending — deterministic regardless of
-    /// worker count or physical layout.
+    /// worker count or physical layout. A full scan, O(|V| log k); `compare`
+    /// must be a total order, as for a sort.
     pub fn top_k_by(
         &self,
         k: usize,
         compare: impl FnMut(&P::Value, &P::Value) -> std::cmp::Ordering,
     ) -> Vec<(VertexId, P::Value)> {
-        rank_top_k(self.values(), k, compare)
+        self.served.top_k_by(k, compare)
+    }
+
+    /// The served directory every published version clones.
+    pub(crate) fn served(&self) -> &ServedValues<P::Value> {
+        &self.served
     }
 
     /// The current graph version.
@@ -784,7 +762,6 @@ where
         self.partitioning = partitioning;
         self.layout = layout;
         self.storage = storage;
-        self.refresh_external_values();
         Ok(())
     }
 
@@ -1372,7 +1349,7 @@ where
             self.storage = storage;
             self.program = program;
             self.result = result;
-            self.refresh_external_values();
+            self.install_values();
         }
         outcome.effect = Self::external_effect(&self.graph, effect);
         (outcome.storage_live_bytes, outcome.storage_dead_bytes) = self
@@ -1554,7 +1531,7 @@ where
         server.stats = snap.stats;
         // A snapshot of a remapped server restores its bijection with the
         // graph; queries must answer in external order from the first read.
-        server.refresh_external_values();
+        server.install_values();
         let (wal, replay) = Wal::open_with(&durability.wal_path(), Some(faults), durability.retry)?;
         let mut counters = DurabilityCounters::zero();
         counters.wal_bytes_truncated += replay.bytes_truncated;
@@ -1620,12 +1597,17 @@ where
     P::Value: PartialOrd,
     F: Fn(&Graph) -> P,
 {
-    /// The `k` largest values (PageRank-style ranking queries). For distance
-    /// programs, rank with [`DeltaServer::top_k_by`] and a reversed comparator.
+    /// The `k` largest values (PageRank-style ranking queries), ties broken
+    /// by external id ascending, under the natural order: `partial_cmp`,
+    /// with a value that does not compare with itself (a NaN) ranked after
+    /// every comparable value. It visits value blocks of 1024 ids by their
+    /// cached maximum and stops once no unvisited block can enter the
+    /// answer, so it costs O(|V|/1024) plus the blocks it visits (each
+    /// maximum is computed once per written block, on first need). For
+    /// distance programs, rank with [`DeltaServer::top_k_by`] and a reversed
+    /// comparator.
     pub fn top_k(&self, k: usize) -> Vec<(VertexId, P::Value)> {
-        self.top_k_by(k, |a, b| {
-            a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)
-        })
+        self.served.top_k(k)
     }
 }
 
@@ -1754,44 +1736,6 @@ mod tests {
             b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal)
         });
         assert_eq!(nearest[1].0, far);
-    }
-
-    #[test]
-    fn bounded_top_k_equals_the_full_sort() {
-        use std::cmp::Ordering;
-        type Order = fn(&f32, &f32) -> Ordering;
-        let full_sort = |values: &[f32], k: usize, compare: Order| {
-            let mut ranked: Vec<(VertexId, f32)> = values
-                .iter()
-                .enumerate()
-                .map(|(v, &value)| (v as VertexId, value))
-                .collect();
-            ranked.sort_by(|a, b| compare(&b.1, &a.1).then(a.0.cmp(&b.0)));
-            ranked.truncate(k);
-            ranked
-        };
-        let natural: Order = |a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal);
-        let reversed: Order = |a, b| b.total_cmp(a);
-        for (seed, n) in [0usize, 1, 2, 9, 64, 500].into_iter().enumerate() {
-            // Five distinct finite values plus both infinities: many ties.
-            let mut rng = SplitMix64::seed_from_u64(seed as u64);
-            let values: Vec<f32> = (0..n)
-                .map(|_| match rng.range_u32(0, 7) {
-                    5 => f32::INFINITY,
-                    6 => f32::NEG_INFINITY,
-                    r => r as f32 - 2.0,
-                })
-                .collect();
-            for k in [0, 1, 3, 10, n.saturating_sub(1), n, n + 1, usize::MAX] {
-                for compare in [natural, reversed] {
-                    assert_eq!(
-                        rank_top_k(&values, k, compare),
-                        full_sort(&values, k, compare),
-                        "n = {n}, k = {k}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

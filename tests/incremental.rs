@@ -5,11 +5,11 @@
 //! arithmetic ones — over seeded random batches, at 1 and 4 workers per node.
 
 use slfe::apps::{bfs, cc, heat, numpaths, pagerank, spmv, sssp, tunkrank, widestpath, AppKind};
-use slfe::core::{EngineConfig, GraphProgram, RedundancyMode, SlfeEngine};
+use slfe::core::{EngineConfig, GraphProgram, ProgramResult, RedundancyMode, SlfeEngine};
 use slfe::delta::{DeltaServer, ServerConfig};
 use slfe::graph::generators::{random_batch, BatchShape};
 use slfe::graph::rng::SplitMix64;
-use slfe::graph::{generators, Degrees, Graph, UpdateBatch};
+use slfe::graph::{generators, Bitset, Degrees, Graph, UpdateBatch};
 use slfe::prelude::ClusterConfig;
 
 const GROW: BatchShape = BatchShape::Mixed { allow_growth: true };
@@ -631,5 +631,252 @@ fn arithmetic_warm_restarts_pull_only_what_changed() {
         );
         graph = mutated;
         previous = warm;
+    }
+}
+
+/// Every vertex whose value bits differ from `previous` (or that `warm`
+/// appended) is in `warm.changed`.
+fn assert_lists_every_move<V: Copy>(
+    previous: &[V],
+    warm: &ProgramResult<V>,
+    bits: impl Fn(V) -> u64,
+    case: &str,
+) {
+    let changed = warm.changed.as_ref().expect("a warm restart lists changes");
+    let mut listed = Bitset::new(warm.values.len());
+    changed.iter().for_each(|&v| listed.set(v as usize));
+    for (v, &value) in warm.values.iter().enumerate() {
+        let moved = previous.get(v).is_none_or(|&old| bits(old) != bits(value));
+        assert!(
+            !moved || listed.get(v),
+            "{case}: vertex {v} moved but is not listed"
+        );
+    }
+}
+
+/// Run `make_program` over a chain of four seeded batches of `shape` on
+/// `graph` (the second one appends vertices when `shape` allows growth) —
+/// warm restarts, except one full-recompute fallback (a cold run) at the
+/// third batch — in memory and out of core at 2×{1, 2, 4} workers,
+/// and check every warm restart's `ProgramResult::changed` against the
+/// values it reports: ascending, covering every vertex whose value bits
+/// differ from the previous result (appended vertices included), no longer
+/// than `vertex_updates` plus the re-seeded and appended vertices, and
+/// identical in every configuration. Runs from initial values report none.
+fn check_changed_lists<P, PF>(
+    graph: &Graph,
+    shape: BatchShape,
+    seed: u64,
+    config: EngineConfig,
+    make_program: PF,
+    bits: impl Fn(P::Value) -> u64,
+    label: &str,
+) where
+    P: GraphProgram,
+    PF: Fn(&Graph) -> P,
+{
+    let mut lists: Option<Vec<Vec<u32>>> = None;
+    for oocore in [false, true] {
+        for workers in [1usize, 2, 4] {
+            let case = format!("{label}: 2x{workers}, out of core {oocore}");
+            let engine_config = if oocore {
+                config
+                    .clone()
+                    .with_storage_budget(24 << 10)
+                    .with_storage_segment_bytes(2 << 10)
+            } else {
+                config.clone()
+            };
+            let cluster = ClusterConfig::new(2, workers);
+            let mut current = graph.clone();
+            let mut previous = SlfeEngine::build(&current, cluster.clone(), engine_config.clone())
+                .run(&make_program(&current));
+            assert!(
+                previous.changed.is_none(),
+                "{case}: a cold run lists nothing"
+            );
+            let mut ours = Vec::new();
+            for step in 0..4u64 {
+                let mut batch = random_batch(&current, seed + step, 20, shape);
+                if step == 1 && shape == GROW {
+                    // Growth is a draw away; make sure one batch appends.
+                    batch.insert(0, current.num_vertices() as u32 + 2, 1.5);
+                }
+                let (mutated, effect) = current.apply_batch(&batch);
+                let program = make_program(&mutated);
+                let fallback = step == 2;
+                let warm = {
+                    let engine =
+                        SlfeEngine::build(&mutated, cluster.clone(), engine_config.clone());
+                    if fallback {
+                        engine.run(&program)
+                    } else {
+                        engine.run_from_effect(&program, &previous, &effect)
+                    }
+                };
+                if fallback {
+                    assert!(warm.changed.is_none(), "{case}: the fallback lists nothing");
+                    (current, previous) = (mutated, warm);
+                    continue;
+                }
+                let changed = warm.changed.clone().expect("a warm restart lists changes");
+                assert!(
+                    changed.windows(2).all(|w| w[0] < w[1]),
+                    "{case}, step {step}: not ascending"
+                );
+                let n = mutated.num_vertices();
+                assert_lists_every_move(
+                    &previous.values,
+                    &warm,
+                    &bits,
+                    &format!("{case}, step {step}"),
+                );
+                let degrees = Degrees::of(&mutated);
+                let reseeded = (0..previous.values.len())
+                    .filter(|&v| {
+                        let old = previous.values[v];
+                        program.warm_start_value(v as u32, Some(old), &degrees) != old
+                    })
+                    .count();
+                let appended = n - previous.values.len();
+                let bound = warm.stats.totals.vertex_updates as usize + reseeded + appended;
+                assert!(
+                    changed.len() <= bound,
+                    "{case}, step {step}: {} listed, at most {bound} expected",
+                    changed.len()
+                );
+                ours.push(changed);
+                (current, previous) = (mutated, warm);
+            }
+            match &lists {
+                None => lists = Some(ours),
+                Some(first) => assert_eq!(&ours, first, "{case}: lists differ"),
+            }
+        }
+    }
+}
+
+#[test]
+fn warm_restarts_list_every_changed_vertex_identically_at_every_worker_count() {
+    // Cut bridges first: the stranded vertices fall back to their initial
+    // values and no phase writes them, so only the invalidation lists them.
+    use slfe::apps::widestpath::WidestPathProgram;
+    use slfe::graph::GraphBuilder;
+    let f32_bits = |v: f32| u64::from(v.to_bits());
+    let mut b = GraphBuilder::new().symmetric(true);
+    b.add_unweighted(0, 1).add_unweighted(1, 2);
+    let path = b.build();
+    let mut cut = UpdateBatch::new();
+    cut.delete_symmetric(0, 1);
+    let (cut_path, cut_effect) = path.apply_batch(&cut);
+    let mut b = GraphBuilder::new();
+    b.extend_weighted([(0, 1, 10.0), (1, 2, 10.0), (2, 1, 10.0)]);
+    let widest = b.build();
+    let mut cut = UpdateBatch::new();
+    cut.delete(0, 1);
+    let (cut_widest, widest_effect) = widest.apply_batch(&cut);
+    let engine = |g| SlfeEngine::build(g, ClusterConfig::new(2, 1), EngineConfig::default());
+    let cc = cc::CcProgram::default();
+    let previous = engine(&path).run(&cc);
+    let warm = engine(&cut_path).run_from_effect(&cc, &previous, &cut_effect);
+    assert_eq!(warm.values, vec![0.0, 1.0, 1.0]);
+    assert_lists_every_move(&previous.values, &warm, f32_bits, "CC bridge cut");
+    let wp = WidestPathProgram { root: 0 };
+    let previous = engine(&widest).run(&wp);
+    let warm = engine(&cut_widest).run_from_effect(&wp, &previous, &widest_effect);
+    assert_eq!(warm.values, vec![f32::INFINITY, 0.0, 0.0]);
+    assert_lists_every_move(&previous.values, &warm, f32_bits, "WidestPath bridge cut");
+
+    let rmat = generators::rmat(260, 1700, 0.57, 0.19, 0.19, 3300);
+    let sym = cc::symmetrize(&generators::rmat(200, 900, 0.57, 0.19, 0.19, 3301));
+    let dag = generators::layered(8, 30, 4, 3302);
+    let root = slfe::graph::stats::highest_out_degree_vertex(&rmat).unwrap();
+    for app in AppKind::ALL {
+        let label = app.to_string();
+        match app {
+            AppKind::Sssp => check_changed_lists(
+                &rmat,
+                GROW,
+                10,
+                EngineConfig::default(),
+                |_| sssp::SsspProgram { root },
+                f32_bits,
+                &label,
+            ),
+            AppKind::Bfs => check_changed_lists(
+                &rmat,
+                GROW,
+                20,
+                EngineConfig::default(),
+                |_| bfs::BfsProgram { root },
+                f32_bits,
+                &label,
+            ),
+            AppKind::WidestPath => check_changed_lists(
+                &rmat,
+                GROW,
+                30,
+                EngineConfig::default(),
+                |_| widestpath::WidestPathProgram { root },
+                f32_bits,
+                &label,
+            ),
+            AppKind::ConnectedComponents => check_changed_lists(
+                &sym,
+                BatchShape::Symmetric,
+                40,
+                EngineConfig::default(),
+                cc::CcProgram::for_graph,
+                f32_bits,
+                &label,
+            ),
+            AppKind::PageRank => check_changed_lists(
+                &rmat,
+                GROW,
+                50,
+                exact_config(),
+                pagerank::PageRankProgram::for_graph,
+                f32_bits,
+                &label,
+            ),
+            AppKind::TunkRank => check_changed_lists(
+                &rmat,
+                FIXED,
+                60,
+                exact_config(),
+                |_| tunkrank::TunkRankProgram::default(),
+                f32_bits,
+                &label,
+            ),
+            AppKind::SpMV => check_changed_lists(
+                &rmat,
+                GROW,
+                70,
+                exact_config(),
+                |g: &Graph| spmv::SpmvProgram::ones(g.num_vertices()),
+                |(x, y): (f32, f32)| u64::from(x.to_bits()) << 32 | u64::from(y.to_bits()),
+                &label,
+            ),
+            AppKind::HeatSimulation => check_changed_lists(
+                &rmat,
+                FIXED,
+                80,
+                exact_config()
+                    .with_tolerance(1e-6)
+                    .with_max_iterations(3000),
+                |g: &Graph| heat::HeatProgram::point_source(g, root),
+                f32_bits,
+                &label,
+            ),
+            AppKind::NumPaths => check_changed_lists(
+                &dag,
+                BatchShape::Dag,
+                90,
+                exact_config(),
+                |_| numpaths::NumPathsProgram { root: 0 },
+                f32_bits,
+                &label,
+            ),
+        }
     }
 }

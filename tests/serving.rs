@@ -76,6 +76,24 @@ fn bits(values: &[f32]) -> Vec<u32> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
+/// The `k` greatest of `values` by a full sort under the natural order —
+/// `partial_cmp`, with a NaN after every comparable value — ties by id.
+fn natural_top(values: &[f32], k: usize) -> Vec<(u32, u32)> {
+    let rank = |x: f32| (!x.is_nan(), if x.is_nan() { 0.0 } else { x });
+    let mut ranked: Vec<(u32, f32)> = (0..values.len() as u32)
+        .zip(values.iter().copied())
+        .collect();
+    ranked.sort_by(|a, b| {
+        let (a_rank, b_rank) = (rank(a.1), rank(b.1));
+        b_rank.partial_cmp(&a_rank).unwrap().then(a.0.cmp(&b.0))
+    });
+    ranked
+        .into_iter()
+        .take(k)
+        .map(|(v, x)| (v, x.to_bits()))
+        .collect()
+}
+
 /// The headline proof. For each worker count: a durable server with the
 /// seeded whole-schedule fault plan armed serves two hammering readers and
 /// one producer; afterwards every published version must be bit-identical
@@ -129,6 +147,7 @@ fn chaos_under_load_reads_are_snapshot_consistent_at_1_and_4_workers() {
                 // (seq, vertex, value bits) samples to verify post hoc.
                 let mut samples: Vec<(u64, u32, Option<u32>)> = Vec::new();
                 let mut top_samples: Vec<(u64, Vec<(u32, u32)>)> = Vec::new();
+                let mut natural_samples: Vec<(u64, Vec<(u32, u32)>)> = Vec::new();
                 let mut deadline_refusals = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     let v = rng.range_u32(0, 240);
@@ -150,6 +169,18 @@ fn chaos_under_load_reads_are_snapshot_consistent_at_1_and_4_workers() {
                             top.seq,
                             top.value.iter().map(|&(v, d)| (v, d.to_bits())).collect(),
                         ));
+                        // The natural-order path prunes by block maxima,
+                        // computed on first use by whichever reader gets
+                        // there first.
+                        let natural = handle.top_k(4, None).unwrap();
+                        natural_samples.push((
+                            natural.seq,
+                            natural
+                                .value
+                                .iter()
+                                .map(|&(v, d)| (v, d.to_bits()))
+                                .collect(),
+                        ));
                         // An already-expired budget must refuse typed, never
                         // panic or half-answer.
                         match handle.point(0, Some(Duration::ZERO)) {
@@ -158,7 +189,7 @@ fn chaos_under_load_reads_are_snapshot_consistent_at_1_and_4_workers() {
                         }
                     }
                 }
-                (samples, top_samples, deadline_refusals)
+                (samples, top_samples, natural_samples, deadline_refusals)
             }));
         }
 
@@ -236,7 +267,8 @@ fn chaos_under_load_reads_are_snapshot_consistent_at_1_and_4_workers() {
             }
         };
         let mut point_samples = 0u64;
-        for (samples, top_samples, deadline_refusals) in &reader_outputs {
+        let mut natural_checked = 0u64;
+        for (samples, top_samples, natural_samples, deadline_refusals) in &reader_outputs {
             for &(seq, v, sample_bits) in samples {
                 let values = version_values(seq);
                 assert_eq!(
@@ -260,9 +292,18 @@ fn chaos_under_load_reads_are_snapshot_consistent_at_1_and_4_workers() {
                 .collect();
                 assert_eq!(top, &expect, "{tag}: torn top-k at seq {seq}");
             }
+            for (seq, top) in natural_samples {
+                assert_eq!(
+                    top,
+                    &natural_top(version_values(*seq), 4),
+                    "{tag}: natural top-k at seq {seq}"
+                );
+                natural_checked += 1;
+            }
             assert!(*deadline_refusals > 0, "{tag}: deadline path never hit");
         }
         assert!(point_samples > 0);
+        assert!(natural_checked > 0, "{tag}: natural top-k never sampled");
         let read_latency = handle.read_latency();
         assert!(read_latency.count() >= point_samples / 4);
         assert!(read_latency.percentile(0.99).is_some());
@@ -670,4 +711,90 @@ fn frontend_registry_exposes_queue_shed_and_latency_metrics() {
     let text = reg.prometheus_text();
     assert!(text.contains("slfe_frontend_queue_depth"));
     drop(frontend);
+}
+
+/// Submit→visible latency is recorded once per update of a committed batch:
+/// twelve clean updates and three more after a quarantined poison batch
+/// record fifteen samples, and the poison update none.
+#[test]
+fn visible_latency_counts_only_committed_updates() {
+    let graph = chaos_graph(61);
+    let root = stats::highest_out_degree_vertex(&graph).unwrap();
+    let make = move |_: &Graph| sssp::SsspProgram { root };
+    let dir = serving_dir("visible");
+    let config = ServerConfig {
+        cluster: ClusterConfig::new(1, 1),
+        engine: EngineConfig::default().with_trace(false),
+        ..ServerConfig::default()
+    };
+    let durability = DurabilityConfig::new(&dir).with_retry(RetryPolicy::none());
+    let server = DeltaServer::create_durable(graph.clone(), make, config, durability).unwrap();
+    let injector = Arc::clone(server.fault_injector());
+    let frontend = ServingFrontend::spawn(server, FrontendConfig::default());
+    let handle = frontend.handle();
+    let n = graph.num_vertices() as u32;
+    let submit_all = |range: std::ops::Range<u64>| {
+        for i in range {
+            handle.submit(update_for(i, n)).unwrap();
+        }
+    };
+    let wait = |what: &str, done: &dyn Fn() -> bool| {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "{what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    };
+
+    submit_all(0..12);
+    wait("clean updates never became visible", &|| {
+        handle.visible_latency().count() == 12
+    });
+
+    injector.arm(FaultPlan::new().fail(
+        FaultSite::WalAppend,
+        0,
+        FaultKind::Transient { failures: 64 },
+    ));
+    submit_all(100..101);
+    wait("poison batch never quarantined", &|| {
+        !handle.dead_letters().is_empty()
+    });
+    injector.disarm();
+    wait("server never resumed writes", &|| {
+        handle.published().mode() == ServingMode::ReadWrite
+    });
+    submit_all(12..15);
+    drop(frontend.shutdown());
+
+    let counters = handle.counters();
+    assert_eq!(counters.updates_coalesced, 16);
+    assert_eq!(counters.batches_quarantined, 1);
+    let visible = handle.visible_latency();
+    assert_eq!(visible.count(), 15, "one sample per committed update");
+    let (p50, p99) = (
+        visible.percentile(0.50).unwrap(),
+        visible.percentile(0.99).unwrap(),
+    );
+    assert!(0 < p50 && p50 <= p99, "p50 {p50} ns, p99 {p99} ns");
+    let reg = handle.metrics_registry();
+    assert_eq!(
+        reg.get("slfe_frontend_visible_latency_count")
+            .unwrap()
+            .value,
+        15.0
+    );
+    assert_eq!(
+        reg.get("slfe_frontend_queue_wait_count").unwrap().value,
+        15.0
+    );
+    let gauge = |name: &str| reg.get(name).unwrap().value;
+    assert!(
+        gauge("slfe_frontend_visible_latency_p50_ns")
+            <= gauge("slfe_frontend_visible_latency_p99_ns")
+    );
+    assert!(
+        gauge("slfe_frontend_queue_wait_p99_ns") <= gauge("slfe_frontend_visible_latency_p99_ns")
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
