@@ -11,10 +11,13 @@
 //! patterns to `--values-out` for the parent to compare.
 //!
 //! ```text
-//! crash_child --dir D --app NAME --workers W [--batches B] [--snapshot-every S] [--seed SEED] [--values-out FILE]
+//! crash_child --dir D --app NAME --workers W [--batches B] [--snapshot-every S] [--seed SEED]
+//!             [--vertices V --edges E] [--values-out FILE]
 //! ```
 //!
 //! `NAME` is one of: sssp, bfs, cc, wp, pr, tr, spmv, heat, numpaths.
+//! `--vertices`/`--edges` size the R-MAT graph of every app but cc and
+//! numpaths (default 260 and 1700).
 
 use slfe_apps::{bfs, cc, heat, numpaths, pagerank, spmv, sssp, tunkrank, widestpath};
 use slfe_cluster::ClusterConfig;
@@ -33,6 +36,8 @@ struct Options {
     batches: u64,
     snapshot_every: u64,
     seed: u64,
+    vertices: usize,
+    edges: usize,
     values_out: Option<PathBuf>,
 }
 
@@ -46,6 +51,8 @@ fn parse_args() -> Result<Options, String> {
         batches: 6,
         snapshot_every: 2,
         seed: 0,
+        vertices: 260,
+        edges: 1700,
         values_out: None,
     };
     let mut args = std::env::args().skip(1);
@@ -77,10 +84,20 @@ fn parse_args() -> Result<Options, String> {
                     .parse()
                     .map_err(|e| format!("invalid --seed: {e}"))?
             }
+            "--vertices" => {
+                options.vertices = value("--vertices")?
+                    .parse()
+                    .map_err(|e| format!("invalid --vertices: {e}"))?
+            }
+            "--edges" => {
+                options.edges = value("--edges")?
+                    .parse()
+                    .map_err(|e| format!("invalid --edges: {e}"))?
+            }
             "--values-out" => options.values_out = Some(PathBuf::from(value("--values-out")?)),
             "--help" | "-h" => {
                 return Err(
-                    "usage: crash_child --dir D --app NAME --workers W [--batches B] [--snapshot-every S] [--seed SEED] [--values-out FILE]"
+                    "usage: crash_child --dir D --app NAME --workers W [--batches B] [--snapshot-every S] [--seed SEED] [--vertices V --edges E] [--values-out FILE]"
                         .into(),
                 )
             }
@@ -157,8 +174,8 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let seed = options.seed;
-    let rmat = move || generators::rmat(260, 1700, 0.57, 0.19, 0.19, seed + 900);
+    let (seed, vertices, edges) = (options.seed, options.vertices, options.edges);
+    let rmat = move || generators::rmat(vertices, edges, 0.57, 0.19, 0.19, seed + 900);
     let sym = move || cc::symmetrize(&generators::rmat(200, 900, 0.57, 0.19, 0.19, seed + 950));
     let dag = move || generators::layered(8, 30, 4, seed + 77);
     let root = slfe_graph::stats::highest_out_degree_vertex(&rmat()).unwrap_or(0);

@@ -90,7 +90,8 @@ pub struct EngineConfig {
     /// pins one segment).
     pub storage_budget_bytes: Option<u64>,
     /// Target on-disk bytes per segment of the out-of-core store (ignored
-    /// when `storage_budget_bytes` is `None`).
+    /// when `storage_budget_bytes` is `None`); defaults to
+    /// [`slfe_graph::storage::DEFAULT_SEGMENT_BYTES`].
     pub storage_segment_bytes: usize,
     /// Directory for the out-of-core backing files; a process-unique
     /// directory under the system temp dir when `None`. Files are removed
@@ -125,7 +126,7 @@ impl Default for EngineConfig {
             cost: CostModel::default(),
             sparse_push_density: 0.02,
             storage_budget_bytes: None,
-            storage_segment_bytes: 64 << 10,
+            storage_segment_bytes: slfe_graph::storage::DEFAULT_SEGMENT_BYTES,
             storage_dir: None,
             telemetry: TelemetryConfig::off(),
             reorder: slfe_graph::ReorderPolicy::None,

@@ -1,5 +1,6 @@
-//! Durability for the delta server: write-ahead logging, atomic fixpoint
-//! snapshots, and the compaction trigger riding the snapshot path.
+//! Durability for the delta server: a write-ahead log, and recovery state
+//! split into a graph **base** that is rarely rewritten and a small
+//! **checkpoint** written often.
 //!
 //! The contract mirrors what ledger-grade serving stores provide:
 //!
@@ -8,18 +9,34 @@
 //!   graph or the out-of-core segment files see it. A `kill -9` at any point
 //!   therefore loses at most the batch whose WAL append had not yet returned
 //!   — never one the caller was told about.
-//! * Every N batches (or M WAL bytes) the server writes a **snapshot** of its
-//!   exact served state — graph (raw adjacency arrays, physically exact),
-//!   fixpoint values, stable partitioning, cumulative stats — via a temp
-//!   file and a rename, then trims the WAL. The RR guidance is derived state
-//!   and is not stored. Recovery loads the snapshot, regenerates the
-//!   guidance, and replays only the WAL suffix past its sequence number
-//!   through the identical warm apply path, which is what makes recovered
-//!   values **bit-identical** to an uninterrupted run for every registered
-//!   app.
+//! * Every N batches (or 1 MiB of WAL since the last state write) the server
+//!   writes a **checkpoint** (`checkpoint.bin`): its sequence number, the
+//!   sequence number and CRC of the base it extends, the cumulative stats,
+//!   the fixpoint values and the stable partitioning — no adjacency, so it
+//!   costs O(V) bytes however many edges the graph has.
+//! * The **base** (`snapshot.bin`, format version 3) is the whole served
+//!   state: graph (raw adjacency arrays, physically exact), values,
+//!   partitioning, stats. It is written at creation, then only at a
+//!   checkpoint where the WAL since the last base has reached 1/1024 of the
+//!   base's bytes, or where a remap changed the physical layout (a
+//!   checkpoint shares its base's layout, and WAL frames never cross a
+//!   layout change). Only a base write trims the WAL. Both files are
+//!   written through a temp file, fsync, rename and directory fsync. The RR
+//!   guidance is derived state and is stored in neither.
+//! * Recovery loads the base, folds the logged batches up to the checkpoint
+//!   into its graph without running the engine (the live path's id
+//!   translation and [`Graph::apply_batch`], batch by batch), installs the
+//!   checkpoint's values, regenerates the guidance, and replays only the WAL
+//!   suffix past the checkpoint through the identical warm apply path — which
+//!   is what makes recovered values **bit-identical** to an uninterrupted run
+//!   for every registered app. A checkpoint that fails its checksum, names
+//!   another base, or covers entries the WAL no longer holds is ignored and
+//!   deleted (the batches logged next reuse the sequence numbers it
+//!   covers): everything past the base is then replayed, slower and just as
+//!   exact.
 //! * Corruption is handled structurally, never with a panic: a torn or
-//!   bit-flipped WAL tail truncates to the last valid frame; a corrupt
-//!   snapshot is a typed [`DurabilityError`].
+//!   bit-flipped WAL tail truncates to the last valid frame; a corrupt base
+//!   is a typed [`DurabilityError`].
 
 use slfe_graph::io::binary::{self, Reader};
 use slfe_graph::{
@@ -43,51 +60,61 @@ const SNAPSHOT_MAGIC: u32 = 0x534C_4653;
 /// versions 1 and 2 stored; a directory written by an earlier build is
 /// refused as corrupt and must be recreated.
 const SNAPSHOT_VERSION: u32 = 3;
+/// Checkpoint file magic ("SLFC").
+const CHECKPOINT_MAGIC: u32 = 0x534C_4643;
+/// Checkpoint format version, the only one this build reads.
+const CHECKPOINT_VERSION: u32 = 1;
 /// Bytes of a WAL frame header: magic, sequence, payload length, checksum.
 const WAL_HEADER_BYTES: usize = 4 + 8 + 4 + 4;
-/// WAL length at which a snapshot is due regardless of the batch cadence.
+/// WAL bytes since the last state write at which a checkpoint is due
+/// regardless of the batch cadence.
 pub(crate) const SNAPSHOT_WAL_BYTES: u64 = 1 << 20;
+/// A checkpoint also writes a new base once the WAL since the last base holds
+/// 1/`BASE_WAL_DIVISOR` of the base's bytes. For 16-update batches over a
+/// 100k-vertex, 1M-edge graph (an 18.4 MB base) that is 80–100 batches,
+/// which bounds the graph refold at open to about as many `apply_batch`
+/// calls and amortizes each base write over as many batches.
+pub(crate) const BASE_WAL_DIVISOR: u64 = 1024;
 
 /// Durability knobs of a [`crate::DeltaServer`].
+///
+/// The server writes a checkpoint (values, partitioning and stats; no
+/// adjacency) every `snapshot_every_batches` batches, or once 1 MiB of WAL
+/// has accrued since the last state write. A checkpoint also writes a new
+/// graph base when the WAL since the last base has reached 1/1024 of the
+/// base's bytes, or when a remap changed the layout; only then is the WAL
+/// trimmed. Out-of-core segment files are compacted independently of both,
+/// after any batch that leaves more than half of their bytes dead
+/// ([`slfe_graph::storage::COMPACT_DEAD_FRACTION`]).
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
-    /// Directory holding the WAL and snapshot files. Created if absent.
+    /// Directory holding the WAL, the base and the checkpoint. Created if
+    /// absent.
     pub dir: PathBuf,
-    /// Snapshot after this many applied batches since the last snapshot (or
-    /// once the WAL holds 1 MiB, whichever comes first).
+    /// Write a checkpoint after this many applied batches since the last
+    /// state write (or once 1 MiB of WAL has accrued since it, whichever
+    /// comes first).
     pub snapshot_every_batches: u64,
-    /// Out-of-core serving: compact the segment files (rewriting live
-    /// segments into a fresh generation) whenever a snapshot finds their
-    /// dead-byte fraction above this threshold, bounding on-disk size.
-    pub max_dead_fraction: f64,
     /// Retry/backoff budget applied to every durability I/O (WAL append and
-    /// fsync, WAL trim, snapshot write/rename/read). Transient failures
-    /// within the budget are absorbed with no observable effect; disk-full
-    /// errors are never retried.
+    /// fsync, WAL trim, base and checkpoint write/rename/read). Transient
+    /// failures within the budget are absorbed with no observable effect;
+    /// disk-full errors are never retried.
     pub retry: RetryPolicy,
 }
 
 impl DurabilityConfig {
-    /// Defaults: snapshot every 8 batches or 1 MiB of WAL, compact past 50%
-    /// dead bytes.
+    /// Defaults: a checkpoint every 8 batches or 1 MiB of WAL.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         Self {
             dir: dir.into(),
             snapshot_every_batches: 8,
-            max_dead_fraction: 0.5,
             retry: RetryPolicy::default(),
         }
     }
 
-    /// Set the batch-count snapshot cadence.
+    /// Set the batch-count checkpoint cadence.
     pub fn with_snapshot_every(mut self, batches: u64) -> Self {
         self.snapshot_every_batches = batches.max(1);
-        self
-    }
-
-    /// Set the compaction dead-byte threshold.
-    pub fn with_max_dead_fraction(mut self, fraction: f64) -> Self {
-        self.max_dead_fraction = fraction;
         self
     }
 
@@ -102,13 +129,15 @@ impl DurabilityConfig {
         self.dir.join("wal.log")
     }
 
-    /// Path of the current snapshot.
+    /// Path of the current base: the full-state snapshot (format version 3)
+    /// that every checkpoint extends.
     pub fn snapshot_path(&self) -> PathBuf {
         self.dir.join("snapshot.bin")
     }
 
-    fn snapshot_tmp_path(&self) -> PathBuf {
-        self.dir.join("snapshot.bin.tmp")
+    /// Path of the latest checkpoint.
+    pub fn checkpoint_path(&self) -> PathBuf {
+        self.dir.join("checkpoint.bin")
     }
 }
 
@@ -118,10 +147,10 @@ impl DurabilityConfig {
 pub enum DurabilityError {
     /// Underlying filesystem failure.
     Io(io::Error),
-    /// No snapshot exists at the given path (nothing to recover from —
+    /// No base snapshot exists at the given path (nothing to recover from —
     /// create the server instead).
     MissingSnapshot(PathBuf),
-    /// The snapshot file exists but failed checksum or structural
+    /// The base snapshot exists but failed checksum or structural
     /// validation; `reason` names the first check that failed.
     CorruptSnapshot {
         /// The first validation step that failed.
@@ -172,6 +201,20 @@ pub struct WalReplay {
     /// Bytes past the last valid frame (torn write or bit flip) that were
     /// discarded.
     pub bytes_truncated: u64,
+    /// Byte offset just past each entry's frame, parallel to `entries`.
+    ends: Vec<u64>,
+}
+
+impl WalReplay {
+    /// Length of the valid prefix that holds every entry up to sequence
+    /// `seq`: the log's length right after that entry was appended, and 0
+    /// when no entry is that old. Sequence numbers ascend in file order.
+    pub(crate) fn bytes_through(&self, seq: u64) -> u64 {
+        match self.entries.partition_point(|(s, _)| *s <= seq) {
+            0 => 0,
+            kept => self.ends[kept - 1],
+        }
+    }
 }
 
 /// Result of one [`Wal::append`]: the frame's on-disk size and the measured
@@ -258,15 +301,18 @@ impl Wal {
             Err(e) => return Err(e),
         };
         let mut entries = Vec::new();
+        let mut ends = Vec::new();
         let mut pos = 0usize;
         while let Some((seq, batch, len)) = decode_frame(&bytes[pos..]) {
             entries.push((seq, batch));
             pos += len;
+            ends.push(pos as u64);
         }
         Ok(WalReplay {
             entries,
             valid_bytes: pos as u64,
             bytes_truncated: (bytes.len() - pos) as u64,
+            ends,
         })
     }
 
@@ -341,9 +387,9 @@ impl Wal {
 
     /// Cut the log back to its first `len` bytes, a frame boundary, under
     /// the [`FaultSite::WalTrim`] site and the retry budget. `0` drops every
-    /// entry, right after a snapshot covering them all landed (safe even if
-    /// the process dies first: replay skips entries at or below the
-    /// snapshot's sequence number). A longer `len` retracts the frames
+    /// entry, right after a base covering them all landed (safe even if the
+    /// process dies first: replay skips entries at or below the base's
+    /// sequence number). A longer `len` retracts the frames
     /// appended since the log had that length: a batch rejected after its
     /// append.
     pub fn truncate_to(&mut self, len: u64) -> io::Result<()> {
@@ -427,9 +473,9 @@ impl SnapshotValue for (f32, f32) {
     }
 }
 
-/// Everything a snapshot persists, borrowed from the live server.
+/// The served state a base or a checkpoint persists, borrowed from the live
+/// server.
 pub(crate) struct SnapshotState<'a, V> {
-    pub seq: u64,
     pub stats: ServerStats,
     pub graph: &'a Graph,
     pub values: &'a [V],
@@ -437,9 +483,19 @@ pub(crate) struct SnapshotState<'a, V> {
     pub num_parts: usize,
 }
 
-/// A decoded snapshot, owned.
-pub(crate) struct LoadedSnapshot<V> {
+/// What names a base: the sequence number it covers and its trailing CRC
+/// (the pair every checkpoint records), plus its length in bytes (what the
+/// base trigger compares the WAL against).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct BaseStamp {
     pub seq: u64,
+    pub crc: u32,
+    pub bytes: u64,
+}
+
+/// A decoded base, owned.
+pub(crate) struct LoadedSnapshot<V> {
+    pub stamp: BaseStamp,
     pub stats: ServerStats,
     pub graph: Graph,
     pub values: Vec<V>,
@@ -447,37 +503,186 @@ pub(crate) struct LoadedSnapshot<V> {
     pub num_parts: usize,
 }
 
-/// Write `state` atomically (temp file, fsync, rename, directory fsync) as
-/// the current snapshot. Returns the file's byte length.
-///
-/// Both phases — materialising the temp file and renaming it into place —
-/// run under the config's retry budget. A failed attempt leaves at worst a
-/// stale temp file; the current snapshot is replaced only by the atomic
-/// rename, so a failure here never corrupts the recovery point.
+/// A decoded checkpoint, owned. Its values and owners are indexed by the
+/// physical ids of the graph its base refolds to at `seq`.
+pub(crate) struct LoadedCheckpoint<V> {
+    pub seq: u64,
+    pub base_seq: u64,
+    pub base_crc: u32,
+    pub stats: ServerStats,
+    pub values: Vec<V>,
+    pub owners: Vec<usize>,
+    pub num_parts: usize,
+}
+
+fn put_header(out: &mut Vec<u8>, magic: u32, version: u32, tag: u8, seq: u64) {
+    binary::put_u32(out, magic);
+    binary::put_u32(out, version);
+    binary::put_u8(out, tag);
+    binary::put_u64(out, seq);
+}
+
+fn put_stats(out: &mut Vec<u8>, stats: &ServerStats) {
+    binary::put_u64(out, stats.batches_applied);
+    binary::put_u64(out, stats.total_work);
+    binary::put_u64(out, stats.total_distribution_messages);
+    binary::put_u64(out, stats.full_recomputes);
+}
+
+fn read_stats(r: &mut Reader<'_>) -> Option<ServerStats> {
+    Some(ServerStats {
+        batches_applied: r.u64()?,
+        total_work: r.u64()?,
+        total_distribution_messages: r.u64()?,
+        full_recomputes: r.u64()?,
+    })
+}
+
+/// The values section: a count, then each value's exact bit pattern.
+fn put_values<V: SnapshotValue>(out: &mut Vec<u8>, values: &[V]) {
+    binary::put_u64(out, values.len() as u64);
+    for &v in values {
+        v.write(out);
+    }
+}
+
+fn read_values<V: SnapshotValue>(r: &mut Reader<'_>) -> Option<Vec<V>> {
+    let count = usize::try_from(r.u64()?).ok()?;
+    // Every value takes at least four bytes: refuse a count the buffer
+    // cannot hold before allocating for it.
+    if count > r.remaining() / 4 {
+        return None;
+    }
+    (0..count).map(|_| V::read(r)).collect()
+}
+
+/// The partitioning section: the node count, then one owner per vertex.
+fn put_partitioning(out: &mut Vec<u8>, num_parts: usize, owners: &[usize]) {
+    binary::put_u64(out, num_parts as u64);
+    binary::put_u64(out, owners.len() as u64);
+    for &o in owners {
+        binary::put_u32(out, o as u32);
+    }
+}
+
+/// Read a partitioning of `n` vertices; the error names the failed check.
+fn read_partitioning(r: &mut Reader<'_>, n: usize) -> Result<(usize, Vec<usize>), &'static str> {
+    let truncated = "truncated partitioning";
+    let num_parts = r.u64().ok_or(truncated)? as usize;
+    let owner_count = r.u64().ok_or(truncated)? as usize;
+    if owner_count != n || num_parts == 0 {
+        return Err("partitioning does not match the graph");
+    }
+    let mut owners = Vec::with_capacity(owner_count);
+    for _ in 0..owner_count {
+        let o = r.u32().ok_or(truncated)? as usize;
+        if o >= num_parts {
+            return Err("owner outside the node range");
+        }
+        owners.push(o);
+    }
+    Ok((num_parts, owners))
+}
+
+/// Write `bytes` as `dest` atomically: a temp file, fsync, rename and
+/// directory fsync, each phase under the config's retry budget and its fault
+/// site. A failed attempt leaves at worst a stale temp file; `dest` is
+/// replaced only by the rename, so a failure never corrupts the recovery
+/// point it holds.
+fn write_atomically(
+    config: &DurabilityConfig,
+    bytes: &[u8],
+    dest: &Path,
+    (write_site, rename_site): (FaultSite, FaultSite),
+    faults: Option<&FaultInjector>,
+) -> io::Result<()> {
+    let tmp = dest.with_extension("bin.tmp");
+    with_retries(&config.retry, faults, || {
+        match faults.and_then(|i| i.on_io(write_site)) {
+            Some(FaultAction::Error(e)) => return Err(e),
+            Some(FaultAction::ShortIo) => {
+                // A short write leaves a torn temp file behind; the retry
+                // recreates it from scratch, so nothing durable is harmed.
+                let mut file = File::create(&tmp)?;
+                file.write_all(&bytes[..bytes.len() / 2])?;
+                return Err(io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    format!("injected short write at {}", write_site.name()),
+                ));
+            }
+            None => {}
+        }
+        let mut file = File::create(&tmp)?;
+        file.write_all(bytes)?;
+        file.sync_all()
+    })?;
+    with_retries(&config.retry, faults, || {
+        match faults.and_then(|i| i.on_io(rename_site)) {
+            Some(FaultAction::Error(e)) => return Err(e),
+            Some(FaultAction::ShortIo) => {
+                return Err(io::Error::other(format!(
+                    "injected failure at {}",
+                    rename_site.name()
+                )));
+            }
+            None => {}
+        }
+        std::fs::rename(&tmp, dest)?;
+        sync_dir(&config.dir)
+    })
+}
+
+/// Read the state file at `path` under the config's retry budget and fault
+/// `site`; `None` when it does not exist. An injected short read delivers a
+/// truncated buffer, which the trailing checksum then rejects.
+fn read_state_file(
+    config: &DurabilityConfig,
+    path: &Path,
+    site: FaultSite,
+    faults: Option<&FaultInjector>,
+) -> io::Result<Option<Vec<u8>>> {
+    with_retries(&config.retry, faults, || {
+        let short = match faults.and_then(|i| i.on_io(site)) {
+            Some(FaultAction::Error(e)) => return Err(e),
+            Some(FaultAction::ShortIo) => true,
+            None => false,
+        };
+        let mut b = match std::fs::read(path) {
+            Ok(b) => Some(b),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => None,
+            Err(e) => return Err(e),
+        };
+        if short {
+            if let Some(buf) = b.as_mut() {
+                buf.truncate(buf.len() / 2);
+            }
+        }
+        Ok(b)
+    })
+}
+
+/// The body of a state file whose trailing CRC32 matches it, and that CRC.
+fn checked_body(bytes: &[u8]) -> Option<(&[u8], u32)> {
+    let (body, crc) = bytes.split_at(bytes.len().checked_sub(4)?);
+    let crc = u32::from_le_bytes(crc.try_into().ok()?);
+    (binary::crc32(body) == crc).then_some((body, crc))
+}
+
+/// Write `state` at sequence `seq` atomically as the base (format version
+/// 3, the flat layout `io::tests::snapshot_bytes_keep_the_flat_layout`
+/// pins for the graph section). Returns what names the new base.
 pub(crate) fn write_snapshot<V: SnapshotValue>(
     config: &DurabilityConfig,
+    seq: u64,
     state: &SnapshotState<'_, V>,
     faults: Option<&FaultInjector>,
-) -> io::Result<u64> {
+) -> io::Result<BaseStamp> {
     let mut out = Vec::new();
-    binary::put_u32(&mut out, SNAPSHOT_MAGIC);
-    binary::put_u32(&mut out, SNAPSHOT_VERSION);
-    binary::put_u8(&mut out, V::TAG);
-    binary::put_u64(&mut out, state.seq);
-    binary::put_u64(&mut out, state.stats.batches_applied);
-    binary::put_u64(&mut out, state.stats.total_work);
-    binary::put_u64(&mut out, state.stats.total_distribution_messages);
-    binary::put_u64(&mut out, state.stats.full_recomputes);
+    put_header(&mut out, SNAPSHOT_MAGIC, SNAPSHOT_VERSION, V::TAG, seq);
+    put_stats(&mut out, &state.stats);
     binary::encode_graph(&mut out, state.graph);
-    binary::put_u64(&mut out, state.values.len() as u64);
-    for &v in state.values {
-        v.write(&mut out);
-    }
-    binary::put_u64(&mut out, state.num_parts as u64);
-    binary::put_u64(&mut out, state.owners.len() as u64);
-    for &o in state.owners {
-        binary::put_u32(&mut out, o as u32);
-    }
+    put_values(&mut out, state.values);
+    put_partitioning(&mut out, state.num_parts, state.owners);
     // Remap section: the graph's adjacency was encoded physically exact
     // above, so only the external→physical bijection travels here.
     match state.graph.id_remap() {
@@ -492,42 +697,21 @@ pub(crate) fn write_snapshot<V: SnapshotValue>(
     }
     let crc = binary::crc32(&out);
     binary::put_u32(&mut out, crc);
-
-    let tmp = config.snapshot_tmp_path();
-    with_retries(&config.retry, faults, || {
-        match faults.and_then(|i| i.on_io(FaultSite::SnapshotWrite)) {
-            Some(FaultAction::Error(e)) => return Err(e),
-            Some(FaultAction::ShortIo) => {
-                // A short write leaves a torn temp file behind; the retry
-                // recreates it from scratch, so nothing durable is harmed.
-                let mut file = File::create(&tmp)?;
-                file.write_all(&out[..out.len() / 2])?;
-                return Err(io::Error::new(
-                    io::ErrorKind::WriteZero,
-                    "injected short snapshot write",
-                ));
-            }
-            None => {}
-        }
-        let mut file = File::create(&tmp)?;
-        file.write_all(&out)?;
-        file.sync_all()
-    })?;
-    with_retries(&config.retry, faults, || {
-        match faults.and_then(|i| i.on_io(FaultSite::SnapshotRename)) {
-            Some(FaultAction::Error(e)) => return Err(e),
-            Some(FaultAction::ShortIo) => {
-                return Err(io::Error::other("injected snapshot rename failure"));
-            }
-            None => {}
-        }
-        std::fs::rename(&tmp, config.snapshot_path())?;
-        sync_dir(&config.dir)
-    })?;
-    Ok(out.len() as u64)
+    write_atomically(
+        config,
+        &out,
+        &config.snapshot_path(),
+        (FaultSite::SnapshotWrite, FaultSite::SnapshotRename),
+        faults,
+    )?;
+    Ok(BaseStamp {
+        seq,
+        crc,
+        bytes: out.len() as u64,
+    })
 }
 
-/// Load and validate the current snapshot.
+/// Load and validate the current base.
 ///
 /// The read runs under the config's retry budget; an injected short read
 /// delivers a truncated buffer, which the trailing checksum then rejects as
@@ -538,37 +722,14 @@ pub(crate) fn read_snapshot<V: SnapshotValue>(
     faults: Option<&FaultInjector>,
 ) -> Result<LoadedSnapshot<V>, DurabilityError> {
     let path = config.snapshot_path();
-    let bytes = with_retries(&config.retry, faults, || {
-        let short = match faults.and_then(|i| i.on_io(FaultSite::SnapshotRead)) {
-            Some(FaultAction::Error(e)) => return Err(e),
-            Some(FaultAction::ShortIo) => true,
-            None => false,
-        };
-        let mut b = match std::fs::read(&path) {
-            Ok(b) => Some(b),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => None,
-            Err(e) => return Err(e),
-        };
-        if short {
-            if let Some(buf) = b.as_mut() {
-                buf.truncate(buf.len() / 2);
-            }
-        }
-        Ok(b)
-    })?;
-    let bytes = match bytes {
-        Some(b) => b,
-        None => return Err(DurabilityError::MissingSnapshot(path)),
+    let Some(bytes) = read_state_file(config, &path, FaultSite::SnapshotRead, faults)? else {
+        return Err(DurabilityError::MissingSnapshot(path));
     };
     let corrupt = |reason: &'static str| DurabilityError::CorruptSnapshot { reason };
     if bytes.len() < 4 {
         return Err(corrupt("shorter than its checksum"));
     }
-    let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-    let stored_crc = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-    if binary::crc32(body) != stored_crc {
-        return Err(corrupt("checksum mismatch"));
-    }
+    let (body, crc) = checked_body(&bytes).ok_or_else(|| corrupt("checksum mismatch"))?;
     let mut r = Reader::new(body);
     if r.u32() != Some(SNAPSHOT_MAGIC) {
         return Err(corrupt("bad magic"));
@@ -581,35 +742,14 @@ pub(crate) fn read_snapshot<V: SnapshotValue>(
         return Err(corrupt("value-type tag mismatch"));
     }
     let seq = r.u64().ok_or_else(|| corrupt("truncated header"))?;
-    let stats = ServerStats {
-        batches_applied: r.u64().ok_or_else(|| corrupt("truncated stats"))?,
-        total_work: r.u64().ok_or_else(|| corrupt("truncated stats"))?,
-        total_distribution_messages: r.u64().ok_or_else(|| corrupt("truncated stats"))?,
-        full_recomputes: r.u64().ok_or_else(|| corrupt("truncated stats"))?,
-    };
+    let stats = read_stats(&mut r).ok_or_else(|| corrupt("truncated stats"))?;
     let graph = binary::decode_graph(&mut r).ok_or_else(|| corrupt("invalid graph section"))?;
     let n = graph.num_vertices();
-    let value_count = r.u64().ok_or_else(|| corrupt("truncated values"))? as usize;
-    if value_count != n {
+    let values = read_values(&mut r).ok_or_else(|| corrupt("truncated values"))?;
+    if values.len() != n {
         return Err(corrupt("value count does not match the graph"));
     }
-    let mut values = Vec::with_capacity(value_count);
-    for _ in 0..value_count {
-        values.push(V::read(&mut r).ok_or_else(|| corrupt("truncated values"))?);
-    }
-    let num_parts = r.u64().ok_or_else(|| corrupt("truncated partitioning"))? as usize;
-    let owner_count = r.u64().ok_or_else(|| corrupt("truncated partitioning"))? as usize;
-    if owner_count != n || num_parts == 0 {
-        return Err(corrupt("partitioning does not match the graph"));
-    }
-    let mut owners = Vec::with_capacity(owner_count);
-    for _ in 0..owner_count {
-        let o = r.u32().ok_or_else(|| corrupt("truncated partitioning"))? as usize;
-        if o >= num_parts {
-            return Err(corrupt("owner outside the node range"));
-        }
-        owners.push(o);
-    }
+    let (num_parts, owners) = read_partitioning(&mut r, n).map_err(corrupt)?;
     let graph = match r.u8() {
         Some(0) => graph,
         Some(1) => {
@@ -639,7 +779,11 @@ pub(crate) fn read_snapshot<V: SnapshotValue>(
         return Err(corrupt("trailing bytes"));
     }
     Ok(LoadedSnapshot {
-        seq,
+        stamp: BaseStamp {
+            seq,
+            crc,
+            bytes: bytes.len() as u64,
+        },
         stats,
         graph,
         values,
@@ -648,7 +792,86 @@ pub(crate) fn read_snapshot<V: SnapshotValue>(
     })
 }
 
-/// fsync the directory so a just-renamed snapshot survives power loss.
+/// Write `state` at sequence `seq` atomically as the checkpoint over `base`:
+/// a header naming the base by sequence number and CRC, the stats, the
+/// values and the owners, under one trailing CRC — no adjacency. Returns the
+/// file's byte length.
+pub(crate) fn write_checkpoint<V: SnapshotValue>(
+    config: &DurabilityConfig,
+    seq: u64,
+    base: &BaseStamp,
+    state: &SnapshotState<'_, V>,
+    faults: Option<&FaultInjector>,
+) -> io::Result<u64> {
+    let mut out = Vec::new();
+    put_header(&mut out, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, V::TAG, seq);
+    binary::put_u64(&mut out, base.seq);
+    binary::put_u32(&mut out, base.crc);
+    put_stats(&mut out, &state.stats);
+    put_values(&mut out, state.values);
+    put_partitioning(&mut out, state.num_parts, state.owners);
+    let crc = binary::crc32(&out);
+    binary::put_u32(&mut out, crc);
+    write_atomically(
+        config,
+        &out,
+        &config.checkpoint_path(),
+        (FaultSite::CheckpointWrite, FaultSite::CheckpointRename),
+        faults,
+    )?;
+    Ok(out.len() as u64)
+}
+
+/// Load the current checkpoint, under the config's retry budget and the
+/// [`FaultSite::CheckpointRead`] site. `Ok(None)` when there is none or it
+/// fails its checksum or a structural check: recovery then falls back to
+/// the base, which is slower but just as exact, so a bad checkpoint is not an
+/// error. A read that keeps failing is one.
+pub(crate) fn read_checkpoint<V: SnapshotValue>(
+    config: &DurabilityConfig,
+    faults: Option<&FaultInjector>,
+) -> io::Result<Option<LoadedCheckpoint<V>>> {
+    let path = config.checkpoint_path();
+    let bytes = read_state_file(config, &path, FaultSite::CheckpointRead, faults)?;
+    Ok(bytes.as_deref().and_then(decode_checkpoint))
+}
+
+fn decode_checkpoint<V: SnapshotValue>(bytes: &[u8]) -> Option<LoadedCheckpoint<V>> {
+    let (body, _) = checked_body(bytes)?;
+    let mut r = Reader::new(body);
+    if r.u32()? != CHECKPOINT_MAGIC || r.u32()? != CHECKPOINT_VERSION || r.u8()? != V::TAG {
+        return None;
+    }
+    let seq = r.u64()?;
+    let base_seq = r.u64()?;
+    let base_crc = r.u32()?;
+    let stats = read_stats(&mut r)?;
+    let values = read_values(&mut r)?;
+    let (num_parts, owners) = read_partitioning(&mut r, values.len()).ok()?;
+    r.is_empty().then_some(LoadedCheckpoint {
+        seq,
+        base_seq,
+        base_crc,
+        stats,
+        values,
+        owners,
+        num_parts,
+    })
+}
+
+/// Delete the checkpoint, if there is one, and fsync the directory so the
+/// deletion survives power loss. Always safe: the WAL holds every entry
+/// since the base, so a checkpoint only bounds how many of them recovery
+/// runs through the engine.
+pub(crate) fn remove_checkpoint(config: &DurabilityConfig) -> io::Result<()> {
+    match std::fs::remove_file(config.checkpoint_path()) {
+        Ok(()) => sync_dir(&config.dir),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
+        Err(e) => Err(e),
+    }
+}
+
+/// fsync the directory so a just-renamed state file survives power loss.
 fn sync_dir(dir: &Path) -> io::Result<()> {
     #[cfg(unix)]
     {
@@ -668,8 +891,22 @@ pub(crate) struct DurabilityState {
     pub wal: Wal,
     /// Sequence number of the last batch appended to the WAL.
     pub seq: u64,
-    /// Sequence number the current snapshot covers.
-    pub snapshot_seq: u64,
+    /// Sequence number the last state write (checkpoint or base) covers:
+    /// the checkpoint cadence counts batches from here.
+    pub state_seq: u64,
+    /// The WAL length right after that write: the 1 MiB trigger counts WAL
+    /// bytes from here, not from the start of a file that a failing trim
+    /// leaves in place.
+    pub state_mark: u64,
+    /// The base every checkpoint names.
+    pub base: BaseStamp,
+    /// The WAL length right after the base was written: the base trigger
+    /// counts WAL bytes from here.
+    pub base_mark: u64,
+    /// `true` while no checkpoint can extend `base`: before the first base
+    /// is written, and once a remap changed the physical layout since. The
+    /// next state write is then a base alone.
+    pub base_stale: bool,
     /// The WAL length a rejected batch's frame must be cut back to, while
     /// that cut has not succeeded yet.
     pub pending_cut: Option<u64>,
@@ -677,6 +914,22 @@ pub(crate) struct DurabilityState {
 }
 
 impl DurabilityState {
+    /// The state of a server whose first base is still to be written.
+    pub fn fresh(config: DurabilityConfig, wal: Wal) -> Self {
+        Self {
+            config,
+            wal,
+            seq: 0,
+            state_seq: 0,
+            state_mark: 0,
+            base: BaseStamp::default(),
+            base_mark: 0,
+            base_stale: true,
+            pending_cut: None,
+            counters: DurabilityCounters::zero(),
+        }
+    }
+
     /// Cut the WAL back to [`DurabilityState::pending_cut`], if a rejected
     /// batch left a frame there. `false` when the cut failed and the frame
     /// is still pending.
@@ -688,6 +941,62 @@ impl DurabilityState {
                 true
             }
         }
+    }
+
+    /// Whether the cadence calls for a state write: the batches or the WAL
+    /// bytes since the last one.
+    pub fn checkpoint_due(&self) -> bool {
+        self.seq.saturating_sub(self.state_seq) >= self.config.snapshot_every_batches
+            || self.wal.bytes().saturating_sub(self.state_mark) >= SNAPSHOT_WAL_BYTES
+    }
+
+    /// WAL bytes appended since the current base was written.
+    pub fn wal_bytes_since_base(&self) -> u64 {
+        self.wal.bytes().saturating_sub(self.base_mark)
+    }
+
+    /// Whether this state write must also write a new base.
+    pub fn base_due(&self) -> bool {
+        self.base_stale
+            || self.wal_bytes_since_base().saturating_mul(BASE_WAL_DIVISOR) >= self.base.bytes
+    }
+
+    /// Write `state` as a checkpoint over the current base.
+    pub fn write_checkpoint<V: SnapshotValue>(
+        &mut self,
+        state: &SnapshotState<'_, V>,
+        faults: Option<&FaultInjector>,
+    ) -> io::Result<()> {
+        let bytes = write_checkpoint(&self.config, self.seq, &self.base, state, faults)?;
+        self.counters.snapshots_written += 1;
+        self.counters.snapshot_bytes_written += bytes;
+        self.state_seq = self.seq;
+        self.state_mark = self.wal.bytes();
+        Ok(())
+    }
+
+    /// Write `state` as the new base, then trim the WAL: every logged batch
+    /// is now folded into the base. `Ok(false)` when the base landed but the
+    /// trim failed — harmless, because replay skips entries at or below the
+    /// base's sequence number, so a failed trim costs replay time, never
+    /// correctness (the same holds if the process dies before the trim).
+    pub fn write_base<V: SnapshotValue>(
+        &mut self,
+        state: &SnapshotState<'_, V>,
+        faults: Option<&FaultInjector>,
+    ) -> io::Result<bool> {
+        let base = write_snapshot(&self.config, self.seq, state, faults)?;
+        self.counters.snapshots_written += 1;
+        self.counters.snapshot_bytes_written += base.bytes;
+        self.counters.base_writes += 1;
+        self.counters.base_bytes_written += base.bytes;
+        self.base = base;
+        self.base_stale = false;
+        let trimmed = self.wal.truncate_to(0).is_ok();
+        self.state_seq = self.seq;
+        self.state_mark = self.wal.bytes();
+        self.base_mark = self.wal.bytes();
+        Ok(trimmed)
     }
 }
 
@@ -746,6 +1055,31 @@ mod tests {
             }
             std::fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    /// `bytes_through(seq)` is the log's length right after entry `seq` was
+    /// appended: what the state-write cadence counts WAL bytes from after a
+    /// reopen.
+    #[test]
+    fn bytes_through_is_the_log_length_after_each_entry() {
+        let dir = tmp_dir("through");
+        let path = dir.join("wal.log");
+        let mut rng = SplitMix64::seed_from_u64(31);
+        let mut lengths = Vec::new();
+        {
+            let (mut wal, _) = Wal::open(&path).unwrap();
+            for seq in 4..=7u64 {
+                wal.append(seq, &random_batch(&mut rng, 5)).unwrap();
+                lengths.push(wal.bytes());
+            }
+        }
+        let (_, replay) = Wal::open(&path).unwrap();
+        assert_eq!(replay.bytes_through(3), 0);
+        for (seq, len) in (4..=7).zip(&lengths) {
+            assert_eq!(replay.bytes_through(seq), *len, "entry {seq}");
+        }
+        assert_eq!(replay.bytes_through(99), replay.valid_bytes);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

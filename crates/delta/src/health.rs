@@ -3,12 +3,14 @@
 //! The durability layer's failure contract is that a server which can no
 //! longer uphold a guarantee *says so and keeps serving what it can*:
 //!
-//! * A failed snapshot (or segment compaction) leaves the server fully
-//!   read-write — the WAL simply keeps growing until a later snapshot
+//! * A failed state write — a checkpoint or a base — leaves the server
+//!   fully read-write — the WAL simply keeps growing until a later write
 //!   succeeds — but marks it **degraded** so operators see the recovery
-//!   point going stale.
-//! * A failed WAL trim after a successful snapshot is harmless (replay
-//!   skips entries the snapshot already covers) and is only counted.
+//!   point going stale. A failed segment compaction likewise leaves it
+//!   read-write and marks it degraded until a later compaction succeeds;
+//!   the dead bytes wait for a retry a few batches later.
+//! * A failed WAL trim after a successful base write is harmless (replay
+//!   skips entries the base already covers) and is only counted.
 //! * A write-side failure that breaks the durability contract itself — a
 //!   WAL append that cannot complete, a segment store that cannot be
 //!   patched or rebuilt, or the disk filling up — flips the server into
@@ -36,14 +38,19 @@ pub struct Health {
     mode: ServingMode,
     /// Why the server went read-only, when it did.
     read_only_reason: Option<String>,
-    /// Snapshot attempts that failed (the server keeps serving; the WAL
-    /// keeps growing until one succeeds).
+    /// State writes (checkpoint or base) that failed (the server keeps
+    /// serving; the WAL keeps growing until one succeeds).
     snapshot_failures: u64,
-    /// The most recent snapshot failure, for operators.
+    /// The most recent state-write failure, for operators.
     last_snapshot_error: Option<String>,
-    /// WAL trims after a successful snapshot that failed (harmless: replay
-    /// skips entries at or below the snapshot's sequence number).
+    /// WAL trims after a successful base write that failed (harmless:
+    /// replay skips entries at or below the base's sequence number).
     wal_trim_failures: u64,
+    /// Segment-file compactions that failed (the server keeps serving; the
+    /// dead bytes stay until one succeeds).
+    compaction_failures: u64,
+    /// The most recent compaction failure, for operators.
+    last_compaction_error: Option<String>,
     /// Full segment-store rebuilds performed after a patch failure or a
     /// poisoned execution.
     storage_rebuilds: u64,
@@ -74,17 +81,21 @@ impl Health {
     }
 
     /// `true` when any guarantee is currently weakened: the server is
-    /// read-only, or snapshots have been failing since the last success.
+    /// read-only, or state writes (checkpoints, bases) or segment-file
+    /// compactions have been failing since their last success.
     pub fn is_degraded(&self) -> bool {
-        self.is_read_only() || self.last_snapshot_error.is_some()
+        self.is_read_only()
+            || self.last_snapshot_error.is_some()
+            || self.last_compaction_error.is_some()
     }
 
-    /// Snapshot attempts that failed so far.
+    /// State writes (checkpoints or bases) that failed so far.
     pub fn snapshot_failures(&self) -> u64 {
         self.snapshot_failures
     }
 
-    /// The most recent snapshot failure message, until a snapshot succeeds.
+    /// The most recent state-write failure message, until a state write
+    /// succeeds.
     pub fn last_snapshot_error(&self) -> Option<&str> {
         self.last_snapshot_error.as_deref()
     }
@@ -92,6 +103,17 @@ impl Health {
     /// WAL trim failures absorbed so far.
     pub fn wal_trim_failures(&self) -> u64 {
         self.wal_trim_failures
+    }
+
+    /// Segment-file compactions that failed so far.
+    pub fn compaction_failures(&self) -> u64 {
+        self.compaction_failures
+    }
+
+    /// The most recent compaction failure message, until a compaction
+    /// succeeds.
+    pub fn last_compaction_error(&self) -> Option<&str> {
+        self.last_compaction_error.as_deref()
     }
 
     /// Full segment-store rebuilds performed so far.
@@ -132,6 +154,15 @@ impl Health {
 
     pub(crate) fn note_wal_trim_failure(&mut self) {
         self.wal_trim_failures += 1;
+    }
+
+    pub(crate) fn note_compaction_failure(&mut self, e: &io::Error) {
+        self.compaction_failures += 1;
+        self.last_compaction_error = Some(e.to_string());
+    }
+
+    pub(crate) fn note_compaction_success(&mut self) {
+        self.last_compaction_error = None;
     }
 
     pub(crate) fn note_storage_rebuild(&mut self) {
@@ -261,6 +292,20 @@ mod tests {
         assert_eq!(h.writes_resumed(), 1);
         h.resume_writes();
         assert_eq!(h.writes_resumed(), 1, "resume while writable is a no-op");
+    }
+
+    #[test]
+    fn a_failing_compaction_degrades_until_one_succeeds() {
+        let mut h = Health::new();
+        h.note_compaction_failure(&io::Error::other("segment write failed"));
+        assert!(h.is_degraded() && !h.is_read_only());
+        h.note_snapshot_success();
+        assert!(h.is_degraded(), "a state write does not clear it");
+        assert_eq!(h.last_compaction_error(), Some("segment write failed"));
+        h.note_compaction_success();
+        assert!(!h.is_degraded());
+        assert!(h.last_compaction_error().is_none());
+        assert_eq!(h.compaction_failures(), 1, "the count is cumulative");
     }
 
     #[test]

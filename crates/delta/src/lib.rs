@@ -34,17 +34,22 @@
 //!    ([`slfe_core::ProgramResult::changed`]), and each block's cached
 //!    maximum lets a natural-order top-k stop early.
 //! 5. **Durability** — [`durability`] adds a checksummed write-ahead log
-//!    (fsync'd before any state changes), atomic fixpoint snapshots with
-//!    segment-file compaction riding the snapshot path, and kill-9 recovery
-//!    ([`DeltaServer::open`]) that replays the WAL suffix to values
-//!    bit-identical to an uninterrupted run.
+//!    (fsync'd before any state changes), small atomic checkpoints (values,
+//!    partitioning, stats) over a graph base that is rewritten only once
+//!    the WAL since it reaches a fixed fraction of its size, and kill-9
+//!    recovery ([`DeltaServer::open`]) that folds the logged batches under
+//!    the checkpoint into the base graph and replays the rest to values
+//!    bit-identical to an uninterrupted run. Out-of-core segment files are
+//!    compacted after any batch that leaves more than half of their bytes
+//!    dead.
 //! 6. **Graceful degradation** — [`health`] types the failure contract for
 //!    I/O errors (not just `kill -9`): transient faults are absorbed by
 //!    bounded retries, unreadable segments are quarantined and rebuilt,
-//!    failed snapshots degrade health while serving continues, and
-//!    unrecoverable write failures flip the server into a read-only
-//!    [`ServingMode`] that still answers queries — driven deterministically
-//!    by [`slfe_graph::FaultPlan`] schedules in the crashpoint sweep.
+//!    failed state writes and compactions degrade health while serving
+//!    continues, and unrecoverable write failures flip the server into a
+//!    read-only [`ServingMode`] that still answers queries — driven
+//!    deterministically by [`slfe_graph::FaultPlan`] schedules in the
+//!    crashpoint sweep.
 //! 7. **Concurrent serving** — [`frontend`] wraps the server in a
 //!    thread-safe front end: immutable published versions for
 //!    snapshot-consistent reads, a bounded admission queue with typed load

@@ -32,10 +32,32 @@ const INGEST_NODE: usize = 0;
 /// front end sheds it at submit.
 const MAX_VERTEX_GROWTH: u64 = 1 << 20;
 
+/// Batches a failed segment-file compaction waits before the next attempt,
+/// so one that keeps failing costs about what it did when it rode the
+/// default checkpoint cadence instead of a full rewrite per batch.
+const COMPACTION_RETRY_BATCHES: u64 = 8;
+
 /// `true` when endpoint `vertex` would append more than
 /// [`MAX_VERTEX_GROWTH`] vertices to a graph of `num_vertices`.
 pub(crate) fn exceeds_vertex_growth(vertex: VertexId, num_vertices: usize) -> bool {
     u64::from(vertex) >= num_vertices as u64 + MAX_VERTEX_GROWTH
+}
+
+/// Admission's range check of `batch` against a graph of `num_vertices`:
+/// [`ApplyError::VertexOutOfRange`] naming the batch's largest endpoint when
+/// that one would append more than [`MAX_VERTEX_GROWTH`] vertices. The live
+/// path and recovery's refold share it, so a logged batch fails the same way
+/// at `open` as it would have live.
+fn check_growth(batch: &UpdateBatch, num_vertices: usize) -> Result<(), ApplyError> {
+    match batch.pairs().map(|(src, dst, _)| src.max(dst)).max() {
+        Some(vertex) if exceeds_vertex_growth(vertex, num_vertices) => {
+            Err(ApplyError::VertexOutOfRange {
+                vertex,
+                num_vertices,
+            })
+        }
+        _ => Ok(()),
+    }
 }
 
 /// The apply pipeline's one clock. Each stage ends with a [`StageClock::lap`],
@@ -113,6 +135,19 @@ type Converged<P> = (
     ProgramResult<<P as GraphProgram>::Value>,
     Option<Arc<GraphStorage>>,
 );
+
+/// Fold `batch`, logged in external ids, into `graph`: translate its
+/// endpoints into the current physical layout (appended vertices sit beyond
+/// the remap and map to themselves), then [`Graph::apply_batch`]. The live
+/// apply path and the recovery refold both go through here, one batch at a
+/// time, so they build the same graph bit for bit.
+fn fold(graph: &Graph, batch: &UpdateBatch) -> (Graph, BatchEffect) {
+    if graph.is_remapped() {
+        graph.apply_batch(&batch.mapped(|v| graph.to_physical(v)))
+    } else {
+        graph.apply_batch(batch)
+    }
+}
 
 /// The fault injector `config` asks for: armed with its plan, or disarmed.
 fn injector_for(config: &ServerConfig) -> Arc<FaultInjector> {
@@ -203,15 +238,18 @@ pub struct BatchOutcome {
     /// current graph version actually references. 0 when in-memory.
     pub storage_live_bytes: u64,
     /// Out-of-core serving only: bytes of superseded segment versions still
-    /// occupying the backing files (reclaimed by compaction on the snapshot
-    /// path). 0 when in-memory.
+    /// occupying the backing files once the batch is done. A batch that
+    /// leaves them above the live bytes compacts the files in its `compact`
+    /// stage, so this stays at or below `storage_live_bytes` unless a
+    /// compaction failed (the next attempt waits a few batches). 0 when
+    /// in-memory.
     pub storage_dead_bytes: u64,
     /// Vertex-count imbalance (max node load / mean node load) of the stable
     /// partitioning after this batch's appended vertices joined it. `0.0`
     /// only for an empty partitioning; `1.0` is perfectly balanced. Sustained
     /// growth keeps this bounded (appends join the least-loaded node), and
-    /// when [`EngineConfig::migration_imbalance_threshold`] is set the
-    /// snapshot-path remap migrates vertices whenever it overshoots.
+    /// when [`EngineConfig::migration_imbalance_threshold`] is set the remap
+    /// at each checkpoint migrates vertices whenever it overshoots.
     pub partition_imbalance: f64,
     /// Wall-clock seconds of the whole [`DeltaServer::try_apply`] call past
     /// admission: the sum of [`BatchOutcome::stages`].
@@ -219,10 +257,12 @@ pub struct BatchOutcome {
     /// Wall-clock seconds the WAL fsync for this batch took (0.0 on a
     /// non-durable server).
     pub wal_fsync_seconds: f64,
-    /// `true` when the batch itself succeeded but a post-apply durability
-    /// step (snapshot or compaction) failed and was absorbed: the server
-    /// keeps serving read-write with the WAL growing until a later snapshot
-    /// lands. Details are on [`crate::Health`].
+    /// `true` when the batch itself succeeded but a post-apply step failed
+    /// and was absorbed. A failed checkpoint or base write leaves the server
+    /// read-write with the recovery point going stale until a later one
+    /// lands (details on [`crate::Health`]); a failed compaction marks the
+    /// server degraded too and leaves the dead bytes in place for a retry a
+    /// few batches later.
     pub degraded: bool,
     /// Where `wall_seconds` went: one `(stage, seconds)` entry per stage the
     /// batch ran, in pipeline order — `wal_append` (durable servers),
@@ -230,11 +270,14 @@ pub struct BatchOutcome {
     /// patch), `segment_patch` (out-of-core servers), `layout_patch`,
     /// `guidance` (regenerated for a full recompute; otherwise the current
     /// guidance, padded when |V| grew), `warm_restart` or `cold_run`,
-    /// `publish` (outcome, stats, install, served-values patch) and `snapshot`
-    /// (when due); a no-op batch skips from `graph_patch` to `publish`. Contiguous laps of one clock,
-    /// so they sum to `wall_seconds`. With telemetry on, each is also a
-    /// `server` span inside the batch's `batch` span (the guidance one
-    /// `guidance_repair`).
+    /// `publish` (outcome, stats, install, served-values patch), `compact`
+    /// (out-of-core servers, when more than half of the segment-file bytes
+    /// are dead) and `snapshot` (durable servers, when the cadence is due: a
+    /// checkpoint, plus a new base when that is due too); a no-op batch skips
+    /// from `graph_patch` to `publish`. Contiguous laps of one clock, so they
+    /// sum to `wall_seconds`. With telemetry on, each is also a `server` span
+    /// inside the batch's `batch` span (the guidance one `guidance_repair`),
+    /// and the `snapshot` span holds a `checkpoint` and/or a `base` span.
     pub stages: Vec<(&'static str, f64)>,
 }
 
@@ -265,8 +308,8 @@ pub struct ServerStats {
 /// [`BatchOutcome::effect`], WAL frames and snapshots all speak the stable
 /// *external* vertex ids clients know. Internally the server may serve from a
 /// physically reordered layout ([`EngineConfig::reorder`] /
-/// [`EngineConfig::migration_imbalance_threshold`], applied on the snapshot
-/// path or via [`DeltaServer::remap_now`]); the cumulative
+/// [`EngineConfig::migration_imbalance_threshold`], applied at each
+/// checkpoint or via [`DeltaServer::remap_now`]); the cumulative
 /// [`slfe_graph::IdRemap`] on the graph translates at the boundary, and a
 /// remapped run is value-transparent — bit-identical served values. One
 /// consequence for the program factory: it receives the current
@@ -367,7 +410,7 @@ where
     /// graph, made on first call and dropped whenever `served` changes.
     external_view: OnceLock<Vec<P::Value>>,
     stats: ServerStats,
-    /// WAL + snapshot state when this server was built through
+    /// WAL, base and checkpoint state when this server was built through
     /// [`DeltaServer::create_durable`] / [`DeltaServer::open`].
     durability: Option<DurabilityState>,
     /// The server's telemetry hub ([`EngineConfig::telemetry`]-gated), shared
@@ -378,9 +421,25 @@ where
     /// disarmed (one relaxed atomic load per call) unless
     /// [`ServerConfig::fault_plan`] armed it or a test arms it directly.
     faults: Arc<FaultInjector>,
-    /// Degradation state: read-only mode, snapshot-failure staleness, and
-    /// recovery-action counts.
+    /// Degradation state: read-only mode, state-write and compaction
+    /// failures, and recovery-action counts.
     health: Health,
+    /// The `compact` stage's bookkeeping, kept on every out-of-core server,
+    /// durable or not.
+    compaction: Compaction,
+}
+
+/// What the `compact` stage has done on one server. A durable server also
+/// counts its compactions in its [`DurabilityCounters`].
+#[derive(Debug, Default)]
+struct Compaction {
+    /// Compactions that succeeded.
+    runs: u64,
+    /// Dead backing-file bytes they reclaimed.
+    bytes_reclaimed: u64,
+    /// [`ServerStats::batches_applied`] from which the stage may run again:
+    /// [`COMPACTION_RETRY_BATCHES`] past a failed attempt.
+    retry_at: u64,
 }
 
 impl<P, F> DeltaServer<P, F>
@@ -461,6 +520,7 @@ where
             durability: None,
             faults,
             health: Health::new(),
+            compaction: Compaction::default(),
         })
     }
 
@@ -548,16 +608,7 @@ where
                 reason: reason.to_string(),
             });
         }
-        let num_vertices = self.graph.num_vertices();
-        match batch.pairs().map(|(src, dst, _)| src.max(dst)).max() {
-            Some(vertex) if exceeds_vertex_growth(vertex, num_vertices) => {
-                Err(ApplyError::VertexOutOfRange {
-                    vertex,
-                    num_vertices,
-                })
-            }
-            _ => Ok(()),
-        }
+        check_growth(batch, self.graph.num_vertices())
     }
 
     /// Instantiate the program for the new version and re-converge it —
@@ -705,10 +756,12 @@ where
     /// applied, `false` when no policy is configured or the layout is
     /// already in place.
     ///
-    /// On a durable server this also runs by itself on every snapshot, where
-    /// the WAL is about to be trimmed — its external-id frames never cross a
-    /// layout change. Remapped runs are value-transparent: every query
-    /// answers bit-identically before and after.
+    /// On a durable server this also runs by itself at every checkpoint. A
+    /// checkpoint shares its base's physical layout, so the state write
+    /// after a remap (this one, or the next after an explicit call) writes a
+    /// new base instead and trims the WAL: its external-id frames never
+    /// cross a layout change. Remapped runs are value-transparent: every
+    /// query answers bit-identically before and after.
     pub fn remap_now(&mut self) -> io::Result<bool> {
         let policy = self.config.engine.reorder;
         let threshold = self.config.engine.migration_imbalance_threshold;
@@ -762,6 +815,9 @@ where
         self.partitioning = partitioning;
         self.layout = layout;
         self.storage = storage;
+        if let Some(d) = self.durability.as_mut() {
+            d.base_stale = true;
+        }
         Ok(())
     }
 
@@ -989,6 +1045,21 @@ where
                 "Backing-file bytes of superseded segment versions awaiting compaction",
                 storage.dead_bytes() as f64,
             );
+            reg.counter(
+                "slfe_storage_compactions_total",
+                "Segment-file compactions, each after a batch left more than half the bytes dead",
+                self.compaction.runs as f64,
+            );
+            reg.counter(
+                "slfe_storage_compaction_bytes_reclaimed_total",
+                "Dead backing-file bytes compactions reclaimed",
+                self.compaction.bytes_reclaimed as f64,
+            );
+            reg.counter(
+                "slfe_storage_compaction_failures_total",
+                "Segment-file compactions that failed (the server keeps serving; dead bytes wait for a retry)",
+                self.health.compaction_failures() as f64,
+            );
         }
 
         if let Some(d) = &self.durability {
@@ -1010,8 +1081,18 @@ where
             );
             reg.counter(
                 "slfe_wal_entries_replayed_total",
-                "Batches re-applied from the WAL during recovery",
+                "Batches re-applied through the apply pipeline during recovery (past the checkpoint)",
                 c.wal_entries_replayed as f64,
+            );
+            reg.counter(
+                "slfe_wal_entries_refolded_total",
+                "Batches folded into the base graph during recovery without running the engine",
+                c.wal_entries_refolded as f64,
+            );
+            reg.gauge(
+                "slfe_wal_bytes_since_base",
+                "WAL bytes appended since the current base was written",
+                d.wal_bytes_since_base() as f64,
             );
             reg.counter(
                 "slfe_wal_bytes_truncated_total",
@@ -1020,23 +1101,23 @@ where
             );
             reg.counter(
                 "slfe_snapshots_written_total",
-                "Fixpoint snapshots written",
+                "State files written: checkpoints and bases",
                 c.snapshots_written as f64,
             );
             reg.counter(
                 "slfe_snapshot_bytes_written_total",
-                "Bytes of snapshot files written",
+                "Bytes of state files written: checkpoints and bases",
                 c.snapshot_bytes_written as f64,
             );
             reg.counter(
-                "slfe_storage_compactions_total",
-                "Segment-file compactions performed on the snapshot path",
-                c.compactions as f64,
+                "slfe_base_writes_total",
+                "Bases written: full-state files that rewrite the graph and trim the WAL",
+                c.base_writes as f64,
             );
             reg.counter(
-                "slfe_storage_compaction_bytes_reclaimed_total",
-                "Dead backing-file bytes compactions reclaimed",
-                c.compaction_bytes_reclaimed as f64,
+                "slfe_base_bytes_written_total",
+                "Bytes of bases written",
+                c.base_bytes_written as f64,
             );
         }
 
@@ -1112,12 +1193,12 @@ where
         );
         reg.counter(
             "slfe_snapshot_failures_total",
-            "Snapshot attempts that failed (the server keeps serving; the WAL grows)",
+            "Checkpoint or base writes that failed (the server keeps serving; the recovery point ages)",
             self.health.snapshot_failures() as f64,
         );
         reg.counter(
             "slfe_wal_trim_failures_total",
-            "WAL trims after a successful snapshot that failed (harmless: replay skips)",
+            "WAL trims after a successful base write that failed (harmless: replay skips)",
             self.health.wal_trim_failures() as f64,
         );
         reg.counter(
@@ -1149,9 +1230,10 @@ where
     /// fsync *first* (durable servers), patch the graph, segment store and
     /// layout, hand over the guidance (regenerated only for a full
     /// recompute), warm re-converge the program, publish the new version,
-    /// then snapshot (and possibly compact the segment files) if the cadence
-    /// says so. Every stage is timed in
-    /// [`BatchOutcome::stages`]. The graceful-degradation contract:
+    /// compact the segment files when more than half of their bytes are
+    /// dead, then write a checkpoint (and a new base when due) if the
+    /// cadence says so. Every stage is timed in [`BatchOutcome::stages`].
+    /// The graceful-degradation contract:
     ///
     /// * A batch naming an endpoint more than 2^20 ids past the current
     ///   graph is refused at admission with [`ApplyError::VertexOutOfRange`];
@@ -1174,8 +1256,10 @@ where
     ///   WAL trim's retry budget; if it still fails, the server stays
     ///   read-only and [`DeltaServer::try_resume_writes`] refuses until a
     ///   cut succeeds.
-    /// * A failed snapshot or compaction is absorbed: the batch succeeds
-    ///   with [`BatchOutcome::degraded`] set.
+    /// * A failed checkpoint, base or compaction is absorbed: the batch
+    ///   succeeds with [`BatchOutcome::degraded`] set, and
+    ///   [`Health::is_degraded`] holds until a later one of its kind
+    ///   succeeds. A failed compaction is retried a few batches later.
     ///
     /// Once read-only, every subsequent call returns
     /// [`ApplyError::ReadOnly`] without touching the WAL. A rejected batch
@@ -1236,17 +1320,8 @@ where
             d.counters.wal_fsyncs += 1;
         }
 
-        // Batches arrive (and are logged) in external ids; translate the
-        // endpoints into the current physical layout. Appended vertices sit
-        // beyond the remap and map to themselves.
-        let translated;
-        let physical = if self.graph.is_remapped() {
-            translated = batch.mapped(|v| self.graph.to_physical(v));
-            &translated
-        } else {
-            batch
-        };
-        let (graph, effect) = self.graph.apply_batch(physical);
+        // Batches arrive (and are logged) in external ids.
+        let (graph, effect) = fold(&self.graph, batch);
         // A no-op batch keeps every artifact of the current version; its
         // unchanged copy of the graph is dropped right here. Otherwise the
         // degrees move at the dirty endpoints and the appended vertices; the
@@ -1363,10 +1438,45 @@ where
         self.stats.full_recomputes += outcome.full_recompute as u64;
         clock.lap("publish");
 
-        if self.snapshot_due() {
+        // Out-of-core: once superseded segment versions outweigh the live
+        // ones, rewrite the live segments into fresh files. A failure
+        // degrades the server and leaves the dead bytes for a retry
+        // `COMPACTION_RETRY_BATCHES` later.
+        let retry_due = self.stats.batches_applied >= self.compaction.retry_at;
+        if let Some(storage) = self
+            .storage
+            .as_ref()
+            .filter(|s| retry_due && s.needs_compaction())
+        {
+            let before = storage.file_bytes();
+            match storage.compacted(&self.graph) {
+                Ok(compacted) => {
+                    let reclaimed = before.saturating_sub(compacted.file_bytes());
+                    self.compaction.runs += 1;
+                    self.compaction.bytes_reclaimed += reclaimed;
+                    if let Some(d) = self.durability.as_mut() {
+                        d.counters.compactions += 1;
+                        d.counters.compaction_bytes_reclaimed += reclaimed;
+                    }
+                    self.health.note_compaction_success();
+                    (outcome.storage_live_bytes, outcome.storage_dead_bytes) =
+                        (compacted.footprint_bytes(), compacted.dead_bytes());
+                    self.storage = Some(Arc::new(compacted));
+                }
+                Err(e) => {
+                    self.health.note_compaction_failure(&e);
+                    self.compaction.retry_at =
+                        self.stats.batches_applied + COMPACTION_RETRY_BATCHES;
+                    outcome.degraded = true;
+                }
+            }
+            clock.lap("compact");
+        }
+
+        if self.checkpoint_due() {
             // The batch is durable (WAL) and applied (memory): a failed
-            // snapshot only means the recovery point is going stale.
-            if let Err(e) = self.write_snapshot() {
+            // state write only means the recovery point is going stale.
+            if let Err(e) = self.write_state() {
                 self.health.note_snapshot_failure(&e);
                 outcome.degraded = true;
             }
@@ -1375,12 +1485,16 @@ where
         Ok(outcome)
     }
 
-    /// Write a fixpoint snapshot of the current served state (atomic temp +
-    /// rename), compact the out-of-core segment files first when their
-    /// dead-byte fraction exceeds [`DurabilityConfig::max_dead_fraction`],
-    /// then trim the WAL — every logged batch is now covered by the snapshot.
-    /// A trim failure is absorbed (replay skips covered entries); a snapshot
-    /// write failure is returned and leaves the previous snapshot intact.
+    /// Write a recovery point of the current served state now: a checkpoint
+    /// (the values, the partitioning and the stats, over the current base),
+    /// plus a new base — the whole state, graph included — when the WAL
+    /// since the last base has reached 1/1024 of the base's bytes or a remap
+    /// changed the layout since it (a remap changes it here too, when a
+    /// reorder policy or migration threshold is configured). Only a base
+    /// write trims the WAL; a trim failure is absorbed (replay skips covered
+    /// entries). A write failure is returned and leaves the previous
+    /// checkpoint and base intact. This is the apply pipeline's `snapshot`
+    /// stage, run on demand.
     ///
     /// A server without durability state (built by [`DeltaServer::try_new`])
     /// has nowhere to write: the call is refused with
@@ -1393,72 +1507,68 @@ where
             ));
         }
         let span = self.telemetry.begin();
-        let written = self.write_snapshot();
+        let written = self.write_state();
         self.telemetry.end(span, "snapshot", "server", 0);
         written
     }
 
-    /// Whether a durable server's cadence (batches since the last snapshot,
-    /// or WAL bytes) calls for a snapshot now.
-    fn snapshot_due(&self) -> bool {
-        self.durability.as_ref().is_some_and(|d| {
-            d.seq - d.snapshot_seq >= d.config.snapshot_every_batches
-                || d.wal.bytes() >= durability::SNAPSHOT_WAL_BYTES
-        })
+    /// Whether a durable server's cadence (batches, or WAL bytes, since the
+    /// last state write) calls for a checkpoint now.
+    fn checkpoint_due(&self) -> bool {
+        self.durability
+            .as_ref()
+            .is_some_and(DurabilityState::checkpoint_due)
     }
 
     /// The body of [`DeltaServer::snapshot`], also the apply pipeline's
-    /// `snapshot` stage; each caller times it once. The guidance is derived
-    /// state and stays out of the snapshot: [`DeltaServer::open`]
+    /// `snapshot` stage; each caller times it once, and each file written
+    /// is a `checkpoint` or `base` span inside. The guidance is derived
+    /// state and is stored in neither file: [`DeltaServer::open`]
     /// regenerates it.
-    fn write_snapshot(&mut self) -> io::Result<()> {
-        // Physical-layout policy rides the snapshot path too: every logged
+    fn write_state(&mut self) -> io::Result<()> {
+        // Physical-layout policy rides the checkpoint: every logged
         // external-id batch is folded in before the id space is renamed, and
-        // the snapshot below records the new layout plus its bijection.
+        // a remap makes this write a base that records the new layout.
         self.remap_now()?;
         let Some(d) = self.durability.as_mut() else {
             return Ok(());
         };
-        // Compaction rides the snapshot path: rewrite live segments into a
-        // fresh generation when too much of the backing files is dead bytes.
-        if let Some(storage) = self
-            .storage
-            .as_ref()
-            .filter(|s| s.dead_fraction() > d.config.max_dead_fraction)
-        {
-            let before = storage.file_bytes();
-            let compacted = storage.compacted(&self.graph)?;
-            d.counters.compactions += 1;
-            d.counters.compaction_bytes_reclaimed += before.saturating_sub(compacted.file_bytes());
-            self.storage = Some(Arc::new(compacted));
+        let state = SnapshotState {
+            stats: self.stats,
+            graph: &self.graph,
+            values: &self.result.values,
+            owners: self.partitioning.owners(),
+            num_parts: self.partitioning.num_parts(),
+        };
+        let faults = Some(&*self.faults);
+        // The checkpoint lands even when a base follows: the small write
+        // moves the recovery point forward should the graph-sized base
+        // write fail, and the base policy never delays the cadence's point.
+        if !d.base_stale {
+            let span = self.telemetry.begin();
+            let written = d.write_checkpoint(&state, faults);
+            self.telemetry.end(span, "checkpoint", "server", 0);
+            written?;
         }
-        let bytes = durability::write_snapshot(
-            &d.config,
-            &SnapshotState {
-                seq: d.seq,
-                stats: self.stats,
-                graph: &self.graph,
-                values: &self.result.values,
-                owners: self.partitioning.owners(),
-                num_parts: self.partitioning.num_parts(),
-            },
-            Some(&self.faults),
-        )?;
-        d.counters.snapshots_written += 1;
-        d.counters.snapshot_bytes_written += bytes;
-        d.snapshot_seq = d.seq;
+        if d.base_due() {
+            let span = self.telemetry.begin();
+            let written = d.write_base(&state, faults);
+            self.telemetry.end(span, "base", "server", 0);
+            if !written? {
+                self.health.note_wal_trim_failure();
+            }
+        }
         self.health.note_snapshot_success();
-        // Safe even if we die — or the trim fails — before this lands:
-        // replay skips entries at or below the snapshot's sequence number,
-        // so a failed trim costs replay time, never correctness.
-        if d.wal.truncate_to(0).is_err() {
-            self.health.note_wal_trim_failure();
-        }
         Ok(())
     }
 
-    /// Build a fresh durable server: run [`DeltaServer::try_new`], then write the
-    /// initial snapshot so [`DeltaServer::open`] always finds one.
+    /// Build a fresh durable server: run [`DeltaServer::try_new`], then write
+    /// the first base (through a [`DeltaServer::snapshot`]) so
+    /// [`DeltaServer::open`] always finds one. A fresh server supersedes
+    /// whatever a previous life left in the directory: its WAL is emptied
+    /// and its checkpoint deleted before the base lands — a checkpoint names
+    /// its base by sequence number and CRC only, and a new life from the
+    /// same graph writes the same base 0.
     pub fn create_durable(
         graph: Graph,
         make_program: F,
@@ -1467,107 +1577,150 @@ where
     ) -> io::Result<Self> {
         std::fs::create_dir_all(&durability.dir)?;
         let mut server = Self::try_new(graph, make_program, config)?;
-        let (wal, _) = Wal::open_with(
+        durability::remove_checkpoint(&durability)?;
+        let (mut wal, _) = Wal::open_with(
             &durability.wal_path(),
             Some(Arc::clone(&server.faults)),
             durability.retry,
         )?;
-        let mut state = DurabilityState {
-            config: durability,
-            wal,
-            seq: 0,
-            snapshot_seq: 0,
-            pending_cut: None,
-            counters: DurabilityCounters::zero(),
-        };
-        // A fresh server supersedes whatever a previous life logged here.
-        state.wal.truncate_to(0)?;
-        server.durability = Some(state);
+        wal.truncate_to(0)?;
+        server.durability = Some(DurabilityState::fresh(durability, wal));
         server.snapshot()?;
         Ok(server)
     }
 
-    /// Recover a durable server from its snapshot plus WAL suffix: load the
-    /// snapshot (graph, fixpoint values, partitioning, stats), regenerate
-    /// the guidance, rebuild the runtime artifacts (pool, layout, segment
-    /// files), then
-    /// replay every WAL entry past the snapshot's sequence number through the
-    /// identical warm apply path. The recovered values are bit-identical to
-    /// an uninterrupted run's — for min/max and arithmetic programs alike.
+    /// Recover a durable server from its base, checkpoint and WAL:
     ///
-    /// A torn or corrupt WAL tail is truncated silently (those batches were
-    /// never acknowledged); a corrupt snapshot is a structured error, never a
-    /// panic.
+    /// 1. Load the base (graph, values, partitioning, stats) and scan the
+    ///    WAL, truncating a torn or corrupt tail (those batches were never
+    ///    acknowledged).
+    /// 2. If the checkpoint names this base and the WAL still holds every
+    ///    entry it covers, fold those entries into the base graph one batch
+    ///    at a time — the live path's id translation and
+    ///    [`Graph::apply_batch`], no engine and no segment writes — and take
+    ///    the checkpoint's values, partitioning and stats. Otherwise
+    ///    (missing, corrupt, another base's, or past the WAL's valid prefix)
+    ///    delete it — the batches appended next reuse the sequence numbers
+    ///    it covers — and keep the base's state.
+    /// 3. Assemble the runtime once on that graph: regenerate the guidance,
+    ///    build the pool, layout and segment files.
+    /// 4. Replay every entry past the recovery point through
+    ///    [`DeltaServer::try_apply`], the identical warm apply path.
+    ///
+    /// The recovered values are bit-identical to an uninterrupted run's —
+    /// for min/max and arithmetic programs alike — with or without the
+    /// checkpoint; the checkpoint only bounds how many entries run the
+    /// engine. A corrupt base is a structured error, never a panic, and so
+    /// is a base, WAL or checkpoint read that keeps failing, or an unusable
+    /// checkpoint that cannot be deleted.
     pub fn open(
         make_program: F,
         config: ServerConfig,
         durability: DurabilityConfig,
     ) -> Result<Self, DurabilityError> {
         let faults = injector_for(&config);
-        let snap = durability::read_snapshot::<P::Value>(&durability, Some(&faults))?;
-        if snap.num_parts != config.cluster.num_nodes {
+        let base = durability::read_snapshot::<P::Value>(&durability, Some(&faults))?;
+        if base.num_parts != config.cluster.num_nodes {
             return Err(DurabilityError::CorruptSnapshot {
                 reason: "snapshot partitioning does not match the cluster config",
             });
         }
+        let (wal, replay) = Wal::open_with(
+            &durability.wal_path(),
+            Some(Arc::clone(&faults)),
+            durability.retry,
+        )?;
+        let checkpoint = durability::read_checkpoint::<P::Value>(&durability, Some(&faults))?
+            .filter(|c| {
+                (c.base_seq, c.base_crc) == (base.stamp.seq, base.stamp.crc)
+                    && c.seq >= base.stamp.seq
+                    && c.num_parts == base.num_parts
+            });
+        let mut counters = DurabilityCounters::zero();
+        counters.wal_bytes_truncated += replay.bytes_truncated;
+        let refolded = match &checkpoint {
+            Some(c) => refold(&base.graph, &replay.entries, base.stamp.seq, c.seq)?
+                .filter(|graph| graph.num_vertices() == c.values.len()),
+            None => None,
+        };
+        let (recovered_seq, graph, owners, values, stats) = match (refolded, checkpoint) {
+            (Some(graph), Some(c)) => {
+                counters.wal_entries_refolded += c.seq - base.stamp.seq;
+                (c.seq, graph, c.owners, c.values, c.stats)
+            }
+            _ => {
+                // An unusable checkpoint must not outlive this open: the
+                // batches appended next reuse the sequence numbers it covers,
+                // and a later open would refold that new history under its
+                // values.
+                durability::remove_checkpoint(&durability)?;
+                (
+                    base.stamp.seq,
+                    base.graph,
+                    base.owners,
+                    base.values,
+                    base.stats,
+                )
+            }
+        };
         let pool = Arc::new(WorkerPool::new(config.cluster.total_workers()));
-        let partitioning = Arc::new(Partitioning::from_owners(snap.owners, snap.num_parts));
-        let graph = Arc::new(snap.graph);
+        let partitioning = Arc::new(Partitioning::from_owners(owners, base.num_parts));
         let mut server = Self::assemble(
             make_program,
             config,
-            Arc::clone(&faults),
+            faults,
             pool,
-            graph,
+            Arc::new(graph),
             partitioning,
         )?;
-        // The fixpoint values are the snapshot's; the run-shaped metadata is
-        // zeroed. `exact_fixpoint` stays false: a snapshot does not record
-        // it (snapshot 0 holds the ruler-gated cold values), so the first
-        // batch after recovery re-pulls every vertex, which serves the same
-        // bits as the live server's restart, selective or not.
-        server.result.last_changed_iter = vec![0; snap.values.len()];
-        server.result.values = snap.values;
-        server.stats = snap.stats;
-        // A snapshot of a remapped server restores its bijection with the
+        // The fixpoint values are the recovery point's; the run-shaped
+        // metadata is zeroed. `exact_fixpoint` stays false: neither file
+        // records it (base 0 holds the ruler-gated cold values), so the
+        // first batch after recovery re-pulls every vertex, which serves the
+        // same bits as the live server's restart, selective or not.
+        server.result.last_changed_iter = vec![0; values.len()];
+        server.result.values = values;
+        server.stats = stats;
+        // A base of a remapped server restores its bijection with the
         // graph; queries must answer in external order from the first read.
         server.install_values();
-        let (wal, replay) = Wal::open_with(&durability.wal_path(), Some(faults), durability.retry)?;
-        let mut counters = DurabilityCounters::zero();
-        counters.wal_bytes_truncated += replay.bytes_truncated;
         // Re-drive the unacknowledged suffix through the exact pipeline the
         // live server used; with no durability state attached yet it skips
-        // the WAL append and the snapshot. Entries at or below the
-        // snapshot's sequence are already folded in (the process died
-        // between the snapshot rename and the WAL trim) — skipping them is
-        // what makes replay idempotent.
-        let mut seq = snap.seq;
-        for (entry_seq, batch) in replay.entries {
-            if entry_seq <= snap.seq {
+        // the WAL append and the state writes. Entries at or below the
+        // recovery point are already folded in (they sit under the
+        // checkpoint, or the process died between a base's rename and the
+        // WAL trim) — skipping them is what makes replay idempotent.
+        let mut seq = recovered_seq;
+        for (entry_seq, batch) in &replay.entries {
+            if *entry_seq <= recovered_seq {
                 continue;
             }
             server
-                .try_apply(&batch)
+                .try_apply(batch)
                 .map_err(|error| DurabilityError::Replay {
-                    seq: entry_seq,
+                    seq: *entry_seq,
                     error,
                 })?;
             counters.wal_entries_replayed += 1;
-            seq = entry_seq;
+            seq = *entry_seq;
         }
         server.durability = Some(DurabilityState {
-            config: durability,
-            wal,
             seq,
-            snapshot_seq: snap.seq,
+            state_seq: recovered_seq,
+            state_mark: replay.bytes_through(recovered_seq),
+            base: base.stamp,
+            base_mark: replay.bytes_through(base.stamp.seq),
+            base_stale: false,
             pending_cut: None,
             counters,
+            config: durability,
+            wal,
         });
-        // Replay may have pushed the cadence past its trigger; snapshotting
+        // Replay may have pushed the cadence past its trigger; writing
         // *after* the loop (never mid-replay) keeps the WAL intact until
-        // every entry is re-applied. A failed snapshot here degrades health
+        // every entry is re-applied. A failed write here degrades health
         // instead of failing the open — the WAL still covers every entry.
-        if server.snapshot_due() {
+        if server.checkpoint_due() {
             if let Err(e) = server.snapshot() {
                 server.health.note_snapshot_failure(&e);
             }
@@ -1589,6 +1742,44 @@ where
             Self::create_durable(make_graph(), make_program, config, durability).map_err(Into::into)
         }
     }
+}
+
+/// The graph a checkpoint at `checkpoint_seq` was taken on: `base` (the
+/// graph of the base at `base_seq`) with the WAL entries in
+/// `(base_seq, checkpoint_seq]` folded in one batch at a time, exactly as
+/// the live server applied them — merging the batches first would not give
+/// the same graph bit for bit, because [`Graph::apply_batch`] sorts each
+/// touched list with an unstable sort. `None` when `entries` does not hold
+/// each of those sequence numbers in order (the checkpoint lies past the
+/// WAL's valid prefix). A logged batch that admission would refuse is a
+/// typed replay error, as it is for [`DeltaServer::try_apply`].
+fn refold(
+    base: &Graph,
+    entries: &[(u64, UpdateBatch)],
+    base_seq: u64,
+    checkpoint_seq: u64,
+) -> Result<Option<Graph>, DurabilityError> {
+    let first = entries.partition_point(|(seq, _)| *seq <= base_seq);
+    let covered = entries[first..]
+        .iter()
+        .take_while(|(seq, _)| *seq <= checkpoint_seq);
+    if !covered
+        .clone()
+        .map(|(seq, _)| *seq)
+        .eq(base_seq + 1..=checkpoint_seq)
+    {
+        return Ok(None);
+    }
+    let mut graph = base.clone();
+    for (seq, batch) in covered {
+        check_growth(batch, graph.num_vertices())
+            .map_err(|error| DurabilityError::Replay { seq: *seq, error })?;
+        let (next, effect) = fold(&graph, batch);
+        if !effect.is_noop() {
+            graph = next;
+        }
+    }
+    Ok(Some(graph))
 }
 
 impl<P, F> DeltaServer<P, F>
@@ -1617,8 +1808,11 @@ mod tests {
     use slfe_apps::pagerank::PageRankProgram;
     use slfe_apps::sssp::SsspProgram;
     use slfe_core::RedundancyMode;
+    use slfe_graph::generators::{random_batch, BatchShape};
     use slfe_graph::rng::SplitMix64;
     use slfe_graph::{generators, stats};
+
+    const GROW: BatchShape = BatchShape::Mixed { allow_growth: true };
 
     fn sssp_server(
         graph: Graph,
@@ -1858,7 +2052,6 @@ mod tests {
     /// uninterrupted in-memory witness's bit for bit throughout.
     #[test]
     fn server_degrees_equal_a_fresh_extraction_on_every_path() {
-        use slfe_graph::generators::{random_batch, BatchShape};
         let graph = generators::rmat(500, 3500, 0.57, 0.19, 0.19, 43);
         let root = stats::highest_out_degree_vertex(&graph).unwrap();
         let make = move |g: &Graph| SsspProgram {
@@ -2132,14 +2325,17 @@ mod tests {
         std::fs::remove_dir_all(reopened.durability_counters().map(|_| &dir).unwrap()).unwrap();
     }
 
-    /// A second recovery point: `durability`'s snapshot and WAL copied into
-    /// a fresh directory, so a reopened copy and the live server never share
-    /// a log.
+    /// A second recovery point: `durability`'s base, checkpoint (when there
+    /// is one) and WAL copied into a fresh directory, so a reopened copy and
+    /// the live server never share a log.
     fn copy_durable_state(durability: &DurabilityConfig, tag: &str) -> DurabilityConfig {
         let copy = DurabilityConfig::new(durable_dir(tag));
         std::fs::create_dir_all(&copy.dir).unwrap();
         std::fs::copy(durability.snapshot_path(), copy.snapshot_path()).unwrap();
         std::fs::copy(durability.wal_path(), copy.wal_path()).unwrap();
+        if durability.checkpoint_path().exists() {
+            std::fs::copy(durability.checkpoint_path(), copy.checkpoint_path()).unwrap();
+        }
         copy
     }
 
@@ -2340,10 +2536,14 @@ mod tests {
         assert_eq!(*server.rrg, RrGuidance::generate(&current));
     }
 
-    /// Out-of-core durable serving: snapshots compact the segment files past
-    /// the configured dead-byte bound, and compaction never perturbs values.
+    /// Out-of-core serving, durable or not: a batch that leaves more than
+    /// half of the segment-file bytes dead compacts them in its own
+    /// `compact` stage, so dead bytes never outweigh live ones after a
+    /// batch, and compaction never perturbs values. A `try_new` server never
+    /// writes a state file, so before compaction left the state-write path
+    /// its files grew by every rewritten segment, forever.
     #[test]
-    fn snapshots_compact_the_segment_files_past_the_dead_byte_bound() {
+    fn batches_compact_the_segment_files_once_dead_bytes_outweigh_live() {
         let dir = durable_dir("compact");
         let graph = generators::rmat(600, 4200, 0.57, 0.19, 0.19, 89);
         let root = stats::highest_out_degree_vertex(&graph).unwrap();
@@ -2354,36 +2554,123 @@ mod tests {
                 .with_storage_segment_bytes(2 << 10),
             ..ServerConfig::default()
         };
-        let durability = DurabilityConfig::new(&dir)
-            .with_snapshot_every(2)
-            .with_max_dead_fraction(0.15);
-        let mut server =
-            DeltaServer::create_durable(graph.clone(), make, oocore, durability.clone()).unwrap();
+        let durability = DurabilityConfig::new(&dir).with_snapshot_every(2);
+        let mut durable =
+            DeltaServer::create_durable(graph.clone(), make, oocore.clone(), durability).unwrap();
+        let mut plain = DeltaServer::try_new(graph.clone(), make, oocore).unwrap();
         let mut witness = sssp_server(graph.clone(), root, ServerConfig::default());
         let mut current = graph;
+        let mut compacted = [0u64; 2];
         for round in 0..8u64 {
             let batch = mixed_batch(&current, round + 7000, 25);
-            let outcome = server.try_apply(&batch).unwrap();
             witness.try_apply(&batch).unwrap();
             current = current.apply_batch(&batch).0;
-            assert_eq!(bits(server.values()), bits(witness.values()));
-            // Byte health is reported per batch.
-            assert!(outcome.storage_live_bytes > 0);
-            // Right after a snapshot the dead fraction sits at or below the
-            // bound (a fresh compaction leaves it at zero).
-            if server.wal_seq() == Some(round + 1) && (round + 1) % 2 == 0 {
+            for (i, server) in [&mut durable, &mut plain].into_iter().enumerate() {
+                let outcome = server.try_apply(&batch).unwrap();
+                let tag = format!("round {round}, server {i}");
+                assert_eq!(bits(server.values()), bits(witness.values()), "{tag}");
+                assert!(!outcome.degraded, "{tag}");
                 let s = server.storage().unwrap();
-                assert!(
-                    s.dead_fraction() <= durability.max_dead_fraction,
-                    "round {round}: dead fraction {} above the bound",
-                    s.dead_fraction()
+                assert_eq!(
+                    (outcome.storage_live_bytes, outcome.storage_dead_bytes),
+                    (s.footprint_bytes(), s.dead_bytes()),
+                    "{tag}: the outcome reports the bytes the batch left"
                 );
+                assert!(outcome.storage_live_bytes > 0);
+                assert!(
+                    outcome.storage_dead_bytes <= outcome.storage_live_bytes,
+                    "{tag}: {} dead bytes over {} live",
+                    outcome.storage_dead_bytes,
+                    outcome.storage_live_bytes
+                );
+                let stages: Vec<_> = outcome.stages.iter().map(|&(name, _)| name).collect();
+                let compact = stages.iter().position(|&n| n == "compact");
+                if let Some(at) = compact {
+                    assert_eq!(stages[at - 1], "publish", "{tag}: {stages:?}");
+                    assert_eq!(outcome.storage_dead_bytes, 0, "{tag}");
+                    compacted[i] += 1;
+                }
             }
         }
-        let counters = server.durability_counters().unwrap();
-        assert!(counters.compactions >= 1, "no snapshot ever compacted");
+        assert!(compacted.iter().all(|&c| c >= 1), "{compacted:?}");
+        let counters = durable.durability_counters().unwrap();
+        assert_eq!(counters.compactions, compacted[0]);
         assert!(counters.compaction_bytes_reclaimed > 0);
         assert!(counters.snapshots_written >= 4);
+        let reg = plain.metrics_registry();
+        assert_eq!(
+            reg.get("slfe_storage_compactions_total").unwrap().value,
+            compacted[1] as f64,
+            "a server without durability state counts its compactions too"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A compaction that fails marks the server degraded — in its health
+    /// and in the registry — and waits `COMPACTION_RETRY_BATCHES` batches
+    /// before the next attempt; a later success clears the degradation.
+    /// The failure is forced by removing the storage directory under a
+    /// serving server: patches keep appending through the open segment
+    /// files, but a compaction cannot create new ones.
+    #[test]
+    fn a_failed_compaction_degrades_the_server_until_a_retry_succeeds() {
+        let dir = durable_dir("compact-fail");
+        let graph = generators::rmat(600, 4200, 0.57, 0.19, 0.19, 89);
+        let root = stats::highest_out_degree_vertex(&graph).unwrap();
+        let oocore = ServerConfig {
+            engine: EngineConfig::default()
+                .with_storage_budget(24 << 10)
+                .with_storage_segment_bytes(2 << 10)
+                .with_storage_dir(&dir),
+            ..ServerConfig::default()
+        };
+        let mut server = sssp_server(graph.clone(), root, oocore);
+        let mut witness = sssp_server(graph, root, ServerConfig::default());
+        std::fs::remove_dir_all(&dir).unwrap();
+        let mut round = 0u64;
+        let mut apply = |server: &mut DeltaServer<SsspProgram, _>| {
+            let batch = mixed_batch(witness.graph(), round + 7100, 25);
+            round += 1;
+            witness.try_apply(&batch).unwrap();
+            let outcome = server.try_apply(&batch).unwrap();
+            assert_eq!(bits(server.values()), bits(witness.values()));
+            let compacted = outcome.stages.iter().any(|&(name, _)| name == "compact");
+            (compacted, outcome)
+        };
+        let degraded = |server: &DeltaServer<SsspProgram, _>| {
+            let reg = server.metrics_registry();
+            (
+                server.health().is_degraded(),
+                reg.get("slfe_health_degraded").unwrap().value,
+                reg.get("slfe_storage_compaction_failures_total")
+                    .unwrap()
+                    .value,
+            )
+        };
+        while !apply(&mut server).0 {
+            assert!(server.stats().batches_applied < 20, "no batch compacted");
+        }
+        assert_eq!(degraded(&server), (true, 1.0, 1.0));
+        assert!(!server.health().is_read_only());
+        assert!(server.health().last_compaction_error().is_some());
+
+        std::fs::create_dir_all(&dir).unwrap();
+        for _ in 1..COMPACTION_RETRY_BATCHES {
+            let (compacted, outcome) = apply(&mut server);
+            assert!(!compacted && !outcome.degraded);
+            assert!(outcome.storage_dead_bytes > outcome.storage_live_bytes);
+            assert_eq!(degraded(&server), (true, 1.0, 1.0));
+        }
+        let (compacted, outcome) = apply(&mut server);
+        assert!(compacted && !outcome.degraded);
+        assert_eq!(outcome.storage_dead_bytes, 0);
+        assert_eq!(degraded(&server), (false, 0.0, 1.0));
+        let reg = server.metrics_registry();
+        assert_eq!(
+            reg.get("slfe_storage_compactions_total").unwrap().value,
+            1.0
+        );
+        drop(server);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -2749,5 +3036,632 @@ mod tests {
         )
         .run(&SsspProgram { root: 0 });
         assert_eq!(bits(server.values()), bits(&oracle.values));
+    }
+
+    /// `ops` upserts of existing single-copy edges with fresh weights: every
+    /// degree stays put, so a degree-ordered layout stays in place.
+    fn reweight_batch(graph: &Graph, seed: u64, ops: usize) -> UpdateBatch {
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        let n = graph.num_vertices() as u32;
+        let mut batch = UpdateBatch::new();
+        for _ in 0..ops {
+            let src = rng.range_u32(0, n);
+            let outs = graph.out_neighbors(src);
+            if outs.is_empty() {
+                continue;
+            }
+            let dst = outs[rng.range_usize(0, outs.len())];
+            if outs.iter().filter(|&&t| t == dst).count() == 1 {
+                batch.insert(src, dst, rng.range_f32(1.0, 10.0));
+            }
+        }
+        batch
+    }
+
+    /// The graph the recovery-window tests serve: large enough (a ≈440 KB
+    /// base) that 4-update batches write several checkpoints per base.
+    fn window_graph() -> Graph {
+        generators::rmat(3000, 24_000, 0.57, 0.19, 0.19, 131)
+    }
+
+    /// Both graphs hold the same adjacency bytes in the same physical
+    /// layout.
+    fn same_graph(a: &Graph, b: &Graph) -> bool {
+        let encode = |g: &Graph| {
+            let mut out = Vec::new();
+            slfe_graph::io::binary::encode_graph(&mut out, g);
+            out.extend(
+                (0..g.num_vertices() as VertexId).flat_map(|v| g.external_id(v).to_le_bytes()),
+            );
+            out
+        };
+        encode(a) == encode(b)
+    }
+
+    /// The live server's recovery point: (base, last state write, last
+    /// logged batch) sequence numbers.
+    fn recovery_point<P: GraphProgram, F: Fn(&Graph) -> P>(
+        server: &DeltaServer<P, F>,
+    ) -> (u64, u64, u64) {
+        let d = server.durability.as_ref().unwrap();
+        (d.base.seq, d.state_seq, d.seq)
+    }
+
+    /// Drive a durable server and an uninterrupted in-memory witness through
+    /// the same batches (growth first, then weight-only ones that keep every
+    /// degree), reopening a copy of the durable state after every batch.
+    /// Each reopen must serve the witness's bits, fold exactly the entries
+    /// between its base and its last state write into the graph, and run the
+    /// engine only on the entries past that write: a reopen that replayed
+    /// nothing never ran a pool phase. Returns how often the reopen landed
+    /// on a base, between a base and the next state write, and past a
+    /// checkpoint.
+    fn check_recovery_windows<P, F>(tag: &str, make: F, reorder: ReorderPolicy) -> [u32; 3]
+    where
+        P: GraphProgram<Value = f32>,
+        F: Fn(&Graph) -> P + Copy,
+    {
+        let graph = window_graph();
+        let config = ServerConfig {
+            engine: EngineConfig::default().with_reorder(reorder),
+            ..ServerConfig::default()
+        };
+        let tag = format!("{tag}-{reorder:?}");
+        let durability =
+            DurabilityConfig::new(durable_dir(&format!("windows-{tag}"))).with_snapshot_every(2);
+        let mut live =
+            DeltaServer::create_durable(graph.clone(), make, config.clone(), durability.clone())
+                .unwrap();
+        let mut witness = DeltaServer::try_new(graph, make, ServerConfig::default()).unwrap();
+        let mut windows = [0u32; 3];
+        for i in 0..16u64 {
+            // Batches speak external ids; draw them from the unremapped
+            // witness.
+            let batch = if i < 8 {
+                random_batch(witness.graph(), 3000 + i, 4, GROW)
+            } else {
+                reweight_batch(witness.graph(), 3000 + i, 4)
+            };
+            live.try_apply(&batch).unwrap();
+            witness.try_apply(&batch).unwrap();
+            let (base_seq, state_seq, seq) = recovery_point(&live);
+            let at = format!("{tag}, batch {i}");
+            let copy = copy_durable_state(&durability, &format!("windows-{tag}-copy"));
+            let reopened = DeltaServer::open(make, config.clone(), copy.clone()).unwrap();
+            assert_eq!(bits(reopened.values()), bits(witness.values()), "{at}");
+            assert_eq!(
+                reopened.stats().batches_applied,
+                live.stats().batches_applied,
+                "{at}"
+            );
+            assert!(
+                same_graph(reopened.graph(), live.graph()),
+                "{at}: the refold built another graph"
+            );
+            let counters = reopened.durability_counters().unwrap();
+            assert_eq!(counters.wal_entries_refolded, state_seq - base_seq, "{at}");
+            assert_eq!(counters.wal_entries_replayed, seq - state_seq, "{at}");
+            assert_eq!(
+                reopened.pool().activity().phases == 0,
+                seq == state_seq,
+                "{at}: the engine ran for entries under the recovery point"
+            );
+            assert_eq!(
+                recovery_point(&reopened),
+                (base_seq, state_seq, seq),
+                "{at}"
+            );
+            let reg = reopened.metrics_registry();
+            assert_eq!(
+                reg.get("slfe_wal_entries_refolded_total").unwrap().value,
+                (state_seq - base_seq) as f64
+            );
+            windows[match (state_seq == base_seq, seq == state_seq) {
+                (true, true) => 0,
+                (true, false) => 1,
+                (false, _) => 2,
+            }] += 1;
+            drop(reopened);
+            std::fs::remove_dir_all(&copy.dir).unwrap();
+        }
+        let counters = live.durability_counters().unwrap();
+        assert!(counters.base_writes >= 2, "{tag}: {counters:?}");
+        drop(live);
+        std::fs::remove_dir_all(&durability.dir).unwrap();
+        windows
+    }
+
+    /// Recovery at every point of the base/checkpoint cycle is bit-identical
+    /// to an uninterrupted run, for a min/max and an arithmetic program, on
+    /// the identity layout and on a degree-descending one (a state write
+    /// that finds the degrees reordered remaps and writes a base; the
+    /// weight-only batches then put checkpoints over a remapped base, whose
+    /// refold translates every logged id), with vertex growth.
+    #[test]
+    fn reopen_is_bit_identical_on_a_base_between_state_writes_and_past_a_checkpoint() {
+        let root = stats::highest_out_degree_vertex(&window_graph()).unwrap();
+        let sssp = move |g: &Graph| SsspProgram {
+            root: g.to_physical(root),
+        };
+        for reorder in [ReorderPolicy::None, ReorderPolicy::DegreeDescending] {
+            for windows in [
+                check_recovery_windows("sssp", sssp, reorder),
+                check_recovery_windows("pr", PageRankProgram::for_graph, reorder),
+            ] {
+                assert!(
+                    windows.iter().all(|&w| w > 0),
+                    "{reorder:?}: reopens on a base, between state writes and \
+                     past a checkpoint: {windows:?}"
+                );
+            }
+        }
+    }
+
+    /// A checkpoint that cannot extend the base is ignored, and the reopen
+    /// still serves the witness's bits by replaying everything past the
+    /// base: one with a flipped byte, one read short, one naming the base's
+    /// sequence number with another CRC, one naming an earlier base, and
+    /// one covering entries a torn WAL no longer holds.
+    #[test]
+    fn stale_corrupt_or_too_new_checkpoints_are_ignored() {
+        let graph = window_graph();
+        let root = stats::highest_out_degree_vertex(&graph).unwrap();
+        let make = move |_: &Graph| SsspProgram { root };
+        let durability = DurabilityConfig::new(durable_dir("ignored")).with_snapshot_every(2);
+        let mut live = DeltaServer::create_durable(
+            graph.clone(),
+            make,
+            ServerConfig::default(),
+            durability.clone(),
+        )
+        .unwrap();
+        let mut witness = sssp_server(graph, root, ServerConfig::default());
+        // The witness's values and the WAL's length after each batch.
+        let mut after = Vec::new();
+        let mut wal_after = Vec::new();
+        let mut apply = |live: &mut DeltaServer<SsspProgram, _>, after: &mut Vec<_>, i: u64| {
+            let batch = random_batch(witness.graph(), 5000 + i, 4, GROW);
+            live.try_apply(&batch).unwrap();
+            witness.try_apply(&batch).unwrap();
+            after.push(bits(witness.values()));
+            std::fs::metadata(durability.wal_path()).unwrap().len()
+        };
+        for i in 0..4 {
+            wal_after.push(apply(&mut live, &mut after, i));
+        }
+        assert_eq!(recovery_point(&live), (0, 4, 4), "a checkpoint past base 0");
+        // Open a copy whose checkpoint `spoil` changed: it must be ignored.
+        let check = |spoil: &dyn Fn(&DurabilityConfig),
+                     config: ServerConfig,
+                     after: &[Vec<u32>],
+                     at: &str| {
+            let copy = copy_durable_state(&durability, "ignored-copy");
+            spoil(&copy);
+            let reopened = DeltaServer::open(make, config, copy.clone()).unwrap();
+            let (base_seq, _, _) = recovery_point(&reopened);
+            let applied = reopened.stats().batches_applied;
+            assert_eq!(bits(reopened.values()), after[applied as usize - 1], "{at}");
+            let counters = reopened.durability_counters().unwrap();
+            assert_eq!(counters.wal_entries_refolded, 0, "{at}");
+            assert_eq!(counters.wal_entries_replayed, applied - base_seq, "{at}");
+            drop(reopened);
+            std::fs::remove_dir_all(&copy.dir).unwrap();
+            applied
+        };
+        let rewrite = |copy: &DurabilityConfig, edit: &dyn Fn(&mut Vec<u8>)| {
+            let mut bytes = std::fs::read(copy.checkpoint_path()).unwrap();
+            edit(&mut bytes);
+            std::fs::write(copy.checkpoint_path(), bytes).unwrap();
+        };
+        let flip = |copy: &DurabilityConfig| {
+            rewrite(copy, &|b| {
+                let mid = b.len() / 2;
+                b[mid] ^= 0x10;
+            })
+        };
+        assert_eq!(check(&flip, ServerConfig::default(), &after, "flipped"), 4);
+        let short = ServerConfig {
+            fault_plan: Some(FaultPlan::new().fail(
+                FaultSite::CheckpointRead,
+                0,
+                slfe_graph::FaultKind::ShortIo,
+            )),
+            ..ServerConfig::default()
+        };
+        assert_eq!(check(&|_| {}, short, &after, "short read"), 4);
+        // Header: magic, version, value tag, sequence, base sequence, base
+        // CRC. Re-checksum after the edit, so only the base CRC is wrong.
+        let other_crc = |copy: &DurabilityConfig| {
+            rewrite(copy, &|b| {
+                b[25] ^= 0x01;
+                let body = b.len() - 4;
+                let crc = slfe_graph::io::binary::crc32(&b[..body]);
+                b[body..].copy_from_slice(&crc.to_le_bytes());
+            })
+        };
+        assert_eq!(
+            check(&other_crc, ServerConfig::default(), &after, "other CRC"),
+            4
+        );
+        let torn = |copy: &DurabilityConfig| {
+            let wal = std::fs::read(copy.wal_path()).unwrap();
+            std::fs::write(copy.wal_path(), &wal[..wal_after[2] as usize + 7]).unwrap();
+        };
+        assert_eq!(check(&torn, ServerConfig::default(), &after, "torn WAL"), 3);
+
+        // An earlier base's checkpoint put back over a later base.
+        let stale = std::fs::read(durability.checkpoint_path()).unwrap();
+        let mut i = 4;
+        while {
+            let (base_seq, _, seq) = recovery_point(&live);
+            base_seq == 0 || seq == base_seq
+        } {
+            apply(&mut live, &mut after, i);
+            i += 1;
+        }
+        let put_back = |copy: &DurabilityConfig| {
+            std::fs::write(copy.checkpoint_path(), &stale).unwrap();
+        };
+        assert_eq!(
+            check(&put_back, ServerConfig::default(), &after, "stale"),
+            i
+        );
+        drop(live);
+        std::fs::remove_dir_all(&durability.dir).unwrap();
+    }
+
+    /// A checkpoint names its base by sequence number and CRC only, and a
+    /// new life from the same graph writes the same base 0: `create_durable`
+    /// deletes the previous life's checkpoint, so a reopen of the new life
+    /// never refolds the new WAL under the old values.
+    #[test]
+    fn a_new_life_never_reads_the_previous_lifes_checkpoint() {
+        let graph = window_graph();
+        let root = stats::highest_out_degree_vertex(&graph).unwrap();
+        let make = move |_: &Graph| SsspProgram { root };
+        let dir = durable_dir("lives");
+        let mut first = DeltaServer::create_durable(
+            graph.clone(),
+            make,
+            ServerConfig::default(),
+            DurabilityConfig::new(&dir).with_snapshot_every(2),
+        )
+        .unwrap();
+        for i in 0..2 {
+            first
+                .try_apply(&random_batch(first.graph(), 6000 + i, 4, GROW))
+                .unwrap();
+        }
+        assert_eq!(recovery_point(&first), (0, 2, 2));
+        drop(first);
+
+        let durability = DurabilityConfig::new(&dir).with_snapshot_every(100);
+        let mut second = DeltaServer::create_durable(
+            graph.clone(),
+            make,
+            ServerConfig::default(),
+            durability.clone(),
+        )
+        .unwrap();
+        assert!(!durability.checkpoint_path().exists());
+        let mut witness = sssp_server(graph, root, ServerConfig::default());
+        for i in 0..2 {
+            let batch = random_batch(witness.graph(), 6100 + i, 4, GROW);
+            second.try_apply(&batch).unwrap();
+            witness.try_apply(&batch).unwrap();
+        }
+        drop(second);
+        let reopened = DeltaServer::open(make, ServerConfig::default(), durability).unwrap();
+        assert_eq!(bits(reopened.values()), bits(witness.values()));
+        assert_eq!(
+            reopened.durability_counters().unwrap().wal_entries_refolded,
+            0
+        );
+        drop(reopened);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A checkpoint `open` cannot use is deleted before the reopened server
+    /// logs anything: the batches it logs next reuse the sequence numbers
+    /// the checkpoint covers, and a later open that found the old file would
+    /// refold the new history under the old values. Here the WAL loses a
+    /// frame under the checkpoint, the reopened server writes no state
+    /// (cadence 100) while it logs batches past the checkpoint's sequence
+    /// number, and the next open must serve the new history's bits. The
+    /// batches keep |V|, so the stale checkpoint's value count would match.
+    #[test]
+    fn an_unusable_checkpoint_is_deleted_before_its_sequence_numbers_are_reused() {
+        let graph = window_graph();
+        let root = stats::highest_out_degree_vertex(&graph).unwrap();
+        let make = move |_: &Graph| SsspProgram { root };
+        let keep = BatchShape::Mixed {
+            allow_growth: false,
+        };
+        let durability = DurabilityConfig::new(durable_dir("reused")).with_snapshot_every(4);
+        let mut live = DeltaServer::create_durable(
+            graph.clone(),
+            make,
+            ServerConfig::default(),
+            durability.clone(),
+        )
+        .unwrap();
+        let mut logged = Vec::new();
+        let mut wal_after = Vec::new();
+        for i in 0..4 {
+            let batch = random_batch(live.graph(), 5100 + i, 4, keep);
+            live.try_apply(&batch).unwrap();
+            logged.push(batch);
+            wal_after.push(std::fs::metadata(durability.wal_path()).unwrap().len());
+        }
+        assert_eq!(recovery_point(&live), (0, 4, 4), "a checkpoint past base 0");
+        drop(live);
+        // Tear frame 3: entries 1 and 2 survive, the checkpoint covers 4.
+        let wal = std::fs::read(durability.wal_path()).unwrap();
+        std::fs::write(durability.wal_path(), &wal[..wal_after[1] as usize + 7]).unwrap();
+
+        let rarely = DurabilityConfig::new(&durability.dir).with_snapshot_every(100);
+        let mut reopened =
+            DeltaServer::open(make, ServerConfig::default(), rarely.clone()).unwrap();
+        assert_eq!(recovery_point(&reopened), (0, 0, 2));
+        assert!(!durability.checkpoint_path().exists());
+        let mut witness = sssp_server(graph, root, ServerConfig::default());
+        for batch in &logged[..2] {
+            witness.try_apply(batch).unwrap();
+        }
+        for i in 0..3 {
+            let batch = random_batch(witness.graph(), 5200 + i, 4, keep);
+            reopened.try_apply(&batch).unwrap();
+            witness.try_apply(&batch).unwrap();
+        }
+        assert_eq!(recovery_point(&reopened), (0, 0, 5), "no state written");
+        drop(reopened);
+
+        let again = DeltaServer::open(make, ServerConfig::default(), rarely).unwrap();
+        assert_eq!(bits(again.values()), bits(witness.values()));
+        let counters = again.durability_counters().unwrap();
+        assert_eq!(
+            (counters.wal_entries_refolded, counters.wal_entries_replayed),
+            (0, 5)
+        );
+        drop(again);
+        std::fs::remove_dir_all(&durability.dir).unwrap();
+    }
+
+    /// A checkpoint shares its base's physical layout. A remap at a due
+    /// checkpoint therefore writes a base alone (and trims the WAL), and so
+    /// does the state write after an explicit `remap_now`; a due checkpoint
+    /// that finds the layout in place writes a checkpoint alone. Each file
+    /// is a span inside the `snapshot` stage span.
+    #[test]
+    fn a_remap_at_a_due_checkpoint_writes_a_base() {
+        let graph = window_graph();
+        let root = stats::highest_out_degree_vertex(&graph).unwrap();
+        let make = move |g: &Graph| SsspProgram {
+            root: g.to_physical(root),
+        };
+        let config = ServerConfig {
+            engine: EngineConfig::default()
+                .with_reorder(ReorderPolicy::DegreeDescending)
+                .with_telemetry(true),
+            ..ServerConfig::default()
+        };
+        let durability = DurabilityConfig::new(durable_dir("remap-base")).with_snapshot_every(2);
+        let mut server =
+            DeltaServer::create_durable(graph.clone(), make, config.clone(), durability.clone())
+                .unwrap();
+        let mut witness = sssp_server(graph, root, ServerConfig::default());
+        // Batches speak external ids; draw them from the unremapped witness.
+        let apply = |server: &mut DeltaServer<SsspProgram, _>,
+                     witness: &mut DeltaServer<SsspProgram, _>,
+                     draw: &dyn Fn(&Graph) -> UpdateBatch| {
+            let batch = draw(witness.graph());
+            witness.try_apply(&batch).unwrap();
+            let outcome = server.try_apply(&batch).unwrap();
+            assert_eq!(bits(server.values()), bits(witness.values()));
+            outcome
+        };
+        let files = |server: &DeltaServer<SsspProgram, _>| {
+            let c = server.durability_counters().unwrap();
+            (c.snapshots_written - c.base_writes, c.base_writes)
+        };
+        assert_eq!(files(&server), (0, 1), "create writes a base alone");
+
+        // Growth reorders the degrees: the due write remaps, so it is a base.
+        apply(&mut server, &mut witness, &|g| {
+            random_batch(g, 7000, 4, GROW)
+        });
+        let outcome = apply(&mut server, &mut witness, &|g| {
+            random_batch(g, 7001, 4, GROW)
+        });
+        assert!(outcome.stages.iter().any(|&(name, _)| name == "snapshot"));
+        assert!(server.graph().is_remapped());
+        assert_eq!(files(&server), (0, 2));
+        assert_eq!(recovery_point(&server), (2, 2, 2));
+        assert_eq!(std::fs::metadata(durability.wal_path()).unwrap().len(), 0);
+
+        // Weight-only batches keep the layout: the due write is a checkpoint.
+        apply(&mut server, &mut witness, &|g| reweight_batch(g, 7002, 4));
+        apply(&mut server, &mut witness, &|g| reweight_batch(g, 7003, 4));
+        assert_eq!(files(&server), (1, 2));
+        assert_eq!(recovery_point(&server), (2, 4, 4));
+
+        // An explicit remap between state writes: the next one is a base.
+        apply(&mut server, &mut witness, &|g| {
+            random_batch(g, 7004, 4, GROW)
+        });
+        assert!(server.remap_now().unwrap());
+        apply(&mut server, &mut witness, &|g| reweight_batch(g, 7005, 4));
+        assert_eq!(files(&server), (1, 3));
+        assert_eq!(recovery_point(&server), (6, 6, 6));
+
+        let spans = server.telemetry().spans;
+        let inside = |name: &str| {
+            spans.iter().filter(|s| s.name == name).all(|s| {
+                spans.iter().any(|outer| {
+                    outer.name == "snapshot"
+                        && outer.start_ns <= s.start_ns
+                        && s.start_ns + s.dur_ns <= outer.start_ns + outer.dur_ns
+                })
+            })
+        };
+        let count = |name: &str| spans.iter().filter(|s| s.name == name).count();
+        assert_eq!((count("checkpoint"), count("base")), (1, 3));
+        assert!(inside("checkpoint") && inside("base"));
+
+        drop(server);
+        let reopened = DeltaServer::open(make, config, durability.clone()).unwrap();
+        assert_eq!(bits(reopened.values()), bits(witness.values()));
+        drop(reopened);
+        std::fs::remove_dir_all(&durability.dir).unwrap();
+    }
+
+    /// A WAL trim that keeps failing leaves the log growing, but not the
+    /// cadence: the 1 MiB checkpoint trigger and the base trigger count WAL
+    /// bytes since their own last write, so large batches under a permanent
+    /// `WalTrim` fault still write state once per MiB of WAL — not after
+    /// every batch once the file passed 1 MiB — a reopen skips the covered
+    /// entries, and small batches do not turn every checkpoint into a base.
+    #[test]
+    fn a_failing_trim_leaves_the_state_write_cadence_alone() {
+        let graph = generators::rmat(300, 2000, 0.57, 0.19, 0.19, 139);
+        let root = stats::highest_out_degree_vertex(&graph).unwrap();
+        let make = move |_: &Graph| SsspProgram { root };
+        let durability =
+            DurabilityConfig::new(durable_dir("trim-cadence")).with_snapshot_every(1000);
+        let mut server = DeltaServer::create_durable(
+            graph.clone(),
+            make,
+            ServerConfig::default(),
+            durability.clone(),
+        )
+        .unwrap();
+        let mut witness = sssp_server(graph, root, ServerConfig::default());
+        server.fault_injector().arm(FaultPlan::new().fail(
+            FaultSite::WalTrim,
+            0,
+            slfe_graph::FaultKind::Permanent,
+        ));
+        // ≈216 KB of WAL per batch: two real upserts and 24k deletions of
+        // absent edges, which the graph drops as no-ops.
+        let large = |graph: &Graph, seed: u64| {
+            let mut batch = mixed_batch(graph, seed, 2);
+            let n = graph.num_vertices() as u32;
+            let mut rng = SplitMix64::seed_from_u64(seed);
+            while batch.len() < 24_000 {
+                let (src, dst) = (rng.range_u32(0, n), rng.range_u32(0, n));
+                if !graph.has_edge(src, dst) {
+                    batch.delete(src, dst);
+                }
+            }
+            batch
+        };
+        let mut writes = 0;
+        for i in 0..16 {
+            let batch = large(witness.graph(), 8000 + i);
+            witness.try_apply(&batch).unwrap();
+            let outcome = server.try_apply(&batch).unwrap();
+            writes += outcome.stages.iter().any(|&(name, _)| name == "snapshot") as u64;
+        }
+        let wal = std::fs::metadata(durability.wal_path()).unwrap().len();
+        assert!(
+            wal > 3 * durability::SNAPSHOT_WAL_BYTES,
+            "the trims never failed"
+        );
+        assert!(
+            (2..=wal / durability::SNAPSHOT_WAL_BYTES).contains(&writes),
+            "{writes} state writes for {wal} WAL bytes"
+        );
+        let counters = *server.durability_counters().unwrap();
+        assert_eq!(
+            server.health().wal_trim_failures(),
+            counters.base_writes - 1
+        );
+        drop(server);
+        let reopened =
+            DeltaServer::open(make, ServerConfig::default(), durability.clone()).unwrap();
+        assert_eq!(bits(reopened.values()), bits(witness.values()));
+        let (base_seq, _, _) = recovery_point(&reopened);
+        assert_eq!(
+            reopened.durability_counters().unwrap().wal_entries_replayed
+                + reopened.durability_counters().unwrap().wal_entries_refolded,
+            16 - base_seq
+        );
+        drop(reopened);
+        std::fs::remove_dir_all(&durability.dir).unwrap();
+
+        // Small batches on a larger graph, a checkpoint after each: bases
+        // stay as rare as a trimmed WAL would make them (one per ≈440 bytes
+        // of WAL since the last base), though the file keeps every entry.
+        let durability =
+            DurabilityConfig::new(durable_dir("trim-base-cadence")).with_snapshot_every(1);
+        let mut server = DeltaServer::create_durable(
+            window_graph(),
+            make,
+            ServerConfig::default(),
+            durability.clone(),
+        )
+        .unwrap();
+        server.fault_injector().arm(FaultPlan::new().fail(
+            FaultSite::WalTrim,
+            0,
+            slfe_graph::FaultKind::Permanent,
+        ));
+        for i in 0..12 {
+            let batch = random_batch(server.graph(), 8100 + i, 4, GROW);
+            server.try_apply(&batch).unwrap();
+        }
+        let counters = *server.durability_counters().unwrap();
+        assert_eq!(counters.snapshots_written - counters.base_writes, 12);
+        assert!(
+            (2..=3).contains(&counters.base_writes),
+            "{} bases for {} WAL bytes",
+            counters.base_writes,
+            std::fs::metadata(durability.wal_path()).unwrap().len()
+        );
+        drop(server);
+        std::fs::remove_dir_all(&durability.dir).unwrap();
+    }
+
+    /// A checkpoint holds the header (naming its base by sequence number and
+    /// CRC), the four stats, the values and the owners under one CRC, and no
+    /// adjacency.
+    #[test]
+    fn checkpoints_hold_values_owners_and_stats_and_name_their_base() {
+        let graph = window_graph();
+        let durability = DurabilityConfig::new(durable_dir("checkpoint-format"));
+        let mut server = DeltaServer::create_durable(
+            graph,
+            |_: &Graph| SsspProgram { root: 0 },
+            ServerConfig::default(),
+            durability.clone(),
+        )
+        .unwrap();
+        server
+            .try_apply(&random_batch(server.graph(), 9000, 4, GROW))
+            .unwrap();
+        server.snapshot().unwrap();
+        let n = server.graph().num_vertices();
+        let counters = *server.durability_counters().unwrap();
+        assert_eq!((counters.snapshots_written, counters.base_writes), (2, 1));
+        let bytes = std::fs::read(durability.checkpoint_path()).unwrap();
+        let header = 4 + 4 + 1 + 8 + 8 + 4; // magic, version, tag, seq, base seq, base CRC
+        let stats = 4 * 8;
+        let values = 8 + 4 * n;
+        let owners = 8 + 8 + 4 * n;
+        assert_eq!(bytes.len(), header + stats + values + owners + 4);
+        assert_eq!(
+            counters.snapshot_bytes_written,
+            counters.base_bytes_written + bytes.len() as u64
+        );
+        assert_eq!(bytes[9..17], 1u64.to_le_bytes(), "its sequence number");
+        assert_eq!(
+            bytes[17..25],
+            0u64.to_le_bytes(),
+            "its base's sequence number"
+        );
+        let base = std::fs::read(durability.snapshot_path()).unwrap();
+        assert_eq!(bytes[25..29], base[base.len() - 4..], "its base's CRC");
+        drop(server);
+        std::fs::remove_dir_all(&durability.dir).unwrap();
     }
 }

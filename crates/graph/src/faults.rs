@@ -3,10 +3,10 @@
 //! Production storage fails in more ways than process death: a transient
 //! `EINTR`-class hiccup, a short read, a disk that silently fills, an fsync
 //! the kernel refuses. This module gives every disk touchpoint in the stack
-//! (segment reads/writes, WAL append/open/trim, snapshot write/rename/read) a
-//! shared, *deterministic* fault schedule so tests can drive each site through
-//! each failure mode and pin the recovery behaviour — bit-identical values or
-//! a typed error, never a panic.
+//! (segment reads/writes, WAL append/open/trim, base snapshot and checkpoint
+//! write/rename/read) a shared, *deterministic* fault schedule so tests can
+//! drive each site through each failure mode and pin the recovery behaviour —
+//! bit-identical values or a typed error, never a panic.
 //!
 //! Design:
 //!
@@ -46,18 +46,24 @@ pub enum FaultSite {
     WalFsync,
     /// Reading the WAL during `Wal::open` recovery scan.
     WalOpen,
-    /// Truncating the WAL after a successful snapshot.
+    /// Truncating the WAL after a successful base write.
     WalTrim,
-    /// Writing + syncing the snapshot temp file.
+    /// Writing + syncing the base snapshot temp file.
     SnapshotWrite,
-    /// Atomically renaming the snapshot temp file into place.
+    /// Atomically renaming the base snapshot temp file into place.
     SnapshotRename,
-    /// Reading the snapshot during recovery.
+    /// Reading the base snapshot during recovery.
     SnapshotRead,
+    /// Writing + syncing the checkpoint temp file.
+    CheckpointWrite,
+    /// Atomically renaming the checkpoint temp file into place.
+    CheckpointRename,
+    /// Reading the checkpoint during recovery.
+    CheckpointRead,
 }
 
 /// All injection sites, in a stable order (used by the fault sweeps).
-pub const ALL_FAULT_SITES: [FaultSite; 9] = [
+pub const ALL_FAULT_SITES: [FaultSite; 12] = [
     FaultSite::SegmentRead,
     FaultSite::SegmentWrite,
     FaultSite::WalAppend,
@@ -67,6 +73,9 @@ pub const ALL_FAULT_SITES: [FaultSite; 9] = [
     FaultSite::SnapshotWrite,
     FaultSite::SnapshotRename,
     FaultSite::SnapshotRead,
+    FaultSite::CheckpointWrite,
+    FaultSite::CheckpointRename,
+    FaultSite::CheckpointRead,
 ];
 
 impl FaultSite {
@@ -82,6 +91,9 @@ impl FaultSite {
             FaultSite::SnapshotWrite => "snapshot_write",
             FaultSite::SnapshotRename => "snapshot_rename",
             FaultSite::SnapshotRead => "snapshot_read",
+            FaultSite::CheckpointWrite => "checkpoint_write",
+            FaultSite::CheckpointRename => "checkpoint_rename",
+            FaultSite::CheckpointRead => "checkpoint_read",
         }
     }
 

@@ -9,8 +9,8 @@
 //!
 //! * [`counters`] — cheap computation/communication counters, merged at the
 //!   engine's barriers.
-//! * [`durability`] — WAL/snapshot/compaction counters for the serving layer's
-//!   durability subsystem.
+//! * [`durability`] — WAL, checkpoint/base and compaction counters for the
+//!   serving layer's durability subsystem.
 //! * [`faults`] — injected-fault and fault-recovery counters (retries,
 //!   quarantines, poisoned runs) for the deterministic fault-injection layer.
 //! * [`stats`] — the [`ExecutionStats`] summary every engine run returns.

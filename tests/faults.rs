@@ -29,9 +29,10 @@ use slfe::prelude::{ApplyError, FaultKind, FaultPlan, FaultSite};
 use std::collections::HashSet;
 use std::path::PathBuf;
 
-/// The sites a live server's apply/snapshot path touches. `WalOpen` and
-/// `SnapshotRead` only fire while opening — they get their own sweep below.
-const APPLY_SITES: [FaultSite; 7] = [
+/// The sites a live server's apply/state-write path touches. `WalOpen`,
+/// `SnapshotRead` and `CheckpointRead` only fire while opening — they get
+/// their own sweep below.
+const APPLY_SITES: [FaultSite; 9] = [
     FaultSite::SegmentRead,
     FaultSite::SegmentWrite,
     FaultSite::WalAppend,
@@ -39,11 +40,17 @@ const APPLY_SITES: [FaultSite; 7] = [
     FaultSite::WalTrim,
     FaultSite::SnapshotWrite,
     FaultSite::SnapshotRename,
+    FaultSite::CheckpointWrite,
+    FaultSite::CheckpointRename,
 ];
 
 /// The sites only `DeltaServer::open` touches, swept by
 /// `open_time_faults_recover_or_fail_typed`.
-const OPEN_SITES: [FaultSite; 2] = [FaultSite::WalOpen, FaultSite::SnapshotRead];
+const OPEN_SITES: [FaultSite; 3] = [
+    FaultSite::WalOpen,
+    FaultSite::SnapshotRead,
+    FaultSite::CheckpointRead,
+];
 
 /// The two sweeps together reach every injection site, so a new site cannot
 /// escape them.
@@ -391,9 +398,13 @@ fn permanent_faults_recover_or_fail_typed_per_site() {
                     assert!(!server.health().is_read_only());
                     assert_eq!(value_bytes(server.values()), after[1]);
                 }
-                // Failed snapshots and WAL trims are absorbed: the batch
+                // Failed state writes and WAL trims are absorbed: the batch
                 // lands, health records the degradation, serving continues.
-                FaultSite::SnapshotWrite | FaultSite::SnapshotRename | FaultSite::WalTrim => {
+                FaultSite::SnapshotWrite
+                | FaultSite::SnapshotRename
+                | FaultSite::CheckpointWrite
+                | FaultSite::CheckpointRename
+                | FaultSite::WalTrim => {
                     let outcome = second.unwrap_or_else(|e| {
                         panic!("{workers}w/{}: must be absorbed: {e}", site.name())
                     });
@@ -439,7 +450,9 @@ fn permanent_faults_recover_or_fail_typed_per_site() {
                         Err(ApplyError::ReadOnly { .. })
                     ));
                 }
-                FaultSite::WalOpen | FaultSite::SnapshotRead => unreachable!(),
+                FaultSite::WalOpen | FaultSite::SnapshotRead | FaultSite::CheckpointRead => {
+                    unreachable!()
+                }
             }
             drop(server);
             let _ = std::fs::remove_dir_all(&dir);
