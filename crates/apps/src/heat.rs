@@ -123,15 +123,15 @@ impl GraphProgram for HeatProgram {
         (old - new).abs() as f64 > tolerance
     }
 
-    fn warm_start_value(&self, v: VertexId, _previous: Option<f32>, degrees: &Degrees) -> f32 {
+    fn warm_start_resets(&self) -> bool {
         // Heat's limit depends on the *initial condition*, not just the topology:
         // the diffusion map `h' = (1 - alpha) h + alpha Pᵀh` has one fixpoint per
         // initial mass distribution (any h with h = Pᵀh is stationary), so warm
         // starting from the old limit on a mutated graph would converge to a
         // different answer than re-running the simulation. Restart from the
-        // initial heat instead — the warm-init hook exists precisely for programs
+        // initial heat instead — the declaration exists precisely for programs
         // whose stored state cannot be reused across topology changes.
-        self.initial_value(v, degrees)
+        true
     }
 }
 
@@ -245,9 +245,11 @@ mod tests {
         let program = HeatProgram::point_source(&g, 0);
         let d = Degrees::of(&g);
         // The previous fixpoint is discarded: heat's answer is defined by its
-        // initial condition, which a topology change invalidates.
-        assert_eq!(program.warm_start_value(0, Some(0.25), &d), 1.0);
-        assert_eq!(program.warm_start_value(2, Some(0.25), &d), 0.0);
+        // initial condition, which a topology change invalidates, so a warm
+        // restart re-seeds every vertex from it.
+        assert!(program.warm_start_resets());
+        assert_eq!(program.initial_value(0, &d), 1.0);
+        assert_eq!(program.initial_value(2, &d), 0.0);
         // Vertices beyond the heat vector (appended by a batch) start cold.
         assert_eq!(program.initial_value(9, &d), 0.0);
     }

@@ -8,8 +8,9 @@
 //!   outgoing edges of active vertices) and *pull* (gather along the incoming edges
 //!   of every scheduled vertex) using Gemini's active-edge-fraction heuristic.
 //!   Arithmetic programs always pull (§3.3, footnote 2). The active frontier is a
-//!   dense [`Bitset`] (one bit per vertex, popcount-based counting), reused across
-//!   iterations.
+//!   dense [`Bitset`] (one bit per vertex, popcount-based counting) plus the list
+//!   of its members, reused across iterations and, through a
+//!   [`WarmResult`], across runs.
 //! * **Start late.** With redundancy reduction enabled, a min/max destination vertex
 //!   is only pulled once the iteration number (the *single ruler*) has reached its
 //!   `last_iter` from the guidance.
@@ -76,13 +77,26 @@
 //! totals and message tallies do not depend on it, and neither does the
 //! simulated schedule, which is derived from deterministic per-chunk costs.
 //!
-//! # Activity-proportional execution (PR 4)
+//! # Activity-proportional execution
 //!
 //! The redundancy rulers make *counted work* proportional to what still needs
 //! computing; the mechanisms below make the executor's *per-iteration
 //! overhead*, its *memory footprint* and a warm restart's counted work
 //! follow suit, without changing a single result bit:
 //!
+//! * **Frontier-proportional bookkeeping.** The barrier merge hands each
+//!   phase's writes over as a list, which refreshes the BSP read buffer,
+//!   becomes the next frontier and feeds the restart's change list (or a
+//!   cold run's `last_changed_iter`); a vertex set is walked and cleared
+//!   through its member list while sparse, not swept. A caller that keeps a
+//!   [`WarmResult`] across graph versions restarts through
+//!   [`SlfeEngine::restart`], which moves the
+//!   values instead of copying them, seeds only the appended and invalidated
+//!   vertices, and allocates nothing that grows with |V|. Per iteration, what
+//!   still follows the graph is one pass over the layout's chunks (the skip
+//!   decisions below, C ≈ |V|/256). On R-MAT 200k/2M (release, 2 vCPUs) the
+//!   bookkeeping of a one-edge SSSP restart, outside its pool phase, fell
+//!   from ≈0.47 ms to ≈0.03 ms.
 //! * **Chunk-level activity summaries.** Before each phase the engine decides,
 //!   from barrier-merged state only (so the decision is identical at every
 //!   worker count), which whole chunks cannot produce any effect and skips
@@ -120,8 +134,8 @@
 //! * **Selective pulls in arithmetic warm restarts** ("finish early" across
 //!   batches). A restart ([`SlfeEngine::run_from`]) pulls at each iteration
 //!   only X ∪ out(X), X being the set the previous pull changed (for the
-//!   first pull, the batch's dirty endpoints plus every vertex whose warm
-//!   value differs from its previous one). The marks are built at the top
+//!   first pull, the batch's dirty endpoints; after a full reseed or a
+//!   growing batch, every vertex). The marks are built at the top
 //!   of the iteration from barrier-merged state by walking X's out-lists
 //!   through the engine's out-store, so out of core the walk faults real
 //!   segments; each walked edge counts as an edge computation and each
@@ -163,6 +177,35 @@ const UPDATE_MESSAGE_BYTES: u64 = 8;
 /// Fraction of edges that must be active for a min/max phase to pull rather
 /// than push (Gemini's direction-switching heuristic; the paper inherits it).
 const PULL_THRESHOLD: f64 = 0.05;
+
+/// Contributing-node mask words per push destination: none on a single-node
+/// cluster, where no message needs attribution.
+fn mask_words(num_nodes: usize) -> usize {
+    if num_nodes > 1 {
+        num_nodes.div_ceil(64)
+    } else {
+        0
+    }
+}
+
+/// `a == b`, except that two values unequal to themselves (NaNs) match too.
+#[allow(clippy::eq_op)]
+fn same_value<V: PartialEq>(a: &V, b: &V) -> bool {
+    a == b || (a != a && b != b)
+}
+
+/// A result holding only `values` and its fixpoint flag, for a run to fill.
+fn unrun<V>(values: Vec<V>, exact_fixpoint: bool) -> ProgramResult<V> {
+    ProgramResult {
+        values,
+        stats: ExecutionStats::default(),
+        last_changed_iter: Vec::new(),
+        per_node_worker_work: Vec::new(),
+        converged: false,
+        exact_fixpoint,
+        changed: None,
+    }
+}
 
 /// A raw-pointer view of a slice that worker threads write through.
 ///
@@ -323,6 +366,15 @@ impl<V: Copy> SparsePushMap<V> {
         }
     }
 
+    /// Release the capacity when it outgrew [`KEPT_SPARSE_SLOTS`]; the map
+    /// must be empty.
+    fn trim(&mut self) {
+        debug_assert_eq!(self.len, 0);
+        if self.keys.len() > KEPT_SPARSE_SLOTS {
+            self.release();
+        }
+    }
+
     /// Drop the entries *and* the capacity (a dense phase took over).
     fn release(&mut self) {
         self.keys = Vec::new();
@@ -337,21 +389,33 @@ impl<V: Copy> SparsePushMap<V> {
     }
 }
 
-/// Per-worker scratch, allocated once per run and reused every iteration.
+/// Most slots a sparse push map keeps past the end of a run: its initial
+/// capacity. Walking and clearing a map cost O(capacity), so a map that grew
+/// for one wide disturbance is released rather than slowing every phase of
+/// the runs after it.
+const KEPT_SPARSE_SLOTS: usize = 64;
+
+/// A phase that wrote more than 1/`DENSE_SYNC_SHARE` of the vertices
+/// refreshes the BSP read buffer with one whole copy instead of one write
+/// per vertex.
+const DENSE_SYNC_SHARE: usize = 8;
+
+/// Per-worker scratch, kept in a [`RestartState`] and reused every
+/// iteration of every run.
 struct WorkerScratch<V> {
-    /// Vertices this worker activated during the current phase.
-    next_frontier: Bitset,
+    /// Vertices this worker wrote during the current pull phase, merged
+    /// into the next frontier at the barrier.
+    written: Vec<VertexId>,
     /// Work counters accumulated during the current phase.
     counters: Counters,
-    /// Number of vertex-value changes this worker observed (pull mode).
-    changed: usize,
     /// Message tally per `(src_node, dst_node)` pair, flushed at the barrier.
     messages: Vec<u64>,
     /// Byte tally parallel to `messages`.
     bytes: Vec<u64>,
     /// Dense push scratch: worker-local gather buffer, first-write guarded by
     /// `touched`. **Lazily allocated** by the first dense push phase
-    /// ([`WorkerScratch::ensure_dense`]) — sparse-only runs (warm `push_only`
+    /// ([`WorkerScratch::ensure_dense`]) and dropped at the end of the run
+    /// ([`WorkerScratch::trim`]) — sparse-only runs (warm `push_only`
     /// restarts, tiny frontiers) and pull-only programs never pay the O(n).
     local_values: Vec<V>,
     /// Dense push scratch: which entries of `local_values` hold contributions.
@@ -374,11 +438,10 @@ impl<V: Copy> WorkerScratch<V> {
     /// `mask_words` is 0 on single-node clusters (no messages to attribute).
     /// No push scratch is allocated here — dense buffers appear on the first
     /// dense push phase, the sparse map grows with its first contributions.
-    fn new(n: usize, num_nodes: usize, mask_words: usize) -> Self {
+    fn new(num_nodes: usize, mask_words: usize) -> Self {
         Self {
-            next_frontier: Bitset::new(n),
+            written: Vec::new(),
             counters: Counters::zero(),
-            changed: 0,
             messages: vec![0u64; num_nodes * num_nodes],
             bytes: vec![0u64; num_nodes * num_nodes],
             local_values: Vec::new(),
@@ -398,6 +461,15 @@ impl<V: Copy> WorkerScratch<V> {
         }
     }
 
+    /// What a run leaves for the next one: the dense trio goes, and so does
+    /// a sparse map that outgrew [`KEPT_SPARSE_SLOTS`].
+    fn trim(&mut self) {
+        self.local_values = Vec::new();
+        self.touched = Bitset::new(0);
+        self.contrib_nodes = Vec::new();
+        self.sparse.trim();
+    }
+
     /// Live push-scratch footprint (dense trio if allocated, plus the map).
     fn scratch_bytes(&self) -> u64 {
         (self.local_values.len() * std::mem::size_of::<V>()
@@ -414,13 +486,305 @@ impl<V: Copy> WorkerScratch<V> {
     }
 }
 
-/// Seed state of one engine run: where the values and the frontier start, and
-/// whether the redundancy-reduction rulers apply. [`SlfeEngine::run`] seeds from
-/// the program's initial state; [`SlfeEngine::run_from`] seeds from a previous
-/// fixpoint plus the dirty set of an edge-update batch.
-struct RunSeed<V> {
-    values: Vec<V>,
-    active: Bitset,
+/// A vertex set that costs what it holds: a bitset for membership plus,
+/// while the set is sparse (at most one member per bitset word), the list of
+/// its members. A sparse set is walked and cleared through that list, a dense
+/// one through the words, so either costs O(min(members, |V|/64)) beyond
+/// the members themselves instead of an O(|V|/64) sweep per use.
+/// [`VertexSet::fill`] makes it every vertex (a full reactivation).
+#[derive(Default)]
+struct VertexSet {
+    bits: Bitset,
+    /// The members in insertion order, unless `dense`.
+    members: Vec<VertexId>,
+    /// Number of members.
+    len: usize,
+    /// Set once the set outgrew its list (or was filled): it is walked and
+    /// cleared through the words.
+    dense: bool,
+}
+
+impl VertexSet {
+    /// Grow to cover `n` vertices. Only an empty set is resized, and it
+    /// stays empty.
+    fn resize(&mut self, n: usize) {
+        debug_assert_eq!(self.len, 0);
+        self.bits.grow(n);
+    }
+
+    /// Add `v`, returning `true` if it was absent.
+    #[inline]
+    fn insert(&mut self, v: usize) -> bool {
+        let fresh = self.bits.insert(v);
+        if fresh {
+            self.len += 1;
+            if !self.dense {
+                if self.members.len() < self.bits.words().len() {
+                    self.members.push(v as VertexId);
+                } else {
+                    self.dense = true;
+                    self.members.clear();
+                }
+            }
+        }
+        fresh
+    }
+
+    fn fill(&mut self) {
+        self.bits.fill();
+        self.len = self.bits.len();
+        self.dense = true;
+        self.members.clear();
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Visit every member: in insertion order while sparse, ascending once
+    /// dense.
+    fn for_each(&self, mut f: impl FnMut(usize)) {
+        if self.dense {
+            self.bits.iter_ones().for_each(f);
+        } else {
+            self.members.iter().for_each(|&v| f(v as usize));
+        }
+    }
+
+    /// Make [`VertexSet::for_each`] ascending.
+    fn sort(&mut self) {
+        self.members.sort_unstable();
+    }
+
+    /// Whether a member lies in `start..end`.
+    fn any_in_range(&self, start: usize, end: usize) -> bool {
+        self.bits.any_in_range(start, end)
+    }
+
+    /// Empty the set, returning its members ascending.
+    fn take_sorted(&mut self) -> Vec<VertexId> {
+        let list = if self.dense {
+            self.bits.iter_ones().map(|v| v as VertexId).collect()
+        } else {
+            self.sort();
+            self.members.clone()
+        };
+        self.clear();
+        list
+    }
+
+    fn clear(&mut self) {
+        if self.dense {
+            self.bits.clear();
+        } else {
+            for &v in &self.members {
+                self.bits.remove(v as usize);
+            }
+        }
+        self.members.clear();
+        self.len = 0;
+        self.dense = false;
+    }
+}
+
+/// The run state an engine run works in, kept across graph versions by a
+/// [`WarmResult`] so that a warm restart's bookkeeping follows its frontier,
+/// not |V| ([`SlfeEngine::restart`]).
+///
+/// It holds:
+/// * the BSP read buffer, which mirrors the values of the result the state
+///   last ran on;
+/// * the frontier, selective-pull, invalidation and change sets, empty
+///   between runs and cleared through the vertices a run added;
+/// * the per-worker scratch: written lists, message tallies and sparse push
+///   maps, never the dense push buffers, which a dense phase allocates and
+///   its run drops;
+/// * the per-chunk arrays, resized when the layout's chunk count changes.
+///
+/// Everything grows in place with the graph. A new state is rebuilt by its
+/// first restart in O(|V|).
+struct RestartState<V> {
+    /// The BSP read buffer: every phase reads the previous iteration's
+    /// values here. Between runs it equals the last run's values; empty
+    /// until the first restart copies them in.
+    prev_values: Vec<V>,
+    /// The frontier the next phase reads.
+    active: VertexSet,
+    /// The frontier the current phase writes: the vertices it wrote.
+    next_active: VertexSet,
+    /// Selective pulls: the vertices the next pull visits.
+    marked: VertexSet,
+    /// Min/max restarts: the vertices the invalidation pass reset.
+    invalid: VertexSet,
+    /// Restarts: every vertex listed in the run's change list so far.
+    changed: VertexSet,
+    /// The invalidation pass's work queue.
+    queue: std::collections::VecDeque<VertexId>,
+    /// One scratch per pool worker.
+    workers: Vec<WorkerScratch<V>>,
+    /// `(total_workers, num_nodes)` the worker scratch is shaped for.
+    shape: (usize, usize),
+    /// The sparse push barrier's combined map and its ascending apply order.
+    merged_sparse: SparsePushMap<V>,
+    sparse_order: Vec<(u32, usize)>,
+    /// Per chunk: measured cost of the current phase.
+    chunk_costs: Vec<u64>,
+    /// Per chunk: whether the current phase skips it.
+    chunk_skip: Vec<bool>,
+    /// The chunks the current phase visits, in claim order: what its
+    /// workers claim, so a phase's claims follow the chunks it works on.
+    visit: Vec<u32>,
+    /// Per chunk: whether it has gathered every in-edge past its rr gate.
+    chunk_caught_up: Vec<bool>,
+    /// Per chunk: vertices early-converged under the multi ruler.
+    chunk_converged: Vec<u32>,
+    /// Per chunk: vertices that crossed the multi ruler this phase.
+    newly_converged: Vec<u32>,
+}
+
+impl<V: Copy + PartialEq> RestartState<V> {
+    /// An empty state; the first restart that uses it copies the values in.
+    fn new() -> Self {
+        Self {
+            prev_values: Vec::new(),
+            active: VertexSet::default(),
+            next_active: VertexSet::default(),
+            marked: VertexSet::default(),
+            invalid: VertexSet::default(),
+            changed: VertexSet::default(),
+            queue: std::collections::VecDeque::new(),
+            workers: Vec::new(),
+            shape: (0, 0),
+            merged_sparse: SparsePushMap::new(0),
+            sparse_order: Vec::new(),
+            chunk_costs: Vec::new(),
+            chunk_skip: Vec::new(),
+            visit: Vec::new(),
+            chunk_caught_up: Vec::new(),
+            chunk_converged: Vec::new(),
+            newly_converged: Vec::new(),
+        }
+    }
+
+    /// Make the read buffer mirror `values`: free when it already does (the
+    /// state last ran on them), one O(|V|) copy into a new state.
+    fn prime(&mut self, values: &[V]) {
+        if self.prev_values.len() == values.len() {
+            debug_assert!(
+                self.prev_values
+                    .iter()
+                    .zip(values)
+                    .all(|(a, b)| same_value(a, b)),
+                "a kept restart state must be dropped when its result's values \
+                 change outside a restart"
+            );
+            return;
+        }
+        self.prev_values.clear();
+        self.prev_values.extend_from_slice(values);
+    }
+
+    /// What a run leaves behind: empty sets and no dense push scratch. The
+    /// read buffer stays, mirroring the run's values.
+    fn finish_run(&mut self) {
+        self.active.clear();
+        self.next_active.clear();
+        self.marked.clear();
+        for ws in &mut self.workers {
+            ws.trim();
+        }
+        self.merged_sparse.trim();
+    }
+}
+
+impl<V> std::fmt::Debug for RestartState<V> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RestartState")
+            .field("vertices", &self.prev_values.len())
+            .field("chunks", &self.chunk_costs.len())
+            .field("workers", &self.workers.len())
+            .finish_non_exhaustive()
+    }
+}
+
+/// A program result together with the run state its warm restarts keep
+/// across graph versions, so that a restart through
+/// [`SlfeEngine::restart`] moves the values instead of copying them and
+/// its bookkeeping follows the frontier, not |V|.
+///
+/// The kept state mirrors the result's values. A restart changes them and
+/// keeps the mirror; every other way to change them —
+/// [`WarmResult::replace`] (a cold run's result, restored values) and
+/// [`WarmResult::result_mut`] (permuted values) — drops the state, and the
+/// next restart rebuilds it once, in O(|V|).
+#[derive(Debug)]
+pub struct WarmResult<V> {
+    result: ProgramResult<V>,
+    state: RestartState<V>,
+}
+
+impl<V: Copy + PartialEq> WarmResult<V> {
+    /// `result` with no kept state yet: the first restart copies its values
+    /// in.
+    pub fn new(result: ProgramResult<V>) -> Self {
+        Self {
+            result,
+            state: RestartState::new(),
+        }
+    }
+
+    /// The result of the last run or restart.
+    pub fn result(&self) -> &ProgramResult<V> {
+        &self.result
+    }
+
+    /// The result, to change it other than through a restart. Drops the
+    /// kept state.
+    pub fn result_mut(&mut self) -> &mut ProgramResult<V> {
+        self.state = RestartState::new();
+        &mut self.result
+    }
+
+    /// Put `result` in place of the held one, returning that. Drops the
+    /// kept state.
+    pub fn replace(&mut self, result: ProgramResult<V>) -> ProgramResult<V> {
+        self.state = RestartState::new();
+        std::mem::replace(&mut self.result, result)
+    }
+
+    /// Take the result's change list ([`ProgramResult::changed`]); the
+    /// values and the kept state stay.
+    pub fn take_changed(&mut self) -> Option<Vec<VertexId>> {
+        self.result.changed.take()
+    }
+
+    /// Move the run record out of the result — everything a restart
+    /// rewrites besides the values: the stats, the per-worker work,
+    /// `last_changed_iter` and `changed`, plus a copy of `converged` and
+    /// `exact_fixpoint` — and return it with empty values. The values and
+    /// the kept state stay. A caller that may discard the next restart
+    /// keeps the record to put back, with the values it committed, through
+    /// [`WarmResult::replace`].
+    pub fn take_record(&mut self) -> ProgramResult<V> {
+        let result = &mut self.result;
+        ProgramResult {
+            values: Vec::new(),
+            stats: std::mem::take(&mut result.stats),
+            last_changed_iter: std::mem::take(&mut result.last_changed_iter),
+            per_node_worker_work: std::mem::take(&mut result.per_node_worker_work),
+            converged: result.converged,
+            exact_fixpoint: result.exact_fixpoint,
+            changed: result.changed.take(),
+        }
+    }
+}
+
+/// How one engine run iterates. Its seed — the values and the first
+/// frontier — is already in the result and the [`RestartState`] it runs
+/// with: [`SlfeEngine::run`] seeds from the program's initial state,
+/// [`SlfeEngine::restart`] from a previous fixpoint plus a batch's dirty
+/// set.
+struct RunPlan {
     /// Whether the RR rulers gate this run. Warm min/max restarts disable them:
     /// "start late" levels are indexed by iteration number from a cold start and
     /// are meaningless relative to a warm frontier.
@@ -433,18 +797,18 @@ struct RunSeed<V> {
     /// locality, i.e. wall clock on dense frontiers, not counted work.)
     push_only: bool,
     /// Arithmetic warm restarts only: each pull visits only the vertices the
-    /// previous pull changed (`active`; for the first pull, the seed set)
+    /// previous pull changed (the frontier; for the first pull, the seed set)
     /// and their out-neighbours, unless that set is too large to be worth
     /// marking. Cold runs keep the paper's full sweeps.
     selective: bool,
     /// Work performed before the iteration loop (the warm-start invalidation
     /// pass), folded into the run's totals so counted work stays honest.
     preset: Counters,
-    /// Warm restarts only: the vertices whose seed value may differ from the
-    /// previous result's (re-seeded, appended, invalidated). The run adds
-    /// every vertex it writes and reports the union as
-    /// [`ProgramResult::changed`]; `None` for a run from initial values.
-    changed: Option<Bitset>,
+    /// A warm restart: the run adds every vertex it writes to the state's
+    /// change set (which already holds the seed's writes) and reports it as
+    /// [`ProgramResult::changed`], leaving `last_changed_iter` empty. A cold
+    /// run fills `last_changed_iter` instead and lists nothing.
+    warm: bool,
 }
 
 /// Every part [`SlfeEngine::from_parts`] assembles an engine from. All are
@@ -455,11 +819,12 @@ pub struct EngineParts {
     pub cluster: Cluster,
     /// Engine configuration.
     pub config: EngineConfig,
-    /// Redundancy-reduction guidance covering the graph's vertices. Shared,
-    /// so a caller that keeps it across graph versions hands it over without
-    /// a copy. Only a ruler-gated [`SlfeEngine::run`] reads it: the serving
-    /// loop hands warm restarts the previous version's guidance (padded when
-    /// |V| grew) and regenerates it before a full recompute.
+    /// Redundancy-reduction guidance, covering at most the graph's vertices:
+    /// past its end it reads "never skip" ([`RrGuidance::last_iter`]).
+    /// Shared, so a caller that keeps it across graph versions hands it over
+    /// without a copy. Only a ruler-gated [`SlfeEngine::run`] reads it: the
+    /// serving loop hands warm restarts the previous version's guidance,
+    /// also when |V| grew, and regenerates it before a full recompute.
     pub rrg: Arc<RrGuidance>,
     /// The graph's per-vertex degrees, [`Degrees::of`] the engine's graph
     /// (`from_parts` checks the length). Shared, so a caller that keeps them
@@ -469,8 +834,9 @@ pub struct EngineParts {
     /// Worker pool with at least the cluster's `total_workers` threads.
     pub pool: Arc<WorkerPool>,
     /// Chunk layout spanning the cluster's nodes and covering each node's
-    /// owned vertices exactly.
-    pub layout: GlobalChunkLayout,
+    /// owned vertices exactly. Shared, so a caller that keeps the current
+    /// version's layout hands it over without a copy.
+    pub layout: Arc<GlobalChunkLayout>,
     /// Out-of-core segment store covering the graph; `None` runs in-memory
     /// regardless of what the configuration requests.
     pub storage: Option<Arc<GraphStorage>>,
@@ -491,7 +857,7 @@ pub struct SlfeEngine<'g> {
     pool: Arc<WorkerPool>,
     /// Degree-aware, cluster-wide chunk layout (built once per graph version,
     /// or patched from the previous version's layout by the serving path).
-    layout: GlobalChunkLayout,
+    layout: Arc<GlobalChunkLayout>,
     /// Per chunk of `layout`: `(min, max)` of the guidance's `last_iter` over
     /// the chunk's vertices. A min/max pull at `iter < min` would gate every
     /// vertex individually, so the whole chunk is skipped; a pull (or full
@@ -537,7 +903,7 @@ impl<'g> SlfeEngine<'g> {
         let wall_start = Instant::now();
         let rrg = Arc::new(RrGuidance::generate(graph));
         let preprocessing_wall_seconds = wall_start.elapsed().as_secs_f64();
-        let layout = cluster.build_layout(graph);
+        let layout = Arc::new(cluster.build_layout(graph));
         let storage = config.storage_config().map(|sc| {
             Arc::new(
                 GraphStorage::build(graph, &sc)
@@ -593,10 +959,9 @@ impl<'g> SlfeEngine<'g> {
                 "segmented store must cover the engine's graph"
             );
         }
-        assert_eq!(
-            rrg.num_vertices(),
-            graph.num_vertices(),
-            "guidance must cover the engine's graph"
+        assert!(
+            rrg.num_vertices() <= graph.num_vertices(),
+            "guidance must not cover more vertices than the engine's graph"
         );
         assert_eq!(
             degrees.num_vertices(),
@@ -728,27 +1093,32 @@ impl<'g> SlfeEngine<'g> {
     }
 
     /// Execute `program` to convergence (or the configured iteration cap) and
-    /// return its values plus full execution statistics.
+    /// return its values plus full execution statistics. The run iterates in
+    /// a fresh run state and fills [`ProgramResult::last_changed_iter`].
     pub fn run<P: GraphProgram>(&self, program: &P) -> ProgramResult<P::Value> {
-        let graph = self.graph;
-        let n = graph.num_vertices();
-        let values: Vec<P::Value> = graph
+        let values = self
+            .graph
             .vertices()
             .map(|v| program.initial_value(v, &self.degrees))
             .collect();
-        let active = Bitset::from_fn(n, |v| program.initial_active(v as VertexId, &self.degrees));
-        self.run_seeded(
-            program,
-            RunSeed {
-                values,
-                active,
-                use_rr: self.config.redundancy == RedundancyMode::Enabled,
-                push_only: false,
-                selective: false,
-                preset: Counters::zero(),
-                changed: None,
-            },
-        )
+        let mut result = unrun(values, false);
+        let mut state = RestartState::new();
+        state.prime(&result.values);
+        self.prepare(&mut state);
+        for v in self.graph.vertices() {
+            if program.initial_active(v, &self.degrees) {
+                state.active.insert(v as usize);
+            }
+        }
+        let plan = RunPlan {
+            use_rr: self.config.redundancy == RedundancyMode::Enabled,
+            push_only: false,
+            selective: false,
+            preset: Counters::zero(),
+            warm: false,
+        };
+        self.run_seeded(program, plan, &mut result, &mut state);
+        result
     }
 
     /// Warm-start `program` from a previous fixpoint after an edge-update batch,
@@ -757,9 +1127,11 @@ impl<'g> SlfeEngine<'g> {
     /// The engine must be built on the **mutated** graph. `previous` is the
     /// result of running the same program on the pre-batch graph (vertex ids are
     /// stable across [`slfe_graph::Graph::apply_batch`], so values line up
-    /// index-for-index; appended vertices start from
-    /// [`GraphProgram::warm_start_value`] with `None`). `dirty` flags the
-    /// endpoints of every changed edge over the mutated vertex count
+    /// index-for-index). Every previous value is kept, unless the program
+    /// declares [`GraphProgram::warm_start_resets`], which re-seeds every
+    /// vertex from [`GraphProgram::initial_value`]; appended vertices start
+    /// from their initial value either way. `dirty` flags the endpoints of
+    /// every changed edge over the mutated vertex count
     /// ([`slfe_graph::BatchEffect::dirty_bitset`]).
     ///
     /// * **Monotone min/max programs** (SSSP, BFS, CC, WidestPath): a support
@@ -786,8 +1158,7 @@ impl<'g> SlfeEngine<'g> {
     ///   the usual tolerance-based iteration re-converges it in a handful of
     ///   iterations. Each iteration pulls only X ∪ out(X), where X is the set
     ///   the previous pull changed or, for the first pull, the dirty
-    ///   endpoints plus every vertex whose [`GraphProgram::warm_start_value`]
-    ///   differs from its previous value. The skip is exact: a vertex outside
+    ///   endpoints. The skip is exact: a vertex outside
     ///   that set has inputs (in-list, in-neighbour values, own value and
     ///   degrees, |V| — the contract on [`GraphProgram`]) unchanged since its
     ///   last pull, so it would recompute bits that pull already judged
@@ -796,9 +1167,10 @@ impl<'g> SlfeEngine<'g> {
     ///   When Σ(1 + out-degree) over X exceeds the push/pull threshold (5% of
     ///   |E|) the iteration pulls every vertex. The first pull stays full
     ///   unless `previous` is an exact fixpoint over the same |V|
-    ///   ([`ProgramResult::exact_fixpoint`]), so it re-pulls everything after
-    ///   a ruler-gated or capped run, after restored or remapped values, and
-    ///   when the batch grows the graph. The multi ruler is disabled for the
+    ///   ([`ProgramResult::exact_fixpoint`]) and the program keeps its
+    ///   values, so it re-pulls everything after a ruler-gated or capped run,
+    ///   after restored or remapped values, after a full reseed and when the
+    ///   batch grows the graph. The multi ruler is disabled for the
     ///   restart: warm values are stable from iteration 1, so "finish early"
     ///   would freeze vertices before the batch's perturbation reaches them.
     ///
@@ -807,18 +1179,28 @@ impl<'g> SlfeEngine<'g> {
     /// tolerance for arithmetic ones. The invalidation pass's counted work is
     /// folded into the result's totals. [`ProgramResult::changed`] lists,
     /// ascending, every vertex whose value may differ from `previous.values`:
-    /// the re-seeded and appended vertices, the invalidated ones and every
-    /// vertex an iteration wrote (the union of the barrier-merged frontiers),
-    /// so a caller can patch its copy of the values in O(changed). Building
-    /// it costs O(|V|/64) per iteration.
+    /// the appended vertices, the ones a full reseed moved, the invalidated
+    /// ones and every vertex an iteration wrote, so a caller can patch its
+    /// copy of the values in O(changed).
+    /// [`ProgramResult::last_changed_iter`] comes back empty.
+    ///
+    /// This entry copies `previous` into a fresh run state, an O(|V|) set-up
+    /// per call. A caller that keeps a [`WarmResult`] across versions
+    /// restarts through [`SlfeEngine::restart`] instead, whose bookkeeping
+    /// follows the frontier.
     pub fn run_from<P: GraphProgram>(
         &self,
         program: &P,
         previous: &ProgramResult<P::Value>,
         dirty: &Bitset,
     ) -> ProgramResult<P::Value> {
+        assert_eq!(
+            dirty.len(),
+            self.graph.num_vertices(),
+            "dirty bitset must cover the mutated graph"
+        );
         let seeds: Vec<VertexId> = dirty.iter_ones().map(|v| v as VertexId).collect();
-        self.warm_restart(program, previous, dirty, &seeds)
+        self.restart_copy(program, previous, &seeds, &seeds)
     }
 
     /// [`SlfeEngine::run_from`] with the full precision of a
@@ -829,81 +1211,175 @@ impl<'g> SlfeEngine<'g> {
     /// batches this skips invalidation entirely, which matters most for
     /// programs without [`GraphProgram::strictly_monotonic`] contributions
     /// (CC, WidestPath), whose conservative cascade otherwise walks whole
-    /// support regions.
+    /// support regions. Like [`SlfeEngine::run_from`], it restarts in a
+    /// fresh run state from a copy of `previous`.
     pub fn run_from_effect<P: GraphProgram>(
         &self,
         program: &P,
         previous: &ProgramResult<P::Value>,
         effect: &slfe_graph::BatchEffect,
     ) -> ProgramResult<P::Value> {
-        let dirty = effect.dirty_bitset(self.graph.num_vertices());
-        self.warm_restart(program, previous, &dirty, &effect.worsened_dsts)
+        self.restart_copy(program, previous, &effect.dirty, &effect.worsened_dsts)
     }
 
-    /// Shared warm-restart implementation: `activate` seeds the re-convergence
-    /// frontier, `invalidation_seeds` the support-loss pass.
-    fn warm_restart<P: GraphProgram>(
+    /// [`SlfeEngine::run_from_effect`] in place, with run state kept across
+    /// graph versions: `warm` holds the previous fixpoint on entry and the
+    /// restart's result on return, and keeps the run state of the previous
+    /// restart (none after [`WarmResult::new`] or a change outside a
+    /// restart). The values move, they are never copied: the restart
+    /// re-seeds only the
+    /// appended and invalidated vertices (every vertex under
+    /// [`GraphProgram::warm_start_resets`]), refreshes the read buffer from
+    /// the vertices each iteration wrote, and builds
+    /// [`ProgramResult::changed`] from those writes. Past a first O(|V|)
+    /// copy into a new or reset state, its bookkeeping costs O(frontier +
+    /// changed) per iteration plus a pass over the layout's chunks, and it
+    /// allocates nothing that grows with |V| beyond the appended vertices.
+    /// Values, counters and change lists equal
+    /// [`SlfeEngine::run_from_effect`]'s, except the footprint statistic
+    /// [`slfe_metrics::Counters::scratch_bytes_peak`], which counts the
+    /// sparse push capacity a kept state carries over.
+    pub fn restart<P: GraphProgram>(
+        &self,
+        program: &P,
+        warm: &mut WarmResult<P::Value>,
+        effect: &slfe_graph::BatchEffect,
+    ) {
+        let WarmResult { result, state } = warm;
+        self.warm_restart(program, result, &effect.dirty, &effect.worsened_dsts, state);
+    }
+
+    /// The copying entries' restart: `previous` copied into a fresh state.
+    fn restart_copy<P: GraphProgram>(
         &self,
         program: &P,
         previous: &ProgramResult<P::Value>,
-        activate: &Bitset,
+        activate: &[VertexId],
         invalidation_seeds: &[VertexId],
     ) -> ProgramResult<P::Value> {
+        let mut result = unrun(previous.values.clone(), previous.exact_fixpoint);
+        let mut state = RestartState::new();
+        self.warm_restart(
+            program,
+            &mut result,
+            activate,
+            invalidation_seeds,
+            &mut state,
+        );
+        result
+    }
+
+    /// Size `state`'s sets, worker scratch and per-chunk arrays for this
+    /// engine's graph, cluster and layout, and reset the per-run chunk state.
+    fn prepare<V: Copy + PartialEq>(&self, state: &mut RestartState<V>) {
+        let n = self.graph.num_vertices();
+        for set in [
+            &mut state.active,
+            &mut state.next_active,
+            &mut state.marked,
+            &mut state.invalid,
+            &mut state.changed,
+        ] {
+            set.resize(n);
+        }
+        let num_nodes = self.cluster.num_nodes();
+        let shape = (self.cluster.config().total_workers(), num_nodes);
+        if state.shape != shape {
+            let mask_words = mask_words(num_nodes);
+            state.workers = (0..shape.0)
+                .map(|_| WorkerScratch::new(num_nodes, mask_words))
+                .collect();
+            state.merged_sparse = SparsePushMap::new(mask_words);
+            state.shape = shape;
+        }
+        let num_chunks = self.layout.chunks().len();
+        state.chunk_costs.resize(num_chunks, 0);
+        state.chunk_skip.resize(num_chunks, false);
+        state.newly_converged.resize(num_chunks, 0);
+        state.chunk_caught_up.clear();
+        state.chunk_caught_up.resize(num_chunks, false);
+        state.chunk_converged.clear();
+        state.chunk_converged.resize(num_chunks, 0);
+    }
+
+    /// The one restart routine behind [`SlfeEngine::restart`] and the
+    /// copying entries: seed `result` in place, then iterate. `activate`
+    /// seeds the re-convergence frontier, `invalidation_seeds` the
+    /// support-loss pass.
+    fn warm_restart<P: GraphProgram>(
+        &self,
+        program: &P,
+        result: &mut ProgramResult<P::Value>,
+        activate: &[VertexId],
+        invalidation_seeds: &[VertexId],
+        state: &mut RestartState<P::Value>,
+    ) {
         let graph = self.graph;
         let n = graph.num_vertices();
-        assert_eq!(
-            activate.len(),
-            n,
-            "dirty bitset must cover the mutated graph"
+        let kept = result.values.len();
+        assert!(
+            kept <= n,
+            "the previous result covers more vertices than the mutated graph"
         );
-        // Seed every vertex, flagging the ones that re-enter with a value
-        // other than their previous one, and every appended vertex.
-        let kept = previous.values.len().min(n);
-        let mut reseeded = Bitset::new(n);
-        let mut values: Vec<P::Value> = Vec::with_capacity(n);
-        values.extend(previous.values[..kept].iter().enumerate().map(|(v, &old)| {
-            let warm = program.warm_start_value(v as VertexId, Some(old), &self.degrees);
-            if warm != old {
-                reseeded.set(v);
-            }
-            warm
-        }));
-        values.extend((kept..n).map(|v| {
-            reseeded.set(v);
-            program.warm_start_value(v as VertexId, None, &self.degrees)
-        }));
+        state.prime(&result.values);
+        self.prepare(state);
+        let arithmetic = program.aggregation() == AggregationKind::Arithmetic;
+        let resets = program.warm_start_resets();
+        let exact = result.exact_fixpoint && kept == n;
+        let values = &mut result.values;
+        let RestartState {
+            prev_values,
+            active,
+            invalid,
+            changed,
+            queue,
+            ..
+        } = state;
 
-        if program.aggregation() == AggregationKind::Arithmetic {
-            // The first pull's seed set X: the dirty endpoints plus every
-            // vertex re-entering with a value other than its previous one.
-            // Only an exact fixpoint over the same |V| vouches for the rest,
-            // otherwise every vertex is seeded (and the first pull is full).
-            let active = if previous.exact_fixpoint && previous.values.len() == n {
-                let mut seeds = activate.clone();
-                seeds.union_with(&reseeded);
-                seeds
-            } else {
-                let mut all = Bitset::new(n);
-                all.fill();
-                all
-            };
+        // Seed. Every value stays but under a full reseed; appended vertices
+        // start from their initial value. Each seed write lands in the read
+        // buffer too and joins the change list.
+        if resets {
+            for (v, value) in values.iter_mut().enumerate() {
+                let initial = program.initial_value(v as VertexId, &self.degrees);
+                if initial != *value {
+                    changed.insert(v);
+                }
+                *value = initial;
+            }
+            prev_values.copy_from_slice(values);
+        }
+        for v in kept..n {
+            let initial = program.initial_value(v as VertexId, &self.degrees);
+            values.push(initial);
+            prev_values.push(initial);
+            changed.insert(v);
+        }
+        // The first frontier: the dirty endpoints. A full reseed activates
+        // every vertex, and so does an arithmetic restart that no exact
+        // fixpoint over the same |V| vouches for (its first pull is full).
+        if resets || (arithmetic && !exact) {
+            active.fill();
+        } else {
+            for &v in activate {
+                active.insert(v as usize);
+            }
+        }
+
+        if arithmetic {
             // The multi ruler must stay off here: warm-started vertices are
             // stable from iteration 1, so "finish early" would freeze them
             // before the batch's perturbation propagates out to them. The
             // ruler's premise — k stable iterations means the inputs have
             // settled — only holds for cold-start dynamics.
-            return self.run_seeded(
-                program,
-                RunSeed {
-                    values,
-                    active,
-                    use_rr: false,
-                    push_only: false,
-                    selective: true,
-                    preset: Counters::zero(),
-                    changed: Some(reseeded),
-                },
-            );
+            let plan = RunPlan {
+                use_rr: false,
+                push_only: false,
+                selective: true,
+                preset: Counters::zero(),
+                warm: true,
+            };
+            return self.run_seeded(program, plan, result, state);
         }
 
         // Min/max invalidation pass (sequential: the disturbed region is tiny
@@ -925,13 +1401,10 @@ impl<'g> SlfeEngine<'g> {
         let strict = program.strictly_monotonic();
         let tolerance = self.config.tolerance;
         let mut preset = Counters::zero();
-        let mut invalid = Bitset::new(n);
-        let mut active = activate.clone();
-        let mut queue: std::collections::VecDeque<VertexId> =
-            invalidation_seeds.iter().copied().collect();
+        queue.extend(invalidation_seeds);
         while let Some(v) = queue.pop_front() {
             let vi = v as usize;
-            if invalid.get(vi) {
+            if invalid.bits.get(vi) {
                 continue;
             }
             let initial = program.initial_value(v, &self.degrees);
@@ -945,7 +1418,7 @@ impl<'g> SlfeEngine<'g> {
                 let mut has_contribution = false;
                 for (u, w) in graph.in_edges(v) {
                     preset.edge_computations += 1;
-                    if invalid.get(u as usize) {
+                    if invalid.bits.get(u as usize) {
                         continue;
                     }
                     if let Some(c) = program.edge_contribution(u, values[u as usize], w) {
@@ -975,13 +1448,15 @@ impl<'g> SlfeEngine<'g> {
             // Support lost (or, without strict monotonicity, unprovable): reset
             // and cascade along the edges that used this value as support.
             let old = values[vi];
-            invalid.set(vi);
+            invalid.insert(vi);
             values[vi] = initial;
-            active.set(vi);
+            prev_values[vi] = initial;
+            changed.insert(vi);
+            active.insert(vi);
             preset.vertex_updates += 1;
             for (y, w) in graph.out_edges(v) {
                 preset.edge_computations += 1;
-                if invalid.get(y as usize) {
+                if invalid.bits.get(y as usize) {
                     continue;
                 }
                 if let Some(c) = program.edge_contribution(v, old, w) {
@@ -993,31 +1468,27 @@ impl<'g> SlfeEngine<'g> {
         }
         // The invalidated region re-converges from its in-boundary: every intact
         // in-neighbor re-pushes its (valid) value into the hole.
-        for v in invalid.iter_ones() {
+        invalid.for_each(|v| {
             for &u in graph.in_neighbors(v as VertexId) {
-                if !invalid.get(u as usize) {
-                    active.set(u as usize);
+                if !invalid.bits.get(u as usize) {
+                    active.insert(u as usize);
                 }
             }
-        }
+        });
+        invalid.clear();
 
-        reseeded.union_with(&invalid);
-        self.run_seeded(
-            program,
-            RunSeed {
-                values,
-                active,
-                use_rr: false,
-                push_only: true,
-                selective: false,
-                preset,
-                changed: Some(reseeded),
-            },
-        )
+        let plan = RunPlan {
+            use_rr: false,
+            push_only: true,
+            selective: false,
+            preset,
+            warm: true,
+        };
+        self.run_seeded(program, plan, result, state)
     }
 
     /// The shared iteration loop behind [`SlfeEngine::run`] and
-    /// [`SlfeEngine::run_from`]: dispatch to the configured adjacency store —
+    /// [`SlfeEngine::restart`]: dispatch to the configured adjacency store —
     /// the in-memory CSR/CSC, or the disk-segment store behind the buffer
     /// pool. Both instantiations traverse identical `(neighbor, weight)`
     /// sequences, so results are bit-identical; only residency and the
@@ -1025,15 +1496,24 @@ impl<'g> SlfeEngine<'g> {
     fn run_seeded<P: GraphProgram>(
         &self,
         program: &P,
-        seed: RunSeed<P::Value>,
-    ) -> ProgramResult<P::Value> {
+        plan: RunPlan,
+        result: &mut ProgramResult<P::Value>,
+        state: &mut RestartState<P::Value>,
+    ) {
         match &self.storage {
-            Some(storage) => {
-                self.run_seeded_on(program, seed, storage.out_store(), storage.in_store())
-            }
+            Some(storage) => self.run_seeded_on(
+                program,
+                plan,
+                result,
+                state,
+                storage.out_store(),
+                storage.in_store(),
+            ),
             None => self.run_seeded_on(
                 program,
-                seed,
+                plan,
+                result,
+                state,
                 self.graph.out_adjacency(),
                 self.graph.in_adjacency(),
             ),
@@ -1041,19 +1521,31 @@ impl<'g> SlfeEngine<'g> {
     }
 
     /// The iteration loop proper, generic over the adjacency store each
-    /// traversal phase streams from.
+    /// traversal phase streams from. It runs on `result.values` in place,
+    /// with the seed frontier in `state.active` and `state.prev_values`
+    /// mirroring the values, and fills the rest of `result`.
+    ///
+    /// Its per-iteration bookkeeping follows the frontier: the vertices a
+    /// phase wrote come out of the barrier merge as a list, which refreshes
+    /// the read buffer, becomes the next frontier, and feeds the change list
+    /// (restarts) or `last_changed_iter` (cold runs); a sparse set is
+    /// cleared through its member list. What stays proportional to the
+    /// graph is one pass over the layout's chunks per iteration, and the
+    /// pull phases themselves.
     fn run_seeded_on<P: GraphProgram, S: AdjacencyStore>(
         &self,
         program: &P,
-        seed: RunSeed<P::Value>,
+        plan: RunPlan,
+        result: &mut ProgramResult<P::Value>,
+        state: &mut RestartState<P::Value>,
         out_store: &S,
         in_store: &S,
-    ) -> ProgramResult<P::Value> {
+    ) {
         self.cluster.reset_run_state();
         let graph = self.graph;
         let n = graph.num_vertices();
         let arithmetic = program.aggregation() == AggregationKind::Arithmetic;
-        let rr = seed.use_rr;
+        let rr = plan.use_rr;
         let tolerance = self.config.tolerance;
         let max_level = self.rrg.max_level();
         // Highest guidance level whose vertices are guaranteed to have gathered from
@@ -1064,12 +1556,27 @@ impl<'g> SlfeEngine<'g> {
         // starting" vertex could still be missing updates it skipped.
         let mut covered_level: u32 = if rr && !arithmetic { 0 } else { max_level };
 
-        let mut values = seed.values;
-        let mut active = seed.active;
-        let mut changed = seed.changed;
+        let values = &mut result.values;
+        let RestartState {
+            prev_values,
+            active,
+            next_active,
+            marked,
+            changed,
+            workers: worker_states,
+            merged_sparse,
+            sparse_order,
+            chunk_costs,
+            chunk_skip,
+            visit,
+            chunk_caught_up,
+            chunk_converged,
+            newly_converged,
+            ..
+        } = &mut *state;
         debug_assert_eq!(values.len(), n);
-        debug_assert_eq!(active.len(), n);
-        let mut active_count = active.count_ones();
+        debug_assert_eq!(prev_values.len(), n);
+        let mut active_count = active.len();
 
         // Multi-ruler state ("finish early"): per-vertex stability counters,
         // allocated only by the ruler-gated arithmetic runs that read them.
@@ -1078,10 +1585,8 @@ impl<'g> SlfeEngine<'g> {
         } else {
             (Vec::new(), Vec::new())
         };
-        let mut last_changed_iter = vec![0u32; n];
-        // Selective pulls (arithmetic warm restarts): the vertices the next
-        // pull visits, rebuilt at the top of each iteration.
-        let mut marked = Bitset::new(if seed.selective { n } else { 0 });
+        // Figure 2's per-vertex record of the last change: cold runs only.
+        let mut last_changed_iter = if plan.warm { Vec::new() } else { vec![0u32; n] };
 
         let num_nodes = self.cluster.num_nodes();
         let workers = self.cluster.config().workers_per_node;
@@ -1090,51 +1595,34 @@ impl<'g> SlfeEngine<'g> {
         // run's delta proves no phase re-spawned (see Counters::threads_spawned).
         let spawned_before = self.pool.threads_spawned();
         let mut per_node_worker_work: Vec<Vec<u64>> = vec![vec![0u64; workers]; num_nodes];
-
-        // Buffers hoisted out of the iteration loop — zero per-iteration allocation.
-        let mut prev_values: Vec<P::Value> = values.clone();
-        let mut next_active = Bitset::new(n);
-        let mask_words = if num_nodes > 1 {
-            num_nodes.div_ceil(64)
-        } else {
-            0
-        };
-        let mut worker_states: Vec<WorkerScratch<P::Value>> = (0..total_workers)
-            .map(|_| WorkerScratch::new(n, num_nodes, mask_words))
-            .collect();
+        let mask_words = mask_words(num_nodes);
         // Dense push merge buffers: lazily allocated alongside the workers'
-        // dense scratch by the first dense push phase. Sparse phases merge
-        // through `merged_sparse` + `sparse_order` instead.
+        // dense scratch by the first dense push phase, and dropped with the
+        // run. Sparse phases merge through the state's `merged_sparse` and
+        // `sparse_order` instead.
         let mut merged_values: Vec<P::Value> = Vec::new();
         let mut merged_touched = Bitset::new(0);
         let mut merged_nodes: Vec<u64> = Vec::new();
-        let mut merged_sparse: SparsePushMap<P::Value> = SparsePushMap::new(mask_words);
-        let mut sparse_order: Vec<(u32, usize)> = Vec::new();
         // The global executor claims the layout's chunks one at a time across
         // every node; measured per-chunk costs feed the simulated-cluster
         // schedule after each phase.
         let global_scheduler = ChunkScheduler::new(total_workers, 1);
-        let num_chunks = self.layout.chunks().len();
-        let mut chunk_costs: Vec<u64> = vec![0u64; num_chunks];
         let mut merge_work_by_node: Vec<u64> = vec![0u64; num_nodes];
 
-        // Chunk-level activity state (see the module docs): which chunks the
-        // next phase may skip, which min/max chunks have gathered every
-        // in-edge at least once past their rr gate, and — for arithmetic
-        // programs under the multi ruler — how many of each chunk's vertices
-        // have early-converged. All of it is derived from barrier-merged state,
-        // so skip decisions are identical at every worker count.
-        let mut chunk_skip = vec![false; num_chunks];
-        let mut chunk_caught_up = vec![false; num_chunks];
-        let mut chunk_converged: Vec<u32> = vec![0; num_chunks];
-        let mut newly_converged: Vec<u32> = vec![0; num_chunks];
+        // Chunk-level activity state (see the module docs) lives in the
+        // state's per-chunk arrays: which chunks the next phase may skip,
+        // which min/max chunks have gathered every in-edge at least once past
+        // their rr gate, and — for arithmetic programs under the multi ruler —
+        // how many of each chunk's vertices have early-converged. All of it
+        // is derived from barrier-merged state, so skip decisions are
+        // identical at every worker count.
 
         // The run recorder is the single write point for per-iteration data:
         // it feeds both the iteration trace (config.trace) and the span layer
         // plus iteration-wall histogram (config.telemetry). Spans buffer
         // locally and flush to the hub once at `finish`.
         let mut rec = RunRecorder::new(&self.telemetry, self.config.trace);
-        let mut totals = seed.preset;
+        let mut totals = plan.preset;
         let mut simulated_exec_seconds = 0.0f64;
 
         let mut last_mode_was_pull = false;
@@ -1157,10 +1645,10 @@ impl<'g> SlfeEngine<'g> {
             }
             iterations_run = iter;
             let iter_span = rec.begin();
-            let mode = if force_flush || (seed.push_only && !arithmetic) {
+            let mode = if force_flush || (plan.push_only && !arithmetic) {
                 Mode::Push
             } else {
-                self.select_mode(program, &active, active_count)
+                self.select_mode(program, active)
             };
             let mode_name = match mode {
                 Mode::Pull => "pull",
@@ -1173,25 +1661,23 @@ impl<'g> SlfeEngine<'g> {
             let pool_before = self.storage.as_ref().map(|s| s.pool().counters());
 
             let mut iter_counters = Counters::zero();
-            let mut changed_this_iter = 0usize;
             let mut iteration_node_makespan = 0u64;
-            next_active.clear();
             chunk_costs.fill(0);
 
             // Selective pull: mark X ∪ out(X) from the barrier-merged changed
             // set, so the marks (and every counter they drive) are identical
             // at any worker count. `None` pulls every vertex.
-            let marks = if seed.selective && mode == Mode::Pull {
+            let marks = if plan.selective && mode == Mode::Pull {
                 let mark_span = rec.begin();
                 let selective = self.mark_pull_set(
                     out_store,
-                    &active,
-                    &mut marked,
+                    active,
+                    marked,
                     &mut iter_counters,
                     &mut merge_work_by_node,
                 );
                 rec.end(mark_span, "mark", "engine");
-                selective.then_some(&marked)
+                selective.then_some(&marked.bits)
             } else {
                 None
             };
@@ -1204,11 +1690,13 @@ impl<'g> SlfeEngine<'g> {
                 active_count = n;
             }
 
-            // Synchronous (BSP) semantics: every edge computation of this iteration
-            // reads the values of the *previous* iteration, exactly like the paper's
-            // Bellman-Ford-style iteration plot (Figure 1b) and like a distributed
-            // engine whose remote values only refresh at iteration boundaries.
-            prev_values.copy_from_slice(&values);
+            // Synchronous (BSP) semantics: every edge computation of this
+            // iteration reads the values of the *previous* iteration from
+            // `prev_values`, exactly like the paper's Bellman-Ford-style
+            // iteration plot (Figure 1b) and like a distributed engine whose
+            // remote values only refresh at iteration boundaries. The buffer
+            // already holds them: the seed and every earlier phase wrote
+            // their vertices through to it.
 
             // Chunk activity summaries: decide which chunks this phase can skip
             // outright. No rule below changes any value, frontier bit or
@@ -1221,25 +1709,26 @@ impl<'g> SlfeEngine<'g> {
             // computing them is an O(V) scan — warm (rulers-off) restarts must
             // not pay it, so it stays behind the lazy accessor.
             let rr_bounds = (rr && !arithmetic).then(|| self.chunk_rr_bounds());
+            let frontier = &*active;
+            visit.clear();
             for (ci, chunk) in self.layout.chunks().iter().enumerate() {
                 chunk_skip[ci] = match mode {
                     // A push chunk with no active source does nothing. The
-                    // popcount is affordable by construction on contiguous
+                    // probe is affordable by construction on contiguous
                     // partitionings (span ≈ chunk size); a foreign-id-riddled
                     // span that would cost more words to probe than the
                     // chunk's own work is simply visited.
                     Mode::Push => {
                         let probe_words = (chunk.span_end - chunk.span_start) as u64 / 64 + 1;
                         probe_words <= chunk.estimate
-                            && active
-                                .count_in_range(chunk.span_start as usize, chunk.span_end as usize)
-                                == 0
+                            && !frontier
+                                .any_in_range(chunk.span_start as usize, chunk.span_end as usize)
                     }
                     Mode::Pull if arithmetic => match marks {
                         // Selective pull: no vertex of the chunk is marked.
                         // As for a push, a span riddled with foreign ids is
                         // visited rather than probed.
-                        Some(marked) => {
+                        Some(_) => {
                             let probe_words = (chunk.span_end - chunk.span_start) as u64 / 64 + 1;
                             probe_words <= chunk.estimate
                                 && !marked.any_in_range(
@@ -1268,13 +1757,15 @@ impl<'g> SlfeEngine<'g> {
                             let probe_words = (chunk.in_end - chunk.in_start) as u64 / 64 + 1;
                             chunk_caught_up[ci]
                                 && probe_words <= chunk.estimate
-                                && !active
+                                && !frontier
                                     .any_in_range(chunk.in_start as usize, chunk.in_end as usize)
                         }
                     }
                 };
                 if chunk_skip[ci] {
                     iter_counters.chunks_skipped += 1;
+                } else {
+                    visit.push(ci as u32);
                 }
             }
             // Sparse-vs-dense push scratch: below the density threshold the
@@ -1310,20 +1801,20 @@ impl<'g> SlfeEngine<'g> {
                         rr,
                         arithmetic,
                         tolerance,
-                        &prev_values,
-                        &mut values,
+                        prev_values,
+                        values,
                         &mut stable_count,
                         &mut stable_value,
-                        &mut last_changed_iter,
-                        &mut worker_states,
+                        worker_states,
                         &global_scheduler,
-                        &mut chunk_costs,
-                        &chunk_skip,
+                        chunk_costs,
+                        visit,
                         marks,
-                        &mut newly_converged,
+                        newly_converged,
                     );
                     if arithmetic && rr {
-                        for (count, fresh) in chunk_converged.iter_mut().zip(&newly_converged) {
+                        for (count, fresh) in chunk_converged.iter_mut().zip(newly_converged.iter())
+                        {
                             *count += fresh;
                         }
                     }
@@ -1331,25 +1822,22 @@ impl<'g> SlfeEngine<'g> {
                 Mode::Push => self.push_phase_global(
                     program,
                     out_store,
-                    iter,
                     tolerance,
-                    &active,
-                    &prev_values,
-                    &mut values,
-                    &mut next_active,
-                    &mut changed_this_iter,
-                    &mut last_changed_iter,
+                    &active.bits,
+                    prev_values,
+                    values,
+                    next_active,
                     &mut iter_counters,
-                    &mut worker_states,
+                    worker_states,
                     &global_scheduler,
-                    &mut chunk_costs,
-                    &chunk_skip,
+                    chunk_costs,
+                    visit,
                     sparse_push,
                     &mut merged_values,
                     &mut merged_touched,
                     &mut merged_nodes,
-                    &mut merged_sparse,
-                    &mut sparse_order,
+                    merged_sparse,
+                    sparse_order,
                     mask_words,
                     &mut merge_work_by_node,
                 ),
@@ -1382,19 +1870,16 @@ impl<'g> SlfeEngine<'g> {
             }
 
             // Merge per-worker scratch at the iteration barrier: counters,
-            // change tallies, activated frontier bits and the message
-            // matrix. Concurrent-window semantics: flow counters sum, and
-            // so do the simultaneously-live scratch footprints.
+            // the vertices each worker wrote (the next frontier) and the
+            // message matrix. Concurrent-window semantics: flow counters sum,
+            // and so do the simultaneously-live scratch footprints.
             let barrier_span = rec.begin();
             let merge_span = rec.begin();
             for ws in worker_states.iter_mut() {
                 iter_counters = iter_counters.merge_concurrent(ws.counters);
                 ws.counters = Counters::zero();
-                changed_this_iter += ws.changed;
-                ws.changed = 0;
-                if ws.next_frontier.any() {
-                    next_active.union_with(&ws.next_frontier);
-                    ws.next_frontier.clear();
+                for v in ws.written.drain(..) {
+                    next_active.insert(v as usize);
                 }
                 for src_node in 0..num_nodes {
                     for dst_node in 0..num_nodes {
@@ -1412,6 +1897,10 @@ impl<'g> SlfeEngine<'g> {
                     }
                 }
             }
+            // A value is written only when `changed` holds, and then the
+            // vertex joins the next frontier: the frontier is exactly the
+            // phase's writes.
+            let written = next_active.len();
             rec.end(merge_span, "merge", "engine");
 
             // Simulated-cluster accounting: in the *model* each node still
@@ -1459,8 +1948,10 @@ impl<'g> SlfeEngine<'g> {
             if !arithmetic {
                 match mode {
                     Mode::Pull => {
-                        for (ci, (caught, &skipped)) in
-                            chunk_caught_up.iter_mut().zip(&chunk_skip).enumerate()
+                        for (ci, (caught, &skipped)) in chunk_caught_up
+                            .iter_mut()
+                            .zip(chunk_skip.iter())
+                            .enumerate()
                         {
                             if !skipped && rr_bounds.is_none_or(|b| iter >= b[ci].1) {
                                 *caught = true;
@@ -1512,14 +2003,24 @@ impl<'g> SlfeEngine<'g> {
                 compute_seconds + comm_seconds,
             );
 
-            // The merged frontier holds exactly the vertices this iteration
-            // wrote: a value is written only when `changed` holds, and then
-            // its frontier bit is set.
-            if let Some(changed) = changed.as_mut() {
-                changed.union_with(&next_active);
+            // Write the phase's vertices through to the read buffer (one
+            // copy when they are many; barrier-merged, like every decision
+            // here), then record them.
+            if written * DENSE_SYNC_SHARE > n {
+                prev_values.copy_from_slice(values);
+            } else {
+                next_active.for_each(|v| prev_values[v] = values[v]);
             }
-            std::mem::swap(&mut active, &mut next_active);
-            active_count = active.count_ones();
+            if plan.warm {
+                next_active.for_each(|v| {
+                    changed.insert(v);
+                });
+            } else {
+                next_active.for_each(|v| last_changed_iter[v] = iter);
+            }
+            std::mem::swap(active, next_active);
+            next_active.clear();
+            active_count = written;
             last_mode_was_pull = mode == Mode::Pull;
             match mode {
                 // A pull at iteration `iter` gathered every vertex with
@@ -1534,7 +2035,7 @@ impl<'g> SlfeEngine<'g> {
             // Arithmetic termination: a fixpoint is reached when no vertex changed.
             // Min/max termination is handled at the top of the next iteration so the
             // RR flush push can run first if needed.
-            if arithmetic && changed_this_iter == 0 {
+            if arithmetic && written == 0 {
                 converged = true;
                 break;
             }
@@ -1561,17 +2062,17 @@ impl<'g> SlfeEngine<'g> {
         stats.trace = rec.finish();
         stats.per_node_work = self.cluster.per_node_work();
 
-        ProgramResult {
-            values,
-            stats,
-            last_changed_iter,
-            per_node_worker_work,
-            converged,
-            // No ruler skipped a vertex, so converging means a fresh pull of
-            // any vertex would not change it.
-            exact_fixpoint: converged && !rr,
-            changed: changed.map(|c| c.iter_ones().map(|v| v as VertexId).collect()),
-        }
+        // The change list: collected once per vertex through the kept set,
+        // sorted once.
+        result.changed = plan.warm.then(|| changed.take_sorted());
+        result.stats = stats;
+        result.last_changed_iter = last_changed_iter;
+        result.per_node_worker_work = per_node_worker_work;
+        result.converged = converged;
+        // No ruler skipped a vertex, so converging means a fresh pull of
+        // any vertex would not change it.
+        result.exact_fixpoint = converged && !rr;
+        state.finish_run();
     }
 
     /// Mark the vertices a selective pull visits: `changed` (X) and every
@@ -1585,30 +2086,38 @@ impl<'g> SlfeEngine<'g> {
     fn mark_pull_set<S: AdjacencyStore>(
         &self,
         out_store: &S,
-        changed: &Bitset,
-        marked: &mut Bitset,
+        changed: &mut VertexSet,
+        marked: &mut VertexSet,
         counters: &mut Counters,
         merge_work_by_node: &mut [u64],
     ) -> bool {
         let budget = self.graph.num_edges() as f64 * PULL_THRESHOLD;
+        // Each vertex costs at least 1: X is over budget when it outnumbers
+        // the budget, before any degree is summed.
+        if changed.len() as f64 > budget {
+            return false;
+        }
         let mut cost = 0u64;
-        for v in changed.iter_ones() {
+        let mut over = false;
+        changed.for_each(|v| {
             cost += 1 + self.degrees.out_degree(v as VertexId) as u64;
-            if cost as f64 > budget {
-                return false;
-            }
+            over |= cost as f64 > budget;
+        });
+        if over {
+            return false;
         }
         marked.clear();
+        changed.sort();
         let mut reached = vec![false; self.cluster.num_nodes()];
         let mut out_cursor = StreamCursor::new(out_store);
-        for v in changed.iter_ones() {
-            marked.set(v);
-            let src = v as VertexId;
+        changed.for_each(|src| {
+            let src = src as VertexId;
+            marked.insert(src as usize);
             let src_owner = self.cluster.owner_of(src);
             reached.fill(false);
             let (targets, _) = out_cursor.list(src);
             for &dst in targets {
-                marked.set(dst as usize);
+                marked.insert(dst as usize);
                 let dst_owner = self.cluster.owner_of(dst);
                 if dst_owner != src_owner && !reached[dst_owner] {
                     reached[dst_owner] = true;
@@ -1622,31 +2131,24 @@ impl<'g> SlfeEngine<'g> {
             }
             counters.edge_computations += targets.len() as u64;
             merge_work_by_node[src_owner] += targets.len() as u64;
-        }
+        });
         true
     }
 
     /// Direction selection: arithmetic programs always pull; min/max programs pull
     /// when the active edge fraction exceeds [`PULL_THRESHOLD`] (dense frontier)
     /// and push otherwise (Gemini's heuristic, inherited by the paper).
-    fn select_mode<P: GraphProgram>(
-        &self,
-        program: &P,
-        active: &Bitset,
-        active_count: usize,
-    ) -> Mode {
+    fn select_mode<P: GraphProgram>(&self, program: &P, active: &VertexSet) -> Mode {
         if program.aggregation() == AggregationKind::Arithmetic {
             return Mode::Pull;
         }
-        if active_count == 0 {
+        if active.len() == 0 {
             // Only reachable for the RR flush: a push with full reactivation
             // delivers any updates that "late started" vertices missed.
             return Mode::Push;
         }
-        let active_edges: u64 = active
-            .iter_ones()
-            .map(|v| self.graph.out_degree(v as VertexId) as u64)
-            .sum();
+        let mut active_edges = 0u64;
+        active.for_each(|v| active_edges += self.graph.out_degree(v as VertexId) as u64);
         let threshold = self.graph.num_edges() as f64 * PULL_THRESHOLD;
         if active_edges as f64 > threshold {
             Mode::Pull
@@ -1660,10 +2162,10 @@ impl<'g> SlfeEngine<'g> {
     /// by the machine-wide pool at once (cross-node parallelism). Each
     /// destination is written by exactly one worker, so workers share the
     /// value/ruler slices without synchronisation; measured per-chunk costs
-    /// land in `chunk_costs` for the simulated-cluster schedule. Chunks
-    /// flagged in `skip` (cold per the activity summaries) are left untouched
-    /// at zero cost, and so is every vertex outside `marks` when a selective
-    /// pull passes them; `newly_converged[ci]` reports how many of chunk
+    /// land in `chunk_costs` for the simulated-cluster schedule. Workers
+    /// claim only the chunks in `visit`; the rest (cold per the activity
+    /// summaries) are left untouched at zero cost, and so is every vertex
+    /// outside `marks` when a selective pull passes them; `newly_converged[ci]` reports how many of chunk
     /// `ci`'s vertices crossed the multi ruler's stability threshold this
     /// phase.
     #[allow(clippy::too_many_arguments)]
@@ -1679,11 +2181,10 @@ impl<'g> SlfeEngine<'g> {
         values: &mut [P::Value],
         stable_count: &mut [u32],
         stable_value: &mut [P::Value],
-        last_changed_iter: &mut [u32],
         worker_states: &mut [WorkerScratch<P::Value>],
         scheduler: &ChunkScheduler,
         chunk_costs: &mut [u64],
-        skip: &[bool],
+        visit: &[u32],
         marks: Option<&Bitset>,
         newly_converged: &mut [u32],
     ) {
@@ -1691,7 +2192,6 @@ impl<'g> SlfeEngine<'g> {
         let values_shared = SharedSlice::new(values);
         let stable_count_shared = SharedSlice::new(stable_count);
         let stable_value_shared = SharedSlice::new(stable_value);
-        let last_changed_shared = SharedSlice::new(last_changed_iter);
         let costs_shared = SharedSlice::new(chunk_costs);
         let converged_shared = SharedSlice::new(newly_converged);
         // `None` when telemetry is off: the hot closure then reads no clocks
@@ -1700,13 +2200,11 @@ impl<'g> SlfeEngine<'g> {
 
         scheduler.run_workers(
             &self.pool,
-            chunks.len(),
+            visit.len(),
             self.config.scheduling,
             worker_states,
-            |ws, ci| {
-                if skip[ci] {
-                    return 0;
-                }
+            |ws, i| {
+                let ci = visit[i] as usize;
                 let began = clock.map(|c| c.now_ns());
                 let chunk = &chunks[ci];
                 let owned = self.cluster.vertices_of(chunk.node);
@@ -1737,7 +2235,6 @@ impl<'g> SlfeEngine<'g> {
                             &values_shared,
                             &stable_count_shared,
                             &stable_value_shared,
-                            &last_changed_shared,
                             ws,
                             &mut converged_now,
                         )
@@ -1775,7 +2272,6 @@ impl<'g> SlfeEngine<'g> {
         values: &SharedSlice<P::Value>,
         stable_count: &SharedSlice<u32>,
         stable_value: &SharedSlice<P::Value>,
-        last_changed_iter: &SharedSlice<u32>,
         ws: &mut WorkerScratch<P::Value>,
         converged_now: &mut u32,
     ) -> u64 {
@@ -1846,9 +2342,7 @@ impl<'g> SlfeEngine<'g> {
             values.set(d, new);
             ws.counters.vertex_updates += 1;
             work += 1;
-            last_changed_iter.set(d, iter);
-            ws.changed += 1;
-            ws.next_frontier.set(d);
+            ws.written.push(dst);
         }
         if rr && arithmetic {
             // Stability bookkeeping for the multi ruler (Algorithm 5, lines 15-18).
@@ -1871,8 +2365,9 @@ impl<'g> SlfeEngine<'g> {
     }
 
     /// Apply one merged push destination: fold the combined contribution into
-    /// the value, and on a change update the frontier/counters and charge one
-    /// sender-aggregated message per contributing remote node (from `mask`).
+    /// the value, and on a change add it to the next frontier, count it and
+    /// charge one sender-aggregated message per contributing remote node
+    /// (from `mask`).
     /// Shared by the dense and sparse barrier merges — identical per
     /// destination by construction, which is what makes the two scratch
     /// representations bit-equivalent.
@@ -1880,15 +2375,12 @@ impl<'g> SlfeEngine<'g> {
     fn apply_merged_destination<P: GraphProgram>(
         &self,
         program: &P,
-        iter: u32,
         tolerance: f64,
         d: usize,
         contribution: P::Value,
         mask: &[u64],
         values: &mut [P::Value],
-        next_active: &mut Bitset,
-        changed_this_iter: &mut usize,
-        last_changed_iter: &mut [u32],
+        next_active: &mut VertexSet,
         counters: &mut Counters,
         merge_work_by_node: &mut [u64],
     ) {
@@ -1898,9 +2390,7 @@ impl<'g> SlfeEngine<'g> {
         if program.changed(old, new, tolerance) {
             values[d] = new;
             counters.vertex_updates += 1;
-            last_changed_iter[d] = iter;
-            *changed_this_iter += 1;
-            next_active.set(d);
+            next_active.insert(d);
             let dst_owner = self.cluster.owner_of(dst);
             merge_work_by_node[dst_owner] += 1;
             for (w, &mask_word) in mask.iter().enumerate() {
@@ -1933,26 +2423,24 @@ impl<'g> SlfeEngine<'g> {
     /// values are identical regardless of chunk assignment *and* of scratch
     /// representation (arithmetic programs never push). Messages are charged once per changed remote destination per
     /// contributing sender node; apply work is attributed to the destination's
-    /// owner in `merge_work_by_node`. Chunks flagged in `skip` hold no active
-    /// source and are left untouched at zero cost.
+    /// owner in `merge_work_by_node`. Workers claim only the chunks in
+    /// `visit`; the rest hold no active source and are left untouched at
+    /// zero cost.
     #[allow(clippy::too_many_arguments)]
     fn push_phase_global<P: GraphProgram, S: AdjacencyStore>(
         &self,
         program: &P,
         out_store: &S,
-        iter: u32,
         tolerance: f64,
         active: &Bitset,
         prev_values: &[P::Value],
         values: &mut [P::Value],
-        next_active: &mut Bitset,
-        changed_this_iter: &mut usize,
-        last_changed_iter: &mut [u32],
+        next_active: &mut VertexSet,
         counters: &mut Counters,
         worker_states: &mut [WorkerScratch<P::Value>],
         scheduler: &ChunkScheduler,
         chunk_costs: &mut [u64],
-        skip: &[bool],
+        visit: &[u32],
         sparse: bool,
         merged_values: &mut [P::Value],
         merged_touched: &mut Bitset,
@@ -1970,13 +2458,11 @@ impl<'g> SlfeEngine<'g> {
 
         scheduler.run_workers(
             &self.pool,
-            chunks.len(),
+            visit.len(),
             self.config.scheduling,
             worker_states,
-            |ws, ci| {
-                if skip[ci] {
-                    return 0;
-                }
+            |ws, i| {
+                let ci = visit[i] as usize;
                 let began = clock.map(|c| c.now_ns());
                 let chunk = &chunks[ci];
                 let owned = self.cluster.vertices_of(chunk.node);
@@ -2087,15 +2573,12 @@ impl<'g> SlfeEngine<'g> {
             for &(dst, slot) in sparse_order.iter() {
                 self.apply_merged_destination(
                     program,
-                    iter,
                     tolerance,
                     dst as usize,
                     merged_sparse.values[slot],
                     &merged_sparse.masks[slot * mask_words..(slot + 1) * mask_words],
                     values,
                     next_active,
-                    changed_this_iter,
-                    last_changed_iter,
                     counters,
                     merge_work_by_node,
                 );
@@ -2125,15 +2608,12 @@ impl<'g> SlfeEngine<'g> {
         for d in merged_touched.iter_ones() {
             self.apply_merged_destination(
                 program,
-                iter,
                 tolerance,
                 d,
                 merged_values[d],
                 &merged_nodes[d * mask_words..(d + 1) * mask_words],
                 values,
                 next_active,
-                changed_this_iter,
-                last_changed_iter,
                 counters,
                 merge_work_by_node,
             );
@@ -2150,6 +2630,103 @@ mod tests {
     use super::*;
     use crate::program::AggregationKind;
     use slfe_graph::{generators, EdgeWeight, GraphBuilder, VertexId};
+
+    /// Check `set` against `reference`: its bits, its length, the members
+    /// [`VertexSet::for_each`] visits and random `any_in_range` probes.
+    fn check_vertex_set(
+        set: &VertexSet,
+        reference: &[bool],
+        rng: &mut slfe_graph::rng::SplitMix64,
+        at: &str,
+    ) {
+        let n = reference.len();
+        let members: Vec<usize> = (0..n).filter(|&v| reference[v]).collect();
+        assert_eq!(set.bits.len(), n, "{at}: size");
+        assert_eq!(set.len(), members.len(), "{at}: len");
+        assert!(
+            set.bits.iter_ones().eq(members.iter().copied()),
+            "{at}: bits"
+        );
+        let mut seen = Vec::new();
+        set.for_each(|v| seen.push(v));
+        seen.sort_unstable();
+        assert_eq!(seen, members, "{at}: for_each");
+        for _ in 0..16 {
+            let start = rng.range_usize(0, n + 1);
+            let end = rng.range_usize(start, n + 2).min(n);
+            let expected = members.iter().any(|&v| start <= v && v < end);
+            assert_eq!(
+                set.any_in_range(start, end),
+                expected,
+                "{at}: any_in_range({start}, {end})"
+            );
+        }
+    }
+
+    /// Seeded operation sequences on a [`VertexSet`] against a `Vec<bool>`
+    /// reference: sets that stay sparse with dozens of members (a large
+    /// graph, few inserts per round), sets that cross into dense (a small
+    /// graph, or many inserts), fills, sorted takes, clears and growth of a
+    /// cleared set, checked after every operation.
+    #[test]
+    fn vertex_set_matches_a_vec_bool_reference() {
+        let mut rng = slfe_graph::rng::SplitMix64::seed_from_u64(0x5e75);
+        for (case, &n) in [1usize, 63, 64, 65, 700, 5_000, 40_000].iter().enumerate() {
+            let mut set = VertexSet::default();
+            set.resize(n);
+            let mut reference = vec![false; n];
+            for round in 0..60 {
+                let n = reference.len();
+                let at = format!("n = {n}, round {round}");
+                match rng.range_u32(0, 12) {
+                    0..=6 => {
+                        // Mostly a few dozen members; now and then enough to
+                        // outgrow the list even on the large sets.
+                        let count = if rng.range_u32(0, 5) == 0 {
+                            rng.range_usize(1, n / 8 + 2)
+                        } else {
+                            rng.range_usize(1, 40)
+                        };
+                        for _ in 0..count {
+                            let v = rng.range_usize(0, n);
+                            assert_eq!(set.insert(v), !reference[v], "{at}: insert {v}");
+                            reference[v] = true;
+                        }
+                    }
+                    7 if case % 2 == 0 => {
+                        set.fill();
+                        reference.fill(true);
+                    }
+                    7 | 8 => {
+                        set.sort();
+                        let mut order = Vec::new();
+                        set.for_each(|v| order.push(v));
+                        assert!(order.windows(2).all(|w| w[0] < w[1]), "{at}: sorted");
+                    }
+                    9 => {
+                        let taken = set.take_sorted();
+                        let expected: Vec<VertexId> = (0..n)
+                            .filter(|&v| reference[v])
+                            .map(|v| v as VertexId)
+                            .collect();
+                        assert_eq!(taken, expected, "{at}: take_sorted");
+                        reference.fill(false);
+                    }
+                    10 => {
+                        set.clear();
+                        reference.fill(false);
+                    }
+                    _ => {
+                        let grown = n + rng.range_usize(1, 200);
+                        set.clear();
+                        set.resize(grown);
+                        reference = vec![false; grown];
+                    }
+                }
+                check_vertex_set(&set, &reference, &mut rng, &at);
+            }
+        }
+    }
 
     /// Minimal SSSP used to exercise the engine without depending on `slfe-apps`.
     struct TestSssp {
@@ -2710,7 +3287,7 @@ mod tests {
             &g,
             EngineParts {
                 pool: Arc::new(WorkerPool::new(cluster.config().total_workers())),
-                layout: cluster.build_layout(&g),
+                layout: Arc::new(cluster.build_layout(&g)),
                 cluster,
                 rrg: Arc::new(rrg.clone()),
                 degrees: Arc::new(Degrees::of(&g)),

@@ -64,6 +64,12 @@ impl std::fmt::Display for AggregationKind {
 ///
 /// State that moves anywhere else would go unread: the restart never pulls
 /// a vertex whose only changed input is such state.
+///
+/// **How a restart seeds.** A warm restart keeps every vertex's previous
+/// value and starts the vertices a batch appended from
+/// [`GraphProgram::initial_value`], so its seed costs O(appended). A program
+/// whose fixpoint depends on its initial condition declares
+/// [`GraphProgram::warm_start_resets`] instead and gets a full reseed.
 pub trait GraphProgram: Sync {
     /// The per-vertex property type (distance, component label, rank, ...).
     type Value: Copy + PartialEq + Send + Sync + std::fmt::Debug;
@@ -135,24 +141,22 @@ pub trait GraphProgram: Sync {
         false
     }
 
-    /// The value a vertex re-enters the computation with when the engine
-    /// warm-starts from a previous fixpoint ([`crate::SlfeEngine::run_from`]).
+    /// How a warm restart ([`crate::SlfeEngine::restart`] and
+    /// [`crate::SlfeEngine::run_from`]) seeds the values: `false`, the
+    /// default, keeps every vertex's previous value and seeds only the
+    /// vertices the batch appended, from [`GraphProgram::initial_value`] on
+    /// the *mutated* graph, which costs O(appended). That is correct for
+    /// every monotone min/max program and for arithmetic programs whose
+    /// per-vertex state self-corrects under re-iteration (PageRank's stored
+    /// share is re-divided by the current out-degree on the first
+    /// `vertex_update`).
     ///
-    /// `previous` is the vertex's value in the prior result, or `None` when the
-    /// vertex was appended to the graph after that result was computed. The
-    /// default keeps the previous value and initialises fresh vertices on the
-    /// *mutated* graph, which is correct for every monotone min/max program and
-    /// for arithmetic programs whose per-vertex state self-corrects under
-    /// re-iteration (PageRank's stored share is re-divided by the current
-    /// out-degree on the first `vertex_update`). Override when the stored value
-    /// encodes stale topology that re-iteration cannot repair.
-    fn warm_start_value(
-        &self,
-        v: VertexId,
-        previous: Option<Self::Value>,
-        degrees: &Degrees,
-    ) -> Self::Value {
-        previous.unwrap_or_else(|| self.initial_value(v, degrees))
+    /// `true` re-seeds every vertex from its initial value and activates all
+    /// of them, an O(|V|) seed with a full first pull. Declare it when the
+    /// stored values encode state that re-iteration cannot repair, such as a
+    /// fixpoint that depends on the initial condition (Heat).
+    fn warm_start_resets(&self) -> bool {
+        false
     }
 }
 
@@ -197,6 +201,11 @@ mod tests {
         let d = Degrees::of(&slfe_graph::generators::path(3));
         let p = MinLabel;
         assert_eq!(p.vertex_update(1, 42, &d), 42);
+    }
+
+    #[test]
+    fn default_warm_start_keeps_the_previous_values() {
+        assert!(!MinLabel.warm_start_resets());
     }
 
     #[test]

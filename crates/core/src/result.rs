@@ -11,7 +11,10 @@ pub struct ProgramResult<V> {
     /// Run statistics: counters, trace, phase breakdown, per-node work.
     pub stats: ExecutionStats,
     /// For every vertex, the iteration of its *last* value change (0 if it never
-    /// changed). Drives the early-convergence analysis of Figure 2.
+    /// changed). Drives the early-convergence analysis of Figure 2. Only a run
+    /// from initial values ([`crate::SlfeEngine::run`]) fills it; a warm
+    /// restart returns it empty, because its iteration numbers count from the
+    /// batch, not from a cold start, and filling it would cost O(|V|).
     pub last_changed_iter: Vec<u32>,
     /// Per node, per worker accumulated busy work in counted units
     /// (`per_node_worker_work[node][worker]`). Drives Figure 10(a).
@@ -26,13 +29,17 @@ pub struct ProgramResult<V> {
     /// capped run, or values restored from elsewhere) its first pull
     /// re-pulls every vertex.
     pub exact_fixpoint: bool,
-    /// Warm restarts only ([`crate::SlfeEngine::run_from`] and
+    /// Warm restarts only ([`crate::SlfeEngine::restart`],
+    /// [`crate::SlfeEngine::run_from`] and
     /// [`crate::SlfeEngine::run_from_effect`]): every vertex whose value may
-    /// differ from the previous result's, ascending. It holds the vertices
-    /// re-seeded with a value other than their previous one, the appended
-    /// vertices, the min/max invalidations and every vertex a phase wrote.
-    /// A vertex outside it holds a value `==` to its previous one, which is
-    /// the same bits unless `==` equates distinct bit patterns (±0.0). It is
+    /// differ from the previous result's, ascending. It holds the appended
+    /// vertices, the ones a full reseed
+    /// ([`crate::GraphProgram::warm_start_resets`]) moved, the min/max
+    /// invalidations and every vertex a phase wrote. A vertex outside it
+    /// holds a value `==` to its previous one, which is the same bits unless
+    /// `==` equates distinct bit patterns (±0.0). It is collected from the
+    /// per-iteration lists of written vertices, deduplicated through a kept
+    /// bitset and sorted once, so it costs O(changed · log changed); it is
     /// built from barrier-merged state only, so it is identical at every
     /// worker count.
     /// `None` for a run from initial values ([`crate::SlfeEngine::run`]).
@@ -50,7 +57,9 @@ impl<V> ProgramResult<V> {
     /// `fraction = 0.9` ("when the program reaches 90% of the execution time").
     ///
     /// Only vertices that changed at least once are counted in the denominator, so
-    /// isolated vertices do not inflate the ratio.
+    /// isolated vertices do not inflate the ratio. It reads
+    /// [`ProgramResult::last_changed_iter`], which only cold runs fill: for a
+    /// warm restart's result it is 0.0.
     pub fn early_converged_fraction(&self, fraction: f64) -> f64 {
         assert!(
             (0.0..=1.0).contains(&fraction),

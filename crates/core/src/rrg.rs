@@ -95,9 +95,12 @@ impl RrGuidance {
     }
 
     /// The last propagation level of vertex `v` (0 for roots and unreached
-    /// vertices, meaning "never skip").
+    /// vertices, meaning "never skip"). A vertex past the guidance's end — one
+    /// a batch appended after it was generated — reads 0 too, which is always
+    /// safe; anything that relies on the rulers regenerates the guidance
+    /// first.
     pub fn last_iter(&self, v: VertexId) -> u32 {
-        self.last_iter[v as usize]
+        self.last_iter.get(v as usize).copied().unwrap_or(0)
     }
 
     /// The largest `last_iter` over all vertices — the depth of the propagation
@@ -115,18 +118,6 @@ impl RrGuidance {
     /// overhead metric.
     pub fn generation_work(&self) -> u64 {
         self.work
-    }
-
-    /// Pad the guidance to cover `n >= num_vertices()` vertices without
-    /// recomputing anything: appended vertices get `last_iter = 0` ("never
-    /// skip", always safe). The serving loop hands the padded copy to warm
-    /// restarts, which run with the rulers off and never read it; anything
-    /// that does read the rulers regenerates the guidance first.
-    pub fn extended_to(&self, n: usize) -> Self {
-        assert!(n >= self.num_vertices(), "the id space only grows");
-        let mut padded = self.clone();
-        padded.last_iter.resize(n, 0);
-        padded
     }
 }
 
@@ -221,18 +212,21 @@ mod tests {
     }
 
     #[test]
-    fn extended_guidance_pads_appended_vertices_with_never_skip() {
+    fn guidance_reads_never_skip_past_its_end() {
+        // A batch that appends vertices hands restarts the guidance as it
+        // was generated: in range it reads the generated levels, past its
+        // end it reads 0 ("never skip"), and the depth stays the same.
         let g = generators::rmat(300, 2000, 0.57, 0.19, 0.19, 31);
-        let old = RrGuidance::generate(&g);
-        let old_n = g.num_vertices();
-        let padded = old.extended_to(old_n + 10);
-        assert_eq!(padded.num_vertices(), old_n + 10);
-        for v in 0..old_n as VertexId {
-            assert_eq!(padded.last_iter(v), old.last_iter(v));
+        let rrg = RrGuidance::generate(&g);
+        let old_n = g.num_vertices() as VertexId;
+        for v in 0..old_n {
+            assert_eq!(rrg.last_iter(v), rrg.last_iter[v as usize]);
         }
-        for v in old_n as VertexId..padded.num_vertices() as VertexId {
-            assert_eq!(padded.last_iter(v), 0, "padding never skips");
+        for v in old_n..old_n + 10 {
+            assert_eq!(rrg.last_iter(v), 0, "past the end never skips");
         }
-        assert_eq!(padded.max_level(), old.max_level());
+        let deepest = (0..old_n + 10).map(|v| rrg.last_iter(v)).max();
+        assert_eq!(deepest, Some(rrg.max_level()));
+        assert_eq!(rrg.num_vertices(), old_n as usize);
     }
 }

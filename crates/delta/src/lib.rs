@@ -15,8 +15,11 @@
 //!    start-up and recovery, for a batch that falls back to a full
 //!    recompute, and for a [`DeltaServer::guidance`] read. Warm restarts run
 //!    with the rulers off, so a warm batch reuses the current guidance.
-//! 3. **Warm re-convergence** — [`slfe_core::SlfeEngine::run_from`] restarts
-//!    the program from the previous fixpoint, re-converging only what the batch
+//! 3. **Warm re-convergence** — [`slfe_core::SlfeEngine::restart`] restarts
+//!    the program from the previous fixpoint in place, in run state the
+//!    server keeps across versions ([`slfe_core::WarmResult`]), so the
+//!    restart's bookkeeping follows its frontier instead of |V|. It
+//!    re-converges only what the batch
 //!    disturbed: the support-invalidated region + dirty frontier for monotone
 //!    min/max programs; for arithmetic programs a delta-restart whose pulls
 //!    visit only the vertices the previous pull changed (at first, the dirty

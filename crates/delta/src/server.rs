@@ -7,7 +7,9 @@ use crate::durability::{
 use crate::health::{ApplyError, Health};
 use crate::values::ServedValues;
 use slfe_cluster::{Cluster, ClusterConfig, GlobalChunkLayout, LayoutPatchStats, WorkerPool};
-use slfe_core::{EngineConfig, EngineParts, GraphProgram, ProgramResult, RrGuidance, SlfeEngine};
+use slfe_core::{
+    EngineConfig, EngineParts, GraphProgram, ProgramResult, RrGuidance, SlfeEngine, WarmResult,
+};
 use slfe_graph::{
     BatchEffect, Degrees, FaultAction, FaultInjector, FaultPlan, FaultSite, Graph, GraphStorage,
     IdRemap, ReorderPolicy, UpdateBatch, VertexId,
@@ -128,11 +130,12 @@ impl StageClock {
     }
 }
 
-/// What re-converging a program on a new version yields: the program, its
-/// result and the segment store it ran on.
+/// What re-converging a program on a new version yields: the program, a
+/// cold run's result (a warm restart's is already in the served result) and
+/// the segment store it ran on.
 type Converged<P> = (
     P,
-    ProgramResult<<P as GraphProgram>::Value>,
+    Option<ProgramResult<<P as GraphProgram>::Value>>,
     Option<Arc<GraphStorage>>,
 );
 
@@ -269,7 +272,7 @@ pub struct BatchOutcome {
     /// `graph_patch` (id translation, [`Graph::apply_batch`] and the degree
     /// patch), `segment_patch` (out-of-core servers), `layout_patch`,
     /// `guidance` (regenerated for a full recompute; otherwise the current
-    /// guidance, padded when |V| grew), `warm_restart` or `cold_run`,
+    /// guidance, handed over as it is), `warm_restart` or `cold_run`,
     /// `publish` (outcome, stats, install, served-values patch), `compact`
     /// (out-of-core servers, when more than half of the segment-file bytes
     /// are dead) and `snapshot` (durable servers, when the cadence is due: a
@@ -362,8 +365,9 @@ where
     /// state: [`RrGuidance::generate`] runs at [`DeltaServer::try_new`],
     /// [`DeltaServer::open`], a full-recompute batch and the first
     /// [`DeltaServer::guidance`] read after it went stale. A warm batch
-    /// hands the same `Arc` over again (a padded copy when |V| grew);
-    /// warm restarts run with the rulers off and never read it.
+    /// hands the same `Arc` over again, also when |V| grew (past its end
+    /// the guidance reads "never skip"); warm restarts run with the rulers
+    /// off and never read it.
     rrg: Arc<RrGuidance>,
     /// `true` when `rrg` no longer matches `graph`: after a warm batch or a
     /// remap. Never persisted; `open` regenerates the guidance.
@@ -391,16 +395,30 @@ where
     /// otherwise patched per batch around the dirty endpoints only
     /// ([`GlobalChunkLayout::patched_at`]: a few chunks re-cut, every other
     /// chunk copied). Handed to every engine this server builds — warm and
-    /// cold paths share the same instance.
-    layout: GlobalChunkLayout,
+    /// cold paths share the same instance, without a copy.
+    layout: Arc<GlobalChunkLayout>,
     /// Out-of-core serving ([`EngineConfig::storage_budget_bytes`] set): the
     /// current graph version's disk-segment store, patched per batch at the
     /// dirty segments only and threaded into every engine this server builds.
     /// `None` runs in-memory.
     storage: Option<Arc<GraphStorage>>,
-    result: ProgramResult<P::Value>,
+    /// The program's current fixpoint in physical order, with the run state
+    /// its warm restarts keep across graph versions, so that a restart
+    /// neither copies the values nor allocates or sweeps |V|. A warm batch's
+    /// restart rewrites it in place ([`SlfeEngine::restart`]). A cold run's
+    /// result, restored values and a remap's permuted values replace it and
+    /// drop the kept state, which the next restart rebuilds once, in O(V).
+    result: WarmResult<P::Value>,
+    /// While a batch's warm restart may be rewriting `result` in place: the
+    /// run record of the version still serving, set aside before the
+    /// restart ([`WarmResult::take_record`]). The rollback point of
+    /// [`DeltaServer::try_apply`] puts it back, with the values of `served`,
+    /// when the batch fails; publishing the batch clears it.
+    committed: Option<ProgramResult<P::Value>>,
     /// `result.values` in external-id order, as shared blocks: the directory
-    /// every published version clones and every `top_k` ranks. Rebuilt at
+    /// every published version clones and every `top_k` ranks, and the
+    /// committed copy of the values — a restart never writes it, so a
+    /// failed batch restores the result from it. Rebuilt at
     /// [`DeltaServer::try_new`], [`DeltaServer::open`] and a cold run;
     /// a warm batch patches it at the ids its restart changed
     /// ([`ProgramResult::changed`]). A remap leaves it alone: external order
@@ -463,7 +481,7 @@ where
         let result = engine.run(&server.program);
         drop(engine);
         server.telemetry.end(cold_span, "cold_run", "server", 0);
-        server.result = result;
+        server.result = WarmResult::new(result);
         server.install_values();
         Ok(server)
     }
@@ -484,11 +502,12 @@ where
         partitioning: Arc<Partitioning>,
     ) -> io::Result<Self> {
         let program = make_program(&graph);
-        let layout =
+        let layout = Arc::new(
             Cluster::with_shared_partitioning(Arc::clone(&partitioning), config.cluster.clone())
-                .build_layout(&graph);
+                .build_layout(&graph),
+        );
         let storage = build_storage(&graph, &config.engine, &faults)?;
-        let result = ProgramResult {
+        let result = WarmResult::new(ProgramResult {
             values: Vec::new(),
             stats: ExecutionStats::new("slfe", program.name()),
             last_changed_iter: Vec::new(),
@@ -499,7 +518,7 @@ where
             converged: true,
             exact_fixpoint: false,
             changed: None,
-        };
+        });
         Ok(Self {
             make_program,
             program,
@@ -514,6 +533,7 @@ where
             layout,
             storage,
             result,
+            committed: None,
             served: ServedValues::default(),
             external_view: OnceLock::new(),
             stats: ServerStats::default(),
@@ -531,7 +551,7 @@ where
         &self,
         graph: &'g Graph,
         rrg: &Arc<RrGuidance>,
-        layout: &GlobalChunkLayout,
+        layout: &Arc<GlobalChunkLayout>,
         storage: Option<Arc<GraphStorage>>,
     ) -> SlfeEngine<'g> {
         let cluster = Cluster::with_shared_partitioning(
@@ -544,7 +564,7 @@ where
             rrg: Arc::clone(rrg),
             degrees: Arc::clone(&self.degrees),
             pool: Arc::clone(&self.pool),
-            layout: layout.clone(),
+            layout: Arc::clone(layout),
             storage,
             telemetry: Arc::clone(&self.telemetry),
         };
@@ -558,10 +578,11 @@ where
     /// may carry a remap from the first version on, so ids are translated.
     fn install_values(&mut self) {
         self.external_view.take();
+        let changed = self.result.take_changed();
         let graph = &self.graph;
-        let values = &self.result.values;
+        let values = &self.result.result().values;
         let value = |ext: VertexId| values[graph.to_physical(ext) as usize];
-        match self.result.changed.take() {
+        match changed {
             Some(mut changed) => {
                 if graph.is_remapped() {
                     changed.iter_mut().for_each(|v| *v = graph.external_id(*v));
@@ -612,38 +633,48 @@ where
     }
 
     /// Instantiate the program for the new version and re-converge it —
-    /// engine build, warm restart or cold run, batch-distribution accounting
-    /// — recording what it cost in `outcome`. A poisoned run (segment reads
-    /// failed beyond retries and quarantine, so values may rest on
-    /// placeholder lists) is discarded and re-driven once on a store rebuilt
-    /// from the in-memory graph; a second poisoning fails the batch. Returns
-    /// the program, its result and the store it ran on.
+    /// engine build, then a warm restart of the served result in place, or
+    /// a cold run, plus batch-distribution accounting — recording what it
+    /// cost in `outcome`. A warm restart first sets the served result's run
+    /// record aside in `committed`. A poisoned run (segment reads failed
+    /// beyond retries and quarantine, so values may rest on placeholder
+    /// lists) is discarded and re-driven once on a store rebuilt from the
+    /// in-memory graph; a discarded restart has written the served result,
+    /// so the committed version goes back in before the re-drive
+    /// ([`DeltaServer::restore_committed`]). A second poisoning fails the
+    /// batch, and the rollback point of [`DeltaServer::try_apply`] restores
+    /// the committed version again. Returns the program, a cold run's result
+    /// and the store it ran on.
     fn converge(
         &mut self,
         graph: &Arc<Graph>,
         rrg: &Arc<RrGuidance>,
-        layout: &GlobalChunkLayout,
+        layout: &Arc<GlobalChunkLayout>,
         storage: Option<Arc<GraphStorage>>,
         effect: &BatchEffect,
         outcome: &mut BatchOutcome,
     ) -> Result<Converged<P>, ApplyError> {
         let program = (self.make_program)(graph);
         let full_recompute = outcome.full_recompute;
-        let run = |server: &Self, storage: Option<Arc<GraphStorage>>| {
+        if !full_recompute {
+            self.committed = Some(self.result.take_record());
+        }
+        let run = |server: &mut Self, storage: Option<Arc<GraphStorage>>| {
             let engine = server.engine(graph, rrg, layout, storage);
-            let result = if full_recompute {
-                engine.run(&program)
+            let cold = if full_recompute {
+                Some(engine.run(&program))
             } else {
-                engine.run_from_effect(&program, &server.result, effect)
+                engine.restart(&program, &mut server.result, effect);
+                None
             };
             let messages = engine.cluster().record_batch_distribution(
                 INGEST_NODE,
                 effect.dirty.iter().copied(),
                 UPDATE_RECORD_BYTES,
             );
-            (result, messages)
+            (cold, messages)
         };
-        let (mut result, messages) = run(self, storage.clone());
+        let (mut cold, messages) = run(self, storage.clone());
         outcome.distribution_messages = messages;
         let mut storage = storage;
         let poison_note = storage.as_ref().and_then(|s| {
@@ -654,6 +685,9 @@ where
         });
         if let Some(note) = poison_note {
             self.faults.note_poisoned_run();
+            if let Some(record) = self.committed.clone() {
+                self.restore_committed(record);
+            }
             let poisoned = |e: io::Error| ApplyError::ExecutionPoisoned {
                 note: format!("{note}; {e}"),
             };
@@ -669,18 +703,38 @@ where
             }
             storage = Some(rebuilt);
             outcome.segments_rewritten = rewritten;
-            result = rerun;
+            cold = rerun;
         }
+        let result = cold.as_ref().unwrap_or(self.result.result());
         outcome.work = result.stats.totals.work();
         outcome.iterations = result.stats.iterations;
         outcome.converged = result.converged;
-        Ok((program, result, storage))
+        Ok((program, cold, storage))
+    }
+
+    /// Put the committed version back into the served result after a
+    /// discarded restart wrote it: `record`, the run record set aside before
+    /// the restart, with the values of the served directory, which no
+    /// restart writes. Replacing the result drops its kept restart state;
+    /// the next restart rebuilds it. O(V), on fault paths only.
+    fn restore_committed(&mut self, record: ProgramResult<P::Value>) {
+        let graph = &self.graph;
+        let external = self.served.to_vec();
+        let values = if graph.is_remapped() {
+            (0..external.len() as VertexId)
+                .map(|p| external[graph.external_id(p) as usize])
+                .collect()
+        } else {
+            external
+        };
+        self.result.replace(ProgramResult { values, ..record });
     }
 
     /// Point query: the program's current value at external id `v` (`None`
     /// when `v` is outside the current graph version).
     pub fn value(&self, v: VertexId) -> Option<P::Value> {
         self.result
+            .result()
             .values
             .get(self.graph.to_physical(v) as usize)
             .copied()
@@ -695,7 +749,7 @@ where
         if self.graph.is_remapped() {
             self.external_view.get_or_init(|| self.served.to_vec())
         } else {
-            &self.result.values
+            &self.result.result().values
         }
     }
 
@@ -728,7 +782,7 @@ where
 
     /// The current full program result.
     pub fn result(&self) -> &ProgramResult<P::Value> {
-        &self.result
+        self.result.result()
     }
 
     /// The RR guidance of the current graph version:
@@ -804,16 +858,19 @@ where
         let storage = build_storage(&graph, &self.config.engine, &self.faults)?;
         self.guidance_stale = true;
         self.degrees = Arc::new(Degrees::of(&graph));
-        self.result.values = step.permuted_values(&self.result.values);
-        self.result.last_changed_iter = step.permuted_values(&self.result.last_changed_iter);
+        let result = self.result.result_mut();
+        result.values = step.permuted_values(&result.values);
+        // A cold run's per-vertex record would need the same permutation;
+        // only Figure 2 reads it, from cold runs, so it is dropped instead.
+        result.last_changed_iter = Vec::new();
         // The program is re-instantiated for the renamed graph below; rather
         // than trust a fixpoint computed under the old ids, the next warm
         // restart's first pull re-pulls every vertex.
-        self.result.exact_fixpoint = false;
+        result.exact_fixpoint = false;
         self.program = (self.make_program)(&graph);
         self.graph = graph;
         self.partitioning = partitioning;
-        self.layout = layout;
+        self.layout = Arc::new(layout);
         self.storage = storage;
         if let Some(d) = self.durability.as_mut() {
             d.base_stale = true;
@@ -1272,9 +1329,13 @@ where
         let logged = self.durability.as_ref().map(|d| (d.seq, d.wal.bytes()));
         let applied = self.run_stages(batch, &mut clock);
         if let Err(e) = &applied {
-            // The one rollback point: shrink the partitioning back to the
-            // version still serving and restore its degrees, retract the
-            // batch from the WAL if it was logged, then stop taking writes.
+            // The one rollback point: put back the served result a warm
+            // restart rewrote, shrink the partitioning back to the version
+            // still serving and restore its degrees, retract the batch from
+            // the WAL if it was logged, then stop taking writes.
+            if let Some(record) = self.committed.take() {
+                self.restore_committed(record);
+            }
             if self.partitioning.num_vertices() > old_n {
                 let owners = self.partitioning.owners()[..old_n].to_vec();
                 let parts = self.partitioning.num_parts();
@@ -1299,9 +1360,11 @@ where
     /// [`BatchOutcome::stages`]), each stage closed by one lap of `clock`. No
     /// stage assigns server state before `publish` except `wal_append`,
     /// which logs the batch, `graph_patch`, which patches the degrees in
-    /// place, and `layout_patch`, which grows the stable partitioning in
-    /// place; the caller's rollback undoes all three on error, so a failed
-    /// batch leaves the previous version serving exactly.
+    /// place, `layout_patch`, which grows the stable partitioning in place,
+    /// and `warm_restart`, which rewrites the served result in place (its
+    /// run record set aside in `committed`); the caller's rollback undoes
+    /// all four on error, so a failed batch leaves the previous version
+    /// serving exactly.
     fn run_stages(
         &mut self,
         batch: &UpdateBatch,
@@ -1390,22 +1453,21 @@ where
                 self.config.cluster.chunk_size,
                 &effect.dirty,
             );
+            let layout = Arc::new(layout);
             outcome.layout_patch = layout_patch;
             clock.lap("layout_patch");
 
             // A cold run reads the rulers, so it regenerates them for the
             // new version. A warm restart never reads them: it gets the
-            // current guidance, shared as it is when |V| did not grow and
-            // padded ("never skip") when it did, and the guidance goes stale
-            // until a reader regenerates it.
+            // current guidance, shared as it is even when |V| grew (past its
+            // end it reads "never skip"), and the guidance goes stale until
+            // a reader regenerates it.
             let dirty_fraction = effect.dirty.len() as f64 / graph.num_vertices().max(1) as f64;
             outcome.full_recompute = dirty_fraction > self.config.full_recompute_dirty_fraction;
             let rrg = if outcome.full_recompute {
                 Arc::new(RrGuidance::generate(&graph))
-            } else if self.rrg.num_vertices() == graph.num_vertices() {
-                Arc::clone(&self.rrg)
             } else {
-                Arc::new(self.rrg.extended_to(graph.num_vertices()))
+                Arc::clone(&self.rrg)
             };
             clock.lap("guidance");
 
@@ -1415,7 +1477,7 @@ where
             } else {
                 "warm_restart"
             });
-            let (program, result, storage) = converged?;
+            let (program, cold, storage) = converged?;
 
             self.graph = graph;
             self.rrg = rrg;
@@ -1423,8 +1485,12 @@ where
             self.layout = layout;
             self.storage = storage;
             self.program = program;
-            self.result = result;
+            if let Some(result) = cold {
+                self.result.replace(result);
+            }
             self.install_values();
+            // Published: the set-aside record has nothing left to undo.
+            self.committed = None;
         }
         outcome.effect = Self::external_effect(&self.graph, effect);
         (outcome.storage_live_bytes, outcome.storage_dead_bytes) = self
@@ -1536,7 +1602,7 @@ where
         let state = SnapshotState {
             stats: self.stats,
             graph: &self.graph,
-            values: &self.result.values,
+            values: &self.result.result().values,
             owners: self.partitioning.owners(),
             num_parts: self.partitioning.num_parts(),
         };
@@ -1674,12 +1740,11 @@ where
             partitioning,
         )?;
         // The fixpoint values are the recovery point's; the run-shaped
-        // metadata is zeroed. `exact_fixpoint` stays false: neither file
+        // metadata stays empty. `exact_fixpoint` stays false: neither file
         // records it (base 0 holds the ruler-gated cold values), so the
         // first batch after recovery re-pulls every vertex, which serves the
         // same bits as the live server's restart, selective or not.
-        server.result.last_changed_iter = vec![0; values.len()];
-        server.result.values = values;
+        server.result.result_mut().values = values;
         server.stats = stats;
         // A base of a remapped server restores its bijection with the
         // graph; queries must answer in external order from the first read.
@@ -2519,6 +2584,20 @@ mod tests {
             );
             assert!(server.guidance_stale, "round {round}");
         }
+        // A batch that grows |V| hands the restart the same guidance too:
+        // past its end it reads "never skip", so nothing pads or copies it.
+        let mut grow = mixed_batch(&current, 643, 20);
+        grow.insert(0, current.num_vertices() as VertexId + 3, 1.5);
+        let outcome = server.try_apply(&grow).unwrap();
+        current = current.apply_batch(&grow).0;
+        assert!(!outcome.full_recompute, "the growth round must stay warm");
+        assert_eq!(outcome.effect.vertices_added, 4);
+        assert!(
+            Arc::ptr_eq(&server.rrg, &initial),
+            "the growth round replaced the guidance"
+        );
+        assert!(server.rrg.num_vertices() < current.num_vertices());
+        assert!(server.guidance_stale);
         // The first read regenerates; a second one reuses that guidance.
         assert_eq!(*server.guidance(), RrGuidance::generate(&current));
         assert!(!server.guidance_stale);

@@ -3,15 +3,15 @@
 //! Every engine in the workspace tracks which vertices are *active* each
 //! iteration. A `Vec<bool>` spends one byte per vertex and makes counting the
 //! active set an O(n) byte scan; the `u64`-word [`Bitset`] here spends one bit per
-//! vertex, counts actives with hardware popcount, merges per-worker frontiers with
-//! word-wise OR, and is reused across iterations (clearing is a `memset`, never an
-//! allocation) — the same representation Ligra's dense frontiers and Gemini's
-//! bitmaps use.
+//! vertex, counts actives with hardware popcount, probes ranges word by word, and
+//! is reused across iterations and grown in place (clearing is a `memset` or a
+//! per-bit reset, never an allocation) — the same representation Ligra's dense
+//! frontiers and Gemini's bitmaps use.
 
 const WORD_BITS: usize = 64;
 
-/// A fixed-length dense bitset over vertex ids `0..len`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A dense bitset over vertex ids `0..len`; it only grows ([`Bitset::grow`]).
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Bitset {
     words: Vec<u64>,
     len: usize,
@@ -35,6 +35,15 @@ impl Bitset {
             }
         }
         set
+    }
+
+    /// Cover `len >= self.len()` bits in place; the added bits are clear.
+    /// Panics when `len` would shrink the set.
+    pub fn grow(&mut self, len: usize) {
+        assert!(len >= self.len, "a bitset only grows");
+        // Bits past the old length in its last word are already zero.
+        self.words.resize(len.div_ceil(WORD_BITS), 0);
+        self.len = len;
     }
 
     /// Number of bits covered.
@@ -95,49 +104,10 @@ impl Bitset {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// `true` if at least one bit is set.
-    pub fn any(&self) -> bool {
-        self.words.iter().any(|&w| w != 0)
-    }
-
-    /// Word-wise OR of `other` into `self` (per-worker frontier merging).
-    /// Panics when lengths differ.
-    pub fn union_with(&mut self, other: &Bitset) {
-        assert_eq!(self.len, other.len, "bitset length mismatch");
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
-            *w |= o;
-        }
-    }
-
-    /// Number of set bits in the half-open index range `start..end`, via
-    /// word-level popcounts (partial first/last words are masked, whole words in
-    /// between use hardware popcount). The chunk-activity summaries call this
-    /// once per chunk per iteration, so it must not degrade to a per-bit loop.
-    pub fn count_in_range(&self, start: usize, end: usize) -> usize {
-        debug_assert!(start <= end && end <= self.len, "range out of bounds");
-        if start >= end {
-            return 0;
-        }
-        let (first_word, first_bit) = (start / WORD_BITS, start % WORD_BITS);
-        let (last_word, last_bit) = ((end - 1) / WORD_BITS, (end - 1) % WORD_BITS);
-        // Mask off the bits below `start` in the first word and above `end - 1`
-        // in the last word; when the range sits in one word both masks apply.
-        let head_mask = u64::MAX << first_bit;
-        let tail_mask = u64::MAX >> (WORD_BITS - 1 - last_bit);
-        if first_word == last_word {
-            return (self.words[first_word] & head_mask & tail_mask).count_ones() as usize;
-        }
-        let mut count = (self.words[first_word] & head_mask).count_ones() as usize;
-        for &w in &self.words[first_word + 1..last_word] {
-            count += w.count_ones() as usize;
-        }
-        count + (self.words[last_word] & tail_mask).count_ones() as usize
-    }
-
-    /// `true` when at least one bit is set in `start..end`. Unlike
-    /// [`Bitset::count_in_range`] this stops at the first nonzero word, which is
-    /// what makes it cheap as a per-chunk "anything active here?" probe even
-    /// when the probed span is wide and the frontier dense.
+    /// `true` when at least one bit is set in `start..end`. It stops at the
+    /// first nonzero word, which is what makes it cheap as a per-chunk
+    /// "anything active here?" probe even when the probed span is wide and
+    /// the frontier dense.
     pub fn any_in_range(&self, start: usize, end: usize) -> bool {
         debug_assert!(start <= end && end <= self.len, "range out of bounds");
         if start >= end {
@@ -238,6 +208,20 @@ mod tests {
     }
 
     #[test]
+    fn grow_keeps_the_bits_and_adds_clear_ones() {
+        let mut b = Bitset::new(70);
+        b.fill();
+        b.grow(200);
+        assert_eq!(b.len(), 200);
+        assert_eq!(b.count_ones(), 70, "the grown tail starts clear");
+        assert!(b.get(69) && !b.get(70) && !b.get(199));
+        assert!(b.insert(199));
+        let mut empty = Bitset::default();
+        empty.grow(3);
+        assert_eq!((empty.len(), empty.count_ones()), (3, 0));
+    }
+
+    #[test]
     fn clear_and_fill_cover_the_whole_range() {
         let mut b = Bitset::new(100);
         b.fill();
@@ -246,10 +230,8 @@ mod tests {
             100,
             "fill must mask the tail of the last word"
         );
-        assert!(b.any());
         b.clear();
         assert_eq!(b.count_ones(), 0);
-        assert!(!b.any());
     }
 
     #[test]
@@ -261,24 +243,6 @@ mod tests {
         }
         let got: Vec<usize> = b.iter_ones().collect();
         assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn union_merges_worker_frontiers() {
-        let mut a = Bitset::new(80);
-        let mut b = Bitset::new(80);
-        a.set(3);
-        b.set(3);
-        b.set(79);
-        a.union_with(&b);
-        assert!(a.get(3) && a.get(79));
-        assert_eq!(a.count_ones(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn union_of_mismatched_lengths_panics() {
-        Bitset::new(10).union_with(&Bitset::new(20));
     }
 
     #[test]
@@ -295,7 +259,6 @@ mod tests {
         assert!(b.is_empty());
         assert_eq!(b.count_ones(), 0);
         assert_eq!(b.iter_ones().count(), 0);
-        assert!(!b.any());
     }
 
     /// Seeded-loop property test: the word-level range helpers must agree with
@@ -326,11 +289,6 @@ mod tests {
                 let (start, end) = if a <= z { (a, z) } else { (z, a) };
                 let naive: Vec<usize> = (start..end).filter(|&i| b.get(i)).collect();
                 assert_eq!(
-                    b.count_in_range(start, end),
-                    naive.len(),
-                    "count_in_range({start}, {end}) on len {len}"
-                );
-                assert_eq!(
                     b.any_in_range(start, end),
                     !naive.is_empty(),
                     "any_in_range({start}, {end}) on len {len}"
@@ -349,15 +307,13 @@ mod tests {
     fn range_helpers_handle_degenerate_ranges() {
         let mut b = Bitset::new(130);
         b.fill();
-        assert_eq!(b.count_in_range(64, 64), 0);
+        assert!(!b.any_in_range(64, 64));
         assert!(!b.any_in_range(129, 129));
-        assert_eq!(b.count_in_range(0, 130), 130);
-        assert_eq!(b.count_in_range(63, 65), 2);
+        assert!(b.any_in_range(63, 65));
         let mut seen = 0usize;
         b.for_each_set_in_range(128, 130, |_| seen += 1);
         assert_eq!(seen, 2);
         let empty = Bitset::new(0);
-        assert_eq!(empty.count_in_range(0, 0), 0);
         assert!(!empty.any_in_range(0, 0));
     }
 }

@@ -13,7 +13,7 @@
 //!   grids, complete graphs, trees) used to build laptop-scale proxies of the paper's
 //!   datasets.
 //! * [`bitset`] — dense `u64`-word [`Bitset`] frontiers (popcount active counts,
-//!   word-wise merge of per-worker frontiers).
+//!   word-level range probes, growth in place).
 //! * [`csr`] — the [`Adjacency`] lists of one direction, cut into fixed-width
 //!   blocks that graph versions share.
 //! * [`delta`] — staged edge-update batches ([`UpdateBatch`]) applied against the

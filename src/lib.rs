@@ -50,7 +50,7 @@ pub mod prelude {
     pub use slfe_apps::{cc, pagerank, sssp, tunkrank, widestpath, AggregationKind, AppKind};
     pub use slfe_baselines::{BaselineEngine, BaselineKind};
     pub use slfe_cluster::ClusterConfig;
-    pub use slfe_core::{EngineConfig, RedundancyMode, SlfeEngine};
+    pub use slfe_core::{EngineConfig, RedundancyMode, SlfeEngine, WarmResult};
     pub use slfe_delta::{
         AdmitError, Answer, ApplyError, BatchOutcome, DeadLetter, DeltaServer, EdgeUpdate,
         FrontendConfig, FrontendCounterSnapshot, FrontendHandle, Health, PublishedVersion,

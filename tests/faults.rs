@@ -535,6 +535,149 @@ fn a_batch_rejected_after_its_wal_append_is_never_replayed() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A warm restart writes the served result in place, so a poisoned one must
+/// not leak into what the server serves: before the re-drive, and again when
+/// the batch is rejected, the committed values go back in. Out of core on a
+/// 1×1 cluster (one deterministic fetch order), with the kept restart state
+/// warm from two earlier batches, every segment read fails, and the first
+/// quarantine write of the restart fails as well, which poisons it. (a) The
+/// store rebuild and the re-drive's quarantines succeed: the batch lands with
+/// the witness's bits and work. (b) Writes fail again from the re-drive's
+/// first quarantine on, so the re-drive is poisoned too and the batch is
+/// rejected: the server answers with the previous version's bits and, once
+/// resumed, applies the batch and the next one exactly as the witness did.
+/// Restoring only the values would not do for PageRank: its restart reads
+/// whether the committed result is an exact fixpoint, and the work pins it.
+#[test]
+fn a_poisoned_restart_re_drives_from_the_committed_values() {
+    let graph = sweep_rmat(7300);
+    let root = stats::highest_out_degree_vertex(&graph).unwrap();
+    check_poisoned_restarts(
+        &graph,
+        move |_: &Graph| sssp::SsspProgram { root },
+        EngineConfig::default(),
+        "sssp",
+    );
+    check_poisoned_restarts(
+        &graph,
+        pagerank::PageRankProgram::for_graph,
+        exact_config(),
+        "pagerank",
+    );
+}
+
+fn check_poisoned_restarts<P, F>(graph: &Graph, make: F, engine: EngineConfig, label: &str)
+where
+    P: GraphProgram<Value = f32>,
+    F: Fn(&Graph) -> P + Copy,
+{
+    let config = ServerConfig {
+        cluster: ClusterConfig::new(1, 1),
+        ..server_config(1, engine)
+    };
+    let bits = |values: &[f32]| values.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+    let seed = 7310u64;
+
+    // Fault-free witness: four batches, their bits, work, run records and
+    // segment writes.
+    let mut witness = DeltaServer::try_new(graph.clone(), make, config.clone()).unwrap();
+    let (mut batches, mut after, mut work, mut rewritten) = (vec![], vec![], vec![], vec![]);
+    let record = |result: &slfe::core::ProgramResult<f32>| {
+        let totals = result.stats.totals;
+        let run = (
+            result.stats.iterations,
+            result.converged,
+            result.exact_fixpoint,
+        );
+        (run, totals.edge_computations, totals.vertex_updates)
+    };
+    let mut records = vec![];
+    for i in 0..4u64 {
+        let batch = random_batch(witness.graph(), seed + i, BATCH_OPS, GROW);
+        let outcome = witness.try_apply(&batch).unwrap();
+        batches.push(batch);
+        after.push(bits(witness.values()));
+        work.push(outcome.work);
+        rewritten.push(outcome.segments_rewritten);
+        records.push(record(witness.result()));
+    }
+    let check_served = |server: &DeltaServer<P, F>, at: usize, case: &str| {
+        assert_eq!(bits(server.values()), after[at], "{label} {case}: values()");
+        for (v, &expected) in after[at].iter().enumerate() {
+            let value = server.value(v as u32).map(f32::to_bits);
+            assert_eq!(value, Some(expected), "{label} {case}: value({v})");
+        }
+    };
+    let warm_server = || {
+        let mut server = DeltaServer::try_new(graph.clone(), make, config.clone()).unwrap();
+        for batch in &batches[..2] {
+            server.try_apply(batch).unwrap();
+        }
+        server
+    };
+    // The third batch's segment patch writes `rewritten[2]` segments; the
+    // write after them is the restart's first quarantine, retried to
+    // exhaustion.
+    let attempts = slfe::graph::RetryPolicy::default().max_retries + 1;
+    let poison_first_run = FaultPlan::new()
+        .fail(FaultSite::SegmentRead, 0, FaultKind::Permanent)
+        .fail(
+            FaultSite::SegmentWrite,
+            rewritten[2],
+            FaultKind::Transient { failures: attempts },
+        );
+
+    // (a) The re-drive succeeds.
+    let mut server = warm_server();
+    server.fault_injector().arm(poison_first_run.clone());
+    let outcome = server
+        .try_apply(&batches[2])
+        .unwrap_or_else(|e| panic!("{label}: the re-drive should recover: {e}"));
+    assert!(
+        server.fault_counters().poisoned_runs >= 1,
+        "{label}: never poisoned"
+    );
+    server.fault_injector().disarm();
+    assert_eq!(outcome.work, work[2], "{label}: re-driven work");
+    check_served(&server, 2, "re-driven");
+    let outcome = server.try_apply(&batches[3]).unwrap();
+    assert_eq!(outcome.work, work[3], "{label}: next batch's work");
+    check_served(&server, 3, "after the re-drive");
+
+    // (b) The re-drive is poisoned too. Writes fail again from some offset
+    // past the rebuild's: the first offset at which the server counts two
+    // poisoned runs.
+    let mut server = (0..512u64)
+        .find_map(|offset| {
+            let mut server = warm_server();
+            server.fault_injector().arm(poison_first_run.clone().fail(
+                FaultSite::SegmentWrite,
+                rewritten[2] + u64::from(attempts) + offset,
+                FaultKind::Permanent,
+            ));
+            let rejected = server.try_apply(&batches[2]).is_err();
+            (rejected && server.fault_counters().poisoned_runs == 2).then_some(server)
+        })
+        .unwrap_or_else(|| panic!("{label}: no write offset poisons the re-drive"));
+    server.fault_injector().disarm();
+    assert!(server.health().is_read_only());
+    check_served(&server, 1, "rejected");
+    assert_eq!(
+        record(server.result()),
+        records[1],
+        "{label}: the rejected batch left its run record in the served result"
+    );
+    assert!(server.try_resume_writes());
+    for at in 2..4 {
+        let outcome = server.try_apply(&batches[at]).unwrap();
+        assert_eq!(
+            outcome.work, work[at],
+            "{label}: work of batch {at} after the rejection"
+        );
+        check_served(&server, at, "after the rejection");
+    }
+}
+
 /// The arithmetic sibling of `permanent_faults_recover_or_fail_typed_per_site`:
 /// PageRank's warm restarts read the segment store as well, and under a
 /// permanent fault at each apply-path site the server must either finish

@@ -5,11 +5,15 @@
 //! arithmetic ones — over seeded random batches, at 1 and 4 workers per node.
 
 use slfe::apps::{bfs, cc, heat, numpaths, pagerank, spmv, sssp, tunkrank, widestpath, AppKind};
-use slfe::core::{EngineConfig, GraphProgram, ProgramResult, RedundancyMode, SlfeEngine};
+use slfe::core::{
+    EngineConfig, GraphProgram, ProgramResult, RedundancyMode, SlfeEngine, WarmResult,
+};
 use slfe::delta::{DeltaServer, ServerConfig};
 use slfe::graph::generators::{random_batch, BatchShape};
 use slfe::graph::rng::SplitMix64;
-use slfe::graph::{generators, Bitset, Degrees, Graph, UpdateBatch};
+use slfe::graph::{generators, Bitset, Degrees, Graph, ReorderPolicy, UpdateBatch};
+use slfe::metrics::Counters;
+use slfe::partition::{contiguous_degree_layout, ChunkingPartitioner, Partitioner};
 use slfe::prelude::ClusterConfig;
 
 const GROW: BatchShape = BatchShape::Mixed { allow_growth: true };
@@ -410,7 +414,10 @@ fn full_sweep_restart<P: GraphProgram>(
     let degrees = Degrees::of(graph);
     let mut values: Vec<P::Value> = graph
         .vertices()
-        .map(|v| program.warm_start_value(v, previous.get(v as usize).copied(), &degrees))
+        .map(|v| match previous.get(v as usize) {
+            Some(&old) if !program.warm_start_resets() => old,
+            _ => program.initial_value(v, &degrees),
+        })
         .collect();
     for iteration in 1..=config.max_iterations {
         let last = values.clone();
@@ -734,8 +741,8 @@ fn check_changed_lists<P, PF>(
                 let degrees = Degrees::of(&mutated);
                 let reseeded = (0..previous.values.len())
                     .filter(|&v| {
-                        let old = previous.values[v];
-                        program.warm_start_value(v as u32, Some(old), &degrees) != old
+                        program.warm_start_resets()
+                            && program.initial_value(v as u32, &degrees) != previous.values[v]
                     })
                     .count();
                 let appended = n - previous.values.len();
@@ -879,4 +886,258 @@ fn warm_restarts_list_every_changed_vertex_identically_at_every_worker_count() {
             ),
         }
     }
+}
+
+/// The counters a kept-state restart must reproduce: all of them but the
+/// footprint (a kept state carries its sparse push capacity over) and the
+/// segment I/O statistics (a second run finds the buffer pool warm).
+fn work_counters(totals: Counters) -> Counters {
+    Counters {
+        scratch_bytes_peak: 0,
+        segments_faulted: 0,
+        segment_bytes_read: 0,
+        ..totals
+    }
+}
+
+/// Drive `make_program` over a chain of six steps on `graph` — seeded
+/// batches of `shape` (the second one appends vertices when `shape` allows
+/// growth), at the third a degree-descending remap of the warm result (the
+/// physical reorder `DeltaServer::remap_now` applies: values permuted and
+/// the fixpoint no longer vouched for, which drops the kept state) and at
+/// the fifth a full-recompute fallback (a cold run) — in memory and out of
+/// core at 2×{1, 2, 4} workers. At every batch, a restart of the
+/// [`WarmResult`] ([`SlfeEngine::restart`]) must equal a fresh-state
+/// [`SlfeEngine::run_from_effect`] on the same engine from the same previous
+/// result: value bits, change list, iterations, convergence, exactness,
+/// per-worker work and [`work_counters`]. Restarts return an empty
+/// `last_changed_iter`; cold runs fill it.
+fn check_kept_state<P, PF>(
+    graph: &Graph,
+    shape: BatchShape,
+    seed: u64,
+    config: EngineConfig,
+    make_program: PF,
+    bits: impl Fn(P::Value) -> u64,
+    label: &str,
+) where
+    P: GraphProgram,
+    PF: Fn(&Graph) -> P,
+{
+    let encode = |values: &[P::Value]| values.iter().map(|&v| bits(v)).collect::<Vec<u64>>();
+    for oocore in [false, true] {
+        for workers in [1usize, 2, 4] {
+            let case = format!("{label}: 2x{workers}, out of core {oocore}");
+            let engine_config = if oocore {
+                config
+                    .clone()
+                    .with_storage_budget(24 << 10)
+                    .with_storage_segment_bytes(2 << 10)
+            } else {
+                config.clone()
+            };
+            let cluster = ClusterConfig::new(2, workers);
+            let mut current = graph.clone();
+            let cold = SlfeEngine::build(&current, cluster.clone(), engine_config.clone())
+                .run(&make_program(&current));
+            assert_eq!(
+                cold.last_changed_iter.len(),
+                current.num_vertices(),
+                "{case}"
+            );
+            let mut warm = WarmResult::new(cold);
+            let mut restarts = 0;
+            for step in 0..6u64 {
+                if step == 2 {
+                    let owners = ChunkingPartitioner::default().partition(&current, 2);
+                    let remap = contiguous_degree_layout(
+                        &current,
+                        &owners,
+                        ReorderPolicy::DegreeDescending,
+                    );
+                    assert!(!remap.is_identity(), "{case}: the remap moved nothing");
+                    current = current.remapped(&remap);
+                    let result = warm.result_mut();
+                    result.values = remap.permuted_values(&result.values);
+                    result.exact_fixpoint = false;
+                    continue;
+                }
+                let mut batch = random_batch(&current, seed + step, 20, shape);
+                if step == 1 && shape == GROW {
+                    batch.insert(0, current.num_vertices() as u32 + 2, 1.5);
+                }
+                let (mutated, effect) = current.apply_batch(&batch);
+                let program = make_program(&mutated);
+                let engine = SlfeEngine::build(&mutated, cluster.clone(), engine_config.clone());
+                if step == 4 {
+                    let cold = engine.run(&program);
+                    assert_eq!(
+                        cold.last_changed_iter.len(),
+                        mutated.num_vertices(),
+                        "{case}"
+                    );
+                    warm.replace(cold);
+                    current = mutated;
+                    continue;
+                }
+                let fresh = engine.run_from_effect(&program, warm.result(), &effect);
+                engine.restart(&program, &mut warm, &effect);
+                let kept = warm.result();
+                let at = format!("{case}, step {step}");
+                assert!(
+                    encode(&kept.values) == encode(&fresh.values),
+                    "{at}: values differ"
+                );
+                assert_eq!(kept.changed, fresh.changed, "{at}: change lists");
+                assert!(kept.changed.is_some(), "{at}: a restart lists its changes");
+                assert_eq!(kept.stats.iterations, fresh.stats.iterations, "{at}");
+                assert_eq!(kept.converged, fresh.converged, "{at}");
+                assert_eq!(kept.exact_fixpoint, fresh.exact_fixpoint, "{at}");
+                assert_eq!(
+                    kept.per_node_worker_work, fresh.per_node_worker_work,
+                    "{at}: per-worker work"
+                );
+                assert_eq!(
+                    work_counters(kept.stats.totals),
+                    work_counters(fresh.stats.totals),
+                    "{at}: counters"
+                );
+                assert!(
+                    kept.last_changed_iter.is_empty() && fresh.last_changed_iter.is_empty(),
+                    "{at}: restarts fill no last_changed_iter"
+                );
+                restarts += 1;
+                current = mutated;
+            }
+            assert_eq!(restarts, 4, "{case}");
+        }
+    }
+}
+
+#[test]
+fn kept_restart_state_is_transparent_across_batches_fallbacks_and_remaps() {
+    let f32_bits = |v: f32| u64::from(v.to_bits());
+    let rmat = generators::rmat(260, 1700, 0.57, 0.19, 0.19, 5300);
+    let sym = cc::symmetrize(&generators::rmat(200, 900, 0.57, 0.19, 0.19, 5301));
+    let dag = generators::layered(8, 30, 4, 5302);
+    let root = slfe::graph::stats::highest_out_degree_vertex(&rmat).unwrap();
+    for app in AppKind::ALL {
+        let label = app.to_string();
+        let seed = 5400 + 10 * app as u64;
+        match app {
+            AppKind::Sssp => check_kept_state(
+                &rmat,
+                GROW,
+                seed,
+                EngineConfig::default(),
+                |g: &Graph| sssp::SsspProgram {
+                    root: g.to_physical(root),
+                },
+                f32_bits,
+                &label,
+            ),
+            AppKind::Bfs => check_kept_state(
+                &rmat,
+                GROW,
+                seed,
+                EngineConfig::default(),
+                |g: &Graph| bfs::BfsProgram {
+                    root: g.to_physical(root),
+                },
+                f32_bits,
+                &label,
+            ),
+            AppKind::WidestPath => check_kept_state(
+                &rmat,
+                GROW,
+                seed,
+                EngineConfig::default(),
+                |g: &Graph| widestpath::WidestPathProgram {
+                    root: g.to_physical(root),
+                },
+                f32_bits,
+                &label,
+            ),
+            AppKind::ConnectedComponents => check_kept_state(
+                &sym,
+                BatchShape::Symmetric,
+                seed,
+                EngineConfig::default(),
+                cc::CcProgram::for_graph,
+                f32_bits,
+                &label,
+            ),
+            AppKind::PageRank => check_kept_state(
+                &rmat,
+                GROW,
+                seed,
+                exact_config(),
+                pagerank::PageRankProgram::for_graph,
+                f32_bits,
+                &label,
+            ),
+            AppKind::TunkRank => check_kept_state(
+                &rmat,
+                GROW,
+                seed,
+                exact_config(),
+                |_| tunkrank::TunkRankProgram::default(),
+                f32_bits,
+                &label,
+            ),
+            AppKind::SpMV => check_kept_state(
+                &rmat,
+                GROW,
+                seed,
+                exact_config(),
+                |g: &Graph| spmv::SpmvProgram::ones(g.num_vertices()),
+                |(x, y): (f32, f32)| u64::from(x.to_bits()) << 32 | u64::from(y.to_bits()),
+                &label,
+            ),
+            AppKind::HeatSimulation => check_kept_state(
+                &rmat,
+                GROW,
+                seed,
+                exact_config()
+                    .with_tolerance(1e-6)
+                    .with_max_iterations(3000),
+                |g: &Graph| heat::HeatProgram::point_source(g, g.to_physical(root)),
+                f32_bits,
+                &label,
+            ),
+            AppKind::NumPaths => check_kept_state(
+                &dag,
+                BatchShape::Dag,
+                seed,
+                exact_config(),
+                |g: &Graph| numpaths::NumPathsProgram {
+                    root: g.to_physical(0),
+                },
+                f32_bits,
+                &label,
+            ),
+        }
+    }
+    // Capped runs end with a frontier left over, which the kept state must
+    // not carry into the next restart.
+    check_kept_state(
+        &rmat,
+        GROW,
+        5500,
+        EngineConfig::default().with_max_iterations(2),
+        |g: &Graph| sssp::SsspProgram {
+            root: g.to_physical(root),
+        },
+        f32_bits,
+        "SSSP capped at 2 iterations",
+    );
+    check_kept_state(
+        &rmat,
+        GROW,
+        5510,
+        exact_config().with_max_iterations(3),
+        pagerank::PageRankProgram::for_graph,
+        f32_bits,
+        "PageRank capped at 3 iterations",
+    );
 }
