@@ -44,7 +44,7 @@ use slfe_graph::{
 };
 use slfe_metrics::DurabilityCounters;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Seek as _, Write as _};
+use std::io::{self, BufWriter, Seek as _, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -515,18 +515,29 @@ pub(crate) struct LoadedCheckpoint<V> {
     pub num_parts: usize,
 }
 
-fn put_header(out: &mut Vec<u8>, magic: u32, version: u32, tag: u8, seq: u64) {
-    binary::put_u32(out, magic);
-    binary::put_u32(out, version);
-    binary::put_u8(out, tag);
-    binary::put_u64(out, seq);
+fn write_header(
+    out: &mut impl Write,
+    magic: u32,
+    version: u32,
+    tag: u8,
+    seq: u64,
+) -> io::Result<()> {
+    out.write_all(&magic.to_le_bytes())?;
+    out.write_all(&version.to_le_bytes())?;
+    out.write_all(&[tag])?;
+    out.write_all(&seq.to_le_bytes())
 }
 
-fn put_stats(out: &mut Vec<u8>, stats: &ServerStats) {
-    binary::put_u64(out, stats.batches_applied);
-    binary::put_u64(out, stats.total_work);
-    binary::put_u64(out, stats.total_distribution_messages);
-    binary::put_u64(out, stats.full_recomputes);
+fn write_stats(out: &mut impl Write, stats: &ServerStats) -> io::Result<()> {
+    for word in [
+        stats.batches_applied,
+        stats.total_work,
+        stats.total_distribution_messages,
+        stats.full_recomputes,
+    ] {
+        out.write_all(&word.to_le_bytes())?;
+    }
+    Ok(())
 }
 
 fn read_stats(r: &mut Reader<'_>) -> Option<ServerStats> {
@@ -538,12 +549,20 @@ fn read_stats(r: &mut Reader<'_>) -> Option<ServerStats> {
     })
 }
 
-/// The values section: a count, then each value's exact bit pattern.
-fn put_values<V: SnapshotValue>(out: &mut Vec<u8>, values: &[V]) {
-    binary::put_u64(out, values.len() as u64);
-    for &v in values {
-        v.write(out);
+/// Values encoded per write of the values section into its sink.
+const VALUES_PER_WRITE: usize = 4096;
+
+/// The values section: a count, then each value's exact bit pattern,
+/// encoded a bounded run of values at a time.
+fn write_values<V: SnapshotValue>(out: &mut impl Write, values: &[V]) -> io::Result<()> {
+    out.write_all(&(values.len() as u64).to_le_bytes())?;
+    let mut run = Vec::new();
+    for part in values.chunks(VALUES_PER_WRITE) {
+        run.clear();
+        part.iter().for_each(|&v| v.write(&mut run));
+        out.write_all(&run)?;
     }
+    Ok(())
 }
 
 fn read_values<V: SnapshotValue>(r: &mut Reader<'_>) -> Option<Vec<V>> {
@@ -557,11 +576,26 @@ fn read_values<V: SnapshotValue>(r: &mut Reader<'_>) -> Option<Vec<V>> {
 }
 
 /// The partitioning section: the node count, then one owner per vertex.
-fn put_partitioning(out: &mut Vec<u8>, num_parts: usize, owners: &[usize]) {
-    binary::put_u64(out, num_parts as u64);
-    binary::put_u64(out, owners.len() as u64);
-    for &o in owners {
-        binary::put_u32(out, o as u32);
+fn write_partitioning(out: &mut impl Write, num_parts: usize, owners: &[usize]) -> io::Result<()> {
+    out.write_all(&(num_parts as u64).to_le_bytes())?;
+    out.write_all(&(owners.len() as u64).to_le_bytes())?;
+    owners
+        .iter()
+        .try_for_each(|&o| out.write_all(&(o as u32).to_le_bytes()))
+}
+
+/// The remap section of a base: a flag, then for a remapped graph the
+/// external→physical bijection. The graph section already holds the
+/// adjacency physically exact, so only the bijection travels here.
+fn write_remap(out: &mut impl Write, graph: &Graph) -> io::Result<()> {
+    match graph.id_remap() {
+        Some(remap) if !remap.is_identity() => {
+            out.write_all(&[1])?;
+            out.write_all(&(remap.len() as u64).to_le_bytes())?;
+            (0..remap.len() as u32)
+                .try_for_each(|ext| out.write_all(&remap.to_new(ext).to_le_bytes()))
+        }
+        _ => out.write_all(&[0]),
     }
 }
 
@@ -584,37 +618,85 @@ fn read_partitioning(r: &mut Reader<'_>, n: usize) -> Result<(usize, Vec<usize>)
     Ok((num_parts, owners))
 }
 
-/// Write `bytes` as `dest` atomically: a temp file, fsync, rename and
+/// Bytes of the buffer a state file streams through on its way to disk: the
+/// most a base or checkpoint write holds in memory, whatever the state's size.
+const STATE_WRITE_BUFFER: usize = 1 << 20;
+
+/// The sink a state file's sections stream into: a bounded buffer in front
+/// of the temp file.
+type StateSink = BufWriter<Checksummed>;
+
+/// The temp file under a running CRC32 of every byte that reaches it.
+struct Checksummed {
+    file: File,
+    crc: u32,
+    bytes: u64,
+}
+
+impl Write for Checksummed {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let written = self.file.write(buf)?;
+        self.crc = binary::crc32_update(self.crc, &buf[..written]);
+        self.bytes += written as u64;
+        Ok(written)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.file.flush()
+    }
+}
+
+/// Stream a state file to `dest` atomically, and return its trailing CRC32
+/// and its length in bytes. `produce` writes the body a section at a time
+/// through a [`STATE_WRITE_BUFFER`] buffer into a temp file, under a
+/// running CRC32 that then lands as the trailer; then come fsync, rename and
 /// directory fsync, each phase under the config's retry budget and its fault
-/// site. A failed attempt leaves at worst a stale temp file; `dest` is
-/// replaced only by the rename, so a failure never corrupts the recovery
-/// point it holds.
+/// site (consulted once per attempt). A failed attempt leaves at worst a
+/// stale temp file; `dest` is replaced only by the rename, so a failure
+/// never corrupts the recovery point it holds.
 fn write_atomically(
     config: &DurabilityConfig,
-    bytes: &[u8],
     dest: &Path,
     (write_site, rename_site): (FaultSite, FaultSite),
     faults: Option<&FaultInjector>,
-) -> io::Result<()> {
+    produce: impl Fn(&mut StateSink) -> io::Result<()>,
+) -> io::Result<(u32, u64)> {
     let tmp = dest.with_extension("bin.tmp");
-    with_retries(&config.retry, faults, || {
-        match faults.and_then(|i| i.on_io(write_site)) {
+    let written = with_retries(&config.retry, faults, || {
+        let short = match faults.and_then(|i| i.on_io(write_site)) {
             Some(FaultAction::Error(e)) => return Err(e),
-            Some(FaultAction::ShortIo) => {
-                // A short write leaves a torn temp file behind; the retry
-                // recreates it from scratch, so nothing durable is harmed.
-                let mut file = File::create(&tmp)?;
-                file.write_all(&bytes[..bytes.len() / 2])?;
-                return Err(io::Error::new(
-                    io::ErrorKind::WriteZero,
-                    format!("injected short write at {}", write_site.name()),
-                ));
-            }
-            None => {}
+            Some(FaultAction::ShortIo) => true,
+            None => false,
+        };
+        let file = File::create(&tmp)?;
+        let mut sink = BufWriter::with_capacity(
+            STATE_WRITE_BUFFER,
+            Checksummed {
+                file,
+                crc: 0,
+                bytes: 0,
+            },
+        );
+        produce(&mut sink)?;
+        let Checksummed {
+            mut file,
+            crc,
+            bytes,
+        } = sink.into_inner().map_err(io::IntoInnerError::into_error)?;
+        file.write_all(&crc.to_le_bytes())?;
+        let bytes = bytes + 4;
+        if short {
+            // Cut the file back to half its bytes: the torn temp file a
+            // short write leaves. The retry recreates it from scratch, so
+            // nothing durable is harmed.
+            file.set_len(bytes / 2)?;
+            return Err(io::Error::new(
+                io::ErrorKind::WriteZero,
+                format!("injected short write at {}", write_site.name()),
+            ));
         }
-        let mut file = File::create(&tmp)?;
-        file.write_all(bytes)?;
-        file.sync_all()
+        file.sync_all()?;
+        Ok((crc, bytes))
     })?;
     with_retries(&config.retry, faults, || {
         match faults.and_then(|i| i.on_io(rename_site)) {
@@ -629,7 +711,8 @@ fn write_atomically(
         }
         std::fs::rename(&tmp, dest)?;
         sync_dir(&config.dir)
-    })
+    })?;
+    Ok(written)
 }
 
 /// Read the state file at `path` under the config's retry budget and fault
@@ -670,45 +753,29 @@ fn checked_body(bytes: &[u8]) -> Option<(&[u8], u32)> {
 
 /// Write `state` at sequence `seq` atomically as the base (format version
 /// 3, the flat layout `io::tests::snapshot_bytes_keep_the_flat_layout`
-/// pins for the graph section). Returns what names the new base.
+/// pins for the graph section), streamed section by section. Returns what
+/// names the new base.
 pub(crate) fn write_snapshot<V: SnapshotValue>(
     config: &DurabilityConfig,
     seq: u64,
     state: &SnapshotState<'_, V>,
     faults: Option<&FaultInjector>,
 ) -> io::Result<BaseStamp> {
-    let mut out = Vec::new();
-    put_header(&mut out, SNAPSHOT_MAGIC, SNAPSHOT_VERSION, V::TAG, seq);
-    put_stats(&mut out, &state.stats);
-    binary::encode_graph(&mut out, state.graph);
-    put_values(&mut out, state.values);
-    put_partitioning(&mut out, state.num_parts, state.owners);
-    // Remap section: the graph's adjacency was encoded physically exact
-    // above, so only the external→physical bijection travels here.
-    match state.graph.id_remap() {
-        Some(remap) if !remap.is_identity() => {
-            binary::put_u8(&mut out, 1);
-            binary::put_u64(&mut out, remap.len() as u64);
-            for ext in 0..remap.len() as u32 {
-                binary::put_u32(&mut out, remap.to_new(ext));
-            }
-        }
-        _ => binary::put_u8(&mut out, 0),
-    }
-    let crc = binary::crc32(&out);
-    binary::put_u32(&mut out, crc);
-    write_atomically(
+    let (crc, bytes) = write_atomically(
         config,
-        &out,
         &config.snapshot_path(),
         (FaultSite::SnapshotWrite, FaultSite::SnapshotRename),
         faults,
+        |out| {
+            write_header(out, SNAPSHOT_MAGIC, SNAPSHOT_VERSION, V::TAG, seq)?;
+            write_stats(out, &state.stats)?;
+            binary::write_graph(out, state.graph)?;
+            write_values(out, state.values)?;
+            write_partitioning(out, state.num_parts, state.owners)?;
+            write_remap(out, state.graph)
+        },
     )?;
-    Ok(BaseStamp {
-        seq,
-        crc,
-        bytes: out.len() as u64,
-    })
+    Ok(BaseStamp { seq, crc, bytes })
 }
 
 /// Load and validate the current base.
@@ -803,23 +870,21 @@ pub(crate) fn write_checkpoint<V: SnapshotValue>(
     state: &SnapshotState<'_, V>,
     faults: Option<&FaultInjector>,
 ) -> io::Result<u64> {
-    let mut out = Vec::new();
-    put_header(&mut out, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, V::TAG, seq);
-    binary::put_u64(&mut out, base.seq);
-    binary::put_u32(&mut out, base.crc);
-    put_stats(&mut out, &state.stats);
-    put_values(&mut out, state.values);
-    put_partitioning(&mut out, state.num_parts, state.owners);
-    let crc = binary::crc32(&out);
-    binary::put_u32(&mut out, crc);
-    write_atomically(
+    let (_, bytes) = write_atomically(
         config,
-        &out,
         &config.checkpoint_path(),
         (FaultSite::CheckpointWrite, FaultSite::CheckpointRename),
         faults,
+        |out| {
+            write_header(out, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, V::TAG, seq)?;
+            out.write_all(&base.seq.to_le_bytes())?;
+            out.write_all(&base.crc.to_le_bytes())?;
+            write_stats(out, &state.stats)?;
+            write_values(out, state.values)?;
+            write_partitioning(out, state.num_parts, state.owners)
+        },
     )?;
-    Ok(out.len() as u64)
+    Ok(bytes)
 }
 
 /// Load the current checkpoint, under the config's retry budget and the

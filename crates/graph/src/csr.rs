@@ -291,6 +291,33 @@ impl Adjacency {
         targets.iter().copied().zip(weights.iter().copied())
     }
 
+    /// The lists of the vertices in `range` as they lie in memory, one run
+    /// per block the range touches: the block's local offsets of the run's
+    /// vertices (one more than its vertex count; the run's `i`-th vertex
+    /// owns its entries `offsets[i] - offsets[0]..offsets[i + 1] -
+    /// offsets[0]`), and the run's neighbors and weights, each one
+    /// contiguous slice. The flat and the segment encoders copy words
+    /// straight from them.
+    pub(crate) fn runs(
+        &self,
+        range: Range<VertexId>,
+    ) -> impl Iterator<Item = (&[usize], &[VertexId], &[EdgeWeight])> + '_ {
+        let (lo, hi) = (range.start as usize, range.end as usize);
+        debug_assert!(hi <= self.num_vertices, "range past the last vertex");
+        (lo >> BLOCK_SHIFT..hi.div_ceil(BLOCK_VERTICES)).map(move |b| {
+            let base = b << BLOCK_SHIFT;
+            let block = &self.blocks[b];
+            let offsets =
+                &block.offsets[lo.max(base) - base..=hi.min(base + BLOCK_VERTICES) - base];
+            let entries = offsets[0]..offsets[offsets.len() - 1];
+            (
+                offsets,
+                &block.targets[entries.clone()],
+                &block.weights[entries],
+            )
+        })
+    }
+
     /// `true` if the adjacency list of `v` contains `u`.
     #[inline]
     pub fn contains_edge(&self, v: VertexId, u: VertexId) -> bool {
