@@ -954,7 +954,7 @@ impl<'g> SlfeEngine<'g> {
         } = parts;
         if let Some(storage) = &storage {
             assert_eq!(
-                storage.out_store().store_num_vertices(),
+                storage.out_store().num_vertices(),
                 graph.num_vertices(),
                 "segmented store must cover the engine's graph"
             );

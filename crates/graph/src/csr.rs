@@ -12,6 +12,8 @@
 //! only the blocks that hold an edited or appended vertex and clones the `Arc`s
 //! of the rest, and `clone` copies only the directory. A new version therefore
 //! costs O(touched blocks + |V| / [`BLOCK_VERTICES`]) instead of O(V + E).
+//! The out-of-core store ([`crate::storage`]) decodes each of its segments
+//! into a [`Block`] too, so a traversal reads one type from either backing.
 
 use crate::types::{Edge, EdgeWeight, VertexId};
 use std::ops::Range;
@@ -25,7 +27,7 @@ const BLOCK_SHIFT: u32 = 10;
 pub const BLOCK_VERTICES: usize = 1 << BLOCK_SHIFT;
 
 /// Vertex range of block `b` of an adjacency over `num_vertices` vertices.
-fn block_span(b: usize, num_vertices: usize) -> Range<usize> {
+fn block_range(b: usize, num_vertices: usize) -> Range<usize> {
     let lo = b << BLOCK_SHIFT;
     lo..num_vertices.min(lo + BLOCK_VERTICES)
 }
@@ -35,38 +37,46 @@ fn block_count(num_vertices: usize) -> usize {
     num_vertices.div_ceil(BLOCK_VERTICES)
 }
 
-/// The lists of one block's vertices: slot `i` owns
-/// `targets[offsets[i]..offsets[i + 1]]` and the parallel weights. A block is
-/// immutable once built and shared by every graph version that did not touch
-/// its vertices.
+/// The lists of a run of consecutive vertices from `first` on: vertex
+/// `first + i` owns `targets[offsets[i]..offsets[i + 1]]` and the parallel
+/// weights. It is the one list-run type of both backings: an [`Adjacency`]
+/// holds a directory of blocks of [`BLOCK_VERTICES`] vertices, and a segment
+/// fault of the out-of-core store decodes its bytes into one. A block is
+/// immutable once built and shared by every graph version (or every cursor)
+/// that did not touch its vertices.
 #[derive(Debug, PartialEq)]
 pub struct Block {
-    /// Vertices held: [`BLOCK_VERTICES`], or fewer in the last block.
-    vertices: usize,
-    /// Local offsets, inline so that a lookup needs no bounds check. Slots
-    /// past the last vertex repeat the final offset (empty lists).
-    offsets: [usize; BLOCK_VERTICES + 1],
+    first: VertexId,
+    /// One more than the vertices held, starting at zero; `u32`, the width
+    /// of the segment format.
+    offsets: Vec<u32>,
     targets: Vec<VertexId>,
     weights: Vec<EdgeWeight>,
 }
 
-impl Block {
-    /// An empty block of `vertices` vertices with room for `edges` entries;
-    /// the caller fills the lists and then calls [`Block::seal`].
-    fn with_capacity(vertices: usize, edges: usize) -> Self {
-        Self {
-            vertices,
-            offsets: [0; BLOCK_VERTICES + 1],
-            targets: Vec::with_capacity(edges),
-            weights: Vec::with_capacity(edges),
-        }
-    }
+/// `len` entries as a block-local offset.
+fn local_offset(len: usize) -> u32 {
+    u32::try_from(len).expect("a block holds fewer than 2^32 entries")
+}
 
-    /// Repeat the last vertex's end offset over the unused slots.
-    fn seal(mut self) -> Self {
-        let end = self.offsets[self.vertices];
-        self.offsets[self.vertices + 1..].fill(end);
-        self
+impl Block {
+    /// The block of vertices `first..first + offsets.len() - 1` with the given
+    /// local offsets and parallel lists.
+    pub(crate) fn new(
+        first: VertexId,
+        offsets: Vec<u32>,
+        targets: Vec<VertexId>,
+        weights: Vec<EdgeWeight>,
+    ) -> Self {
+        debug_assert_eq!(offsets.first(), Some(&0), "offsets start at zero");
+        debug_assert_eq!(offsets.last().map(|&end| end as usize), Some(targets.len()));
+        debug_assert_eq!(targets.len(), weights.len());
+        Self {
+            first,
+            offsets,
+            targets,
+            weights,
+        }
     }
 
     /// Assemble the block covering `span` from `list(v)`, the neighbors and
@@ -79,26 +89,43 @@ impl Block {
         W: Iterator<Item = EdgeWeight>,
     {
         let edges = span.clone().map(|v| list(v).0.size_hint().0).sum();
-        let mut block = Self::with_capacity(span.len(), edges);
-        for (slot, v) in span.enumerate() {
-            let (targets, weights) = list(v);
-            block.targets.extend(targets);
-            block.weights.extend(weights);
-            block.offsets[slot + 1] = block.targets.len();
+        let mut offsets = Vec::with_capacity(span.len() + 1);
+        offsets.push(0);
+        let (mut targets, mut weights) = (Vec::with_capacity(edges), Vec::with_capacity(edges));
+        let first = span.start as VertexId;
+        for v in span {
+            let (t, w) = list(v);
+            targets.extend(t);
+            weights.extend(w);
+            offsets.push(local_offset(targets.len()));
         }
-        debug_assert_eq!(block.targets.len(), block.weights.len());
-        block.seal()
+        Self::new(first, offsets, targets, weights)
+    }
+
+    fn num_vertices(&self) -> usize {
+        self.offsets.len() - 1
     }
 
     fn num_edges(&self) -> usize {
         self.targets.len()
     }
 
+    /// The vertices this block holds.
+    #[inline]
+    pub(crate) fn span(&self) -> Range<VertexId> {
+        self.first..self.first + self.num_vertices() as VertexId
+    }
+
+    /// In-RAM bytes of the lists: 4 per offset, target and weight.
+    pub(crate) fn resident_bytes(&self) -> u64 {
+        4 * (self.offsets.len() + self.targets.len() + self.weights.len()) as u64
+    }
+
     /// Entry range of `v`, which must lie in this block.
     #[inline]
     fn range(&self, v: VertexId) -> Range<usize> {
-        let slot = v as usize & (BLOCK_VERTICES - 1);
-        self.offsets[slot]..self.offsets[slot + 1]
+        let i = (v - self.first) as usize;
+        self.offsets[i] as usize..self.offsets[i + 1] as usize
     }
 
     /// Neighbor list and parallel weights of `v`, which must lie in this block.
@@ -115,7 +142,7 @@ impl Block {
 pub struct Adjacency {
     num_vertices: usize,
     num_edges: usize,
-    /// Block `b` covers `block_span(b, num_vertices)`.
+    /// Block `b` covers `block_range(b, num_vertices)`.
     blocks: Vec<Arc<Block>>,
 }
 
@@ -139,23 +166,26 @@ impl Adjacency {
         }
         let mut blocks: Vec<Block> = (0..block_count(num_vertices))
             .map(|b| {
-                let span = block_span(b, num_vertices);
+                let span = block_range(b, num_vertices);
                 let base = counts[span.start];
                 let edges = counts[span.end] - base;
-                let mut block = Block::with_capacity(span.len(), edges);
-                for (slot, v) in span.enumerate() {
-                    block.offsets[slot + 1] = counts[v + 1] - base;
-                }
-                block.targets.resize(edges, 0);
-                block.weights.resize(edges, 0.0);
-                block.seal()
+                Block::new(
+                    span.start as VertexId,
+                    counts[span.start..=span.end]
+                        .iter()
+                        .map(|&c| local_offset(c - base))
+                        .collect(),
+                    vec![0; edges],
+                    vec![0.0; edges],
+                )
             })
             .collect();
         // Scatter every edge to the next free entry of its key's list; the
         // cursor holds block-local positions.
         let mut cursor: Vec<usize> = blocks
             .iter()
-            .flat_map(|block| block.offsets[..block.vertices].iter().copied())
+            .flat_map(|block| block.offsets[..block.num_vertices()].iter())
+            .map(|&offset| offset as usize)
             .collect();
         for e in edges {
             let k = key(e) as usize;
@@ -169,8 +199,11 @@ impl Adjacency {
         // on index pairs is fine.
         let mut pairs: Vec<(VertexId, EdgeWeight)> = Vec::new();
         for block in &mut blocks {
-            for slot in 0..block.vertices {
-                let (lo, hi) = (block.offsets[slot], block.offsets[slot + 1]);
+            for slot in 0..block.num_vertices() {
+                let (lo, hi) = (
+                    block.offsets[slot] as usize,
+                    block.offsets[slot + 1] as usize,
+                );
                 pairs.clear();
                 pairs.extend(
                     block.targets[lo..hi]
@@ -209,17 +242,17 @@ impl Adjacency {
         W: Iterator<Item = EdgeWeight>,
     {
         let blocks = (0..block_count(num_vertices))
-            .map(|b| Arc::new(Block::build(block_span(b, num_vertices), &list)))
+            .map(|b| Arc::new(Block::build(block_range(b, num_vertices), &list)))
             .collect();
         Self::from_blocks(num_vertices, blocks)
     }
 
     fn from_blocks(num_vertices: usize, blocks: Vec<Arc<Block>>) -> Self {
         debug_assert_eq!(blocks.len(), block_count(num_vertices));
-        debug_assert!(blocks
-            .iter()
-            .enumerate()
-            .all(|(b, block)| block.vertices == block_span(b, num_vertices).len()));
+        debug_assert!(blocks.iter().enumerate().all(|(b, block)| {
+            let span = block_range(b, num_vertices);
+            block.span() == (span.start as VertexId..span.end as VertexId)
+        }));
         Self {
             num_vertices,
             num_edges: blocks.iter().map(|block| block.num_edges()).sum(),
@@ -246,12 +279,6 @@ impl Adjacency {
         &self.blocks[v as usize >> BLOCK_SHIFT]
     }
 
-    /// Half-open vertex range of the block holding `v`.
-    pub(crate) fn block_span(&self, v: VertexId) -> (VertexId, VertexId) {
-        let span = block_span(v as usize >> BLOCK_SHIFT, self.num_vertices);
-        (span.start as VertexId, span.end as VertexId)
-    }
-
     /// Degree of `v` (number of neighbors in this direction).
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
@@ -260,11 +287,9 @@ impl Adjacency {
 
     /// Degree of every vertex in id order, read block by block.
     pub(crate) fn degrees(&self) -> impl Iterator<Item = usize> + '_ {
-        self.blocks.iter().flat_map(|block| {
-            block.offsets[..=block.vertices]
-                .windows(2)
-                .map(|w| w[1] - w[0])
-        })
+        self.blocks
+            .iter()
+            .flat_map(|block| block.offsets.windows(2).map(|w| (w[1] - w[0]) as usize))
     }
 
     /// Neighbors of `v` in this direction.
@@ -301,7 +326,7 @@ impl Adjacency {
     pub(crate) fn runs(
         &self,
         range: Range<VertexId>,
-    ) -> impl Iterator<Item = (&[usize], &[VertexId], &[EdgeWeight])> + '_ {
+    ) -> impl Iterator<Item = (&[u32], &[VertexId], &[EdgeWeight])> + '_ {
         let (lo, hi) = (range.start as usize, range.end as usize);
         debug_assert!(hi <= self.num_vertices, "range past the last vertex");
         (lo >> BLOCK_SHIFT..hi.div_ceil(BLOCK_VERTICES)).map(move |b| {
@@ -309,7 +334,7 @@ impl Adjacency {
             let block = &self.blocks[b];
             let offsets =
                 &block.offsets[lo.max(base) - base..=hi.min(base + BLOCK_VERTICES) - base];
-            let entries = offsets[0]..offsets[offsets.len() - 1];
+            let entries = offsets[0] as usize..offsets[offsets.len() - 1] as usize;
             (
                 offsets,
                 &block.targets[entries.clone()],
@@ -365,12 +390,14 @@ impl Adjacency {
         let mut rest = edits;
         let blocks = (0..block_count(new_num_vertices))
             .map(|b| {
-                let span = block_span(b, new_num_vertices);
+                let span = block_range(b, new_num_vertices);
                 let (mine, after) =
                     rest.split_at(rest.partition_point(|(v, _)| (*v as usize) < span.end));
                 rest = after;
                 match self.blocks.get(b) {
-                    Some(old) if mine.is_empty() && old.vertices == span.len() => Arc::clone(old),
+                    Some(old) if mine.is_empty() && old.num_vertices() == span.len() => {
+                        Arc::clone(old)
+                    }
                     // One side of each chain is empty: the replacement
                     // list of an edited vertex, or the kept list of another.
                     _ => Arc::new(Block::build(span, |v| {
@@ -590,15 +617,12 @@ mod tests {
     fn lists_cross_block_boundaries_intact() {
         let n = 2 * BLOCK_VERTICES + 5;
         let adj = spread(n, 7);
-        let spans: Vec<(VertexId, VertexId)> = [0, BLOCK_VERTICES - 1, BLOCK_VERTICES, n - 1]
+        let spans: Vec<Range<VertexId>> = [0, BLOCK_VERTICES - 1, BLOCK_VERTICES, n - 1]
             .iter()
-            .map(|&v| adj.block_span(v as VertexId))
+            .map(|&v| adj.block(v as VertexId).span())
             .collect();
         let w = BLOCK_VERTICES as VertexId;
-        assert_eq!(
-            spans,
-            vec![(0, w), (0, w), (w, 2 * w), (2 * w, n as VertexId)]
-        );
+        assert_eq!(spans, vec![0..w, 0..w, w..2 * w, 2 * w..n as VertexId]);
         let degrees: Vec<usize> = adj.degrees().collect();
         assert_eq!(degrees.len(), n);
         assert_eq!(degrees.iter().sum::<usize>(), adj.num_edges());

@@ -260,11 +260,6 @@ impl FaultInjector {
         self.armed.store(false, Ordering::Release);
     }
 
-    /// True when a plan is armed.
-    pub fn is_armed(&self) -> bool {
-        self.armed.load(Ordering::Acquire)
-    }
-
     /// Called by a site immediately before performing real I/O. Advances the
     /// site's call counter and returns the action to take, if any fault is
     /// scheduled for this call.
@@ -472,9 +467,9 @@ impl SaturatingShl for u64 {
     }
 }
 
-/// Process-wide ordinal handed to each [`with_retries`] invocation so
-/// concurrent retry loops draw from distinct jitter streams. Monotonic and
-/// relaxed: the value only has to be *distinct*, not ordered.
+/// Process-wide ordinal handed to each [`with_retries`] invocation that
+/// retries, so concurrent retry loops draw from distinct jitter streams.
+/// Monotonic and relaxed: the value only has to be *distinct*, not ordered.
 static RETRIER_ORDINAL: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 /// Run `op` with bounded exponential-backoff retries per `policy`. Disk-full
@@ -483,12 +478,14 @@ static RETRIER_ORDINAL: std::sync::atomic::AtomicU64 = std::sync::atomic::Atomic
 /// eventual successes are recorded on `injector` when present. When the
 /// policy carries a jitter seed, each retry loop sleeps on its own
 /// deterministic jittered schedule (see [`RetryPolicy::backoff_jittered`]).
+/// The loop draws its ordinal at its first retry, so a call whose first
+/// attempt succeeds touches no shared counter.
 pub fn with_retries<T>(
     policy: &RetryPolicy,
     injector: Option<&FaultInjector>,
     mut op: impl FnMut() -> io::Result<T>,
 ) -> io::Result<T> {
-    let retrier = RETRIER_ORDINAL.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let mut retrier = None;
     let mut attempt = 0u32;
     loop {
         match op() {
@@ -504,6 +501,9 @@ pub fn with_retries<T>(
                 if let Some(inj) = injector {
                     inj.note_retry();
                 }
+                let retrier = *retrier.get_or_insert_with(|| {
+                    RETRIER_ORDINAL.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+                });
                 std::thread::sleep(policy.backoff_jittered(attempt, retrier));
                 attempt += 1;
             }
@@ -525,7 +525,6 @@ mod tests {
             }
         }
         assert_eq!(inj.counters(), FaultCounters::zero());
-        assert!(!inj.is_armed());
     }
 
     #[test]

@@ -274,18 +274,6 @@ impl Graph {
         self
     }
 
-    /// Build a new graph with every edge direction flipped. Adjacency roles
-    /// swap (CSR↔CSC) rather than rebuilding from an edge list, so neighbor
-    /// lists stay in external-sorted order and any id remap is preserved.
-    pub fn transpose(&self) -> Graph {
-        Self::from_parts_with_remap(
-            self.num_vertices,
-            self.incoming.clone(),
-            self.out.clone(),
-            self.remap.clone(),
-        )
-    }
-
     /// Consistency check used by tests and property tests: CSR and CSC must describe
     /// the same edge set and every degree sum must equal the edge count.
     pub fn validate(&self) -> Result<(), String> {
@@ -349,17 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_flips_edges() {
-        let g = diamond();
-        let t = g.transpose();
-        assert!(t.has_edge(1, 0));
-        assert!(t.has_edge(3, 2));
-        assert!(!t.has_edge(0, 1));
-        assert_eq!(t.num_edges(), g.num_edges());
-        t.validate().unwrap();
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_edge_panics() {
         Graph::from_edges(2, vec![Edge::unweighted(0, 5)]);
@@ -418,21 +395,6 @@ mod tests {
             assert_eq!(twice.to_physical(ext), direct.to_physical(ext));
         }
         twice.validate().unwrap();
-    }
-
-    #[test]
-    fn transpose_preserves_remap_and_external_sorting() {
-        let g = diamond();
-        let r = g.remapped(&IdRemap::from_forward(vec![3, 2, 1, 0]));
-        let t = r.transpose();
-        assert!(t.is_remapped());
-        assert!(t.has_edge(t.to_physical(1), t.to_physical(0)));
-        assert!(!t.has_edge(t.to_physical(0), t.to_physical(1)));
-        t.validate().unwrap();
-        // In-lists of the transpose are the (external-sorted) out-lists of r.
-        for v in r.vertices() {
-            assert_eq!(t.in_neighbors(v), r.out_neighbors(v));
-        }
     }
 
     #[test]

@@ -20,10 +20,12 @@
 //!   immutable graph by rebuilding only the adjacency blocks of touched vertices
 //!   ([`Graph::apply_batch`]); the backbone of the incremental serving subsystem.
 //! * [`storage`] — out-of-core adjacency: CSR/CSC written to disk in
-//!   self-contained segments ([`SegmentedStore`]) and served through a
-//!   byte-budgeted clock [`BufferPool`]; the [`AdjacencyStore`] trait lets the
-//!   engine traverse either representation bit-identically, and
-//!   [`GraphStorage::patched`] rewrites only dirty segments per update batch.
+//!   self-contained segments ([`SegmentedStore`]), decoded into the same
+//!   [`csr::Block`]s the in-memory lists use and served through a
+//!   byte-budgeted clock [`BufferPool`]; the [`AdjacencyStore`] trait hands
+//!   the engine's [`StreamCursor`] one block of either backing at a time,
+//!   and [`GraphStorage::patched`] rewrites only dirty segments per update
+//!   batch.
 //! * [`faults`] — deterministic, seeded I/O fault injection ([`FaultPlan`] /
 //!   [`FaultInjector`]) threaded through every disk touchpoint, plus the
 //!   bounded-backoff [`with_retries`] loop the recovery paths share.
@@ -31,7 +33,8 @@
 //! * [`io`] — plain-text edge-list load/save.
 //! * [`datasets`] — a registry of the seven named graphs of the paper (PK, OK, LJ,
 //!   WK, DI, ST, FS) as scaled-down synthetic proxies, plus the RMAT scale-out graph.
-//! * [`stats`] — degree statistics used by the partitioner and the evaluation harness.
+//! * [`stats`] — reachability and highest-out-degree helpers for picking
+//!   traversal roots.
 
 pub mod bitset;
 pub mod builder;
@@ -61,7 +64,7 @@ pub use faults::{
 pub use graph::Graph;
 pub use remap::{IdRemap, ReorderPolicy};
 pub use storage::{
-    AdjacencyStore, AdjacencyView, BufferPool, GraphStorage, PoolCounters, SegmentedStore,
-    StorageConfig, StreamCursor,
+    AdjacencyStore, BufferPool, GraphStorage, PoolCounters, SegmentedStore, StorageConfig,
+    StreamCursor,
 };
 pub use types::{EdgeWeight, VertexId, INVALID_VERTEX};

@@ -21,7 +21,6 @@
 //! — visits contributions in the same order as the unremapped run and
 //! produces bit-identical values.
 
-use crate::bitset::Bitset;
 use crate::types::VertexId;
 
 /// Which physical reorder the layout policy applies within each partition.
@@ -176,21 +175,6 @@ impl IdRemap {
             }
         }
     }
-
-    /// Permute a [`Bitset`] frontier: bit `to_new(i)` of the result equals
-    /// bit `i` of the input. Preserves popcount and (translated) membership.
-    pub fn permuted_bitset(&self, old: &Bitset) -> Bitset {
-        match self {
-            IdRemap::Identity => old.clone(),
-            IdRemap::Permutation { .. } => {
-                let mut new = Bitset::new(old.len());
-                for i in old.iter_ones() {
-                    new.set(self.to_new(i as VertexId) as usize);
-                }
-                new
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -295,25 +279,6 @@ mod tests {
                                            // Longer slices keep their identity tail.
         let old = vec![10, 20, 30, 40, 50];
         assert_eq!(r.permuted_values(&old), vec![20, 30, 10, 40, 50]);
-    }
-
-    #[test]
-    fn bitset_permutation_preserves_popcount_and_membership() {
-        for seed in 0..8u64 {
-            let n = 200;
-            let r = IdRemap::from_forward(random_permutation(n, seed + 40));
-            let mut rng = SplitMix64::seed_from_u64(seed);
-            let old = Bitset::from_fn(n, |_| rng.next_f64() < 0.3);
-            let new = r.permuted_bitset(&old);
-            assert_eq!(new.count_ones(), old.count_ones());
-            for i in 0..n {
-                assert_eq!(
-                    new.get(r.to_new(i as VertexId) as usize),
-                    old.get(i),
-                    "membership of {i} must survive translation"
-                );
-            }
-        }
     }
 
     #[test]

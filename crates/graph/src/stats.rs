@@ -1,95 +1,8 @@
-//! Degree statistics and structural summaries used by the partitioner and the
-//! evaluation harness (Table 4 of the paper reports |V|, |E| and average degree).
+//! Structural helpers for picking traversal roots: reachability from a vertex
+//! and the highest-out-degree hub.
 
 use crate::graph::Graph;
 use crate::types::VertexId;
-
-/// Summary statistics of a graph's degree distribution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DegreeStats {
-    /// Number of vertices.
-    pub num_vertices: usize,
-    /// Number of directed edges.
-    pub num_edges: usize,
-    /// Average out-degree.
-    pub average_degree: f64,
-    /// Maximum out-degree.
-    pub max_out_degree: usize,
-    /// Maximum in-degree.
-    pub max_in_degree: usize,
-    /// Number of vertices with no outgoing edges (sinks).
-    pub num_sinks: usize,
-    /// Number of vertices with no incoming edges (sources).
-    pub num_sources: usize,
-    /// Number of completely isolated vertices.
-    pub num_isolated: usize,
-}
-
-/// Compute [`DegreeStats`] for a graph.
-pub fn degree_stats(graph: &Graph) -> DegreeStats {
-    let mut max_out = 0usize;
-    let mut max_in = 0usize;
-    let mut sinks = 0usize;
-    let mut sources = 0usize;
-    let mut isolated = 0usize;
-    for v in graph.vertices() {
-        let od = graph.out_degree(v);
-        let id = graph.in_degree(v);
-        max_out = max_out.max(od);
-        max_in = max_in.max(id);
-        if od == 0 {
-            sinks += 1;
-        }
-        if id == 0 {
-            sources += 1;
-        }
-        if od == 0 && id == 0 {
-            isolated += 1;
-        }
-    }
-    DegreeStats {
-        num_vertices: graph.num_vertices(),
-        num_edges: graph.num_edges(),
-        average_degree: graph.average_degree(),
-        max_out_degree: max_out,
-        max_in_degree: max_in,
-        num_sinks: sinks,
-        num_sources: sources,
-        num_isolated: isolated,
-    }
-}
-
-/// Out-degree histogram: `hist[d]` = number of vertices with out-degree `d`,
-/// truncated at `max_bucket` (larger degrees all land in the last bucket).
-pub fn out_degree_histogram(graph: &Graph, max_bucket: usize) -> Vec<usize> {
-    let mut hist = vec![0usize; max_bucket + 1];
-    for v in graph.vertices() {
-        let d = graph.out_degree(v).min(max_bucket);
-        hist[d] += 1;
-    }
-    hist
-}
-
-/// Gini coefficient of the out-degree distribution — a scalar skewness measure.
-/// 0.0 means perfectly uniform degrees, values approaching 1.0 mean a few hubs own
-/// nearly all edges (the power-law regime the paper's graphs live in).
-pub fn degree_gini(graph: &Graph) -> f64 {
-    let n = graph.num_vertices();
-    if n == 0 {
-        return 0.0;
-    }
-    let mut degrees: Vec<usize> = graph.vertices().map(|v| graph.out_degree(v)).collect();
-    degrees.sort_unstable();
-    let total: usize = degrees.iter().sum();
-    if total == 0 {
-        return 0.0;
-    }
-    let mut weighted = 0.0;
-    for (i, &d) in degrees.iter().enumerate() {
-        weighted += (i as f64 + 1.0) * d as f64;
-    }
-    (2.0 * weighted) / (n as f64 * total as f64) - (n as f64 + 1.0) / n as f64
-}
 
 /// Number of vertices reachable from `root` following outgoing edges (including the
 /// root itself). Used by tests to characterise generated graphs and by the harness
@@ -129,46 +42,6 @@ mod tests {
     use crate::generators;
 
     #[test]
-    fn stats_of_a_star() {
-        let g = generators::star(9);
-        let s = degree_stats(&g);
-        assert_eq!(s.num_vertices, 10);
-        assert_eq!(s.num_edges, 9);
-        assert_eq!(s.max_out_degree, 9);
-        assert_eq!(s.max_in_degree, 1);
-        assert_eq!(s.num_sources, 1);
-        assert_eq!(s.num_sinks, 9);
-        assert_eq!(s.num_isolated, 0);
-    }
-
-    #[test]
-    fn histogram_buckets_truncate() {
-        let g = generators::star(9);
-        let hist = out_degree_histogram(&g, 4);
-        assert_eq!(hist[0], 9); // leaves
-        assert_eq!(hist[4], 1); // hub truncated into last bucket
-    }
-
-    #[test]
-    fn gini_is_zero_for_uniform_degrees() {
-        let g = generators::cycle(10);
-        assert!(degree_gini(&g).abs() < 1e-9);
-    }
-
-    #[test]
-    fn gini_is_high_for_a_star() {
-        let g = generators::star(50);
-        assert!(degree_gini(&g) > 0.9);
-    }
-
-    #[test]
-    fn rmat_is_more_skewed_than_erdos_renyi() {
-        let rmat = generators::rmat(512, 4096, 0.57, 0.19, 0.19, 2);
-        let er = generators::erdos_renyi(512, 4096, 2);
-        assert!(degree_gini(&rmat) > degree_gini(&er));
-    }
-
-    #[test]
     fn reachability_on_a_path() {
         let g = generators::path(20);
         assert_eq!(reachable_from(&g, 0), 20);
@@ -185,10 +58,6 @@ mod tests {
     #[test]
     fn empty_graph_stats() {
         let g = crate::Graph::from_edges(0, vec![]);
-        let s = degree_stats(&g);
-        assert_eq!(s.num_vertices, 0);
-        assert_eq!(s.average_degree, 0.0);
-        assert_eq!(degree_gini(&g), 0.0);
         assert_eq!(highest_out_degree_vertex(&g), None);
     }
 }

@@ -5,17 +5,19 @@
 //! GraphChi-style alternative the real engine needs for graphs past memory:
 //!
 //! * [`AdjacencyStore`] — the abstraction the engine's pull/push phases
-//!   traverse. The in-memory [`Adjacency`] implements it with one of its
-//!   shared [`Block`]s as the view, so a cursor looks a block up once per
+//!   traverse: `block(v)` hands out the [`Block`] holding `v`'s list. Both
+//!   backings serve that one type. The in-memory [`Adjacency`] lends one of
+//!   its shared blocks, so a cursor looks a block up once per
 //!   [`BLOCK_VERTICES`](crate::csr::BLOCK_VERTICES) vertices, not once per
 //!   vertex.
 //! * [`SegmentedStore`] — one adjacency direction written to disk in
 //!   fixed-byte-budget **segments**: a contiguous vertex range's local offset
 //!   array plus its neighbor/weight arrays, self-contained so a segment can be
-//!   rewritten without shifting its siblings. The in-RAM footprint is only the
-//!   segment *directory* (a few dozen bytes per segment).
-//! * [`BufferPool`] — a clock (second-chance) cache of decoded segments with a
-//!   byte budget. Faults and bytes read are counted
+//!   rewritten without shifting its siblings. A segment fault checks the
+//!   bytes' CRC32 and decodes them into a [`Block`]. The in-RAM footprint is
+//!   only the segment *directory* (a few dozen bytes per segment).
+//! * [`BufferPool`] — a clock (second-chance) cache of decoded segments, held
+//!   as `Arc<Block>`s, with a byte budget. Faults and bytes read are counted
 //!   ([`PoolCounters`]), and pinned segments (ones a worker currently
 //!   traverses) are never evicted.
 //! * [`GraphStorage`] — both directions of one graph version sharing a single
@@ -27,7 +29,7 @@
 //!
 //! Traversal streams through a [`StreamCursor`]: the engine walks each chunk's
 //! vertices in ascending id order, so the cursor holds (pins) exactly one
-//! segment at a time per worker and faults a segment only when a vertex
+//! block at a time per worker and faults a segment only when a vertex
 //! actually needs it — skipped chunks and inactive sources fault nothing,
 //! which is what makes the chunk-level activity summaries double as the I/O
 //! planner.
@@ -38,79 +40,48 @@
 //! bit-for-bit equivalence tests rest on that.
 
 use crate::csr::{Adjacency, Block};
-use crate::faults::{is_disk_full, FaultAction, FaultInjector, FaultSite, RetryPolicy};
+use crate::faults::{with_retries, FaultAction, FaultInjector, FaultSite, RetryPolicy};
 use crate::io::binary::crc32;
 use crate::types::{EdgeWeight, VertexId};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io;
+use std::ops::{Deref, Range};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use slfe_metrics::telemetry::{SpanEvent, Telemetry, HIST_SEGMENT_FAULT};
 
-/// Abstract adjacency access for the engine's traversal phases.
-///
-/// `view(lo, hi)` pins whatever backing storage serves vertices `lo..hi`;
-/// `view_span(v)` reports the natural streaming granule containing `v` (one
-/// block for the in-memory store, one segment for a [`SegmentedStore`]),
-/// which is what [`StreamCursor`] advances by.
+/// Abstract adjacency access for the engine's traversal phases: `block(v)`
+/// pins and returns the [`Block`] holding `v`'s list (one of the in-memory
+/// blocks, or one decoded segment of a [`SegmentedStore`]). The returned view
+/// keeps that block alive — and, out of core, resident — until it drops.
 pub trait AdjacencyStore: Sync {
-    /// A pinned window of the store serving some vertex range.
-    type View<'a>: AdjacencyView
+    /// A pinned block of the store.
+    type View<'a>: Deref<Target = Block>
     where
         Self: 'a;
 
-    /// Pin the storage backing vertices `lo..hi` (half-open) and return a view.
-    fn view(&self, lo: VertexId, hi: VertexId) -> Self::View<'_>;
-
-    /// The half-open vertex range of the streaming granule containing `v`.
-    fn view_span(&self, v: VertexId) -> (VertexId, VertexId);
-
-    /// Number of vertices the store covers.
-    fn store_num_vertices(&self) -> usize;
-}
-
-/// A pinned window of adjacency data; `list(v)` is only valid for vertices
-/// inside the range the view was created for.
-pub trait AdjacencyView {
-    /// Neighbor list and parallel weights of `v`, sorted by neighbor id.
-    fn list(&self, v: VertexId) -> (&[VertexId], &[EdgeWeight]);
+    /// Pin the block holding `v`'s list.
+    fn block(&self, v: VertexId) -> Self::View<'_>;
 }
 
 impl AdjacencyStore for Adjacency {
     type View<'a> = &'a Block;
 
-    /// The block holding `lo..hi`, which [`Self::view_span`] never lets cross
-    /// a block boundary.
-    fn view(&self, lo: VertexId, _hi: VertexId) -> &Block {
-        self.block(lo)
-    }
-
-    fn view_span(&self, v: VertexId) -> (VertexId, VertexId) {
-        self.block_span(v)
-    }
-
-    fn store_num_vertices(&self) -> usize {
-        self.num_vertices()
+    fn block(&self, v: VertexId) -> &Block {
+        Adjacency::block(self, v)
     }
 }
 
-impl AdjacencyView for &Block {
-    #[inline]
-    fn list(&self, v: VertexId) -> (&[VertexId], &[EdgeWeight]) {
-        Block::list(self, v)
-    }
-}
-
-/// Ascending-order adjacency reader over any [`AdjacencyStore`]: re-views the
-/// store whenever the requested vertex leaves the current granule. One cursor
-/// per worker pins at most one segment at a time.
+/// Adjacency reader over any [`AdjacencyStore`]: re-pins the store's block
+/// whenever the requested vertex leaves the pinned block's span. One cursor
+/// per worker pins at most one block at a time.
 pub struct StreamCursor<'a, S: AdjacencyStore> {
     store: &'a S,
-    /// Current granule: `(lo, hi, view)`.
-    current: Option<(VertexId, VertexId, S::View<'a>)>,
+    /// The pinned block and the vertices it holds.
+    current: Option<(Range<VertexId>, S::View<'a>)>,
 }
 
 impl<'a, S: AdjacencyStore> StreamCursor<'a, S> {
@@ -122,107 +93,28 @@ impl<'a, S: AdjacencyStore> StreamCursor<'a, S> {
         }
     }
 
-    /// Neighbor list and weights of `v`, faulting the granule containing `v`
+    /// Neighbor list and weights of `v`, faulting the block containing `v`
     /// if the cursor is not already positioned on it.
     #[inline]
     pub fn list(&mut self, v: VertexId) -> (&[VertexId], &[EdgeWeight]) {
-        let outside = match &self.current {
-            Some((lo, hi, _)) => v < *lo || v >= *hi,
-            None => true,
-        };
-        if outside {
-            // Unpin the old granule *before* faulting the next one, so each
-            // cursor holds at most one segment at any instant — the pinned-set
-            // bound (`total_workers` segments) the budget sizing docs promise.
+        if !matches!(&self.current, Some((span, _)) if span.contains(&v)) {
+            // Unpin the old block *before* faulting the next one, so each
+            // cursor holds at most one segment at any instant — the
+            // pinned-set bound (`total_workers` segments) the budget sizing
+            // docs promise.
             self.current = None;
-            let (lo, hi) = self.store.view_span(v);
-            debug_assert!(lo <= v && v < hi, "granule must contain the vertex");
-            self.current = Some((lo, hi, self.store.view(lo, hi)));
+            let block = self.store.block(v);
+            let span = block.span();
+            debug_assert!(span.contains(&v), "the block must hold the vertex");
+            self.current = Some((span, block));
         }
-        self.current.as_ref().expect("positioned above").2.list(v)
-    }
-}
-
-/// Decoded payload of one segment, shared between the pool and pinning views.
-#[derive(Debug)]
-pub struct SegmentData {
-    /// First vertex covered.
-    v_start: VertexId,
-    /// Local offsets: vertex `v_start + i` owns
-    /// `targets[offsets[i]..offsets[i+1]]` (and the parallel weights).
-    offsets: Vec<u32>,
-    targets: Vec<VertexId>,
-    weights: Vec<EdgeWeight>,
-}
-
-impl SegmentData {
-    /// Resident footprint in bytes.
-    fn resident_bytes(&self) -> u64 {
-        (self.offsets.len() * 4 + self.targets.len() * 4 + self.weights.len() * 4) as u64
-    }
-
-    /// Neighbor list + weights of `v` (must lie inside this segment).
-    #[inline]
-    fn list(&self, v: VertexId) -> (&[VertexId], &[EdgeWeight]) {
-        let i = (v - self.v_start) as usize;
-        let (lo, hi) = (self.offsets[i] as usize, self.offsets[i + 1] as usize);
-        (&self.targets[lo..hi], &self.weights[lo..hi])
-    }
-
-    /// Decode the on-disk layout; counts come from the directory entry.
-    /// Returns `None` when the byte length does not match the directory or
-    /// the trailing CRC32 does not match the payload.
-    fn decode(meta: &SegmentMeta, bytes: &[u8]) -> Option<Self> {
-        let nv = meta.num_vertices as usize;
-        let ne = meta.num_edges as usize;
-        if bytes.len() != (nv + 1) * 4 + ne * 8 + 4 {
-            return None;
-        }
-        let (payload, crc_bytes) = bytes.split_at(bytes.len() - 4);
-        let stored = u32::from_le_bytes(crc_bytes.try_into().expect("4-byte split"));
-        if crc32(payload) != stored {
-            return None;
-        }
-        let (offsets, rest) = payload.split_at((nv + 1) * 4);
-        let (targets, weights) = rest.split_at(ne * 4);
-        // `try_into` on each exact 4-byte chunk lets every loop compile to a
-        // straight copy: ≈0.5 µs per 8 KiB segment read from beyond the
-        // cache, next to ≈0.7 µs for its CRC (one core of a 2-vCPU x86-64
-        // VM).
-        let word = |w: &[u8]| -> [u8; 4] { w.try_into().expect("4-byte chunk") };
-        Some(Self {
-            v_start: meta.v_start,
-            offsets: offsets
-                .chunks_exact(4)
-                .map(|w| u32::from_le_bytes(word(w)))
-                .collect(),
-            targets: targets
-                .chunks_exact(4)
-                .map(|w| VertexId::from_le_bytes(word(w)))
-                .collect(),
-            weights: weights
-                .chunks_exact(4)
-                .map(|w| EdgeWeight::from_le_bytes(word(w)))
-                .collect(),
-        })
-    }
-
-    /// Placeholder for a segment that could be neither read nor rebuilt: the
-    /// right vertex range with every list empty. Only ever served on a
-    /// poisoned run, whose result the server discards.
-    fn empty_for(meta: &SegmentMeta) -> Self {
-        Self {
-            v_start: meta.v_start,
-            offsets: vec![0; meta.num_vertices as usize + 1],
-            targets: Vec::new(),
-            weights: Vec::new(),
-        }
+        self.current.as_ref().expect("positioned above").1.list(v)
     }
 }
 
 /// One segment's on-disk bytes: the local offsets, targets and weights of
 /// vertices `v_start..v_end` as little-endian `u32` words (the layout
-/// [`SegmentData::decode`] reads), then the CRC32 of those words, so a torn,
+/// [`SegmentMeta::decode`] reads), then the CRC32 of those words, so a torn,
 /// short or bit-flipped segment read is detected at decode time instead of
 /// being traversed as garbage adjacency.
 struct EncodedSegment {
@@ -264,7 +156,7 @@ impl EncodedSegment {
         // is skipped between runs.
         for (run_offsets, run_targets, run_weights) in adj.runs(lo..v_end) {
             for (&end, dst) in run_offsets[1..].iter().zip(offsets.by_ref()) {
-                let local = entry + (end - run_offsets[0]);
+                let local = entry + (end - run_offsets[0]) as usize;
                 dst.copy_from_slice(&(local as u32).to_le_bytes());
             }
             for (t, dst) in run_targets.iter().zip(targets.by_ref()) {
@@ -315,6 +207,44 @@ impl SegmentMeta {
     fn decoded_bytes(&self) -> u64 {
         (self.num_vertices as u64 + 1) * 4 + self.num_edges * 8
     }
+
+    /// Decode the segment's on-disk bytes into a [`Block`]; counts come from
+    /// this entry. Returns `None` when the byte length does not match the
+    /// entry or the trailing CRC32 does not match the payload.
+    fn decode(&self, bytes: &[u8]) -> Option<Block> {
+        let nv = self.num_vertices as usize;
+        let ne = self.num_edges as usize;
+        if bytes.len() != (nv + 1) * 4 + ne * 8 + 4 {
+            return None;
+        }
+        let (payload, crc_bytes) = bytes.split_at(bytes.len() - 4);
+        let stored = u32::from_le_bytes(crc_bytes.try_into().expect("4-byte split"));
+        if crc32(payload) != stored {
+            return None;
+        }
+        let (offsets, rest) = payload.split_at((nv + 1) * 4);
+        let (targets, weights) = rest.split_at(ne * 4);
+        // `try_into` on each exact 4-byte chunk lets every loop compile to a
+        // straight copy: ≈0.5 µs per 8 KiB segment read from beyond the
+        // cache, next to ≈0.7 µs for its CRC (one core of a 2-vCPU x86-64
+        // VM).
+        let word = |w: &[u8]| -> [u8; 4] { w.try_into().expect("4-byte chunk") };
+        Some(Block::new(
+            self.v_start,
+            offsets
+                .chunks_exact(4)
+                .map(|w| u32::from_le_bytes(word(w)))
+                .collect(),
+            targets
+                .chunks_exact(4)
+                .map(|w| VertexId::from_le_bytes(word(w)))
+                .collect(),
+            weights
+                .chunks_exact(4)
+                .map(|w| EdgeWeight::from_le_bytes(word(w)))
+                .collect(),
+        ))
+    }
 }
 
 /// Cache-wide fault statistics, all monotone counters.
@@ -348,7 +278,7 @@ impl PoolCounters {
 #[derive(Debug)]
 struct Frame {
     key: (u64, u64),
-    data: Arc<SegmentData>,
+    data: Arc<Block>,
     bytes: u64,
     /// Clock reference bit: set on every hit, cleared as the hand passes.
     referenced: bool,
@@ -456,8 +386,8 @@ impl BufferPool {
         &self,
         key: (u64, u64),
         expected_bytes: u64,
-        load: impl FnOnce() -> io::Result<(SegmentData, u64)>,
-    ) -> io::Result<Arc<SegmentData>> {
+        load: impl FnOnce() -> io::Result<(Block, u64)>,
+    ) -> io::Result<Arc<Block>> {
         {
             let mut inner = self.inner.lock().unwrap();
             if let Some(&slot) = inner.map.get(&key) {
@@ -538,7 +468,7 @@ impl BufferPool {
     /// in hand — re-reading the replacement it just wrote would be wasted
     /// I/O). Same budget bookkeeping as a loaded frame; a no-op if the key is
     /// already resident.
-    fn insert(&self, key: (u64, u64), data: Arc<SegmentData>) {
+    fn insert(&self, key: (u64, u64), data: Arc<Block>) {
         let bytes = data.resident_bytes();
         let mut inner = self.inner.lock().unwrap();
         if inner.map.contains_key(&key) {
@@ -793,15 +723,6 @@ pub struct SegmentedStore {
 impl SegmentedStore {
     /// Write `adj` to `path` in segments of roughly `segment_bytes` bytes each
     /// and return a store reading them back through `pool`.
-    pub fn build(
-        adj: &Adjacency,
-        path: &Path,
-        segment_bytes: usize,
-        pool: Arc<BufferPool>,
-    ) -> io::Result<Self> {
-        Self::build_in(adj, path, segment_bytes, pool, None, FaultState::default())
-    }
-
     fn build_in(
         adj: &Adjacency,
         path: &Path,
@@ -880,33 +801,17 @@ impl SegmentedStore {
     /// Fault (or hit) segment `idx` through the pool.
     ///
     /// Never panics on I/O failure: transient errors are retried with bounded
-    /// exponential backoff; a segment whose bytes stay unreadable is
-    /// quarantined — rebuilt from the recovery source at a fresh file offset
-    /// and served bit-identically. Only when that too is impossible does the
-    /// store serve an empty placeholder and mark itself poisoned, telling the
-    /// server to discard the run's result.
-    fn fetch(&self, idx: usize) -> Arc<SegmentData> {
+    /// exponential backoff ([`with_retries`]); a segment whose bytes stay
+    /// unreadable is quarantined — rebuilt from the recovery source at a fresh
+    /// file offset and served bit-identically. Only when that too is
+    /// impossible does the store serve an empty placeholder and mark itself
+    /// poisoned, telling the server to discard the run's result.
+    fn fetch(&self, idx: usize) -> Arc<Block> {
         let meta = self.live_meta(idx);
-        let mut attempt = 0u32;
-        let err = loop {
-            match self.load_segment(&meta) {
-                Ok(data) => {
-                    if attempt > 0 {
-                        if let Some(inj) = &self.faults.injector {
-                            inj.note_retry_success();
-                        }
-                    }
-                    return data;
-                }
-                Err(e) if attempt < self.faults.retry.max_retries && !is_disk_full(&e) => {
-                    if let Some(inj) = &self.faults.injector {
-                        inj.note_retry();
-                    }
-                    std::thread::sleep(self.faults.retry.backoff(attempt));
-                    attempt += 1;
-                }
-                Err(e) => break e,
-            }
+        let injector = self.faults.injector.as_deref();
+        let err = match with_retries(&self.faults.retry, injector, || self.load_segment(&meta)) {
+            Ok(block) => return block,
+            Err(e) => e,
         };
         match self.quarantine_rebuild(idx, &meta) {
             Ok(data) => data,
@@ -921,13 +826,16 @@ impl SegmentedStore {
                     meta.v_end()
                 ));
                 self.faults.poisoned.store(true, Ordering::Release);
-                Arc::new(SegmentData::empty_for(&meta))
+                // The right vertex range with every list empty. Only ever
+                // served on a poisoned run, whose result the server discards.
+                let offsets = vec![0; meta.num_vertices as usize + 1];
+                Arc::new(Block::new(meta.v_start, offsets, Vec::new(), Vec::new()))
             }
         }
     }
 
     /// One pool-mediated load attempt for the segment described by `meta`.
-    fn load_segment(&self, meta: &SegmentMeta) -> io::Result<Arc<SegmentData>> {
+    fn load_segment(&self, meta: &SegmentMeta) -> io::Result<Arc<Block>> {
         // Only consulted on a miss; `telemetry_handle` is an atomic-bool
         // check when no hub is attached.
         let telemetry = self.pool.telemetry_handle();
@@ -955,7 +863,7 @@ impl SegmentedStore {
                     t.end(h, "disk_read", "storage", Telemetry::lane());
                 }
                 let decode_began = telemetry.as_ref().map(|t| t.begin());
-                let data = SegmentData::decode(meta, &bytes).ok_or_else(|| {
+                let data = meta.decode(&bytes).ok_or_else(|| {
                     io::Error::new(
                         io::ErrorKind::InvalidData,
                         "segment failed length/CRC validation (short read or corruption)",
@@ -974,7 +882,7 @@ impl SegmentedStore {
     /// at a fresh offset, and repoint the quarantine directory at it. The
     /// rebuilt lists are the same lists the lost bytes encoded, so traversal
     /// stays bit-identical.
-    fn quarantine_rebuild(&self, idx: usize, failed: &SegmentMeta) -> io::Result<Arc<SegmentData>> {
+    fn quarantine_rebuild(&self, idx: usize, failed: &SegmentMeta) -> io::Result<Arc<Block>> {
         let src = self.faults.recovery.as_ref().ok_or_else(|| {
             io::Error::other("no recovery source attached (plain out-of-core store)")
         })?;
@@ -994,7 +902,8 @@ impl SegmentedStore {
         debug_assert_eq!(meta.num_edges, failed.num_edges, "recovery list mismatch");
         // The pool frame is the decode of the bytes just written, so it is
         // exactly what a later fault of the replacement would load.
-        let data = SegmentData::decode(&meta, &segment.bytes)
+        let data = meta
+            .decode(&segment.bytes)
             .ok_or_else(|| io::Error::other("a rebuilt segment failed to decode"))?;
         self.faults
             .quarantined
@@ -1032,6 +941,11 @@ impl SegmentedStore {
     /// Only compaction ([`GraphStorage::compacted`]) reclaims them.
     pub fn dead_bytes(&self) -> u64 {
         self.file_bytes().saturating_sub(self.footprint_bytes())
+    }
+
+    /// Vertices covered.
+    pub fn num_vertices(&self) -> usize {
+        self.num_vertices
     }
 
     /// Stored edges.
@@ -1189,59 +1103,12 @@ fn write_exact_at(file: &File, buf: &[u8], offset: u64) -> io::Result<()> {
     }
 }
 
-/// A pinned run of segments serving a contiguous vertex range. Lookups keep a
-/// cursor hint because the engine walks vertices in ascending order.
-pub struct SegmentRangeView<'a> {
-    store: &'a SegmentedStore,
-    /// Index of the first pinned segment in the store's directory.
-    first: usize,
-    pinned: Vec<Arc<SegmentData>>,
-    hint: std::cell::Cell<usize>,
-}
-
-impl AdjacencyView for SegmentRangeView<'_> {
-    #[inline]
-    fn list(&self, v: VertexId) -> (&[VertexId], &[EdgeWeight]) {
-        let mut i = self.hint.get().min(self.pinned.len() - 1);
-        // The hint is almost always right (ascending traversal); otherwise
-        // walk, falling back to the directory only on a wild jump.
-        loop {
-            let meta = &self.store.segments[self.first + i];
-            if v < meta.v_start {
-                i -= 1;
-            } else if v >= meta.v_end() {
-                i += 1;
-            } else {
-                self.hint.set(i);
-                return self.pinned[i].list(v);
-            }
-        }
-    }
-}
-
 impl AdjacencyStore for SegmentedStore {
-    type View<'a> = SegmentRangeView<'a>;
+    type View<'a> = Arc<Block>;
 
-    fn view(&self, lo: VertexId, hi: VertexId) -> SegmentRangeView<'_> {
-        debug_assert!(lo < hi, "empty view range");
-        let first = self.segment_of(lo);
-        let last = self.segment_of(hi - 1);
-        let pinned = (first..=last).map(|i| self.fetch(i)).collect();
-        SegmentRangeView {
-            store: self,
-            first,
-            pinned,
-            hint: std::cell::Cell::new(0),
-        }
-    }
-
-    fn view_span(&self, v: VertexId) -> (VertexId, VertexId) {
-        let meta = &self.segments[self.segment_of(v)];
-        (meta.v_start, meta.v_end())
-    }
-
-    fn store_num_vertices(&self) -> usize {
-        self.num_vertices
+    /// The decoded segment holding `v`, faulted through the pool on a miss.
+    fn block(&self, v: VertexId) -> Arc<Block> {
+        self.fetch(self.segment_of(v))
     }
 }
 
@@ -1560,9 +1427,25 @@ mod tests {
     }
 
     fn assert_lists_match(graph: &crate::Graph, storage: &GraphStorage) {
-        let mut out_cursor = StreamCursor::new(storage.out_store());
-        let mut in_cursor = StreamCursor::new(storage.in_store());
-        for v in graph.vertices() {
+        assert_walk_matches(
+            graph,
+            storage.out_store(),
+            storage.in_store(),
+            graph.vertices(),
+        );
+    }
+
+    /// Walk `order` with one cursor per direction, both alive at once, and
+    /// compare every list and weight with `graph`.
+    fn assert_walk_matches<S: AdjacencyStore>(
+        graph: &crate::Graph,
+        out: &S,
+        incoming: &S,
+        order: impl IntoIterator<Item = VertexId>,
+    ) {
+        let mut out_cursor = StreamCursor::new(out);
+        let mut in_cursor = StreamCursor::new(incoming);
+        for v in order {
             let (ts, ws) = out_cursor.list(v);
             assert_eq!(ts, graph.out_neighbors(v), "CSR list of {v}");
             assert_eq!(ws, graph.out_weights(v), "CSR weights of {v}");
@@ -1583,16 +1466,18 @@ mod tests {
 
     #[test]
     fn in_memory_adjacency_implements_the_store_trait() {
-        // Three blocks, the last one partial: the cursor re-views per block.
+        // Three blocks, the last one partial: the cursor re-pins per block.
         let n = 2 * crate::csr::BLOCK_VERTICES + 300;
         let g = generators::rmat(n, 6 * n, 0.57, 0.19, 0.19, 5);
         let adj = g.in_adjacency();
-        assert_eq!(adj.store_num_vertices(), g.num_vertices());
-        assert_eq!(adj.view_span(n as VertexId - 1).1, n as VertexId);
+        assert_eq!(
+            AdjacencyStore::block(adj, n as VertexId - 1).span().end,
+            n as VertexId
+        );
         let mut cursor = StreamCursor::new(adj);
         for v in g.vertices() {
-            let (lo, hi) = adj.view_span(v);
-            assert!(lo <= v && v < hi && hi - lo <= crate::csr::BLOCK_VERTICES as VertexId);
+            let span = AdjacencyStore::block(adj, v).span();
+            assert!(span.contains(&v) && span.len() <= crate::csr::BLOCK_VERTICES);
             assert_eq!(cursor.list(v), (g.in_neighbors(v), g.in_weights(v)));
         }
     }
@@ -1724,13 +1609,48 @@ mod tests {
         // Pin the first segment, then sweep the whole store to force eviction
         // pressure; the pinned data must stay valid (and identical) throughout.
         let store = storage.out_store();
-        let view = store.view(0, 1);
+        let view = store.block(0);
         let before: Vec<VertexId> = view.list(0).0.to_vec();
         let mut cursor = StreamCursor::new(store);
         for v in g.vertices() {
             let _ = cursor.list(v);
         }
         assert_eq!(view.list(0).0, before.as_slice());
+    }
+
+    /// Both backings serve every list through the cursor, in ascending order
+    /// and in a seeded shuffled order whose backward jumps re-pin blocks the
+    /// cursor already left. The segment store's pool holds two of its largest
+    /// segments, one per cursor, so its peak residency also pins the rule of
+    /// one pinned block per cursor.
+    #[test]
+    fn cursors_serve_every_list_in_any_order_from_both_backings() {
+        let g = generators::rmat(3000, 24000, 0.57, 0.19, 0.19, 29);
+        let sized = GraphStorage::build(&g, &tmp_config(64 << 20, 2 << 10)).unwrap();
+        let largest = [&sized.out, &sized.incoming]
+            .iter()
+            .flat_map(|store| &store.segments)
+            .map(|meta| meta.decoded_bytes())
+            .max()
+            .unwrap();
+        let budget = 2 * largest;
+        let storage = GraphStorage::build(&g, &tmp_config(budget, 2 << 10)).unwrap();
+        assert!(storage.out_store().num_segments() > 8);
+        let mut shuffled: Vec<VertexId> = g.vertices().collect();
+        let mut rng = crate::rng::SplitMix64::seed_from_u64(41);
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.range_u32(0, i as u32 + 1) as usize);
+        }
+        for order in [g.vertices().collect(), shuffled] {
+            assert_walk_matches(&g, g.out_adjacency(), g.in_adjacency(), order.clone());
+            assert_walk_matches(&g, storage.out_store(), storage.in_store(), order);
+        }
+        assert!(storage.pool().counters().segments_evicted > 0);
+        assert!(
+            storage.pool().peak_resident_bytes() <= budget,
+            "peak resident {} exceeds the budget {budget}",
+            storage.pool().peak_resident_bytes()
+        );
     }
 
     #[test]
@@ -1954,30 +1874,24 @@ mod tests {
             file_offset: 0,
             bytes: bytes.len() as u64,
         };
-        let decoded = SegmentData::decode(&meta, &bytes).expect("intact bytes decode");
+        let decoded = meta.decode(&bytes).expect("intact bytes decode");
         assert_eq!(decoded.list(6), (&[7][..], &[2.5][..]));
         assert_eq!(decoded.list(7), (&[][..], &[][..]));
-        assert_eq!(
-            (decoded.offsets, decoded.targets, decoded.weights),
-            (vec![0, 1, 1], vec![7], vec![2.5])
-        );
+        assert_eq!(decoded, Block::new(6, vec![0, 1, 1], vec![7], vec![2.5]));
         for i in 0..bytes.len() {
             for bit in 0..8 {
                 let mut bad = bytes.clone();
                 bad[i] ^= 1 << bit;
-                assert!(
-                    SegmentData::decode(&meta, &bad).is_none(),
-                    "flip of bit {bit} in byte {i}"
-                );
+                assert!(meta.decode(&bad).is_none(), "flip of bit {bit} in byte {i}");
             }
         }
         for cut in 1..=4 {
             let short = &bytes[..bytes.len() - cut];
-            assert!(SegmentData::decode(&meta, short).is_none(), "cut {cut}");
+            assert!(meta.decode(short).is_none(), "cut {cut}");
         }
         let mut long = bytes.clone();
         long.push(0);
-        assert!(SegmentData::decode(&meta, &long).is_none());
+        assert!(meta.decode(&long).is_none());
     }
 
     /// The same at a size the folding CRC kernel checks: 2 vertices and 37
@@ -2002,7 +1916,7 @@ mod tests {
             file_offset: 0,
             bytes: bytes.len() as u64,
         };
-        let decoded = SegmentData::decode(&meta, &bytes).expect("intact bytes decode");
+        let decoded = meta.decode(&bytes).expect("intact bytes decode");
         for v in [6, 7] {
             assert_eq!(decoded.list(v), (g.out_neighbors(v), g.out_weights(v)));
         }
@@ -2010,10 +1924,7 @@ mod tests {
             for bit in 0..8 {
                 let mut bad = bytes.clone();
                 bad[i] ^= 1 << bit;
-                assert!(
-                    SegmentData::decode(&meta, &bad).is_none(),
-                    "flip of bit {bit} in byte {i}"
-                );
+                assert!(meta.decode(&bad).is_none(), "flip of bit {bit} in byte {i}");
             }
         }
     }
