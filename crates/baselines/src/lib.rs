@@ -74,11 +74,6 @@ impl BaselineKind {
             BaselineKind::GraphChi => "graphchi",
         }
     }
-
-    /// `true` for systems that run on a single machine only.
-    pub fn single_node_only(self) -> bool {
-        matches!(self, BaselineKind::Ligra | BaselineKind::GraphChi)
-    }
 }
 
 impl std::fmt::Display for BaselineKind {
@@ -106,14 +101,6 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 5);
-    }
-
-    #[test]
-    fn single_node_classification() {
-        assert!(BaselineKind::Ligra.single_node_only());
-        assert!(BaselineKind::GraphChi.single_node_only());
-        assert!(!BaselineKind::Gemini.single_node_only());
-        assert!(!BaselineKind::PowerGraph.single_node_only());
     }
 
     #[test]

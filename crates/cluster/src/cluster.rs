@@ -4,7 +4,7 @@
 //! vertex v", exposes each node's vertex list, tracks per-node work and inter-node
 //! traffic, and provides the per-node chunk scheduler.
 
-use crate::comm::{CommCostModel, CommStats, CommTracker};
+use crate::comm::{CommStats, CommTracker};
 use crate::config::ClusterConfig;
 use crate::stealing::ChunkScheduler;
 use slfe_graph::{Graph, VertexId};
@@ -87,11 +87,6 @@ impl Cluster {
     /// Iterate node ids.
     pub fn nodes(&self) -> impl Iterator<Item = usize> {
         0..self.config.num_nodes
-    }
-
-    /// `true` if both endpoints live on the same node.
-    pub fn is_local_edge(&self, u: VertexId, v: VertexId) -> bool {
-        self.owner_of(u) == self.owner_of(v)
     }
 
     /// A chunk scheduler sized for one node's worker pool.
@@ -180,16 +175,6 @@ impl Cluster {
         &self.comm
     }
 
-    /// Simulated seconds spent on the network so far, under the configured model.
-    pub fn simulated_comm_seconds(&self) -> f64 {
-        self.comm.simulated_seconds(&self.config.comm_cost)
-    }
-
-    /// Simulated seconds under an explicit model (ablations).
-    pub fn simulated_comm_seconds_with(&self, model: &CommCostModel) -> f64 {
-        self.comm.simulated_seconds(model)
-    }
-
     /// Reset per-run mutable state (communication and work counters) so the same
     /// partitioned cluster can host several application runs, mirroring the paper's
     /// observation that preprocessing artifacts are reused across jobs.
@@ -233,23 +218,13 @@ mod tests {
     }
 
     #[test]
-    fn local_edge_test_matches_owners() {
-        let (g, c) = small_cluster();
-        for v in g.vertices().take(50) {
-            for &u in g.out_neighbors(v) {
-                assert_eq!(c.is_local_edge(v, u), c.owner_of(v) == c.owner_of(u));
-            }
-        }
-    }
-
-    #[test]
     fn update_messages_are_charged_only_across_nodes() {
         let (g, c) = small_cluster();
         let mut expected_remote = 0u64;
         for v in g.vertices() {
             for &u in g.out_neighbors(v) {
                 c.record_update_message(v, u, 8);
-                if !c.is_local_edge(v, u) {
+                if c.owner_of(v) != c.owner_of(u) {
                     expected_remote += 1;
                 }
             }
@@ -257,8 +232,6 @@ mod tests {
         let stats = c.comm_stats();
         assert_eq!(stats.messages, expected_remote);
         assert_eq!(stats.messages + stats.local_updates, g.num_edges() as u64);
-        assert!(c.simulated_comm_seconds() > 0.0);
-        assert_eq!(c.simulated_comm_seconds_with(&CommCostModel::free()), 0.0);
     }
 
     #[test]

@@ -153,31 +153,12 @@ impl CommTracker {
         inner.messages[src_node * self.num_nodes + dst_node]
     }
 
-    /// Total messages *received* by each node — the quantity that skews inter-node
-    /// balance in push mode (paper §4.5).
-    pub fn per_node_incoming(&self) -> Vec<u64> {
-        let inner = self.inner.lock().unwrap();
-        let mut incoming = vec![0u64; self.num_nodes];
-        for src in 0..self.num_nodes {
-            for (dst, total) in incoming.iter_mut().enumerate() {
-                *total += inner.messages[src * self.num_nodes + dst];
-            }
-        }
-        incoming
-    }
-
     /// Reset all counts.
     pub fn reset(&self) {
         let mut inner = self.inner.lock().unwrap();
         inner.messages.iter_mut().for_each(|m| *m = 0);
         inner.bytes.iter_mut().for_each(|b| *b = 0);
         inner.local_updates = 0;
-    }
-
-    /// Simulated seconds for the traffic recorded so far under `model`.
-    pub fn simulated_seconds(&self, model: &CommCostModel) -> f64 {
-        let stats = self.stats();
-        model.seconds(stats.messages, stats.bytes)
     }
 }
 
@@ -219,33 +200,11 @@ mod tests {
     }
 
     #[test]
-    fn per_node_incoming_sums_columns() {
-        let t = CommTracker::new(3);
-        t.record(0, 2, 8);
-        t.record(1, 2, 8);
-        t.record(2, 0, 8);
-        assert_eq!(t.per_node_incoming(), vec![1, 0, 2]);
-    }
-
-    #[test]
     fn reset_clears_counts() {
         let t = CommTracker::new(2);
         t.record(0, 1, 100);
         t.reset();
         assert_eq!(t.stats(), CommStats::default());
-    }
-
-    #[test]
-    fn simulated_seconds_uses_the_model() {
-        let t = CommTracker::new(2);
-        for _ in 0..10 {
-            t.record(0, 1, 8);
-        }
-        let model = CommCostModel {
-            per_message_seconds: 1.0,
-            per_byte_seconds: 0.0,
-        };
-        assert!((t.simulated_seconds(&model) - 10.0).abs() < 1e-9);
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! Degree-aware global chunk layout: the work units of the cross-node executor.
 //!
-//! PR 1 cut every node's owned-vertex list into fixed 256-vertex mini-chunks and
-//! ran one node at a time. Two sources of tail latency survived that design:
+//! Cutting every node's owned-vertex list into fixed 256-vertex mini-chunks
+//! and claiming them in vertex order leaves two sources of tail latency:
 //!
 //! * **Hub chunks.** Chunking partitioners put consecutive vertex ids together,
 //!   so a chunk containing a power-law hub can carry orders of magnitude more
 //!   edge work than its neighbors. Whichever worker draws it last dominates the
 //!   phase makespan.
-//! * **Discovery order.** Chunks were claimed in vertex order, so a hub chunk
-//!   sitting at the end of the id range *started* last — the worst possible
-//!   moment under work stealing.
+//! * **Discovery order.** Claimed in vertex order, a hub chunk sitting at the
+//!   end of the id range *starts* last — the worst possible moment under work
+//!   stealing.
 //!
 //! [`GlobalChunkLayout`] fixes both, Gemini-style (chunk-based secondary
 //! partitioning): chunks whose **estimated work** (`1 + in_degree + out_degree`
@@ -20,7 +20,7 @@
 //! chunks to one global worker pool, which is what lets `total_workers` threads
 //! stay busy instead of `workers_per_node`.
 //!
-//! Since PR 4 every chunk also carries two **vertex-id spans** for the engine's
+//! Every chunk also carries two **vertex-id spans** for the engine's
 //! chunk-level activity summaries: the span of the chunk's own vertices (a
 //! word-range popcount over the frontier tells whether any *source* in the
 //! chunk is active, letting push phases skip the chunk outright) and the span

@@ -1,12 +1,12 @@
 //! Persistent worker pool with a phase-barrier protocol.
 //!
-//! PR 1's executor spawned fresh OS threads per node-phase through
-//! `std::thread::scope` — correct, but ~10µs of spawn/join latency per phase,
-//! paid `iterations × phases × nodes` times per run. [`WorkerPool`] replaces
-//! that with **one long-lived pool spanning the whole simulated cluster**
-//! (`total_workers` workers): threads are spawned once, park on a condvar
-//! between phases, and every phase is a publish → execute → barrier round trip
-//! on the same threads, exactly like the pthread pools of Gemini-class engines.
+//! [`WorkerPool`] is **one long-lived pool spanning the whole simulated
+//! cluster** (`total_workers` workers): threads are spawned once, park on a
+//! condvar between phases, and every phase is a publish → execute → barrier
+//! round trip on the same threads, exactly like the pthread pools of
+//! Gemini-class engines. Spawning fresh OS threads per node-phase through
+//! `std::thread::scope` would cost ~10µs of spawn/join latency per phase,
+//! paid `iterations × phases × nodes` times per run.
 //!
 //! # Phase-barrier protocol
 //!

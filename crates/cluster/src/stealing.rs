@@ -180,8 +180,8 @@ impl ChunkScheduler {
     /// freely mutate its worker-local state (frontier buffers, counters, scratch);
     /// the caller merges the states after this barrier. With a single worker (or a
     /// single chunk) everything runs inline on the calling thread, and chunks are
-    /// processed in ascending order, which keeps single-worker runs bit-for-bit
-    /// identical to the old sequential loop. The pool must have at least
+    /// processed in ascending order, so a single-worker run visits them in the
+    /// same order as a sequential loop would. The pool must have at least
     /// `states.len()` threads; extra pool workers idle through the phase.
     pub fn run_workers<S, F>(
         &self,

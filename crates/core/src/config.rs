@@ -14,13 +14,6 @@ pub enum RedundancyMode {
     Disabled,
 }
 
-impl RedundancyMode {
-    /// `true` when redundancy reduction is active.
-    pub fn is_enabled(self) -> bool {
-        matches!(self, RedundancyMode::Enabled)
-    }
-}
-
 /// Deterministic cost model that converts counted work into simulated seconds.
 ///
 /// The experiments report *simulated* time = `work_units * seconds_per_work_unit`
@@ -81,8 +74,8 @@ pub struct EngineConfig {
     /// Out-of-core execution: when set, the engine writes the graph's CSR/CSC
     /// to disk in segments at build time and every traversal phase streams
     /// them through a clock buffer pool holding at most this many bytes
-    /// resident (both directions share the pool). `None` (the default) keeps
-    /// the historical in-memory execution. Values are **bit-identical** either
+    /// resident (both directions share the pool). `None` (the default) runs
+    /// on the in-memory adjacency. Values are **bit-identical** either
     /// way — the segments store the same sorted lists the in-memory structure
     /// holds — and skipped chunks fault zero segments, so the activity
     /// summaries double as the I/O planner. The budget must comfortably
@@ -101,18 +94,6 @@ pub struct EngineConfig {
     /// run is bit-identical in values, counters and messages to an
     /// un-instrumented run (pinned by `tests/telemetry.rs`).
     pub telemetry: TelemetryConfig,
-    /// Physical layout policy for the serving layer's id-remap pass
-    /// ([`slfe_graph::ReorderPolicy`]). The engine itself never remaps — it
-    /// runs on whatever layout its graph has, and remapped runs are
-    /// value-transparent (bit-identical served values) by construction — but
-    /// `DeltaServer` reads this knob to decide how to reorder on its snapshot
-    /// path. `None` (the default) leaves the layout alone.
-    pub reorder: slfe_graph::ReorderPolicy,
-    /// Partition-migration trigger for the serving layer: when the
-    /// vertex-count imbalance (max/mean over nodes) exceeds this threshold,
-    /// the id-remap pass first migrates vertices from the most- to the
-    /// least-loaded node. `None` (the default) never migrates.
-    pub migration_imbalance_threshold: Option<f64>,
 }
 
 impl Default for EngineConfig {
@@ -129,8 +110,6 @@ impl Default for EngineConfig {
             storage_segment_bytes: slfe_graph::storage::DEFAULT_SEGMENT_BYTES,
             storage_dir: None,
             telemetry: TelemetryConfig::off(),
-            reorder: slfe_graph::ReorderPolicy::None,
-            migration_imbalance_threshold: None,
         }
     }
 }
@@ -211,20 +190,6 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style override of the serving layer's physical reorder policy.
-    pub fn with_reorder(mut self, policy: slfe_graph::ReorderPolicy) -> Self {
-        self.reorder = policy;
-        self
-    }
-
-    /// Builder-style override of the serving layer's migration trigger
-    /// (max/mean vertex-count imbalance; must be `>= 1.0`).
-    pub fn with_migration_imbalance_threshold(mut self, threshold: f64) -> Self {
-        assert!(threshold >= 1.0, "imbalance threshold is a max/mean ratio");
-        self.migration_imbalance_threshold = Some(threshold);
-        self
-    }
-
     /// The out-of-core storage parameters this configuration requests, if any.
     pub fn storage_config(&self) -> Option<slfe_graph::StorageConfig> {
         self.storage_budget_bytes
@@ -244,7 +209,7 @@ mod tests {
     #[test]
     fn default_enables_rr_and_stealing() {
         let c = EngineConfig::default();
-        assert!(c.redundancy.is_enabled());
+        assert_eq!(c.redundancy, RedundancyMode::Enabled);
         assert_eq!(c.scheduling, SchedulingPolicy::WorkStealing);
         assert!(c.trace);
         assert!(c.max_iterations >= 100);
@@ -253,7 +218,7 @@ mod tests {
     #[test]
     fn without_rr_flips_only_the_redundancy_mode() {
         let c = EngineConfig::without_rr();
-        assert!(!c.redundancy.is_enabled());
+        assert_eq!(c.redundancy, RedundancyMode::Disabled);
         assert_eq!(c.scheduling, EngineConfig::default().scheduling);
     }
 
@@ -265,7 +230,7 @@ mod tests {
             .with_max_iterations(10)
             .with_tolerance(0.0)
             .with_trace(false);
-        assert!(!c.redundancy.is_enabled());
+        assert_eq!(c.redundancy, RedundancyMode::Disabled);
         assert_eq!(c.scheduling, SchedulingPolicy::StaticBlocks);
         assert_eq!(c.max_iterations, 10);
         assert_eq!(c.tolerance, 0.0);
@@ -275,13 +240,6 @@ mod tests {
         assert!(!c.telemetry.enabled, "telemetry must default off");
         let c = c.with_telemetry(true);
         assert!(c.telemetry.enabled);
-        assert_eq!(c.reorder, slfe_graph::ReorderPolicy::None);
-        assert!(c.migration_imbalance_threshold.is_none());
-        let c = c
-            .with_reorder(slfe_graph::ReorderPolicy::DegreeDescending)
-            .with_migration_imbalance_threshold(1.25);
-        assert_eq!(c.reorder, slfe_graph::ReorderPolicy::DegreeDescending);
-        assert_eq!(c.migration_imbalance_threshold, Some(1.25));
     }
 
     #[test]

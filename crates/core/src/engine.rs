@@ -42,10 +42,10 @@
 //! `workers_per_node` simulated workers (greedy least-loaded over the layout
 //! order — what chunk-grained stealing converges to) and taking the slowest
 //! node's busiest worker. In short: parallel execution is measured machine-wide,
-//! the distribution (node-local worker counts, network pricing) is modelled —
-//! and, new in PR 3, the simulated schedule itself is deterministic at every
-//! worker count, because it no longer depends on which physical thread happened
-//! to steal which chunk.
+//! the distribution (node-local worker counts, network pricing) is modelled.
+//! The simulated schedule itself is deterministic at every worker count,
+//! because it does not depend on which physical thread happened to steal
+//! which chunk.
 //!
 //! # Parallel execution and determinism
 //!
@@ -132,7 +132,7 @@
 //!   pay the `total_workers × O(n)` footprint; the live footprint is reported
 //!   in [`Counters::scratch_bytes_peak`].
 //! * **Selective pulls in arithmetic warm restarts** ("finish early" across
-//!   batches). A restart ([`SlfeEngine::run_from`]) pulls at each iteration
+//!   batches). A restart ([`SlfeEngine::restart`]) pulls at each iteration
 //!   only X ∪ out(X), X being the set the previous pull changed (for the
 //!   first pull, the batch's dirty endpoints; after a full reseed or a
 //!   growing batch, every vertex). The marks are built at the top
@@ -192,19 +192,6 @@ fn mask_words(num_nodes: usize) -> usize {
 #[allow(clippy::eq_op)]
 fn same_value<V: PartialEq>(a: &V, b: &V) -> bool {
     a == b || (a != a && b != b)
-}
-
-/// A result holding only `values` and its fixpoint flag, for a run to fill.
-fn unrun<V>(values: Vec<V>, exact_fixpoint: bool) -> ProgramResult<V> {
-    ProgramResult {
-        values,
-        stats: ExecutionStats::default(),
-        last_changed_iter: Vec::new(),
-        per_node_worker_work: Vec::new(),
-        converged: false,
-        exact_fixpoint,
-        changed: None,
-    }
 }
 
 /// A raw-pointer view of a slice that worker threads write through.
@@ -871,8 +858,8 @@ pub struct SlfeEngine<'g> {
     chunk_rr: std::sync::OnceLock<Vec<(u32, u32)>>,
     /// Out-of-core mode ([`EngineConfig::storage_budget_bytes`]): the graph's
     /// CSR/CSC on disk in segments, traversed through a byte-budgeted buffer
-    /// pool instead of the in-memory adjacency. `None` keeps the historical
-    /// all-in-RAM execution. Values are bit-identical either way; the
+    /// pool instead of the in-memory adjacency. `None` runs on the in-memory
+    /// adjacency. Values are bit-identical either way; the
     /// difference is which bytes are resident (and the
     /// `segments_faulted`/`segment_bytes_read` counters).
     storage: Option<Arc<GraphStorage>>,
@@ -1017,11 +1004,6 @@ impl<'g> SlfeEngine<'g> {
         }
     }
 
-    /// The per-vertex degree view handed to program callbacks.
-    pub fn degrees(&self) -> &Degrees {
-        &self.degrees
-    }
-
     /// The engine's telemetry hub.
     pub fn telemetry(&self) -> &Arc<Telemetry> {
         &self.telemetry
@@ -1101,7 +1083,15 @@ impl<'g> SlfeEngine<'g> {
             .vertices()
             .map(|v| program.initial_value(v, &self.degrees))
             .collect();
-        let mut result = unrun(values, false);
+        let mut result = ProgramResult {
+            values,
+            stats: ExecutionStats::default(),
+            last_changed_iter: Vec::new(),
+            per_node_worker_work: Vec::new(),
+            converged: false,
+            exact_fixpoint: false,
+            changed: None,
+        };
         let mut state = RestartState::new();
         state.prime(&result.values);
         self.prepare(&mut state);
@@ -1118,154 +1108,6 @@ impl<'g> SlfeEngine<'g> {
             warm: false,
         };
         self.run_seeded(program, plan, &mut result, &mut state);
-        result
-    }
-
-    /// Warm-start `program` from a previous fixpoint after an edge-update batch,
-    /// re-converging only what the batch disturbed.
-    ///
-    /// The engine must be built on the **mutated** graph. `previous` is the
-    /// result of running the same program on the pre-batch graph (vertex ids are
-    /// stable across [`slfe_graph::Graph::apply_batch`], so values line up
-    /// index-for-index). Every previous value is kept, unless the program
-    /// declares [`GraphProgram::warm_start_resets`], which re-seeds every
-    /// vertex from [`GraphProgram::initial_value`]; appended vertices start
-    /// from their initial value either way. `dirty` flags the endpoints of
-    /// every changed edge over the mutated vertex count
-    /// ([`slfe_graph::BatchEffect::dirty_bitset`]).
-    ///
-    /// * **Monotone min/max programs** (SSSP, BFS, CC, WidestPath): a support
-    ///   pass resets every vertex whose stored value may rely on a removed
-    ///   edge, cascading along the old value-support edges — for
-    ///   [`GraphProgram::strictly_monotonic`] programs it prunes at vertices
-    ///   whose value is still derivable from surviving in-edges (cyclic
-    ///   self-support is impossible there); for the rest (CC, WidestPath) it
-    ///   conservatively resets the whole supported region, because two stale
-    ///   vertices can circularly "derive" each other's dead values. The run
-    ///   then re-converges from a frontier of the dirty endpoints, the
-    ///   invalidated region and its in-boundary. Pure insertions need no
-    ///   invalidation at all — they can only improve a monotone fixpoint, and
-    ///   re-convergence lowers values from the active dirty endpoints (the
-    ///   cascade itself trusts nothing but exact re-derivation, so a vertex
-    ///   that merely *looks* improvable through a stale neighbor still
-    ///   resets). The RR "start late" ruler is disabled
-    ///   for the restart — its levels are indexed by iteration number from a
-    ///   cold start — which does not affect values, only scheduling. (See
-    ///   [`SlfeEngine::run_from_effect`] for the variant that skips
-    ///   invalidation on insertion-only batches.)
-    /// * **Arithmetic programs** (PageRank, TunkRank, SpMV, ...): delta-restart —
-    ///   the previous fixpoint is the starting state on the mutated graph, and
-    ///   the usual tolerance-based iteration re-converges it in a handful of
-    ///   iterations. Each iteration pulls only X ∪ out(X), where X is the set
-    ///   the previous pull changed or, for the first pull, the dirty
-    ///   endpoints. The skip is exact: a vertex outside
-    ///   that set has inputs (in-list, in-neighbour values, own value and
-    ///   degrees, |V| — the contract on [`GraphProgram`]) unchanged since its
-    ///   last pull, so it would recompute bits that pull already judged
-    ///   within tolerance. Values, iteration counts and changed sets are
-    ///   therefore bit-identical to re-pulling every vertex every iteration.
-    ///   When Σ(1 + out-degree) over X exceeds the push/pull threshold (5% of
-    ///   |E|) the iteration pulls every vertex. The first pull stays full
-    ///   unless `previous` is an exact fixpoint over the same |V|
-    ///   ([`ProgramResult::exact_fixpoint`]) and the program keeps its
-    ///   values, so it re-pulls everything after a ruler-gated or capped run,
-    ///   after restored or remapped values, after a full reseed and when the
-    ///   batch grows the graph. The multi ruler is disabled for the
-    ///   restart: warm values are stable from iteration 1, so "finish early"
-    ///   would freeze vertices before the batch's perturbation reaches them.
-    ///
-    /// The returned values equal a from-scratch [`SlfeEngine::run`] on the
-    /// mutated graph: bit-for-bit for min/max programs, within convergence
-    /// tolerance for arithmetic ones. The invalidation pass's counted work is
-    /// folded into the result's totals. [`ProgramResult::changed`] lists,
-    /// ascending, every vertex whose value may differ from `previous.values`:
-    /// the appended vertices, the ones a full reseed moved, the invalidated
-    /// ones and every vertex an iteration wrote, so a caller can patch its
-    /// copy of the values in O(changed).
-    /// [`ProgramResult::last_changed_iter`] comes back empty.
-    ///
-    /// This entry copies `previous` into a fresh run state, an O(|V|) set-up
-    /// per call. A caller that keeps a [`WarmResult`] across versions
-    /// restarts through [`SlfeEngine::restart`] instead, whose bookkeeping
-    /// follows the frontier.
-    pub fn run_from<P: GraphProgram>(
-        &self,
-        program: &P,
-        previous: &ProgramResult<P::Value>,
-        dirty: &Bitset,
-    ) -> ProgramResult<P::Value> {
-        assert_eq!(
-            dirty.len(),
-            self.graph.num_vertices(),
-            "dirty bitset must cover the mutated graph"
-        );
-        let seeds: Vec<VertexId> = dirty.iter_ones().map(|v| v as VertexId).collect();
-        self.restart_copy(program, previous, &seeds, &seeds)
-    }
-
-    /// [`SlfeEngine::run_from`] with the full precision of a
-    /// [`slfe_graph::BatchEffect`]: the activation frontier still covers every
-    /// dirty endpoint, but the invalidation pass seeds only from
-    /// `worsened_dsts` — the destinations of deleted or reweighted edges, the
-    /// only places a monotone fixpoint can get *worse*. For insertion-only
-    /// batches this skips invalidation entirely, which matters most for
-    /// programs without [`GraphProgram::strictly_monotonic`] contributions
-    /// (CC, WidestPath), whose conservative cascade otherwise walks whole
-    /// support regions. Like [`SlfeEngine::run_from`], it restarts in a
-    /// fresh run state from a copy of `previous`.
-    pub fn run_from_effect<P: GraphProgram>(
-        &self,
-        program: &P,
-        previous: &ProgramResult<P::Value>,
-        effect: &slfe_graph::BatchEffect,
-    ) -> ProgramResult<P::Value> {
-        self.restart_copy(program, previous, &effect.dirty, &effect.worsened_dsts)
-    }
-
-    /// [`SlfeEngine::run_from_effect`] in place, with run state kept across
-    /// graph versions: `warm` holds the previous fixpoint on entry and the
-    /// restart's result on return, and keeps the run state of the previous
-    /// restart (none after [`WarmResult::new`] or a change outside a
-    /// restart). The values move, they are never copied: the restart
-    /// re-seeds only the
-    /// appended and invalidated vertices (every vertex under
-    /// [`GraphProgram::warm_start_resets`]), refreshes the read buffer from
-    /// the vertices each iteration wrote, and builds
-    /// [`ProgramResult::changed`] from those writes. Past a first O(|V|)
-    /// copy into a new or reset state, its bookkeeping costs O(frontier +
-    /// changed) per iteration plus a pass over the layout's chunks, and it
-    /// allocates nothing that grows with |V| beyond the appended vertices.
-    /// Values, counters and change lists equal
-    /// [`SlfeEngine::run_from_effect`]'s, except the footprint statistic
-    /// [`slfe_metrics::Counters::scratch_bytes_peak`], which counts the
-    /// sparse push capacity a kept state carries over.
-    pub fn restart<P: GraphProgram>(
-        &self,
-        program: &P,
-        warm: &mut WarmResult<P::Value>,
-        effect: &slfe_graph::BatchEffect,
-    ) {
-        let WarmResult { result, state } = warm;
-        self.warm_restart(program, result, &effect.dirty, &effect.worsened_dsts, state);
-    }
-
-    /// The copying entries' restart: `previous` copied into a fresh state.
-    fn restart_copy<P: GraphProgram>(
-        &self,
-        program: &P,
-        previous: &ProgramResult<P::Value>,
-        activate: &[VertexId],
-        invalidation_seeds: &[VertexId],
-    ) -> ProgramResult<P::Value> {
-        let mut result = unrun(previous.values.clone(), previous.exact_fixpoint);
-        let mut state = RestartState::new();
-        self.warm_restart(
-            program,
-            &mut result,
-            activate,
-            invalidation_seeds,
-            &mut state,
-        );
         result
     }
 
@@ -1302,18 +1144,129 @@ impl<'g> SlfeEngine<'g> {
         state.chunk_converged.resize(num_chunks, 0);
     }
 
-    /// The one restart routine behind [`SlfeEngine::restart`] and the
-    /// copying entries: seed `result` in place, then iterate. `activate`
-    /// seeds the re-convergence frontier, `invalidation_seeds` the
-    /// support-loss pass.
-    fn warm_restart<P: GraphProgram>(
+    /// Warm-start `program` from a previous fixpoint after an edge-update batch,
+    /// re-converging only what the batch disturbed. `warm` holds the previous
+    /// fixpoint on entry and the restart's result on return.
+    ///
+    /// The engine must be built on the **mutated** graph, and `effect` is what
+    /// [`slfe_graph::Graph::apply_batch`] reported for the batch. `warm` holds
+    /// the result of the same program on the pre-batch graph (vertex ids are
+    /// stable across `apply_batch`, so values line up index-for-index). Every
+    /// previous value is kept, unless the program declares
+    /// [`GraphProgram::warm_start_resets`], which re-seeds every vertex from
+    /// [`GraphProgram::initial_value`]; appended vertices start from their
+    /// initial value either way. The first frontier is `effect.dirty`, the
+    /// endpoints of every changed edge.
+    ///
+    /// * **Monotone min/max programs** (SSSP, BFS, CC, WidestPath): a support
+    ///   pass resets every vertex whose stored value may rely on a removed
+    ///   edge. It is seeded from `effect.worsened_dsts`, the destinations of
+    ///   deleted or reweighted edges and the only places a monotone fixpoint
+    ///   can get *worse*, so an insertion-only batch skips it: insertions can
+    ///   only improve a monotone fixpoint, and re-convergence lowers values
+    ///   from the active dirty endpoints. The pass cascades along the old
+    ///   value-support edges — for [`GraphProgram::strictly_monotonic`]
+    ///   programs it prunes at vertices whose value is still derivable from
+    ///   surviving in-edges (cyclic self-support is impossible there); for
+    ///   the rest (CC, WidestPath) it conservatively resets the whole
+    ///   supported region, because two stale vertices can circularly
+    ///   "derive" each other's dead values. The cascade trusts nothing but
+    ///   exact re-derivation, so a vertex that merely *looks* improvable
+    ///   through a stale neighbor still resets. The run then re-converges
+    ///   from a frontier of the dirty endpoints, the invalidated region and
+    ///   its in-boundary. The RR "start late" ruler is disabled for the
+    ///   restart — its levels are indexed by iteration number from a cold
+    ///   start — which does not affect values, only scheduling.
+    /// * **Arithmetic programs** (PageRank, TunkRank, SpMV, ...): delta-restart —
+    ///   the previous fixpoint is the starting state on the mutated graph, and
+    ///   the usual tolerance-based iteration re-converges it in a handful of
+    ///   iterations. Each iteration pulls only X ∪ out(X), where X is the set
+    ///   the previous pull changed or, for the first pull, the dirty
+    ///   endpoints. The skip is exact: a vertex outside
+    ///   that set has inputs (in-list, in-neighbour values, own value and
+    ///   degrees, |V| — the contract on [`GraphProgram`]) unchanged since its
+    ///   last pull, so it would recompute bits that pull already judged
+    ///   within tolerance. Values, iteration counts and changed sets are
+    ///   therefore bit-identical to re-pulling every vertex every iteration.
+    ///   When Σ(1 + out-degree) over X exceeds the push/pull threshold (5% of
+    ///   |E|) the iteration pulls every vertex. The first pull stays full
+    ///   unless the previous result is an exact fixpoint over the same |V|
+    ///   ([`ProgramResult::exact_fixpoint`]) and the program keeps its
+    ///   values, so it re-pulls everything after a ruler-gated or capped run,
+    ///   after restored or remapped values, after a full reseed and when the
+    ///   batch grows the graph. The multi ruler is disabled for the
+    ///   restart: warm values are stable from iteration 1, so "finish early"
+    ///   would freeze vertices before the batch's perturbation reaches them.
+    ///
+    /// The new values equal a from-scratch [`SlfeEngine::run`] on the
+    /// mutated graph: bit-for-bit for min/max programs, within convergence
+    /// tolerance for arithmetic ones. The invalidation pass's counted work is
+    /// folded into the result's totals. [`ProgramResult::changed`] lists,
+    /// ascending, every vertex whose value may differ from the previous
+    /// result's: the appended vertices, the ones a full reseed moved, the
+    /// invalidated ones and every vertex an iteration wrote, so a caller can
+    /// patch its copy of the values in O(changed).
+    /// [`ProgramResult::last_changed_iter`] comes back empty.
+    ///
+    /// `warm` keeps the run state of its previous restart (none after
+    /// [`WarmResult::new`] or a change outside a restart). The values move,
+    /// they are never copied: the restart re-seeds only the appended and
+    /// invalidated vertices (every vertex under
+    /// [`GraphProgram::warm_start_resets`]), refreshes the read buffer from
+    /// the vertices each iteration wrote, and builds `changed` from those
+    /// writes. A new or dropped state costs one O(|V|) copy of the values
+    /// into it; past that, the bookkeeping costs O(frontier + changed) per
+    /// iteration plus a pass over the layout's chunks, and it allocates
+    /// nothing that grows with |V| beyond the appended vertices. A kept state
+    /// and a fresh one give the same values, counters and change lists,
+    /// except the footprint statistic
+    /// [`slfe_metrics::Counters::scratch_bytes_peak`], which counts the
+    /// sparse push capacity a kept state carries over.
+    ///
+    /// ```
+    /// use slfe_cluster::ClusterConfig;
+    /// use slfe_core::{EngineConfig, SlfeEngine, WarmResult};
+    /// use slfe_graph::{generators, UpdateBatch};
+    /// # use slfe_core::{AggregationKind, GraphProgram};
+    /// # use slfe_graph::{Degrees, EdgeWeight, VertexId};
+    /// # #[derive(Clone, Copy)] struct Sssp { root: VertexId }
+    /// # impl GraphProgram for Sssp {
+    /// #     type Value = f32;
+    /// #     fn aggregation(&self) -> AggregationKind { AggregationKind::MinMax }
+    /// #     fn name(&self) -> &'static str { "sssp" }
+    /// #     fn initial_value(&self, v: VertexId, _d: &Degrees) -> f32 {
+    /// #         if v == self.root { 0.0 } else { f32::INFINITY }
+    /// #     }
+    /// #     fn initial_active(&self, v: VertexId, _d: &Degrees) -> bool { v == self.root }
+    /// #     fn identity(&self) -> f32 { f32::INFINITY }
+    /// #     fn edge_contribution(&self, _s: VertexId, v: f32, w: EdgeWeight) -> Option<f32> {
+    /// #         v.is_finite().then_some(v + w)
+    /// #     }
+    /// #     fn combine(&self, a: f32, b: f32) -> f32 { a.min(b) }
+    /// #     fn apply(&self, _d: VertexId, old: f32, g: f32) -> f32 { old.min(g) }
+    /// # }
+    /// let graph = generators::rmat(500, 4000, 0.57, 0.19, 0.19, 7);
+    /// let cluster = ClusterConfig::new(2, 1);
+    /// let program = Sssp { root: 0 };
+    /// let cold = SlfeEngine::build(&graph, cluster.clone(), EngineConfig::default()).run(&program);
+    ///
+    /// let mut batch = UpdateBatch::new();
+    /// batch.insert(0, 501, 1.5).delete(0, graph.out_neighbors(0)[0]);
+    /// let (mutated, effect) = graph.apply_batch(&batch);
+    /// let engine = SlfeEngine::build(&mutated, cluster, EngineConfig::default());
+    /// let mut warm = WarmResult::new(cold);
+    /// engine.restart(&program, &mut warm, &effect);
+    ///
+    /// assert_eq!(warm.result().values, engine.run(&program).values);
+    /// assert!(warm.result().changed.as_ref().unwrap().contains(&501));
+    /// ```
+    pub fn restart<P: GraphProgram>(
         &self,
         program: &P,
-        result: &mut ProgramResult<P::Value>,
-        activate: &[VertexId],
-        invalidation_seeds: &[VertexId],
-        state: &mut RestartState<P::Value>,
+        warm: &mut WarmResult<P::Value>,
+        effect: &slfe_graph::BatchEffect,
     ) {
+        let WarmResult { result, state } = warm;
         let graph = self.graph;
         let n = graph.num_vertices();
         let kept = result.values.len();
@@ -1361,7 +1314,7 @@ impl<'g> SlfeEngine<'g> {
         if resets || (arithmetic && !exact) {
             active.fill();
         } else {
-            for &v in activate {
+            for &v in &effect.dirty {
                 active.insert(v as usize);
             }
         }
@@ -1401,7 +1354,7 @@ impl<'g> SlfeEngine<'g> {
         let strict = program.strictly_monotonic();
         let tolerance = self.config.tolerance;
         let mut preset = Counters::zero();
-        queue.extend(invalidation_seeds);
+        queue.extend(&effect.worsened_dsts);
         while let Some(v) = queue.pop_front() {
             let vi = v as usize;
             if invalid.bits.get(vi) {
@@ -3158,14 +3111,14 @@ mod tests {
             let program = TestSssp { root };
             let batch = random_batch(&g, seed, 30, true);
             let (mutated, effect) = g.apply_batch(&batch);
-            let dirty = effect.dirty_bitset(mutated.num_vertices());
             for workers in [1usize, 4] {
                 let cluster = ClusterConfig::new(2, workers);
                 let old_engine = SlfeEngine::build(&g, cluster.clone(), EngineConfig::default());
-                let previous = old_engine.run(&program);
+                let mut warm = WarmResult::new(old_engine.run(&program));
                 let warm_engine =
                     SlfeEngine::build(&mutated, cluster.clone(), EngineConfig::default());
-                let warm = warm_engine.run_from(&program, &previous, &dirty);
+                warm_engine.restart(&program, &mut warm, &effect);
+                let warm = warm.result;
                 let cold =
                     SlfeEngine::build(&mutated, cluster, EngineConfig::default()).run(&program);
                 assert_eq!(
@@ -3184,7 +3137,6 @@ mod tests {
             let g = generators::rmat(200, 1400, 0.57, 0.19, 0.19, seed + 500);
             let batch = random_batch(&g, seed + 9, 20, false);
             let (mutated, effect) = g.apply_batch(&batch);
-            let dirty = effect.dirty_bitset(mutated.num_vertices());
             let program = TestRank {
                 damping: 0.85,
                 n: mutated.num_vertices(),
@@ -3196,10 +3148,12 @@ mod tests {
             let config = EngineConfig::default().with_max_iterations(300);
             for workers in [1usize, 4] {
                 let cluster = ClusterConfig::new(2, workers);
-                let previous =
-                    SlfeEngine::build(&g, cluster.clone(), config.clone()).run(&old_program);
+                let mut warm = WarmResult::new(
+                    SlfeEngine::build(&g, cluster.clone(), config.clone()).run(&old_program),
+                );
                 let warm_engine = SlfeEngine::build(&mutated, cluster.clone(), config.clone());
-                let warm = warm_engine.run_from(&program, &previous, &dirty);
+                warm_engine.restart(&program, &mut warm, &effect);
+                let warm = warm.result;
                 // The warm restart runs without the multi ruler and reaches the
                 // exact fixpoint; the oracle is therefore a ruler-free cold run.
                 // (A ruler-approximated cold run can legitimately deviate by the
@@ -3230,8 +3184,9 @@ mod tests {
         let root = slfe_graph::stats::highest_out_degree_vertex(&g).unwrap();
         let program = TestSssp { root };
         let cluster = ClusterConfig::new(2, 1);
-        let previous =
-            SlfeEngine::build(&g, cluster.clone(), EngineConfig::default()).run(&program);
+        let mut warm = WarmResult::new(
+            SlfeEngine::build(&g, cluster.clone(), EngineConfig::default()).run(&program),
+        );
         // A small insert-only batch: the canonical serving update.
         let mut batch = UpdateBatch::new();
         let mut rng = slfe_graph::rng::SplitMix64::seed_from_u64(7);
@@ -3241,9 +3196,9 @@ mod tests {
             batch.insert(src, dst, rng.range_f32(5.0, 10.0));
         }
         let (mutated, effect) = g.apply_batch(&batch);
-        let dirty = effect.dirty_bitset(mutated.num_vertices());
         let warm_engine = SlfeEngine::build(&mutated, cluster.clone(), EngineConfig::default());
-        let warm = warm_engine.run_from(&program, &previous, &dirty);
+        warm_engine.restart(&program, &mut warm, &effect);
+        let warm = warm.result;
         let cold = SlfeEngine::build(&mutated, cluster, EngineConfig::default()).run(&program);
         assert_eq!(
             warm.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -3263,8 +3218,9 @@ mod tests {
         let program = TestSssp { root: 0 };
         let engine = SlfeEngine::build(&g, ClusterConfig::new(2, 2), EngineConfig::default());
         let previous = engine.run(&program);
-        let dirty = Bitset::new(g.num_vertices());
-        let warm = engine.run_from(&program, &previous, &dirty);
+        let mut warm = WarmResult::new(previous.clone());
+        engine.restart(&program, &mut warm, &slfe_graph::BatchEffect::default());
+        let warm = warm.result;
         assert_eq!(
             warm.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             previous

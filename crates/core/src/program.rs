@@ -51,7 +51,7 @@ impl std::fmt::Display for AggregationKind {
 /// neighbor-list order.
 ///
 /// **What a hook for vertex `v` may read.** An arithmetic warm restart
-/// ([`crate::SlfeEngine::run_from`]) skips every vertex none of whose inputs
+/// ([`crate::SlfeEngine::restart`]) skips every vertex none of whose inputs
 /// changed since its last pull, so the hooks that compute `v`
 /// ([`GraphProgram::edge_contribution`] along `v`'s in-edges,
 /// [`GraphProgram::apply`], [`GraphProgram::vertex_update`],
@@ -127,7 +127,7 @@ pub trait GraphProgram: Sync {
     /// positive weights, BFS's `hops + 1`). When `true`, a cycle of vertices
     /// cannot mutually support each other's values — every genuine support
     /// chain strictly improves backwards and must terminate — so the warm-start
-    /// invalidation pass ([`crate::SlfeEngine::run_from`]) may keep a vertex
+    /// invalidation pass ([`crate::SlfeEngine::restart`]) may keep a vertex
     /// whose stored value is still *derivable* from its surviving in-edges.
     /// Programs whose contributions can preserve the value (Connected
     /// Components' label copy, WidestPath's `min(value, capacity)`) must leave
@@ -141,11 +141,11 @@ pub trait GraphProgram: Sync {
         false
     }
 
-    /// How a warm restart ([`crate::SlfeEngine::restart`] and
-    /// [`crate::SlfeEngine::run_from`]) seeds the values: `false`, the
-    /// default, keeps every vertex's previous value and seeds only the
-    /// vertices the batch appended, from [`GraphProgram::initial_value`] on
-    /// the *mutated* graph, which costs O(appended). That is correct for
+    /// How a warm restart ([`crate::SlfeEngine::restart`]) seeds the values:
+    /// `false`, the default, keeps every vertex's previous value and seeds
+    /// only the vertices the batch appended, from
+    /// [`GraphProgram::initial_value`] on the *mutated* graph, which costs
+    /// O(appended). That is correct for
     /// every monotone min/max program and for arithmetic programs whose
     /// per-vertex state self-corrects under re-iteration (PageRank's stored
     /// share is re-divided by the current out-degree on the first

@@ -24,16 +24,14 @@ pub struct ProgramResult<V> {
     /// `true` if the run converged with the redundancy-reduction rulers off:
     /// no vertex was skipped by a ruler, so pulling any vertex from these
     /// values again would not change it. An arithmetic warm restart
-    /// ([`crate::SlfeEngine::run_from`]) from such a result pulls selectively
+    /// ([`crate::SlfeEngine::restart`]) from such a result pulls selectively
     /// from its first iteration; from any other result (a ruler-gated or
     /// capped run, or values restored from elsewhere) its first pull
     /// re-pulls every vertex.
     pub exact_fixpoint: bool,
-    /// Warm restarts only ([`crate::SlfeEngine::restart`],
-    /// [`crate::SlfeEngine::run_from`] and
-    /// [`crate::SlfeEngine::run_from_effect`]): every vertex whose value may
-    /// differ from the previous result's, ascending. It holds the appended
-    /// vertices, the ones a full reseed
+    /// Warm restarts only ([`crate::SlfeEngine::restart`]): every vertex
+    /// whose value may differ from the previous result's, ascending. It
+    /// holds the appended vertices, the ones a full reseed
     /// ([`crate::GraphProgram::warm_start_resets`]) moved, the min/max
     /// invalidations and every vertex a phase wrote. A vertex outside it
     /// holds a value `==` to its previous one, which is the same bits unless

@@ -1436,7 +1436,7 @@ mod tests {
     #[test]
     fn one_edge_versions_share_every_block_outside_the_changed_list() {
         use crate::values::ServedValues;
-        use slfe_core::SlfeEngine;
+        use slfe_core::{SlfeEngine, WarmResult};
         use slfe_graph::csr::BLOCK_VERTICES;
         let graph = generators::rmat(5000, 30_000, 0.57, 0.19, 0.19, 17);
         let root = stats::highest_out_degree_vertex(&graph).unwrap();
@@ -1488,12 +1488,16 @@ mod tests {
             // vertices the batch changed.
             let mut batch = UpdateBatch::new();
             update.stage(&mut batch);
-            let previous = oracle.result().clone();
+            let mut previous = WarmResult::new(oracle.result().clone());
             let (next, effect) = oracle.graph().apply_batch(&batch);
             oracle.try_apply(&batch).unwrap();
-            let changed = SlfeEngine::build(&next, config.cluster.clone(), config.engine.clone())
-                .run_from_effect(&SsspProgram { root }, &previous, &effect)
-                .changed
+            SlfeEngine::build(&next, config.cluster.clone(), config.engine.clone()).restart(
+                &SsspProgram { root },
+                &mut previous,
+                &effect,
+            );
+            let changed = previous
+                .take_changed()
                 .expect("a warm restart lists what it changed");
             assert!(i > 0 || !changed.is_empty(), "the shortcut changed nothing");
             assert_eq!(flat(&after.values), bits(oracle.values()), "update {i}");
@@ -1533,9 +1537,9 @@ mod tests {
             let start = |reorder| {
                 let config = ServerConfig {
                     cluster: ClusterConfig::new(2, 1),
-                    engine: slfe_core::EngineConfig::default().with_reorder(reorder),
                     ..ServerConfig::default()
-                };
+                }
+                .with_reorder(reorder);
                 let mut server = DeltaServer::try_new(graph.clone(), make, config).unwrap();
                 let remapped = server.remap_now().unwrap();
                 assert_eq!(remapped, reorder != ReorderPolicy::None, "{label}");

@@ -193,6 +193,17 @@ pub struct ServerConfig {
     /// behavior bit-identical to a build without the fault layer (pinned by
     /// `tests/faults.rs`).
     pub fault_plan: Option<FaultPlan>,
+    /// Physical layout policy of the id-remap pass ([`DeltaServer::remap_now`]).
+    /// The engine never remaps — it runs on whatever layout its graph has,
+    /// and remapped runs are value-transparent (bit-identical served values)
+    /// by construction. [`ReorderPolicy::None`] (the default) leaves the
+    /// layout alone.
+    pub reorder: ReorderPolicy,
+    /// Partition-migration trigger of the id-remap pass: when the
+    /// vertex-count imbalance (max/mean over nodes) exceeds this threshold,
+    /// the pass first migrates vertices from the most- to the least-loaded
+    /// node. `None` (the default) never migrates.
+    pub migration_imbalance_threshold: Option<f64>,
 }
 
 impl Default for ServerConfig {
@@ -202,7 +213,25 @@ impl Default for ServerConfig {
             engine: EngineConfig::default(),
             full_recompute_dirty_fraction: 0.5,
             fault_plan: None,
+            reorder: ReorderPolicy::None,
+            migration_imbalance_threshold: None,
         }
+    }
+}
+
+impl ServerConfig {
+    /// Builder-style override of the physical reorder policy.
+    pub fn with_reorder(mut self, policy: ReorderPolicy) -> Self {
+        self.reorder = policy;
+        self
+    }
+
+    /// Builder-style override of the migration trigger (max/mean
+    /// vertex-count imbalance; must be `>= 1.0`).
+    pub fn with_migration_imbalance_threshold(mut self, threshold: f64) -> Self {
+        assert!(threshold >= 1.0, "imbalance threshold is a max/mean ratio");
+        self.migration_imbalance_threshold = Some(threshold);
+        self
     }
 }
 
@@ -251,7 +280,7 @@ pub struct BatchOutcome {
     /// partitioning after this batch's appended vertices joined it. `0.0`
     /// only for an empty partitioning; `1.0` is perfectly balanced. Sustained
     /// growth keeps this bounded (appends join the least-loaded node), and
-    /// when [`EngineConfig::migration_imbalance_threshold`] is set the remap
+    /// when [`ServerConfig::migration_imbalance_threshold`] is set the remap
     /// at each checkpoint migrates vertices whenever it overshoots.
     pub partition_imbalance: f64,
     /// Wall-clock seconds of the whole [`DeltaServer::try_apply`] call past
@@ -310,8 +339,8 @@ pub struct ServerStats {
 /// [`DeltaServer::values`], [`DeltaServer::top_k_by`]), update batches,
 /// [`BatchOutcome::effect`], WAL frames and snapshots all speak the stable
 /// *external* vertex ids clients know. Internally the server may serve from a
-/// physically reordered layout ([`EngineConfig::reorder`] /
-/// [`EngineConfig::migration_imbalance_threshold`], applied at each
+/// physically reordered layout ([`ServerConfig::reorder`] /
+/// [`ServerConfig::migration_imbalance_threshold`], applied at each
 /// checkpoint or via [`DeltaServer::remap_now`]); the cumulative
 /// [`slfe_graph::IdRemap`] on the graph translates at the boundary, and a
 /// remapped run is value-transparent — bit-identical served values. One
@@ -801,7 +830,7 @@ where
     }
 
     /// Run the configured physical-layout policy now: migrate vertices off
-    /// overloaded nodes when [`EngineConfig::migration_imbalance_threshold`]
+    /// overloaded nodes when [`ServerConfig::migration_imbalance_threshold`]
     /// is exceeded, then reorder ids partition-contiguously (degree-descending
     /// within each partition under [`ReorderPolicy::DegreeDescending`]) and
     /// rebuild every physical artifact — graph, degrees, values, layout,
@@ -817,8 +846,8 @@ where
     /// cross a layout change. Remapped runs are value-transparent: every
     /// query answers bit-identically before and after.
     pub fn remap_now(&mut self) -> io::Result<bool> {
-        let policy = self.config.engine.reorder;
-        let threshold = self.config.engine.migration_imbalance_threshold;
+        let policy = self.config.reorder;
+        let threshold = self.config.migration_imbalance_threshold;
         if policy == ReorderPolicy::None && threshold.is_none() {
             return Ok(false);
         }
@@ -890,8 +919,8 @@ where
     }
 
     /// Probe whether the write path works again and, if so, re-enter
-    /// read-write mode. Before this existed, read-only was terminal: an
-    /// ENOSPC that an operator later cleared still required a full reopen.
+    /// read-write mode, so an ENOSPC that an operator later clears does not
+    /// require a full reopen.
     ///
     /// On a durable server the probe writes, fsyncs, and removes a small
     /// scratch file in the durability directory (consulting the
@@ -1903,6 +1932,18 @@ mod tests {
     }
 
     #[test]
+    fn remap_policy_defaults_off_and_builders_set_it() {
+        let c = ServerConfig::default();
+        assert_eq!(c.reorder, ReorderPolicy::None);
+        assert!(c.migration_imbalance_threshold.is_none());
+        let c = c
+            .with_reorder(ReorderPolicy::DegreeDescending)
+            .with_migration_imbalance_threshold(1.25);
+        assert_eq!(c.reorder, ReorderPolicy::DegreeDescending);
+        assert_eq!(c.migration_imbalance_threshold, Some(1.25));
+    }
+
+    #[test]
     fn served_sssp_stays_identical_to_from_scratch_across_batches() {
         let graph = generators::rmat(600, 4200, 0.57, 0.19, 0.19, 11);
         let root = stats::highest_out_degree_vertex(&graph).unwrap();
@@ -2124,11 +2165,11 @@ mod tests {
         };
         let config = ServerConfig {
             engine: EngineConfig::default()
-                .with_reorder(ReorderPolicy::DegreeDescending)
                 .with_storage_budget(24 << 10)
                 .with_storage_segment_bytes(2 << 10),
             ..ServerConfig::default()
-        };
+        }
+        .with_reorder(ReorderPolicy::DegreeDescending);
         let dir = durable_dir("degrees");
         let durability = DurabilityConfig::new(&dir).with_snapshot_every(1000);
         let mut server =
@@ -2802,7 +2843,7 @@ mod tests {
                 .unwrap();
         let n = server.graph().num_vertices();
         let mut graph_section = Vec::new();
-        binary::encode_graph(&mut graph_section, server.graph());
+        binary::write_graph(&mut graph_section, server.graph()).unwrap();
         drop(server);
         let header = 4 + 4 + 1 + 8; // magic, version, value tag, sequence
         let stats = 4 * 8;
@@ -3148,7 +3189,7 @@ mod tests {
     fn same_graph(a: &Graph, b: &Graph) -> bool {
         let encode = |g: &Graph| {
             let mut out = Vec::new();
-            slfe_graph::io::binary::encode_graph(&mut out, g);
+            slfe_graph::io::binary::write_graph(&mut out, g).unwrap();
             out.extend(
                 (0..g.num_vertices() as VertexId).flat_map(|v| g.external_id(v).to_le_bytes()),
             );
@@ -3181,10 +3222,7 @@ mod tests {
         F: Fn(&Graph) -> P + Copy,
     {
         let graph = window_graph();
-        let config = ServerConfig {
-            engine: EngineConfig::default().with_reorder(reorder),
-            ..ServerConfig::default()
-        };
+        let config = ServerConfig::default().with_reorder(reorder);
         let tag = format!("{tag}-{reorder:?}");
         let durability =
             DurabilityConfig::new(durable_dir(&format!("windows-{tag}"))).with_snapshot_every(2);
@@ -3519,11 +3557,10 @@ mod tests {
             root: g.to_physical(root),
         };
         let config = ServerConfig {
-            engine: EngineConfig::default()
-                .with_reorder(ReorderPolicy::DegreeDescending)
-                .with_telemetry(true),
+            engine: EngineConfig::default().with_telemetry(true),
             ..ServerConfig::default()
-        };
+        }
+        .with_reorder(ReorderPolicy::DegreeDescending);
         let durability = DurabilityConfig::new(durable_dir("remap-base")).with_snapshot_every(2);
         let mut server =
             DeltaServer::create_durable(graph.clone(), make, config.clone(), durability.clone())

@@ -1,13 +1,13 @@
 //! Compact per-vertex degree arrays ([`Degrees`]) for program callbacks.
 //!
 //! Vertex programs that need structural information in their per-vertex hooks
-//! (PageRank and TunkRank divide by out-degree) used to receive the whole
-//! in-RAM [`crate::Graph`]. That coupling blocks two things: out-of-core
-//! execution cannot bound resident memory while callbacks may touch arbitrary
-//! adjacency, and a physical id remap would hand programs a graph whose
-//! neighbor lists are in remapped order. [`Degrees`] is the narrow view that
-//! remains: two `u32` per vertex, indexed by **physical** id — exactly what
-//! the degree-reading hooks need, nothing they could misuse.
+//! (PageRank and TunkRank divide by out-degree) receive [`Degrees`], not the
+//! whole in-RAM [`crate::Graph`]. Handing hooks the graph would block two
+//! things: out-of-core execution cannot bound resident memory while callbacks
+//! may touch arbitrary adjacency, and a physical id remap would hand programs
+//! a graph whose neighbor lists are in remapped order. [`Degrees`] is the
+//! narrow view instead: two `u32` per vertex, indexed by **physical** id —
+//! exactly what the degree-reading hooks need, nothing they could misuse.
 //!
 //! [`Degrees::of`] extracts the arrays in `O(V)`. A serving loop keeps one
 //! [`Degrees`] across graph versions instead and [`Degrees::patch`]es it at

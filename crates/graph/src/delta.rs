@@ -220,15 +220,6 @@ impl BatchEffect {
     pub fn is_noop(&self) -> bool {
         self.dirty.is_empty() && self.vertices_added == 0
     }
-
-    /// The dirty set as a [`crate::Bitset`] over `num_vertices` bits.
-    pub fn dirty_bitset(&self, num_vertices: usize) -> crate::Bitset {
-        let mut set = crate::Bitset::new(num_vertices);
-        for &v in &self.dirty {
-            set.set(v as usize);
-        }
-        set
-    }
 }
 
 /// Per-vertex staged changes, grouped for one adjacency direction.
@@ -804,16 +795,5 @@ mod tests {
             dirty_ext.sort_unstable();
             assert_eq!(dirty_ext, eff.dirty);
         }
-    }
-
-    #[test]
-    fn dirty_bitset_covers_dirty_vertices() {
-        let g = diamond();
-        let mut batch = UpdateBatch::new();
-        batch.insert(1, 0, 2.0);
-        let (_, effect) = g.apply_batch(&batch);
-        let bits = effect.dirty_bitset(4);
-        assert!(bits.get(0) && bits.get(1));
-        assert_eq!(bits.count_ones(), 2);
     }
 }

@@ -546,13 +546,7 @@ pub mod binary {
         write_adjacency(out, graph.in_adjacency())
     }
 
-    /// Append the exact physical encoding of `graph`: [`write_graph`] with a
-    /// `Vec` as its sink.
-    pub fn encode_graph(out: &mut Vec<u8>, graph: &Graph) {
-        write_graph(out, graph).expect("a Vec takes every byte");
-    }
-
-    /// Decode a graph previously written by [`encode_graph`], validating the
+    /// Decode a graph previously written by [`write_graph`], validating the
     /// structure (monotone offsets, in-range neighbor ids, matching edge
     /// counts in both directions). Returns `None` on any inconsistency.
     pub fn decode_graph(r: &mut Reader<'_>) -> Option<Graph> {
@@ -871,7 +865,7 @@ mod tests {
         (g, _) = g.apply_batch(&batch);
 
         let mut buf = Vec::new();
-        binary::encode_graph(&mut buf, &g);
+        binary::write_graph(&mut buf, &g).unwrap();
         let mut r = binary::Reader::new(&buf);
         let g2 = binary::decode_graph(&mut r).expect("decodes");
         assert!(r.is_empty());
@@ -898,7 +892,7 @@ mod tests {
         expected.extend_from_slice(&0u32.to_le_bytes());
         expected.extend_from_slice(&2.0f32.to_le_bytes());
         let mut buf = Vec::new();
-        binary::encode_graph(&mut buf, &tiny);
+        binary::write_graph(&mut buf, &tiny).unwrap();
         assert_eq!(buf, expected);
 
         // Several blocks plus a partial last one, duplicate pairs with
@@ -949,7 +943,7 @@ mod tests {
             }
         }
         let mut buf = Vec::new();
-        binary::encode_graph(&mut buf, &g);
+        binary::write_graph(&mut buf, &g).unwrap();
         assert_eq!(buf, expected);
         let decoded = binary::decode_graph(&mut binary::Reader::new(&buf)).expect("decodes");
         assert_eq!(decoded.out_adjacency(), g.out_adjacency());
@@ -960,7 +954,7 @@ mod tests {
     fn corrupt_graph_bytes_decode_to_none_not_panic() {
         let g = crate::generators::rmat(64, 300, 0.57, 0.19, 0.19, 3);
         let mut buf = Vec::new();
-        binary::encode_graph(&mut buf, &g);
+        binary::write_graph(&mut buf, &g).unwrap();
         // Truncations at every prefix length must fail cleanly.
         for cut in [0, 1, 7, 8, 9, buf.len() / 2, buf.len() - 1] {
             let mut r = binary::Reader::new(&buf[..cut]);

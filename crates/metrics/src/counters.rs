@@ -16,7 +16,7 @@ pub struct Counters {
     pub bytes_sent: u64,
     /// Number of OS threads spawned while this counter window was open.
     ///
-    /// With the persistent worker pool (ROADMAP architecture note, PR 3) an
+    /// With the persistent worker pool (`slfe_cluster::WorkerPool`) an
     /// engine spawns its threads once at build time and every run reuses them,
     /// so a run's totals report **0** here; any nonzero value in a run means
     /// per-phase spawning has regressed. The pool-reuse regression test pins

@@ -36,15 +36,6 @@ impl BusyTimes {
         self.values.iter().copied().fold(0.0, f64::max)
     }
 
-    /// Mean busy value. Returns 0 for an empty set.
-    pub fn mean(&self) -> f64 {
-        if self.values.is_empty() {
-            0.0
-        } else {
-            self.values.iter().sum::<f64>() / self.values.len() as f64
-        }
-    }
-
     /// Relative spread `(max - min) / max` in `[0, 1]`; the paper's inter-node
     /// "time difference between the earliest and latest finished nodes".
     pub fn relative_spread(&self) -> f64 {
@@ -54,16 +45,6 @@ impl BusyTimes {
         }
         let min = self.values.iter().copied().fold(f64::INFINITY, f64::min);
         (max - min) / max
-    }
-
-    /// max / mean imbalance factor (1.0 = perfectly balanced).
-    pub fn imbalance_factor(&self) -> f64 {
-        let mean = self.mean();
-        if mean <= 0.0 {
-            1.0
-        } else {
-            self.makespan() / mean
-        }
     }
 }
 
@@ -90,10 +71,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn makespan_and_mean() {
+    fn makespan_is_the_busiest_value() {
         let b = BusyTimes::new(vec![1.0, 4.0, 3.0]);
         assert_eq!(b.makespan(), 4.0);
-        assert!((b.mean() - 8.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]
@@ -105,19 +85,10 @@ mod tests {
     }
 
     #[test]
-    fn imbalance_factor_is_one_when_balanced() {
-        let b = BusyTimes::new(vec![2.0, 2.0, 2.0]);
-        assert!((b.imbalance_factor() - 1.0).abs() < 1e-9);
-        let skew = BusyTimes::new(vec![1.0, 3.0]);
-        assert!((skew.imbalance_factor() - 1.5).abs() < 1e-9);
-    }
-
-    #[test]
     fn empty_and_zero_inputs_are_neutral() {
         let empty = BusyTimes::new(vec![]);
         assert_eq!(empty.makespan(), 0.0);
         assert_eq!(empty.relative_spread(), 0.0);
-        assert_eq!(empty.imbalance_factor(), 1.0);
         assert_eq!(inter_node_spread(&[]), 0.0);
         assert_eq!(inter_node_spread(&[0, 0]), 0.0);
     }

@@ -70,14 +70,6 @@ impl ExecutionStats {
         baseline.totals.work().max(1) as f64 / own as f64
     }
 
-    /// Speedup of this run relative to `baseline` in wall-clock execution seconds
-    /// (preprocessing excluded, as in Table 5 where the RRG cost is analysed
-    /// separately in Figure 8).
-    pub fn time_speedup_over(&self, baseline: &ExecutionStats) -> f64 {
-        let own = self.phases.execution_seconds.max(1e-9);
-        baseline.phases.execution_seconds.max(1e-9) / own
-    }
-
     /// Runtime improvement over `baseline` as a percentage (Figure 5's metric):
     /// `(t_baseline - t_self) / t_baseline * 100`, computed on counted work.
     pub fn work_improvement_percent_over(&self, baseline: &ExecutionStats) -> f64 {
@@ -127,13 +119,6 @@ mod tests {
     }
 
     #[test]
-    fn time_speedup_uses_execution_seconds() {
-        let fast = stats(0, 0, 10, 0.5);
-        let slow = stats(0, 0, 10, 5.0);
-        assert!((fast.time_speedup_over(&slow) - 10.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn improvement_percent_matches_figure5_semantics() {
         let slfe = stats(600, 0, 10, 1.0);
         let gemini = stats(1000, 0, 10, 1.0);
@@ -145,6 +130,5 @@ mod tests {
         let a = stats(0, 0, 10, 0.0);
         let b = stats(0, 0, 10, 0.0);
         assert!(a.work_speedup_over(&b).is_finite());
-        assert!(a.time_speedup_over(&b).is_finite());
     }
 }

@@ -316,11 +316,6 @@ impl<'t> RunRecorder<'t> {
         }
     }
 
-    /// `true` when spans are being collected.
-    pub fn spans_on(&self) -> bool {
-        self.clock.is_some()
-    }
-
     /// Open a span (no-op handle when telemetry is off).
     pub fn begin(&self) -> SpanHandle {
         SpanHandle {
@@ -483,7 +478,6 @@ mod tests {
     fn recorder_with_disabled_hub_still_traces() {
         let t = Telemetry::disabled();
         let mut rec = RunRecorder::new(&t, true);
-        assert!(!rec.spans_on());
         let h = rec.begin();
         rec.end_iteration(h, 1, Mode::Push, 3, Counters::zero(), 0.25);
         let trace = rec.finish();

@@ -112,24 +112,6 @@ impl IterationTrace {
         }
         (pull, push)
     }
-
-    /// Fraction of total mode time spent pulling, in `[0, 1]`; `None` when no time
-    /// was recorded at all.
-    pub fn pull_fraction(&self) -> Option<f64> {
-        let (pull, push) = self.mode_seconds();
-        let total = pull + push;
-        if total > 0.0 {
-            Some(pull / total)
-        } else {
-            let (pc, sc) = self.mode_computations();
-            let total_c = pc + sc;
-            if total_c == 0 {
-                None
-            } else {
-                Some(pc as f64 / total_c as f64)
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -182,23 +164,13 @@ mod tests {
         let (pull_s, push_s) = t.mode_seconds();
         assert!((pull_s - 9.0).abs() < 1e-9);
         assert!((push_s - 1.0).abs() < 1e-9);
-        assert!((t.pull_fraction().unwrap() - 0.9).abs() < 1e-9);
         assert_eq!(t.mode_computations(), (90, 10));
     }
 
     #[test]
-    fn pull_fraction_falls_back_to_counted_units() {
-        let mut t = IterationTrace::new();
-        t.push(record(1, Mode::Push, 25, 0.0));
-        t.push(record(2, Mode::Pull, 75, 0.0));
-        assert!((t.pull_fraction().unwrap() - 0.75).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_trace_has_no_pull_fraction() {
+    fn empty_trace_totals_zero() {
         let t = IterationTrace::new();
         assert!(t.is_empty());
-        assert_eq!(t.pull_fraction(), None);
         assert_eq!(t.total(), Counters::zero());
     }
 

@@ -18,10 +18,10 @@
 //! * [`baselines`] — Gemini/PowerGraph/PowerLyra/Ligra/GraphChi-style engines.
 //! * [`delta`] — incremental recomputation and update serving: stage an
 //!   [`prelude::UpdateBatch`], apply it with `Graph::apply_batch`, re-converge
-//!   warm with `SlfeEngine::run_from`, let a [`prelude::DeltaServer`] drive
-//!   the whole loop and answer queries, or wrap it in a
-//!   [`prelude::ServingFrontend`] for concurrent snapshot-consistent reads
-//!   under update traffic with typed load shedding.
+//!   warm with `SlfeEngine::restart` on a [`prelude::WarmResult`], let a
+//!   [`prelude::DeltaServer`] drive the whole loop and answer queries, or
+//!   wrap it in a [`prelude::ServingFrontend`] for concurrent
+//!   snapshot-consistent reads under update traffic with typed load shedding.
 //!
 //! ## Quickstart
 //!

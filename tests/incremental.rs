@@ -1,8 +1,9 @@
 //! Incremental recomputation acceptance tests: for **every registered
-//! application** ([`slfe::apps::AppKind::ALL`]), `apply_batch` + `run_from`
-//! must produce the same values as a from-scratch run on the mutated graph —
-//! bit-for-bit for min/max programs, at the exact ruler-free fixpoint for
-//! arithmetic ones — over seeded random batches, at 1 and 4 workers per node.
+//! application** ([`slfe::apps::AppKind::ALL`]), `apply_batch` +
+//! [`SlfeEngine::restart`] must produce the same values as a from-scratch run
+//! on the mutated graph — bit-for-bit for min/max programs, at the exact
+//! ruler-free fixpoint for arithmetic ones — over seeded random batches, at 1
+//! and 4 workers per node.
 
 use slfe::apps::{bfs, cc, heat, numpaths, pagerank, spmv, sssp, tunkrank, widestpath, AppKind};
 use slfe::core::{
@@ -11,7 +12,7 @@ use slfe::core::{
 use slfe::delta::{DeltaServer, ServerConfig};
 use slfe::graph::generators::{random_batch, BatchShape};
 use slfe::graph::rng::SplitMix64;
-use slfe::graph::{generators, Bitset, Degrees, Graph, ReorderPolicy, UpdateBatch};
+use slfe::graph::{generators, BatchEffect, Bitset, Degrees, Graph, ReorderPolicy, UpdateBatch};
 use slfe::metrics::Counters;
 use slfe::partition::{contiguous_degree_layout, ChunkingPartitioner, Partitioner};
 use slfe::prelude::ClusterConfig;
@@ -20,6 +21,28 @@ const GROW: BatchShape = BatchShape::Mixed { allow_growth: true };
 const FIXED: BatchShape = BatchShape::Mixed {
     allow_growth: false,
 };
+
+/// A warm restart of `previous` in a fresh run state: a copy of it in a new
+/// [`WarmResult`], restarted by [`SlfeEngine::restart`].
+fn restart_fresh<P: GraphProgram>(
+    engine: &SlfeEngine,
+    program: &P,
+    previous: &ProgramResult<P::Value>,
+    effect: &BatchEffect,
+) -> ProgramResult<P::Value> {
+    let mut warm = WarmResult::new(previous.clone());
+    engine.restart(program, &mut warm, effect);
+    warm.result().clone()
+}
+
+/// `effect` with its invalidation pass seeded from every dirty endpoint
+/// instead of only the destinations of deleted or reweighted edges.
+fn widened(effect: &BatchEffect) -> BatchEffect {
+    BatchEffect {
+        worsened_dsts: effect.dirty.clone(),
+        ..effect.clone()
+    }
+}
 
 /// Warm-start `program` across `batch` and compare with a from-scratch run on
 /// the mutated graph. `config` is shared by the previous run, the warm run and
@@ -37,14 +60,13 @@ fn check_warm_equals_cold<P, V, PF, C>(
     C: Fn(&[V], &[V], usize),
 {
     let (mutated, effect) = graph.apply_batch(batch);
-    let dirty = effect.dirty_bitset(mutated.num_vertices());
     for workers in [1usize, 4] {
         let cluster = ClusterConfig::new(2, workers);
         let previous =
             SlfeEngine::build(graph, cluster.clone(), config.clone()).run(&make_program(graph));
         let program = make_program(&mutated);
         let warm_engine = SlfeEngine::build(&mutated, cluster.clone(), config.clone());
-        let warm = warm_engine.run_from(&program, &previous, &dirty);
+        let warm = restart_fresh(&warm_engine, &program, &previous, &effect);
         let cold = SlfeEngine::build(&mutated, cluster, config.clone()).run(&program);
         assert!(
             warm.converged,
@@ -206,33 +228,30 @@ fn bridge_deletions_invalidate_circularly_supported_values() {
 
     for workers in [1usize, 4] {
         let cluster = ClusterConfig::new(2, workers);
-        let check = |graph: &Graph, batch: &UpdateBatch, use_effect: bool| {
+        let check = |graph: &Graph, batch: &UpdateBatch, wide: bool| {
             let (mutated, effect) = graph.apply_batch(batch);
+            let effect = if wide { widened(&effect) } else { effect };
             let previous = SlfeEngine::build(graph, cluster.clone(), EngineConfig::default())
                 .run(&CcProgram::default());
             let warm_engine = SlfeEngine::build(&mutated, cluster.clone(), EngineConfig::default());
-            let warm = if use_effect {
-                warm_engine.run_from_effect(&CcProgram::default(), &previous, &effect)
-            } else {
-                warm_engine.run_from(
-                    &CcProgram::default(),
-                    &previous,
-                    &effect.dirty_bitset(mutated.num_vertices()),
-                )
-            };
+            let warm = restart_fresh(&warm_engine, &CcProgram::default(), &previous, &effect);
             let cold = SlfeEngine::build(&mutated, cluster.clone(), EngineConfig::default())
                 .run(&CcProgram::default());
             assert_eq!(warm.values, cold.values, "CC bridge cut diverges");
         };
-        check(&cc_graph, &cc_batch, false);
         check(&cc_graph, &cc_batch, true);
+        check(&cc_graph, &cc_batch, false);
 
         let (mutated, effect) = wp_graph.apply_batch(&wp_batch);
         let program = WidestPathProgram { root: 0 };
         let previous =
             SlfeEngine::build(&wp_graph, cluster.clone(), EngineConfig::default()).run(&program);
-        let warm = SlfeEngine::build(&mutated, cluster.clone(), EngineConfig::default())
-            .run_from_effect(&program, &previous, &effect);
+        let warm = restart_fresh(
+            &SlfeEngine::build(&mutated, cluster.clone(), EngineConfig::default()),
+            &program,
+            &previous,
+            &effect,
+        );
         let cold =
             SlfeEngine::build(&mutated, cluster.clone(), EngineConfig::default()).run(&program);
         assert_eq!(warm.values, cold.values, "WidestPath bridge cut diverges");
@@ -267,15 +286,18 @@ fn improvement_through_a_stale_neighbor_still_invalidates() {
         let previous =
             SlfeEngine::build(&graph, cluster.clone(), EngineConfig::default()).run(&program);
         let engine = SlfeEngine::build(&mutated, cluster.clone(), EngineConfig::default());
-        let warm = engine.run_from_effect(&program, &previous, &effect);
+        let warm = restart_fresh(&engine, &program, &previous, &effect);
         let cold = SlfeEngine::build(&mutated, cluster, EngineConfig::default()).run(&program);
         assert_eq!(warm.values, cold.values, "{workers} workers");
         assert_eq!(warm.values, vec![0.0, 51.0, 40.0, 50.0]);
     }
 }
 
+/// The invalidation pass seeded from the worsened destinations only (the
+/// batch's own effect) against one seeded from every dirty endpoint: both
+/// give a cold run's bits, and the narrow seed does no more work.
 #[test]
-fn run_from_effect_matches_run_from_for_every_program_shape() {
+fn narrow_invalidation_seeds_match_wide_ones_with_no_more_work() {
     for seed in 0..2u64 {
         let rmat = generators::rmat(220, 1500, 0.57, 0.19, 0.19, seed + 1500);
         let root = slfe::graph::stats::highest_out_degree_vertex(&rmat).unwrap();
@@ -286,19 +308,15 @@ fn run_from_effect_matches_run_from_for_every_program_shape() {
         let previous =
             SlfeEngine::build(&rmat, cluster.clone(), EngineConfig::default()).run(&program);
         let engine = SlfeEngine::build(&mutated, cluster.clone(), EngineConfig::default());
-        let via_dirty = engine.run_from(
-            &program,
-            &previous,
-            &effect.dirty_bitset(mutated.num_vertices()),
-        );
-        let via_effect = engine.run_from_effect(&program, &previous, &effect);
+        let wide = restart_fresh(&engine, &program, &previous, &widened(&effect));
+        let narrow = restart_fresh(&engine, &program, &previous, &effect);
         let cold = SlfeEngine::build(&mutated, cluster, EngineConfig::default()).run(&program);
         for v in 0..mutated.num_vertices() {
-            assert_eq!(via_dirty.values[v].to_bits(), cold.values[v].to_bits());
-            assert_eq!(via_effect.values[v].to_bits(), cold.values[v].to_bits());
+            assert_eq!(wide.values[v].to_bits(), cold.values[v].to_bits());
+            assert_eq!(narrow.values[v].to_bits(), cold.values[v].to_bits());
         }
-        // The effect-seeded pass can only do less invalidation work.
-        assert!(via_effect.stats.totals.work() <= via_dirty.stats.totals.work());
+        // The narrow pass can only do less invalidation work.
+        assert!(narrow.stats.totals.work() <= wide.stats.totals.work());
     }
 }
 
@@ -317,13 +335,16 @@ fn warm_start_saves_work_on_serving_sized_batches() {
         );
     }
     let (mutated, effect) = graph.apply_batch(&batch);
-    let dirty = effect.dirty_bitset(mutated.num_vertices());
     let cluster = ClusterConfig::new(2, 1);
     let program = sssp::SsspProgram { root };
     let previous =
         SlfeEngine::build(&graph, cluster.clone(), EngineConfig::default()).run(&program);
-    let warm = SlfeEngine::build(&mutated, cluster.clone(), EngineConfig::default())
-        .run_from(&program, &previous, &dirty);
+    let warm = restart_fresh(
+        &SlfeEngine::build(&mutated, cluster.clone(), EngineConfig::default()),
+        &program,
+        &previous,
+        &effect,
+    );
     let cold = SlfeEngine::build(&mutated, cluster, EngineConfig::default()).run(&program);
     assert_eq!(
         warm.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -443,14 +464,13 @@ fn full_sweep_restart<P: GraphProgram>(
     (values, config.max_iterations)
 }
 
-/// Warm-restart `make_program` across `batch` and require `run_from` and
-/// `run_from_effect` to equal [`full_sweep_restart`] bit for bit (`bits`
-/// encodes one value), with the same iteration count, at 2×{1, 2, 4}
-/// workers, in memory and out of core. The previous result comes from a
-/// rulers-off run (an exact fixpoint) and from a ruler-gated one, after
-/// which the first pull must be full; `selective_first` requires the first
-/// pull from the rulers-off result to be selective, so that the run really
-/// starts selectively.
+/// Warm-restart `make_program` across `batch` and require the restart to
+/// equal [`full_sweep_restart`] bit for bit (`bits` encodes one value), with
+/// the same iteration count, at 2×{1, 2, 4} workers, in memory and out of
+/// core. The previous result comes from a rulers-off run (an exact
+/// fixpoint) and from a ruler-gated one, after which the first pull must be
+/// full; `selective_first` requires the first pull from the rulers-off
+/// result to be selective, so that the run really starts selectively.
 fn check_warm_equals_full_sweep<P, PF>(
     graph: &Graph,
     batch: &UpdateBatch,
@@ -464,7 +484,6 @@ fn check_warm_equals_full_sweep<P, PF>(
     PF: Fn(&Graph) -> P,
 {
     let (mutated, effect) = graph.apply_batch(batch);
-    let dirty = effect.dirty_bitset(mutated.num_vertices());
     let program = make_program(&mutated);
     let encode = |values: &[P::Value]| values.iter().map(|&v| bits(v)).collect::<Vec<u64>>();
     for rulers in [RedundancyMode::Disabled, RedundancyMode::Enabled] {
@@ -493,31 +512,23 @@ fn check_warm_equals_full_sweep<P, PF>(
                 };
                 let engine =
                     SlfeEngine::build(&mutated, ClusterConfig::new(2, workers), engine_config);
-                for (entry, warm) in [
-                    ("run_from", engine.run_from(&program, &previous, &dirty)),
-                    (
-                        "run_from_effect",
-                        engine.run_from_effect(&program, &previous, &effect),
-                    ),
-                ] {
-                    let case = format!(
-                        "{label}: {entry} from a {rulers:?}-rulers result, 2x{workers}, \
-                         out of core {oocore}"
-                    );
-                    assert!(warm.converged, "{case}: did not converge");
-                    assert_eq!(warm.stats.iterations, iterations, "{case}: iterations");
-                    assert!(
-                        encode(&warm.values) == encode(&expected),
-                        "{case}: values differ from the full sweep"
-                    );
-                    // A full pull folds every in-edge once: exactly |E|.
-                    let first = warm.stats.trace.records()[0].counters.edge_computations;
-                    assert_eq!(
-                        first != mutated.num_edges() as u64,
-                        exact && selective_first,
-                        "{case}: first pull did {first} edge computations"
-                    );
-                }
+                let warm = restart_fresh(&engine, &program, &previous, &effect);
+                let case = format!(
+                    "{label}: from a {rulers:?}-rulers result, 2x{workers}, out of core {oocore}"
+                );
+                assert!(warm.converged, "{case}: did not converge");
+                assert_eq!(warm.stats.iterations, iterations, "{case}: iterations");
+                assert!(
+                    encode(&warm.values) == encode(&expected),
+                    "{case}: values differ from the full sweep"
+                );
+                // A full pull folds every in-edge once: exactly |E|.
+                let first = warm.stats.trace.records()[0].counters.edge_computations;
+                assert_eq!(
+                    first != mutated.num_edges() as u64,
+                    exact && selective_first,
+                    "{case}: first pull did {first} edge computations"
+                );
             }
         }
     }
@@ -624,7 +635,8 @@ fn arithmetic_warm_restarts_pull_only_what_changed() {
             );
         }
         let (mutated, effect) = graph.apply_batch(&batch);
-        let warm = SlfeEngine::build(&mutated, cluster.clone(), exact_config()).run_from_effect(
+        let warm = restart_fresh(
+            &SlfeEngine::build(&mutated, cluster.clone(), exact_config()),
             &pagerank::PageRankProgram::for_graph(&mutated),
             &previous,
             &effect,
@@ -718,7 +730,7 @@ fn check_changed_lists<P, PF>(
                     if fallback {
                         engine.run(&program)
                     } else {
-                        engine.run_from_effect(&program, &previous, &effect)
+                        restart_fresh(&engine, &program, &previous, &effect)
                     }
                 };
                 if fallback {
@@ -785,12 +797,12 @@ fn warm_restarts_list_every_changed_vertex_identically_at_every_worker_count() {
     let engine = |g| SlfeEngine::build(g, ClusterConfig::new(2, 1), EngineConfig::default());
     let cc = cc::CcProgram::default();
     let previous = engine(&path).run(&cc);
-    let warm = engine(&cut_path).run_from_effect(&cc, &previous, &cut_effect);
+    let warm = restart_fresh(&engine(&cut_path), &cc, &previous, &cut_effect);
     assert_eq!(warm.values, vec![0.0, 1.0, 1.0]);
     assert_lists_every_move(&previous.values, &warm, f32_bits, "CC bridge cut");
     let wp = WidestPathProgram { root: 0 };
     let previous = engine(&widest).run(&wp);
-    let warm = engine(&cut_widest).run_from_effect(&wp, &previous, &widest_effect);
+    let warm = restart_fresh(&engine(&cut_widest), &wp, &previous, &widest_effect);
     assert_eq!(warm.values, vec![f32::INFINITY, 0.0, 0.0]);
     assert_lists_every_move(&previous.values, &warm, f32_bits, "WidestPath bridge cut");
 
@@ -907,9 +919,9 @@ fn work_counters(totals: Counters) -> Counters {
 /// the fixpoint no longer vouched for, which drops the kept state) and at
 /// the fifth a full-recompute fallback (a cold run) — in memory and out of
 /// core at 2×{1, 2, 4} workers. At every batch, a restart of the
-/// [`WarmResult`] ([`SlfeEngine::restart`]) must equal a fresh-state
-/// [`SlfeEngine::run_from_effect`] on the same engine from the same previous
-/// result: value bits, change list, iterations, convergence, exactness,
+/// [`WarmResult`] ([`SlfeEngine::restart`]) must equal a fresh-state restart
+/// ([`restart_fresh`]) on the same engine from the same previous result:
+/// value bits, change list, iterations, convergence, exactness,
 /// per-worker work and [`work_counters`]. Restarts return an empty
 /// `last_changed_iter`; cold runs fill it.
 fn check_kept_state<P, PF>(
@@ -980,7 +992,7 @@ fn check_kept_state<P, PF>(
                     current = mutated;
                     continue;
                 }
-                let fresh = engine.run_from_effect(&program, warm.result(), &effect);
+                let fresh = restart_fresh(&engine, &program, warm.result(), &effect);
                 engine.restart(&program, &mut warm, &effect);
                 let kept = warm.result();
                 let at = format!("{case}, step {step}");

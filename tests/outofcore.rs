@@ -8,7 +8,7 @@
 //! the CSC streaming path is everything they touch.
 
 use slfe::apps::{bfs, cc, pagerank, sssp, widestpath, AppKind};
-use slfe::core::{EngineConfig, GraphProgram, SlfeEngine};
+use slfe::core::{EngineConfig, GraphProgram, SlfeEngine, WarmResult};
 use slfe::graph::{generators, Graph};
 use slfe::prelude::ClusterConfig;
 
@@ -154,7 +154,7 @@ fn skipped_chunks_fault_no_segments() {
     );
 }
 
-/// Warm serving restarts on the segment store: `SlfeEngine::run_from` must
+/// Warm serving restarts on the segment store: `SlfeEngine::restart` must
 /// reproduce a cold out-of-core run bit-for-bit (the warm path exercises the
 /// push streaming through the sequential and chunked paths alike).
 #[test]
@@ -171,12 +171,13 @@ fn warm_restart_is_bit_identical_out_of_core() {
         batch.insert(src, dst, rng.range_f32(1.0, 8.0));
     }
     let (mutated, effect) = graph.apply_batch(&batch);
-    let dirty = effect.dirty_bitset(mutated.num_vertices());
     for workers in [1usize, 4] {
         let cluster = ClusterConfig::new(2, workers);
         let previous = SlfeEngine::build(&graph, cluster.clone(), oocore_config()).run(&program);
+        let mut warm = WarmResult::new(previous);
         let warm_engine = SlfeEngine::build(&mutated, cluster.clone(), oocore_config());
-        let warm = warm_engine.run_from(&program, &previous, &dirty);
+        warm_engine.restart(&program, &mut warm, &effect);
+        let warm = warm.result();
         let cold = SlfeEngine::build(&mutated, cluster, EngineConfig::default()).run(&program);
         assert_eq!(
             warm.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),

@@ -333,11 +333,10 @@ fn warm_batches_stay_bit_transparent_across_a_remap_boundary() {
     };
     let policy = ServerConfig {
         cluster: ClusterConfig::new(4, 1),
-        engine: EngineConfig::default()
-            .with_reorder(ReorderPolicy::DegreeDescending)
-            .with_migration_imbalance_threshold(1.5),
         ..ServerConfig::default()
-    };
+    }
+    .with_reorder(ReorderPolicy::DegreeDescending)
+    .with_migration_imbalance_threshold(1.5);
     let reference_config = ServerConfig {
         cluster: ClusterConfig::new(4, 1),
         ..ServerConfig::default()
@@ -403,10 +402,10 @@ fn out_of_core_remap_reencodes_segments_and_stays_transparent() {
     let oocore_policy = ServerConfig {
         engine: EngineConfig::default()
             .with_storage_budget(24 << 10)
-            .with_storage_segment_bytes(2 << 10)
-            .with_reorder(ReorderPolicy::DegreeDescending),
+            .with_storage_segment_bytes(2 << 10),
         ..ServerConfig::default()
-    };
+    }
+    .with_reorder(ReorderPolicy::DegreeDescending);
     let mut server = DeltaServer::try_new(graph.clone(), make, oocore_policy).unwrap();
     let mut reference = DeltaServer::try_new(graph, make, ServerConfig::default()).unwrap();
     let mut n = server.graph().num_vertices() as u32;
@@ -454,12 +453,9 @@ fn kill9_reopen_of_a_remapped_durable_server_is_bit_identical() {
     let make = move |g: &Graph| sssp::SsspProgram {
         root: g.to_physical(root),
     };
-    let policy = ServerConfig {
-        engine: EngineConfig::default()
-            .with_reorder(ReorderPolicy::DegreeDescending)
-            .with_migration_imbalance_threshold(1.5),
-        ..ServerConfig::default()
-    };
+    let policy = ServerConfig::default()
+        .with_reorder(ReorderPolicy::DegreeDescending)
+        .with_migration_imbalance_threshold(1.5);
     let durability = DurabilityConfig::new(&dir).with_snapshot_every(3);
     let mut durable =
         DeltaServer::create_durable(graph.clone(), make, policy.clone(), durability.clone())
@@ -515,9 +511,9 @@ fn migration_bounds_imbalance_that_growth_alone_cannot_fix() {
     let threshold = 1.10;
     let policy = ServerConfig {
         cluster: cluster.clone(),
-        engine: EngineConfig::default().with_migration_imbalance_threshold(threshold),
         ..ServerConfig::default()
-    };
+    }
+    .with_migration_imbalance_threshold(threshold);
     let reference_config = ServerConfig {
         cluster,
         ..ServerConfig::default()

@@ -8,7 +8,7 @@
 //! rr-gated early pulls, early-converged arithmetic chunks).
 
 use slfe::apps::{bfs, cc, heat, numpaths, pagerank, spmv, sssp, tunkrank, widestpath, AppKind};
-use slfe::core::{EngineConfig, GraphProgram, SlfeEngine};
+use slfe::core::{EngineConfig, GraphProgram, SlfeEngine, WarmResult};
 use slfe::graph::{generators, Graph};
 use slfe::metrics::{Counters, Mode};
 use slfe::prelude::ClusterConfig;
@@ -164,8 +164,9 @@ fn warm_push_only_restarts_never_allocate_dense_scratch() {
     let root = slfe::graph::stats::highest_out_degree_vertex(&graph).unwrap();
     let program = sssp::SsspProgram { root };
     let cluster = ClusterConfig::new(2, 4);
-    let previous =
-        SlfeEngine::build(&graph, cluster.clone(), EngineConfig::default()).run(&program);
+    let mut warm = WarmResult::new(
+        SlfeEngine::build(&graph, cluster.clone(), EngineConfig::default()).run(&program),
+    );
 
     // Perturb quiet corners of the graph (R-MAT concentrates degree on low
     // ids): the push scratch holds one entry per out-edge of an active
@@ -180,9 +181,9 @@ fn warm_push_only_restarts_never_allocate_dense_scratch() {
         .insert(quiet[0], quiet[1], 1.0)
         .insert(quiet[2], quiet[3], 2.5);
     let (mutated, effect) = graph.apply_batch(&batch);
-    let dirty = effect.dirty_bitset(mutated.num_vertices());
     let engine = SlfeEngine::build(&mutated, cluster.clone(), EngineConfig::default());
-    let warm = engine.run_from(&program, &previous, &dirty);
+    engine.restart(&program, &mut warm, &effect);
+    let warm = warm.result();
     assert!(warm.converged);
 
     // The dense trio would cost at least one 4-byte value per vertex per
@@ -384,7 +385,9 @@ fn warm_restart_tallies_are_worker_count_invariant() {
     let mut tallies = Vec::new();
     for workers in [1usize, 2, 4] {
         let engine = SlfeEngine::build(&mutated, ClusterConfig::new(2, workers), config.clone());
-        let warm = engine.run_from_effect(&program, &previous, &effect);
+        let mut warm = WarmResult::new(previous.clone());
+        engine.restart(&program, &mut warm, &effect);
+        let warm = warm.result();
         assert!(warm.converged);
         let counters = Counters {
             scratch_bytes_peak: 0,

@@ -10,6 +10,8 @@
 //! the engine's own pool — multiplies the process-wide delta by the phase
 //! count and fails the budget below.
 
+use slfe::apps::sssp::SsspProgram;
+use slfe::graph::BatchEffect;
 use slfe::prelude::*;
 
 #[test]
@@ -23,11 +25,11 @@ fn engine_lifecycle_spawns_at_most_total_workers_threads_process_wide() {
     // Build (pool + RR guidance), run a multi-iteration min/max program, an
     // arithmetic program, and a warm restart — dozens of phases in total.
     let engine = SlfeEngine::build(&graph, cluster, EngineConfig::default());
-    let sssp = engine.run(&slfe::apps::sssp::SsspProgram { root });
+    let sssp = engine.run(&SsspProgram { root });
     assert!(sssp.stats.iterations >= 5, "want a multi-iteration run");
     let _pr = slfe::apps::pagerank::run(&engine);
-    let dirty = slfe::graph::Bitset::new(graph.num_vertices());
-    let _warm = engine.run_from(&slfe::apps::sssp::SsspProgram { root }, &sssp, &dirty);
+    let mut warm = WarmResult::new(sssp);
+    engine.restart(&SsspProgram { root }, &mut warm, &BatchEffect::default());
     let delta = slfe::cluster::pool::process_threads_spawned() - before;
 
     // PR 1 spawned O(iterations × phases × workers) threads for the same
