@@ -26,6 +26,18 @@
 //! Workers never spin: parking is condvar-based, so the protocol also makes
 //! progress on a single hardware thread (the CI container), just serialised.
 //!
+//! # Inline phases
+//!
+//! A phase too small to pay for the round trip runs on the calling thread
+//! alone through [`WorkerPool::run_inline`]: no publish, no wake-up, no
+//! barrier. The engine decides by a work grain (`slfe_core`'s
+//! `INLINE_GRAIN`) and hands the decision to
+//! [`crate::ChunkScheduler::run_workers`]; every phase of a one-thread pool
+//! runs this way too. An inline phase
+//! counts in [`PoolActivity::phases`] like any other and also in
+//! [`PoolActivity::inline_phases`], so `phases - inline_phases` is the
+//! number of round trips the pool made.
+//!
 //! The pool counts its spawned threads ([`WorkerPool::threads_spawned`]); the
 //! engine folds that into `slfe_metrics::Counters::threads_spawned` so a
 //! regression test can pin that a multi-iteration run never exceeds
@@ -135,8 +147,12 @@ pub struct PoolActivity {
     pub per_worker_busy_nanos: Vec<u64>,
     /// Nanoseconds the publisher spent blocked waiting for phase barriers.
     pub barrier_wait_nanos: u64,
-    /// Number of completed phases.
+    /// Number of completed phases, inline ones included.
     pub phases: u64,
+    /// Phases that ran on the calling thread without waking the pool
+    /// ([`WorkerPool::run_inline`]); `phases - inline_phases` are the
+    /// publish → execute → barrier round trips.
+    pub inline_phases: u64,
     /// Pool age in nanoseconds at snapshot time.
     pub lifetime_nanos: u64,
 }
@@ -187,6 +203,8 @@ pub struct WorkerPool {
     barrier_ns: AtomicU64,
     /// Completed phases.
     phase_count: AtomicU64,
+    /// Completed phases that ran on the calling thread.
+    inline_count: AtomicU64,
     /// Pool construction time, the origin for [`PoolActivity::lifetime_nanos`].
     created: Instant,
 }
@@ -235,6 +253,7 @@ impl WorkerPool {
             publisher: Mutex::new(()),
             barrier_ns: AtomicU64::new(0),
             phase_count: AtomicU64::new(0),
+            inline_count: AtomicU64::new(0),
             created: Instant::now(),
         }
     }
@@ -250,6 +269,7 @@ impl WorkerPool {
                 .collect(),
             barrier_wait_nanos: self.barrier_ns.load(Ordering::Relaxed),
             phases: self.phase_count.load(Ordering::Relaxed),
+            inline_phases: self.inline_count.load(Ordering::Relaxed),
             lifetime_nanos: self.created.elapsed().as_nanos() as u64,
         }
     }
@@ -270,7 +290,7 @@ impl WorkerPool {
     /// Execute one phase: `task(worker_id)` runs once on every worker
     /// (`0..threads()`), concurrently, and `run` returns only after all of
     /// them finished (the phase barrier). With a single-worker pool the task
-    /// runs inline on the calling thread.
+    /// runs on the calling thread through [`WorkerPool::run_inline`].
     ///
     /// `task` may be called with any worker id in `0..threads()`; workers that
     /// find no work for their id must simply return. Concurrent `run` calls
@@ -286,11 +306,7 @@ impl WorkerPool {
     /// the caller's frame unwinds.
     pub fn run<'task>(&self, task: &'task (dyn Fn(usize) + Sync + 'task)) {
         if self.threads == 1 {
-            let began = Instant::now();
-            task(0);
-            self.shared.busy_ns[0].fetch_add(began.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            self.phase_count.fetch_add(1, Ordering::Relaxed);
-            return;
+            return self.run_inline(|| task(0));
         }
         // One publisher at a time; recover from poisoning (a previous caller
         // re-raising a task panic) — the barrier left the state consistent.
@@ -340,6 +356,21 @@ impl WorkerPool {
             worker_panics == 0,
             "pool task panicked on {worker_panics} worker(s)"
         );
+    }
+
+    /// Execute one phase on the calling thread alone, as worker 0, without
+    /// waking the pool: for a phase whose work is too small to pay for the
+    /// publish and the barrier, and for every phase of a one-thread pool.
+    /// It counts as a phase in [`PoolActivity::phases`] and in
+    /// [`PoolActivity::inline_phases`], and its time as worker 0's busy
+    /// time.
+    pub fn run_inline<R>(&self, task: impl FnOnce() -> R) -> R {
+        let began = Instant::now();
+        let out = task();
+        self.shared.busy_ns[0].fetch_add(began.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        self.phase_count.fetch_add(1, Ordering::Relaxed);
+        self.inline_count.fetch_add(1, Ordering::Relaxed);
+        out
     }
 
     fn worker_loop(shared: &PoolShared, worker: usize) {
@@ -535,6 +566,7 @@ mod tests {
         let activity = pool.activity();
         assert_eq!(activity.per_worker_busy_nanos.len(), 3);
         assert_eq!(activity.phases, 4);
+        assert_eq!(activity.inline_phases, 0);
         assert!(activity.per_worker_busy_nanos.iter().all(|&b| b > 0));
         assert!(activity.lifetime_nanos > 0);
         let busy = activity.busy_fractions();
@@ -555,6 +587,7 @@ mod tests {
         });
         let activity = pool.activity();
         assert_eq!(activity.phases, 1);
+        assert_eq!(activity.inline_phases, 1);
         assert_eq!(activity.per_worker_busy_nanos.len(), 1);
         assert!(activity.per_worker_busy_nanos[0] > 0);
         assert_eq!(activity.barrier_wait_nanos, 0);

@@ -23,7 +23,13 @@
 //!
 //! The threaded executor runs on a caller-owned persistent [`WorkerPool`]
 //! (parked threads, phase-barrier protocol) and spawns no threads of its own —
-//! see [`crate::pool`] for the protocol.
+//! see [`crate::pool`] for the protocol. The caller decides whether a phase is
+//! worth the pool: the engine runs a phase whose estimated work is at most its
+//! `INLINE_GRAIN` (Σ(1 + degree) over the vertices the phase reads, from
+//! barrier-merged state) on the calling thread, chunks in ascending order on
+//! worker 0's state, through [`WorkerPool::run_inline`], which counts it as an
+//! inline phase. Only which thread runs a chunk changes; the per-chunk costs
+//! the simulated schedule reads do not.
 
 use crate::pool::{SendPtr, WorkerPool};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -178,16 +184,19 @@ impl ChunkScheduler {
     ///
     /// `process(state, chunk_index)` returns the work units performed and may
     /// freely mutate its worker-local state (frontier buffers, counters, scratch);
-    /// the caller merges the states after this barrier. With a single worker (or a
-    /// single chunk) everything runs inline on the calling thread, and chunks are
-    /// processed in ascending order, so a single-worker run visits them in the
-    /// same order as a sequential loop would. The pool must have at least
-    /// `states.len()` threads; extra pool workers idle through the phase.
+    /// the caller merges the states after this barrier. With a single worker, or
+    /// when the caller asks for it with `inline` (a phase too small to pay for
+    /// waking the pool), everything runs on the calling thread as worker 0
+    /// through [`WorkerPool::run_inline`], chunks in ascending order, so it
+    /// visits them in the same order as a sequential loop would. The pool must
+    /// have at least `states.len()` threads; extra pool workers idle through the
+    /// phase.
     pub fn run_workers<S, F>(
         &self,
         pool: &WorkerPool,
         num_items: usize,
         policy: SchedulingPolicy,
+        inline: bool,
         states: &mut [S],
         process: F,
     ) -> ScheduleOutcome
@@ -205,18 +214,12 @@ impl ChunkScheduler {
         let num_chunks = self.num_chunks(num_items);
         let mut per_worker = vec![0u64; self.num_workers];
 
-        if self.num_workers == 1 || num_chunks <= 1 {
-            let mut local = 0u64;
-            if let Some(state) = states.first_mut() {
-                for chunk in 0..num_chunks {
-                    local += process(state, chunk);
-                }
-            }
-            per_worker[0] = local;
-            let total = local;
+        if inline || self.num_workers == 1 {
+            let state = &mut states[0];
+            per_worker[0] = pool.run_inline(|| (0..num_chunks).map(|c| process(state, c)).sum());
             return ScheduleOutcome {
+                total_work: per_worker[0],
                 per_worker_work: per_worker,
-                total_work: total,
             };
         }
 
@@ -330,6 +333,7 @@ mod tests {
             &pool,
             n,
             SchedulingPolicy::WorkStealing,
+            false,
             &mut [(); 4],
             |_, chunk| {
                 let len = s.chunk_range(chunk, n).len() as u64;
@@ -355,6 +359,7 @@ mod tests {
             &pool,
             0,
             SchedulingPolicy::WorkStealing,
+            false,
             &mut [(); 3],
             |_, _| 1,
         );
@@ -377,6 +382,7 @@ mod tests {
             &pool,
             n,
             SchedulingPolicy::WorkStealing,
+            false,
             &mut states,
             |seen, chunk| {
                 seen.push(chunk);
@@ -400,6 +406,7 @@ mod tests {
             &pool,
             32,
             SchedulingPolicy::WorkStealing,
+            false,
             &mut states,
             |seen, chunk| {
                 seen.push((chunk, std::thread::current().id()));
@@ -431,6 +438,7 @@ mod tests {
                 &pool,
                 items,
                 SchedulingPolicy::StaticBlocks,
+                false,
                 &mut states,
                 |worker, chunk| {
                     assignment.lock().unwrap()[chunk] = *worker;
@@ -440,14 +448,52 @@ mod tests {
             let got = assignment.into_inner().unwrap();
             for (chunk, &worker) in got.iter().enumerate() {
                 let simulated = (chunk * workers) / num_chunks;
-                // With >1 chunk the real executor honours the simulated mapping;
-                // the single-chunk fast path runs inline on worker 0.
-                if num_chunks > 1 {
-                    assert_eq!(worker, simulated, "chunk {chunk} of {num_chunks}");
-                } else {
-                    assert_eq!(worker, 0);
-                }
+                assert_eq!(worker, simulated, "chunk {chunk} of {num_chunks}");
             }
         }
+    }
+
+    #[test]
+    fn inline_phase_runs_every_chunk_on_the_caller_in_order_and_counts_it() {
+        let s = ChunkScheduler::new(4, 4);
+        let pool = WorkerPool::new(4);
+        let caller = std::thread::current().id();
+        let mut states = vec![Vec::<(usize, std::thread::ThreadId)>::new(); 4];
+        let outcome = s.run_workers(
+            &pool,
+            32,
+            SchedulingPolicy::WorkStealing,
+            true,
+            &mut states,
+            |seen, chunk| {
+                seen.push((chunk, std::thread::current().id()));
+                1
+            },
+        );
+        let order: Vec<usize> = states[0].iter().map(|(c, _)| *c).collect();
+        assert_eq!(
+            order,
+            (0..8).collect::<Vec<_>>(),
+            "chunks in ascending order"
+        );
+        assert!(
+            states[0].iter().all(|(_, id)| *id == caller),
+            "all on the caller"
+        );
+        assert!(states[1..].iter().all(Vec::is_empty), "no other worker ran");
+        assert_eq!(outcome.per_worker_work, vec![8, 0, 0, 0]);
+        let activity = pool.activity();
+        assert_eq!((activity.phases, activity.inline_phases), (1, 1));
+        // A phase on the pool counts as a phase but not as an inline one.
+        s.run_workers(
+            &pool,
+            32,
+            SchedulingPolicy::WorkStealing,
+            false,
+            &mut states,
+            |_, _| 1,
+        );
+        let activity = pool.activity();
+        assert_eq!((activity.phases, activity.inline_phases), (2, 1));
     }
 }

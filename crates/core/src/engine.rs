@@ -178,6 +178,13 @@ const UPDATE_MESSAGE_BYTES: u64 = 8;
 /// than push (Gemini's direction-switching heuristic; the paper inherits it).
 const PULL_THRESHOLD: f64 = 0.05;
 
+/// Estimated work, in Σ(1 + degree) units over the vertices a phase reads,
+/// at or below which the phase runs on the calling thread instead of
+/// waking the pool ([`SlfeEngine::runs_inline`]): below it, the publish,
+/// wake-up and barrier of a pool round trip cost more than the work they
+/// would spread (Cilk-5's work-first principle).
+const INLINE_GRAIN: usize = 4096;
+
 /// Contributing-node mask words per push destination: none on a single-node
 /// cluster, where no message needs attribution.
 fn mask_words(num_nodes: usize) -> usize {
@@ -1721,6 +1728,7 @@ impl<'g> SlfeEngine<'g> {
                     visit.push(ci as u32);
                 }
             }
+            let inline = self.runs_inline(mode, visit, active, marks.map(|_| &*marked));
             // Sparse-vs-dense push scratch: below the density threshold the
             // workers fold into compact maps; the representation is chosen once
             // per phase from merged state, so it too is worker-count-invariant.
@@ -1760,6 +1768,7 @@ impl<'g> SlfeEngine<'g> {
                         &mut stable_value,
                         worker_states,
                         &global_scheduler,
+                        inline,
                         chunk_costs,
                         visit,
                         marks,
@@ -1783,6 +1792,7 @@ impl<'g> SlfeEngine<'g> {
                     &mut iter_counters,
                     worker_states,
                     &global_scheduler,
+                    inline,
                     chunk_costs,
                     visit,
                     sparse_push,
@@ -2088,6 +2098,36 @@ impl<'g> SlfeEngine<'g> {
         true
     }
 
+    /// Whether a phase runs on the calling thread: when it visits no chunk,
+    /// or its work estimate is at most [`INLINE_GRAIN`]. A push's estimate
+    /// is Σ(1 + out-degree) over its frontier, a selective pull's
+    /// Σ(1 + in-degree) over its marks; a full pull always goes to the
+    /// pool. Every input is barrier-merged state read from [`Degrees`], and
+    /// the answer changes only which thread runs a chunk, so values and
+    /// counters stay identical at every worker count.
+    fn runs_inline(
+        &self,
+        mode: Mode,
+        visit: &[u32],
+        frontier: &VertexSet,
+        marks: Option<&VertexSet>,
+    ) -> bool {
+        let (set, degree): (_, fn(&Degrees, VertexId) -> usize) = match (mode, marks) {
+            _ if visit.is_empty() => return true,
+            (Mode::Push, _) => (frontier, Degrees::out_degree),
+            (Mode::Pull, Some(marked)) => (marked, Degrees::in_degree),
+            (Mode::Pull, None) => return false,
+        };
+        // Each vertex costs at least 1, so a larger set is over the grain
+        // before any degree is read.
+        if set.len() > INLINE_GRAIN {
+            return false;
+        }
+        let mut work = 0;
+        set.for_each(|v| work += 1 + degree(&self.degrees, v as VertexId));
+        work <= INLINE_GRAIN
+    }
+
     /// Direction selection: arithmetic programs always pull; min/max programs pull
     /// when the active edge fraction exceeds [`PULL_THRESHOLD`] (dense frontier)
     /// and push otherwise (Gemini's heuristic, inherited by the paper).
@@ -2136,6 +2176,7 @@ impl<'g> SlfeEngine<'g> {
         stable_value: &mut [P::Value],
         worker_states: &mut [WorkerScratch<P::Value>],
         scheduler: &ChunkScheduler,
+        inline: bool,
         chunk_costs: &mut [u64],
         visit: &[u32],
         marks: Option<&Bitset>,
@@ -2155,6 +2196,7 @@ impl<'g> SlfeEngine<'g> {
             &self.pool,
             visit.len(),
             self.config.scheduling,
+            inline,
             worker_states,
             |ws, i| {
                 let ci = visit[i] as usize;
@@ -2392,6 +2434,7 @@ impl<'g> SlfeEngine<'g> {
         counters: &mut Counters,
         worker_states: &mut [WorkerScratch<P::Value>],
         scheduler: &ChunkScheduler,
+        inline: bool,
         chunk_costs: &mut [u64],
         visit: &[u32],
         sparse: bool,
@@ -2413,6 +2456,7 @@ impl<'g> SlfeEngine<'g> {
             &self.pool,
             visit.len(),
             self.config.scheduling,
+            inline,
             worker_states,
             |ws, i| {
                 let ci = visit[i] as usize;

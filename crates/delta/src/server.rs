@@ -1074,8 +1074,13 @@ where
         );
         reg.counter(
             "slfe_pool_phases_total",
-            "Parallel phases the pool has executed",
+            "Phases the pool has executed, inline ones included",
             activity.phases as f64,
+        );
+        reg.counter(
+            "slfe_pool_inline_phases_total",
+            "Phases run on the calling thread without waking the pool",
+            activity.inline_phases as f64,
         );
 
         if let Some(storage) = &self.storage {
@@ -3019,6 +3024,36 @@ mod tests {
         assert!(reg.get("slfe_pool_phases_total").unwrap().value > 0.0);
         assert!(reg.get("slfe_wal_fsyncs_total").is_none(), "not durable");
         assert!(reg.get("slfe_storage_live_bytes").is_none(), "in-memory");
+    }
+
+    #[test]
+    fn pool_metrics_count_inline_phases() {
+        let graph = generators::rmat(8000, 64_000, 0.57, 0.19, 0.19, 43);
+        let mut server = sssp_server(graph.clone(), 0, ServerConfig::default());
+        let cold = server.pool().activity();
+        assert!(
+            cold.phases > cold.inline_phases,
+            "the cold run woke the pool"
+        );
+        // A one-edge insert from a reached low-degree vertex: its restart's
+        // pushes read a few lists, far below the inline grain.
+        let src = (1..8000)
+            .find(|&v| server.values()[v as usize].is_finite() && graph.out_degree(v) < 8)
+            .unwrap();
+        let mut batch = UpdateBatch::new();
+        batch.insert(src, 7999, 0.5);
+        server.try_apply(&batch).unwrap();
+        let warm = server.pool().activity();
+        assert!(warm.inline_phases > cold.inline_phases, "no inline phase");
+        let reg = server.metrics_registry();
+        assert_eq!(
+            reg.get("slfe_pool_phases_total").unwrap().value,
+            warm.phases as f64
+        );
+        assert_eq!(
+            reg.get("slfe_pool_inline_phases_total").unwrap().value,
+            warm.inline_phases as f64
+        );
     }
 
     #[test]

@@ -10,8 +10,10 @@
 //! a directory indexed by `v >> 10` holds the blocks, so finding a list stays a
 //! shift plus one load. Versions share blocks: [`Adjacency::patched`] rebuilds
 //! only the blocks that hold an edited or appended vertex and clones the `Arc`s
-//! of the rest, and `clone` copies only the directory. A new version therefore
-//! costs O(touched blocks + |V| / [`BLOCK_VERTICES`]) instead of O(V + E).
+//! of the rest, and `clone` copies only the directory. A touched block costs a
+//! few `memcpy`s: each run of kept lists between two edits is copied whole
+//! and its offsets shifted by one constant. A new version therefore costs
+//! O(touched blocks + |V| / [`BLOCK_VERTICES`]) instead of O(V + E).
 //! The out-of-core store ([`crate::storage`]) decodes each of its segments
 //! into a [`Block`] too, so a traversal reads one type from either backing.
 
@@ -100,6 +102,60 @@ impl Block {
             offsets.push(local_offset(targets.len()));
         }
         Self::new(first, offsets, targets, weights)
+    }
+
+    /// The block covering `span` of a patched adjacency: each vertex in
+    /// `edits` (sorted, all in `span`) holds its replacement list, every
+    /// other vertex `old`'s list (`old` holds a prefix of `span`, or nothing
+    /// past the old end), and vertices past `old` are empty. Each run of
+    /// kept lists between two edits is one `extend_from_slice` per array,
+    /// its offsets shifted by one constant.
+    fn spliced(
+        old: Option<&Block>,
+        span: Range<usize>,
+        edits: &[(VertexId, Vec<(VertexId, EdgeWeight)>)],
+    ) -> Self {
+        let kept_end = old.map_or(span.start, |old| span.end.min(old.span().end as usize));
+        let mut edges = old.map_or(0, |old| old.offsets[kept_end - span.start] as usize);
+        for (v, list) in edits {
+            if (*v as usize) < kept_end {
+                edges -= old.map_or(0, |old| old.degree(*v));
+            }
+            edges += list.len();
+        }
+        // Every offset is at most the block's entry count: checking it once
+        // keeps each shifted offset below in range.
+        let end = local_offset(edges);
+        let mut offsets = Vec::with_capacity(span.len() + 1);
+        offsets.push(0);
+        let (mut targets, mut weights) = (Vec::with_capacity(edges), Vec::with_capacity(edges));
+        let mut next = span.start;
+        // Each edit closes the kept run before it; the end of the span
+        // closes the last one.
+        for i in 0..=edits.len() {
+            let stop = edits.get(i).map_or(span.end, |(v, _)| *v as usize);
+            // The kept run `next..stop`: `old`'s lists below `kept_end`,
+            // empty ones past it.
+            if let Some(old) = old.filter(|_| next < kept_end) {
+                let first = old.first as usize;
+                let run = &old.offsets[next - first..=stop.min(kept_end) - first];
+                let entries = run[0] as usize..run[run.len() - 1] as usize;
+                let base = local_offset(targets.len());
+                targets.extend_from_slice(&old.targets[entries.clone()]);
+                weights.extend_from_slice(&old.weights[entries]);
+                offsets.extend(run[1..].iter().map(|&o| o - run[0] + base));
+            }
+            let empty = stop.saturating_sub(kept_end.max(next));
+            offsets.resize(offsets.len() + empty, local_offset(targets.len()));
+            if let Some((_, list)) = edits.get(i) {
+                targets.extend(list.iter().map(|e| e.0));
+                weights.extend(list.iter().map(|e| e.1));
+                offsets.push(local_offset(targets.len()));
+            }
+            next = stop + 1;
+        }
+        debug_assert_eq!(offsets.last(), Some(&end));
+        Self::new(span.start as VertexId, offsets, targets, weights)
     }
 
     fn num_vertices(&self) -> usize {
@@ -379,7 +435,10 @@ impl Adjacency {
     /// Build a new adjacency by replacing the lists of a few vertices — the
     /// versioned patch behind [`crate::Graph::apply_batch`]. Only the blocks
     /// holding an edited vertex, or whose vertex range the new count changes,
-    /// are rebuilt; every other block is shared with `self`.
+    /// are rebuilt; every other block is shared with `self`. A rebuilt block
+    /// splices: each run of kept lists is one `memcpy` per array with its
+    /// offsets shifted by a constant, so it costs a few `memcpy`s of its
+    /// kept runs plus the replacement lists, not one step per vertex.
     ///
     /// `edits` maps a vertex to its complete replacement list and must be sorted by
     /// vertex id, with each replacement list in the graph's canonical neighbor
@@ -407,28 +466,7 @@ impl Adjacency {
                     Some(old) if mine.is_empty() && old.num_vertices() == span.len() => {
                         Arc::clone(old)
                     }
-                    // One side of each chain is empty: the replacement
-                    // list of an edited vertex, or the kept list of another.
-                    _ => Arc::new(Block::build(span, |v| {
-                        let edited = mine.binary_search_by_key(&(v as VertexId), |(ev, _)| *ev);
-                        let (replacement, (targets, weights)) = match edited {
-                            Ok(i) => (&mine[i].1[..], (&[][..], &[][..])),
-                            Err(_) if v < self.num_vertices => {
-                                (&[][..], self.block(v as VertexId).list(v as VertexId))
-                            }
-                            Err(_) => (&[][..], (&[][..], &[][..])),
-                        };
-                        (
-                            replacement
-                                .iter()
-                                .map(|e| e.0)
-                                .chain(targets.iter().copied()),
-                            replacement
-                                .iter()
-                                .map(|e| e.1)
-                                .chain(weights.iter().copied()),
-                        )
-                    })),
+                    old => Arc::new(Block::spliced(old.map(|old| &**old), span, mine)),
                 }
             })
             .collect();
@@ -619,6 +657,115 @@ mod tests {
             // A patch without edits shares every block, as does a clone.
             assert!(shared_blocks(&adj, &adj.patched(n, &[])).iter().all(|&s| s));
             assert!(shared_blocks(&adj, &adj.clone()).iter().all(|&s| s));
+        }
+    }
+
+    /// Patch `adj` with `edits` and check the splice against a from-scratch
+    /// build of the same edited-or-kept lists, block by block, and that every
+    /// block without an edit and with its old span is the old one.
+    fn check_splice(
+        adj: &Adjacency,
+        new_n: usize,
+        edits: &[(VertexId, Vec<(VertexId, EdgeWeight)>)],
+        case: &str,
+    ) {
+        let patched = adj.patched(new_n, edits);
+        let expected = Adjacency::from_lists(new_n, |v| {
+            let (targets, weights): (Vec<VertexId>, Vec<EdgeWeight>) =
+                match edits.binary_search_by_key(&(v as VertexId), |(ev, _)| *ev) {
+                    Ok(i) => edits[i].1.iter().copied().unzip(),
+                    Err(_) if v < adj.num_vertices() => {
+                        adj.neighbors_with_weights(v as VertexId).unzip()
+                    }
+                    Err(_) => (Vec::new(), Vec::new()),
+                };
+            (targets.into_iter(), weights.into_iter())
+        });
+        assert_eq!(patched.num_vertices(), new_n, "{case}");
+        assert_eq!(patched.num_edges(), expected.num_edges(), "{case}");
+        assert_eq!(patched.blocks.len(), expected.blocks.len(), "{case}");
+        for (b, (got, want)) in patched.blocks.iter().zip(&expected.blocks).enumerate() {
+            assert_eq!(**got, **want, "{case}: block {b}");
+            let span = block_range(b, new_n);
+            let untouched = !edits.iter().any(|(v, _)| span.contains(&(*v as usize)))
+                && adj
+                    .blocks
+                    .get(b)
+                    .is_some_and(|old| old.num_vertices() == span.len());
+            let shared = adj.blocks.get(b).is_some_and(|old| Arc::ptr_eq(old, got));
+            assert_eq!(shared, untouched, "{case}: block {b} shared");
+        }
+    }
+
+    /// A sorted replacement list of up to `max` entries over `n` vertices,
+    /// sometimes with a duplicate pair of distinct weights.
+    fn random_list(rng: &mut SplitMix64, n: usize, max: u32) -> Vec<(VertexId, EdgeWeight)> {
+        let mut list: Vec<(VertexId, EdgeWeight)> = (0..rng.range_u32(0, max + 1))
+            .map(|_| (rng.range_u32(0, n as u32), rng.range_f32(1.0, 9.0)))
+            .collect();
+        if let Some(&(u, w)) = list.first().filter(|_| rng.next_f64() < 0.3) {
+            list.push((u, w + 1.0));
+        }
+        list.sort_by_key(|&(u, _)| u);
+        list
+    }
+
+    #[test]
+    fn patched_splices_equal_from_scratch_lists_on_random_edit_sets() {
+        let w = BLOCK_VERTICES;
+        // Three full blocks and a partial last one.
+        let n = 3 * w + w / 2;
+        let adj = spread(n, 41);
+        let mut rng = SplitMix64::seed_from_u64(4242);
+        let edit = |vertices: &[usize], rng: &mut SplitMix64| {
+            vertices
+                .iter()
+                .map(|&v| (v as VertexId, random_list(rng, n, 6)))
+                .collect::<Vec<_>>()
+        };
+        let cases: Vec<(&str, usize, Vec<usize>)> = vec![
+            ("first slot of a block", n, vec![w]),
+            ("last slot of a block", n, vec![2 * w - 1]),
+            ("first and last slots", n, vec![0, w - 1, 3 * w]),
+            ("every vertex of a block", n, (w..2 * w).collect()),
+            ("every vertex of the last block", n, (3 * w..n).collect()),
+            ("growth inside the last block", n + 10, vec![n + 3]),
+            (
+                "growth to the end of the last block",
+                4 * w,
+                vec![4 * w - 1],
+            ),
+            ("growth past the last block", n + w + 7, vec![n + w + 2]),
+            ("growth without an edit", n + 2 * w, vec![]),
+            ("no edit", n, vec![]),
+        ];
+        for (case, new_n, vertices) in cases {
+            check_splice(&adj, new_n, &edit(&vertices, &mut rng), case);
+        }
+        // An empty replacement list next to a non-empty one.
+        let emptied = vec![
+            (5, Vec::new()),
+            (6, vec![(1, 1.0), (1, 2.0)]),
+            (w as VertexId, Vec::new()),
+        ];
+        check_splice(&adj, n, &emptied, "empty replacements");
+        for seed in 0..40u64 {
+            let new_n = if seed % 2 == 0 {
+                n
+            } else {
+                n + rng.range_u32(1, 2 * w as u32) as usize
+            };
+            let mut vertices: Vec<usize> = (0..rng.range_u32(1, 24))
+                .map(|_| rng.range_u32(0, new_n as u32) as usize)
+                .collect();
+            vertices.sort_unstable();
+            vertices.dedup();
+            check_splice(
+                &adj,
+                new_n,
+                &edit(&vertices, &mut rng),
+                &format!("seed {seed}"),
+            );
         }
     }
 

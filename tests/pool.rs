@@ -95,11 +95,20 @@ fn pool_executor_matches_sequential_results_at_four_workers() {
     let root = slfe::graph::stats::highest_out_degree_vertex(&graph).unwrap();
     let sequential = SlfeEngine::build(&graph, ClusterConfig::new(2, 1), EngineConfig::default())
         .run(&slfe::apps::sssp::SsspProgram { root });
-    let pooled = SlfeEngine::build(&graph, ClusterConfig::new(2, 4), EngineConfig::default())
-        .run(&slfe::apps::sssp::SsspProgram { root });
+    let pooled_engine =
+        SlfeEngine::build(&graph, ClusterConfig::new(2, 4), EngineConfig::default());
+    let pooled = pooled_engine.run(&slfe::apps::sssp::SsspProgram { root });
     assert_eq!(
         sequential.values, pooled.values,
         "4-worker pool execution must stay bit-identical to the 1-worker run"
+    );
+    // Phases below the inline grain run on the caller; the rest must still
+    // exercise the barrier protocol this smoke exists for.
+    let activity = pooled_engine.pool().activity();
+    assert!(
+        activity.phases > activity.inline_phases,
+        "the 4-worker run made no pool round trip ({} phases, all inline)",
+        activity.phases
     );
     assert_eq!(sequential.stats.iterations, pooled.stats.iterations);
     // The deterministic simulated schedule admits real cross-node parallelism.

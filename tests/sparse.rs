@@ -328,6 +328,11 @@ fn chunk_skip_tallies_are_worker_count_invariant() {
                 EngineConfig::default(),
             );
             let result = engine.run(program);
+            let activity = engine.pool().activity();
+            assert!(
+                workers == 1 || activity.phases > activity.inline_phases,
+                "{app}: the run at {workers} workers made no pool round trip"
+            );
             let counters = Counters {
                 scratch_bytes_peak: 0,
                 ..result.stats.totals
@@ -412,5 +417,73 @@ fn warm_restart_tallies_are_worker_count_invariant() {
             *messages, tallies[0].2,
             "message tallies at {workers} workers differ from 1 worker"
         );
+    }
+}
+
+/// The one-edge sibling of `warm_restart_tallies_are_worker_count_invariant`:
+/// a one-edge SSSP restart's push phases read a few lists, below the inline
+/// grain, so they run on the calling thread. That choice changes only which
+/// thread runs a chunk: full counters (chunk skips included) and
+/// per-node-pair message tallies are identical at 2×{1, 2, 4} workers.
+#[test]
+fn one_edge_restart_tallies_are_worker_count_invariant() {
+    let graph = generators::rmat(4000, 32_000, 0.57, 0.19, 0.19, 4600);
+    let config = EngineConfig::default();
+    let root = 0;
+    let previous = SlfeEngine::build(&graph, ClusterConfig::new(2, 1), config.clone())
+        .run(&sssp::SsspProgram { root });
+    let reached = |v: u32| previous.values[v as usize].is_finite();
+    let src = (1..4000)
+        .find(|&v| reached(v) && graph.out_degree(v) > 0)
+        .unwrap();
+    let mut batches = Vec::new();
+    for (name, op) in [("insert", 0), ("delete", 1)] {
+        let mut batch = slfe::graph::UpdateBatch::new();
+        match op {
+            0 => batch.insert(src, 3999, 0.25),
+            _ => batch.delete(src, graph.out_neighbors(src)[0]),
+        };
+        batches.push((name, batch));
+    }
+    for (name, batch) in &batches {
+        let (mutated, effect) = graph.apply_batch(batch);
+        let mut tallies = Vec::new();
+        for workers in [1usize, 2, 4] {
+            let engine =
+                SlfeEngine::build(&mutated, ClusterConfig::new(2, workers), config.clone());
+            let mut warm = WarmResult::new(previous.clone());
+            engine.restart(&sssp::SsspProgram { root }, &mut warm, &effect);
+            let warm = warm.result();
+            assert!(warm.converged, "{name}");
+            let activity = engine.pool().activity();
+            assert!(
+                activity.inline_phases > 0,
+                "{name}: no phase ran inline at {workers} workers"
+            );
+            let counters = Counters {
+                scratch_bytes_peak: 0,
+                ..warm.stats.totals
+            };
+            let tracker = engine.cluster().comm_tracker();
+            let messages: Vec<u64> = (0..4)
+                .map(|pair| tracker.messages_between(pair / 2, pair % 2))
+                .collect();
+            tallies.push((workers, counters, messages, warm.values.clone()));
+        }
+        assert!(
+            tallies[0].1.chunks_skipped > 0,
+            "{name}: the restart skipped no chunk, so the check is vacuous"
+        );
+        for (workers, counters, messages, values) in &tallies[1..] {
+            assert_eq!(*values, tallies[0].3, "{name}: values at {workers} workers");
+            assert_eq!(
+                *counters, tallies[0].1,
+                "{name}: counters at {workers} workers differ from 1 worker"
+            );
+            assert_eq!(
+                *messages, tallies[0].2,
+                "{name}: message tallies at {workers} workers differ from 1 worker"
+            );
+        }
     }
 }
