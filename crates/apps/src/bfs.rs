@@ -67,7 +67,7 @@ impl GraphProgram for BfsProgram {
 }
 
 /// Run BFS from `root`; values are hop counts (`INFINITY` = unreachable).
-pub fn run(engine: &SlfeEngine<'_>, root: VertexId) -> ProgramResult<f32> {
+pub fn run(engine: &SlfeEngine, root: VertexId) -> ProgramResult<f32> {
     engine.run(&BfsProgram { root })
 }
 

@@ -96,7 +96,7 @@ pub fn symmetrize(graph: &Graph) -> Graph {
 
 /// Run CC on an engine whose graph is already symmetric; values are component
 /// labels (the smallest external vertex id of each component).
-pub fn run(engine: &SlfeEngine<'_>) -> ProgramResult<f32> {
+pub fn run(engine: &SlfeEngine) -> ProgramResult<f32> {
     engine.run(&CcProgram::for_graph(engine.graph()))
 }
 

@@ -136,7 +136,7 @@ impl GraphProgram for HeatProgram {
 }
 
 /// Run the heat simulation with a point source at `source`.
-pub fn run(engine: &SlfeEngine<'_>, source: VertexId) -> ProgramResult<f32> {
+pub fn run(engine: &SlfeEngine, source: VertexId) -> ProgramResult<f32> {
     let program = HeatProgram::point_source(engine.graph(), source);
     engine.run(&program)
 }

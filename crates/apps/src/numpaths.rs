@@ -83,7 +83,7 @@ impl GraphProgram for NumPathsProgram {
 }
 
 /// Run NumPaths from `root` on a DAG.
-pub fn run(engine: &SlfeEngine<'_>, root: VertexId) -> ProgramResult<f32> {
+pub fn run(engine: &SlfeEngine, root: VertexId) -> ProgramResult<f32> {
     engine.run(&NumPathsProgram { root })
 }
 

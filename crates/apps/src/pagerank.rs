@@ -107,7 +107,7 @@ impl GraphProgram for PageRankProgram {
 
 /// Run PageRank on an engine; the result's `values` are the stored *shares*
 /// (use [`ranks`] to convert).
-pub fn run(engine: &SlfeEngine<'_>) -> ProgramResult<f32> {
+pub fn run(engine: &SlfeEngine) -> ProgramResult<f32> {
     let program = PageRankProgram::new(engine.graph().num_vertices());
     engine.run(&program)
 }

@@ -77,7 +77,7 @@ impl GraphProgram for SpmvProgram {
 }
 
 /// Run SpMV with input vector `x`; use [`product`] to extract `y`.
-pub fn run(engine: &SlfeEngine<'_>, input: Vec<f32>) -> ProgramResult<SpmvValue> {
+pub fn run(engine: &SlfeEngine, input: Vec<f32>) -> ProgramResult<SpmvValue> {
     assert_eq!(
         input.len(),
         engine.graph().num_vertices(),

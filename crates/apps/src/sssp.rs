@@ -68,7 +68,7 @@ impl GraphProgram for SsspProgram {
 
 /// Run SSSP from `root` on an already-built engine. The returned
 /// [`ProgramResult::values`] are the shortest distances (`INFINITY` = unreachable).
-pub fn run(engine: &SlfeEngine<'_>, root: VertexId) -> ProgramResult<f32> {
+pub fn run(engine: &SlfeEngine, root: VertexId) -> ProgramResult<f32> {
     engine.run(&SsspProgram { root })
 }
 
@@ -132,7 +132,7 @@ mod tests {
     use slfe_core::EngineConfig;
     use slfe_graph::{datasets::Dataset, generators};
 
-    fn engine_pair(graph: &Graph) -> (SlfeEngine<'_>, SlfeEngine<'_>) {
+    fn engine_pair(graph: &Graph) -> (SlfeEngine, SlfeEngine) {
         (
             SlfeEngine::build(graph, ClusterConfig::new(4, 2), EngineConfig::default()),
             SlfeEngine::build(graph, ClusterConfig::new(4, 2), EngineConfig::without_rr()),

@@ -98,7 +98,7 @@ impl GraphProgram for TunkRankProgram {
 
 /// Run TunkRank with the default retweet probability; the result's `values` are
 /// shares (use [`influence`] to convert back to TunkRank scores).
-pub fn run(engine: &SlfeEngine<'_>) -> ProgramResult<f32> {
+pub fn run(engine: &SlfeEngine) -> ProgramResult<f32> {
     engine.run(&TunkRankProgram::default())
 }
 

@@ -60,7 +60,7 @@ impl GraphProgram for WidestPathProgram {
 
 /// Run Widest Path from `root`; values are bottleneck capacities (0 = unreachable,
 /// `INFINITY` for the root itself).
-pub fn run(engine: &SlfeEngine<'_>, root: VertexId) -> ProgramResult<f32> {
+pub fn run(engine: &SlfeEngine, root: VertexId) -> ProgramResult<f32> {
     engine.run(&WidestPathProgram { root })
 }
 

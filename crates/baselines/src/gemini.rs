@@ -12,25 +12,25 @@ use slfe_graph::Graph;
 
 /// The Gemini-like engine.
 #[derive(Debug)]
-pub struct GeminiEngine<'g> {
-    inner: SlfeEngine<'g>,
+pub struct GeminiEngine {
+    inner: SlfeEngine,
 }
 
-impl<'g> GeminiEngine<'g> {
+impl GeminiEngine {
     /// Build a Gemini-like engine over `graph`.
-    pub fn build(graph: &'g Graph, cluster: ClusterConfig) -> Self {
+    pub fn build(graph: &Graph, cluster: ClusterConfig) -> Self {
         Self {
             inner: SlfeEngine::build(graph, cluster, EngineConfig::without_rr()),
         }
     }
 
     /// Access the wrapped engine (e.g. for its cluster statistics).
-    pub fn engine(&self) -> &SlfeEngine<'g> {
+    pub fn engine(&self) -> &SlfeEngine {
         &self.inner
     }
 }
 
-impl BaselineEngine for GeminiEngine<'_> {
+impl BaselineEngine for GeminiEngine {
     fn kind(&self) -> BaselineKind {
         BaselineKind::Gemini
     }

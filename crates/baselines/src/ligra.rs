@@ -13,13 +13,13 @@ use slfe_graph::Graph;
 
 /// The Ligra-like engine.
 #[derive(Debug)]
-pub struct LigraEngine<'g> {
-    inner: SlfeEngine<'g>,
+pub struct LigraEngine {
+    inner: SlfeEngine,
 }
 
-impl<'g> LigraEngine<'g> {
+impl LigraEngine {
     /// Build a Ligra-like engine with `workers` shared-memory threads.
-    pub fn build(graph: &'g Graph, workers: usize) -> Self {
+    pub fn build(graph: &Graph, workers: usize) -> Self {
         let cluster = ClusterConfig::new(1, workers.max(1));
         Self {
             inner: SlfeEngine::build(graph, cluster, EngineConfig::without_rr()),
@@ -27,12 +27,12 @@ impl<'g> LigraEngine<'g> {
     }
 
     /// Access the wrapped engine.
-    pub fn engine(&self) -> &SlfeEngine<'g> {
+    pub fn engine(&self) -> &SlfeEngine {
         &self.inner
     }
 }
 
-impl BaselineEngine for LigraEngine<'_> {
+impl BaselineEngine for LigraEngine {
     fn kind(&self) -> BaselineKind {
         BaselineKind::Ligra
     }

@@ -10,16 +10,15 @@ use crate::stealing::ChunkScheduler;
 use slfe_graph::{Graph, VertexId};
 use slfe_partition::{ChunkingPartitioner, Partitioner, Partitioning};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// A graph partitioned across the simulated cluster's nodes.
 #[derive(Debug)]
 pub struct Cluster {
     config: ClusterConfig,
-    /// Shared, not owned: a serving loop keeps one partitioning stable across
-    /// graph versions and hands the same `Arc` to every version's cluster,
-    /// so building a cluster never copies the O(V) assignment.
-    partitioning: Arc<Partitioning>,
+    /// Owned: a serving loop keeps one cluster, and with it one partitioning,
+    /// stable across graph versions, growing it in place as batches append
+    /// vertices ([`Cluster::partitioning_mut`]).
+    partitioning: Partitioning,
     comm: CommTracker,
     per_node_work: Vec<AtomicU64>,
 }
@@ -35,16 +34,6 @@ impl Cluster {
     /// Build a cluster around an existing partitioning (e.g. from the hash
     /// partitioner used by the PowerGraph-style baselines).
     pub fn with_partitioning(partitioning: Partitioning, config: ClusterConfig) -> Self {
-        Self::with_shared_partitioning(Arc::new(partitioning), config)
-    }
-
-    /// [`Cluster::with_partitioning`] without taking ownership: the serving
-    /// path shares one stable partitioning across every graph version's
-    /// cluster instead of cloning the O(V) owner array per applied batch.
-    pub fn with_shared_partitioning(
-        partitioning: Arc<Partitioning>,
-        config: ClusterConfig,
-    ) -> Self {
         assert_eq!(
             partitioning.num_parts(),
             config.num_nodes,
@@ -72,6 +61,13 @@ impl Cluster {
     /// The vertex → node assignment.
     pub fn partitioning(&self) -> &Partitioning {
         &self.partitioning
+    }
+
+    /// The vertex → node assignment, to grow or shrink it with the graph
+    /// version it partitions ([`Partitioning::extend_to`],
+    /// [`Partitioning::truncate`]).
+    pub fn partitioning_mut(&mut self) -> &mut Partitioning {
+        &mut self.partitioning
     }
 
     /// Node that owns vertex `v`.

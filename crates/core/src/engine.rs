@@ -1,8 +1,12 @@
 //! The RR-aware parallel execution engine (paper Algorithms 2–4 and §3.3–3.6).
 //!
-//! The engine owns a partitioned view of the graph (the simulated cluster), the
-//! redundancy-reduction guidance produced at build time, and the configuration. A
-//! [`crate::GraphProgram`] is executed iteratively:
+//! The engine owns one graph version — the graph, its partitioned view (the
+//! simulated cluster), degrees, chunk layout, redundancy-reduction guidance and
+//! out-of-core store — plus the worker pool, the telemetry hub and the
+//! configuration. A serving loop keeps one engine, and with it one pool, for
+//! its whole life and moves it from version to version in place
+//! ([`SlfeEngine::advance`]). A [`crate::GraphProgram`] is executed
+//! iteratively:
 //!
 //! * **Mode selection.** Min/max programs switch between *push* (scatter along the
 //!   outgoing edges of active vertices) and *pull* (gather along the incoming edges
@@ -28,7 +32,8 @@
 //!
 //! Execution runs on a **persistent, machine-spanning worker pool**
 //! ([`slfe_cluster::WorkerPool`], `total_workers = nodes × workers_per_node`
-//! threads, spawned once at engine build and parked between phases). One
+//! threads, spawned once when the engine is built and parked between phases,
+//! across every graph version the engine moves to). One
 //! iteration is **one global phase**: every node's owned-vertex chunks — cut by
 //! the degree-aware [`slfe_cluster::GlobalChunkLayout`] (hub chunks split,
 //! claim order descending by estimated work) — are claimed by all pool workers
@@ -163,12 +168,14 @@ use crate::config::{EngineConfig, RedundancyMode};
 use crate::program::{AggregationKind, GraphProgram};
 use crate::result::ProgramResult;
 use crate::rrg::RrGuidance;
-use slfe_cluster::{ChunkScheduler, Cluster, ClusterConfig, GlobalChunkLayout, WorkerPool};
+use slfe_cluster::{
+    ChunkScheduler, Cluster, ClusterConfig, GlobalChunkLayout, LayoutPatchStats, WorkerPool,
+};
 use slfe_graph::storage::{AdjacencyStore, StreamCursor};
 use slfe_graph::{Bitset, Degrees, Graph, GraphStorage, VertexId};
 use slfe_metrics::telemetry::{RunRecorder, SpanWindow, Telemetry};
 use slfe_metrics::{Counters, ExecutionStats, Mode, PhaseBreakdown};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Size in bytes of one vertex update message: a 4-byte vertex id + 4-byte value.
@@ -805,64 +812,56 @@ struct RunPlan {
     warm: bool,
 }
 
-/// Every part [`SlfeEngine::from_parts`] assembles an engine from. All are
-/// required; [`SlfeEngine::build`] derives each one from the graph.
+/// The graph version an [`SlfeEngine::advance`] replaced: everything
+/// [`SlfeEngine::restore`] needs to put it back.
 #[derive(Debug)]
-pub struct EngineParts {
-    /// The simulated cluster the graph is partitioned over.
-    pub cluster: Cluster,
-    /// Engine configuration.
-    pub config: EngineConfig,
-    /// Redundancy-reduction guidance, covering at most the graph's vertices:
-    /// past its end it reads "never skip" ([`RrGuidance::last_iter`]).
-    /// Shared, so a caller that keeps it across graph versions hands it over
-    /// without a copy. Only a ruler-gated [`SlfeEngine::run`] reads it: the
-    /// serving loop hands warm restarts the previous version's guidance,
-    /// also when |V| grew, and regenerates it before a full recompute.
-    pub rrg: Arc<RrGuidance>,
-    /// The graph's per-vertex degrees, [`Degrees::of`] the engine's graph
-    /// (`from_parts` checks the length). Shared, so a caller that keeps them
-    /// across graph versions can patch them at each batch's dirty endpoints
-    /// ([`Degrees::patch`]) instead of re-extracting `O(V)` per engine.
-    pub degrees: Arc<Degrees>,
-    /// Worker pool with at least the cluster's `total_workers` threads.
-    pub pool: Arc<WorkerPool>,
-    /// Chunk layout spanning the cluster's nodes and covering each node's
-    /// owned vertices exactly. Shared, so a caller that keeps the current
-    /// version's layout hands it over without a copy.
-    pub layout: Arc<GlobalChunkLayout>,
-    /// Out-of-core segment store covering the graph; `None` runs in-memory
-    /// regardless of what the configuration requests.
-    pub storage: Option<Arc<GraphStorage>>,
-    /// Telemetry hub, attached to the storage buffer pool when one is present.
-    pub telemetry: Arc<Telemetry>,
+pub struct PreviousVersion {
+    graph: Arc<Graph>,
+    layout: GlobalChunkLayout,
+    storage: Option<Arc<GraphStorage>>,
+    guidance: OnceLock<(RrGuidance, f64)>,
+    chunk_rr: OnceLock<Vec<(u32, u32)>>,
+    /// The batch's dirty endpoints, where the degrees are re-read.
+    dirty: Vec<VertexId>,
 }
 
-/// The SLFE engine bound to one graph and one simulated cluster.
+/// The SLFE engine over one graph version and one simulated cluster.
+///
+/// It owns its version: the graph, the cluster with its partitioning, the
+/// degrees, the chunk layout, the guidance and the out-of-core store, next
+/// to the worker pool and the telemetry hub. A serving loop keeps one engine,
+/// and with it one pool and one hub, for its whole life, and moves it from
+/// version to version in place: [`SlfeEngine::advance`] after an edge batch,
+/// [`SlfeEngine::rebuild`] after a remap and [`SlfeEngine::set_storage`] for
+/// a new segment store.
 #[derive(Debug)]
-pub struct SlfeEngine<'g> {
-    graph: &'g Graph,
+pub struct SlfeEngine {
+    graph: Arc<Graph>,
     cluster: Cluster,
     config: EngineConfig,
-    rrg: Arc<RrGuidance>,
-    /// The persistent worker pool: `total_workers` threads spawned once at
-    /// build (or handed in through [`EngineParts::pool`]) and reused by every
-    /// phase of every run.
-    pool: Arc<WorkerPool>,
-    /// Degree-aware, cluster-wide chunk layout (built once per graph version,
-    /// or patched from the previous version's layout by the serving path).
-    layout: Arc<GlobalChunkLayout>,
+    /// The redundancy-reduction guidance of `graph` and the wall seconds its
+    /// pass took: generated with the engine, dropped by every version
+    /// change and generated again on first use ([`SlfeEngine::guidance`]).
+    /// Warm restarts run with the rulers off and never read it.
+    guidance: OnceLock<(RrGuidance, f64)>,
+    /// The persistent worker pool: `total_workers` threads spawned once,
+    /// when the engine is built, and reused by every phase of every run on
+    /// every version.
+    pool: WorkerPool,
+    /// Degree-aware, cluster-wide chunk layout: built with the engine or a
+    /// rebuild, and re-cut around each batch's dirty endpoints by
+    /// [`SlfeEngine::advance`].
+    layout: GlobalChunkLayout,
     /// Per chunk of `layout`: `(min, max)` of the guidance's `last_iter` over
     /// the chunk's vertices. A min/max pull at `iter < min` would gate every
     /// vertex individually, so the whole chunk is skipped; a pull (or full
     /// reactivation push) at `iter >= max` gates nobody, which is what lets
     /// the chunk graduate to frontier-based skipping (`caught_up`).
     ///
-    /// Computed lazily on the first ruler-gated run: warm restarts run with
-    /// the rulers off and never read it, so the serving path's per-batch
-    /// engine construction stays free of this O(V) scan (only a cold run or
-    /// the server's dirty-fraction fallback pays it, once per engine).
-    chunk_rr: std::sync::OnceLock<Vec<(u32, u32)>>,
+    /// Computed lazily on the first ruler-gated run of a version: warm
+    /// restarts run with the rulers off and never read it, so a version
+    /// change stays free of this O(V) scan.
+    chunk_rr: OnceLock<Vec<(u32, u32)>>,
     /// Out-of-core mode ([`EngineConfig::storage_budget_bytes`]): the graph's
     /// CSR/CSC on disk in segments, traversed through a byte-budgeted buffer
     /// pool instead of the in-memory adjacency. `None` runs on the in-memory
@@ -872,143 +871,151 @@ pub struct SlfeEngine<'g> {
     storage: Option<Arc<GraphStorage>>,
     /// Per-vertex degree arrays handed to program callbacks in place of the
     /// in-RAM graph ([`crate::GraphProgram`] hooks take `&Degrees`): two `u32`
-    /// per vertex, indexed by physical id. Extracted by [`SlfeEngine::build`],
-    /// or handed in through [`EngineParts::degrees`].
-    degrees: Arc<Degrees>,
+    /// per vertex, indexed by physical id. Extracted with the engine and
+    /// patched at each batch's dirty endpoints.
+    degrees: Degrees,
     /// Telemetry hub (span tracing + latency histograms), built from
-    /// `config.telemetry` (or handed in through [`EngineParts::telemetry`])
-    /// and attached to the storage buffer pool when one is present. Disabled
-    /// by default; the disabled hub's begin/end are no-ops and the engine's
-    /// hot paths read zero clocks through it.
+    /// `config.telemetry` and attached to every storage buffer pool the
+    /// engine installs. Disabled by default; the disabled hub's begin/end
+    /// are no-ops and the engine's hot paths read zero clocks through it.
     telemetry: Arc<Telemetry>,
-    preprocessing_seconds: f64,
-    preprocessing_wall_seconds: f64,
 }
 
-impl<'g> SlfeEngine<'g> {
-    /// Partition `graph` across a fresh cluster, spawn its worker pool,
-    /// generate the RR guidance, derive the chunk layout and — when the
-    /// configuration asks for out-of-core execution — write the segment files.
+impl SlfeEngine {
+    /// Partition a copy of `graph` across a fresh cluster and build the
+    /// engine over it ([`SlfeEngine::new`]), writing the segment files when
+    /// the configuration asks for out-of-core execution. The copy shares
+    /// `graph`'s adjacency blocks.
     ///
     /// Panics when the out-of-core segment files cannot be written.
-    pub fn build(graph: &'g Graph, cluster_config: ClusterConfig, config: EngineConfig) -> Self {
+    pub fn build(graph: &Graph, cluster_config: ClusterConfig, config: EngineConfig) -> Self {
         let cluster = Cluster::build(graph, cluster_config);
-        let pool = Arc::new(WorkerPool::new(cluster.config().total_workers()));
-        let wall_start = Instant::now();
-        let rrg = Arc::new(RrGuidance::generate(graph));
-        let preprocessing_wall_seconds = wall_start.elapsed().as_secs_f64();
-        let layout = Arc::new(cluster.build_layout(graph));
         let storage = config.storage_config().map(|sc| {
             Arc::new(
                 GraphStorage::build(graph, &sc)
                     .expect("failed to write out-of-core graph segments"),
             )
         });
-        let telemetry = Arc::new(Telemetry::new(config.telemetry));
-        let mut engine = Self::from_parts(
+        Self::new(Arc::new(graph.clone()), cluster, config, storage)
+    }
+
+    /// The engine over `graph`, partitioned by `cluster` and, when `storage`
+    /// is given, traversed through that segment store (which must cover
+    /// `graph`): spawn the worker pool, extract the degrees, derive the
+    /// chunk layout and generate the RR guidance.
+    pub fn new(
+        graph: Arc<Graph>,
+        cluster: Cluster,
+        config: EngineConfig,
+        storage: Option<Arc<GraphStorage>>,
+    ) -> Self {
+        let mut engine = Self {
+            pool: WorkerPool::new(cluster.config().total_workers()),
+            layout: cluster.build_layout(&graph),
+            degrees: Degrees::of(&graph),
+            telemetry: Arc::new(Telemetry::new(config.telemetry)),
             graph,
-            EngineParts {
-                cluster,
-                config,
-                rrg,
-                degrees: Arc::new(Degrees::of(graph)),
-                pool,
-                layout,
-                storage,
-                telemetry,
-            },
-        );
-        engine.preprocessing_wall_seconds = preprocessing_wall_seconds;
+            cluster,
+            config,
+            guidance: OnceLock::new(),
+            chunk_rr: OnceLock::new(),
+            storage: None,
+        };
+        engine.set_storage(storage);
+        engine.guidance();
         engine
     }
 
-    /// Assemble an engine from parts the caller already holds — the serving
-    /// path: `slfe_delta::DeltaServer` keeps one pool, one telemetry hub,
-    /// the guidance and the degrees across graph versions, patches the
-    /// degrees, the layout and the segment store at the batch's dirty
-    /// endpoints, and hands all of it here, so a warm batch pays neither a
-    /// thread spawn, a guidance BFS or copy, an `O(V)` degree extraction, an
-    /// O(V+E) layout scan nor a whole-graph segment write.
-    ///
-    /// The simulated preprocessing charge uses the guidance's recorded
-    /// generation work; only a ruler-gated run reports it. Panics when a part
-    /// does not fit the graph or the cluster (see [`EngineParts`]); it checks
-    /// the lengths of the guidance, the degrees and the segment store, not
-    /// their contents.
-    pub fn from_parts(graph: &'g Graph, parts: EngineParts) -> Self {
-        let EngineParts {
-            cluster,
-            config,
-            rrg,
-            degrees,
-            pool,
-            layout,
-            storage,
-            telemetry,
-        } = parts;
+    /// Move the engine to `graph`, the successor of its graph under one edge
+    /// batch whose changed endpoints are `dirty` (ascending, as
+    /// [`slfe_graph::BatchEffect::dirty`] lists them), traversed through
+    /// `storage`. The degrees are patched at `dirty` and the appended
+    /// vertices, the partitioning grows (appended vertices join the
+    /// least-loaded nodes), and the layout re-cuts only the chunks around
+    /// `dirty` ([`GlobalChunkLayout::patched_at`]). The guidance and the
+    /// ruler bounds go stale until their next use. Returns what the layout
+    /// patch cost and the replaced version, for [`SlfeEngine::restore`].
+    pub fn advance(
+        &mut self,
+        graph: Arc<Graph>,
+        dirty: &[VertexId],
+        storage: Option<Arc<GraphStorage>>,
+    ) -> (LayoutPatchStats, PreviousVersion) {
+        self.degrees.patch(&graph, dirty);
+        self.cluster
+            .partitioning_mut()
+            .extend_to(graph.num_vertices());
+        let owned: Vec<&[VertexId]> = self
+            .cluster
+            .nodes()
+            .map(|node| self.cluster.vertices_of(node))
+            .collect();
+        let chunk_size = self.cluster.config().chunk_size;
+        let (layout, patch) = self.layout.patched_at(&graph, &owned, chunk_size, dirty);
+        let previous = PreviousVersion {
+            graph: std::mem::replace(&mut self.graph, graph),
+            layout: std::mem::replace(&mut self.layout, layout),
+            storage: self.set_storage(storage),
+            guidance: std::mem::take(&mut self.guidance),
+            chunk_rr: std::mem::take(&mut self.chunk_rr),
+            dirty: dirty.to_vec(),
+        };
+        (patch, previous)
+    }
+
+    /// Put back the version an [`SlfeEngine::advance`] replaced: its graph,
+    /// layout, store and guidance as they were, its degrees re-read at the
+    /// batch's dirty endpoints and its partitioning without the appended
+    /// vertices.
+    pub fn restore(&mut self, previous: PreviousVersion) {
+        let n = previous.graph.num_vertices();
+        self.degrees.patch(&previous.graph, &previous.dirty);
+        self.cluster.partitioning_mut().truncate(n);
+        self.graph = previous.graph;
+        self.layout = previous.layout;
+        self.storage = previous.storage;
+        self.guidance = previous.guidance;
+        self.chunk_rr = previous.chunk_rr;
+    }
+
+    /// Move the engine to `graph` partitioned by `cluster`, a version that
+    /// shares nothing with the current one (a remap renames every id):
+    /// re-derive the degrees and the layout, and install `storage`. The
+    /// guidance goes stale until its next use. The pool and the telemetry
+    /// hub stay.
+    pub fn rebuild(
+        &mut self,
+        graph: Arc<Graph>,
+        cluster: Cluster,
+        storage: Option<Arc<GraphStorage>>,
+    ) {
+        assert!(
+            self.pool.threads() >= cluster.config().total_workers(),
+            "the engine's pool cannot host the new cluster's workers"
+        );
+        self.layout = cluster.build_layout(&graph);
+        self.degrees = Degrees::of(&graph);
+        self.cluster = cluster;
+        self.graph = graph;
+        self.guidance = OnceLock::new();
+        self.chunk_rr = OnceLock::new();
+        self.set_storage(storage);
+    }
+
+    /// Traverse the graph through `storage` from now on (`None`: the
+    /// in-memory adjacency), returning the store it replaces. `storage` must
+    /// cover the engine's graph; its buffer pool reports to the engine's
+    /// telemetry hub.
+    pub fn set_storage(&mut self, storage: Option<Arc<GraphStorage>>) -> Option<Arc<GraphStorage>> {
         if let Some(storage) = &storage {
             assert_eq!(
                 storage.out_store().num_vertices(),
-                graph.num_vertices(),
+                self.graph.num_vertices(),
                 "segmented store must cover the engine's graph"
             );
+            storage.pool().set_telemetry(&self.telemetry);
         }
-        assert!(
-            rrg.num_vertices() <= graph.num_vertices(),
-            "guidance must not cover more vertices than the engine's graph"
-        );
-        assert_eq!(
-            degrees.num_vertices(),
-            graph.num_vertices(),
-            "degrees must cover the engine's graph"
-        );
-        assert!(
-            pool.threads() >= cluster.config().total_workers(),
-            "pool of {} threads cannot host {} cluster workers",
-            pool.threads(),
-            cluster.config().total_workers()
-        );
-        assert_eq!(
-            layout.num_nodes(),
-            cluster.num_nodes(),
-            "layout must span the cluster's nodes"
-        );
-        for node in cluster.nodes() {
-            let covered: usize = layout
-                .node_chunks(node)
-                .iter()
-                .map(|&c| layout.chunks()[c].len())
-                .sum();
-            assert_eq!(
-                covered,
-                cluster.vertices_of(node).len(),
-                "layout must cover node {node}'s owned vertices exactly"
-            );
-        }
-        // Simulated preprocessing cost: models the paper's distributed pass
-        // (§4.4), which spreads the counted generation work over every worker
-        // in the cluster. The pass here runs on one thread, and
-        // `preprocessing_wall_seconds` measures it.
-        let workers = cluster.config().total_workers().max(1) as f64;
-        let preprocessing_seconds = config.cost.seconds(rrg.generation_work()) / workers;
-        if let Some(storage) = &storage {
-            storage.pool().set_telemetry(&telemetry);
-        }
-        Self {
-            graph,
-            cluster,
-            config,
-            rrg,
-            pool,
-            layout,
-            chunk_rr: std::sync::OnceLock::new(),
-            storage,
-            degrees,
-            telemetry,
-            preprocessing_seconds,
-            // No guidance BFS ran inside this constructor.
-            preprocessing_wall_seconds: 0.0,
-        }
+        std::mem::replace(&mut self.storage, storage)
     }
 
     /// The engine's telemetry hub.
@@ -1019,6 +1026,7 @@ impl<'g> SlfeEngine<'g> {
     /// Per-chunk `(min, max)` ruler bounds, computed on first ruler-gated use.
     fn chunk_rr_bounds(&self) -> &[(u32, u32)] {
         self.chunk_rr.get_or_init(|| {
+            let rrg = self.guidance();
             self.layout
                 .chunks()
                 .iter()
@@ -1026,7 +1034,7 @@ impl<'g> SlfeEngine<'g> {
                     let owned = self.cluster.vertices_of(chunk.node);
                     let mut bounds = (u32::MAX, 0u32);
                     for &v in &owned[chunk.start..chunk.end] {
-                        let level = self.rrg.last_iter(v);
+                        let level = rrg.last_iter(v);
                         bounds.0 = bounds.0.min(level);
                         bounds.1 = bounds.1.max(level);
                     }
@@ -1036,9 +1044,19 @@ impl<'g> SlfeEngine<'g> {
         })
     }
 
-    /// The processed graph.
-    pub fn graph(&self) -> &Graph {
-        self.graph
+    /// The guidance of the current version and its pass's wall seconds,
+    /// generated here when a version change left none.
+    fn generated_guidance(&self) -> &(RrGuidance, f64) {
+        self.guidance.get_or_init(|| {
+            let start = Instant::now();
+            let rrg = RrGuidance::generate(&self.graph);
+            (rrg, start.elapsed().as_secs_f64())
+        })
+    }
+
+    /// The processed graph version.
+    pub fn graph(&self) -> &Arc<Graph> {
+        &self.graph
     }
 
     /// The simulated cluster.
@@ -1051,9 +1069,23 @@ impl<'g> SlfeEngine<'g> {
         &self.config
     }
 
-    /// The redundancy-reduction guidance generated at build time.
+    /// The per-vertex degrees of the engine's graph version.
+    pub fn degrees(&self) -> &Degrees {
+        &self.degrees
+    }
+
+    /// The redundancy-reduction guidance of the engine's graph version
+    /// ([`RrGuidance::generate`]): generated with the engine, and again on
+    /// the first read after a version change.
     pub fn guidance(&self) -> &RrGuidance {
-        &self.rrg
+        &self.generated_guidance().0
+    }
+
+    /// Whether the current version's guidance exists, so that
+    /// [`SlfeEngine::guidance`] reads it without generating it: `false`
+    /// from a version change until the next read or ruler-gated run.
+    pub fn guidance_is_current(&self) -> bool {
+        self.guidance.get().is_some()
     }
 
     /// The persistent worker pool driving every phase of this engine.
@@ -1071,14 +1103,19 @@ impl<'g> SlfeEngine<'g> {
         self.storage.as_ref()
     }
 
-    /// Simulated seconds spent generating the guidance (Figure 8 overhead).
+    /// Simulated seconds spent generating the current version's guidance
+    /// (Figure 8 overhead). It models the paper's distributed pass (§4.4),
+    /// which spreads the counted generation work over every worker in the
+    /// cluster. The pass here runs on one thread, and
+    /// [`SlfeEngine::preprocessing_wall_seconds`] measures it.
     pub fn preprocessing_seconds(&self) -> f64 {
-        self.preprocessing_seconds
+        let workers = self.cluster.config().total_workers().max(1) as f64;
+        self.config.cost.seconds(self.guidance().generation_work()) / workers
     }
 
-    /// Wall-clock seconds spent generating the guidance.
+    /// Wall-clock seconds spent generating the current version's guidance.
     pub fn preprocessing_wall_seconds(&self) -> f64 {
-        self.preprocessing_wall_seconds
+        self.generated_guidance().1
     }
 
     /// Execute `program` to convergence (or the configured iteration cap) and
@@ -1274,7 +1311,7 @@ impl<'g> SlfeEngine<'g> {
         effect: &slfe_graph::BatchEffect,
     ) {
         let WarmResult { result, state } = warm;
-        let graph = self.graph;
+        let graph = &*self.graph;
         let n = graph.num_vertices();
         let kept = result.values.len();
         assert!(
@@ -1502,12 +1539,15 @@ impl<'g> SlfeEngine<'g> {
         in_store: &S,
     ) {
         self.cluster.reset_run_state();
-        let graph = self.graph;
+        let graph = &*self.graph;
         let n = graph.num_vertices();
         let arithmetic = program.aggregation() == AggregationKind::Arithmetic;
         let rr = plan.use_rr;
         let tolerance = self.config.tolerance;
-        let max_level = self.rrg.max_level();
+        // The guidance, read only by ruler-gated runs: a warm restart of a
+        // version whose guidance went stale must not regenerate it.
+        let rulers = rr.then(|| self.guidance());
+        let max_level = rulers.map_or(0, RrGuidance::max_level);
         // Highest guidance level whose vertices are guaranteed to have gathered from
         // all their in-neighbors at least once: a pull at iteration `i` covers every
         // vertex with `last_iter <= i`, and a push with full reactivation (the
@@ -1759,7 +1799,7 @@ impl<'g> SlfeEngine<'g> {
                         program,
                         in_store,
                         iter,
-                        rr,
+                        rulers,
                         arithmetic,
                         tolerance,
                         prev_values,
@@ -2019,7 +2059,11 @@ impl<'g> SlfeEngine<'g> {
         stats.iterations = iterations_run;
         stats.totals = totals;
         stats.phases = PhaseBreakdown {
-            preprocessing_seconds: if rr { self.preprocessing_seconds } else { 0.0 },
+            preprocessing_seconds: if rr {
+                self.preprocessing_seconds()
+            } else {
+                0.0
+            },
             execution_seconds: simulated_exec_seconds,
         };
         stats.trace = rec.finish();
@@ -2167,7 +2211,7 @@ impl<'g> SlfeEngine<'g> {
         program: &P,
         in_store: &S,
         iter: u32,
-        rr: bool,
+        rulers: Option<&RrGuidance>,
         arithmetic: bool,
         tolerance: f64,
         prev_values: &[P::Value],
@@ -2223,7 +2267,7 @@ impl<'g> SlfeEngine<'g> {
                             &mut in_cursor,
                             dst,
                             iter,
-                            rr,
+                            rulers,
                             arithmetic,
                             tolerance,
                             prev_values,
@@ -2260,7 +2304,7 @@ impl<'g> SlfeEngine<'g> {
         in_cursor: &mut StreamCursor<'_, S>,
         dst: VertexId,
         iter: u32,
-        rr: bool,
+        rulers: Option<&RrGuidance>,
         arithmetic: bool,
         tolerance: f64,
         prev_values: &[P::Value],
@@ -2271,18 +2315,18 @@ impl<'g> SlfeEngine<'g> {
         converged_now: &mut u32,
     ) -> u64 {
         let d = dst as usize;
-        if rr {
+        if let Some(rrg) = rulers {
             if arithmetic {
                 // Multi ruler ("finish early"): skip early-converged vertices. Every
                 // vertex computes at least once (threshold of at least 1).
-                let threshold = self.rrg.last_iter(dst).max(1);
+                let threshold = rrg.last_iter(dst).max(1);
                 if stable_count.get(d) >= threshold {
                     return 0;
                 }
             } else {
                 // Single ruler ("start late"): skip until the iteration number
                 // reaches the vertex's last propagation level.
-                if iter < self.rrg.last_iter(dst) {
+                if iter < rrg.last_iter(dst) {
                     return 0;
                 }
             }
@@ -2339,7 +2383,7 @@ impl<'g> SlfeEngine<'g> {
             work += 1;
             ws.written.push(dst);
         }
-        if rr && arithmetic {
+        if let (Some(rrg), true) = (rulers, arithmetic) {
             // Stability bookkeeping for the multi ruler (Algorithm 5, lines 15-18).
             if program.changed(stable_value.get(d), new, tolerance) {
                 stable_value.set(d, new);
@@ -2351,7 +2395,7 @@ impl<'g> SlfeEngine<'g> {
                 // the next pull on it is skipped forever, so this fires at
                 // most once per vertex — the chunk-level converged counts
                 // stay exact.
-                if stabilized == self.rrg.last_iter(dst).max(1) {
+                if stabilized == rrg.last_iter(dst).max(1) {
                     *converged_now += 1;
                 }
             }
@@ -3277,42 +3321,56 @@ mod tests {
         assert_eq!(warm.stats.totals.work(), 0);
     }
 
+    /// An engine advanced to a batch's successor matches one built on it —
+    /// layout, degrees, guidance and a ruler-gated cold run — and a restore
+    /// puts every artifact of the previous version back.
     #[test]
-    fn from_parts_reuses_the_given_guidance() {
-        let g = generators::rmat(200, 1400, 0.57, 0.19, 0.19, 8);
-        let rrg = RrGuidance::generate(&g);
-        let cluster = Cluster::build(&g, ClusterConfig::new(2, 1));
-        let config = EngineConfig::default();
-        let engine = SlfeEngine::from_parts(
-            &g,
-            EngineParts {
-                pool: Arc::new(WorkerPool::new(cluster.config().total_workers())),
-                layout: Arc::new(cluster.build_layout(&g)),
-                cluster,
-                rrg: Arc::new(rrg.clone()),
-                degrees: Arc::new(Degrees::of(&g)),
-                storage: None,
-                telemetry: Arc::new(Telemetry::new(config.telemetry)),
-                config,
-            },
+    fn advance_matches_a_fresh_build_and_restore_undoes_it() {
+        let g = generators::rmat(600, 4200, 0.57, 0.19, 0.19, 8);
+        let cluster = ClusterConfig::new(2, 1);
+        let mut engine = SlfeEngine::build(&g, cluster.clone(), EngineConfig::default());
+        let before = engine.run(&TestSssp { root: 0 });
+        let layout = engine.layout().clone();
+        let mut batch = slfe_graph::UpdateBatch::new();
+        batch
+            .insert(0, 603, 1.5)
+            .insert(7, 9, 0.5)
+            .delete(0, g.out_neighbors(0)[0]);
+        let (next, effect) = g.apply_batch(&batch);
+        let next = Arc::new(next);
+        let (_, previous) = engine.advance(Arc::clone(&next), &effect.dirty, None);
+        assert!(!engine.guidance_is_current());
+        assert_eq!(*engine.degrees(), Degrees::of(&next));
+        assert_eq!(*engine.layout(), engine.cluster().build_layout(&next));
+        let fresh = SlfeEngine::new(
+            Arc::clone(&next),
+            Cluster::with_partitioning(engine.cluster().partitioning().clone(), cluster),
+            EngineConfig::default(),
+            None,
         );
-        assert_eq!(*engine.guidance(), rrg);
-        assert_eq!(engine.preprocessing_wall_seconds(), 0.0);
-        let result = engine.run(&TestSssp { root: 0 });
-        let reference = SlfeEngine::build(&g, ClusterConfig::new(2, 1), EngineConfig::default())
-            .run(&TestSssp { root: 0 });
+        let (ours, theirs) = (
+            engine.run(&TestSssp { root: 0 }),
+            fresh.run(&TestSssp { root: 0 }),
+        );
+        assert_eq!(*engine.guidance(), *fresh.guidance());
+        assert_eq!(ours.values, theirs.values);
+        assert_eq!(ours.stats.totals, theirs.stats.totals);
         assert_eq!(
-            result
-                .values
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>(),
-            reference
-                .values
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>(),
+            ours.stats.phases.preprocessing_seconds,
+            theirs.stats.phases.preprocessing_seconds
         );
+
+        engine.restore(previous);
+        assert_eq!(engine.graph().num_vertices(), g.num_vertices());
+        assert_eq!(
+            engine.cluster().partitioning().num_vertices(),
+            g.num_vertices()
+        );
+        assert_eq!(*engine.degrees(), Degrees::of(&g));
+        assert_eq!(*engine.layout(), layout);
+        let after = engine.run(&TestSssp { root: 0 });
+        assert_eq!(after.values, before.values);
+        assert_eq!(after.stats.totals, before.stats.totals);
     }
 
     /// Seeded-loop property test for [`SparsePushMap`] growth: entries and

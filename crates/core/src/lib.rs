@@ -34,7 +34,7 @@ pub mod result;
 pub mod rrg;
 
 pub use config::{CostModel, EngineConfig, RedundancyMode};
-pub use engine::{EngineParts, SlfeEngine, WarmResult};
+pub use engine::{PreviousVersion, SlfeEngine, WarmResult};
 pub use program::{AggregationKind, GraphProgram};
 pub use result::ProgramResult;
 pub use rrg::RrGuidance;

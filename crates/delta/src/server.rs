@@ -8,17 +8,17 @@ use crate::health::{ApplyError, Health};
 use crate::values::ServedValues;
 use slfe_cluster::{Cluster, ClusterConfig, GlobalChunkLayout, LayoutPatchStats, WorkerPool};
 use slfe_core::{
-    EngineConfig, EngineParts, GraphProgram, ProgramResult, RrGuidance, SlfeEngine, WarmResult,
+    EngineConfig, GraphProgram, PreviousVersion, ProgramResult, RrGuidance, SlfeEngine, WarmResult,
 };
 use slfe_graph::{
-    BatchEffect, Degrees, FaultAction, FaultInjector, FaultPlan, FaultSite, Graph, GraphStorage,
-    IdRemap, ReorderPolicy, UpdateBatch, VertexId,
+    BatchEffect, FaultAction, FaultInjector, FaultPlan, FaultSite, Graph, GraphStorage,
+    ReorderPolicy, UpdateBatch, VertexId,
 };
 use slfe_metrics::{
     DurabilityCounters, ExecutionStats, FaultCounters, MetricsRegistry, SpanEvent, Telemetry,
     TelemetrySnapshot, HIST_BATCH_APPLY, HIST_WAL_FSYNC,
 };
-use slfe_partition::{contiguous_degree_layout, ChunkingPartitioner, Partitioner, Partitioning};
+use slfe_partition::{contiguous_degree_layout, Partitioning};
 use std::io;
 use std::sync::{Arc, OnceLock};
 
@@ -130,14 +130,9 @@ impl StageClock {
     }
 }
 
-/// What re-converging a program on a new version yields: the program, a
-/// cold run's result (a warm restart's is already in the served result) and
-/// the segment store it ran on.
-type Converged<P> = (
-    P,
-    Option<ProgramResult<<P as GraphProgram>::Value>>,
-    Option<Arc<GraphStorage>>,
-);
+/// What re-converging a program on a new version yields: the program and a
+/// cold run's result (a warm restart's is already in the served result).
+type Converged<P> = (P, Option<ProgramResult<<P as GraphProgram>::Value>>);
 
 /// Fold `batch`, logged in external ids, into `graph`: translate its
 /// endpoints into the current physical layout (appended vertices sit beyond
@@ -298,10 +293,11 @@ pub struct BatchOutcome {
     pub degraded: bool,
     /// Where `wall_seconds` went: one `(stage, seconds)` entry per stage the
     /// batch ran, in pipeline order — `wal_append` (durable servers),
-    /// `graph_patch` (id translation, [`Graph::apply_batch`] and the degree
-    /// patch), `segment_patch` (out-of-core servers), `layout_patch`,
-    /// `guidance` (regenerated for a full recompute; otherwise the current
-    /// guidance, handed over as it is), `warm_restart` or `cold_run`,
+    /// `graph_patch` (id translation and [`Graph::apply_batch`]),
+    /// `segment_patch` (out-of-core servers), `layout_patch` (the engine's
+    /// advance to the new version: the degree patch, the partitioning's
+    /// growth and the layout patch), `guidance` (regenerated for a full
+    /// recompute; a warm batch leaves it stale), `warm_restart` or `cold_run`,
     /// `publish` (outcome, stats, install, served-values patch), `compact`
     /// (out-of-core servers, when more than half of the segment-file bytes
     /// are dead) and `snapshot` (durable servers, when the cadence is due: a
@@ -328,9 +324,11 @@ pub struct ServerStats {
 
 /// An always-on serving instance of one graph program.
 ///
-/// The server owns the current graph version, its redundancy-reduction
-/// guidance (regenerated where the rulers are read) and the program's
-/// current fixpoint. Because several programs capture graph-dependent state
+/// The server owns one [`SlfeEngine`] for its whole life — the current graph
+/// version with its partitioning, degrees, chunk layout, guidance and
+/// segment store, plus the worker pool and the telemetry hub — and advances
+/// it in place at every batch. Next to it, it holds the program's current
+/// fixpoint. Because several programs capture graph-dependent state
 /// (`PageRank` holds `|V|`, `Heat` precomputes out-degree shares), the server
 /// is built from a *program factory* that re-instantiates the program for
 /// each graph version.
@@ -385,52 +383,26 @@ where
 {
     make_program: F,
     program: P,
-    /// The current graph version, shared (`Arc`) with the segment store's
-    /// quarantine-rebuild path so unreadable segments can be reconstructed
-    /// from the authoritative in-memory adjacency.
-    graph: Arc<Graph>,
     config: ServerConfig,
-    /// The RR guidance handed to every engine this server builds. Derived
-    /// state: [`RrGuidance::generate`] runs at [`DeltaServer::try_new`],
-    /// [`DeltaServer::open`], a full-recompute batch and the first
-    /// [`DeltaServer::guidance`] read after it went stale. A warm batch
-    /// hands the same `Arc` over again, also when |V| grew (past its end
-    /// the guidance reads "never skip"); warm restarts run with the rulers
-    /// off and never read it.
-    rrg: Arc<RrGuidance>,
-    /// `true` when `rrg` no longer matches `graph`: after a warm batch or a
-    /// remap. Never persisted; `open` regenerates the guidance.
-    guidance_stale: bool,
-    /// The current graph version's per-vertex degrees, handed to every
-    /// engine this server builds. Patched in place at each batch's dirty
-    /// endpoints ([`Degrees::patch`]; the previous version's engine is gone
-    /// by then, so `Arc::make_mut` does not copy) instead of re-extracted
-    /// per batch. [`Degrees::of`] runs only at [`DeltaServer::try_new`],
-    /// [`DeltaServer::open`], a remap and the rollback of a rejected batch.
-    degrees: Arc<Degrees>,
-    /// The persistent worker pool, created once at server startup and threaded
-    /// through every graph version's engine (cold runs *and* warm restarts) —
-    /// applying a batch spawns zero threads.
-    pool: Arc<WorkerPool>,
-    /// The vertex → node assignment, built once at startup and **kept stable
-    /// across graph versions** (the id space only grows; appended vertices
-    /// join the least-loaded node, so sustained growth cannot skew one
-    /// node's load). Stability is what lets the chunk layout be patched
-    /// instead of re-derived per batch; sharing the `Arc` with each
-    /// version's cluster is what keeps batch application free of O(V) copies.
-    partitioning: Arc<Partitioning>,
-    /// The degree-aware chunk layout of the current graph version, built at
-    /// [`DeltaServer::try_new`], [`DeltaServer::open`] and a remap, and
-    /// otherwise patched per batch around the dirty endpoints only
-    /// ([`GlobalChunkLayout::patched_at`]: a few chunks re-cut, every other
-    /// chunk copied). Handed to every engine this server builds — warm and
-    /// cold paths share the same instance, without a copy.
-    layout: Arc<GlobalChunkLayout>,
-    /// Out-of-core serving ([`EngineConfig::storage_budget_bytes`] set): the
-    /// current graph version's disk-segment store, patched per batch at the
-    /// dirty segments only and threaded into every engine this server builds.
-    /// `None` runs in-memory.
-    storage: Option<Arc<GraphStorage>>,
+    /// The engine over the current graph version, built once at
+    /// [`DeltaServer::try_new`] or [`DeltaServer::open`]. A batch advances
+    /// it ([`SlfeEngine::advance`]: degrees and layout patched at the dirty
+    /// endpoints, the stable partitioning grown, the new graph and segment
+    /// store installed), a remap rebuilds it around the renamed graph, and
+    /// compaction and a poisoned re-drive swap its store. Its pool and
+    /// telemetry hub serve every version, so applying a batch spawns no
+    /// thread and the hub's spans and histograms accumulate over the
+    /// serving lifetime. Its guidance is regenerated only where the rulers
+    /// are read: a full-recompute batch and the first
+    /// [`DeltaServer::guidance`] read after a warm batch or a remap.
+    ///
+    /// The partitioning is kept stable across graph versions (the id space
+    /// only grows; appended vertices join the least-loaded node, so
+    /// sustained growth cannot skew one node's load), which is what lets the
+    /// layout be patched instead of re-derived per batch. The engine's graph
+    /// is also the quarantine source its segment store rebuilds unreadable
+    /// segments from.
+    engine: SlfeEngine,
     /// The program's current fixpoint in physical order, with the run state
     /// its warm restarts keep across graph versions, so that a restart
     /// neither copies the values nor allocates or sweeps |V|. A warm batch's
@@ -444,6 +416,11 @@ where
     /// [`DeltaServer::try_apply`] puts it back, with the values of `served`,
     /// when the batch fails; publishing the batch clears it.
     committed: Option<ProgramResult<P::Value>>,
+    /// While a batch has advanced the engine past the version still
+    /// serving: that version, which the rollback point of
+    /// [`DeltaServer::try_apply`] puts back when the batch fails
+    /// ([`SlfeEngine::restore`]); publishing the batch clears it.
+    previous: Option<PreviousVersion>,
     /// `result.values` in external-id order, as shared blocks: the directory
     /// every published version clones and every `top_k` ranks, and the
     /// committed copy of the values — a restart never writes it, so a
@@ -460,10 +437,6 @@ where
     /// WAL, base and checkpoint state when this server was built through
     /// [`DeltaServer::create_durable`] / [`DeltaServer::open`].
     durability: Option<DurabilityState>,
-    /// The server's telemetry hub ([`EngineConfig::telemetry`]-gated), shared
-    /// with every engine this server builds so spans and latency histograms
-    /// accumulate over the serving lifetime instead of resetting per batch.
-    telemetry: Arc<Telemetry>,
     /// The fault injector every disk touchpoint of this server consults —
     /// disarmed (one relaxed atomic load per call) unless
     /// [`ServerConfig::fault_plan`] armed it or a test arms it directly.
@@ -494,48 +467,39 @@ where
     P: GraphProgram,
     F: Fn(&Graph) -> P,
 {
-    /// Build the server: partition `graph`, generate the guidance, run the
-    /// program cold once. Every subsequent [`DeltaServer::try_apply`] is warm.
-    /// Fails when the out-of-core segment files cannot be written.
+    /// Build the server: partition `graph`, build the engine (guidance
+    /// included), run the program cold once. Every subsequent
+    /// [`DeltaServer::try_apply`] is warm. Fails when the out-of-core
+    /// segment files cannot be written.
     pub fn try_new(graph: Graph, make_program: F, config: ServerConfig) -> io::Result<Self> {
-        let graph = Arc::new(graph);
         let faults = injector_for(&config);
-        let pool = Arc::new(WorkerPool::new(config.cluster.total_workers()));
-        let partitioning =
-            Arc::new(ChunkingPartitioner::default().partition(&graph, config.cluster.num_nodes));
-        let mut server = Self::assemble(make_program, config, faults, pool, graph, partitioning)?;
-        let cold_span = server.telemetry.begin();
-        let storage = server.storage.clone();
-        let engine = server.engine(&server.graph, &server.rrg, &server.layout, storage);
-        let result = engine.run(&server.program);
-        drop(engine);
-        server.telemetry.end(cold_span, "cold_run", "server", 0);
+        let cluster = Cluster::build(&graph, config.cluster.clone());
+        let mut server = Self::assemble(make_program, config, faults, Arc::new(graph), cluster)?;
+        let telemetry = server.engine.telemetry();
+        let cold_span = telemetry.begin();
+        let result = server.engine.run(&server.program);
+        telemetry.end(cold_span, "cold_run", "server", 0);
         server.result = WarmResult::new(result);
         server.install_values();
         Ok(server)
     }
 
-    /// Assemble a server around `graph` and its stable `partitioning`:
-    /// generate the guidance, extract the degrees, build the chunk layout,
-    /// the telemetry hub and the out-of-core segment store, written once here
-    /// with `graph` attached as the source unreadable segments are
-    /// quarantined and rebuilt from (every batch then patches only the dirty
-    /// segments). The served result is empty until the caller runs the
+    /// Assemble a server around `graph` partitioned by `cluster`: write the
+    /// out-of-core segment store once here, with `graph` attached as the
+    /// source unreadable segments are quarantined and rebuilt from (every
+    /// batch then patches only the dirty segments), and build the engine
+    /// over both. The served result is empty until the caller runs the
     /// program or restores it.
     fn assemble(
         make_program: F,
         config: ServerConfig,
         faults: Arc<FaultInjector>,
-        pool: Arc<WorkerPool>,
         graph: Arc<Graph>,
-        partitioning: Arc<Partitioning>,
+        cluster: Cluster,
     ) -> io::Result<Self> {
         let program = make_program(&graph);
-        let layout = Arc::new(
-            Cluster::with_shared_partitioning(Arc::clone(&partitioning), config.cluster.clone())
-                .build_layout(&graph),
-        );
         let storage = build_storage(&graph, &config.engine, &faults)?;
+        let engine = SlfeEngine::new(graph, cluster, config.engine.clone(), storage);
         let result = WarmResult::new(ProgramResult {
             values: Vec::new(),
             stats: ExecutionStats::new("slfe", program.name()),
@@ -551,18 +515,11 @@ where
         Ok(Self {
             make_program,
             program,
-            rrg: Arc::new(RrGuidance::generate(&graph)),
-            guidance_stale: false,
-            degrees: Arc::new(Degrees::of(&graph)),
-            graph,
-            telemetry: Arc::new(Telemetry::new(config.engine.telemetry)),
             config,
-            pool,
-            partitioning,
-            layout,
-            storage,
+            engine,
             result,
             committed: None,
+            previous: None,
             served: ServedValues::default(),
             external_view: OnceLock::new(),
             stats: ServerStats::default(),
@@ -573,33 +530,6 @@ where
         })
     }
 
-    /// An engine over `graph` with this server's cluster shape, pool,
-    /// telemetry hub, partitioning and degrees (already `graph`'s), plus the
-    /// given version artifacts.
-    fn engine<'g>(
-        &self,
-        graph: &'g Graph,
-        rrg: &Arc<RrGuidance>,
-        layout: &Arc<GlobalChunkLayout>,
-        storage: Option<Arc<GraphStorage>>,
-    ) -> SlfeEngine<'g> {
-        let cluster = Cluster::with_shared_partitioning(
-            Arc::clone(&self.partitioning),
-            self.config.cluster.clone(),
-        );
-        let parts = EngineParts {
-            cluster,
-            config: self.config.engine.clone(),
-            rrg: Arc::clone(rrg),
-            degrees: Arc::clone(&self.degrees),
-            pool: Arc::clone(&self.pool),
-            layout: Arc::clone(layout),
-            storage,
-            telemetry: Arc::clone(&self.telemetry),
-        };
-        SlfeEngine::from_parts(graph, parts)
-    }
-
     /// Bring the served directory up to `result`: patch it at the ids of
     /// [`ProgramResult::changed`] (taken out of the result, so nothing later
     /// sees a stale list), or rebuild it when the result has no such list
@@ -608,7 +538,7 @@ where
     fn install_values(&mut self) {
         self.external_view.take();
         let changed = self.result.take_changed();
-        let graph = &self.graph;
+        let graph = self.engine.graph();
         let values = &self.result.result().values;
         let value = |ext: VertexId| values[graph.to_physical(ext) as usize];
         match changed {
@@ -658,38 +588,35 @@ where
                 reason: reason.to_string(),
             });
         }
-        check_growth(batch, self.graph.num_vertices())
+        check_growth(batch, self.engine.graph().num_vertices())
     }
 
-    /// Instantiate the program for the new version and re-converge it —
-    /// engine build, then a warm restart of the served result in place, or
-    /// a cold run, plus batch-distribution accounting — recording what it
-    /// cost in `outcome`. A warm restart first sets the served result's run
-    /// record aside in `committed`. A poisoned run (segment reads failed
-    /// beyond retries and quarantine, so values may rest on placeholder
-    /// lists) is discarded and re-driven once on a store rebuilt from the
-    /// in-memory graph; a discarded restart has written the served result,
-    /// so the committed version goes back in before the re-drive
-    /// ([`DeltaServer::restore_committed`]). A second poisoning fails the
-    /// batch, and the rollback point of [`DeltaServer::try_apply`] restores
-    /// the committed version again. Returns the program, a cold run's result
-    /// and the store it ran on.
+    /// Instantiate the program for the engine's new version and re-converge
+    /// it — a warm restart of the served result in place, or a cold run,
+    /// plus batch-distribution accounting — recording what it cost in
+    /// `outcome`. A warm restart first sets the served result's run record
+    /// aside in `committed`. A poisoned run (segment reads failed beyond
+    /// retries and quarantine, so values may rest on placeholder lists) is
+    /// discarded and re-driven once on a store rebuilt from the in-memory
+    /// graph; a discarded restart has written the served result, so the
+    /// committed version goes back in before the re-drive
+    /// ([`DeltaServer::restore_committed`]; the engine's new graph carries
+    /// the previous one's remap, which a batch never changes). A second
+    /// poisoning fails the batch, and the rollback point of
+    /// [`DeltaServer::try_apply`] restores the committed version again.
+    /// Returns the program and a cold run's result.
     fn converge(
         &mut self,
-        graph: &Arc<Graph>,
-        rrg: &Arc<RrGuidance>,
-        layout: &Arc<GlobalChunkLayout>,
-        storage: Option<Arc<GraphStorage>>,
         effect: &BatchEffect,
         outcome: &mut BatchOutcome,
     ) -> Result<Converged<P>, ApplyError> {
-        let program = (self.make_program)(graph);
+        let program = (self.make_program)(self.engine.graph());
         let full_recompute = outcome.full_recompute;
         if !full_recompute {
             self.committed = Some(self.result.take_record());
         }
-        let run = |server: &mut Self, storage: Option<Arc<GraphStorage>>| {
-            let engine = server.engine(graph, rrg, layout, storage);
+        let run = |server: &mut Self| {
+            let engine = &server.engine;
             let cold = if full_recompute {
                 Some(engine.run(&program))
             } else {
@@ -703,10 +630,9 @@ where
             );
             (cold, messages)
         };
-        let (mut cold, messages) = run(self, storage.clone());
+        let (mut cold, messages) = run(self);
         outcome.distribution_messages = messages;
-        let mut storage = storage;
-        let poison_note = storage.as_ref().and_then(|s| {
+        let poison_note = self.engine.storage().and_then(|s| {
             s.take_poisoned().then(|| {
                 s.poison_note()
                     .unwrap_or_else(|| "unreadable segments".to_string())
@@ -720,8 +646,10 @@ where
             let poisoned = |e: io::Error| ApplyError::ExecutionPoisoned {
                 note: format!("{note}; {e}"),
             };
-            let (rebuilt, rewritten) = self.rebuild_storage(graph).map_err(poisoned)?;
-            let (rerun, _) = run(self, Some(Arc::clone(&rebuilt)));
+            let graph = Arc::clone(self.engine.graph());
+            let (rebuilt, rewritten) = self.rebuild_storage(&graph).map_err(poisoned)?;
+            self.engine.set_storage(Some(Arc::clone(&rebuilt)));
+            let (rerun, _) = run(self);
             if rebuilt.take_poisoned() {
                 self.faults.note_poisoned_run();
                 return Err(poisoned(io::Error::other(
@@ -730,7 +658,6 @@ where
                         .unwrap_or_else(|| "still unreadable after a rebuild".to_string()),
                 )));
             }
-            storage = Some(rebuilt);
             outcome.segments_rewritten = rewritten;
             cold = rerun;
         }
@@ -738,7 +665,7 @@ where
         outcome.work = result.stats.totals.work();
         outcome.iterations = result.stats.iterations;
         outcome.converged = result.converged;
-        Ok((program, cold, storage))
+        Ok((program, cold))
     }
 
     /// Put the committed version back into the served result after a
@@ -747,7 +674,7 @@ where
     /// restart writes. Replacing the result drops its kept restart state;
     /// the next restart rebuilds it. O(V), on fault paths only.
     fn restore_committed(&mut self, record: ProgramResult<P::Value>) {
-        let graph = &self.graph;
+        let graph = self.engine.graph();
         let external = self.served.to_vec();
         let values = if graph.is_remapped() {
             (0..external.len() as VertexId)
@@ -765,7 +692,7 @@ where
         self.result
             .result()
             .values
-            .get(self.graph.to_physical(v) as usize)
+            .get(self.engine.graph().to_physical(v) as usize)
             .copied()
     }
 
@@ -775,7 +702,7 @@ where
     /// made on the first call after a batch changed the values (O(V)) and
     /// reused until the next change.
     pub fn values(&self) -> &[P::Value] {
-        if self.graph.is_remapped() {
+        if self.engine.graph().is_remapped() {
             self.external_view.get_or_init(|| self.served.to_vec())
         } else {
             &self.result.result().values
@@ -801,7 +728,7 @@ where
 
     /// The current graph version.
     pub fn graph(&self) -> &Graph {
-        &self.graph
+        self.engine.graph()
     }
 
     /// The current program instance (rebuilt per graph version).
@@ -816,25 +743,26 @@ where
 
     /// The RR guidance of the current graph version:
     /// [`RrGuidance::generate`] over [`DeltaServer::graph`]. Warm batches and
-    /// remaps leave the held guidance stale (warm restarts never read the
+    /// remaps leave the engine without one (warm restarts never read the
     /// rulers), so the first read after them regenerates it, under the
-    /// `guidance_repair` telemetry span — hence `&mut`.
+    /// `guidance_repair` telemetry span.
     pub fn guidance(&mut self) -> &RrGuidance {
-        if self.guidance_stale {
-            let span = self.telemetry.begin();
-            self.rrg = Arc::new(RrGuidance::generate(&self.graph));
-            self.telemetry.end(span, "guidance_repair", "server", 0);
-            self.guidance_stale = false;
+        if !self.engine.guidance_is_current() {
+            let telemetry = self.engine.telemetry();
+            let span = telemetry.begin();
+            self.engine.guidance();
+            telemetry.end(span, "guidance_repair", "server", 0);
         }
-        &self.rrg
+        self.engine.guidance()
     }
 
     /// Run the configured physical-layout policy now: migrate vertices off
     /// overloaded nodes when [`ServerConfig::migration_imbalance_threshold`]
     /// is exceeded, then reorder ids partition-contiguously (degree-descending
     /// within each partition under [`ReorderPolicy::DegreeDescending`]) and
-    /// rebuild every physical artifact — graph, degrees, values, layout,
-    /// segment store — under the new bijection. The guidance goes stale, and
+    /// move the engine to the renamed graph ([`SlfeEngine::rebuild`]:
+    /// degrees, layout and segment store derived again, pool and telemetry
+    /// hub kept), permuting the values with it. The guidance goes stale, and
     /// its next reader regenerates it. Returns `true` when a remap was
     /// applied, `false` when no policy is configured or the layout is
     /// already in place.
@@ -845,48 +773,31 @@ where
     /// new base instead and trims the WAL: its external-id frames never
     /// cross a layout change. Remapped runs are value-transparent: every
     /// query answers bit-identically before and after.
+    ///
+    /// Everything fallible (the segment-store re-encode) runs before any
+    /// state is assigned, so an I/O error leaves the server serving the old
+    /// layout untouched.
     pub fn remap_now(&mut self) -> io::Result<bool> {
         let policy = self.config.reorder;
         let threshold = self.config.migration_imbalance_threshold;
         if policy == ReorderPolicy::None && threshold.is_none() {
             return Ok(false);
         }
-        let migrated = threshold.and_then(|t| self.partitioning.migrated_owners(t));
-        let partitioning = match migrated {
-            Some(owners) => Arc::new(Partitioning::from_owners(
-                owners,
-                self.partitioning.num_parts(),
-            )),
-            None => Arc::clone(&self.partitioning),
-        };
-        let step = contiguous_degree_layout(&self.graph, &partitioning, policy);
-        if step.is_identity() && Arc::ptr_eq(&partitioning, &self.partitioning) {
+        let current = self.engine.cluster().partitioning();
+        let migrated = threshold
+            .and_then(|t| current.migrated_owners(t))
+            .map(|owners| Partitioning::from_owners(owners, current.num_parts()));
+        let partitioning = migrated.as_ref().unwrap_or(current);
+        let step = contiguous_degree_layout(self.engine.graph(), partitioning, policy);
+        if step.is_identity() && migrated.is_none() {
             return Ok(false);
         }
-        self.apply_remap(partitioning, &step)?;
-        Ok(true)
-    }
-
-    /// Rebuild every physical-id-indexed artifact under the remap `step`.
-    /// `partitioning` is the owner assignment in the *pre-step* id space
-    /// (possibly migrated). Everything fallible (the segment-store re-encode)
-    /// runs before any state is assigned, so an I/O error leaves the server
-    /// serving the old layout untouched.
-    fn apply_remap(&mut self, partitioning: Arc<Partitioning>, step: &IdRemap) -> io::Result<()> {
-        let graph = Arc::new(self.graph.remapped(step));
         let owners = step.permuted_values(partitioning.owners());
-        let num_parts = partitioning.num_parts();
-        let partitioning = Arc::new(Partitioning::from_owners(owners, num_parts));
-        let layout = Cluster::with_shared_partitioning(
-            Arc::clone(&partitioning),
-            self.config.cluster.clone(),
-        )
-        .build_layout(&graph);
+        let partitioning = Partitioning::from_owners(owners, partitioning.num_parts());
+        let graph = Arc::new(self.engine.graph().remapped(&step));
         // Re-encode the out-of-core segments in the new order — the hot/cold
         // clustering the reorder exists for lives in these files.
         let storage = build_storage(&graph, &self.config.engine, &self.faults)?;
-        self.guidance_stale = true;
-        self.degrees = Arc::new(Degrees::of(&graph));
         let result = self.result.result_mut();
         result.values = step.permuted_values(&result.values);
         // A cold run's per-vertex record would need the same permutation;
@@ -897,14 +808,12 @@ where
         // restart's first pull re-pulls every vertex.
         result.exact_fixpoint = false;
         self.program = (self.make_program)(&graph);
-        self.graph = graph;
-        self.partitioning = partitioning;
-        self.layout = Arc::new(layout);
-        self.storage = storage;
+        let cluster = Cluster::with_partitioning(partitioning, self.config.cluster.clone());
+        self.engine.rebuild(graph, cluster, storage);
         if let Some(d) = self.durability.as_mut() {
             d.base_stale = true;
         }
-        Ok(())
+        Ok(true)
     }
 
     /// Durability activity counters, when this server is durable.
@@ -996,20 +905,20 @@ where
         self.durability.as_ref().map(|d| d.seq)
     }
 
-    /// The stable vertex → node assignment shared by every graph version.
+    /// The stable vertex → node assignment, grown with every graph version.
     pub fn partitioning(&self) -> &Partitioning {
-        &self.partitioning
+        self.engine.cluster().partitioning()
     }
 
     /// The current graph version's chunk layout (patched, not rebuilt).
     pub fn layout(&self) -> &GlobalChunkLayout {
-        &self.layout
+        self.engine.layout()
     }
 
     /// The current graph version's out-of-core segment store (patched per
     /// batch), when the server runs in that mode.
     pub fn storage(&self) -> Option<&Arc<GraphStorage>> {
-        self.storage.as_ref()
+        self.engine.storage()
     }
 
     /// Cumulative serving statistics.
@@ -1017,9 +926,9 @@ where
         &self.stats
     }
 
-    /// The server's persistent worker pool (shared with every engine it builds).
+    /// The engine's persistent worker pool, which serves every graph version.
     pub fn pool(&self) -> &WorkerPool {
-        &self.pool
+        self.engine.pool()
     }
 
     /// Everything the telemetry hub has collected over the serving lifetime:
@@ -1027,13 +936,13 @@ where
     /// engine iterations, segment faults) and latency histograms. Empty when
     /// [`EngineConfig::telemetry`] is off.
     pub fn telemetry(&self) -> TelemetrySnapshot {
-        self.telemetry.snapshot()
+        self.engine.telemetry().snapshot()
     }
 
-    /// The live telemetry hub, shared with the serving front end so reader
-    /// threads can record query latency into the same histograms.
+    /// The engine's live telemetry hub, shared with the serving front end so
+    /// reader threads can record query latency into the same histograms.
     pub(crate) fn telemetry_hub(&self) -> &Arc<Telemetry> {
-        &self.telemetry
+        self.engine.telemetry()
     }
 
     /// A point-in-time metrics registry over every layer the server drives:
@@ -1044,7 +953,7 @@ where
     pub fn metrics_registry(&self) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
 
-        let activity = self.pool.activity();
+        let activity = self.engine.pool().activity();
         let busy = activity.busy_fractions();
         let idle = activity.idle_fractions();
         for (worker, (b, i)) in busy.iter().zip(idle.iter()).enumerate() {
@@ -1083,7 +992,7 @@ where
             activity.inline_phases as f64,
         );
 
-        if let Some(storage) = &self.storage {
+        if let Some(storage) = self.engine.storage() {
             let pool = storage.pool();
             let c = pool.counters();
             reg.counter(
@@ -1215,7 +1124,7 @@ where
         reg.gauge(
             "slfe_partition_imbalance",
             "Vertex-count imbalance (max/mean node load) of the stable partitioning",
-            self.partitioning.imbalance(),
+            self.partitioning().imbalance(),
         );
         reg.counter(
             "slfe_server_batches_applied_total",
@@ -1354,28 +1263,24 @@ where
     ///
     /// Once read-only, every subsequent call returns
     /// [`ApplyError::ReadOnly`] without touching the WAL. A rejected batch
-    /// leaves the served version, its partitioning, degrees and guidance
-    /// exactly as they were.
+    /// leaves the served version, its partitioning, degrees, layout, store
+    /// and guidance exactly as they were.
     pub fn try_apply(&mut self, batch: &UpdateBatch) -> Result<BatchOutcome, ApplyError> {
         self.admit(batch)?;
-        let mut clock = StageClock::start(&self.telemetry);
-        let old_n = self.graph.num_vertices();
+        let mut clock = StageClock::start(self.engine.telemetry());
         let logged = self.durability.as_ref().map(|d| (d.seq, d.wal.bytes()));
         let applied = self.run_stages(batch, &mut clock);
         if let Err(e) = &applied {
-            // The one rollback point: put back the served result a warm
-            // restart rewrote, shrink the partitioning back to the version
-            // still serving and restore its degrees, retract the batch from
-            // the WAL if it was logged, then stop taking writes.
+            // The one rollback point: move the engine back to the version
+            // still serving if the batch advanced it, put back the served
+            // result a warm restart rewrote, retract the batch from the WAL
+            // if it was logged, then stop taking writes.
+            if let Some(previous) = self.previous.take() {
+                self.engine.restore(previous);
+            }
             if let Some(record) = self.committed.take() {
                 self.restore_committed(record);
             }
-            if self.partitioning.num_vertices() > old_n {
-                let owners = self.partitioning.owners()[..old_n].to_vec();
-                let parts = self.partitioning.num_parts();
-                self.partitioning = Arc::new(Partitioning::from_owners(owners, parts));
-            }
-            self.degrees = Arc::new(Degrees::of(&self.graph));
             if let (Some(d), Some((seq, wal_bytes))) = (self.durability.as_mut(), logged) {
                 if d.wal.bytes() > wal_bytes {
                     d.seq = seq;
@@ -1393,12 +1298,12 @@ where
     /// The stage sequence of one admitted batch (see
     /// [`BatchOutcome::stages`]), each stage closed by one lap of `clock`. No
     /// stage assigns server state before `publish` except `wal_append`,
-    /// which logs the batch, `graph_patch`, which patches the degrees in
-    /// place, `layout_patch`, which grows the stable partitioning in place,
-    /// and `warm_restart`, which rewrites the served result in place (its
-    /// run record set aside in `committed`); the caller's rollback undoes
-    /// all four on error, so a failed batch leaves the previous version
-    /// serving exactly.
+    /// which logs the batch, `layout_patch`, which advances the engine to
+    /// the new version (the replaced one set aside in `previous`), and
+    /// `warm_restart`, which rewrites the served result in place (its run
+    /// record set aside in `committed`); the caller's rollback undoes all
+    /// three on error, so a failed batch leaves the previous version serving
+    /// exactly.
     fn run_stages(
         &mut self,
         batch: &UpdateBatch,
@@ -1418,15 +1323,10 @@ where
         }
 
         // Batches arrive (and are logged) in external ids.
-        let (graph, effect) = fold(&self.graph, batch);
-        // A no-op batch keeps every artifact of the current version; its
-        // unchanged copy of the graph is dropped right here. Otherwise the
-        // degrees move at the dirty endpoints and the appended vertices; the
-        // previous version's engine is gone, so `make_mut` patches in place.
+        let (graph, effect) = fold(self.engine.graph(), batch);
+        // A no-op batch keeps the current version; its unchanged copy of the
+        // graph is dropped right here.
         let graph = (!effect.is_noop()).then(|| Arc::new(graph));
-        if let Some(graph) = &graph {
-            Arc::make_mut(&mut self.degrees).patch(graph, &effect.dirty);
-        }
         clock.lap("graph_patch");
 
         let mut outcome = BatchOutcome {
@@ -1451,7 +1351,7 @@ where
             // in (plus fresh ones for appended vertices); clean segments keep
             // their bytes and any warm buffer-pool frames.
             let mut storage = None;
-            if let Some(current) = self.storage.clone() {
+            if let Some(current) = self.engine.storage().cloned() {
                 let patched = match current.patched(&graph, &effect.dirty) {
                     Ok((mut patched, rewritten)) => {
                         patched.set_recovery(&graph);
@@ -1470,68 +1370,49 @@ where
                 outcome.segments_rewritten = rewritten;
             }
 
-            // The stable partitioning only grows (appended vertices join the
-            // least-loaded nodes, at the end of their owned lists), so chunk
-            // estimates and in-spans move only around the dirty endpoints:
-            // re-cut those chunks, plus each receiving node's last one, and
-            // copy the rest. The previous version's cluster is gone, so
-            // `make_mut` extends in place.
-            let num_nodes = self.config.cluster.num_nodes;
-            Arc::make_mut(&mut self.partitioning).extend_to(graph.num_vertices());
-            let owned: Vec<&[VertexId]> = (0..num_nodes)
-                .map(|node| self.partitioning.vertices_of(node))
-                .collect();
-            let (layout, layout_patch) = self.layout.patched_at(
-                &graph,
-                &owned,
-                self.config.cluster.chunk_size,
-                &effect.dirty,
-            );
-            let layout = Arc::new(layout);
+            // Move the engine to the new version: the degrees and the chunk
+            // layout are patched around the dirty endpoints, and the stable
+            // partitioning grows (appended vertices join the least-loaded
+            // nodes, at the end of their owned lists).
+            let (layout_patch, previous) = self.engine.advance(graph, &effect.dirty, storage);
+            self.previous = Some(previous);
             outcome.layout_patch = layout_patch;
             clock.lap("layout_patch");
 
             // A cold run reads the rulers, so it regenerates them for the
-            // new version. A warm restart never reads them: it gets the
-            // current guidance, shared as it is even when |V| grew (past its
-            // end it reads "never skip"), and the guidance goes stale until
-            // a reader regenerates it.
-            let dirty_fraction = effect.dirty.len() as f64 / graph.num_vertices().max(1) as f64;
+            // new version. A warm restart never reads them, and the guidance
+            // stays stale until a reader regenerates it.
+            let n = self.engine.graph().num_vertices();
+            let dirty_fraction = effect.dirty.len() as f64 / n.max(1) as f64;
             outcome.full_recompute = dirty_fraction > self.config.full_recompute_dirty_fraction;
-            let rrg = if outcome.full_recompute {
-                Arc::new(RrGuidance::generate(&graph))
-            } else {
-                Arc::clone(&self.rrg)
-            };
+            if outcome.full_recompute {
+                self.engine.guidance();
+            }
             clock.lap("guidance");
 
-            let converged = self.converge(&graph, &rrg, &layout, storage, &effect, &mut outcome);
+            let converged = self.converge(&effect, &mut outcome);
             clock.lap(if outcome.full_recompute {
                 "cold_run"
             } else {
                 "warm_restart"
             });
-            let (program, cold, storage) = converged?;
+            let (program, cold) = converged?;
 
-            self.graph = graph;
-            self.rrg = rrg;
-            self.guidance_stale = !outcome.full_recompute;
-            self.layout = layout;
-            self.storage = storage;
             self.program = program;
             if let Some(result) = cold {
                 self.result.replace(result);
             }
             self.install_values();
-            // Published: the set-aside record has nothing left to undo.
+            // Published: nothing is left to undo.
             self.committed = None;
+            self.previous = None;
         }
-        outcome.effect = Self::external_effect(&self.graph, effect);
+        outcome.effect = Self::external_effect(self.engine.graph(), effect);
         (outcome.storage_live_bytes, outcome.storage_dead_bytes) = self
-            .storage
-            .as_ref()
+            .engine
+            .storage()
             .map_or((0, 0), |s| (s.footprint_bytes(), s.dead_bytes()));
-        outcome.partition_imbalance = self.partitioning.imbalance();
+        outcome.partition_imbalance = self.partitioning().imbalance();
         self.stats.batches_applied += 1;
         self.stats.total_work += outcome.work;
         self.stats.total_distribution_messages += outcome.distribution_messages;
@@ -1543,13 +1424,13 @@ where
         // degrades the server and leaves the dead bytes for a retry
         // `COMPACTION_RETRY_BATCHES` later.
         let retry_due = self.stats.batches_applied >= self.compaction.retry_at;
-        if let Some(storage) = self
-            .storage
-            .as_ref()
+        let compaction = self
+            .engine
+            .storage()
             .filter(|s| retry_due && s.needs_compaction())
-        {
-            let before = storage.file_bytes();
-            match storage.compacted(&self.graph) {
+            .map(|s| (s.file_bytes(), s.compacted(self.engine.graph())));
+        if let Some((before, compacted)) = compaction {
+            match compacted {
                 Ok(compacted) => {
                     let reclaimed = before.saturating_sub(compacted.file_bytes());
                     self.compaction.runs += 1;
@@ -1561,7 +1442,7 @@ where
                     self.health.note_compaction_success();
                     (outcome.storage_live_bytes, outcome.storage_dead_bytes) =
                         (compacted.footprint_bytes(), compacted.dead_bytes());
-                    self.storage = Some(Arc::new(compacted));
+                    self.engine.set_storage(Some(Arc::new(compacted)));
                 }
                 Err(e) => {
                     self.health.note_compaction_failure(&e);
@@ -1606,9 +1487,10 @@ where
                 "snapshot() requires a durable server (create_durable/open)",
             ));
         }
-        let span = self.telemetry.begin();
+        let telemetry = Arc::clone(self.engine.telemetry());
+        let span = telemetry.begin();
         let written = self.write_state();
-        self.telemetry.end(span, "snapshot", "server", 0);
+        telemetry.end(span, "snapshot", "server", 0);
         written
     }
 
@@ -1633,27 +1515,29 @@ where
         let Some(d) = self.durability.as_mut() else {
             return Ok(());
         };
+        let partitioning = self.engine.cluster().partitioning();
         let state = SnapshotState {
             stats: self.stats,
-            graph: &self.graph,
+            graph: self.engine.graph(),
             values: &self.result.result().values,
-            owners: self.partitioning.owners(),
-            num_parts: self.partitioning.num_parts(),
+            owners: partitioning.owners(),
+            num_parts: partitioning.num_parts(),
         };
+        let telemetry = self.engine.telemetry();
         let faults = Some(&*self.faults);
         // The checkpoint lands even when a base follows: the small write
         // moves the recovery point forward should the graph-sized base
         // write fail, and the base policy never delays the cadence's point.
         if !d.base_stale {
-            let span = self.telemetry.begin();
+            let span = telemetry.begin();
             let written = d.write_checkpoint(&state, faults);
-            self.telemetry.end(span, "checkpoint", "server", 0);
+            telemetry.end(span, "checkpoint", "server", 0);
             written?;
         }
         if d.base_due() {
-            let span = self.telemetry.begin();
+            let span = telemetry.begin();
             let written = d.write_base(&state, faults);
-            self.telemetry.end(span, "base", "server", 0);
+            telemetry.end(span, "base", "server", 0);
             if !written? {
                 self.health.note_wal_trim_failure();
             }
@@ -1702,7 +1586,7 @@ where
     ///    (missing, corrupt, another base's, or past the WAL's valid prefix)
     ///    delete it — the batches appended next reuse the sequence numbers
     ///    it covers — and keep the base's state.
-    /// 3. Assemble the runtime once on that graph: regenerate the guidance,
+    /// 3. Build the engine once on that graph: regenerate the guidance,
     ///    build the pool, layout and segment files.
     /// 4. Replay every entry past the recovery point through
     ///    [`DeltaServer::try_apply`], the identical warm apply path.
@@ -1763,16 +1647,9 @@ where
                 )
             }
         };
-        let pool = Arc::new(WorkerPool::new(config.cluster.total_workers()));
-        let partitioning = Arc::new(Partitioning::from_owners(owners, base.num_parts));
-        let mut server = Self::assemble(
-            make_program,
-            config,
-            faults,
-            pool,
-            Arc::new(graph),
-            partitioning,
-        )?;
+        let partitioning = Partitioning::from_owners(owners, base.num_parts);
+        let cluster = Cluster::with_partitioning(partitioning, config.cluster.clone());
+        let mut server = Self::assemble(make_program, config, faults, Arc::new(graph), cluster)?;
         // The fixpoint values are the recovery point's; the run-shaped
         // metadata stays empty. `exact_fixpoint` stays false: neither file
         // records it (base 0 holds the ruler-gated cold values), so the
@@ -1909,7 +1786,9 @@ mod tests {
     use slfe_core::RedundancyMode;
     use slfe_graph::generators::{random_batch, BatchShape};
     use slfe_graph::rng::SplitMix64;
+    use slfe_graph::Degrees;
     use slfe_graph::{generators, stats};
+    use slfe_metrics::Counters;
 
     const GROW: BatchShape = BatchShape::Mixed { allow_growth: true };
 
@@ -2153,14 +2032,20 @@ mod tests {
         }
     }
 
-    /// The server keeps one `Degrees` across versions and patches it per
-    /// batch; it must equal a fresh extraction from the served graph after
-    /// every path that changes the graph or rolls a change back: a batch
-    /// stream with growth and deletes, a full-recompute fallback, a remap,
-    /// a `StoragePatch` rejection followed by a resume and a clean batch, and
-    /// `open`'s replay. The guidance it serves equals a regeneration on the
-    /// served graph on each of those paths, and the served values equal an
-    /// uninterrupted in-memory witness's bit for bit throughout.
+    /// The server keeps one engine across versions and patches its degrees
+    /// and layout per batch. After every path that changes the version or
+    /// rolls a change back — a batch stream with growth and deletes, a
+    /// full-recompute fallback, a remap, a `StoragePatch` and a `WalAppend`
+    /// rejection each followed by a resume and a clean batch, and `open`'s
+    /// replay — the degrees equal a fresh extraction from the served graph,
+    /// the layout equals a from-scratch build over the served partitioning,
+    /// and a ruler-gated cold run on the server's engine equals one on a
+    /// fresh engine over the same graph and partitioning (values, counted
+    /// work apart from segment I/O, iterations and the preprocessing charge),
+    /// so no guidance or per-version cache outlives a version change. The
+    /// guidance it serves equals a regeneration on the served graph, and the
+    /// served values equal an uninterrupted in-memory witness's bit for bit
+    /// throughout.
     #[test]
     fn server_degrees_equal_a_fresh_extraction_on_every_path() {
         let graph = generators::rmat(500, 3500, 0.57, 0.19, 0.19, 43);
@@ -2168,7 +2053,11 @@ mod tests {
         let make = move |g: &Graph| SsspProgram {
             root: g.to_physical(root),
         };
+        // 16-vertex chunks give each node dozens of chunks, so the per-chunk
+        // ruler bounds differ between versions and a stale set would show
+        // in the cold-run comparison below.
         let config = ServerConfig {
+            cluster: ClusterConfig::new(2, 2).with_chunk_size(16),
             engine: EngineConfig::default()
                 .with_storage_budget(24 << 10)
                 .with_storage_segment_bytes(2 << 10),
@@ -2181,21 +2070,60 @@ mod tests {
             DeltaServer::create_durable(graph.clone(), make, config.clone(), durability.clone())
                 .unwrap();
         let mut witness = DeltaServer::try_new(graph, make, ServerConfig::default()).unwrap();
-        let check =
-            |server: &mut DeltaServer<SsspProgram, _>, witness: &DeltaServer<_, _>, at: &str| {
-                assert_eq!(
-                    *server.degrees,
-                    Degrees::of(server.graph()),
-                    "{at}: degrees"
-                );
-                let regenerated = RrGuidance::generate(server.graph());
-                assert_eq!(*server.guidance(), regenerated, "{at}: guidance");
-                assert_eq!(
-                    bits(server.values()),
-                    bits(witness.values()),
-                    "{at}: values"
-                );
+        let check = |server: &mut DeltaServer<SsspProgram, _>,
+                     witness: &DeltaServer<_, _>,
+                     at: &str| {
+            let engine = &server.engine;
+            let graph = Arc::clone(engine.graph());
+            let partitioning = engine.cluster().partitioning();
+            assert_eq!(*engine.degrees(), Degrees::of(&graph), "{at}: degrees");
+            let owned: Vec<&[VertexId]> = (0..partitioning.num_parts())
+                .map(|node| partitioning.vertices_of(node))
+                .collect();
+            let chunk_size = server.config.cluster.chunk_size;
+            assert_eq!(
+                *engine.layout(),
+                GlobalChunkLayout::build(&graph, &owned, chunk_size),
+                "{at}: layout"
+            );
+            let fresh = SlfeEngine::new(
+                Arc::clone(&graph),
+                Cluster::with_partitioning(partitioning.clone(), server.config.cluster.clone()),
+                server.config.engine.clone(),
+                None,
+            );
+            let program = SsspProgram {
+                root: graph.to_physical(root),
             };
+            let (ours, theirs) = (engine.run(&program), fresh.run(&program));
+            assert_eq!(
+                bits(&ours.values),
+                bits(&theirs.values),
+                "{at}: cold values"
+            );
+            let io_free = |c: Counters| Counters {
+                segments_faulted: 0,
+                segment_bytes_read: 0,
+                ..c
+            };
+            assert_eq!(
+                io_free(ours.stats.totals),
+                io_free(theirs.stats.totals),
+                "{at}: cold run counters"
+            );
+            assert_eq!(ours.stats.iterations, theirs.stats.iterations, "{at}");
+            assert_eq!(
+                ours.stats.phases.preprocessing_seconds, theirs.stats.phases.preprocessing_seconds,
+                "{at}: preprocessing charge"
+            );
+            let regenerated = RrGuidance::generate(server.graph());
+            assert_eq!(*server.guidance(), regenerated, "{at}: guidance");
+            assert_eq!(
+                bits(server.values()),
+                bits(witness.values()),
+                "{at}: values"
+            );
+        };
         check(&mut server, &witness, "try_new");
         let shape = BatchShape::Mixed { allow_growth: true };
         let apply = |server: &mut DeltaServer<_, _>, witness: &mut DeltaServer<_, _>, seed, ops| {
@@ -2228,6 +2156,24 @@ mod tests {
         assert!(server.try_resume_writes());
         apply(&mut server, &mut witness, 8, 12);
         check(&mut server, &witness, "batch after the rejection");
+
+        server.fault_injector().arm(FaultPlan::new().fail(
+            FaultSite::WalAppend,
+            0,
+            slfe_graph::FaultKind::Permanent,
+        ));
+        let batch = random_batch(witness.graph(), 9, 12, shape);
+        let err = server.try_apply(&batch).unwrap_err();
+        assert!(matches!(err, ApplyError::WalAppend(_)), "got {err}");
+        check(&mut server, &witness, "WAL-append rejection");
+        server.fault_injector().disarm();
+        assert!(server.try_resume_writes());
+        apply(&mut server, &mut witness, 10, 12);
+        check(
+            &mut server,
+            &witness,
+            "batch after the WAL-append rejection",
+        );
 
         drop(server);
         let mut reopened = DeltaServer::open(make, config, durability).unwrap();
@@ -2607,16 +2553,16 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Warm restarts never read the rulers: warm batches that keep |V| hand
-    /// every engine the same guidance `Arc` and leave it stale, the first
-    /// `guidance()` read after them regenerates it, and a full-recompute
-    /// batch leaves it current.
+    /// Warm restarts never read the rulers: warm batches, one that grows |V|
+    /// included, leave the engine's guidance stale without regenerating it,
+    /// the first `guidance()` read after them regenerates it, a second read
+    /// reuses it, and a full-recompute batch leaves it current.
     #[test]
     fn warm_batches_never_touch_the_guidance() {
         let graph = generators::rmat(500, 3500, 0.57, 0.19, 0.19, 83);
         let root = stats::highest_out_degree_vertex(&graph).unwrap();
         let mut server = sssp_server(graph.clone(), root, ServerConfig::default());
-        let initial = Arc::clone(&server.rrg);
+        assert!(server.engine.guidance_is_current());
         let mut current = graph;
         for round in 0..3u64 {
             let batch = mixed_batch(&current, round + 640, 20);
@@ -2625,40 +2571,30 @@ mod tests {
             assert!(!outcome.full_recompute, "round {round} must stay warm");
             assert_eq!(outcome.effect.vertices_added, 0);
             assert!(
-                Arc::ptr_eq(&server.rrg, &initial),
-                "round {round}: the warm path replaced the guidance"
+                !server.engine.guidance_is_current(),
+                "round {round}: the warm path regenerated the guidance"
             );
-            assert!(server.guidance_stale, "round {round}");
         }
-        // A batch that grows |V| hands the restart the same guidance too:
-        // past its end it reads "never skip", so nothing pads or copies it.
         let mut grow = mixed_batch(&current, 643, 20);
         grow.insert(0, current.num_vertices() as VertexId + 3, 1.5);
         let outcome = server.try_apply(&grow).unwrap();
         current = current.apply_batch(&grow).0;
         assert!(!outcome.full_recompute, "the growth round must stay warm");
         assert_eq!(outcome.effect.vertices_added, 4);
-        assert!(
-            Arc::ptr_eq(&server.rrg, &initial),
-            "the growth round replaced the guidance"
-        );
-        assert!(server.rrg.num_vertices() < current.num_vertices());
-        assert!(server.guidance_stale);
+        assert!(!server.engine.guidance_is_current());
         // The first read regenerates; a second one reuses that guidance.
         assert_eq!(*server.guidance(), RrGuidance::generate(&current));
-        assert!(!server.guidance_stale);
-        let regenerated = Arc::clone(&server.rrg);
-        assert!(!Arc::ptr_eq(&regenerated, &initial));
-        server.guidance();
-        assert!(Arc::ptr_eq(&server.rrg, &regenerated));
+        assert!(server.engine.guidance_is_current());
+        let regenerated: *const RrGuidance = server.guidance();
+        assert!(std::ptr::eq(server.guidance(), regenerated));
 
         // A cold run reads the rulers, so it leaves the guidance current.
         server.config.full_recompute_dirty_fraction = 0.0;
         let batch = mixed_batch(&current, 650, 20);
         assert!(server.try_apply(&batch).unwrap().full_recompute);
         current = current.apply_batch(&batch).0;
-        assert!(!server.guidance_stale);
-        assert_eq!(*server.rrg, RrGuidance::generate(&current));
+        assert!(server.engine.guidance_is_current());
+        assert_eq!(*server.engine.guidance(), RrGuidance::generate(&current));
     }
 
     /// Out-of-core serving, durable or not: a batch that leaves more than

@@ -37,18 +37,21 @@ impl Degrees {
         }
     }
 
-    /// Bring these degrees of the previous graph version up to date with
-    /// `graph`, its successor under one edge batch whose changed endpoints
-    /// are `dirty` ([`crate::BatchEffect::dirty`]): re-read the dirty
-    /// vertices and append the vertices the batch added, in
-    /// `O(|dirty| + appended)`. The result equals [`Degrees::of`]`(graph)`.
+    /// Bring these degrees of one graph version up to date with `graph`,
+    /// its successor or predecessor under one edge batch whose changed
+    /// endpoints are `dirty` ([`crate::BatchEffect::dirty`], ascending):
+    /// re-read the dirty vertices and append the vertices the batch added,
+    /// or drop them when going back, in `O(|dirty| + appended)`. The result
+    /// equals [`Degrees::of`]`(graph)`.
     pub fn patch(&mut self, graph: &Graph, dirty: &[VertexId]) {
         let n = graph.num_vertices();
+        self.out.truncate(n);
+        self.incoming.truncate(n);
         for v in self.out.len()..n {
             self.out.push(graph.out_degree(v as VertexId) as u32);
             self.incoming.push(graph.in_degree(v as VertexId) as u32);
         }
-        for &v in dirty {
+        for &v in dirty.iter().take_while(|&&v| (v as usize) < n) {
             self.out[v as usize] = graph.out_degree(v) as u32;
             self.incoming[v as usize] = graph.in_degree(v) as u32;
         }

@@ -92,6 +92,16 @@ impl Partitioning {
         }
     }
 
+    /// Shrink the id space back to `num_vertices`, undoing an
+    /// [`Partitioning::extend_to`]: the dropped ids sit at the end of their
+    /// nodes' ascending lists.
+    pub fn truncate(&mut self, num_vertices: usize) {
+        self.owner.truncate(num_vertices);
+        for part in &mut self.parts {
+            part.truncate(part.partition_point(|&v| (v as usize) < num_vertices));
+        }
+    }
+
     /// Number of *outgoing* edges whose source is owned by each node — the measure
     /// Gemini-style chunking balances on.
     pub fn edge_counts(&self, graph: &Graph) -> Vec<usize> {

@@ -56,24 +56,30 @@ fn delta_server_reuses_one_pool_across_graph_versions() {
     let root = slfe::graph::stats::highest_out_degree_vertex(&graph).unwrap();
     let config = ServerConfig {
         cluster: ClusterConfig::new(2, 2),
+        engine: EngineConfig::default().with_telemetry(true),
         ..ServerConfig::default()
-    };
+    }
+    .with_reorder(slfe::graph::ReorderPolicy::DegreeDescending);
     let total_workers = config.cluster.total_workers() as u64;
     let mut server = DeltaServer::try_new(
         graph.clone(),
-        move |_g: &slfe::graph::Graph| slfe::apps::sssp::SsspProgram { root },
+        move |g: &slfe::graph::Graph| slfe::apps::sssp::SsspProgram {
+            root: g.to_physical(root),
+        },
         config,
     )
     .unwrap();
     let after_startup = server.pool().threads_spawned();
     assert!(after_startup < total_workers);
 
-    // Warm batches rebuild cluster + engine per graph version; the pool must
-    // survive all of it without a single extra spawn.
+    // One engine serves every graph version: warm batches and a full
+    // recompute advance it in place and a remap rebuilds it around the
+    // renamed graph. The pool must survive all of it without a single extra
+    // spawn, and the telemetry hub must keep what it recorded.
     let mut rng = slfe::graph::rng::SplitMix64::seed_from_u64(17);
-    for _ in 0..3 {
+    let mut apply = |server: &mut DeltaServer<_, _>, edges: usize| {
         let mut batch = UpdateBatch::new();
-        for _ in 0..20 {
+        for _ in 0..edges {
             let n = server.graph().num_vertices() as u32;
             batch.insert(
                 rng.range_u32(0, n),
@@ -84,7 +90,21 @@ fn delta_server_reuses_one_pool_across_graph_versions() {
         let outcome = server.try_apply(&batch).unwrap();
         assert!(outcome.converged);
         assert_eq!(server.pool().threads_spawned(), after_startup);
+        outcome
+    };
+    for _ in 0..3 {
+        assert!(!apply(&mut server, 20).full_recompute);
     }
+    let n = server.graph().num_vertices();
+    assert!(apply(&mut server, n).full_recompute);
+
+    let before_remap = server.telemetry().spans;
+    assert!(!before_remap.is_empty());
+    assert!(server.remap_now().unwrap(), "the reorder policy must remap");
+    assert_eq!(server.pool().threads_spawned(), after_startup);
+    let after_remap = server.telemetry().spans;
+    assert_eq!(after_remap[..before_remap.len()], before_remap[..]);
+    assert!(!apply(&mut server, 20).full_recompute);
 }
 
 #[test]
