@@ -252,9 +252,10 @@ pub struct BatchOutcome {
     pub distribution_messages: u64,
     /// What patching the chunk layout to this graph version cost: only the
     /// chunks around the dirty endpoints (plus each receiving node's last
-    /// chunk when vertices were appended) are re-cut, a node whose split
-    /// budget moved is re-cut whole, and every other chunk is carried over
-    /// from the previous version ([`GlobalChunkLayout::patched_at`]).
+    /// chunk when vertices were appended) are re-cut, and on a node whose
+    /// split budget moved (`budget_moves`) also the chunks whose cut the new
+    /// budget moves; every other chunk is carried over from the previous
+    /// version ([`GlobalChunkLayout::patched_at`]).
     pub layout_patch: LayoutPatchStats,
     /// Out-of-core serving only: how many disk segments this batch rewrote
     /// across both adjacency directions ([`GraphStorage::patched`] — the
